@@ -8,28 +8,22 @@ at node measures, so the integral is a trapezoid sum over nodes; the
 defect therefore carries an O(dt) quadrature floor and the useful signal
 is how it scales with N, not its absolute size.
 
-Convergence studies and scheme comparisons both reduce paths to tables of
-sup-over-node-times Wasserstein-1 numbers, ready for CSV plotting.
+Convergence studies and scheme comparisons score paths they are given:
+both reduce them to tables of sup-over-node-times Wasserstein-1 numbers,
+ready for CSV plotting, and neither runs a scheme.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import EmptyInputError
 from .measures import DiscreteMeasure
 from .pvf import PvfSpec, eval_pvf
-from .schemes import (
-    SCHEMES,
-    GridSpec,
-    MeasurePath,
-    SchemeConfig,
-    interpolate_at,
-    run_scheme,
-)
+from .schemes import MeasurePath, interpolate_at
 from .transport import w1_distance
 
 # sup of |grad f| for the cubic bump, attained at |x-c| = r/sqrt(5)
@@ -192,63 +186,47 @@ class ConvergenceTable:
 ReferenceLike = Union[MeasurePath, Callable[[float], DiscreteMeasure]]
 
 
+def _along(path: MeasurePath) -> Callable[[float], DiscreteMeasure]:
+    return lambda t: interpolate_at(path, t)
+
+
+def _sup_w1(a, b, times) -> float:
+    """max over ``times`` of W1(a(t), b(t)), for callables t -> measure."""
+    return float(max(w1_distance(a(float(t)), b(float(t))) for t in times))
+
+
 def convergence_study(
-    spec: PvfSpec,
-    mu0: DiscreteMeasure,
+    paths: Sequence[MeasurePath],
     scheme: str,
-    Ns: Sequence[int],
-    T: float,
     reference: Optional[ReferenceLike] = None,
 ) -> ConvergenceTable:
-    """Errors of ``scheme`` runs over increasing N, all at standard grids.
+    """Errors of the ``scheme`` runs in ``paths``, ordered by increasing N.
 
-    With a reference (path or callable t -> measure), each run is compared
-    against it at the coarsest run's node times.  Without one, consecutive
-    runs are compared with each other at the coarser run's node times.
+    N and T are read off the paths.  With a reference (path or callable
+    t -> measure), each path is compared against it at the coarsest path's
+    node times.  Without one, consecutive paths are compared with each
+    other at the coarser path's node times.
     """
-    Ns = [int(n) for n in Ns]
-    if len(Ns) == 0:
-        raise EmptyInputError("need at least one N")
+    paths = list(paths)
+    if len(paths) == 0:
+        raise EmptyInputError("need at least one path")
+    Ns = tuple(p.times.shape[0] - 1 for p in paths)
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValueError("Ns must be strictly increasing")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    paths = [
-        run_scheme(spec, mu0, SchemeConfig(scheme=scheme, grid=GridSpec(T=T, N=n)))
-        for n in Ns
-    ]
+        raise ValueError("N must strictly increase along the paths")
     if reference is not None:
-        ref = (
-            (lambda t: interpolate_at(reference, t))
-            if isinstance(reference, MeasurePath)
-            else reference
-        )
-        eval_times = paths[0].times
+        ref = _along(reference) if isinstance(reference, MeasurePath) else reference
+        errors = tuple(_sup_w1(_along(p), ref, paths[0].times) for p in paths)
+        mode = "reference"
+    elif len(paths) < 2:
+        raise ValueError("successive mode needs at least two paths")
+    else:
         errors = tuple(
-            float(
-                max(
-                    w1_distance(interpolate_at(p, t), ref(float(t)))
-                    for t in eval_times
-                )
-            )
-            for p in paths
+            _sup_w1(_along(coarse), _along(fine), coarse.times)
+            for coarse, fine in zip(paths, paths[1:])
         )
-        return ConvergenceTable(
-            scheme=scheme, T=float(T), Ns=tuple(Ns), errors=errors, mode="reference"
-        )
-    if len(Ns) < 2:
-        raise ValueError("successive mode needs at least two Ns")
-    errors = tuple(
-        float(
-            max(
-                w1_distance(interpolate_at(coarse, t), interpolate_at(fine, t))
-                for t in coarse.times
-            )
-        )
-        for coarse, fine in zip(paths, paths[1:])
-    )
+        Ns, mode = Ns[:-1], "successive"
     return ConvergenceTable(
-        scheme=scheme, T=float(T), Ns=tuple(Ns[:-1]), errors=errors, mode="successive"
+        scheme=scheme, T=paths[0].T, Ns=Ns, errors=errors, mode=mode
     )
 
 
@@ -271,24 +249,22 @@ class ComparisonTable:
         return [(a, b, g) for (a, b), g in zip(self.pairs, self.gaps)]
 
 
-def scheme_compare(
-    spec: PvfSpec, mu0: DiscreteMeasure, N: int, T: float
-) -> ComparisonTable:
-    """Run all three schemes on the same grid and tabulate pairwise gaps."""
-    grid = GridSpec(T=T, N=N)
-    runs = {
-        tag: run_scheme(spec, mu0, SchemeConfig(scheme=tag, grid=grid))
-        for tag in SCHEMES
-    }
-    tags = list(SCHEMES)
-    pairs = []
-    gaps = []
-    for i, a in enumerate(tags):
-        for b in tags[i + 1 :]:
-            gap = max(
-                w1_distance(ma, mb)
-                for ma, mb in zip(runs[a].measures, runs[b].measures)
-            )
-            pairs.append((a, b))
-            gaps.append(float(gap))
-    return ComparisonTable(N=int(N), T=float(T), pairs=tuple(pairs), gaps=tuple(gaps))
+def scheme_compare(runs: Mapping[str, MeasurePath]) -> ComparisonTable:
+    """Tabulate pairwise gaps between paths run on one grid.
+
+    ``runs`` maps a scheme tag to its path; pairs follow the mapping's
+    order.  All paths must share their node times.
+    """
+    tags = list(runs)
+    if len(tags) == 0:
+        raise EmptyInputError("need at least one path")
+    first = runs[tags[0]]
+    if any(not np.array_equal(runs[tag].times, first.times) for tag in tags):
+        raise ValueError("paths must share their node times")
+    pairs = tuple((a, b) for i, a in enumerate(tags) for b in tags[i + 1 :])
+    gaps = tuple(
+        float(max(map(w1_distance, runs[a].measures, runs[b].measures)))
+        for a, b in pairs
+    )
+    N = first.times.shape[0] - 1
+    return ComparisonTable(N=N, T=first.T, pairs=pairs, gaps=gaps)

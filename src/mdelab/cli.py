@@ -9,8 +9,7 @@ Commands:
   residual <scenario>   run with only the weak-residual report
 
 <scenario> is a JSON file path or a built-in name.  Flags --out, --n and
---scheme override the scenario's directory, grid sizes and scheme list;
---seed is accepted for forward compatibility (nothing is random yet).
+--scheme override the scenario's directory, grid sizes and scheme list.
 Exit codes: 0 success, 1 runtime/IO failure, 2 configuration error.
 """
 
@@ -55,9 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--scheme",
             choices=list(SCHEMES) + ["all"],
             help="scheme override",
-        )
-        p.add_argument(
-            "--seed", type=int, default=None, help="reserved; nothing is random yet"
         )
         return p
 

@@ -6,7 +6,8 @@ scheme tags, and analysis flags.  ``run_scenario`` executes every
 (scheme, N) combination, writes CSV paths plus any requested reports into
 the output directory, and finishes with a manifest that echoes the full
 normalized configuration, so re-running from the manifest reproduces the
-artifacts byte for byte.
+artifacts byte for byte.  Each distinct scheme configuration is run once;
+the comparison and convergence reports score the paths already computed.
 
 Five built-ins cover the desk-scale experiments: "splitting-dirac",
 "splitting-uniform", "binomial", "uniform-fiber", "peano".
@@ -15,6 +16,7 @@ Five built-ins cover the desk-scale experiments: "splitting-dirac",
 from __future__ import annotations
 
 import copy
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -34,8 +36,7 @@ from .schemes import SCHEMES, GridSpec, MeasurePath, SchemeConfig, run_scheme
 from .superposition import build_representation
 from .analysis import convergence_study, residual, scheme_compare
 from . import artifacts
-
-SCHEMA = "mde-lab/1"
+from .artifacts import SCHEMA
 
 
 def initial_from_spec(obj: dict, where: str = "initial") -> DiscreteMeasure:
@@ -108,8 +109,16 @@ class Scenario:
             raise ConfigError(
                 f"scheme: unknown {unknown[0]!r} (known: {', '.join(SCHEMES)}, all)"
             )
+        if self.converge and any(b <= a for a, b in zip(self.Ns, self.Ns[1:])):
+            raise ConfigError("N: grid sizes must strictly increase for converge")
         if self.dvs is not None and len(self.dvs) != len(self.Ns):
             raise ConfigError("dv: need one velocity step per N")
+        if self.dvs is not None and not all(0 < v < math.inf for v in self.dvs):
+            raise ConfigError("dv: velocity steps must be positive and finite")
+        if not self.coalesce_tol >= 0:
+            raise ConfigError("coalesce_tol: must be >= 0")
+        if not 0.0 <= self.prune_floor <= 1e-6:
+            raise ConfigError("prune_floor: must lie in [0, 1e-6]")
         object.__setattr__(self, "pvf", copy.deepcopy(self.pvf))
         object.__setattr__(self, "initial", copy.deepcopy(self.initial))
         object.__setattr__(self, "Ns", tuple(int(n) for n in self.Ns))
@@ -151,6 +160,13 @@ def scenario_to_json(scn: Scenario) -> dict:
     return obj
 
 
+def _number(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
+
+
 def scenario_from_json(obj: dict) -> Scenario:
     if not isinstance(obj, dict):
         raise ConfigError("scenario: expected a JSON object")
@@ -179,13 +195,10 @@ def scenario_from_json(obj: dict) -> Scenario:
     if raw_dv is None:
         dvs = None
     elif isinstance(raw_dv, (list, tuple)):
-        dvs = tuple(float(v) for v in raw_dv)
+        dvs = tuple(_number(v, "dv") for v in raw_dv)
     else:
-        dvs = tuple(float(raw_dv) for _ in Ns)
-    try:
-        T = float(obj["T"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"T: {exc}") from exc
+        dvs = (_number(raw_dv, "dv"),) * len(Ns)
+    T = _number(obj["T"], "T")
     flags = {}
     for key in ("residual", "converge", "compare", "represent"):
         val = obj.get(key, False)
@@ -200,8 +213,8 @@ def scenario_from_json(obj: dict) -> Scenario:
         Ns=Ns,
         schemes=schemes,
         dvs=dvs,
-        coalesce_tol=float(obj.get("coalesce_tol", MERGE_TOL)),
-        prune_floor=float(obj.get("prune_floor", 0.0)),
+        coalesce_tol=_number(obj.get("coalesce_tol", MERGE_TOL), "coalesce_tol"),
+        prune_floor=_number(obj.get("prune_floor", 0.0), "prune_floor"),
         outputs=str(obj.get("outputs", "out")),
         description=str(obj.get("description", "")),
         **flags,
@@ -332,7 +345,11 @@ def _safe_tag(scheme: str) -> str:
 
 
 def run_scenario(scn: Scenario) -> dict:
-    """Execute all (scheme, N) runs and write artifacts; returns the manifest."""
+    """Execute all (scheme, N) runs and write artifacts; returns the manifest.
+
+    Runs are memoized by their full ``SchemeConfig``, so each distinct
+    configuration is run once and the reports score the memoized paths.
+    """
     started = time.perf_counter()
     spec = scn.pvf_spec()
     mu0 = scn.initial_measure()
@@ -351,47 +368,39 @@ def run_scenario(scn: Scenario) -> dict:
         writer(payload, os.path.join(out, name))
         written.append(name)
 
-    paths: dict[tuple[str, int], MeasurePath] = {}
+    memo: dict[SchemeConfig, MeasurePath] = {}
+
+    def path_for(cfg: SchemeConfig) -> MeasurePath:
+        if cfg not in memo:
+            memo[cfg] = run_scheme(spec, mu0, cfg)
+        return memo[cfg]
+
     for i, n in enumerate(scn.Ns):
-        grid = scn.grid(i)
         for scheme in scn.schemes:
-            cfg = SchemeConfig(
-                scheme=scheme,
-                grid=grid,
-                coalesce_tol=scn.coalesce_tol,
-                prune_floor=scn.prune_floor,
-            )
-            path = run_scheme(spec, mu0, cfg)
-            paths[(scheme, n)] = path
+            cfg = SchemeConfig(scheme, scn.grid(i), scn.coalesce_tol, scn.prune_floor)
+            path = path_for(cfg)
             tag = f"{_safe_tag(scheme)}_N{n}"
             emit(f"path_{tag}.csv", artifacts.write_path_csv, path)
             pruned[tag] = path.pruned_mass
             radii[tag] = max(support_radius(mu) for mu in path.measures)
             if scn.represent:
                 ens = build_representation(path)
-                emit(
-                    f"trajectories_{tag}.json",
-                    artifacts.write_trajectories_json,
-                    ens,
-                )
+                emit(f"trajectories_{tag}.json", artifacts.write_trajectories_json, ens)
             if scn.residual:
                 rep = residual(path, spec)
                 emit(f"residual_{tag}.csv", artifacts.write_residual_csv, rep)
-                emit(
-                    f"residual_{tag}.json",
-                    lambda obj, p: artifacts.write_json(obj, p),
-                    artifacts.residual_to_json(rep),
-                )
+                obj = artifacts.residual_to_json(rep)
+                emit(f"residual_{tag}.json", artifacts.write_json, obj)
 
+    # compare and converge use standard grids (dv = 1/N), default housekeeping
     if scn.compare:
         for n in scn.Ns:
-            table = scheme_compare(spec, mu0, n, scn.T)
+            grid = GridSpec(T=scn.T, N=n)
+            runs = {tag: path_for(SchemeConfig(tag, grid)) for tag in SCHEMES}
+            table = scheme_compare(runs)
             emit(f"comparison_N{n}.csv", artifacts.write_comparison_csv, table)
-            emit(
-                f"comparison_N{n}.json",
-                lambda obj, p: artifacts.write_json(obj, p),
-                artifacts.comparison_to_json(table),
-            )
+            obj = artifacts.comparison_to_json(table)
+            emit(f"comparison_N{n}.json", artifacts.write_json, obj)
 
     if scn.converge:
         if len(scn.Ns) < 2:
@@ -399,19 +408,14 @@ def run_scenario(scn: Scenario) -> dict:
         elif scn.dvs is not None:
             notes.append("converge uses standard grids; dv overrides ignored")
         if len(scn.Ns) >= 2:
+            grids = [GridSpec(T=scn.T, N=n) for n in scn.Ns]
             for scheme in scn.schemes:
-                table = convergence_study(spec, mu0, scheme, scn.Ns, scn.T)
+                paths = [path_for(SchemeConfig(scheme, g)) for g in grids]
+                table = convergence_study(paths, scheme)
                 stag = _safe_tag(scheme)
-                emit(
-                    f"convergence_{stag}.csv",
-                    artifacts.write_convergence_csv,
-                    table,
-                )
-                emit(
-                    f"convergence_{stag}.json",
-                    lambda obj, p: artifacts.write_json(obj, p),
-                    artifacts.convergence_to_json(table),
-                )
+                emit(f"convergence_{stag}.csv", artifacts.write_convergence_csv, table)
+                obj = artifacts.convergence_to_json(table)
+                emit(f"convergence_{stag}.json", artifacts.write_json, obj)
 
     manifest = {
         "schema": SCHEMA,

@@ -300,6 +300,19 @@ def run_scheme(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> Measur
 # evaluation along a path
 # ---------------------------------------------------------------------------
 
+def locate_time(times: np.ndarray, t: float) -> tuple[int, bool]:
+    """``(k, True)`` if t is node time k (within _TIME_TOL), else ``(k, False)``
+    for the interval (times[k], times[k+1]) holding t; OutOfRangeError outside.
+    """
+    t = float(t)
+    if t < times[0] - _TIME_TOL or t > times[-1] + _TIME_TOL:
+        raise OutOfRangeError(f"t={t:g} outside [{times[0]:g}, {times[-1]:g}]")
+    k = int(np.argmin(np.abs(times - t)))
+    if abs(times[k] - t) <= _TIME_TOL:
+        return k, True
+    return int(np.searchsorted(times, t) - 1), False
+
+
 def interpolate_at(path: MeasurePath, t: float) -> DiscreteMeasure:
     """The path's measure at any time in [0, T].
 
@@ -308,12 +321,9 @@ def interpolate_at(path: MeasurePath, t: float) -> DiscreteMeasure:
     """
     t = float(t)
     times = path.times
-    if t < times[0] - _TIME_TOL or t > times[-1] + _TIME_TOL:
-        raise OutOfRangeError(f"t={t:g} outside [{times[0]:g}, {times[-1]:g}]")
-    k = int(np.argmin(np.abs(times - t)))
-    if abs(times[k] - t) <= _TIME_TOL:
+    k, at_node = locate_time(times, t)
+    if at_node:
         return path.measures[k]
-    k = int(np.searchsorted(times, t) - 1)
     lifted = path.interp[k]
     return DiscreteMeasure(
         lifted.positions + (t - times[k]) * lifted.velocities, lifted.weights

@@ -33,10 +33,9 @@ from .measures import (
     match_rows,
 )
 from .pvf import PvfSpec, barycentric_field
-from .schemes import MeasurePath
+from .schemes import _TIME_TOL, MeasurePath, locate_time
 from .transport import w1_distance
 
-_TIME_TOL = 1e-12
 _JOINT_TOL = 1e-9
 
 
@@ -229,13 +228,10 @@ def evaluate_pushforward(ens: TrajectoryEnsemble, t: float) -> DiscreteMeasure:
     """The measure seen at time t: each curve contributes its point."""
     t = float(t)
     times = ens.times
-    if t < times[0] - _TIME_TOL or t > times[-1] + _TIME_TOL:
-        raise OutOfRangeError(f"t={t:g} outside [{times[0]:g}, {times[-1]:g}]")
-    k = int(np.argmin(np.abs(times - t)))
-    if abs(times[k] - t) <= _TIME_TOL:
+    k, at_node = locate_time(times, t)
+    if at_node:
         pts = ens.knots[:, k, :]
     else:
-        k = int(np.searchsorted(times, t) - 1)
         frac = (t - times[k]) / (times[k + 1] - times[k])
         pts = ens.knots[:, k, :] + frac * (ens.knots[:, k + 1, :] - ens.knots[:, k, :])
     return DiscreteMeasure(pts, ens.weights)
@@ -276,8 +272,8 @@ def verify_fiber_barycenter(
     pushforward measure.
     """
     times = ens.times
-    k = int(np.argmin(np.abs(times - t)))
-    if abs(times[k] - t) > _TIME_TOL:
+    k, at_node = locate_time(times, t)
+    if not at_node:
         raise OutOfRangeError(f"t={t:g} is not a knot time")
     if k >= times.shape[0] - 1:
         raise OutOfRangeError("the final knot has no right-hand slope")

@@ -10,6 +10,7 @@ from mdelab import (
     LAGRANGIAN,
     LAS,
     MEAN_VELOCITY,
+    SCHEMES,
     SchemeConfig,
     SplittingParticlePvf,
     TestFunction,
@@ -24,6 +25,7 @@ from mdelab import (
     make_measure,
     mean_velocity_run,
     residual,
+    run_scheme,
     scheme_compare,
     w1_distance,
 )
@@ -35,6 +37,14 @@ BINOMIAL = ConstantFiberPvf(make_measure([[-1.0], [1.0]], [0.5, 0.5]))
 
 def cfg(scheme, T=1.0, N=8, **kw):
     return SchemeConfig(scheme=scheme, grid=GridSpec(T=T, N=N), **kw)
+
+
+def runs(spec, mu0, scheme, Ns, T=1.0):
+    return [run_scheme(spec, mu0, cfg(scheme, T=T, N=n)) for n in Ns]
+
+
+def all_schemes(spec, mu0, N, T=1.0):
+    return {tag: run_scheme(spec, mu0, cfg(tag, T=T, N=N)) for tag in SCHEMES}
 
 
 def _double_speed(mu):
@@ -162,7 +172,7 @@ def test_convergence_splitting_against_closed_form():
         xs, ws = oracles.splitting_dirac_atoms(0.0, t)
         return make_measure([[x] for x in xs], ws)
 
-    table = convergence_study(SPLIT, dirac(0.0), LAS, [4, 8, 16], 1.0, reference=closed)
+    table = convergence_study(runs(SPLIT, dirac(0.0), LAS, [4, 8, 16]), LAS, reference=closed)
     assert table.mode == "reference"
     assert table.Ns == (4, 8, 16)
     for N, err in table.rows():
@@ -173,7 +183,7 @@ def test_convergence_splitting_against_closed_form():
 
 def test_convergence_binomial_matches_mad_oracle():
     table = convergence_study(
-        BINOMIAL, dirac(0.0), LAS, [4, 16], 1.0, reference=lambda t: dirac(0.0)
+        runs(BINOMIAL, dirac(0.0), LAS, [4, 16]), LAS, reference=lambda t: dirac(0.0)
     )
     for N, err in table.rows():
         assert err == pytest.approx(oracles.binomial_mad(N), abs=1e-12)
@@ -182,19 +192,21 @@ def test_convergence_binomial_matches_mad_oracle():
 
 def test_convergence_mean_velocity_stationary_error_zero():
     table = convergence_study(
-        SPLIT, dirac(2.0), MEAN_VELOCITY, [2, 4, 8], 1.0, reference=lambda t: dirac(2.0)
+        runs(SPLIT, dirac(2.0), MEAN_VELOCITY, [2, 4, 8]),
+        MEAN_VELOCITY,
+        reference=lambda t: dirac(2.0),
     )
     assert all(err == 0.0 for _, err in table.rows())
 
 
 def test_convergence_against_reference_path():
     fine = las_run(SPLIT, dirac(0.0), cfg(LAS, N=64))
-    table = convergence_study(SPLIT, dirac(0.0), LAS, [4, 16], 1.0, reference=fine)
+    table = convergence_study(runs(SPLIT, dirac(0.0), LAS, [4, 16]), LAS, reference=fine)
     assert table.errors[1] <= table.errors[0] + 1e-12
 
 
 def test_convergence_successive_mode():
-    table = convergence_study(BINOMIAL, dirac(0.0), LAS, [2, 4, 8], 1.0)
+    table = convergence_study(runs(BINOMIAL, dirac(0.0), LAS, [2, 4, 8]), LAS)
     assert table.mode == "successive"
     assert table.Ns == (2, 4)
     # recompute the first successive gap by hand
@@ -209,9 +221,9 @@ def test_convergence_successive_mode():
 
 def test_convergence_validates_refinement_order():
     with pytest.raises(ValueError):
-        convergence_study(SPLIT, dirac(0.0), LAS, [8, 4], 1.0)
+        convergence_study(runs(SPLIT, dirac(0.0), LAS, [8, 4]), LAS)
     with pytest.raises(ValueError):
-        convergence_study(SPLIT, dirac(0.0), LAS, [4], 1.0)
+        convergence_study(runs(SPLIT, dirac(0.0), LAS, [4]), LAS)
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +232,14 @@ def test_convergence_validates_refinement_order():
 
 def test_scheme_compare_graph_pvf_collapses():
     spec = GraphPvf(GRAPH_FIELDS["linear"])
-    table = scheme_compare(spec, dirac(0.5), N=8, T=1.0)
+    table = scheme_compare(all_schemes(spec, dirac(0.5), N=8))
     g = GridSpec(T=1.0, N=8)
     for _, _, gap in table.rows():
         assert gap <= g.dx + g.dv * 1.0
 
 
 def test_scheme_compare_splitting_structure():
-    table = scheme_compare(SPLIT, dirac(0.0), N=8, T=1.0)
+    table = scheme_compare(all_schemes(SPLIT, dirac(0.0), N=8))
     assert table.gap(LAS, LAGRANGIAN) <= 1e-12  # dyadic grid, schemes agree
     assert table.gap(LAS, MEAN_VELOCITY) == pytest.approx(1.0, abs=1e-12)
     assert table.gap(LAGRANGIAN, MEAN_VELOCITY) == pytest.approx(1.0, abs=1e-12)
@@ -237,7 +249,7 @@ def test_scheme_compare_splitting_structure():
 
 
 def test_scheme_compare_binomial_gaps_shrink():
-    coarse = scheme_compare(BINOMIAL, dirac(0.0), N=4, T=1.0)
-    fine = scheme_compare(BINOMIAL, dirac(0.0), N=16, T=1.0)
+    coarse = scheme_compare(all_schemes(BINOMIAL, dirac(0.0), N=4))
+    fine = scheme_compare(all_schemes(BINOMIAL, dirac(0.0), N=16))
     for a, b, gap in fine.rows():
         assert gap <= coarse.gap(a, b) + 1e-12

@@ -9,6 +9,7 @@ from mdelab import (
     GridSpec,
     IoError,
     LAS,
+    SCHEMES,
     SchemeConfig,
     SplittingParticlePvf,
     build_representation,
@@ -17,6 +18,7 @@ from mdelab import (
     las_run,
     make_measure,
     residual,
+    run_scheme,
     scheme_compare,
     w1_plan,
 )
@@ -40,8 +42,16 @@ SPLIT = SplittingParticlePvf()
 BINOMIAL = ConstantFiberPvf(make_measure([[-1.0], [1.0]], [0.5, 0.5]))
 
 
+def cfg(scheme, N, T=1.0):
+    return SchemeConfig(scheme=scheme, grid=GridSpec(T=T, N=N))
+
+
 def las_path(N=4, T=1.0):
-    return las_run(SPLIT, dirac(0.0), SchemeConfig(scheme=LAS, grid=GridSpec(T=T, N=N)))
+    return las_run(SPLIT, dirac(0.0), cfg(LAS, N, T))
+
+
+def all_schemes(spec, N):
+    return {tag: run_scheme(spec, dirac(0.0), cfg(tag, N)) for tag in SCHEMES}
 
 
 def test_fmt_round_trips_floats():
@@ -129,9 +139,8 @@ def test_residual_csv_and_json(tmp_path):
 
 
 def test_convergence_csv_and_json(tmp_path):
-    table = convergence_study(
-        BINOMIAL, dirac(0.0), LAS, [2, 4], 1.0, reference=lambda t: dirac(0.0)
-    )
+    paths = [las_run(BINOMIAL, dirac(0.0), cfg(LAS, n)) for n in (2, 4)]
+    table = convergence_study(paths, LAS, reference=lambda t: dirac(0.0))
     p = tmp_path / "conv.csv"
     write_convergence_csv(table, p)
     lines = p.read_text().splitlines()
@@ -147,7 +156,7 @@ def test_convergence_csv_and_json(tmp_path):
 
 
 def test_comparison_csv_and_json(tmp_path):
-    table = scheme_compare(SPLIT, dirac(0.0), N=2, T=1.0)
+    table = scheme_compare(all_schemes(SPLIT, N=2))
     p = tmp_path / "cmp.csv"
     write_comparison_csv(table, p)
     lines = p.read_text().splitlines()
@@ -202,7 +211,7 @@ def test_artifact_writes_are_deterministic(tmp_path):
 
 
 def test_json_list_values_round_trip_exactly(tmp_path):
-    table = scheme_compare(BINOMIAL, dirac(0.0), N=3, T=1.0)
+    table = scheme_compare(all_schemes(BINOMIAL, N=3))
     from mdelab.artifacts import comparison_to_json
 
     p = tmp_path / "cmp.json"

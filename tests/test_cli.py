@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from mdelab.artifacts import read_json, write_json
 from mdelab.cli import main
 from mdelab.scenarios import get_scenario, scenario_to_json
@@ -133,13 +135,27 @@ def test_unwritable_output_dir(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-def test_seed_flag_accepted(tmp_path, capsys):
-    code, _, _ = run_cli(
-        ["run", "splitting-dirac", "--out", str(tmp_path), "--n", "2", "--scheme", "las",
-         "--seed", "7"],
-        capsys,
-    )
-    assert code == 0
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("dv", {"dv": "abc"}),
+        ("dv", {"dv": [0.0]}),
+        ("coalesce_tol", {"coalesce_tol": "x"}),
+        ("coalesce_tol", {"coalesce_tol": -1}),
+        ("prune_floor", {"prune_floor": 0.5}),
+        ("N", {"N": [4, 2], "converge": True}),
+    ],
+)
+def test_malformed_scenario_field_is_a_config_error(tmp_path, capsys, field, bad):
+    spec = scenario_to_json(get_scenario("splitting-dirac"))
+    spec.update(N=[2], scheme="las", outputs=str(tmp_path / "o"))
+    spec.update(bad)
+    path = tmp_path / "bad.json"
+    write_json(spec, path)
+    code, _, err = run_cli(["run", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("configuration error:")
+    assert field in err
 
 
 def test_module_entry_point(tmp_path):

@@ -1,8 +1,10 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
+import mdelab.scenarios as sc
 from mdelab import ConfigError, IoError, quantile_uniform
 from mdelab.scenarios import (
     Scenario,
@@ -18,8 +20,6 @@ from mdelab.scenarios import (
 
 @pytest.fixture
 def clean_registry():
-    import mdelab.scenarios as sc
-
     saved = dict(sc._REGISTRY)
     yield
     sc._REGISTRY.clear()
@@ -229,3 +229,43 @@ def test_run_scenario_unwritable_output(tmp_path):
     scn = tiny_scenario(blocker / "sub")
     with pytest.raises(IoError):
         run_scenario(scn)
+
+
+def count_runs(monkeypatch, scn):
+    """Run ``scn``; return the number of run_scheme calls and distinct configs."""
+    calls = []
+    real = sc.run_scheme
+
+    def counting(spec, mu0, cfg):
+        calls.append(cfg)
+        return real(spec, mu0, cfg)
+
+    # patch every module that holds the function, not just the runner's
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("mdelab") and getattr(mod, "run_scheme", None) is real:
+            monkeypatch.setattr(mod, "run_scheme", counting)
+    run_scenario(scn)
+    return len(calls), len(set(calls))
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("splitting-dirac", 9),
+        ("binomial", 9),
+        ("uniform-fiber", 6),
+        ("splitting-uniform", 1),
+        ("peano", 3),
+    ],
+)
+def test_run_scenario_runs_each_configuration_once(tmp_path, monkeypatch, name, expected):
+    scn = dataclasses.replace(get_scenario(name), outputs=str(tmp_path))
+    assert count_runs(monkeypatch, scn) == (expected, expected)
+
+
+def test_run_scenario_dv_override_still_compares_standard_grids(tmp_path, monkeypatch):
+    # the las main run uses dv = 0.25, not the standard 1/2, so compare
+    # needs its own standard-grid run of every scheme
+    scn = tiny_scenario(tmp_path, dvs=(0.25,), compare=True)
+    assert count_runs(monkeypatch, scn) == (4, 4)
+    assert (tmp_path / "comparison_N2.csv").is_file()
