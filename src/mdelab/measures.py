@@ -15,10 +15,22 @@ and downstream grouping are deterministic:
 * weights normalized to total mass one, with atoms below ``WEIGHT_FLOOR``
   dropped and the rest renormalized,
 * the backing arrays marked read-only.
+
+Merging follows one rule, the greedy first-match scan in lexicographic
+order: a row joins the first earlier group representative within the
+tolerance in every coordinate, or opens a group.  One kernel,
+``_group_rows``, computes it by one of two routes, chosen from the data.
+If no coordinate has two distinct values within the tolerance, then rows
+within the tolerance are equal rows, and the groups are the runs of equal
+consecutive rows of the sorted array, found in one vectorized pass.  This
+is exact, not an approximation.  Otherwise (near-ties) the scan runs over
+the distinct rows, and each row is compared against all its candidate
+representatives in one array operation.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -52,35 +64,72 @@ def _lex_perm(pts: np.ndarray) -> np.ndarray:
     return np.lexsort(pts.T[::-1])
 
 
-def _greedy_groups(pts: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
+def _group_rows(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Group lexicographically sorted rows, l-inf tolerance ``tol``.
 
-    Scans rows in order.  A row joins the first existing group whose
-    representative (the group's first row) is within ``tol`` in every
-    coordinate; otherwise it opens a new group.  Because the input is
-    sorted, candidate representatives are confined to the suffix whose
-    first coordinate is >= row[0] - tol, which keeps the scan short.
+    The rule is the greedy first-match scan: rows are taken in order, and a
+    row joins the first existing group whose representative (the group's
+    first row) is within ``tol`` in every coordinate; otherwise it opens a
+    new group.  Two routes compute exactly that result.
+
+    *Runs of equal rows.*  Equal rows are consecutive after the
+    lexicographic sort.  A row equal to its predecessor sees the same
+    candidates and joins its predecessor's group, so only the first row of
+    each run (its head) needs grouping.  Sort each column.  If no column
+    has two adjacent distinct values at most ``tol`` apart, then no two
+    distinct values of a column are within ``tol``: any value between them
+    would be closer still.  So two rows within ``tol`` in every coordinate
+    are equal rows, each head opens its own group, and the groups are the
+    runs.  The result is exactly the scan's.
+
+    *Near-ties.*  Otherwise ``_first_match_scan`` runs the scan over the
+    heads, comparing each head against all candidate representatives at
+    once.
 
     Returns (group id per row, representative row indices in group order).
     """
-    n = pts.shape[0]
-    gid = np.empty(n, dtype=np.intp)
-    reps: list[int] = []
-    for i in range(n):
-        x0 = pts[i, 0]
-        lo = len(reps)
-        while lo > 0 and pts[reps[lo - 1], 0] >= x0 - tol:
-            lo -= 1
-        assigned = -1
-        for k in range(lo, len(reps)):
-            if np.max(np.abs(pts[reps[k]] - pts[i])) <= tol:
-                assigned = k
-                break
-        if assigned < 0:
-            reps.append(i)
-            assigned = len(reps) - 1
-        gid[i] = assigned
-    return gid, reps
+    head = np.empty(pts.shape[0], dtype=bool)
+    head[0] = True
+    head[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    run = head.cumsum(dtype=np.intp) - 1
+    heads = head.nonzero()[0]
+    cols = np.sort(pts, axis=0)
+    gaps = cols[1:] - cols[:-1]
+    near = gaps <= tol  # a gap of 0 is a repeated value, not a near-tie
+    if not (near.any() and (gaps[near] > 0).any()):
+        return run, heads
+    gid, reps = _first_match_scan(pts[heads], tol)
+    return gid[run], heads[reps]
+
+
+def _first_match_scan(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy first-match grouping of sorted distinct rows, one row at a time.
+
+    Representatives are kept in row order, so their first coordinates are
+    sorted and the candidates for a row are the suffix whose first
+    coordinate is >= row[0] - ``tol``; ``bisect`` finds it.  The row is
+    compared against the whole suffix in one array operation and joins the
+    first representative within ``tol`` in every coordinate, else it opens
+    a new group.
+    """
+    gid = np.empty(rows.shape[0], dtype=np.intp)
+    reps = np.empty(rows.shape[0], dtype=np.intp)
+    rep_rows = np.empty_like(rows)
+    rep_x0: list[float] = []
+    for i, x0 in enumerate(rows[:, 0].tolist()):
+        nrep = len(rep_x0)
+        lo = bisect_left(rep_x0, x0 - tol)
+        if lo < nrep:
+            hit = np.abs(rep_rows[lo:nrep] - rows[i]).max(axis=1) <= tol
+            k = hit.argmax()
+            if hit[k]:
+                gid[i] = lo + k
+                continue
+        rep_rows[nrep] = rows[i]
+        reps[nrep] = i
+        rep_x0.append(x0)
+        gid[i] = nrep
+    return gid, reps[:len(rep_x0)]
 
 
 def canonical_support(points, weights, tol: float = MERGE_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -99,11 +148,11 @@ def canonical_support(points, weights, tol: float = MERGE_TOL) -> tuple[np.ndarr
         raise EmptyInputError("a measure needs at least one atom")
     if pts.shape[0] != w.shape[0]:
         raise ValueError(f"{pts.shape[0]} atoms but {w.shape[0]} weights")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("atom coordinates must be finite")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
-    if np.any(w < 0):
+    if (w < 0).any():
         raise NegativeWeightError(f"negative weight {w.min()!r}")
 
     pts = pts + 0.0  # normalize -0.0 to +0.0 so sorting and dumps are stable
@@ -112,7 +161,7 @@ def canonical_support(points, weights, tol: float = MERGE_TOL) -> tuple[np.ndarr
     w = w[perm]
 
     if pts.shape[0] > 1:
-        gid, reps = _greedy_groups(pts, tol)
+        gid, reps = _group_rows(pts, tol)
         atoms = pts[reps]
         mass = np.bincount(gid, weights=w, minlength=len(reps))
     else:
@@ -406,11 +455,15 @@ def base_of(lifted: LiftedMeasure) -> DiscreteMeasure:
 def disintegrate(lifted: LiftedMeasure) -> Disintegration:
     """Split a lifted measure into its base and per-position velocity fibers.
 
-    Positions within ``MERGE_TOL`` of each other are identified with their
-    group representative, matching how the base projection coalesces them.
+    The positions (sorted, since the lifted atoms are) are grouped by the
+    canonical-form kernel at ``MERGE_TOL``, with the first-match rule that
+    ``base_of`` applies.  So ``base.atoms[i]`` is the first position of
+    group ``i``, its weight is the group's mass, and ``fibers[i]`` is the
+    group's velocities with their weights, normalized to mass one.  The
+    base equals ``base_of(lifted)``.
     """
     pos = lifted.positions
-    gid, reps = _greedy_groups(pos, MERGE_TOL)
+    gid, reps = _group_rows(pos, MERGE_TOL)
     masses = np.bincount(gid, weights=lifted.weights, minlength=len(reps))
     base = DiscreteMeasure(pos[reps], masses)
     if base.natoms != len(reps):  # pragma: no cover - representatives are tol-separated

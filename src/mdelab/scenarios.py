@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -96,12 +97,12 @@ class Scenario:
     def __post_init__(self):
         if not self.name:
             raise ConfigError("name: must be nonempty")
-        if not self.T > 0:
-            raise ConfigError("T: must be positive")
+        if not 0 < self.T < math.inf:
+            raise ConfigError(f"T: must be positive and finite, got {self.T!r}")
         if len(self.Ns) == 0:
             raise ConfigError("N: need at least one grid size")
-        if any(int(n) != n or n < 1 for n in self.Ns):
-            raise ConfigError("N: grid sizes must be integers >= 1")
+        if not all(_is_grid_size(n) for n in self.Ns):
+            raise ConfigError(f"N: grid sizes must be integers >= 1, got {list(self.Ns)!r}")
         if len(self.schemes) == 0:
             raise ConfigError("scheme: need at least one scheme")
         unknown = [s for s in self.schemes if s not in SCHEMES]
@@ -135,6 +136,15 @@ class Scenario:
     def grid(self, i: int) -> GridSpec:
         dv = None if self.dvs is None else self.dvs[i]
         return GridSpec(T=self.T, N=self.Ns[i], dv=dv)
+
+
+def _is_grid_size(n) -> bool:
+    """True for an integer >= 1; an integral float such as 4.0 counts, a bool does not."""
+    if isinstance(n, bool):
+        return False
+    if isinstance(n, float):
+        return n >= 1 and n.is_integer()
+    return isinstance(n, numbers.Integral) and n >= 1
 
 
 def scenario_to_json(scn: Scenario) -> dict:
@@ -178,10 +188,6 @@ def scenario_from_json(obj: dict) -> Scenario:
             raise ConfigError(f"{key}: required")
     raw_n = obj["N"]
     Ns = tuple(raw_n) if isinstance(raw_n, (list, tuple)) else (raw_n,)
-    try:
-        Ns = tuple(int(n) for n in Ns)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"N: {exc}") from exc
     raw_scheme = obj.get("scheme", "all")
     if raw_scheme == "all":
         schemes = tuple(SCHEMES)

@@ -2,8 +2,9 @@
 
 Nothing in this module calls into mdelab.  Expected values come from
 exact rational arithmetic (fractions + math.comb), closed forms, scipy's
-HiGHS linear-programming solver, and brute-force vertex enumeration, so
-agreement with the package is meaningful.
+HiGHS linear-programming solver, brute-force vertex enumeration, and the
+row-at-a-time greedy grouping scan that defines canonical-form merging,
+so agreement with the package is meaningful.
 """
 
 import itertools
@@ -66,6 +67,41 @@ def peano_step_positions(x0: float, steps: int, dt: float, dv: float) -> list[fl
         vbin = math.floor(v / dv + 1e-9) * dv
         xs.append(xs[-1] + dt * vbin)
     return xs
+
+
+# ---------------------------------------------------------------------------
+# canonical-form grouping reference
+# ---------------------------------------------------------------------------
+
+def greedy_groups(pts: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
+    """Group lexicographically sorted rows, l-inf tolerance ``tol``.
+
+    Scans rows in order.  A row joins the first existing group whose
+    representative (the group's first row) is within ``tol`` in every
+    coordinate; otherwise it opens a new group.  Because the input is
+    sorted, candidate representatives are confined to the suffix whose
+    first coordinate is >= row[0] - tol, which keeps the scan short.
+
+    Returns (group id per row, representative row indices in group order).
+    """
+    n = pts.shape[0]
+    gid = np.empty(n, dtype=np.intp)
+    reps: list[int] = []
+    for i in range(n):
+        x0 = pts[i, 0]
+        lo = len(reps)
+        while lo > 0 and pts[reps[lo - 1], 0] >= x0 - tol:
+            lo -= 1
+        assigned = -1
+        for k in range(lo, len(reps)):
+            if np.max(np.abs(pts[reps[k]] - pts[i])) <= tol:
+                assigned = k
+                break
+        if assigned < 0:
+            reps.append(i)
+            assigned = len(reps) - 1
+        gid[i] = assigned
+    return gid, reps
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared hypothesis strategies for measure-valued property tests."""
 
+import numpy as np
 from hypothesis import strategies as st
 
 from mdelab import make_lifted, make_measure
@@ -29,3 +30,30 @@ def lifted_measures(draw, dim: int = 1, max_atoms: int = 6, coords=finite):
     vel = [[draw(coords) for _ in range(dim)] for _ in range(n)]
     w = [draw(positive_weight) for _ in range(n)]
     return make_lifted(pos, vel, w)
+
+
+@st.composite
+def near_tie_rows(draw, widths=(1, 2, 4, 11), tol: float = 1e-12, max_rows: int = 24):
+    """Lexicographically sorted rows whose coordinates sit at and around ``tol``.
+
+    Each coordinate is a small base value plus or minus an offset from
+    {0, tol - 1 ulp, tol, tol + 1 ulp, 2 tol}, so pairs of rows straddle the
+    merge threshold by one ulp and chains a ~ b ~ c with a !~ c appear.  The
+    first coordinate draws from two base values only, which makes heavy
+    ties on it.  Returns a C-contiguous (n, d) float array.
+    """
+    d = draw(st.sampled_from(widths))
+    n = draw(st.integers(1, max_rows))
+    offsets = [0.0, np.nextafter(tol, 0.0), tol, np.nextafter(tol, np.inf), 2.0 * tol]
+    first = st.sampled_from([0.0, 1.0])
+    other = st.sampled_from([0.0, -0.5])
+    jitter = st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from(offsets))
+    rows = []
+    for _ in range(n):
+        row = []
+        for j in range(d):
+            sign, off = draw(jitter)
+            row.append(draw(first if j == 0 else other) + sign * off + 0.0)
+        rows.append(row)
+    pts = np.array(rows, dtype=float)
+    return np.ascontiguousarray(pts[np.lexsort(pts.T[::-1])])

@@ -144,6 +144,10 @@ def test_unwritable_output_dir(tmp_path, capsys):
         ("coalesce_tol", {"coalesce_tol": -1}),
         ("prune_floor", {"prune_floor": 0.5}),
         ("N", {"N": [4, 2], "converge": True}),
+        ("N", {"N": [2.7]}),
+        ("N", {"N": [True]}),
+        ("T", {"T": float("inf")}),
+        ("T", {"T": float("nan")}),
     ],
 )
 def test_malformed_scenario_field_is_a_config_error(tmp_path, capsys, field, bad):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
+import oracles
 import strategies as sts
 from mdelab import (
     Disintegration,
@@ -21,6 +22,7 @@ from mdelab import (
     scale_product,
     support_radius,
 )
+from mdelab import measures
 from mdelab.measures import match_rows
 
 
@@ -273,3 +275,80 @@ def test_measure_equality_is_exact_and_allclose_tolerant():
     assert a != b
     assert a.allclose(b, tol=1e-9)
     assert not a.allclose(b, tol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the grouping kernel against the greedy reference scan
+# ---------------------------------------------------------------------------
+
+def assert_same_groups(pts, tol):
+    gid, reps = measures._group_rows(pts, tol)
+    ref_gid, ref_reps = oracles.greedy_groups(pts, tol)
+    assert np.array_equal(gid, ref_gid)
+    assert list(reps) == ref_reps
+    return reps
+
+
+@pytest.mark.parametrize(
+    "rows, ngroups",
+    [
+        ([[0.0], [MERGE_TOL]], 1),
+        ([[0.0], [np.nextafter(MERGE_TOL, np.inf)]], 2),
+        ([[0.0], [MERGE_TOL], [2 * MERGE_TOL]], 2),  # chain: the middle row joins the first
+        ([[0.0, 0.0], [0.0, np.nextafter(MERGE_TOL, 0.0)], [0.0, 1.0]], 2),
+        ([[0.0], [0.0], [1.0], [1.0]], 2),
+        # the last row is within tol of both representatives and joins the first
+        ([[0.0, 0.0], [0.0, 2 * MERGE_TOL], [MERGE_TOL, MERGE_TOL]], 2),
+    ],
+)
+def test_group_rows_examples(rows, ngroups):
+    assert len(assert_same_groups(np.array(rows, dtype=float), MERGE_TOL)) == ngroups
+
+
+@given(sts.near_tie_rows(tol=MERGE_TOL))
+def test_group_rows_matches_greedy_scan(pts):
+    assert_same_groups(pts, MERGE_TOL)
+
+
+@given(sts.near_tie_rows(tol=1e-6))
+def test_group_rows_matches_greedy_scan_at_coalesce_tol(pts):
+    assert_same_groups(pts, 1e-6)
+
+
+@given(sts.near_tie_rows(widths=(1, 2), tol=1e-6), st.data())
+def test_coalesce_matches_greedy_scan(pts, data):
+    w = np.array(data.draw(st.lists(sts.positive_weight, min_size=len(pts), max_size=len(pts))))
+    mu = make_measure(pts, w)
+    gid, reps = oracles.greedy_groups(mu.atoms, 1e-6)
+    mass = np.bincount(gid, weights=mu.weights)
+    out = coalesce(mu, 1e-6)
+    assert np.array_equal(out.atoms, mu.atoms[reps])
+    assert np.allclose(out.weights, mass / mass.sum(), rtol=0.0, atol=1e-15)
+
+
+@given(sts.near_tie_rows(widths=(4,), tol=MERGE_TOL), st.data())
+def test_disintegrate_matches_greedy_scan(joint, data):
+    w = np.array(data.draw(st.lists(sts.positive_weight, min_size=len(joint), max_size=len(joint))))
+    lifted = make_lifted(joint[:, :2], joint[:, 2:], w)
+    gid, reps = oracles.greedy_groups(lifted.positions, MERGE_TOL)
+    dis = disintegrate(lifted)
+    assert np.array_equal(dis.base.atoms, lifted.positions[reps])
+    assert dis.base == base_of(lifted)
+    mass = np.bincount(gid, weights=lifted.weights)
+    assert np.allclose(dis.base.weights, mass / mass.sum(), rtol=0.0, atol=1e-15)
+    for g, fiber in enumerate(dis.fibers):
+        sel = gid == g
+        assert fiber == make_measure(lifted.velocities[sel], lifted.weights[sel])
+
+
+def test_lattice_without_near_ties_takes_the_runs_route(monkeypatch):
+    def no_scan(rows, tol):
+        raise AssertionError("near-tie scan ran on data without near-ties")
+
+    monkeypatch.setattr(measures, "_first_match_scan", no_scan)
+    k = np.arange(50_000)
+    grid = np.stack([(k % 200) * 0.25, (k // 200) * 0.5], axis=1)
+    pts = np.vstack([grid, grid])[np.random.default_rng(3).permutation(100_000)]
+    atoms, weights = measures.canonical_support(pts, np.ones(100_000))
+    assert np.array_equal(atoms, grid[np.lexsort(grid.T[::-1])])
+    assert np.all(weights == 1.0 / 50_000)
