@@ -21,12 +21,8 @@ class LpFailureError(MdeLabError):
     """The linear-programming solver failed to produce an optimum."""
 
 
-class InfeasibleError(LpFailureError):
-    """The linear program has no feasible point."""
-
-
 class IterationCapError(LpFailureError):
-    """The simplex iteration cap was exceeded."""
+    """The transportation simplex exceeded its pivot cap."""
 
 
 class BaseOffGridError(MdeLabError):

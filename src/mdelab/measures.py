@@ -197,7 +197,9 @@ def match_rows(rows: np.ndarray, reps: np.ndarray, tol: float = MERGE_TOL) -> np
 
     The first-match rule mirrors canonical coalescing, so matching points
     against a canonical measure's atoms reproduces the grouping that built
-    those atoms.
+    those atoms.  As in that scan, a representative is a candidate only
+    when its first coordinate is >= row[0] - ``tol`` as computed in floats,
+    which can differ from the distance test when the subtraction rounds.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     reps = np.atleast_2d(np.asarray(reps, dtype=float))
@@ -209,6 +211,7 @@ def match_rows(rows: np.ndarray, reps: np.ndarray, tol: float = MERGE_TOL) -> np
     for s in range(0, n, block):
         chunk = rows[s:s + block]
         near = np.abs(chunk[:, None, :] - reps[None, :, :]).max(axis=2) <= tol
+        near &= reps[:, 0] >= chunk[:, 0, None] - tol
         hit = near.any(axis=1)
         first = near.argmax(axis=1)
         out[s:s + block] = np.where(hit, first, -1)

@@ -87,6 +87,13 @@ class GridSpec:
     def dx(self) -> float:
         return self.dt * self.dv
 
+    @property
+    def times(self) -> np.ndarray:
+        """Node times k dt for k = 0..N; the last is T exactly, not N dt."""
+        times = self.dt * np.arange(self.N + 1)
+        times[-1] = self.T
+        return times
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -234,8 +241,7 @@ def las_run(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> MeasurePa
         mu = DiscreteMeasure((ix + iv) * grid.dx, lifted.weights)
         lifts.append(lifted)
         measures.append(mu)
-    times = grid.dt * np.arange(grid.N + 1)
-    return MeasurePath(times, tuple(measures), tuple(lifts))
+    return MeasurePath(grid.times, tuple(measures), tuple(lifts))
 
 
 def lagrangian_run(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> MeasurePath:
@@ -261,8 +267,7 @@ def lagrangian_run(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> Me
         _check_atom_budget(mu.natoms, cfg)
         lifts.append(lifted)
         measures.append(mu)
-    times = grid.dt * np.arange(grid.N + 1)
-    return MeasurePath(times, tuple(measures), tuple(lifts), pruned_mass=pruned)
+    return MeasurePath(grid.times, tuple(measures), tuple(lifts), pruned_mass=pruned)
 
 
 def mean_velocity_run(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> MeasurePath:
@@ -284,8 +289,7 @@ def mean_velocity_run(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) ->
         mu = DiscreteMeasure(mu.atoms + grid.dt * vbar, mu.weights)
         lifts.append(lifted)
         measures.append(mu)
-    times = grid.dt * np.arange(grid.N + 1)
-    return MeasurePath(times, tuple(measures), tuple(lifts))
+    return MeasurePath(grid.times, tuple(measures), tuple(lifts))
 
 
 _RUNNERS = {LAS: las_run, LAGRANGIAN: lagrangian_run, MEAN_VELOCITY: mean_velocity_run}

@@ -7,11 +7,13 @@ fibers of two lifted measures are once their positions are coupled
 optimally.  The two-stage quantity is a pseudo-metric only: it can
 vanish for distinct lifted measures.
 
-All couplings are computed by a dense two-phase primal simplex with
-Bland's anti-cycling rule (no external solver).  On the line the
-Wasserstein distance is instead integrated exactly from the CDF
-difference, which doubles as an independent cross-check of the LP in
-the test suite.
+All couplings are computed by one transportation (network) simplex on
+the m x n cost matrix, with no external solver: the basis is a spanning
+tree of m + n - 1 cells, started at the north-west corner and kept
+strongly feasible against degeneracy (Cunningham 1976; Peyre & Cuturi,
+Computational Optimal Transport, ch. 3).  On the line the Wasserstein
+distance is instead integrated exactly from the CDF difference, which
+doubles as an independent cross-check of the simplex in the test suite.
 """
 
 from __future__ import annotations
@@ -21,16 +23,18 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import (
-    DimMismatchError,
-    InfeasibleError,
-    IterationCapError,
-    LpFailureError,
-)
+from .errors import DimMismatchError, IterationCapError, LpFailureError
 from .measures import DiscreteMeasure, LiftedMeasure
 
-_PIVOT_TOL = 1e-11
+# Reduced cost: a cell enters only below -_REDUCED_COST_TOL (1 + max|C|),
+# so roundoff in duals summed along the tree never prices a cell in.
+_REDUCED_COST_TOL = 1e-11
+# Marginal: both marginals, and the plan's row and column sums, must hit
+# their targets within this.
 _MARGINAL_TOL = 1e-9
+# Tight cell: stage two of the fiber comparison may use the cells whose
+# stage-one reduced cost is at most _TIGHT_TOL (1 + W*).
+_TIGHT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -78,109 +82,119 @@ class TransportPlan:
 
 
 # ---------------------------------------------------------------------------
-# dense two-phase simplex
+# transportation simplex
 # ---------------------------------------------------------------------------
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row, :] /= tableau[row, col]
-    piv = tableau[row, :]
-    for i in range(tableau.shape[0]):
-        if i != row and tableau[i, col] != 0.0:
-            tableau[i, :] -= tableau[i, col] * piv
-    basis[row] = col
+def _north_west(a: list[float], b: list[float]) -> dict[tuple[int, int], float]:
+    """North-west-corner basis: m + n - 1 cells and their masses.
 
-
-def _simplex_iterate(tableau: np.ndarray, basis: np.ndarray, n_enter: int, cap: int) -> None:
-    """Run Bland-rule pivots until the reduced costs are nonnegative.
-
-    Only columns < ``n_enter`` may enter the basis.  Raises IterationCapError
-    when more than ``cap`` pivots are needed and LpFailureError on an
-    unbounded ray (impossible for transportation polytopes, kept defensive).
+    A row and a column that run out together move down, so the zero cell
+    that follows hangs a new row under the column: every zero-mass cell
+    points toward row 0, the root, and the tree is strongly feasible.
     """
-    ncon = tableau.shape[0] - 1
-    obj = tableau[ncon]
+    m, n = len(a), len(b)
+    flow = {}
+    i = j = 0
+    ra, rb = a[0], b[0]
+    while True:
+        x = min(ra, rb)
+        flow[i, j] = x
+        ra, rb = ra - x, rb - x
+        if i == m - 1 and j == n - 1:
+            return flow
+        if j == n - 1 or (i < m - 1 and ra <= rb):
+            i += 1
+            ra = a[i]
+        else:
+            j += 1
+            rb = b[j]
+
+
+def _hang(adj: list[set], C: list[list[float]], m: int) -> tuple[list[int], np.ndarray]:
+    """Parents and duals of the basis tree hung from row 0.
+
+    Nodes 0..m-1 are the rows and m.. the columns; a basic cell (i, j)
+    joins node i and node m + j and has u_i + v_j = C[i][j].
+    """
+    parent = [-1] * len(adj)
+    pot = [0.0] * len(adj)
+    order = [0]
+    for p in order:
+        for q in adj[p]:
+            if q != parent[p]:
+                parent[q] = p
+                pot[q] = (C[p][q - m] if q >= m else C[q][p - m]) - pot[p]
+                order.append(q)
+    return parent, np.array(pot)
+
+
+def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
+    """Transportation simplex on a strongly feasible tree.
+
+    ``a`` and ``b`` are positive marginals.  The basis starts at the
+    north-west corner, or at ``flow`` (the basic cells of an earlier
+    solve with the same marginals); when ``allowed`` is given, only those
+    cells may enter.  Each pivot prices every cell at once, enters the
+    most negative reduced cost (Dantzig) and leaves by Cunningham's rule:
+    the last blocking cell met going round the cycle from its apex, which
+    keeps zero-mass cells pointing to the root and rules out cycling.
+
+    Returns the basic cells with their masses and the reduced costs.
+    """
+    m, n = C.shape
+    flow = _north_west(list(a), list(b)) if flow is None else dict(flow)
+    adj = [set() for _ in range(m + n)]
+    for i, j in flow:
+        adj[i].add(m + j)
+        adj[m + j].add(i)
+    Cl = C.tolist()
+    tol = _REDUCED_COST_TOL * (1.0 + float(np.abs(C).max()))
     for _ in range(cap):
-        enter = -1
-        for j in range(n_enter):
-            if obj[j] < -_PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
-            return
-        leave = -1
-        best = np.inf
-        for i in range(ncon):
-            a = tableau[i, enter]
-            if a > _PIVOT_TOL:
-                ratio = tableau[i, -1] / a
-                if ratio < best - _PIVOT_TOL or (
-                    abs(ratio - best) <= _PIVOT_TOL
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            raise LpFailureError("linear program is unbounded")
-        _pivot(tableau, basis, leave, enter)
+        parent, pot = _hang(adj, Cl, m)
+        R = C - pot[:m, None] - pot[None, m:]
+        price = R if allowed is None else np.where(allowed, R, 0.0)
+        k = int(price.argmin())
+        if price.flat[k] >= -tol:
+            return flow, R
+        i, j = divmod(k, n)
+
+        def cell(q):  # the basic cell joining node q to its parent
+            return (q, parent[q] - m) if q < m else (parent[q], q - m)
+
+        up = [i]
+        while up[-1]:
+            up.append(parent[up[-1]])
+        depth = {q: d for d, q in enumerate(up)}
+        side = [m + j]
+        while side[-1] not in depth:
+            side.append(parent[side[-1]])
+        # the cycle from its apex down to row i, then over cell (i, j) and
+        # up from column j; True marks the cells that lose mass
+        cycle = [(cell(q), q < m) for q in reversed(up[:depth[side.pop()]])]
+        cycle += [(cell(q), q >= m) for q in side]
+        delta = min(flow[e] for e, loses in cycle if loses)
+        leave = [e for e, loses in cycle if loses and flow[e] == delta][-1]
+        for e, loses in cycle:
+            flow[e] += -delta if loses else delta
+        del flow[leave]
+        flow[i, j] = delta
+        adj[leave[0]].discard(m + leave[1])
+        adj[m + leave[1]].discard(leave[0])
+        adj[i].add(m + j)
+        adj[m + j].add(i)
     raise IterationCapError(f"simplex exceeded {cap} iterations")
 
 
-def _solve_equality_lp(A: np.ndarray, b: np.ndarray, cost: np.ndarray, cap: int) -> np.ndarray:
-    """min cost.x subject to A x = b, x >= 0, with b >= 0.  Returns x."""
-    ncon, nvar = A.shape
-    tableau = np.zeros((ncon + 1, nvar + ncon + 1))
-    tableau[:ncon, :nvar] = A
-    tableau[:ncon, nvar:nvar + ncon] = np.eye(ncon)
-    tableau[:ncon, -1] = b
-    basis = np.arange(nvar, nvar + ncon, dtype=np.intp)
-
-    # Phase 1: minimize the artificial mass.
-    tableau[ncon, :nvar] = -A.sum(axis=0)
-    tableau[ncon, -1] = -b.sum()
-    _simplex_iterate(tableau, basis, n_enter=nvar, cap=cap)
-    if -tableau[ncon, -1] > 1e-9:
-        raise InfeasibleError("constraints admit no transport plan")
-
-    # Pivot leftover artificials out of the basis; all-zero rows are
-    # redundant constraints and stay inert.
-    for i in range(ncon):
-        if basis[i] >= nvar:
-            for j in range(nvar):
-                if abs(tableau[i, j]) > _PIVOT_TOL:
-                    _pivot(tableau, basis, i, j)
-                    break
-
-    # Phase 2: the real objective.
-    tableau[ncon, :] = 0.0
-    tableau[ncon, :nvar] = cost
-    for i in range(ncon):
-        if basis[i] < nvar and tableau[ncon, basis[i]] != 0.0:
-            tableau[ncon, :] -= tableau[ncon, basis[i]] * tableau[i, :]
-    _simplex_iterate(tableau, basis, n_enter=nvar, cap=cap)
-
-    x = np.zeros(nvar)
-    for i in range(ncon):
-        if basis[i] < nvar:
-            x[basis[i]] = tableau[i, -1]
-    return np.clip(x, 0.0, None)
-
-
 def lp_solve(
-    costs,
-    row_marginals,
-    col_marginals,
-    extra_cost: Optional[tuple[np.ndarray, float]] = None,
-    max_iter: Optional[int] = None,
+    costs, row_marginals, col_marginals, max_iter: Optional[int] = None
 ) -> tuple[TransportPlan, float]:
     """Minimize ``sum(costs * plan)`` over plans with the given marginals.
 
-    ``extra_cost``, when given, is a pair (matrix, bound) imposing the side
-    constraint ``sum(matrix * plan) <= bound``; it is how the two-stage
-    fiber comparison restricts stage two to (nearly) position-optimal plans.
-
-    Both marginals must be probability vectors (sums within 1e-9 of one).
-    Raises InfeasibleError when no plan satisfies the constraints and
-    IterationCapError past ``max_iter`` pivots per phase (default 10 m n).
+    A transportation simplex: the basis is a spanning tree of m + n - 1
+    cells, started at the north-west corner; rows and columns of zero mass
+    are left out of the tree and carry none.  Both marginals must be
+    probability vectors (sums within 1e-9 of one).  Raises
+    IterationCapError past ``max_iter`` pivots (default 10 m n).
     """
     C = np.asarray(costs, dtype=float)
     if C.ndim != 2:
@@ -197,39 +211,19 @@ def lp_solve(
     if abs(r.sum() - 1.0) > _MARGINAL_TOL or abs(c.sum() - 1.0) > _MARGINAL_TOL:
         raise ValueError("marginals must each sum to one")
 
-    nv = m * n
-    ncon = m + n
-    extra = extra_cost is not None
-    A = np.zeros((ncon + (1 if extra else 0), nv + (1 if extra else 0)))
-    for i in range(m):
-        A[i, i * n:(i + 1) * n] = 1.0
-    for j in range(n):
-        A[m + j, j:nv:n] = 1.0
-    b = np.concatenate([r, c])
-    cost_vec = C.ravel().copy()
-    if extra:
-        E, bound = extra_cost
-        E = np.asarray(E, dtype=float)
-        if E.shape != C.shape:
-            raise ValueError("extra cost matrix must match the cost shape")
-        bound = float(bound)
-        if bound < 0:
-            raise ValueError("extra cost bound must be >= 0")
-        A[ncon, :nv] = E.ravel()
-        A[ncon, nv] = 1.0  # slack for the inequality
-        b = np.concatenate([b, [bound]])
-        cost_vec = np.concatenate([cost_vec, [0.0]])
-
     cap = int(max_iter) if max_iter is not None else 10 * m * n
-    x = _solve_equality_lp(A, b, cost_vec, cap)
-    plan = TransportPlan(x[:nv].reshape(m, n))
+    rows, cols = np.flatnonzero(r > 0), np.flatnonzero(c > 0)
+    flow, _ = _simplex(C[np.ix_(rows, cols)], r[rows], c[cols], cap)
+    plan = np.zeros((m, n))
+    for (i, j), x in flow.items():
+        plan[rows[i], cols[j]] = x
+    plan = TransportPlan(plan)
     if (
         np.max(np.abs(plan.row_marginals - r)) > _MARGINAL_TOL
         or np.max(np.abs(plan.col_marginals - c)) > _MARGINAL_TOL
-    ):  # pragma: no cover - simplex keeps equality rows satisfied
+    ):  # pragma: no cover - only if the marginal totals differ by ~1e-9
         raise LpFailureError("solver returned a plan violating the marginals")
-    value = float(np.sum(C * plan.mass))
-    return plan, value
+    return plan, float(np.sum(C * plan.mass))
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +298,14 @@ def fiber_pseudometric(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
     """Velocity discrepancy over (nearly) position-optimal couplings.
 
     Stage one couples the lifted atoms to minimize the position cost
-    |x - y| alone; its optimum equals the Wasserstein-1 distance of the
-    base measures.  Stage two minimizes the velocity cost |v - w| among
-    couplings whose position cost stays within a relative slack
-    1e-9 (1 + W*) of that optimum.
+    |x - y| alone; its optimum W* equals the Wasserstein-1 distance of the
+    base measures.  By complementary slackness the position-optimal
+    couplings are the couplings carried by the cells of zero stage-one
+    reduced cost.  Stage two starts from the stage-one optimal tree and
+    minimizes the velocity cost |v - w| over the cells whose reduced cost
+    is at most 1e-9 (1 + W*).  Its value lies between the optimum over
+    couplings within 1e-9 (1 + W*) of W* and the exact optimum over the
+    position-optimal face.
 
     This is a pseudo-metric: it vanishes whenever the fibers can be
     matched along some position-optimal coupling, even if the lifted
@@ -315,11 +313,12 @@ def fiber_pseudometric(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
     """
     if v1.dim != v2.dim:
         raise DimMismatchError(f"dim {v1.dim} vs {v2.dim}")
+    a, b = v1.weights, v2.weights
+    cap = 10 * a.size * b.size
     pos_cost = _pairwise_dist(v1.positions, v2.positions)
-    _, wstar = lp_solve(pos_cost, v1.weights, v2.weights)
-    slack = 1e-9 * (1.0 + wstar)
+    flow, reduced = _simplex(pos_cost, a, b, cap)
+    wstar = float(sum(pos_cost[e] * x for e, x in flow.items()))
+    tight = reduced <= _TIGHT_TOL * (1.0 + wstar)
     vel_cost = _pairwise_dist(v1.velocities, v2.velocities)
-    _, value = lp_solve(
-        vel_cost, v1.weights, v2.weights, extra_cost=(pos_cost, wstar + slack)
-    )
-    return max(value, 0.0)
+    flow, _ = _simplex(vel_cost, a, b, cap, flow=flow, allowed=tight)
+    return max(float(sum(vel_cost[e] * x for e, x in flow.items())), 0.0)

@@ -57,3 +57,40 @@ def near_tie_rows(draw, widths=(1, 2, 4, 11), tol: float = 1e-12, max_rows: int 
         rows.append(row)
     pts = np.array(rows, dtype=float)
     return np.ascontiguousarray(pts[np.lexsort(pts.T[::-1])])
+
+
+@st.composite
+def transport_problems(draw, max_side: int = 6):
+    """Degenerate transportation LPs as (cost, a, b).
+
+    The cost is one of: integers 0..3, so many cells tie; Euclidean
+    distances between 2-D points on one line at half-integer steps; or the
+    lifted cost |x - y| + |v - w| with positions at two sites.  Marginals
+    are small integer weights, zeros included, normalized to one; either
+    side may have a single atom.
+    """
+    m = draw(st.integers(1, max_side))
+    n = draw(st.integers(1, max_side))
+
+    def ints(k, lo, hi):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=k, max_size=k)), dtype=float)
+
+    def marginal(k):
+        w = ints(k, 0, 3)
+        w[draw(st.integers(0, k - 1))] += 1.0  # at least one atom carries mass
+        return w / w.sum()
+
+    kind = draw(st.sampled_from(["ties", "line", "lifted"]))
+    if kind == "ties":
+        cost = ints(m * n, 0, 3).reshape(m, n)
+    elif kind == "line":
+        angle = draw(st.floats(0.0, np.pi))
+        u = np.array([np.cos(angle), np.sin(angle)])
+        xa = 0.5 * ints(m, -4, 4)[:, None] * u
+        xb = 0.5 * ints(n, -4, 4)[:, None] * u
+        cost = np.linalg.norm(xa[:, None, :] - xb[None, :, :], axis=2)
+    else:
+        pa, pb = ints(m, 0, 1), ints(n, 0, 1)
+        va, vb = ints(m, -2, 2), ints(n, -2, 2)
+        cost = np.abs(pa[:, None] - pb[None, :]) + np.abs(va[:, None] - vb[None, :])
+    return cost, marginal(m), marginal(n)

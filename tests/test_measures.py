@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 import strategies as sts
@@ -210,6 +210,9 @@ def test_disintegration_invalid_fiber_count():
 
 
 @given(sts.lifted_measures(max_atoms=8))
+# 1e-12 - MERGE_TOL rounds to 0, above the first position: canonical form
+# keeps two base atoms although the positions are within MERGE_TOL
+@example(make_lifted([[-1.46739089e-202], [1e-12]], [[0.0], [0.0]], [0.5, 0.5]))
 def test_disintegrate_recombine_roundtrip(lifted):
     dis = disintegrate(lifted)
     back = recombine(dis)

@@ -204,6 +204,14 @@ def test_run_scheme_dispatch_and_mismatch():
         mean_velocity_run(SPLIT, dirac(0.0), cfg(LAS, N=2))
 
 
+def test_node_times_end_exactly_at_T():
+    # 49 * (1 / 49) is 0.9999999999999999
+    for scheme in (LAS, LAGRANGIAN, MEAN_VELOCITY):
+        path = run_scheme(SPLIT, dirac(0.0), cfg(scheme, N=49))
+        assert path.T == 1.0
+        assert np.array_equal(path.times[:-1], (1.0 / 49) * np.arange(49))
+
+
 # ---------------------------------------------------------------------------
 # interpolation
 # ---------------------------------------------------------------------------
