@@ -1,9 +1,11 @@
 """Deterministic file artifacts: CSV tables and JSON documents.
 
-Every float is rendered with the shortest round-trip format (%.17g for
-CSV, repr for JSON), rows follow canonical atom order, and newlines are
-fixed to "\\n", so identical inputs produce byte-identical files on any
-platform.  All OS failures surface as IoError.
+Every float is written so that it reads back exactly: CSV writes 17
+significant digits (%.17g), which round-trips exactly but is not always
+the shortest form (0.1 is written 0.10000000000000001), and JSON writes
+repr.  Rows follow canonical atom order, and newlines are fixed to "\\n",
+so identical inputs produce byte-identical files on any platform.  All
+OS failures surface as IoError.
 """
 
 from __future__ import annotations
@@ -26,7 +28,10 @@ SCHEMA = "mde-lab/1"
 
 
 def fmt(x: float) -> str:
-    """Shortest decimal string that round-trips the double exactly."""
+    """The double in 17 significant digits, which round-trips exactly.
+
+    Not the shortest such string: 0.1 comes out as 0.10000000000000001.
+    """
     return format(float(x), ".17g")
 
 

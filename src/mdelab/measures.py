@@ -24,7 +24,8 @@ If no coordinate has two distinct values within the tolerance, then rows
 within the tolerance are equal rows, and the groups are the runs of equal
 consecutive rows of the sorted array, found in one vectorized pass.  This
 is exact, not an approximation.  Otherwise (near-ties) the scan runs over
-the distinct rows, and each row is compared against all its candidate
+the distinct rows that share a chain of near-ties with another row in
+every column, and each is compared against all its candidate
 representatives in one array operation.
 """
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -83,8 +85,9 @@ def _group_rows(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     runs.  The result is exactly the scan's.
 
     *Near-ties.*  Otherwise ``_first_match_scan`` runs the scan over the
-    heads, comparing each head against all candidate representatives at
-    once.
+    heads that ``_shared_chains`` cannot rule out, comparing each against
+    all its candidate representatives at once.  Every other head is
+    farther than ``tol`` from all rows, so it is a group of its own.
 
     Returns (group id per row, representative row indices in group order).
     """
@@ -98,8 +101,39 @@ def _group_rows(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     near = gaps <= tol  # a gap of 0 is a repeated value, not a near-tie
     if not (near.any() and (gaps[near] > 0).any()):
         return run, heads
-    gid, reps = _first_match_scan(pts[heads], tol)
-    return gid[run], heads[reps]
+    rows = pts[heads]
+    sub = _shared_chains(rows, tol).nonzero()[0]
+    gid, reps = _first_match_scan(rows[sub], tol)
+    is_rep = np.ones(rows.shape[0], dtype=bool)
+    is_rep[sub] = False
+    is_rep[sub[reps]] = True
+    group = is_rep.cumsum(dtype=np.intp) - 1
+    group[sub] = group[sub[reps]][gid]
+    return group[run], heads[is_rep]
+
+
+def _shared_chains(rows: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the rows that may lie within ``tol`` of another row.
+
+    In each column, consecutive sorted values at most ``tol`` apart share
+    a chain id.  Float subtraction is monotone, so the values between two
+    values at most ``tol`` apart have consecutive gaps at most ``tol``:
+    two rows within ``tol`` in every coordinate share their chain in every
+    column.  A row whose tuple of chain ids no other row has is therefore
+    farther than ``tol`` from every other row.
+    """
+    order = np.argsort(rows, axis=0, kind="stable")
+    cols = np.take_along_axis(rows, order, axis=0)
+    chain = np.zeros(rows.shape, dtype=np.intp)
+    np.cumsum(cols[1:] - cols[:-1] > tol, axis=0, out=chain[1:])
+    ids = np.empty_like(chain)
+    np.put_along_axis(ids, order, chain, axis=0)
+    perm = np.lexsort(ids.T)
+    same = (ids[perm[1:]] == ids[perm[:-1]]).all(axis=1)
+    shared = np.zeros(rows.shape[0], dtype=bool)
+    shared[perm[1:]] = same
+    shared[perm[:-1]] |= same
+    return shared
 
 
 def _first_match_scan(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -339,6 +373,11 @@ class LiftedMeasure:
             and np.array_equal(self.weights, other.weights)
         )
 
+    @cached_property
+    def _base(self) -> "DiscreteMeasure":
+        # computed once per lift: schemes and path validation all ask for it
+        return DiscreteMeasure(self.positions, self.weights)
+
     def __repr__(self) -> str:
         return f"LiftedMeasure(natoms={self.natoms}, dim={self.dim})"
 
@@ -451,8 +490,11 @@ def coalesce(mu: DiscreteMeasure, tol: float) -> DiscreteMeasure:
 
 
 def base_of(lifted: LiftedMeasure) -> DiscreteMeasure:
-    """Projection of a lifted measure onto its position factor."""
-    return DiscreteMeasure(lifted.positions, lifted.weights)
+    """Projection of a lifted measure onto its position factor.
+
+    Computed once per lifted measure; later calls return the same object.
+    """
+    return lifted._base
 
 
 def disintegrate(lifted: LiftedMeasure) -> Disintegration:

@@ -17,7 +17,7 @@ extensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -128,28 +128,16 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
         if mu.dim != 1:
             raise DimMismatchError("the splitting rule needs a 1-D measure")
         md = median_data(mu)
-        pos_parts: list[np.ndarray] = []
-        vel_parts: list[float] = []
-        w_parts: list[float] = []
-        for x, w in zip(mu.atoms[:, 0], mu.weights):
-            if x < md.B:
-                pos_parts.append(x)
-                vel_parts.append(-1.0)
-                w_parts.append(w)
-            elif x > md.B:
-                pos_parts.append(x)
-                vel_parts.append(1.0)
-                w_parts.append(w)
-            else:
-                # The median atom carries eta rightward mass and
-                # 1/2 - cdf_left leftward mass; zero parts are dropped by
-                # canonicalization.
-                pos_parts.extend([x, x])
-                vel_parts.extend([1.0, -1.0])
-                w_parts.extend([md.eta, 0.5 - md.cdf_left_of_B])
-        pos = np.asarray(pos_parts)[:, None]
-        vel = np.asarray(vel_parts)[:, None]
-        return LiftedMeasure(pos, vel, np.asarray(w_parts))
+        x = mu.atoms[:, 0]
+        # The median atom carries eta rightward mass, and an appended row
+        # carries its 1/2 - cdf_left leftward mass, which is 0 when the mass
+        # left of B exceeds 1/2 by roundoff (below CDF_TOL); zero parts are
+        # dropped by canonicalization.
+        pos = np.append(x, md.B)[:, None]
+        vel = np.append(np.where(x < md.B, -1.0, 1.0), -1.0)[:, None]
+        left = max(0.5 - md.cdf_left_of_B, 0.0)
+        w = np.append(np.where(x == md.B, md.eta, mu.weights), left)
+        return LiftedMeasure(pos, vel, w)
 
     if isinstance(spec, CustomPvf):
         out = spec.evaluate(mu)
@@ -165,6 +153,22 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
         return out
 
     raise TypeError(f"not a velocity-fiber rule: {spec!r}")
+
+
+def lift_size_bound(spec: PvfSpec, mu: DiscreteMeasure) -> Optional[int]:
+    """Atoms ``eval_pvf(spec, mu)`` builds before canonicalization, or None.
+
+    A graph field lifts n atoms, a constant fiber of m atoms n m, and the
+    splitting rule n + 1 (the median atom splits in two).  A custom rule's
+    size is unknown until it runs.
+    """
+    if isinstance(spec, GraphPvf):
+        return mu.natoms
+    if isinstance(spec, ConstantFiberPvf):
+        return mu.natoms * spec.omega.natoms
+    if isinstance(spec, SplittingParticlePvf):
+        return mu.natoms + 1
+    return None
 
 
 def barycentric_field(spec: PvfSpec, mu: DiscreteMeasure) -> np.ndarray:

@@ -37,7 +37,7 @@ from .measures import (
     coalesce,
     support_radius,
 )
-from .pvf import PvfSpec, barycentric_field, eval_pvf
+from .pvf import PvfSpec, barycentric_field, eval_pvf, lift_size_bound
 
 LAS = "las"
 LAGRANGIAN = "lagrangian"
@@ -97,7 +97,15 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Which scheme to run and with what housekeeping parameters."""
+    """Which scheme to run and with what housekeeping parameters.
+
+    ``max_atoms`` caps the atoms of each step.  The lattice and grid-free
+    schemes compare it with the size of the lift predicted before the
+    rule is evaluated (see ``pvf.lift_size_bound``), so a step that would
+    blow up is refused before its atoms are built; canonicalization may
+    merge some of them afterwards.  A custom rule is checked after
+    evaluation.  The grid-free scheme also checks each new node measure.
+    """
 
     scheme: str
     grid: GridSpec
@@ -207,6 +215,18 @@ def _check_atom_budget(count: int, cfg: SchemeConfig) -> None:
         )
 
 
+def _lift(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig) -> LiftedMeasure:
+    """``eval_pvf(spec, mu)``, refused before evaluation when the atoms it
+    would build exceed ``cfg.max_atoms``; a custom rule is checked after."""
+    bound = lift_size_bound(spec, mu)
+    if bound is not None:
+        _check_atom_budget(bound, cfg)
+    lifted = eval_pvf(spec, mu)
+    if bound is None:
+        _check_atom_budget(lifted.natoms, cfg)
+    return lifted
+
+
 def _prune(mu: DiscreteMeasure, floor: float) -> tuple[DiscreteMeasure, float]:
     if floor <= 0.0:
         return mu, 0.0
@@ -231,8 +251,7 @@ def las_run(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> MeasurePa
     measures = [mu]
     lifts: list[LiftedMeasure] = []
     for _ in range(grid.N):
-        lifted = snap_velocity(eval_pvf(spec, mu), grid)
-        _check_atom_budget(lifted.natoms, cfg)
+        lifted = snap_velocity(_lift(spec, mu, cfg), grid)
         # the weight floor may trim lift tails whose joint weights dip
         # below it; the node a lift covers is the base of the lift used
         measures[-1] = base_of(lifted)
@@ -254,8 +273,7 @@ def lagrangian_run(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> Me
     lifts: list[LiftedMeasure] = []
     pruned = 0.0
     for _ in range(grid.N):
-        lifted = eval_pvf(spec, mu)
-        _check_atom_budget(lifted.natoms, cfg)
+        lifted = _lift(spec, mu, cfg)
         measures[-1] = base_of(lifted)  # floor-trimmed lift tails, as in las_run
         mu = DiscreteMeasure(
             lifted.positions + grid.dt * lifted.velocities, lifted.weights

@@ -175,28 +175,25 @@ def concat_merge(
     if np.any((joint.weights > 0) & ((m_head <= 0) | (m_tail <= 0))):
         raise EndpointMismatchError("a joint atom has no incoming or outgoing mass")
 
-    dt = tail.t_end - tail.t_start
-    new_curves = []
-    new_weights = []
-    by_atom_tail: list[np.ndarray] = [
-        np.flatnonzero(t_at == a) for a in range(joint.natoms)
-    ]
-    for ci in range(head.ncurves):
-        a = h_at[ci]
-        share = joint.weights[a] * (head.weights[ci] / m_head[a])
-        junction = end_pts[ci]
-        for si in by_atom_tail[a]:
-            w = share * (tail.weights[si] / m_tail[a])
-            # Extend from the curve's own endpoint with the segment's slope,
-            # so curves stay continuous even when the grouping tolerance
-            # absorbed a sub-1e-12 discrepancy.
-            end = junction + dt * tail.velocities[si]
-            new_curves.append(np.vstack([head.knots[ci], end[None, :]]))
-            new_weights.append(w)
+    # Every (curve, segment) pair meeting at a joint atom, curve-major:
+    # curve ci pairs with the segments over its atom in index order.
+    count = np.bincount(t_at, minlength=joint.natoms)
+    first = np.cumsum(count) - count
+    by_atom = np.argsort(t_at, kind="stable")
+    fan = count[h_at]
+    ci = np.repeat(np.arange(head.ncurves), fan)
+    rank = np.arange(ci.shape[0]) - np.repeat(np.cumsum(fan) - fan, fan)
+    a = h_at[ci]
+    si = by_atom[first[a] + rank]
+    share = joint.weights[h_at] * (head.weights / m_head[h_at])
+    weights = share[ci] * (tail.weights[si] / m_tail[a])
+    # Extend from the curve's own endpoint with the segment's slope, so
+    # curves stay continuous even when the grouping tolerance absorbed a
+    # sub-1e-12 discrepancy.
+    end = end_pts[ci] + (tail.t_end - tail.t_start) * tail.velocities[si]
+    knots = np.concatenate([head.knots[ci], end[:, None, :]], axis=1)
     times = np.concatenate([head.times, [tail.t_end]])
-    return TrajectoryEnsemble(
-        times=times, weights=np.asarray(new_weights), knots=np.stack(new_curves)
-    )
+    return TrajectoryEnsemble(times=times, weights=weights, knots=knots)
 
 
 def build_representation(path: MeasurePath, max_curves: int = 1_000_000) -> TrajectoryEnsemble:

@@ -213,7 +213,13 @@ def lp_solve(
 
     cap = int(max_iter) if max_iter is not None else 10 * m * n
     rows, cols = np.flatnonzero(r > 0), np.flatnonzero(c > 0)
-    flow, _ = _simplex(C[np.ix_(rows, cols)], r[rows], c[cols], cap)
+    a, b = r[rows], c[cols]
+    if a.sum() != b.sum():
+        # balance the totals, or the north-west corner strands the excess
+        # in its last cell; each marginal moves by at most half their gap
+        total = (a.sum() + b.sum()) / 2.0
+        a, b = a * (total / a.sum()), b * (total / b.sum())
+    flow, _ = _simplex(C[np.ix_(rows, cols)], a, b, cap)
     plan = np.zeros((m, n))
     for (i, j), x in flow.items():
         plan[rows[i], cols[j]] = x
@@ -221,7 +227,7 @@ def lp_solve(
     if (
         np.max(np.abs(plan.row_marginals - r)) > _MARGINAL_TOL
         or np.max(np.abs(plan.col_marginals - c)) > _MARGINAL_TOL
-    ):  # pragma: no cover - only if the marginal totals differ by ~1e-9
+    ):  # pragma: no cover - the balanced totals keep the plan within tolerance
         raise LpFailureError("solver returned a plan violating the marginals")
     return plan, float(np.sum(C * plan.mass))
 

@@ -5,6 +5,12 @@ exact rational arithmetic (fractions + math.comb), closed forms, scipy's
 HiGHS linear-programming solver, brute-force vertex enumeration, and the
 row-at-a-time greedy grouping scan that defines canonical-form merging,
 so agreement with the package is meaningful.
+
+The loop references at the end (the splitting lift, curve gluing and the
+weak residual) are the per-atom and per-pair loops that the package's
+whole-array kernels replace.  They take plain arrays and use the same
+floating-point operations in the same order, so the kernels must match
+them bit for bit.
 """
 
 import itertools
@@ -240,6 +246,89 @@ def fiber_faceopt(pos_cost, vel_cost, a, b, face_tol: float = 1e-9):
         if p <= wstar + face_tol
     )
     return vopt, wstar
+
+
+# ---------------------------------------------------------------------------
+# loop references for the whole-array kernels
+# ---------------------------------------------------------------------------
+
+def splitting_lift_loop(xs, ws, B, eta, cdf_left):
+    """The splitting rule's raw lift, one atom at a time.
+
+    Mass left of the median atom B moves with speed -1, mass right of it
+    with +1; B itself carries ``eta`` rightward and 1/2 - ``cdf_left``
+    leftward, or nothing when roundoff makes that negative.  Returns (positions, velocities, weights) before
+    canonicalization.
+    """
+    pos, vel, w = [], [], []
+    for x, wx in zip(xs, ws):
+        if x < B:
+            pos.append(x)
+            vel.append(-1.0)
+            w.append(wx)
+        elif x > B:
+            pos.append(x)
+            vel.append(1.0)
+            w.append(wx)
+        else:
+            pos.extend([x, x])
+            vel.extend([1.0, -1.0])
+            w.extend([eta, max(0.5 - cdf_left, 0.0)])
+    return np.asarray(pos)[:, None], np.asarray(vel)[:, None], np.asarray(w)
+
+
+def glue_loop(head_knots, head_weights, h_at, tail_velocities, tail_weights, t_at,
+              joint_weights, dt):
+    """Curve gluing by a double loop over curves and their segments.
+
+    Curve ci ends at joint atom h_at[ci]; segment si starts at joint atom
+    t_at[si].  Each curve pairs with every segment over its atom, in
+    segment order, with weight m_a (a / m_head)(b / m_tail), and is
+    extended from its own endpoint by dt times the segment's velocity.
+    Returns (knots, weights) of the glued curves, curve-major.
+    """
+    natoms = joint_weights.shape[0]
+    m_head = np.bincount(h_at, weights=head_weights, minlength=natoms)
+    m_tail = np.bincount(t_at, weights=tail_weights, minlength=natoms)
+    by_atom_tail = [np.flatnonzero(t_at == a) for a in range(natoms)]
+    curves, weights = [], []
+    for ci in range(head_knots.shape[0]):
+        a = h_at[ci]
+        share = joint_weights[a] * (head_weights[ci] / m_head[a])
+        junction = head_knots[ci, -1]
+        for si in by_atom_tail[a]:
+            end = junction + dt * tail_velocities[si]
+            curves.append(np.vstack([head_knots[ci], end[None, :]]))
+            weights.append(share * (tail_weights[si] / m_tail[a]))
+    return np.stack(curves), np.asarray(weights)
+
+
+def residual_loop(times, nodes, lifts, centers, radii):
+    """Weak-form defects of a path, one (bump, node) pair at a time.
+
+    ``nodes`` holds (atoms, weights) per node time and ``lifts`` the rule's
+    (positions, velocities, weights) at each node.  The bump centered at c
+    with radius r is f(x) = max(0, 1 - |x - c|^2 / r^2)^3.  The defect at
+    node k is |<mu_k, f> - <mu_0, f> - Trap_k|, where Trap_k is the
+    trapezoid sum of <lift, grad f . v> over nodes 0..k.
+    """
+    steps = np.diff(times)
+    defects = np.zeros((len(centers), len(nodes)))
+    for fi, (c, r) in enumerate(zip(centers, radii)):
+        integrand, values = [], []
+        for (atoms, w), (pos, vel, lw) in zip(nodes, lifts):
+            diff = pos - c
+            s = np.maximum(1.0 - np.sum(diff**2, axis=1) / r**2, 0.0)
+            grad = (-6.0 / r**2) * s[:, None] ** 2 * diff
+            integrand.append(float(np.sum(np.sum(grad * vel, axis=1) * lw)))
+            s = 1.0 - np.sum((atoms - c) ** 2, axis=1) / r**2
+            values.append(float(np.dot(w, np.maximum(s, 0.0) ** 3)))
+        integrand, values = np.array(integrand), np.array(values)
+        trap = np.concatenate(
+            [[0.0], np.cumsum(steps * (integrand[:-1] + integrand[1:]) / 2.0)]
+        )
+        defects[fi] = np.abs(values - values[0] - trap)
+    return defects
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
+import strategies as sts
 from mdelab import (
     ConstantFiberPvf,
     CustomPvf,
@@ -24,6 +26,7 @@ from mdelab import (
     make_lifted,
     make_measure,
     mean_velocity_run,
+    quantile_uniform,
     residual,
     run_scheme,
     scheme_compare,
@@ -161,6 +164,57 @@ def test_residual_custom_family():
     f = TestFunction(center=np.array([0.0]), radius=5.0)
     report = residual(path, SPLIT, [f])
     assert report.defects.shape == (1, 5)
+
+
+def assert_residual_matches_loop(path, spec, family=None):
+    report = residual(path, spec, family)
+    family = default_test_family(path.measures) if family is None else family
+    nodes = [(mu.atoms, mu.weights) for mu in path.measures]
+    lifts = []
+    for mu in path.measures:
+        lf = eval_pvf(spec, mu)
+        lifts.append((lf.positions, lf.velocities, lf.weights))
+    expected = oracles.residual_loop(
+        path.times, nodes, lifts, [f.center for f in family], [f.radius for f in family]
+    )
+    assert np.array_equal(report.defects, expected)
+
+
+RULES = {
+    1: [SPLIT, BINOMIAL, GraphPvf(GRAPH_FIELDS["linear"])],
+    2: [ConstantFiberPvf(make_measure([[1.0, 0.0], [-0.5, 0.25]], [0.25, 0.75])),
+        GraphPvf(GRAPH_FIELDS["peano"])],
+}
+
+
+@st.composite
+def residual_problems(draw):
+    """A short grid-free run of up to 40 atoms in 1-D or 2-D, with the
+    default family or a few bumps of mixed radii."""
+    d = draw(st.integers(1, 2))
+    mu0 = draw(sts.measures(dim=d, max_atoms=40))
+    spec = draw(st.sampled_from(RULES[d]))
+    path = lagrangian_run(spec, mu0, cfg(LAGRANGIAN, N=draw(st.integers(1, 4))))
+    family = None
+    if draw(st.booleans()):
+        bump = st.builds(
+            TestFunction,
+            center=st.lists(sts.finite, min_size=d, max_size=d).map(np.array),
+            radius=st.floats(0.5, 20.0),
+        )
+        family = draw(st.lists(bump, min_size=1, max_size=4))
+    return path, spec, family
+
+
+@given(residual_problems())
+def test_residual_matches_loop_reference(problem):
+    assert_residual_matches_loop(*problem)
+
+
+def test_residual_matches_loop_reference_on_a_long_run():
+    # 300 atoms: the per-bump sums run over long, pairwise-summed rows
+    path = lagrangian_run(SPLIT, quantile_uniform(0.0, 1.0, 300), cfg(LAGRANGIAN, N=16))
+    assert_residual_matches_loop(path, SPLIT)
 
 
 # ---------------------------------------------------------------------------

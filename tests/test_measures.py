@@ -308,14 +308,44 @@ def test_group_rows_examples(rows, ngroups):
     assert len(assert_same_groups(np.array(rows, dtype=float), MERGE_TOL)) == ngroups
 
 
+def ulp_rows(tol):
+    """Rows one ulp either side of ``tol`` apart, and a chain a, a + 0.9 tol,
+    a + 1.8 tol whose ends share a chain id but are more than tol apart."""
+    below, above = np.nextafter(tol, 0.0), np.nextafter(tol, np.inf)
+    a = 0.5
+    return [
+        np.array([[0.0], [below], [1.0], [1.0 + above]]),
+        np.array([[0.0, 0.0], [0.0, tol], [above, 1.0], [above, 1.0 + below]]),
+        np.array([[a], [a + 0.9 * tol], [a + 1.8 * tol]]),
+        # the middle row has a chain tuple of its own and skips the scan
+        np.array([[0.0, 0.0], [0.9 * tol, 5.0], [1.8 * tol, 0.0]]),
+    ]
+
+
+def with_examples(tol):
+    def decorate(test):
+        for pts in ulp_rows(tol):
+            test = example(pts)(test)
+        return test
+    return decorate
+
+
 @given(sts.near_tie_rows(tol=MERGE_TOL))
+@with_examples(MERGE_TOL)
 def test_group_rows_matches_greedy_scan(pts):
     assert_same_groups(pts, MERGE_TOL)
 
 
 @given(sts.near_tie_rows(tol=1e-6))
+@with_examples(1e-6)
 def test_group_rows_matches_greedy_scan_at_coalesce_tol(pts):
     assert_same_groups(pts, 1e-6)
+
+
+def test_shared_chains_rules_out_isolated_rows():
+    pts = ulp_rows(MERGE_TOL)[3]
+    assert measures._shared_chains(pts, MERGE_TOL).tolist() == [True, False, True]
+    assert len(assert_same_groups(pts, MERGE_TOL)) == 3
 
 
 @given(sts.near_tie_rows(widths=(1, 2), tol=1e-6), st.data())
@@ -355,3 +385,25 @@ def test_lattice_without_near_ties_takes_the_runs_route(monkeypatch):
     atoms, weights = measures.canonical_support(pts, np.ones(100_000))
     assert np.array_equal(atoms, grid[np.lexsort(grid.T[::-1])])
     assert np.all(weights == 1.0 / 50_000)
+
+
+def test_binomial_bundle_sends_few_rows_to_the_scan(monkeypatch):
+    from mdelab import GridSpec, SchemeConfig, build_representation, get_scenario, run_scheme
+
+    spec = get_scenario("binomial").pvf_spec()
+    path = run_scheme(spec, dirac(0.0), SchemeConfig(scheme="las", grid=GridSpec(T=1.0, N=10)))
+    seen = {"grouped": 0, "scanned": 0}
+    group_rows, scan = measures._group_rows, measures._first_match_scan
+
+    def counting_group_rows(pts, tol):
+        seen["grouped"] += pts.shape[0]
+        return group_rows(pts, tol)
+
+    def counting_scan(rows, tol):
+        seen["scanned"] += rows.shape[0]
+        return scan(rows, tol)
+
+    monkeypatch.setattr(measures, "_group_rows", counting_group_rows)
+    monkeypatch.setattr(measures, "_first_match_scan", counting_scan)
+    assert build_representation(path).ncurves == 2**10
+    assert 0 < seen["scanned"] < seen["grouped"] / 10

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import oracles
 import strategies as sts
 from mdelab import (
     ConfigError,
@@ -215,3 +216,26 @@ def test_pvf_json_diagnostics():
         pvf_from_json({"kind": "constant_fiber"})
     with pytest.raises(ConfigError):
         pvf_from_json({"field": "peano"})
+
+
+@st.composite
+def split_inputs(draw):
+    """1-D measures whose median often falls exactly on a CDF step: dyadic
+    atoms with small integer weights, so eta = 0 and zero parts occur."""
+    if draw(st.booleans()):
+        return draw(sts.measures(max_atoms=9))
+    n = draw(st.integers(1, 9))
+    xs = draw(st.lists(sts.dyadic, min_size=n, max_size=n))
+    ws = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    return m1(xs, [float(w) for w in ws])
+
+
+@given(split_inputs())
+@example(m1([0.0, 1.0], [0.5, 0.5]))
+@example(m1([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25]))
+def test_splitting_lift_matches_loop_reference(mu):
+    md = median_data(mu)
+    pos, vel, w = oracles.splitting_lift_loop(
+        mu.atoms[:, 0], mu.weights, md.B, md.eta, md.cdf_left_of_B
+    )
+    assert eval_pvf(SPLIT, mu) == make_lifted(pos, vel, w)

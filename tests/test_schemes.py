@@ -5,6 +5,7 @@ import oracles
 from mdelab import (
     BaseOffGridError,
     ConstantFiberPvf,
+    CustomPvf,
     GraphPvf,
     GridSpec,
     LAGRANGIAN,
@@ -32,6 +33,7 @@ from mdelab import (
     support_radius,
     w1_distance,
 )
+from mdelab import schemes
 from mdelab.pvf import GRAPH_FIELDS
 
 SPLIT = SplittingParticlePvf()
@@ -296,6 +298,43 @@ def test_lagrangian_support_blowup_guard():
     # the cap applies to raw children before merging: 10 parents spawn 20
     ok = lagrangian_run(offgrid, dirac(0.0), cfg(LAGRANGIAN, N=10, max_atoms=20))
     assert ok.measures[-1].natoms == 11
+
+
+@pytest.mark.parametrize(
+    "scheme, spec, mu0, cap",
+    [
+        (LAS, BINOMIAL, m1([0.0, 0.25, 0.5], [0.2, 0.3, 0.5]), 5),  # 3 x 2 = 6
+        (LAGRANGIAN, BINOMIAL, m1([0.0, 0.25, 0.5], [0.2, 0.3, 0.5]), 5),
+        (LAGRANGIAN, SPLIT, m1([0.0, 0.25, 0.5], [0.2, 0.3, 0.5]), 3),  # 3 + 1
+        (LAGRANGIAN, GraphPvf(GRAPH_FIELDS["linear"]), m1([0.0, 0.5], [0.5, 0.5]), 1),
+    ],
+)
+def test_atom_cap_trips_before_the_rule_is_evaluated(monkeypatch, scheme, spec, mu0, cap):
+    calls = []
+    monkeypatch.setattr(schemes, "eval_pvf", lambda *args: calls.append(args))
+    with pytest.raises(SupportBlowupError):
+        run_scheme(spec, mu0, cfg(scheme, max_atoms=cap))
+    assert calls == []
+
+
+def test_atom_cap_checks_a_custom_rule_after_evaluation():
+    calls = []
+
+    def fan_out(mu):
+        calls.append(mu)
+        return eval_pvf(BINOMIAL, mu)
+
+    with pytest.raises(SupportBlowupError):
+        lagrangian_run(CustomPvf(fan_out), m1([0.0, 0.5], [0.5, 0.5]), cfg(LAGRANGIAN, max_atoms=3))
+    assert len(calls) == 1
+
+
+def test_splitting_roundoff_above_half_moves_no_mass_left_at_the_median():
+    # with 100 equal atoms the mass left of the median atom sums to
+    # 1/2 + 2e-16, which made the median's leftward part a negative weight
+    path = lagrangian_run(SPLIT, quantile_uniform(0.0, 1.0, 100), cfg(LAGRANGIAN, N=16))
+    atoms, weights = oracles.splitting_uniform_atoms(1.0, 100)
+    assert w1_distance(path.measures[-1], m1(atoms, weights)) <= 1e-12
 
 
 def test_lagrangian_prune_floor_accounting():

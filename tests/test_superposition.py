@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import oracles
 from mdelab import (
     ConstantFiberPvf,
     EndpointMismatchError,
@@ -32,6 +34,7 @@ from mdelab import (
     verify_fiber_barycenter,
     w1_distance,
 )
+from mdelab.measures import MERGE_TOL, match_rows
 from mdelab.pvf import GRAPH_FIELDS
 
 SPLIT = SplittingParticlePvf()
@@ -130,6 +133,56 @@ def test_concat_merge_full_product_within_fiber():
     out = concat_merge(head, tail, dirac(0.0))
     assert out.ncurves == 4
     assert np.allclose(out.weights, 0.25)
+
+
+@st.composite
+def glue_problems(draw):
+    """(head, tail, joint) meeting at 1 to 4 joint atoms in 1-D or 2-D.
+
+    Each atom gets 1 to 3 incoming curves and 1 to 3 outgoing segments
+    with small integer shares of its mass; curves and segments may repeat
+    (and merge), and an endpoint may sit a sub-tolerance offset off its
+    atom.
+    """
+    d = draw(st.integers(1, 2))
+    coord = st.integers(-8, 8).map(lambda k: k / 4.0)
+    point = st.lists(coord, min_size=d, max_size=d)
+    atoms = draw(st.lists(point, min_size=1, max_size=4, unique_by=tuple))
+    masses = draw(st.lists(st.integers(1, 4), min_size=len(atoms), max_size=len(atoms)))
+    masses = np.array(masses, dtype=float) / sum(masses)
+    share = st.integers(1, 3)
+    offset = st.sampled_from([0.0, 0.0, 0.5 * MERGE_TOL, -0.5 * MERGE_TOL])
+    knots, hw, starts, vels, tw = [], [], [], [], []
+    for x, m in zip(atoms, masses):
+        ins = draw(st.lists(share, min_size=1, max_size=3))
+        for k in ins:
+            end = [c + draw(offset) for c in x]
+            knots.append([draw(point), end])
+            hw.append(m * k / sum(ins))
+        outs = draw(st.lists(share, min_size=1, max_size=3))
+        for k in outs:
+            starts.append(x)
+            vels.append(draw(point))
+            tw.append(m * k / sum(outs))
+    head = TrajectoryEnsemble(times=[0.0, 0.5], weights=hw, knots=knots)
+    tail = SegmentEnsemble(t_start=0.5, t_end=1.25, weights=tw, starts=starts, velocities=vels)
+    return head, tail, make_measure(atoms, masses)
+
+
+@given(glue_problems())
+def test_concat_merge_matches_double_loop(problem):
+    head, tail, joint = problem
+    h_at = match_rows(head.knots[:, -1, :], joint.atoms, MERGE_TOL)
+    t_at = match_rows(tail.starts, joint.atoms, MERGE_TOL)
+    knots, weights = oracles.glue_loop(
+        head.knots, head.weights, h_at, tail.velocities, tail.weights, t_at,
+        joint.weights, tail.t_end - tail.t_start,
+    )
+    expected = TrajectoryEnsemble(times=[0.0, 0.5, 1.25], weights=weights, knots=knots)
+    out = concat_merge(head, tail, joint)
+    assert np.array_equal(out.times, expected.times)
+    assert np.array_equal(out.knots, expected.knots)
+    assert np.array_equal(out.weights, expected.weights)
 
 
 def test_concat_merge_endpoint_mismatch():

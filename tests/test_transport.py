@@ -118,6 +118,15 @@ def test_lp_solve_validates_inputs():
         lp_solve([[np.inf]], [1.0], [1.0])
 
 
+@pytest.mark.parametrize("gap", [0.9e-9, -0.9e-9])
+def test_lp_solve_unequal_marginal_totals(gap):
+    r, c = [0.5, 0.5 + gap], [0.5, 0.5 - gap]
+    plan, value = lp_solve([[0.0, 1.0], [1.0, 0.0]], r, c)
+    assert np.max(np.abs(plan.row_marginals - r)) <= 1e-9
+    assert np.max(np.abs(plan.col_marginals - c)) <= 1e-9
+    assert 0.0 <= value <= abs(gap) * (1 + 1e-6)
+
+
 def test_lp_solve_against_scipy():
     rng = np.random.default_rng(19)
     for _ in range(30):
