@@ -16,6 +16,7 @@ extensions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -75,7 +76,8 @@ class MedianData:
     ``B`` is the smallest atom whose CDF strictly exceeds 1/2 (up to
     CDF_TOL), ``eta = F(B) - 1/2`` the overshoot, ``mass_at_B`` the weight
     sitting on B, and ``cdf_left_of_B = F(B) - mass_at_B`` the mass strictly
-    left of B.  These satisfy mass_at_B = eta + 1/2 - cdf_left_of_B.
+    left of B, exactly rounded when it lies within CDF_TOL of 1/2.  These
+    satisfy mass_at_B = eta + 1/2 - cdf_left_of_B.
     """
 
     B: float
@@ -97,7 +99,17 @@ def median_data(mu: DiscreteMeasure) -> MedianData:
     mass = float(mu.weights[idx])
     if mass <= 0:  # pragma: no cover - canonical measures have positive weights
         raise EmptyInputError("median atom carries no mass")
-    return MedianData(B=B, eta=eta, mass_at_B=mass, cdf_left_of_B=float(cdf[idx] - mass))
+    left = float(cdf[idx] - mass)
+    if left != 0.5 and abs(0.5 - left) <= CDF_TOL:
+        # Near the tie the float cumsum can land a few ulps off an exact 1/2
+        # (600 weights of 1/600: 2e-15 below) and leave a sliver of B moving
+        # left, so there the mass left of B is summed with exact rounding.
+        # A cumsum that lands on 1/2 itself is kept: equal dyadic weights
+        # such as 1/256 sum exactly, and a torn block of them lands there
+        # at every step, where the fsum would cost a few percent of the run.
+        left = math.fsum(mu.weights[:idx].tolist())
+        eta = mass - (0.5 - left)
+    return MedianData(B=B, eta=eta, mass_at_B=mass, cdf_left_of_B=left)
 
 
 def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:

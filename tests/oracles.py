@@ -10,10 +10,12 @@ The loop references at the end (the splitting lift, curve gluing and the
 weak residual) are the per-atom and per-pair loops that the package's
 whole-array kernels replace.  They take plain arrays and use the same
 floating-point operations in the same order, so the kernels must match
-them bit for bit.
+them bit for bit.  The per-value artifact writers are the references for
+the whole-table CSV and JSON formatting in the same way.
 """
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -329,6 +331,82 @@ def residual_loop(times, nodes, lifts, centers, radii):
         )
         defects[fi] = np.abs(values - values[0] - trap)
     return defects
+
+
+# ---------------------------------------------------------------------------
+# per-value artifact writers
+# ---------------------------------------------------------------------------
+#
+# The text each artifact file held when it was written one value at a time:
+# CSV rows joined from format(float(x), ".17g"), and JSON from the standard
+# library encoder.  The package's whole-array writers must match them byte
+# for byte.
+
+def csv_float(x) -> str:
+    return format(float(x), ".17g")
+
+
+def _lines(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def path_csv_text(times, nodes) -> str:
+    """A path CSV from node times and per-node (atoms, weights)."""
+    d = nodes[0][0].shape[1]
+    lines = ["t," + ",".join(f"x{i + 1}" for i in range(d)) + ",weight"]
+    for t, (atoms, weights) in zip(times, nodes):
+        for atom, w in zip(atoms, weights):
+            coords = ",".join(csv_float(c) for c in atom)
+            lines.append(f"{csv_float(t)},{coords},{csv_float(w)}")
+    return _lines(lines)
+
+
+def plan_csv_text(mass) -> str:
+    """Rows i,j,mass for the positive entries of a plan, row-major."""
+    lines = ["i,j,mass"]
+    for i, row in enumerate(mass):
+        for j, m in enumerate(row):
+            if m > 0:
+                lines.append(f"{i},{j},{csv_float(m)}")
+    return _lines(lines)
+
+
+def residual_csv_text(times, defects) -> str:
+    lines = ["function,t,defect"]
+    for fi, row in enumerate(defects):
+        for t, dval in zip(times, row):
+            lines.append(f"{fi},{csv_float(t)},{csv_float(dval)}")
+    return _lines(lines)
+
+
+def convergence_csv_text(rows) -> str:
+    return _lines(["N,error"] + [f"{n},{csv_float(err)}" for n, err in rows])
+
+
+def comparison_csv_text(rows) -> str:
+    return _lines(
+        ["scheme_a,scheme_b,gap"] + [f"{a},{b},{csv_float(g)}" for a, b, g in rows]
+    )
+
+
+def json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def trajectories_doc(schema, times, weights, knots) -> dict:
+    """The trajectories document, built one float() at a time."""
+    return {
+        "schema": schema,
+        "kind": "trajectories",
+        "times": [float(t) for t in times],
+        "curves": [
+            {
+                "weight": float(w),
+                "knots": [[float(c) for c in knot] for knot in curve],
+            }
+            for w, curve in zip(weights, knots)
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------

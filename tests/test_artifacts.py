@@ -1,32 +1,51 @@
+import dataclasses
+import errno
 import json
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import oracles
 from mdelab import (
+    ComparisonTable,
     ConfigError,
+    ConvergenceTable,
     ConstantFiberPvf,
     GridSpec,
     IoError,
     LAS,
+    LiftedMeasure,
+    MeasurePath,
+    ResidualReport,
     SCHEMES,
     SchemeConfig,
     SplittingParticlePvf,
     build_representation,
     convergence_study,
     dirac,
+    get_scenario,
     las_run,
     make_measure,
     residual,
     run_scheme,
+    run_scenario,
     scheme_compare,
+    TrajectoryEnsemble,
+    TransportPlan,
     w1_plan,
 )
+from mdelab import artifacts
 from mdelab.artifacts import (
     SCHEMA,
+    comparison_to_json,
+    convergence_to_json,
     fmt,
     read_json,
     read_trajectories_json,
+    residual_to_json,
     trajectories_from_json,
     trajectories_to_json,
     write_comparison_csv,
@@ -218,3 +237,251 @@ def test_json_list_values_round_trip_exactly(tmp_path):
     write_json(comparison_to_json(table), p)
     again = json.loads(p.read_text())
     assert tuple(entry["gap"] for entry in again["gaps"]) == table.gaps
+
+
+# ---------------------------------------------------------------------------
+# whole-table formatting against the per-value writers
+# ---------------------------------------------------------------------------
+
+# signed zeros, the smallest subnormal, a decimal with no short binary
+# form, the ends of the range and integral floats
+EDGE = [-0.0, 0.0, 5e-324, -5e-324, 0.1, -0.1, 1e308, -1e308, 1.0, 2.0, -3.0, 1e16, 1 / 3]
+csv_floats = st.sampled_from(EDGE) | st.floats(allow_nan=False, allow_infinity=False)
+json_floats = st.sampled_from(EDGE + [math.nan, math.inf, -math.inf]) | st.floats()
+steps = st.sampled_from([0.1, 1.0, 2.0, 1 / 3]) | st.floats(1e-3, 10.0)
+
+
+@st.composite
+def measure_paths(draw, dim):
+    times = np.cumsum([0.0] + draw(st.lists(steps, min_size=1, max_size=3)))
+    measures = []
+    for _ in times:
+        n = draw(st.integers(1, 5))
+        atoms = draw(st.lists(st.lists(csv_floats, min_size=dim, max_size=dim),
+                              min_size=n, max_size=n))
+        weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+        measures.append(make_measure(atoms, weights))
+    interp = [LiftedMeasure(mu.atoms, np.zeros_like(mu.atoms), mu.weights) for mu in measures]
+    return MeasurePath(times, tuple(measures), tuple(interp[:-1]))
+
+
+def float_arrays(elements, shape):
+    return st.lists(elements, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))).map(
+        lambda v: np.array(v, dtype=float).reshape(shape))
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    """One directory for a whole hypothesis test: each example overwrites its file."""
+    return tmp_path_factory.mktemp("artifacts")
+
+
+def written(writer, payload, out_dir) -> bytes:
+    p = out_dir / "artifact"
+    writer(payload, p)
+    return p.read_bytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@given(data=st.data())
+def test_path_csv_matches_per_value_writer(dim, data, out_dir):
+    path = data.draw(measure_paths(dim))
+    expected = oracles.path_csv_text(path.times, [(mu.atoms, mu.weights) for mu in path.measures])
+    assert written(write_path_csv, path, out_dir) == expected.encode()
+
+
+@given(data=st.data())
+def test_plan_csv_matches_per_value_writer(data, out_dir):
+    shape = data.draw(st.tuples(st.integers(1, 5), st.integers(1, 5)))
+    masses = st.sampled_from([0.0, -0.0, 5e-324, 0.1, 1e308, 2.0, 1 / 3]) | st.floats(0.0, 1e308)
+    plan = TransportPlan(data.draw(float_arrays(masses, shape)))
+    assert written(write_plan_csv, plan, out_dir) == oracles.plan_csv_text(plan.mass).encode()
+
+
+@given(data=st.data())
+def test_residual_csv_and_json_match_per_value_writers(data, out_dir):
+    nf, nt = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 6)))
+    report = ResidualReport(
+        times=data.draw(float_arrays(json_floats, (nt,))),
+        defects=data.draw(float_arrays(json_floats, (nf, nt))),
+        max_defect=data.draw(json_floats.map(np.float64)),
+        dt=data.draw(json_floats),
+        family_description=data.draw(st.text(max_size=8)),
+    )
+    expected = oracles.residual_csv_text(report.times, report.defects)
+    assert written(write_residual_csv, report, out_dir) == expected.encode()
+    doc = residual_to_json(report)
+    assert written(write_json, doc, out_dir) == oracles.json_text(doc).encode()
+
+
+@given(data=st.data())
+def test_convergence_csv_and_json_match_per_value_writers(data, out_dir):
+    n = data.draw(st.integers(0, 5))
+    table = ConvergenceTable(
+        scheme=data.draw(st.text(max_size=8)),
+        T=data.draw(json_floats),
+        Ns=tuple(data.draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))),
+        errors=tuple(data.draw(st.lists(json_floats | json_floats.map(np.float64),
+                                        min_size=n, max_size=n))),
+        mode=data.draw(st.sampled_from(["reference", "successive"])),
+    )
+    assert written(write_convergence_csv, table, out_dir) == (
+        oracles.convergence_csv_text(table.rows()).encode())
+    doc = convergence_to_json(table)
+    assert written(write_json, doc, out_dir) == oracles.json_text(doc).encode()
+
+
+@given(data=st.data())
+def test_comparison_csv_and_json_match_per_value_writers(data, out_dir):
+    n = data.draw(st.integers(0, 4))
+    names = st.text(max_size=6)
+    table = ComparisonTable(
+        N=data.draw(st.integers(1, 1000)),
+        T=data.draw(json_floats | json_floats.map(np.float64)),
+        pairs=tuple(data.draw(st.lists(st.tuples(names, names), min_size=n, max_size=n))),
+        gaps=tuple(data.draw(st.lists(json_floats | json_floats.map(np.float64),
+                                      min_size=n, max_size=n))),
+    )
+    assert written(write_comparison_csv, table, out_dir) == (
+        oracles.comparison_csv_text(table.rows()).encode())
+    doc = comparison_to_json(table)
+    assert written(write_json, doc, out_dir) == oracles.json_text(doc).encode()
+
+
+@given(data=st.data())
+def test_trajectories_json_matches_per_value_writer(data, out_dir):
+    ncurves, nt, d = data.draw(st.tuples(st.integers(1, 4), st.integers(2, 4), st.integers(1, 2)))
+    ens = TrajectoryEnsemble(
+        times=np.cumsum([0.0] + data.draw(st.lists(steps, min_size=nt - 1, max_size=nt - 1))),
+        weights=data.draw(float_arrays(st.floats(0.01, 1.0), (ncurves,))),
+        knots=data.draw(float_arrays(csv_floats, (ncurves, nt, d))),
+    )
+    doc = oracles.trajectories_doc(SCHEMA, ens.times, ens.weights, ens.knots)
+    assert trajectories_to_json(ens) == doc
+    assert written(write_trajectories_json, ens, out_dir) == oracles.json_text(doc).encode()
+
+
+json_scalars = (st.none() | st.booleans() | st.integers() | json_floats
+                | json_floats.map(np.float64) | st.text(max_size=6))
+json_float_lists = (
+    st.lists(json_floats, max_size=5)
+    | st.integers(1, 3).flatmap(lambda m: st.lists(
+        st.lists(json_floats, min_size=m, max_size=m), min_size=1, max_size=4))
+    | st.lists(st.lists(json_floats, max_size=3), max_size=4)
+    | st.lists(json_floats, max_size=4).map(tuple)
+)
+# lists of records such as the curves of a trajectories document; their
+# shapes differ across records only now and then
+json_records = st.lists(st.fixed_dictionaries({
+    "knots": st.lists(st.lists(json_floats, min_size=1, max_size=2), min_size=1, max_size=3),
+    "weight": json_floats | json_floats.map(np.float64),
+    "%": json_floats,
+}), min_size=1, max_size=4)
+json_values = st.recursive(
+    json_scalars | json_float_lists | json_records,
+    lambda kids: st.lists(kids, max_size=4) | st.one_of(
+        [st.dictionaries(keys, kids, max_size=4)
+         for keys in (st.text(max_size=5), st.integers(-3, 3), json_floats)]),
+    max_leaves=12,
+)
+
+
+@given(obj=json_values)
+def test_write_json_matches_json_dump(obj, out_dir):
+    assert written(write_json, obj, out_dir) == oracles.json_text(obj).encode()
+
+
+def test_manifest_matches_json_dump(tmp_path):
+    scn = dataclasses.replace(get_scenario("peano"), outputs=str(tmp_path / "peano"))
+    manifest = run_scenario(scn)
+    assert (tmp_path / "peano" / "manifest.json").read_text() == oracles.json_text(manifest)
+
+
+def test_write_json_rejects_what_json_rejects(tmp_path):
+    for obj in ({"a": np.int64(3)}, [np.arange(2.0)], {(1, 2): 2.0}):
+        with pytest.raises(TypeError):
+            write_json(obj, tmp_path / "x.json")
+    assert os.listdir(tmp_path) == []
+
+
+def test_writers_format_whole_arrays(tmp_path, monkeypatch):
+    """Neither the stdlib encoder nor the per-value fmt is on the write path."""
+    ens = build_representation(las_run(BINOMIAL, dirac(0.0), cfg(LAS, 10)))
+    assert ens.ncurves == 1024
+    expected_text = oracles.json_text(trajectories_to_json(ens))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-value formatting on the write path")
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+    monkeypatch.setattr(artifacts, "fmt", refuse)
+    with pytest.raises(AssertionError):
+        json.dumps([1.0], indent=2)
+    write_trajectories_json(ens, tmp_path / "bundle.json")
+    run_scenario(dataclasses.replace(get_scenario("binomial"), outputs=str(tmp_path / "binomial")))
+    monkeypatch.undo()
+    assert (tmp_path / "bundle.json").read_text() == expected_text
+
+
+# ---------------------------------------------------------------------------
+# all-or-nothing writes
+# ---------------------------------------------------------------------------
+
+class _FullDisk:
+    """``open`` whose k-th file takes half of its text and then fails as a full disk does."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.opened = 0
+
+    def __call__(self, file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        self.opened += 1
+        return _HalfWritten(fh) if self.opened == self.k + 1 else fh
+
+
+class _HalfWritten:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failed_write_in_a_run_leaves_only_whole_files(tmp_path, monkeypatch):
+    base = dataclasses.replace(
+        get_scenario("binomial"), Ns=(2, 4), schemes=(LAS,), compare=False, residual=True,
+    )
+    clean = tmp_path / "clean"
+    run_scenario(dataclasses.replace(base, outputs=str(clean)))
+    whole = {name: (clean / name).read_bytes() for name in os.listdir(clean)}
+    assert len(whole) == 11 and "manifest.json" in whole
+
+    for k in range(len(whole)):
+        out = tmp_path / f"fail{k}"
+        monkeypatch.setattr(artifacts, "open", _FullDisk(k), raising=False)
+        with pytest.raises(IoError):
+            run_scenario(dataclasses.replace(base, outputs=str(out)))
+        monkeypatch.undo()
+        left = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        # the k files written before the failure, each whole; no partial
+        # file, no temporary file, and no manifest, which is written last
+        assert len(left) == k
+        assert all(whole.get(name) == text for name, text in left.items())
+        assert "manifest.json" not in left
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path):
+    target = tmp_path / "target"
+    target.mkdir()
+    with pytest.raises(IoError):
+        write_json({}, target)
+    assert os.listdir(tmp_path) == ["target"] and os.listdir(target) == []

@@ -337,6 +337,19 @@ def test_splitting_roundoff_above_half_moves_no_mass_left_at_the_median():
     assert w1_distance(path.measures[-1], m1(atoms, weights)) <= 1e-12
 
 
+@pytest.mark.parametrize("natoms", [2, 28, 100, 218, 256, 600, 998, 1000])
+def test_splitting_uniform_block_tears_exactly(natoms):
+    # A float cumsum put the mass left of the median atom a few ulps off an
+    # exact 1/2 (600 atoms: 2e-15 below), so a 1.9e-15 leftward sliver of the
+    # median travelled as an atom of its own: 601 atoms from step 1.
+    path = lagrangian_run(SPLIT, quantile_uniform(0.0, 1.0, natoms), cfg(LAGRANGIAN, N=16))
+    for t, mu in zip(path.times, path.measures):
+        atoms, weights = oracles.splitting_uniform_atoms(float(t), natoms)
+        assert mu.natoms == natoms
+        exact = (np.array(atoms), np.array(weights))
+        assert oracles.w1_inverse_cdf(mu.atoms[:, 0], mu.weights, *exact) <= 1e-15
+
+
 def test_lagrangian_prune_floor_accounting():
     lopsided = ConstantFiberPvf(m1([0.0, 1.0], [1.0 - 1e-7, 1e-7]))
     path = lagrangian_run(
