@@ -34,11 +34,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import DimMismatchError, EmptyInputError, NegativeWeightError
+from .errors import EmptyInputError, NegativeWeightError
 
 # Absolute per-coordinate tolerance below which two atoms are the same atom.
 MERGE_TOL = 1e-12
@@ -439,42 +439,6 @@ def quantile_uniform(a: float, b: float, natoms: int) -> DiscreteMeasure:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def push_forward(mu: DiscreteMeasure, fn: Callable[[np.ndarray], np.ndarray]) -> DiscreteMeasure:
-    """Image measure under a pointwise map.
-
-    ``fn`` receives one atom at a time as a (d,) array and must return a
-    point of a fixed target dimension (scalar output is read as R^1).
-    """
-    images = []
-    for x in mu.atoms:
-        y = np.atleast_1d(np.asarray(fn(x.copy()), dtype=float))
-        if y.ndim != 1:
-            raise ValueError("map must return a point (1-D array or scalar)")
-        images.append(y)
-    out_dim = images[0].shape[0]
-    for y in images:
-        if y.shape[0] != out_dim:
-            raise ValueError("map returned points of inconsistent dimension")
-    return DiscreteMeasure(np.vstack(images), mu.weights)
-
-
-def convolve(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
-    """Convolution: atoms at all pairwise sums, weights multiplied.
-
-    The unit mass at the origin is the identity for this operation.
-    """
-    if mu.dim != nu.dim:
-        raise DimMismatchError(f"dim {mu.dim} vs {nu.dim}")
-    atoms = (mu.atoms[:, None, :] + nu.atoms[None, :, :]).reshape(-1, mu.dim)
-    weights = (mu.weights[:, None] * nu.weights[None, :]).ravel()
-    return DiscreteMeasure(atoms, weights)
-
-
-def scale_product(a: float, mu: DiscreteMeasure) -> DiscreteMeasure:
-    """Image of ``mu`` under x -> a x."""
-    return DiscreteMeasure(float(a) * mu.atoms, mu.weights)
-
 
 def coalesce(mu: DiscreteMeasure, tol: float) -> DiscreteMeasure:
     """Merge atoms within l-inf distance ``tol``, greedily in lexicographic order.

@@ -364,6 +364,13 @@ def run_scenario(scn: Scenario) -> dict:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out!r}: {exc}") from exc
+    # an earlier run's manifest must not describe the files this run writes
+    try:
+        os.remove(os.path.join(out, "manifest.json"))
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise IoError(f"cannot remove the old manifest in {out!r}: {exc}") from exc
 
     written: list[str] = []
     pruned: dict[str, float] = {}

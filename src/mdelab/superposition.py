@@ -6,11 +6,16 @@ evaluation map e_t (read each curve at time t) yields a measure at every
 time; a run of one of the schemes is *represented* by an ensemble when
 this pushforward reproduces the run's interpolation at all times.
 
-``build_representation`` constructs such an ensemble from a recorded run:
-each interval's lifted measure becomes a bundle of straight segments, and
-consecutive bundles are glued by ``concat_merge``, which pairs incoming
-curves with outgoing segments through their shared endpoint distribution
-(conditional-independence weights, so the marginals work out exactly).
+``build_representation`` constructs such an ensemble from a recorded run.
+It first counts, from the path alone, the (curve, segment) pairs that
+gluing will make, and checks ``max_curves`` against that count before any
+curve is built.  The first interval's lifted measure seeds the bundle,
+one straight segment per atom, and ``concat_merge`` glues on each later
+interval's lifted measure, pairing incoming curves with outgoing segments
+through the node measure they share (conditional-independence weights).
+The glue is checked exactly, atom by atom: the curve endpoint masses and
+the segment start masses summed over each node atom must each equal the
+node weights within 1e-9 in total, so the marginals work out.
 
 ``verify_fiber_barycenter`` checks the ensemble-level compatibility
 condition: at a knot, the weighted mean of right-hand curve slopes through
@@ -33,8 +38,7 @@ from .measures import (
     match_rows,
 )
 from .pvf import PvfSpec, barycentric_field
-from .schemes import _TIME_TOL, MeasurePath, locate_time
-from .transport import w1_distance
+from .schemes import MeasurePath, locate_time
 
 _JOINT_TOL = 1e-9
 
@@ -88,90 +92,40 @@ class TrajectoryEnsemble:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class SegmentEnsemble:
-    """Straight-line curves on one interval: starts plus constant velocities."""
-
-    t_start: float
-    t_end: float
-    weights: np.ndarray
-    starts: np.ndarray
-    velocities: np.ndarray
-
-    def __post_init__(self):
-        if not self.t_end > self.t_start:
-            raise ValueError("need t_end > t_start")
-        lifted = LiftedMeasure(self.starts, self.velocities, self.weights)
-        object.__setattr__(self, "t_start", float(self.t_start))
-        object.__setattr__(self, "t_end", float(self.t_end))
-        object.__setattr__(self, "starts", lifted.positions)
-        object.__setattr__(self, "velocities", lifted.velocities)
-        object.__setattr__(self, "weights", lifted.weights)
-
-    @property
-    def nsegments(self) -> int:
-        return self.starts.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.starts.shape[1]
-
-
-def segment_ensemble(lifted: LiftedMeasure, t_start: float, t_end: float) -> SegmentEnsemble:
-    """One straight segment per lifted atom, slope its velocity."""
-    return SegmentEnsemble(
-        t_start=t_start,
-        t_end=t_end,
-        weights=lifted.weights,
-        starts=lifted.positions,
-        velocities=lifted.velocities,
-    )
-
-
-def _ensemble_from_segments(seg: SegmentEnsemble) -> TrajectoryEnsemble:
-    dt = seg.t_end - seg.t_start
-    knots = np.stack([seg.starts, seg.starts + dt * seg.velocities], axis=1)
-    return TrajectoryEnsemble(
-        times=np.array([seg.t_start, seg.t_end]), weights=seg.weights, knots=knots
-    )
-
-
 # ---------------------------------------------------------------------------
 # gluing
 # ---------------------------------------------------------------------------
 
 def concat_merge(
-    head: TrajectoryEnsemble, tail: SegmentEnsemble, joint: DiscreteMeasure
+    head: TrajectoryEnsemble, tail: LiftedMeasure, t_end: float, joint: DiscreteMeasure
 ) -> TrajectoryEnsemble:
-    """Extend ``head`` by ``tail``, pairing curves through ``joint``.
+    """Extend ``head`` to ``t_end`` by the segments of ``tail``, pairing through ``joint``.
 
-    ``joint`` must agree (within 1e-9 in Wasserstein-1) with both the
-    endpoint distribution of ``head`` and the start distribution of
-    ``tail``.  Over each joint atom carrying mass m, a curve of weight a
-    and a segment of weight b combine with weight m (a / m_head)(b / m_tail),
-    where m_head and m_tail are the head and tail masses over that atom;
-    this conditional-independence pairing preserves both marginals.
+    Each atom (x, v) of ``tail`` is a straight segment that starts at x at
+    time ``head.times[-1]`` with slope v.  Every head endpoint and every
+    segment start must match a joint atom within ``MERGE_TOL``.  Summed per
+    joint atom, the head endpoint masses m_head and the segment start
+    masses m_tail must each equal the joint weights: sum |m - joint.weights|
+    <= 1e-9, and no joint atom may lack incoming or outgoing mass.
+    Otherwise EndpointMismatchError.  Over each joint atom carrying mass m,
+    a curve of weight a and a segment of weight b combine with weight
+    m (a / m_head)(b / m_tail); this conditional-independence pairing
+    preserves both marginals.
     """
-    if abs(head.times[-1] - tail.t_start) > _TIME_TOL * max(1.0, abs(tail.t_start)):
-        raise EndpointMismatchError(
-            f"head ends at t={head.times[-1]:g}, tail starts at t={tail.t_start:g}"
-        )
+    dt = t_end - head.times[-1]
+    if not dt > 0:
+        raise ValueError(f"need t_end > {head.times[-1]:g}, got {t_end:g}")
     end_pts = head.knots[:, -1, :]
-    end_dist = DiscreteMeasure(end_pts, head.weights)
-    start_dist = DiscreteMeasure(tail.starts, tail.weights)
-    for name, dist in (("head endpoint", end_dist), ("tail start", start_dist)):
-        gap = w1_distance(dist, joint, method="auto" if dist.dim == 1 else "lp")
-        if gap > _JOINT_TOL:
-            raise EndpointMismatchError(
-                f"{name} distribution is {gap:.3e} away from the joint measure"
-            )
-
     h_at = match_rows(end_pts, joint.atoms, MERGE_TOL)
-    t_at = match_rows(tail.starts, joint.atoms, MERGE_TOL)
+    t_at = match_rows(tail.positions, joint.atoms, MERGE_TOL)
     if np.any(h_at < 0) or np.any(t_at < 0):
         raise EndpointMismatchError("a curve endpoint matches no joint atom")
     m_head = np.bincount(h_at, weights=head.weights, minlength=joint.natoms)
     m_tail = np.bincount(t_at, weights=tail.weights, minlength=joint.natoms)
+    for name, m in (("head endpoint", m_head), ("tail start", m_tail)):
+        gap = float(np.abs(m - joint.weights).sum())
+        if gap > _JOINT_TOL:
+            raise EndpointMismatchError(f"{name} masses are {gap:.3e} off the joint weights")
     if np.any((joint.weights > 0) & ((m_head <= 0) | (m_tail <= 0))):
         raise EndpointMismatchError("a joint atom has no incoming or outgoing mass")
 
@@ -190,30 +144,53 @@ def concat_merge(
     # Extend from the curve's own endpoint with the segment's slope, so
     # curves stay continuous even when the grouping tolerance absorbed a
     # sub-1e-12 discrepancy.
-    end = end_pts[ci] + (tail.t_end - tail.t_start) * tail.velocities[si]
+    end = end_pts[ci] + dt * tail.velocities[si]
     knots = np.concatenate([head.knots[ci], end[:, None, :]], axis=1)
-    times = np.concatenate([head.times, [tail.t_end]])
+    times = np.concatenate([head.times, [t_end]])
     return TrajectoryEnsemble(times=times, weights=weights, knots=knots)
+
+
+def _glued_pairs(path: MeasurePath) -> float:
+    """Number of (curve, segment) pairs that gluing the whole path makes.
+
+    Carries the count of curves through each lift atom from node to node:
+    at node k the curves ending on an atom continue along every lift atom
+    starting there.  This is the count before merging, so it equals the
+    bundle's ``ncurves`` unless two glued curves coincide.  Raises
+    EndpointMismatchError where ``concat_merge`` would find no joint atom.
+    """
+    times, nodes, lifts = path.times, path.measures, path.interp
+    through = np.ones(lifts[0].natoms)
+    for k in range(1, len(lifts)):
+        prev = lifts[k - 1]
+        ends = prev.positions + (times[k] - times[k - 1]) * prev.velocities
+        end_at = match_rows(ends, nodes[k].atoms, MERGE_TOL)
+        start_at = match_rows(lifts[k].positions, nodes[k].atoms, MERGE_TOL)
+        if np.any(end_at < 0) or np.any(start_at < 0):
+            raise EndpointMismatchError(f"a curve endpoint matches no atom of node {k}")
+        through = np.bincount(end_at, weights=through, minlength=nodes[k].natoms)[start_at]
+    return float(through.sum())
 
 
 def build_representation(path: MeasurePath, max_curves: int = 1_000_000) -> TrajectoryEnsemble:
     """Reconstruct a run as a trajectory ensemble from its interval data.
 
-    The first interval's lifted measure seeds the bundle; each later
-    interval is glued on by ``concat_merge`` with the recorded node measure
-    as the joint.  Raises SupportBlowupError past ``max_curves`` curves.
+    The count of glued pairs before merging (see ``_glued_pairs``) is
+    computed from the path first; past ``max_curves`` it raises
+    SupportBlowupError before any curve is built.  The first interval's
+    lifted measure then seeds the bundle, one segment per atom, and each
+    later interval is glued on by ``concat_merge`` with the recorded node
+    measure as the joint.
     """
-    times = path.times
-    ens = _ensemble_from_segments(
-        segment_ensemble(path.interp[0], times[0], times[1])
-    )
+    pairs = _glued_pairs(path)
+    if pairs > max_curves:
+        raise SupportBlowupError(f"{pairs:.0f} curves exceed the cap of {max_curves}")
+    times, first = path.times, path.interp[0]
+    ends = first.positions + (times[1] - times[0]) * first.velocities
+    knots = np.stack([first.positions, ends], axis=1)
+    ens = TrajectoryEnsemble(times=times[:2], weights=first.weights, knots=knots)
     for k in range(1, len(path.interp)):
-        tail = segment_ensemble(path.interp[k], times[k], times[k + 1])
-        ens = concat_merge(ens, tail, path.measures[k])
-        if ens.ncurves > max_curves:
-            raise SupportBlowupError(
-                f"{ens.ncurves} curves exceed the cap of {max_curves}"
-            )
+        ens = concat_merge(ens, path.interp[k], times[k + 1], path.measures[k])
     return ens
 
 

@@ -465,18 +465,26 @@ def test_failed_write_in_a_run_leaves_only_whole_files(tmp_path, monkeypatch):
     whole = {name: (clean / name).read_bytes() for name in os.listdir(clean)}
     assert len(whole) == 11 and "manifest.json" in whole
 
-    for k in range(len(whole)):
-        out = tmp_path / f"fail{k}"
+    cases = [(None, base, k) for k in range(len(whole))]
+    # a re-run into a directory that holds an earlier run's files, failing
+    # at its 4th write, must not leave the earlier run's manifest behind
+    earlier = dataclasses.replace(get_scenario("binomial"), Ns=(2, 4))
+    cases.append((earlier, dataclasses.replace(earlier, T=2.0), 3))
+    for i, (before, scn, k) in enumerate(cases):
+        out = tmp_path / f"fail{i}"
+        if before is not None:
+            run_scenario(dataclasses.replace(before, outputs=str(out)))
         monkeypatch.setattr(artifacts, "open", _FullDisk(k), raising=False)
         with pytest.raises(IoError):
-            run_scenario(dataclasses.replace(base, outputs=str(out)))
+            run_scenario(dataclasses.replace(scn, outputs=str(out)))
         monkeypatch.undo()
         left = {name: (out / name).read_bytes() for name in os.listdir(out)}
-        # the k files written before the failure, each whole; no partial
-        # file, no temporary file, and no manifest, which is written last
-        assert len(left) == k
-        assert all(whole.get(name) == text for name, text in left.items())
         assert "manifest.json" not in left
+        if before is None:
+            # the k files written before the failure, each whole; no partial
+            # file, no temporary file, and no manifest, which is written last
+            assert len(left) == k
+            assert all(whole.get(name) == text for name, text in left.items())
 
 
 def test_failed_write_leaves_no_temporary_file(tmp_path):

@@ -22,7 +22,6 @@ from mdelab import (
     median_data,
     pvf_from_json,
     pvf_to_json,
-    scale_product,
     sublinearity_bound,
 )
 
@@ -90,7 +89,7 @@ def test_median_data_internal_consistency(mu):
 
 @given(sts.measures(max_atoms=7), st.sampled_from([1.25, 2.0, 3.0]))
 def test_median_scale_consistency(mu, c):
-    scaled = scale_product(c, mu)
+    scaled = make_measure(c * mu.atoms, mu.weights)
     assert median_data(scaled).B == c * median_data(mu).B
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+import strategies as sts
 from mdelab import (
     ConstantFiberPvf,
     EndpointMismatchError,
@@ -13,7 +14,6 @@ from mdelab import (
     MEAN_VELOCITY,
     OutOfRangeError,
     SchemeConfig,
-    SegmentEnsemble,
     SplittingParticlePvf,
     SupportBlowupError,
     TrajectoryEnsemble,
@@ -28,12 +28,12 @@ from mdelab import (
     make_measure,
     max_speed,
     mean_velocity_run,
-    segment_ensemble,
     sublinearity_bound,
     support_radius,
     verify_fiber_barycenter,
     w1_distance,
 )
+from mdelab import superposition, transport
 from mdelab.measures import MERGE_TOL, match_rows
 from mdelab.pvf import GRAPH_FIELDS
 
@@ -54,44 +54,39 @@ def m1(xs, ws):
 # building blocks
 # ---------------------------------------------------------------------------
 
-def test_segment_ensemble_single_atom():
-    seg = segment_ensemble(make_lifted([[0.0]], [[1.0]], [1.0]), 0.0, 1.0)
-    assert seg.t_start == 0.0 and seg.t_end == 1.0
-    assert np.array_equal(seg.starts, [[0.0]])
-    assert np.array_equal(seg.velocities, [[1.0]])
-    assert np.array_equal(seg.weights, [1.0])
+def test_seed_bundle_is_one_segment_per_lifted_atom():
+    # one interval: the bundle is the first lift's segments, unglued
+    path = las_run(ConstantFiberPvf(dirac(1.0)), dirac(0.0), cfg(LAS, N=1))
+    ens = build_representation(path)
+    assert np.array_equal(ens.times, [0.0, 1.0])
+    assert np.array_equal(ens.knots, [[[0.0], [1.0]]])
+    assert np.array_equal(ens.weights, [1.0])
+
+    path = las_run(SPLIT, dirac(0.0), cfg(LAS, N=1))
+    ens = build_representation(path)
+    assert np.array_equal(ens.knots, [[[0.0], [-1.0]], [[0.0], [1.0]]])
+    assert np.array_equal(ens.weights, [0.5, 0.5])
+
+    # a later interval's lift: two atoms, two velocities each
+    lift = las_run(BINOMIAL, dirac(0.0), cfg(LAS, N=2)).interp[1]
+    assert lift.natoms == 4
+    assert np.allclose(lift.weights, 0.25)
 
 
-def test_segment_ensemble_split_pair():
-    lift = make_lifted([[0.0], [0.0]], [[1.0], [-1.0]], [0.5, 0.5])
-    seg = segment_ensemble(lift, 0.0, 0.5)
-    assert len(seg.weights) == 2
-    assert set(seg.velocities[:, 0]) == {-1.0, 1.0}
-    assert np.all(seg.starts == 0.0)
-
-
-def test_segment_ensemble_from_las_step():
-    path = las_run(BINOMIAL, dirac(0.0), cfg(LAS, N=2))
-    seg = segment_ensemble(path.interp[1], 0.5, 1.0)
-    # two atoms, two velocities each
-    assert len(seg.weights) == 4
-    assert np.allclose(seg.weights, 0.25)
-
-
-def test_segment_ensemble_rejects_bad_interval():
-    lift = make_lifted([[0.0]], [[1.0]], [1.0])
-    with pytest.raises(ValueError):
-        segment_ensemble(lift, 1.0, 1.0)
+def test_concat_merge_rejects_bad_interval():
+    head = TrajectoryEnsemble(times=[0.0, 1.0], weights=[1.0], knots=[[[0.0], [0.0]]])
+    tail = make_lifted([[0.0]], [[1.0]], [1.0])
+    for t_end in (1.0, 0.5):
+        with pytest.raises(ValueError):
+            concat_merge(head, tail, t_end, dirac(0.0))
 
 
 def test_concat_merge_single_chain():
     head = TrajectoryEnsemble(
         times=[0.0, 1.0], weights=[1.0], knots=[[[0.0], [0.0]]]
     )
-    tail = SegmentEnsemble(
-        t_start=1.0, t_end=2.0, weights=[1.0], starts=[[0.0]], velocities=[[2.0]]
-    )
-    out = concat_merge(head, tail, dirac(0.0))
+    tail = make_lifted([[0.0]], [[2.0]], [1.0])
+    out = concat_merge(head, tail, 2.0, dirac(0.0))
     assert out.ncurves == 1
     assert np.array_equal(out.times, [0.0, 1.0, 2.0])
     assert np.array_equal(out.knots, [[[0.0], [0.0], [2.0]]])
@@ -103,15 +98,9 @@ def test_concat_merge_no_cross_terms_across_fibers():
         weights=[0.5, 0.5],
         knots=[[[0.0], [0.0]], [[0.0], [1.0]]],
     )
-    tail = SegmentEnsemble(
-        t_start=1.0,
-        t_end=2.0,
-        weights=[0.5, 0.5],
-        starts=[[0.0], [1.0]],
-        velocities=[[1.0], [-1.0]],
-    )
+    tail = make_lifted([[0.0], [1.0]], [[1.0], [-1.0]], [0.5, 0.5])
     joint = m1([0.0, 1.0], [0.5, 0.5])
-    out = concat_merge(head, tail, joint)
+    out = concat_merge(head, tail, 2.0, joint)
     assert out.ncurves == 2
     ends = {(k[1][0], k[2][0]) for k in out.knots.tolist()}
     assert ends == {(0.0, 1.0), (1.0, 0.0)}
@@ -123,21 +112,15 @@ def test_concat_merge_full_product_within_fiber():
         weights=[0.5, 0.5],
         knots=[[[-1.0], [0.0]], [[1.0], [0.0]]],
     )
-    tail = SegmentEnsemble(
-        t_start=1.0,
-        t_end=2.0,
-        weights=[0.5, 0.5],
-        starts=[[0.0], [0.0]],
-        velocities=[[1.0], [-1.0]],
-    )
-    out = concat_merge(head, tail, dirac(0.0))
+    tail = make_lifted([[0.0], [0.0]], [[1.0], [-1.0]], [0.5, 0.5])
+    out = concat_merge(head, tail, 2.0, dirac(0.0))
     assert out.ncurves == 4
     assert np.allclose(out.weights, 0.25)
 
 
 @st.composite
 def glue_problems(draw):
-    """(head, tail, joint) meeting at 1 to 4 joint atoms in 1-D or 2-D.
+    """(head, tail, t_end, joint) meeting at 1 to 4 joint atoms in 1-D or 2-D.
 
     Each atom gets 1 to 3 incoming curves and 1 to 3 outgoing segments
     with small integer shares of its mass; curves and segments may repeat
@@ -165,21 +148,21 @@ def glue_problems(draw):
             vels.append(draw(point))
             tw.append(m * k / sum(outs))
     head = TrajectoryEnsemble(times=[0.0, 0.5], weights=hw, knots=knots)
-    tail = SegmentEnsemble(t_start=0.5, t_end=1.25, weights=tw, starts=starts, velocities=vels)
-    return head, tail, make_measure(atoms, masses)
+    tail = make_lifted(starts, vels, tw)
+    return head, tail, 1.25, make_measure(atoms, masses)
 
 
 @given(glue_problems())
 def test_concat_merge_matches_double_loop(problem):
-    head, tail, joint = problem
+    head, tail, t_end, joint = problem
     h_at = match_rows(head.knots[:, -1, :], joint.atoms, MERGE_TOL)
-    t_at = match_rows(tail.starts, joint.atoms, MERGE_TOL)
+    t_at = match_rows(tail.positions, joint.atoms, MERGE_TOL)
     knots, weights = oracles.glue_loop(
         head.knots, head.weights, h_at, tail.velocities, tail.weights, t_at,
-        joint.weights, tail.t_end - tail.t_start,
+        joint.weights, t_end - head.times[-1],
     )
     expected = TrajectoryEnsemble(times=[0.0, 0.5, 1.25], weights=weights, knots=knots)
-    out = concat_merge(head, tail, joint)
+    out = concat_merge(head, tail, t_end, joint)
     assert np.array_equal(out.times, expected.times)
     assert np.array_equal(out.knots, expected.knots)
     assert np.array_equal(out.weights, expected.weights)
@@ -189,16 +172,28 @@ def test_concat_merge_endpoint_mismatch():
     head = TrajectoryEnsemble(
         times=[0.0, 1.0], weights=[1.0], knots=[[[0.0], [0.0]]]
     )
-    tail = SegmentEnsemble(
-        t_start=1.0, t_end=2.0, weights=[1.0], starts=[[0.0]], velocities=[[1.0]]
-    )
+    tail = make_lifted([[0.0]], [[1.0]], [1.0])
     with pytest.raises(EndpointMismatchError):
-        concat_merge(head, tail, dirac(5.0))
-    late = SegmentEnsemble(
-        t_start=1.5, t_end=2.0, weights=[1.0], starts=[[0.0]], velocities=[[1.0]]
+        concat_merge(head, tail, 2.0, dirac(5.0))
+
+
+def test_concat_merge_checks_masses_per_joint_atom():
+    head = TrajectoryEnsemble(
+        times=[0.0, 1.0], weights=[0.5, 0.5], knots=[[[0.0], [0.0]], [[1.0], [1.0]]]
     )
-    with pytest.raises(EndpointMismatchError):
-        concat_merge(head, late, dirac(0.0))
+    tail = make_lifted([[0.0], [1.0]], [[1.0], [1.0]], [0.5, 0.5])
+    # joint weights 1e-9 off on each atom: the head endpoint masses differ
+    # from them by 2e-9 in total
+    off = m1([0.0, 1.0], [0.5 + 1e-9, 0.5 - 1e-9])
+    assert np.abs(off.weights - head.weights).sum() == pytest.approx(2e-9, rel=1e-6)
+    with pytest.raises(EndpointMismatchError, match="head endpoint"):
+        concat_merge(head, tail, 2.0, off)
+    skewed = make_lifted([[0.0], [1.0]], [[1.0], [1.0]], [0.5 + 1e-9, 0.5 - 1e-9])
+    with pytest.raises(EndpointMismatchError, match="tail start"):
+        concat_merge(head, skewed, 2.0, m1([0.0, 1.0], [0.5, 0.5]))
+    # a total gap within 1e-9 glues
+    near = m1([0.0, 1.0], [0.5 + 2e-10, 0.5 - 2e-10])
+    assert concat_merge(head, tail, 2.0, near).ncurves == 2
 
 
 def test_trajectory_ensemble_validation():
@@ -254,10 +249,43 @@ def test_binomial_curve_count_is_product_structure():
     assert build_representation(path).ncurves == 2**3
 
 
-def test_build_representation_curve_cap():
+def test_build_representation_curve_cap(monkeypatch):
+    def never(*args):
+        raise AssertionError("concat_merge ran before the curve cap")
+
+    monkeypatch.setattr(superposition, "concat_merge", never)
     path = las_run(BINOMIAL, dirac(0.0), cfg(LAS, N=4))
-    with pytest.raises(SupportBlowupError):
-        build_representation(path, max_curves=7)
+    # 2**4 curves: the cap fires on the exact count, one below it too
+    for cap in (7, 15):
+        with pytest.raises(SupportBlowupError):
+            build_representation(path, max_curves=cap)
+
+
+@given(
+    st.sampled_from([(las_run, LAS), (lagrangian_run, LAGRANGIAN)]),
+    st.sampled_from([SPLIT, BINOMIAL, GraphPvf(GRAPH_FIELDS["linear"])]),
+    sts.measures(coords=sts.dyadic, max_atoms=3),
+    st.integers(1, 4),
+)
+def test_glued_pair_count_is_the_curve_count(runner, spec, mu0, n):
+    run, scheme = runner
+    path = run(spec, mu0, cfg(scheme, N=n))
+    assert superposition._glued_pairs(path) == build_representation(path).ncurves
+
+
+def test_binomial_bundle_runs_no_transport(monkeypatch):
+    def no_w1(*args, **kwargs):
+        raise AssertionError("w1_distance ran while gluing")
+
+    # gluing binds nothing from transport, and calls no W1 through it either
+    assert not any(
+        getattr(v, "__module__", None) == transport.__name__ for v in vars(superposition).values()
+    )
+    monkeypatch.setattr(transport, "w1_distance", no_w1)
+    path = las_run(BINOMIAL, dirac(0.0), cfg(LAS, N=10))
+    ens = build_representation(path)
+    assert ens.ncurves == 2**10
+    assert evaluate_pushforward(ens, 1.0).allclose(path.measures[-1], tol=1e-12)
 
 
 def test_evaluate_pushforward_examples():
