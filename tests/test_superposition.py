@@ -54,21 +54,32 @@ def m1(xs, ws):
 # building blocks
 # ---------------------------------------------------------------------------
 
-def test_seed_bundle_is_one_segment_per_lifted_atom():
-    # one interval: the bundle is the first lift's segments, unglued
+def test_segment_ensemble_single_atom():
+    # one interval: the seed bundle is the first lift's segments, unglued
     path = las_run(ConstantFiberPvf(dirac(1.0)), dirac(0.0), cfg(LAS, N=1))
+    lift = path.interp[0]
+    assert np.array_equal(lift.positions, [[0.0]])
+    assert np.array_equal(lift.velocities, [[1.0]])
+    assert np.array_equal(lift.weights, [1.0])
     ens = build_representation(path)
     assert np.array_equal(ens.times, [0.0, 1.0])
     assert np.array_equal(ens.knots, [[[0.0], [1.0]]])
     assert np.array_equal(ens.weights, [1.0])
 
-    path = las_run(SPLIT, dirac(0.0), cfg(LAS, N=1))
-    ens = build_representation(path)
-    assert np.array_equal(ens.knots, [[[0.0], [-1.0]], [[0.0], [1.0]]])
-    assert np.array_equal(ens.weights, [0.5, 0.5])
 
-    # a later interval's lift: two atoms, two velocities each
+def test_segment_ensemble_split_pair():
+    ens = build_representation(las_run(SPLIT, dirac(0.0), cfg(LAS, T=0.5, N=1)))
+    assert np.array_equal(ens.times, [0.0, 0.5])
+    assert ens.ncurves == 2
+    assert np.array_equal(ens.weights, [0.5, 0.5])
+    slopes = (ens.knots[:, 1, 0] - ens.knots[:, 0, 0]) / 0.5
+    assert set(slopes) == {-1.0, 1.0}
+    assert np.all(ens.knots[:, 0, :] == 0.0)
+
+
+def test_segment_ensemble_from_las_step():
     lift = las_run(BINOMIAL, dirac(0.0), cfg(LAS, N=2)).interp[1]
+    # two atoms, two velocities each
     assert lift.natoms == 4
     assert np.allclose(lift.weights, 0.25)
 
