@@ -39,11 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyInputError, NegativeWeightError
-
-# Absolute per-coordinate tolerance below which two atoms are the same atom.
-MERGE_TOL = 1e-12
-# Normalized weights strictly below this are dropped.
-WEIGHT_FLOOR = 1e-15
+from .tolerances import AGREE_TOL, MERGE_TOL, UNIT_MASS_TOL, WEIGHT_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +200,7 @@ def canonical_support(points, weights, tol: float = MERGE_TOL) -> tuple[np.ndarr
     total = float(mass.sum())
     if total <= 0.0:
         raise ValueError("total mass must be positive")
-    # skip the division when the mass is already 1 up to summation noise,
-    # so identity-like operations are exactly idempotent
-    if abs(total - 1.0) > 1e-13:
+    if abs(total - 1.0) > UNIT_MASS_TOL:
         mass = mass / total
 
     keep = mass >= WEIGHT_FLOOR
@@ -216,7 +210,7 @@ def canonical_support(points, weights, tol: float = MERGE_TOL) -> tuple[np.ndarr
         if atoms.shape[0] == 0:
             raise EmptyInputError("all atoms fell below the weight floor")
         kept = float(mass.sum())
-        if abs(kept - 1.0) > 1e-13:
+        if abs(kept - 1.0) > UNIT_MASS_TOL:
             mass = mass / kept
 
     atoms = np.ascontiguousarray(atoms)
@@ -293,7 +287,7 @@ class DiscreteMeasure:
         vals = np.asarray(fn(self.atoms), dtype=float).ravel()
         return float(np.dot(self.weights, vals))
 
-    def allclose(self, other: "DiscreteMeasure", tol: float = 1e-9) -> bool:
+    def allclose(self, other: "DiscreteMeasure", tol: float = AGREE_TOL) -> bool:
         """Atom-by-atom comparison of two canonical measures."""
         return (
             self.dim == other.dim
@@ -354,7 +348,7 @@ class LiftedMeasure:
     def natoms(self) -> int:
         return self.positions.shape[0]
 
-    def allclose(self, other: "LiftedMeasure", tol: float = 1e-9) -> bool:
+    def allclose(self, other: "LiftedMeasure", tol: float = AGREE_TOL) -> bool:
         return (
             self.dim == other.dim
             and self.natoms == other.natoms
@@ -482,20 +476,6 @@ def disintegrate(lifted: LiftedMeasure) -> Disintegration:
         sel = gid == g
         fibers.append(DiscreteMeasure(lifted.velocities[sel], lifted.weights[sel]))
     return Disintegration(base, tuple(fibers))
-
-
-def recombine(dis: Disintegration) -> LiftedMeasure:
-    """Rebuild the lifted measure from a base and its fibers."""
-    pos_parts = []
-    vel_parts = []
-    w_parts = []
-    for x, wb, fiber in zip(dis.base.atoms, dis.base.weights, dis.fibers):
-        pos_parts.append(np.broadcast_to(x, (fiber.natoms, dis.base.dim)))
-        vel_parts.append(fiber.atoms)
-        w_parts.append(wb * fiber.weights)
-    return LiftedMeasure(
-        np.vstack(pos_parts), np.vstack(vel_parts), np.concatenate(w_parts)
-    )
 
 
 def support_radius(mu: DiscreteMeasure) -> float:

@@ -29,10 +29,7 @@ from .measures import (
     disintegrate,
     make_measure,
 )
-
-# CDF comparisons use this absolute tolerance so dyadic near-ties (a cumsum
-# landing a few ulps above 1/2) bin the way exact arithmetic would.
-CDF_TOL = 1e-12
+from .tolerances import AGREE_TOL, CDF_TOL
 
 
 @dataclass(frozen=True)
@@ -159,7 +156,7 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
         if not (
             base.natoms == mu.natoms
             and np.array_equal(base.atoms, mu.atoms)
-            and np.max(np.abs(base.weights - mu.weights)) <= 1e-9
+            and np.max(np.abs(base.weights - mu.weights)) <= AGREE_TOL
         ):
             raise ValueError("custom rule must preserve the base measure")
         return out
@@ -276,7 +273,7 @@ def pvf_from_json(obj: dict) -> PvfSpec:
     kind = obj.get("kind")
     if kind == "graph":
         name = obj.get("field")
-        if name not in GRAPH_FIELDS:
+        if not isinstance(name, str) or name not in GRAPH_FIELDS:
             known = ", ".join(sorted(GRAPH_FIELDS))
             raise ConfigError(f"pvf.field: unknown field {name!r} (known: {known})")
         return GraphPvf(velocity=GRAPH_FIELDS[name], name=f"graph:{name}")

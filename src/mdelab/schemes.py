@@ -20,6 +20,7 @@ reconstruction consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,6 @@ from .errors import (
     SupportBlowupError,
 )
 from .measures import (
-    MERGE_TOL,
     DiscreteMeasure,
     LiftedMeasure,
     base_of,
@@ -38,18 +38,12 @@ from .measures import (
     support_radius,
 )
 from .pvf import PvfSpec, barycentric_field, eval_pvf, lift_size_bound
+from .tolerances import AGREE_TOL, CELL_TOL, MERGE_TOL, PRUNE_FLOOR_MAX
 
 LAS = "las"
 LAGRANGIAN = "lagrangian"
 MEAN_VELOCITY = "mean-velocity"
 SCHEMES = (LAS, LAGRANGIAN, MEAN_VELOCITY)
-
-# Cell-membership tolerance, in units of the grid step: values within
-# 1e-9 of a cell boundary from below bin upward.  This keeps mathematically
-# exact bin values (velocity 1 with dv = 1/7, say) stable under float dust.
-CELL_TOL = 1e-9
-
-_TIME_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,17 +60,17 @@ class GridSpec:
     dv: float = None  # type: ignore[assignment]  # filled in __post_init__
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError("T must be positive")
+        if not 0 < self.T < math.inf:
+            raise ValueError("T must be positive and finite")
         if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
             raise ValueError("N must be a positive integer")
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "N", int(self.N))
         dv = 1.0 / self.N if self.dv is None else float(self.dv)
-        if not dv > 0:
-            raise ValueError("dv must be positive")
+        if not 0 < dv < math.inf:
+            raise ValueError("dv must be positive and finite")
         object.__setattr__(self, "dv", dv)
-        if abs(self.N * self.dt - self.T) > _TIME_TOL * max(1.0, self.T):
+        if abs(self.N * self.dt - self.T) > MERGE_TOL * max(1.0, self.T):
             raise ValueError("N * dt must reproduce T")
 
     @property
@@ -116,10 +110,10 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.coalesce_tol < 0:
+        if not self.coalesce_tol >= 0:
             raise ValueError("coalesce_tol must be >= 0")
-        if not 0.0 <= self.prune_floor <= 1e-6:
-            raise ValueError("prune_floor must lie in [0, 1e-6]")
+        if not 0.0 <= self.prune_floor <= PRUNE_FLOOR_MAX:
+            raise ValueError(f"prune_floor must lie in [0, {PRUNE_FLOOR_MAX:g}]")
         if self.max_atoms < 1:
             raise ValueError("max_atoms must be >= 1")
 
@@ -144,7 +138,7 @@ class MeasurePath:
         object.__setattr__(self, "times", times)
         if times.shape[0] < 2:
             raise ValueError("a path needs at least two node times")
-        if abs(times[0]) > _TIME_TOL:
+        if abs(times[0]) > MERGE_TOL:
             raise ValueError("paths start at time zero")
         if np.any(np.diff(times) <= 0):
             raise ValueError("node times must increase")
@@ -157,7 +151,7 @@ class MeasurePath:
             if mu.dim != d:
                 raise ValueError("node measures must share a dimension")
         for k, lifted in enumerate(self.interp):
-            if not base_of(lifted).allclose(self.measures[k], tol=1e-9):
+            if not base_of(lifted).allclose(self.measures[k]):
                 raise ValueError(f"interval {k}: lifted base != node measure")
 
     @property
@@ -193,12 +187,12 @@ def snap_space(mu: DiscreteMeasure, grid: GridSpec) -> DiscreteMeasure:
 def snap_velocity(lifted: LiftedMeasure, grid: GridSpec) -> LiftedMeasure:
     """Bin the velocities of a lifted measure onto the dv grid.
 
-    Positions must already sit on the space grid (within 1e-9); they are
-    passed through untouched, so the base measure is preserved.
+    Positions must already sit on the space grid (within ``AGREE_TOL``);
+    they are passed through untouched, so the base measure is preserved.
     """
     pos = lifted.positions
     nearest = np.rint(pos / grid.dx) * grid.dx
-    if float(np.max(np.abs(pos - nearest), initial=0.0)) > 1e-9:
+    if float(np.max(np.abs(pos - nearest), initial=0.0)) > AGREE_TOL:
         raise BaseOffGridError("base atoms are not on the space grid")
     idx = _bin_indices(lifted.velocities, grid.dv)
     return LiftedMeasure(pos, idx * grid.dv, lifted.weights)
@@ -323,14 +317,14 @@ def run_scheme(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> Measur
 # ---------------------------------------------------------------------------
 
 def locate_time(times: np.ndarray, t: float) -> tuple[int, bool]:
-    """``(k, True)`` if t is node time k (within _TIME_TOL), else ``(k, False)``
+    """``(k, True)`` if t is node time k (within ``MERGE_TOL``), else ``(k, False)``
     for the interval (times[k], times[k+1]) holding t; OutOfRangeError outside.
     """
     t = float(t)
-    if t < times[0] - _TIME_TOL or t > times[-1] + _TIME_TOL:
+    if t < times[0] - MERGE_TOL or t > times[-1] + MERGE_TOL:
         raise OutOfRangeError(f"t={t:g} outside [{times[0]:g}, {times[-1]:g}]")
     k = int(np.argmin(np.abs(times - t)))
-    if abs(times[k] - t) <= _TIME_TOL:
+    if abs(times[k] - t) <= MERGE_TOL:
         return k, True
     return int(np.searchsorted(times, t) - 1), False
 

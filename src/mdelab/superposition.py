@@ -15,7 +15,7 @@ interval's lifted measure, pairing incoming curves with outgoing segments
 through the node measure they share (conditional-independence weights).
 The glue is checked exactly, atom by atom: the curve endpoint masses and
 the segment start masses summed over each node atom must each equal the
-node weights within 1e-9 in total, so the marginals work out.
+node weights within ``AGREE_TOL`` in total, so the marginals work out.
 
 ``verify_fiber_barycenter`` checks the ensemble-level compatibility
 condition: at a knot, the weighted mean of right-hand curve slopes through
@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import EndpointMismatchError, OutOfRangeError, SupportBlowupError
 from .measures import (
-    MERGE_TOL,
     DiscreteMeasure,
     LiftedMeasure,
     canonical_support,
@@ -39,8 +38,7 @@ from .measures import (
 )
 from .pvf import PvfSpec, barycentric_field
 from .schemes import MeasurePath, locate_time
-
-_JOINT_TOL = 1e-9
+from .tolerances import AGREE_TOL, MERGE_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +104,7 @@ def concat_merge(
     segment start must match a joint atom within ``MERGE_TOL``.  Summed per
     joint atom, the head endpoint masses m_head and the segment start
     masses m_tail must each equal the joint weights: sum |m - joint.weights|
-    <= 1e-9, and no joint atom may lack incoming or outgoing mass.
+    <= ``AGREE_TOL``, and no joint atom may lack incoming or outgoing mass.
     Otherwise EndpointMismatchError.  Over each joint atom carrying mass m,
     a curve of weight a and a segment of weight b combine with weight
     m (a / m_head)(b / m_tail); this conditional-independence pairing
@@ -124,7 +122,7 @@ def concat_merge(
     m_tail = np.bincount(t_at, weights=tail.weights, minlength=joint.natoms)
     for name, m in (("head endpoint", m_head), ("tail start", m_tail)):
         gap = float(np.abs(m - joint.weights).sum())
-        if gap > _JOINT_TOL:
+        if gap > AGREE_TOL:
             raise EndpointMismatchError(f"{name} masses are {gap:.3e} off the joint weights")
     if np.any((joint.weights > 0) & ((m_head <= 0) | (m_tail <= 0))):
         raise EndpointMismatchError("a joint atom has no incoming or outgoing mass")
@@ -143,7 +141,7 @@ def concat_merge(
     weights = share[ci] * (tail.weights[si] / m_tail[a])
     # Extend from the curve's own endpoint with the segment's slope, so
     # curves stay continuous even when the grouping tolerance absorbed a
-    # sub-1e-12 discrepancy.
+    # sub-MERGE_TOL discrepancy.
     end = end_pts[ci] + dt * tail.velocities[si]
     knots = np.concatenate([head.knots[ci], end[:, None, :]], axis=1)
     times = np.concatenate([head.times, [t_end]])

@@ -25,16 +25,7 @@ import numpy as np
 
 from .errors import DimMismatchError, IterationCapError, LpFailureError
 from .measures import DiscreteMeasure, LiftedMeasure
-
-# Reduced cost: a cell enters only below -_REDUCED_COST_TOL (1 + max|C|),
-# so roundoff in duals summed along the tree never prices a cell in.
-_REDUCED_COST_TOL = 1e-11
-# Marginal: both marginals, and the plan's row and column sums, must hit
-# their targets within this.
-_MARGINAL_TOL = 1e-9
-# Tight cell: stage two of the fiber comparison may use the cells whose
-# stage-one reduced cost is at most _TIGHT_TOL (1 + W*).
-_TIGHT_TOL = 1e-9
+from .tolerances import AGREE_TOL, PLAN_NEG_TOL, REDUCED_COST_TOL, TIGHT_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +46,7 @@ class TransportPlan:
         m = np.asarray(self.mass, dtype=float)
         if m.ndim != 2:
             raise ValueError("plan mass must be a 2-D matrix")
-        if np.any(m < -1e-12):
+        if np.any(m < -PLAN_NEG_TOL):
             raise ValueError("plan mass must be nonnegative")
         m = np.clip(m, 0.0, None)
         m = np.ascontiguousarray(m)
@@ -148,7 +139,7 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
         adj[i].add(m + j)
         adj[m + j].add(i)
     Cl = C.tolist()
-    tol = _REDUCED_COST_TOL * (1.0 + float(np.abs(C).max()))
+    tol = REDUCED_COST_TOL * (1.0 + float(np.abs(C).max()))
     for _ in range(cap):
         parent, pot = _hang(adj, Cl, m)
         R = C - pot[:m, None] - pot[None, m:]
@@ -193,7 +184,7 @@ def lp_solve(
     A transportation simplex: the basis is a spanning tree of m + n - 1
     cells, started at the north-west corner; rows and columns of zero mass
     are left out of the tree and carry none.  Both marginals must be
-    probability vectors (sums within 1e-9 of one).  Raises
+    probability vectors (sums within ``AGREE_TOL`` of one).  Raises
     IterationCapError past ``max_iter`` pivots (default 10 m n).
     """
     C = np.asarray(costs, dtype=float)
@@ -208,7 +199,7 @@ def lp_solve(
         raise ValueError("marginal lengths must match the cost matrix shape")
     if np.any(r < 0) or np.any(c < 0):
         raise ValueError("marginals must be nonnegative")
-    if abs(r.sum() - 1.0) > _MARGINAL_TOL or abs(c.sum() - 1.0) > _MARGINAL_TOL:
+    if abs(r.sum() - 1.0) > AGREE_TOL or abs(c.sum() - 1.0) > AGREE_TOL:
         raise ValueError("marginals must each sum to one")
 
     cap = int(max_iter) if max_iter is not None else 10 * m * n
@@ -225,8 +216,8 @@ def lp_solve(
         plan[rows[i], cols[j]] = x
     plan = TransportPlan(plan)
     if (
-        np.max(np.abs(plan.row_marginals - r)) > _MARGINAL_TOL
-        or np.max(np.abs(plan.col_marginals - c)) > _MARGINAL_TOL
+        np.max(np.abs(plan.row_marginals - r)) > AGREE_TOL
+        or np.max(np.abs(plan.col_marginals - c)) > AGREE_TOL
     ):  # pragma: no cover - the balanced totals keep the plan within tolerance
         raise LpFailureError("solver returned a plan violating the marginals")
     return plan, float(np.sum(C * plan.mass))
@@ -309,9 +300,9 @@ def fiber_pseudometric(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
     couplings are the couplings carried by the cells of zero stage-one
     reduced cost.  Stage two starts from the stage-one optimal tree and
     minimizes the velocity cost |v - w| over the cells whose reduced cost
-    is at most 1e-9 (1 + W*).  Its value lies between the optimum over
-    couplings within 1e-9 (1 + W*) of W* and the exact optimum over the
-    position-optimal face.
+    is at most ``TIGHT_TOL`` (1 + W*).  Its value lies between the optimum
+    over couplings within ``TIGHT_TOL`` (1 + W*) of W* and the exact
+    optimum over the position-optimal face.
 
     This is a pseudo-metric: it vanishes whenever the fibers can be
     matched along some position-optimal coupling, even if the lifted
@@ -324,7 +315,7 @@ def fiber_pseudometric(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
     pos_cost = _pairwise_dist(v1.positions, v2.positions)
     flow, reduced = _simplex(pos_cost, a, b, cap)
     wstar = float(sum(pos_cost[e] * x for e, x in flow.items()))
-    tight = reduced <= _TIGHT_TOL * (1.0 + wstar)
+    tight = reduced <= TIGHT_TOL * (1.0 + wstar)
     vel_cost = _pairwise_dist(v1.velocities, v2.velocities)
     flow, _ = _simplex(vel_cost, a, b, cap, flow=flow, allowed=tight)
     return max(float(sum(vel_cost[e] * x for e, x in flow.items())), 0.0)

@@ -148,6 +148,7 @@ def test_unwritable_output_dir(tmp_path, capsys):
         ("N", {"N": [True]}),
         ("T", {"T": float("inf")}),
         ("T", {"T": float("nan")}),
+        ("pvf.field", {"pvf": {"kind": "graph", "field": ["peano"]}}),
     ],
 )
 def test_malformed_scenario_field_is_a_config_error(tmp_path, capsys, field, bad):

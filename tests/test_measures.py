@@ -17,7 +17,6 @@ from mdelab import (
     make_lifted,
     make_measure,
     quantile_uniform,
-    recombine,
     support_radius,
 )
 from mdelab import measures
@@ -147,29 +146,13 @@ def test_disintegration_invalid_fiber_count():
         Disintegration(dirac(0.0), (dirac(1.0), dirac(2.0)))
 
 
-@given(sts.lifted_measures(max_atoms=8))
-# 1e-12 - MERGE_TOL rounds to 0, above the first position: canonical form
-# keeps two base atoms although the positions are within MERGE_TOL
-@example(make_lifted([[-1.46739089e-202], [1e-12]], [[0.0], [0.0]], [0.5, 0.5]))
-def test_disintegrate_recombine_roundtrip(lifted):
-    dis = disintegrate(lifted)
-    back = recombine(dis)
-    # positions snap to their group representative (sub-tolerance dust),
-    # which may reorder atoms; compare against the snapped reconstruction
-    idx = match_rows(lifted.positions, dis.base.atoms)
-    expected = make_lifted(dis.base.atoms[idx], lifted.velocities, lifted.weights)
-    assert np.array_equal(back.positions, expected.positions)
-    assert np.array_equal(back.velocities, expected.velocities)
-    assert np.allclose(back.weights, expected.weights, atol=1e-12)
-    # fibers are probability measures and the base is recovered atom-exactly
-    for fiber in dis.fibers:
-        assert abs(fiber.weights.sum() - 1.0) <= 1e-9
-    assert np.array_equal(base_of(back).atoms, dis.base.atoms)
-    # a second pass is the exact identity
-    again = recombine(disintegrate(back))
-    assert np.array_equal(again.positions, back.positions)
-    assert np.array_equal(again.velocities, back.velocities)
-    assert np.allclose(again.weights, back.weights, atol=1e-15)
+def test_match_rows_candidate_window_follows_the_scan():
+    # 1e-12 - MERGE_TOL rounds to 0, above the first position: canonical form
+    # keeps two base atoms although the positions are within MERGE_TOL, and
+    # matching the positions against them must reproduce that grouping
+    lifted = make_lifted([[-1.46739089e-202], [1e-12]], [[0.0], [0.0]], [0.5, 0.5])
+    assert base_of(lifted).natoms == 2
+    assert match_rows(lifted.positions, base_of(lifted).atoms).tolist() == [0, 1]
 
 
 def test_support_radius_examples():

@@ -1,8 +1,10 @@
 import dataclasses
+import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mdelab.scenarios as sc
 from mdelab import ConfigError, IoError, quantile_uniform
@@ -138,6 +140,55 @@ def test_scenario_from_json_diagnostics():
         scenario_from_json({**good, "residual": "yes"})
     with pytest.raises(ConfigError, match="scheme"):
         scenario_from_json({**good, "scheme": 3})
+
+
+def field_paths(obj: dict) -> list[tuple[str, ...]]:
+    """Every top-level field, and every field of pvf, initial and pvf.omega."""
+    paths = [(key,) for key in obj]
+    paths += [("pvf", key) for key in obj["pvf"]]
+    paths += [("initial", key) for key in obj["initial"]]
+    paths += [("pvf", "omega", key) for key in obj["pvf"].get("omega", {})]
+    return paths
+
+
+BUILTIN_FIELDS = [
+    (name, path)
+    for name in sorted(sc._BUILTINS)
+    for path in field_paths(scenario_to_json(get_scenario(name)))
+]
+
+# bounded numbers, so that no fuzzed uniform_1d asks for a huge array
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-64, 64),
+    st.floats(-64.0, 64.0),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=6),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=9,
+)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(BUILTIN_FIELDS), json_values)
+@example(("peano", ("pvf", "field")), ["peano"])
+def test_fuzzed_scenario_field_parses_or_names_the_field(target, value):
+    name, path = target
+    obj = scenario_to_json(get_scenario(name))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        scn = scenario_from_json(obj)
+        scn.pvf_spec()
+        scn.initial_measure()
+    except ConfigError as exc:
+        assert path[0] in str(exc)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,13 @@ def test_grid_spec_defaults_and_validation():
     assert (g.dt, g.dv, g.dx) == (0.25, 0.25, 0.0625)
     g2 = GridSpec(T=3.0, N=3, dv=1.0)
     assert (g2.dt, g2.dv, g2.dx) == (1.0, 1.0, 1.0)
-    for bad in (dict(T=0.0, N=4), dict(T=1.0, N=0), dict(T=1.0, N=4, dv=-1.0)):
+    for bad in (
+        dict(T=0.0, N=4),
+        dict(T=1.0, N=0),
+        dict(T=1.0, N=4, dv=-1.0),
+        dict(T=float("inf"), N=2),
+        dict(T=1.0, N=2, dv=float("inf")),
+    ):
         with pytest.raises(ValueError):
             GridSpec(**bad)
 
@@ -71,6 +77,8 @@ def test_scheme_config_validation():
         SchemeConfig(scheme=LAS, grid=GridSpec(T=1.0, N=4), prune_floor=1e-3)
     with pytest.raises(ValueError):
         SchemeConfig(scheme=LAS, grid=GridSpec(T=1.0, N=4), coalesce_tol=-1.0)
+    with pytest.raises(ValueError):
+        SchemeConfig(scheme=LAS, grid=GridSpec(T=1.0, N=4), coalesce_tol=float("nan"))
 
 
 def test_snap_space_examples():
