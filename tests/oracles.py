@@ -11,7 +11,9 @@ weak residual) are the per-atom and per-pair loops that the package's
 whole-array kernels replace.  They take plain arrays and use the same
 floating-point operations in the same order, so the kernels must match
 them bit for bit.  The per-value artifact writers are the references for
-the whole-table CSV and JSON formatting in the same way.
+the whole-table CSV and JSON formatting in the same way, and the
+transportation simplex that re-hangs the whole tree and prices every cell
+at every pivot is the reference for the package's solver.
 """
 
 import itertools
@@ -38,6 +40,23 @@ def binomial_law(k: int, N: int) -> list[tuple[float, float]]:
         ((2 * i - k) / N, float(Fraction(math.comb(k, i), 2**k)))
         for i in range(k + 1)
     ]
+
+
+def multinomial_law(k: int, dt: float) -> list[tuple[tuple[float, float], float]]:
+    """Law of the k-step walk on +-e1, +-e2 with probability 1/4 each.
+
+    Returns ((dt (a - b), dt (c - d)), weight) pairs, one per lattice point
+    reached, with the weight summed exactly over the step counts
+    a + b + c + d = k as k! / (a! b! c! d!) / 4^k; sorted by point.
+    """
+    law: dict[tuple[int, int], Fraction] = {}
+    for a, b, c in itertools.product(range(k + 1), repeat=3):
+        d = k - a - b - c
+        if d >= 0:
+            ways = math.factorial(k) // math.prod(map(math.factorial, (a, b, c, d)))
+            key = (a - b, c - d)
+            law[key] = law.get(key, Fraction(0)) + Fraction(ways, 4**k)
+    return [((dt * x, dt * y), float(w)) for (x, y), w in sorted(law.items())]
 
 
 def binomial_mad(N: int) -> float:
@@ -169,8 +188,15 @@ def _transport_eq(m: int, n: int) -> np.ndarray:
     return A
 
 
-def lp_transport_scipy(cost, a, b, extra=None) -> tuple[float, np.ndarray]:
-    """Transportation LP (optionally with one extra inequality) via HiGHS."""
+def lp_transport_scipy(cost, a, b, extra=None, tight=False) -> tuple[float, np.ndarray]:
+    """Transportation LP (optionally with one extra inequality) via HiGHS.
+
+    ``tight`` runs the dual simplex with presolve off and feasibility
+    tolerances of 1e-10.  Marginal totals that differ by ~1e-13, as after
+    ``WEIGHT_FLOOR`` drops atoms of weight ~1e-15, make the default call
+    report the problem infeasible; the default tolerances also leave the
+    value ~5e-9 off on the 2-D walk's 289 x 1049 pair.
+    """
     cost = np.asarray(cost, dtype=float)
     m, n = cost.shape
     # sparse row and column sums, so 200 x 200 instances stay small
@@ -184,9 +210,13 @@ def lp_transport_scipy(cost, a, b, extra=None) -> tuple[float, np.ndarray]:
         emat, bound = extra
         kwargs["A_ub"] = np.asarray(emat, float).reshape(1, m * n)
         kwargs["b_ub"] = np.asarray([bound], float)
-    res = scipy.optimize.linprog(
-        cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs", **kwargs
-    )
+    if tight:
+        kwargs["method"] = "highs-ds"
+        kwargs["options"] = {"presolve": False, "primal_feasibility_tolerance": 1e-10,
+                             "dual_feasibility_tolerance": 1e-10}
+    else:
+        kwargs["method"] = "highs"
+    res = scipy.optimize.linprog(cost.ravel(), A_eq=A_eq, b_eq=b_eq, bounds=(0, None), **kwargs)
     if res.status != 0:
         raise RuntimeError(f"scipy linprog failed with status {res.status}")
     return float(res.fun), res.x.reshape(m, n)
@@ -248,6 +278,119 @@ def fiber_faceopt(pos_cost, vel_cost, a, b, face_tol: float = 1e-9):
         if p <= wstar + face_tol
     )
     return vopt, wstar
+
+
+# ---------------------------------------------------------------------------
+# transportation simplex reference
+# ---------------------------------------------------------------------------
+
+# The solver as it was before pivots re-hung only the subtree that moves:
+# the whole basis tree is re-hung and every cell priced (Dantzig) at every
+# pivot.  The package's solver must match it bit for bit, pivot for pivot,
+# on problems that it prices in one block.
+
+REDUCED_COST_TOL = 1e-11  # mdelab.tolerances.REDUCED_COST_TOL
+
+
+def north_west(a: list[float], b: list[float]) -> dict[tuple[int, int], float]:
+    """North-west-corner basis: m + n - 1 cells and their masses.
+
+    A row and a column that run out together move down, so the zero cell
+    that follows hangs a new row under the column: every zero-mass cell
+    points toward row 0, the root, and the tree is strongly feasible.
+    """
+    m, n = len(a), len(b)
+    flow = {}
+    i = j = 0
+    ra, rb = a[0], b[0]
+    while True:
+        x = min(ra, rb)
+        flow[i, j] = x
+        ra, rb = ra - x, rb - x
+        if i == m - 1 and j == n - 1:
+            return flow
+        if j == n - 1 or (i < m - 1 and ra <= rb):
+            i += 1
+            ra = a[i]
+        else:
+            j += 1
+            rb = b[j]
+
+
+def hang(adj: list[set], C: list[list[float]], m: int) -> tuple[list[int], np.ndarray]:
+    """Parents and duals of the basis tree hung from row 0.
+
+    Nodes 0..m-1 are the rows and m.. the columns; a basic cell (i, j)
+    joins node i and node m + j and has u_i + v_j = C[i][j].
+    """
+    parent = [-1] * len(adj)
+    pot = [0.0] * len(adj)
+    order = [0]
+    for p in order:
+        for q in adj[p]:
+            if q != parent[p]:
+                parent[q] = p
+                pot[q] = (C[p][q - m] if q >= m else C[q][p - m]) - pot[p]
+                order.append(q)
+    return parent, np.array(pot)
+
+
+def simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
+    """Transportation simplex on a strongly feasible tree.
+
+    ``a`` and ``b`` are positive marginals.  The basis starts at the
+    north-west corner, or at ``flow`` (the basic cells of an earlier
+    solve with the same marginals); when ``allowed`` is given, only those
+    cells may enter.  Each pivot prices every cell at once, enters the
+    most negative reduced cost (Dantzig) and leaves by Cunningham's rule:
+    the last blocking cell met going round the cycle from its apex, which
+    keeps zero-mass cells pointing to the root and rules out cycling.
+
+    Returns the basic cells with their masses, the reduced costs and the
+    pivot count.
+    """
+    m, n = C.shape
+    flow = north_west(list(a), list(b)) if flow is None else dict(flow)
+    adj = [set() for _ in range(m + n)]
+    for i, j in flow:
+        adj[i].add(m + j)
+        adj[m + j].add(i)
+    Cl = C.tolist()
+    tol = REDUCED_COST_TOL * (1.0 + float(np.abs(C).max()))
+    for pivots in range(cap):
+        parent, pot = hang(adj, Cl, m)
+        R = C - pot[:m, None] - pot[None, m:]
+        price = R if allowed is None else np.where(allowed, R, 0.0)
+        k = int(price.argmin())
+        if price.flat[k] >= -tol:
+            return flow, R, pivots
+        i, j = divmod(k, n)
+
+        def cell(q):  # the basic cell joining node q to its parent
+            return (q, parent[q] - m) if q < m else (parent[q], q - m)
+
+        up = [i]
+        while up[-1]:
+            up.append(parent[up[-1]])
+        depth = {q: d for d, q in enumerate(up)}
+        side = [m + j]
+        while side[-1] not in depth:
+            side.append(parent[side[-1]])
+        # the cycle from its apex down to row i, then over cell (i, j) and
+        # up from column j; True marks the cells that lose mass
+        cycle = [(cell(q), q < m) for q in reversed(up[:depth[side.pop()]])]
+        cycle += [(cell(q), q >= m) for q in side]
+        delta = min(flow[e] for e, loses in cycle if loses)
+        leave = [e for e, loses in cycle if loses and flow[e] == delta][-1]
+        for e, loses in cycle:
+            flow[e] += -delta if loses else delta
+        del flow[leave]
+        flow[i, j] = delta
+        adj[leave[0]].discard(m + leave[1])
+        adj[m + leave[1]].discard(leave[0])
+        adj[i].add(m + j)
+        adj[m + j].add(i)
+    raise RuntimeError(f"simplex exceeded {cap} iterations")
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,24 @@ def test_scheme_compare_splitting_structure():
         table.gap(LAS, "rk4")
 
 
+def test_walk_2d_nodes_are_the_multinomial_law():
+    # four directions with 1/4 each from the origin: under las and
+    # lagrangian the node after k steps is the k-step walk, scaled by dt
+    N = 8
+    walk = ConstantFiberPvf(make_measure([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                                         [0.25] * 4))
+    paths = {s: run_scheme(walk, dirac([0.0, 0.0]), cfg(s, N=N)) for s in SCHEMES}
+    for scheme in (LAS, LAGRANGIAN):
+        for k, mu in enumerate(paths[scheme].measures):
+            law = oracles.multinomial_law(k, 1.0 / N)
+            assert mu.atoms.tolist() == [list(x) for x, _ in law]
+            assert np.allclose(mu.weights, [w for _, w in law], rtol=0.0, atol=1e-15)
+    assert all(mu == dirac([0.0, 0.0]) for mu in paths[MEAN_VELOCITY].measures)
+    table = scheme_compare(paths)
+    assert table.gap(LAS, LAGRANGIAN) == 0.0
+    assert table.gap(LAS, MEAN_VELOCITY) > 0.0
+
+
 def test_scheme_compare_binomial_gaps_shrink():
     coarse = scheme_compare(all_schemes(BINOMIAL, dirac(0.0), N=4))
     fine = scheme_compare(all_schemes(BINOMIAL, dirac(0.0), N=16))

@@ -5,10 +5,15 @@ from hypothesis import example, given, strategies as st
 import oracles
 import strategies as sts
 from mdelab import (
+    LAS,
+    ConstantFiberPvf,
     DimMismatchError,
+    GridSpec,
     IterationCapError,
+    SchemeConfig,
     dirac,
     fiber_pseudometric,
+    las_run,
     lifted_w1,
     lp_solve,
     make_lifted,
@@ -17,6 +22,7 @@ from mdelab import (
     w1_plan,
 )
 from mdelab import transport
+from mdelab.tolerances import REDUCED_COST_TOL, TIGHT_TOL
 from mdelab.analysis import TestFunction
 
 
@@ -175,14 +181,96 @@ def test_simplex_keeps_a_strongly_feasible_tree(problem):
     cost, a, b = problem
     C = cost[np.ix_(a > 0, b > 0)]
     m, n = C.shape
-    flow, _ = transport._simplex(C, a[a > 0], b[b > 0], 10 * cost.size)
+    flow, _, _ = transport._simplex(C, a[a > 0], b[b > 0], 10 * cost.size)
     adj = [set() for _ in range(m + n)]
     for i, j in flow:
         adj[i].add(m + j)
         adj[m + j].add(i)
-    parent, _ = transport._hang(adj, C.tolist(), m)
+    parent, _ = oracles.hang(adj, C.tolist(), m)
     assert len(flow) == m + n - 1 and -1 not in parent[1:]
     assert all(parent[i] == m + j for (i, j), x in flow.items() if x == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the simplex against the reference that re-hangs the whole tree and prices
+# every cell at every pivot
+# ---------------------------------------------------------------------------
+
+def _same_as_reference(C, a, b, **kw):
+    # one pricing block: the same pivots, so the same cells in the same
+    # order, the same masses and bit-identical reduced costs
+    assert C.size <= transport._BLOCK_CELLS
+    cap = 10 * C.size
+    flow, R, pivots = transport._simplex(C, a, b, cap, **kw)
+    ref_flow, ref_R, ref_pivots = oracles.simplex(C, a, b, cap, **kw)
+    assert list(flow.items()) == list(ref_flow.items())
+    assert pivots == ref_pivots
+    assert np.array_equal(R, ref_R)
+    return flow, R
+
+
+def _pair_2d(rng, n):
+    return [
+        make_measure(rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(0.5, 1.5, n))
+        for _ in range(2)
+    ]
+
+
+def _cost(mu, nu):
+    return np.linalg.norm(mu.atoms[:, None, :] - nu.atoms[None, :, :], axis=2)
+
+
+def test_reduced_cost_tolerance_matches_the_reference():
+    assert oracles.REDUCED_COST_TOL == REDUCED_COST_TOL
+
+
+@given(sts.transport_problems())
+@example((np.array([[0.0, 1.0, 1.0]]), np.array([1.0]), np.array([0.5, 0.0, 0.5])))
+@example((np.array([[1.0], [0.0], [1.0]]), np.array([0.0, 1.0, 0.0]), np.array([1.0])))
+@example((np.zeros((3, 3)), np.full(3, 1.0 / 3.0), np.full(3, 1.0 / 3.0)))
+def test_simplex_matches_reference_on_degenerate_problems(problem):
+    cost, a, b = problem
+    _same_as_reference(cost[np.ix_(a > 0, b > 0)], a[a > 0], b[b > 0])
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_simplex_matches_reference_on_2d_pairs(n):
+    rng = np.random.default_rng(43 + n)
+    for _ in range(5):
+        mu, nu = _pair_2d(rng, n)
+        _same_as_reference(_cost(mu, nu), mu.weights, nu.weights)
+
+
+def test_simplex_matches_reference_through_both_fiber_stages():
+    # the stages of fiber_pseudometric: a cold start, then a warm start
+    # from the stage-one tree restricted to the tight cells
+    rng = np.random.default_rng(47)
+    for _ in range(5):
+        v1, v2 = (
+            make_lifted(rng.choice(rng.uniform(-1.0, 1.0, 7), (20, 1)),
+                        rng.uniform(-1.0, 1.0, (20, 1)), rng.uniform(0.5, 1.5, 20))
+            for _ in range(2)
+        )
+        a, b = v1.weights, v2.weights
+        pos_cost = np.abs(v1.positions - v2.positions.T)
+        flow, R = _same_as_reference(pos_cost, a, b)
+        wstar = float(sum(pos_cost[e] * x for e, x in flow.items()))
+        tight = R <= TIGHT_TOL * (1.0 + wstar)
+        vel_cost = np.abs(v1.velocities - v2.velocities.T)
+        _same_as_reference(vel_cost, a, b, flow=flow, allowed=tight)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_block_pricing_matches_reference_value(n):
+    rng = np.random.default_rng(53 + n)
+    mu, nu = _pair_2d(rng, n)
+    C = _cost(mu, nu)
+    assert C.size > transport._BLOCK_CELLS
+    flow, R, pivots = transport._simplex(C, mu.weights, nu.weights, 10 * C.size)
+    ref_flow, _, _ = oracles.simplex(C, mu.weights, nu.weights, 10 * C.size)
+    value = sum(C[e] * x for e, x in flow.items())
+    assert value == pytest.approx(sum(C[e] * x for e, x in ref_flow.items()), abs=1e-12)
+    assert pivots > 0 and R.min() >= -REDUCED_COST_TOL * (1.0 + C.max())
 
 
 @given(sts.measures(max_atoms=8), sts.measures(max_atoms=8))
@@ -201,6 +289,20 @@ def test_w1_2d_200_atoms_against_scipy():
     )
     cost = np.linalg.norm(mu.atoms[:, None, :] - nu.atoms[None, :, :], axis=2)
     ref, _ = oracles.lp_transport_scipy(cost, mu.weights, nu.weights)
+    assert w1_distance(mu, nu) == pytest.approx(ref, abs=1e-9)
+
+
+def test_w1_2d_walk_at_desk_scale_against_scipy():
+    # las final nodes of the four-direction walk at N = 16 and 32: 289 and
+    # 1049 atoms (WEIGHT_FLOOR drops 40 corners of 1089), weights to 1.5e-15
+    walk = ConstantFiberPvf(make_measure([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                                         [0.25] * 4))
+    mu, nu = (
+        las_run(walk, dirac([0.0, 0.0]), SchemeConfig(LAS, GridSpec(T=1.0, N=N))).measures[-1]
+        for N in (16, 32)
+    )
+    assert (mu.natoms, nu.natoms) == (289, 1049)
+    ref, _ = oracles.lp_transport_scipy(_cost(mu, nu), mu.weights, nu.weights, tight=True)
     assert w1_distance(mu, nu) == pytest.approx(ref, abs=1e-9)
 
 
