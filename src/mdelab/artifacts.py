@@ -87,7 +87,7 @@ def read_json(file_path: PathLike):
             return json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read {os.fspath(file_path)!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"{os.fspath(file_path)}: invalid JSON ({exc})") from exc
 
 

@@ -64,6 +64,9 @@ def initial_from_spec(obj: dict, where: str = "initial") -> DiscreteMeasure:
             if key not in obj:
                 raise ConfigError(f"{where}.{key}: required for uniform_1d")
         natoms = obj.get("atoms", 64)
+        if not (_is_grid_size(natoms) and natoms <= SchemeConfig.max_atoms):
+            raise ConfigError(f"{where}.atoms: expected an integer in [1, "
+                              f"{SchemeConfig.max_atoms}], got {natoms!r}")
         try:
             return quantile_uniform(float(obj["a"]), float(obj["b"]), int(natoms))
         except Exception as exc:
@@ -226,7 +229,7 @@ def scenario_from_json(obj: dict) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# registry
+# built-ins
 # ---------------------------------------------------------------------------
 
 def _builtin_scenarios() -> dict[str, Scenario]:
@@ -312,31 +315,17 @@ def _builtin_scenarios() -> dict[str, Scenario]:
 
 
 _BUILTINS = _builtin_scenarios()
-_REGISTRY: dict[str, Scenario] = {}
-
-
-def register_scenario(scn: Scenario) -> None:
-    """Add a user scenario to the registry; names must be fresh."""
-    if scn.name in _BUILTINS or scn.name in _REGISTRY:
-        raise ConfigError(f"name: {scn.name!r} conflicts with an existing scenario")
-    _REGISTRY[scn.name] = scn
 
 
 def list_scenarios() -> list[tuple[str, str]]:
-    """(name, description) pairs: built-ins first, then registered ones."""
-    rows = [(s.name, s.description) for s in _BUILTINS.values()]
-    rows.extend(
-        (s.name, s.description) for _, s in sorted(_REGISTRY.items())
-    )
-    return rows
+    """(name, description) of each built-in scenario."""
+    return [(s.name, s.description) for s in _BUILTINS.values()]
 
 
 def get_scenario(name: str) -> Scenario:
     if name in _BUILTINS:
         return _BUILTINS[name]
-    if name in _REGISTRY:
-        return _REGISTRY[name]
-    known = ", ".join(n for n, _ in list_scenarios())
+    known = ", ".join(_BUILTINS)
     raise ConfigError(f"unknown scenario {name!r} (known: {known})")
 
 

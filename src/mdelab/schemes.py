@@ -1,16 +1,18 @@
 """Time-stepping schemes for measure dynamics driven by velocity fibers.
 
-Three one-step rules advance a measure mu by dt under a fiber rule V:
+``run_scheme`` advances a measure mu by N steps of dt under a fiber rule V.
+Every step lifts mu to V[mu] and pushes each lifted atom for time dt; the
+scheme named by ``SchemeConfig.scheme`` picks the step:
 
-* ``las_run`` (lattice scheme): mass is first binned onto the space grid
-  of step dx = dt * dv, fibers are binned onto the velocity grid of step
-  dv, and every grid atom x_i spawns children at x_i + dt * v_j weighted
-  by the binned fiber mass.  Because dt * dv = dx, children land on the
+* ``las`` (lattice scheme): mass is first binned onto the space grid of
+  step dx = dt * dv, fibers are binned onto the velocity grid of step dv,
+  and every grid atom x_i spawns children at x_i + dt * v_j weighted by
+  the binned fiber mass.  Because dt * dv = dx, children land on the
   space grid again, so the scheme lives on a fixed lattice.
-* ``lagrangian_run``: every atom splits along its exact fiber, children at
+* ``lagrangian``: every atom splits along its exact fiber, children at
   x + dt * v.  Grid-free; the support can grow geometrically.
-* ``mean_velocity_run``: every atom moves by dt times its fiber mean, so
-  the atom count never grows.  Fiber spread is invisible to this scheme,
+* ``mean-velocity``: every atom moves by dt times its fiber mean, so the
+  atom count never grows.  Fiber spread is invisible to this scheme,
   which is exactly what makes it a useful contrast case.
 
 Runs record the node measures plus, per step, the lifted measure that
@@ -25,11 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BaseOffGridError,
-    OutOfRangeError,
-    SupportBlowupError,
-)
+from .errors import BaseOffGridError, OutOfRangeError, SupportBlowupError
 from .measures import (
     DiscreteMeasure,
     LiftedMeasure,
@@ -98,7 +96,7 @@ class SchemeConfig:
     rule is evaluated (see ``pvf.lift_size_bound``), so a step that would
     blow up is refused before its atoms are built; canonicalization may
     merge some of them afterwards.  A custom rule is checked after
-    evaluation.  The grid-free scheme also checks each new node measure.
+    evaluation.  A node has at most the atoms of its lift.
     """
 
     scheme: str
@@ -202,114 +200,83 @@ def snap_velocity(lifted: LiftedMeasure, grid: GridSpec) -> LiftedMeasure:
 # runs
 # ---------------------------------------------------------------------------
 
-def _check_atom_budget(count: int, cfg: SchemeConfig) -> None:
-    if count > cfg.max_atoms:
-        raise SupportBlowupError(
-            f"{count} atoms exceed the cap of {cfg.max_atoms}"
-        )
-
-
 def _lift(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig) -> LiftedMeasure:
     """``eval_pvf(spec, mu)``, refused before evaluation when the atoms it
     would build exceed ``cfg.max_atoms``; a custom rule is checked after."""
     bound = lift_size_bound(spec, mu)
-    if bound is not None:
-        _check_atom_budget(bound, cfg)
-    lifted = eval_pvf(spec, mu)
+    lifted = None
     if bound is None:
-        _check_atom_budget(lifted.natoms, cfg)
-    return lifted
+        lifted = eval_pvf(spec, mu)
+        bound = lifted.natoms
+    if bound > cfg.max_atoms:
+        raise SupportBlowupError(f"{bound} atoms exceed the cap of {cfg.max_atoms}")
+    return eval_pvf(spec, mu) if lifted is None else lifted
 
 
 def _prune(mu: DiscreteMeasure, floor: float) -> tuple[DiscreteMeasure, float]:
-    if floor <= 0.0:
-        return mu, 0.0
-    drop = mu.weights < floor
+    drop = mu.weights < floor  # weights are positive, so a zero floor drops nothing
     if not drop.any():
         return mu, 0.0
     lost = float(mu.weights[drop].sum())
     return DiscreteMeasure(mu.atoms[~drop], mu.weights[~drop]), lost
 
 
-def las_run(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> MeasurePath:
-    """Run the lattice scheme for N steps of dt from a snapped initial datum.
+def _las_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
+    """Children on the lattice, computed in integer lattice coordinates.
 
-    Node positions are handled in integer lattice coordinates, so atoms
-    sit exactly on multiples of dx and recombining children coincide
+    Atoms sit exactly on multiples of dx, so recombining children coincide
     exactly (binomial-type weights come out in exact dyadic arithmetic).
     """
-    if cfg.scheme != LAS:
-        raise ValueError("cfg.scheme must be 'las'")
     grid = cfg.grid
-    mu = snap_space(mu0, grid)
-    measures = [mu]
-    lifts: list[LiftedMeasure] = []
-    for _ in range(grid.N):
-        lifted = snap_velocity(_lift(spec, mu, cfg), grid)
-        # the weight floor may trim lift tails whose joint weights dip
-        # below it; the node a lift covers is the base of the lift used
-        measures[-1] = base_of(lifted)
-        ix = np.rint(lifted.positions / grid.dx)
-        iv = np.rint(lifted.velocities / grid.dv)
-        mu = DiscreteMeasure((ix + iv) * grid.dx, lifted.weights)
-        lifts.append(lifted)
-        measures.append(mu)
-    return MeasurePath(grid.times, tuple(measures), tuple(lifts))
+    lifted = snap_velocity(_lift(spec, mu, cfg), grid)
+    ix = np.rint(lifted.positions / grid.dx)
+    iv = np.rint(lifted.velocities / grid.dv)
+    return lifted, DiscreteMeasure((ix + iv) * grid.dx, lifted.weights), 0.0
 
 
-def lagrangian_run(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> MeasurePath:
-    """Split every atom along its exact fiber, children at x + dt v."""
-    if cfg.scheme != LAGRANGIAN:
-        raise ValueError("cfg.scheme must be 'lagrangian'")
+def _lagrangian_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
+    """Children at x + dt v, merged at ``coalesce_tol`` and pruned below ``prune_floor``."""
+    lifted = _lift(spec, mu, cfg)
+    nxt = DiscreteMeasure(lifted.positions + cfg.grid.dt * lifted.velocities, lifted.weights)
+    if cfg.coalesce_tol > MERGE_TOL:
+        nxt = coalesce(nxt, cfg.coalesce_tol)
+    nxt, lost = _prune(nxt, cfg.prune_floor)
+    return lifted, nxt, lost
+
+
+def _mean_velocity_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
+    """Each atom moves by dt times its fiber mean, recorded as a one-point fiber.
+
+    ``coalesce_tol`` and ``prune_floor`` do not apply to this scheme.
+    """
+    vbar = barycentric_field(spec, mu)
+    nxt = DiscreteMeasure(mu.atoms + cfg.grid.dt * vbar, mu.weights)
+    return LiftedMeasure(mu.atoms, vbar, mu.weights), nxt, 0.0
+
+
+_STEPS = {LAS: _las_step, LAGRANGIAN: _lagrangian_step, MEAN_VELOCITY: _mean_velocity_step}
+
+
+def run_scheme(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> MeasurePath:
+    """Run the scheme named by ``cfg.scheme`` for N steps of dt from ``mu0``.
+
+    A step maps a node to (its lift, the next node, the mass pruned).  The
+    lattice scheme first bins ``mu0`` onto the space grid.  Each node is
+    replaced by the base of its lift: the weight floor may trim lift tails.
+    """
     grid = cfg.grid
-    mu = mu0
+    step = _STEPS[cfg.scheme]
+    mu = snap_space(mu0, grid) if cfg.scheme == LAS else mu0
     measures = [mu]
     lifts: list[LiftedMeasure] = []
     pruned = 0.0
     for _ in range(grid.N):
-        lifted = _lift(spec, mu, cfg)
-        measures[-1] = base_of(lifted)  # floor-trimmed lift tails, as in las_run
-        mu = DiscreteMeasure(
-            lifted.positions + grid.dt * lifted.velocities, lifted.weights
-        )
-        if cfg.coalesce_tol > MERGE_TOL:
-            mu = coalesce(mu, cfg.coalesce_tol)
-        mu, lost = _prune(mu, cfg.prune_floor)
+        lifted, mu, lost = step(spec, mu, cfg)
+        measures[-1] = base_of(lifted)
+        lifts.append(lifted)
+        measures.append(mu)
         pruned += lost
-        _check_atom_budget(mu.natoms, cfg)
-        lifts.append(lifted)
-        measures.append(mu)
     return MeasurePath(grid.times, tuple(measures), tuple(lifts), pruned_mass=pruned)
-
-
-def mean_velocity_run(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> MeasurePath:
-    """Move every atom by dt times its mean fiber velocity.
-
-    The interval data records the fiber means as one-point fibers, so the
-    run is its own straight-line interpolation; the atom count never
-    increases.
-    """
-    if cfg.scheme != MEAN_VELOCITY:
-        raise ValueError("cfg.scheme must be 'mean-velocity'")
-    grid = cfg.grid
-    mu = mu0
-    measures = [mu]
-    lifts: list[LiftedMeasure] = []
-    for _ in range(grid.N):
-        vbar = barycentric_field(spec, mu)
-        lifted = LiftedMeasure(mu.atoms, vbar, mu.weights)
-        mu = DiscreteMeasure(mu.atoms + grid.dt * vbar, mu.weights)
-        lifts.append(lifted)
-        measures.append(mu)
-    return MeasurePath(grid.times, tuple(measures), tuple(lifts))
-
-
-_RUNNERS = {LAS: las_run, LAGRANGIAN: lagrangian_run, MEAN_VELOCITY: mean_velocity_run}
-
-
-def run_scheme(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> MeasurePath:
-    """Dispatch to the runner named by ``cfg.scheme``."""
-    return _RUNNERS[cfg.scheme](spec, mu0, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,8 @@ from mdelab import (
     dirac,
     eval_pvf,
     interpolate_at,
-    lagrangian_run,
-    las_run,
     make_lifted,
     make_measure,
-    mean_velocity_run,
     quantile_uniform,
     residual,
     run_scheme,
@@ -128,7 +125,7 @@ def test_default_family_degenerate_hull():
 # ---------------------------------------------------------------------------
 
 def test_residual_stationary_case_is_exact():
-    path = mean_velocity_run(BINOMIAL, dirac(0.0), cfg(MEAN_VELOCITY))
+    path = run_scheme(BINOMIAL, dirac(0.0), cfg(MEAN_VELOCITY))
     report = residual(path, BINOMIAL)
     assert report.max_defect == 0.0
     assert report.defects.shape == (9, 9)
@@ -136,7 +133,7 @@ def test_residual_stationary_case_is_exact():
 
 
 def test_residual_initial_node_defect_is_zero():
-    path = lagrangian_run(SPLIT, dirac(0.0), cfg(LAGRANGIAN))
+    path = run_scheme(SPLIT, dirac(0.0), cfg(LAGRANGIAN))
     report = residual(path, SPLIT)
     assert np.all(report.defects[:, 0] == 0.0)
 
@@ -144,15 +141,15 @@ def test_residual_initial_node_defect_is_zero():
 def test_residual_shrinks_with_refinement():
     defects = {}
     for N in (8, 32):
-        path = lagrangian_run(SPLIT, dirac(0.0), cfg(LAGRANGIAN, N=N))
+        path = run_scheme(SPLIT, dirac(0.0), cfg(LAGRANGIAN, N=N))
         defects[N] = residual(path, SPLIT).max_defect
     assert defects[32] < defects[8]
     assert defects[8] > 0.0
 
 
 def test_residual_flags_wrong_speed_path():
-    true_path = lagrangian_run(SPLIT, dirac(0.0), cfg(LAGRANGIAN, N=32))
-    wrong_path = lagrangian_run(WRONG_SPEED, dirac(0.0), cfg(LAGRANGIAN, N=32))
+    true_path = run_scheme(SPLIT, dirac(0.0), cfg(LAGRANGIAN, N=32))
+    wrong_path = run_scheme(WRONG_SPEED, dirac(0.0), cfg(LAGRANGIAN, N=32))
     family = default_test_family(list(true_path.measures) + list(wrong_path.measures))
     good = residual(true_path, SPLIT, family).max_defect
     bad = residual(wrong_path, SPLIT, family).max_defect
@@ -160,7 +157,7 @@ def test_residual_flags_wrong_speed_path():
 
 
 def test_residual_custom_family():
-    path = lagrangian_run(SPLIT, dirac(0.0), cfg(LAGRANGIAN, N=4))
+    path = run_scheme(SPLIT, dirac(0.0), cfg(LAGRANGIAN, N=4))
     f = TestFunction(center=np.array([0.0]), radius=5.0)
     report = residual(path, SPLIT, [f])
     assert report.defects.shape == (1, 5)
@@ -194,7 +191,7 @@ def residual_problems(draw):
     d = draw(st.integers(1, 2))
     mu0 = draw(sts.measures(dim=d, max_atoms=40))
     spec = draw(st.sampled_from(RULES[d]))
-    path = lagrangian_run(spec, mu0, cfg(LAGRANGIAN, N=draw(st.integers(1, 4))))
+    path = run_scheme(spec, mu0, cfg(LAGRANGIAN, N=draw(st.integers(1, 4))))
     family = None
     if draw(st.booleans()):
         bump = st.builds(
@@ -213,7 +210,7 @@ def test_residual_matches_loop_reference(problem):
 
 def test_residual_matches_loop_reference_on_a_long_run():
     # 300 atoms: the per-bump sums run over long, pairwise-summed rows
-    path = lagrangian_run(SPLIT, quantile_uniform(0.0, 1.0, 300), cfg(LAGRANGIAN, N=16))
+    path = run_scheme(SPLIT, quantile_uniform(0.0, 1.0, 300), cfg(LAGRANGIAN, N=16))
     assert_residual_matches_loop(path, SPLIT)
 
 
@@ -254,7 +251,7 @@ def test_convergence_mean_velocity_stationary_error_zero():
 
 
 def test_convergence_against_reference_path():
-    fine = las_run(SPLIT, dirac(0.0), cfg(LAS, N=64))
+    fine = run_scheme(SPLIT, dirac(0.0), cfg(LAS, N=64))
     table = convergence_study(runs(SPLIT, dirac(0.0), LAS, [4, 16]), LAS, reference=fine)
     assert table.errors[1] <= table.errors[0] + 1e-12
 
@@ -264,8 +261,8 @@ def test_convergence_successive_mode():
     assert table.mode == "successive"
     assert table.Ns == (2, 4)
     # recompute the first successive gap by hand
-    a = las_run(BINOMIAL, dirac(0.0), cfg(LAS, N=2))
-    b = las_run(BINOMIAL, dirac(0.0), cfg(LAS, N=4))
+    a = run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, N=2))
+    b = run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, N=4))
     manual = max(
         w1_distance(interpolate_at(a, float(t)), interpolate_at(b, float(t)))
         for t in a.times

@@ -27,7 +27,6 @@ from mdelab import (
     convergence_study,
     dirac,
     get_scenario,
-    las_run,
     make_measure,
     residual,
     run_scheme,
@@ -66,7 +65,7 @@ def cfg(scheme, N, T=1.0):
 
 
 def las_path(N=4, T=1.0):
-    return las_run(SPLIT, dirac(0.0), cfg(LAS, N, T))
+    return run_scheme(SPLIT, dirac(0.0), cfg(LAS, N, T))
 
 
 def all_schemes(spec, N):
@@ -115,10 +114,10 @@ def test_path_csv_layout(tmp_path):
 
 
 def test_path_csv_2d_header(tmp_path):
-    from mdelab import GraphPvf, lagrangian_run, LAGRANGIAN
+    from mdelab import GraphPvf, LAGRANGIAN
 
     mu0 = make_measure([[0.0, 1.0]], [1.0])
-    path = lagrangian_run(
+    path = run_scheme(
         GraphPvf(lambda x: 0.0 * x),
         mu0,
         SchemeConfig(scheme=LAGRANGIAN, grid=GridSpec(T=1.0, N=2)),
@@ -158,7 +157,7 @@ def test_residual_csv_and_json(tmp_path):
 
 
 def test_convergence_csv_and_json(tmp_path):
-    paths = [las_run(BINOMIAL, dirac(0.0), cfg(LAS, n)) for n in (2, 4)]
+    paths = [run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, n)) for n in (2, 4)]
     table = convergence_study(paths, LAS, reference=lambda t: dirac(0.0))
     p = tmp_path / "conv.csv"
     write_convergence_csv(table, p)
@@ -406,7 +405,7 @@ def test_write_json_rejects_what_json_rejects(tmp_path):
 
 def test_writers_format_whole_arrays(tmp_path, monkeypatch):
     """Neither the stdlib encoder nor the per-value fmt is on the write path."""
-    ens = build_representation(las_run(BINOMIAL, dirac(0.0), cfg(LAS, 10)))
+    ens = build_representation(run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, 10)))
     assert ens.ncurves == 1024
     expected_text = oracles.json_text(trajectories_to_json(ens))
 

@@ -110,9 +110,14 @@ def test_unknown_builtin_name(capsys):
     assert err.startswith("configuration error:")
 
 
-def test_bad_scenario_file(tmp_path, capsys):
-    path = tmp_path / "empty.json"
-    path.write_text("{}\n")
+@pytest.mark.parametrize(
+    "content",
+    [b"{}\n", b'{"name": "caf\xff"}\n', b"[" * 100000 + b"]" * 100000],
+    ids=["empty-object", "non-utf8", "deep-nesting"],
+)
+def test_bad_scenario_file(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
     code, _, err = run_cli(["run", str(path)], capsys)
     assert code == 2
     assert err.startswith("configuration error:")
@@ -149,6 +154,10 @@ def test_unwritable_output_dir(tmp_path, capsys):
         ("T", {"T": float("inf")}),
         ("T", {"T": float("nan")}),
         ("pvf.field", {"pvf": {"kind": "graph", "field": ["peano"]}}),
+        ("initial.atoms", {"initial": {"kind": "uniform_1d", "a": 0, "b": 1, "atoms": 2.5}}),
+        ("initial.atoms", {"initial": {"kind": "uniform_1d", "a": 0, "b": 1, "atoms": True}}),
+        ("initial.atoms", {"initial": {"kind": "uniform_1d", "a": 0, "b": 1, "atoms": "7"}}),
+        ("initial.atoms", {"initial": {"kind": "uniform_1d", "a": 0, "b": 1, "atoms": 1000001}}),
     ],
 )
 def test_malformed_scenario_field_is_a_config_error(tmp_path, capsys, field, bad):

@@ -13,19 +13,10 @@ from mdelab.scenarios import (
     get_scenario,
     initial_from_spec,
     list_scenarios,
-    register_scenario,
     run_scenario,
     scenario_from_json,
     scenario_to_json,
 )
-
-
-@pytest.fixture
-def clean_registry():
-    saved = dict(sc._REGISTRY)
-    yield
-    sc._REGISTRY.clear()
-    sc._REGISTRY.update(saved)
 
 
 def tiny_scenario(outputs, **kw):
@@ -192,7 +183,7 @@ def test_fuzzed_scenario_field_parses_or_names_the_field(target, value):
 
 
 # ---------------------------------------------------------------------------
-# registry
+# built-ins
 # ---------------------------------------------------------------------------
 
 def test_builtin_listing():
@@ -204,17 +195,6 @@ def test_builtin_listing():
         "splitting-uniform",
         "uniform-fiber",
     ]
-
-
-def test_register_scenario_and_collision(clean_registry):
-    scn = tiny_scenario("out", name="custom-tiny")
-    register_scenario(scn)
-    assert len(list_scenarios()) == 6
-    assert get_scenario("custom-tiny") == scn
-    with pytest.raises(ConfigError, match="conflicts"):
-        register_scenario(scn)
-    with pytest.raises(ConfigError, match="conflicts"):
-        register_scenario(tiny_scenario("out", name="binomial"))
 
 
 def test_get_scenario_unknown():

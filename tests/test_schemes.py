@@ -19,11 +19,8 @@ from mdelab import (
     dirac,
     eval_pvf,
     interpolate_at,
-    lagrangian_run,
-    las_run,
     make_lifted,
     make_measure,
-    mean_velocity_run,
     quantile_uniform,
     run_scheme,
     snap_space,
@@ -129,14 +126,14 @@ def test_snap_velocity_rejects_off_grid_base():
 # ---------------------------------------------------------------------------
 
 def test_las_splitting_pair_of_rays():
-    path = las_run(SPLIT, dirac(0.0), cfg(LAS, N=4))
+    path = run_scheme(SPLIT, dirac(0.0), cfg(LAS, N=4))
     for k, t in enumerate(path.times):
         ref_x, ref_w = oracles.splitting_dirac_atoms(0.0, t)
         assert path.measures[k] == m1(ref_x, ref_w)
 
 
 def test_las_peano_unit_grid_enumeration():
-    path = las_run(PEANO, dirac(-1.0), cfg(LAS, T=3.0, N=3, dv=1.0))
+    path = run_scheme(PEANO, dirac(-1.0), cfg(LAS, T=3.0, N=3, dv=1.0))
     got = [mu.atoms[0, 0] for mu in path.measures]
     assert got == [-1.0, 1.0, 3.0, 6.0]
     assert all(mu.natoms == 1 for mu in path.measures)
@@ -144,7 +141,7 @@ def test_las_peano_unit_grid_enumeration():
 
 def test_las_binomial_lattice_exact():
     N = 4
-    path = las_run(BINOMIAL, dirac(0.0), cfg(LAS, N=N))
+    path = run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, N=N))
     for k, mu in enumerate(path.measures):
         ref = oracles.binomial_law(k, N)
         assert mu.natoms == len(ref)
@@ -154,21 +151,21 @@ def test_las_binomial_lattice_exact():
 
 
 def test_lagrangian_splitting_exact_rays():
-    path = lagrangian_run(SPLIT, dirac(2.0), cfg(LAGRANGIAN, N=4))
+    path = run_scheme(SPLIT, dirac(2.0), cfg(LAGRANGIAN, N=4))
     for k, t in enumerate(path.times):
         ref_x, ref_w = oracles.splitting_dirac_atoms(2.0, t)
         assert path.measures[k] == m1(ref_x, ref_w)
 
 
 def test_lagrangian_binomial_single_step():
-    path = lagrangian_run(BINOMIAL, dirac(0.0), cfg(LAGRANGIAN, N=4))
+    path = run_scheme(BINOMIAL, dirac(0.0), cfg(LAGRANGIAN, N=4))
     assert path.measures[1] == m1([-0.25, 0.25], [0.5, 0.5])
 
 
 def test_lagrangian_graph_is_explicit_euler():
     field = GRAPH_FIELDS["linear"]
     mu0 = m1([0.5, -1.0], [0.5, 0.5])
-    path = lagrangian_run(GraphPvf(field), mu0, cfg(LAGRANGIAN, N=8))
+    path = run_scheme(GraphPvf(field), mu0, cfg(LAGRANGIAN, N=8))
     # Euler by hand on each atom
     pts = mu0.atoms.copy()
     dt = 1.0 / 8.0
@@ -179,7 +176,7 @@ def test_lagrangian_graph_is_explicit_euler():
 
 def test_mean_velocity_stationary_cases():
     for spec, mu0 in ((SPLIT, dirac(1.5)), (BINOMIAL, dirac(0.0))):
-        path = mean_velocity_run(spec, mu0, cfg(MEAN_VELOCITY, N=6))
+        path = run_scheme(spec, mu0, cfg(MEAN_VELOCITY, N=6))
         for mu in path.measures:
             assert mu == mu0
 
@@ -187,8 +184,8 @@ def test_mean_velocity_stationary_cases():
 def test_mean_velocity_equals_lagrangian_for_graph_pvf():
     spec = GraphPvf(GRAPH_FIELDS["linear"])
     mu0 = m1([0.5, -1.0], [0.25, 0.75])
-    a = lagrangian_run(spec, mu0, cfg(LAGRANGIAN, N=8))
-    b = mean_velocity_run(spec, mu0, cfg(MEAN_VELOCITY, N=8))
+    a = run_scheme(spec, mu0, cfg(LAGRANGIAN, N=8))
+    b = run_scheme(spec, mu0, cfg(MEAN_VELOCITY, N=8))
     for x, y in zip(a.measures, b.measures):
         assert x == y
 
@@ -197,8 +194,8 @@ def test_graph_pvf_collapse_las_within_grid_error():
     spec = GraphPvf(GRAPH_FIELDS["linear"])
     mu0 = dirac(0.5)
     g = GridSpec(T=1.0, N=16)
-    a = las_run(spec, mu0, SchemeConfig(scheme=LAS, grid=g))
-    b = lagrangian_run(spec, mu0, SchemeConfig(scheme=LAGRANGIAN, grid=g))
+    a = run_scheme(spec, mu0, SchemeConfig(scheme=LAS, grid=g))
+    b = run_scheme(spec, mu0, SchemeConfig(scheme=LAGRANGIAN, grid=g))
     gaps = [w1_distance(x, y) for x, y in zip(a.measures, b.measures)]
     assert max(gaps) <= g.dx + g.dv * 1.0
 
@@ -206,12 +203,6 @@ def test_graph_pvf_collapse_las_within_grid_error():
 def test_run_scheme_dispatch_and_mismatch():
     path = run_scheme(SPLIT, dirac(0.0), cfg(LAS, N=2))
     assert isinstance(path, MeasurePath)
-    with pytest.raises(ValueError):
-        las_run(SPLIT, dirac(0.0), cfg(LAGRANGIAN, N=2))
-    with pytest.raises(ValueError):
-        lagrangian_run(SPLIT, dirac(0.0), cfg(LAS, N=2))
-    with pytest.raises(ValueError):
-        mean_velocity_run(SPLIT, dirac(0.0), cfg(LAS, N=2))
 
 
 def test_node_times_end_exactly_at_T():
@@ -227,25 +218,25 @@ def test_node_times_end_exactly_at_T():
 # ---------------------------------------------------------------------------
 
 def test_interpolate_at_nodes_returns_node_measures():
-    path = las_run(SPLIT, dirac(0.0), cfg(LAS, N=4))
+    path = run_scheme(SPLIT, dirac(0.0), cfg(LAS, N=4))
     for k, t in enumerate(path.times):
         assert interpolate_at(path, float(t)) == path.measures[k]
 
 
 def test_interpolate_las_splitting_midpoint():
-    path = las_run(SPLIT, dirac(0.0), cfg(LAS, N=4))
+    path = run_scheme(SPLIT, dirac(0.0), cfg(LAS, N=4))
     mid = interpolate_at(path, 0.125)
     assert mid == m1([-0.125, 0.125], [0.5, 0.5])
 
 
 def test_interpolate_mean_velocity_stationary_any_t():
-    path = mean_velocity_run(SPLIT, dirac(1.5), cfg(MEAN_VELOCITY, N=4))
+    path = run_scheme(SPLIT, dirac(1.5), cfg(MEAN_VELOCITY, N=4))
     for t in (0.0, 0.1, 0.37, 0.98, 1.0):
         assert interpolate_at(path, t) == dirac(1.5)
 
 
 def test_interpolate_out_of_range():
-    path = las_run(SPLIT, dirac(0.0), cfg(LAS, N=4))
+    path = run_scheme(SPLIT, dirac(0.0), cfg(LAS, N=4))
     with pytest.raises(OutOfRangeError):
         interpolate_at(path, -0.01)
     with pytest.raises(OutOfRangeError):
@@ -257,10 +248,10 @@ def test_interpolate_out_of_range():
 # ---------------------------------------------------------------------------
 
 def test_support_bound_check_examples():
-    stationary = mean_velocity_run(SPLIT, dirac(1.0), cfg(MEAN_VELOCITY, N=4))
+    stationary = run_scheme(SPLIT, dirac(1.0), cfg(MEAN_VELOCITY, N=4))
     assert support_bound_check(stationary, C=1.0, R=1.0)
 
-    split = las_run(SPLIT, dirac(0.0), cfg(LAS, N=4))
+    split = run_scheme(SPLIT, dirac(0.0), cfg(LAS, N=4))
     assert support_bound_check(split, C=1.0, R=0.0)
 
     lift = eval_pvf(SPLIT, dirac(0.0))
@@ -273,12 +264,8 @@ def test_support_bound_check_examples():
 
 
 def test_equi_lipschitz_in_time():
-    for scheme, runner in (
-        (LAS, las_run),
-        (LAGRANGIAN, lagrangian_run),
-        (MEAN_VELOCITY, mean_velocity_run),
-    ):
-        path = runner(SPLIT, dirac(0.0), cfg(scheme, N=8))
+    for scheme in (LAS, LAGRANGIAN, MEAN_VELOCITY):
+        path = run_scheme(SPLIT, dirac(0.0), cfg(scheme, N=8))
         C = sublinearity_bound(SPLIT, path.measures)
         K = max(support_radius(mu) for mu in path.measures)
         dt = 1.0 / 8.0
@@ -288,12 +275,8 @@ def test_equi_lipschitz_in_time():
 
 def test_mass_conservation_all_schemes():
     mu0 = quantile_uniform(0.0, 1.0, 16)
-    for scheme, runner in (
-        (LAS, las_run),
-        (LAGRANGIAN, lagrangian_run),
-        (MEAN_VELOCITY, mean_velocity_run),
-    ):
-        path = runner(SPLIT, mu0, cfg(scheme, N=8))
+    for scheme in (LAS, LAGRANGIAN, MEAN_VELOCITY):
+        path = run_scheme(SPLIT, mu0, cfg(scheme, N=8))
         for mu in path.measures:
             assert abs(mu.weights.sum() - 1.0) <= 1e-9
 
@@ -302,9 +285,9 @@ def test_lagrangian_support_blowup_guard():
     # two incommensurable velocities grow the support by one atom per step
     offgrid = ConstantFiberPvf(m1([-1.0, np.sqrt(2.0)], [0.5, 0.5]))
     with pytest.raises(SupportBlowupError):
-        lagrangian_run(offgrid, dirac(0.0), cfg(LAGRANGIAN, N=10, max_atoms=5))
+        run_scheme(offgrid, dirac(0.0), cfg(LAGRANGIAN, N=10, max_atoms=5))
     # the cap applies to raw children before merging: 10 parents spawn 20
-    ok = lagrangian_run(offgrid, dirac(0.0), cfg(LAGRANGIAN, N=10, max_atoms=20))
+    ok = run_scheme(offgrid, dirac(0.0), cfg(LAGRANGIAN, N=10, max_atoms=20))
     assert ok.measures[-1].natoms == 11
 
 
@@ -333,14 +316,14 @@ def test_atom_cap_checks_a_custom_rule_after_evaluation():
         return eval_pvf(BINOMIAL, mu)
 
     with pytest.raises(SupportBlowupError):
-        lagrangian_run(CustomPvf(fan_out), m1([0.0, 0.5], [0.5, 0.5]), cfg(LAGRANGIAN, max_atoms=3))
+        run_scheme(CustomPvf(fan_out), m1([0.0, 0.5], [0.5, 0.5]), cfg(LAGRANGIAN, max_atoms=3))
     assert len(calls) == 1
 
 
 def test_splitting_roundoff_above_half_moves_no_mass_left_at_the_median():
     # with 100 equal atoms the mass left of the median atom sums to
     # 1/2 + 2e-16, which made the median's leftward part a negative weight
-    path = lagrangian_run(SPLIT, quantile_uniform(0.0, 1.0, 100), cfg(LAGRANGIAN, N=16))
+    path = run_scheme(SPLIT, quantile_uniform(0.0, 1.0, 100), cfg(LAGRANGIAN, N=16))
     atoms, weights = oracles.splitting_uniform_atoms(1.0, 100)
     assert w1_distance(path.measures[-1], m1(atoms, weights)) <= 1e-12
 
@@ -350,7 +333,7 @@ def test_splitting_uniform_block_tears_exactly(natoms):
     # A float cumsum put the mass left of the median atom a few ulps off an
     # exact 1/2 (600 atoms: 2e-15 below), so a 1.9e-15 leftward sliver of the
     # median travelled as an atom of its own: 601 atoms from step 1.
-    path = lagrangian_run(SPLIT, quantile_uniform(0.0, 1.0, natoms), cfg(LAGRANGIAN, N=16))
+    path = run_scheme(SPLIT, quantile_uniform(0.0, 1.0, natoms), cfg(LAGRANGIAN, N=16))
     for t, mu in zip(path.times, path.measures):
         atoms, weights = oracles.splitting_uniform_atoms(float(t), natoms)
         assert mu.natoms == natoms
@@ -360,27 +343,27 @@ def test_splitting_uniform_block_tears_exactly(natoms):
 
 def test_lagrangian_prune_floor_accounting():
     lopsided = ConstantFiberPvf(m1([0.0, 1.0], [1.0 - 1e-7, 1e-7]))
-    path = lagrangian_run(
+    path = run_scheme(
         lopsided, dirac(0.0), cfg(LAGRANGIAN, N=8, prune_floor=1e-6)
     )
     assert 0.0 < path.pruned_mass < 1e-5
     for mu in path.measures:
         assert abs(mu.weights.sum() - 1.0) <= 1e-9
     # with pruning disabled the tiny branch survives
-    full = lagrangian_run(lopsided, dirac(0.0), cfg(LAGRANGIAN, N=8))
+    full = run_scheme(lopsided, dirac(0.0), cfg(LAGRANGIAN, N=8))
     assert full.pruned_mass == 0.0
     assert full.measures[-1].natoms > path.measures[-1].natoms
 
 
 def test_lagrangian_coalesce_tol_merges_children():
-    path = lagrangian_run(SPLIT, dirac(0.0), cfg(LAGRANGIAN, N=4, coalesce_tol=0.6))
+    path = run_scheme(SPLIT, dirac(0.0), cfg(LAGRANGIAN, N=4, coalesce_tol=0.6))
     assert path.measures[1].natoms == 1
     assert abs(path.measures[1].weights.sum() - 1.0) <= 1e-9
 
 
 def test_las_atoms_stay_on_grid():
     g = GridSpec(T=1.0, N=8)
-    path = las_run(BINOMIAL, dirac(0.0), SchemeConfig(scheme=LAS, grid=g))
+    path = run_scheme(BINOMIAL, dirac(0.0), SchemeConfig(scheme=LAS, grid=g))
     for mu in path.measures:
         idx = np.rint(mu.atoms / g.dx)
         assert np.max(np.abs(mu.atoms - idx * g.dx)) <= 1e-9 * g.dx

@@ -22,12 +22,10 @@ from mdelab import (
     dirac,
     evaluate_pushforward,
     interpolate_at,
-    lagrangian_run,
-    las_run,
     make_lifted,
     make_measure,
     max_speed,
-    mean_velocity_run,
+    run_scheme,
     sublinearity_bound,
     support_radius,
     verify_fiber_barycenter,
@@ -56,7 +54,7 @@ def m1(xs, ws):
 
 def test_segment_ensemble_single_atom():
     # one interval: the seed bundle is the first lift's segments, unglued
-    path = las_run(ConstantFiberPvf(dirac(1.0)), dirac(0.0), cfg(LAS, N=1))
+    path = run_scheme(ConstantFiberPvf(dirac(1.0)), dirac(0.0), cfg(LAS, N=1))
     lift = path.interp[0]
     assert np.array_equal(lift.positions, [[0.0]])
     assert np.array_equal(lift.velocities, [[1.0]])
@@ -68,7 +66,7 @@ def test_segment_ensemble_single_atom():
 
 
 def test_segment_ensemble_split_pair():
-    ens = build_representation(las_run(SPLIT, dirac(0.0), cfg(LAS, T=0.5, N=1)))
+    ens = build_representation(run_scheme(SPLIT, dirac(0.0), cfg(LAS, T=0.5, N=1)))
     assert np.array_equal(ens.times, [0.0, 0.5])
     assert ens.ncurves == 2
     assert np.array_equal(ens.weights, [0.5, 0.5])
@@ -78,7 +76,7 @@ def test_segment_ensemble_split_pair():
 
 
 def test_segment_ensemble_from_las_step():
-    lift = las_run(BINOMIAL, dirac(0.0), cfg(LAS, N=2)).interp[1]
+    lift = run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, N=2)).interp[1]
     # two atoms, two velocities each
     assert lift.natoms == 4
     assert np.allclose(lift.weights, 0.25)
@@ -231,7 +229,7 @@ def test_identical_curves_merge():
 # ---------------------------------------------------------------------------
 
 def test_stationary_run_gives_single_constant_curve():
-    path = mean_velocity_run(SPLIT, dirac(1.5), cfg(MEAN_VELOCITY, N=4))
+    path = run_scheme(SPLIT, dirac(1.5), cfg(MEAN_VELOCITY, N=4))
     ens = build_representation(path)
     assert ens.ncurves == 1
     assert np.allclose(ens.knots, 1.5)
@@ -239,7 +237,7 @@ def test_stationary_run_gives_single_constant_curve():
 
 
 def test_las_splitting_two_rays():
-    path = las_run(SPLIT, dirac(0.0), cfg(LAS, N=2))
+    path = run_scheme(SPLIT, dirac(0.0), cfg(LAS, N=2))
     ens = build_representation(path)
     assert ens.ncurves == 2
     assert sorted(ens.knots[:, -1, 0]) == [-1.0, 1.0]
@@ -247,7 +245,7 @@ def test_las_splitting_two_rays():
 
 
 def test_las_binomial_four_sign_paths():
-    path = las_run(BINOMIAL, dirac(0.0), cfg(LAS, N=2))
+    path = run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, N=2))
     ens = build_representation(path)
     assert ens.ncurves == 4
     assert np.allclose(ens.weights, 0.25)
@@ -256,7 +254,7 @@ def test_las_binomial_four_sign_paths():
 
 
 def test_binomial_curve_count_is_product_structure():
-    path = las_run(BINOMIAL, dirac(0.0), cfg(LAS, N=3))
+    path = run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, N=3))
     assert build_representation(path).ncurves == 2**3
 
 
@@ -265,7 +263,7 @@ def test_build_representation_curve_cap(monkeypatch):
         raise AssertionError("concat_merge ran before the curve cap")
 
     monkeypatch.setattr(superposition, "concat_merge", never)
-    path = las_run(BINOMIAL, dirac(0.0), cfg(LAS, N=4))
+    path = run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, N=4))
     # 2**4 curves: the cap fires on the exact count, one below it too
     for cap in (7, 15):
         with pytest.raises(SupportBlowupError):
@@ -273,14 +271,13 @@ def test_build_representation_curve_cap(monkeypatch):
 
 
 @given(
-    st.sampled_from([(las_run, LAS), (lagrangian_run, LAGRANGIAN)]),
+    st.sampled_from([LAS, LAGRANGIAN]),
     st.sampled_from([SPLIT, BINOMIAL, GraphPvf(GRAPH_FIELDS["linear"])]),
     sts.measures(coords=sts.dyadic, max_atoms=3),
     st.integers(1, 4),
 )
-def test_glued_pair_count_is_the_curve_count(runner, spec, mu0, n):
-    run, scheme = runner
-    path = run(spec, mu0, cfg(scheme, N=n))
+def test_glued_pair_count_is_the_curve_count(scheme, spec, mu0, n):
+    path = run_scheme(spec, mu0, cfg(scheme, N=n))
     assert superposition._glued_pairs(path) == build_representation(path).ncurves
 
 
@@ -293,14 +290,14 @@ def test_binomial_bundle_runs_no_transport(monkeypatch):
         getattr(v, "__module__", None) == transport.__name__ for v in vars(superposition).values()
     )
     monkeypatch.setattr(transport, "w1_distance", no_w1)
-    path = las_run(BINOMIAL, dirac(0.0), cfg(LAS, N=10))
+    path = run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, N=10))
     ens = build_representation(path)
     assert ens.ncurves == 2**10
     assert evaluate_pushforward(ens, 1.0).allclose(path.measures[-1], tol=1e-12)
 
 
 def test_evaluate_pushforward_examples():
-    path = las_run(SPLIT, dirac(0.0), cfg(LAS, N=2))
+    path = run_scheme(SPLIT, dirac(0.0), cfg(LAS, N=2))
     ens = build_representation(path)
     assert evaluate_pushforward(ens, 0.0) == path.measures[0]
     assert evaluate_pushforward(ens, 0.5) == m1([-0.5, 0.5], [0.5, 0.5])
@@ -310,10 +307,10 @@ def test_evaluate_pushforward_examples():
 
 def test_representation_matches_interpolation_everywhere():
     runs = [
-        las_run(BINOMIAL, dirac(0.0), cfg(LAS, N=4)),
-        lagrangian_run(SPLIT, dirac(0.0), cfg(LAGRANGIAN, N=4)),
-        mean_velocity_run(BINOMIAL, dirac(0.0), cfg(MEAN_VELOCITY, N=4)),
-        las_run(PEANO, dirac(-1.0), cfg(LAS, T=3.0, N=3, dv=1.0)),
+        run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, N=4)),
+        run_scheme(SPLIT, dirac(0.0), cfg(LAGRANGIAN, N=4)),
+        run_scheme(BINOMIAL, dirac(0.0), cfg(MEAN_VELOCITY, N=4)),
+        run_scheme(PEANO, dirac(-1.0), cfg(LAS, T=3.0, N=3, dv=1.0)),
     ]
     for path in runs:
         ens = build_representation(path)
@@ -327,13 +324,13 @@ def test_representation_matches_interpolation_everywhere():
 
 
 def test_max_speed_respects_sublinear_growth():
-    path = lagrangian_run(SPLIT, dirac(0.0), cfg(LAGRANGIAN, N=4))
+    path = run_scheme(SPLIT, dirac(0.0), cfg(LAGRANGIAN, N=4))
     ens = build_representation(path)
     C = sublinearity_bound(SPLIT, path.measures)
     K = max(support_radius(mu) for mu in path.measures)
     assert max_speed(ens) <= C * (1.0 + K) + 1e-12
 
-    lattice = las_run(PEANO, dirac(-1.0), cfg(LAS, T=3.0, N=3, dv=1.0))
+    lattice = run_scheme(PEANO, dirac(-1.0), cfg(LAS, T=3.0, N=3, dv=1.0))
     lens = build_representation(lattice)
     CL = sublinearity_bound(PEANO, lattice.measures)
     KL = max(support_radius(mu) for mu in lattice.measures)
@@ -346,21 +343,21 @@ def test_max_speed_respects_sublinear_growth():
 # ---------------------------------------------------------------------------
 
 def test_fiber_barycenter_lagrangian_splitting_at_zero():
-    path = lagrangian_run(SPLIT, dirac(0.0), cfg(LAGRANGIAN, N=4))
+    path = run_scheme(SPLIT, dirac(0.0), cfg(LAGRANGIAN, N=4))
     report = verify_fiber_barycenter(build_representation(path), SPLIT, 0.0)
     assert report.max_defect <= 1e-12
 
 
 def test_fiber_barycenter_graph_pvf_all_knots():
     spec = GraphPvf(GRAPH_FIELDS["linear"])
-    path = lagrangian_run(spec, m1([0.5, -1.0], [0.5, 0.5]), cfg(LAGRANGIAN, N=4))
+    path = run_scheme(spec, m1([0.5, -1.0], [0.5, 0.5]), cfg(LAGRANGIAN, N=4))
     ens = build_representation(path)
     for t in path.times[:-1]:
         assert verify_fiber_barycenter(ens, spec, float(t)).max_defect <= 1e-12
 
 
 def test_fiber_barycenter_las_peano_snapping_gap():
-    path = las_run(PEANO, dirac(-1.0), cfg(LAS, T=3.0, N=3, dv=1.0))
+    path = run_scheme(PEANO, dirac(-1.0), cfg(LAS, T=3.0, N=3, dv=1.0))
     ens = build_representation(path)
     report = verify_fiber_barycenter(ens, PEANO, 2.0)
     assert report.max_defect == pytest.approx(2.0 * np.sqrt(3.0) - 3.0, abs=1e-12)
@@ -368,7 +365,7 @@ def test_fiber_barycenter_las_peano_snapping_gap():
 
 
 def test_fiber_barycenter_requires_interior_knot():
-    path = las_run(SPLIT, dirac(0.0), cfg(LAS, N=2))
+    path = run_scheme(SPLIT, dirac(0.0), cfg(LAS, N=2))
     ens = build_representation(path)
     with pytest.raises(OutOfRangeError):
         verify_fiber_barycenter(ens, SPLIT, 1.0)  # final knot

@@ -13,11 +13,11 @@ from mdelab import (
     SchemeConfig,
     dirac,
     fiber_pseudometric,
-    las_run,
     lifted_w1,
     lp_solve,
     make_lifted,
     make_measure,
+    run_scheme,
     w1_distance,
     w1_plan,
 )
@@ -298,7 +298,7 @@ def test_w1_2d_walk_at_desk_scale_against_scipy():
     walk = ConstantFiberPvf(make_measure([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
                                          [0.25] * 4))
     mu, nu = (
-        las_run(walk, dirac([0.0, 0.0]), SchemeConfig(LAS, GridSpec(T=1.0, N=N))).measures[-1]
+        run_scheme(walk, dirac([0.0, 0.0]), SchemeConfig(LAS, GridSpec(T=1.0, N=N))).measures[-1]
         for N in (16, 32)
     )
     assert (mu.natoms, nu.natoms) == (289, 1049)
