@@ -455,6 +455,24 @@ def base_of(lifted: LiftedMeasure) -> DiscreteMeasure:
     return lifted._base
 
 
+def fiber_means(lifted: LiftedMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Base atoms and the mean velocity of each fiber, both (n_base, d).
+
+    One grouping of the positions, the one ``base_of`` applies, so row i
+    belongs to ``base_of(lifted).atoms[i]``; then one weighted
+    ``np.bincount`` per coordinate over the group masses.  A one-atom
+    fiber's velocity is copied, since (w v) / w need not round back to v.
+    """
+    pos, vel, w = lifted.positions, lifted.velocities, lifted.weights
+    gid, reps = _group_rows(pos, MERGE_TOL)
+    n = len(reps)
+    sums = np.stack([np.bincount(gid, w * v, n) for v in vel.T], axis=1)
+    means = sums / np.bincount(gid, w, n)[:, None]
+    single = np.bincount(gid, minlength=n) == 1
+    means[single] = vel[reps[single]]
+    return pos[reps], means
+
+
 def disintegrate(lifted: LiftedMeasure) -> Disintegration:
     """Split a lifted measure into its base and per-position velocity fibers.
 

@@ -26,7 +26,8 @@ from .errors import ConfigError, DimMismatchError, EmptyInputError
 from .measures import (
     DiscreteMeasure,
     LiftedMeasure,
-    disintegrate,
+    base_of,
+    fiber_means,
     make_measure,
 )
 from .tolerances import AGREE_TOL, CDF_TOL
@@ -152,7 +153,7 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
         out = spec.evaluate(mu)
         if not isinstance(out, LiftedMeasure):
             raise ValueError("custom rule must return a LiftedMeasure")
-        base = DiscreteMeasure(out.positions, out.weights)
+        base = base_of(out)  # cached: the scheme asks for the same base
         if not (
             base.natoms == mu.natoms
             and np.array_equal(base.atoms, mu.atoms)
@@ -184,19 +185,13 @@ def barycentric_field(spec: PvfSpec, mu: DiscreteMeasure) -> np.ndarray:
     """Mean fiber velocity at each atom, as an (n, d) array aligned with
     ``mu.atoms``.
 
-    Averaging a one-atom fiber returns its atom unchanged, so deterministic
-    fields come back exactly.
+    Read off ``eval_pvf(spec, mu)`` by ``measures.fiber_means``: a one-atom
+    fiber's velocity comes back unchanged, so graph fields are exact.
     """
-    dis = disintegrate(eval_pvf(spec, mu))
-    if not np.array_equal(dis.base.atoms, mu.atoms):  # pragma: no cover
+    atoms, means = fiber_means(eval_pvf(spec, mu))
+    if not np.array_equal(atoms, mu.atoms):  # pragma: no cover
         raise RuntimeError("fiber rule did not preserve the base support")
-    rows = []
-    for fiber in dis.fibers:
-        if fiber.natoms == 1:
-            rows.append(fiber.atoms[0])
-        else:
-            rows.append(fiber.weights @ fiber.atoms)
-    return np.vstack(rows)
+    return means
 
 
 def sublinearity_bound(spec: PvfSpec, samples: Sequence[DiscreteMeasure]) -> float:

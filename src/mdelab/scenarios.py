@@ -22,6 +22,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import ConfigError, IoError
 from .measures import (
     DiscreteMeasure,
@@ -101,8 +103,9 @@ class Scenario:
             raise ConfigError("name: must be nonempty")
         if len(self.Ns) == 0:
             raise ConfigError("N: need at least one grid size")
-        if not all(_is_grid_size(n) for n in self.Ns):
-            raise ConfigError(f"N: grid sizes must be integers >= 1, got {list(self.Ns)!r}")
+        if not all(_is_grid_size(n) and n + 1 <= SchemeConfig.max_atoms for n in self.Ns):
+            raise ConfigError(f"N: expected integers in [1, {SchemeConfig.max_atoms - 1}]"
+                              f" (N + 1 nodes within max_atoms), got {list(self.Ns)!r}")
         if len(self.schemes) == 0:
             raise ConfigError("scheme: need at least one scheme")
         unknown = [s for s in self.schemes if s not in SCHEMES]
@@ -342,7 +345,16 @@ def run_scenario(scn: Scenario) -> dict:
 
     Runs are memoized by their full ``SchemeConfig``, so each distinct
     configuration is run once and the reports score the memoized paths.
+    A float overflow (a horizon too long) is a ConfigError naming ``T``.
     """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _run_all(scn)
+    except FloatingPointError as exc:
+        raise ConfigError(f"T: {scn.T!r} overflows floating point ({exc})") from exc
+
+
+def _run_all(scn: Scenario) -> dict:
     started = time.perf_counter()
     spec = scn.pvf_spec()
     mu0 = scn.initial_measure()

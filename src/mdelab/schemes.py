@@ -33,9 +33,10 @@ from .measures import (
     LiftedMeasure,
     base_of,
     coalesce,
+    fiber_means,
     support_radius,
 )
-from .pvf import PvfSpec, barycentric_field, eval_pvf, lift_size_bound
+from .pvf import PvfSpec, eval_pvf, lift_size_bound
 from .tolerances import AGREE_TOL, CELL_TOL, MERGE_TOL, PRUNE_FLOOR_MAX
 
 LAS = "las"
@@ -91,12 +92,11 @@ class GridSpec:
 class SchemeConfig:
     """Which scheme to run and with what housekeeping parameters.
 
-    ``max_atoms`` caps the atoms of each step.  The lattice and grid-free
-    schemes compare it with the size of the lift predicted before the
-    rule is evaluated (see ``pvf.lift_size_bound``), so a step that would
-    blow up is refused before its atoms are built; canonicalization may
-    merge some of them afterwards.  A custom rule is checked after
-    evaluation.  A node has at most the atoms of its lift.
+    ``max_atoms`` caps the atoms of each step.  Every scheme compares it
+    with the lift size that ``pvf.lift_size_bound`` predicts, so a step
+    that would blow up is refused before its atoms are built;
+    canonicalization may merge some afterwards.  A custom rule is checked
+    after evaluation.  A node has at most the atoms of its lift.
     """
 
     scheme: str
@@ -247,9 +247,9 @@ def _lagrangian_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
 def _mean_velocity_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     """Each atom moves by dt times its fiber mean, recorded as a one-point fiber.
 
-    ``coalesce_tol`` and ``prune_floor`` do not apply to this scheme.
+    ``max_atoms`` applies; ``coalesce_tol`` and ``prune_floor`` do not.
     """
-    vbar = barycentric_field(spec, mu)
+    _, vbar = fiber_means(_lift(spec, mu, cfg))
     nxt = DiscreteMeasure(mu.atoms + cfg.grid.dt * vbar, mu.weights)
     return LiftedMeasure(mu.atoms, vbar, mu.weights), nxt, 0.0
 

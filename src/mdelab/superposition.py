@@ -33,7 +33,9 @@ from .errors import EndpointMismatchError, OutOfRangeError, SupportBlowupError
 from .measures import (
     DiscreteMeasure,
     LiftedMeasure,
+    base_of,
     canonical_support,
+    fiber_means,
     match_rows,
 )
 from .pvf import PvfSpec, barycentric_field
@@ -238,10 +240,10 @@ def verify_fiber_barycenter(
     """Compare mean right-hand slopes against the rule's fiber means at t.
 
     ``t`` must be a knot time with a following interval (right-derivative
-    convention).  Curves are grouped by their position at t exactly as the
-    pushforward measure coalesces them; per group, the weighted mean slope
-    is compared with the mean fiber velocity of the rule evaluated on the
-    pushforward measure.
+    convention).  The curves' positions and right-hand slopes at t form a
+    lifted measure whose base is the pushforward measure; its fiber means
+    are the mean slopes, compared with the mean fiber velocity of the rule
+    evaluated on the pushforward measure.
     """
     times = ens.times
     k, at_node = locate_time(times, t)
@@ -250,17 +252,10 @@ def verify_fiber_barycenter(
     if k >= times.shape[0] - 1:
         raise OutOfRangeError("the final knot has no right-hand slope")
 
-    pts = ens.knots[:, k, :]
-    mu_t = DiscreteMeasure(pts, ens.weights)
     slopes = (ens.knots[:, k + 1, :] - ens.knots[:, k, :]) / (times[k + 1] - times[k])
-    at = match_rows(pts, mu_t.atoms, MERGE_TOL)
-    if np.any(at < 0):  # pragma: no cover - atoms came from these points
-        raise RuntimeError("curve position matches no pushforward atom")
-    d = ens.dim
-    sums = np.zeros((mu_t.natoms, d))
-    np.add.at(sums, at, ens.weights[:, None] * slopes)
-    masses = np.bincount(at, weights=ens.weights, minlength=mu_t.natoms)
-    means = sums / masses[:, None]
+    lift = LiftedMeasure(ens.knots[:, k, :], slopes, ens.weights)
+    mu_t = base_of(lift)
+    _, means = fiber_means(lift)
     field = barycentric_field(spec, mu_t)
     defects = np.linalg.norm(means - field, axis=1)
     return FiberBarycenterReport(

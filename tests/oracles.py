@@ -1,17 +1,21 @@
 """Independent reference computations for the test suite.
 
-Nothing in this module calls into mdelab.  Expected values come from
-exact rational arithmetic (fractions + math.comb), closed forms, scipy's
-HiGHS linear-programming solver, brute-force vertex enumeration, and the
-row-at-a-time greedy grouping scan that defines canonical-form merging,
-so agreement with the package is meaningful.
+Nothing in this module calls into mdelab, except that the per-fiber mean
+reference builds each fiber with ``mdelab.make_measure``, as the route it
+stands for did.  Expected values come from exact rational arithmetic
+(fractions + math.comb), closed forms, scipy's HiGHS linear-programming
+solver, brute-force vertex enumeration, and the row-at-a-time greedy
+grouping scan that defines canonical-form merging, so agreement with the
+package is meaningful.
 
 The loop references at the end (the splitting lift, curve gluing and the
 weak residual) are the per-atom and per-pair loops that the package's
 whole-array kernels replace.  They take plain arrays and use the same
 floating-point operations in the same order, so the kernels must match
-them bit for bit.  The per-value artifact writers are the references for
-the whole-table CSV and JSON formatting in the same way, and the
+them bit for bit.  The per-fiber means are the exception: the reference
+merges and normalizes each fiber first, so it agrees with the kernel
+within a stated bound.  The per-value artifact writers are the references
+for the whole-table CSV and JSON formatting in the same way, and the
 transportation simplex that re-hangs the whole tree and prices every cell
 at every pivot is the reference for the package's solver.
 """
@@ -474,6 +478,25 @@ def residual_loop(times, nodes, lifts, centers, radii):
         )
         defects[fi] = np.abs(values - values[0] - trap)
     return defects
+
+
+def fiber_means_loop(positions, velocities, weights, tol):
+    """Mean velocity of each fiber, one canonical fiber measure at a time.
+
+    The sorted positions are grouped by ``greedy_groups``.  Each group's
+    velocities and weights become a canonical measure (merged at
+    ``MERGE_TOL``, normalized to mass one), and its mean is that measure's
+    weights dotted with its atoms, or its atom when it has only one.
+    Returns (representative positions, means), one row per group.
+    """
+    from mdelab import make_measure
+
+    gid, reps = greedy_groups(positions, tol)
+    means = []
+    for g in range(len(reps)):
+        fiber = make_measure(velocities[gid == g], weights[gid == g])
+        means.append(fiber.atoms[0] if fiber.natoms == 1 else fiber.weights @ fiber.atoms)
+    return positions[reps], np.vstack(means)
 
 
 # ---------------------------------------------------------------------------

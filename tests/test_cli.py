@@ -158,6 +158,9 @@ def test_unwritable_output_dir(tmp_path, capsys):
         ("initial.atoms", {"initial": {"kind": "uniform_1d", "a": 0, "b": 1, "atoms": True}}),
         ("initial.atoms", {"initial": {"kind": "uniform_1d", "a": 0, "b": 1, "atoms": "7"}}),
         ("initial.atoms", {"initial": {"kind": "uniform_1d", "a": 0, "b": 1, "atoms": 1000001}}),
+        ("N", {"N": [1e12]}),
+        ("N", {"N": [1000000]}),
+        ("T", {"T": 1.7e308}),
     ],
 )
 def test_malformed_scenario_field_is_a_config_error(tmp_path, capsys, field, bad):

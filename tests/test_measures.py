@@ -6,21 +6,19 @@ import oracles
 import strategies as sts
 from mdelab import (
     DiscreteMeasure,
-    Disintegration,
     EmptyInputError,
     MERGE_TOL,
     NegativeWeightError,
     base_of,
     coalesce,
     dirac,
-    disintegrate,
     make_lifted,
     make_measure,
     quantile_uniform,
     support_radius,
 )
 from mdelab import measures
-from mdelab.measures import match_rows
+from mdelab.measures import Disintegration, disintegrate, match_rows
 
 
 def test_make_measure_normalizes_single_atom():
@@ -293,6 +291,45 @@ def test_disintegrate_matches_greedy_scan(joint, data):
     for g, fiber in enumerate(dis.fibers):
         sel = gid == g
         assert fiber == make_measure(lifted.velocities[sel], lifted.weights[sel])
+
+
+@given(sts.near_tie_rows(widths=(2, 4), tol=MERGE_TOL), st.data())
+def test_fiber_means_match_the_per_fiber_reference(joint, data):
+    """The kernel against one canonical fiber measure per base atom.
+
+    Both group the positions by the first-match rule, so the base atoms
+    agree exactly, and a one-atom fiber's velocity must come back exactly.
+    Elsewhere the reference first merges the velocities of a fiber that lie
+    within MERGE_TOL of their group's first velocity.  So each velocity it
+    averages has moved by at most MERGE_TOL per coordinate, and a mean is
+    a convex combination, so the mean moves by at most MERGE_TOL too.  On
+    top of that, each side rounds a weighted sum of at most n terms (n eps
+    relative to the sum of w |v|), a mass (n eps relative) and a quotient
+    (eps): within (2 n + 1) eps max|v| each.
+    """
+    d = joint.shape[1] // 2
+    w = np.array(data.draw(st.lists(sts.positive_weight, min_size=len(joint), max_size=len(joint))))
+    lifted = make_lifted(joint[:, :d], joint[:, d:], w)
+    atoms, means = measures.fiber_means(lifted)
+    ref_atoms, ref_means = oracles.fiber_means_loop(
+        lifted.positions, lifted.velocities, lifted.weights, MERGE_TOL
+    )
+    assert np.array_equal(atoms, ref_atoms)
+    assert np.array_equal(atoms, base_of(lifted).atoms)
+    gid, _ = oracles.greedy_groups(lifted.positions, MERGE_TOL)
+    single = np.bincount(gid) == 1
+    assert np.array_equal(means[single], ref_means[single])
+    vmax = float(np.abs(lifted.velocities).max())
+    bound = MERGE_TOL + 2 * (2 * lifted.natoms + 1) * np.finfo(float).eps * vmax
+    assert float(np.abs(means - ref_means).max()) <= bound
+
+
+def test_fiber_means_copy_one_atom_fibers():
+    # (0.1 * 3) / 0.1 rounds to 3.0000000000000004
+    lifted = make_lifted([[0.0], [1.0]], [[3.0], [3.0]], [0.1, 0.9])
+    atoms, means = measures.fiber_means(lifted)
+    assert np.array_equal(atoms, [[0.0], [1.0]])
+    assert np.array_equal(means, [[3.0], [3.0]])
 
 
 def test_lattice_without_near_ties_takes_the_runs_route(monkeypatch):

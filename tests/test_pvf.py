@@ -15,15 +15,15 @@ from mdelab import (
     barycentric_field,
     base_of,
     dirac,
-    disintegrate,
     eval_pvf,
     make_lifted,
     make_measure,
-    median_data,
     pvf_from_json,
     pvf_to_json,
     sublinearity_bound,
 )
+from mdelab.measures import disintegrate
+from mdelab.pvf import median_data
 
 SPLIT = SplittingParticlePvf()
 PM1 = make_measure([[-1.0], [1.0]], [0.5, 0.5])

@@ -23,15 +23,14 @@ from mdelab import (
     make_measure,
     quantile_uniform,
     run_scheme,
-    snap_space,
-    snap_velocity,
     sublinearity_bound,
     support_bound_check,
     support_radius,
     w1_distance,
 )
-from mdelab import schemes
+from mdelab import measures, schemes
 from mdelab.pvf import GRAPH_FIELDS
+from mdelab.schemes import snap_space, snap_velocity
 
 SPLIT = SplittingParticlePvf()
 PM1 = make_measure([[-1.0], [1.0]], [0.5, 0.5])
@@ -298,6 +297,7 @@ def test_lagrangian_support_blowup_guard():
         (LAGRANGIAN, BINOMIAL, m1([0.0, 0.25, 0.5], [0.2, 0.3, 0.5]), 5),
         (LAGRANGIAN, SPLIT, m1([0.0, 0.25, 0.5], [0.2, 0.3, 0.5]), 3),  # 3 + 1
         (LAGRANGIAN, GraphPvf(GRAPH_FIELDS["linear"]), m1([0.0, 0.5], [0.5, 0.5]), 1),
+        (MEAN_VELOCITY, BINOMIAL, m1([0.0, 0.25, 0.5], [0.2, 0.3, 0.5]), 5),
     ],
 )
 def test_atom_cap_trips_before_the_rule_is_evaluated(monkeypatch, scheme, spec, mu0, cap):
@@ -306,6 +306,22 @@ def test_atom_cap_trips_before_the_rule_is_evaluated(monkeypatch, scheme, spec, 
     with pytest.raises(SupportBlowupError):
         run_scheme(spec, mu0, cfg(scheme, max_atoms=cap))
     assert calls == []
+
+
+def test_mean_velocity_builds_no_measure_per_fiber(monkeypatch):
+    # the fiber means come from one grouping of the lift, so a step builds
+    # a fixed handful of canonical measures, not one per base atom
+    calls = []
+    canonical = measures.canonical_support
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return canonical(*args, **kwargs)
+
+    mu0 = quantile_uniform(0.0, 1.0, 256)
+    monkeypatch.setattr(measures, "canonical_support", counted)
+    run_scheme(SPLIT, mu0, cfg(MEAN_VELOCITY, N=4))
+    assert len(calls) <= 5 * 4
 
 
 def test_atom_cap_checks_a_custom_rule_after_evaluation():
