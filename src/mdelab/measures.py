@@ -18,15 +18,23 @@ and downstream grouping are deterministic:
 
 Merging follows one rule, the greedy first-match scan in lexicographic
 order: a row joins the first earlier group representative within the
-tolerance in every coordinate, or opens a group.  One kernel,
-``_group_rows``, computes it by one of two routes, chosen from the data.
-If no coordinate has two distinct values within the tolerance, then rows
-within the tolerance are equal rows, and the groups are the runs of equal
-consecutive rows of the sorted array, found in one vectorized pass.  This
-is exact, not an approximation.  Otherwise (near-ties) the scan runs over
-the distinct rows that share a chain of near-ties with another row in
-every column, and each is compared against all its candidate
-representatives in one array operation.
+tolerance in every coordinate, or opens a group.  Three routes compute it,
+chosen from the data, and each gives exactly the scan's result.
+
+* *Already canonical.*  If each row exceeds its predecessor by more than
+  the tolerance in the first coordinate where the two differ, the rows are
+  sorted and pairwise farther apart than the tolerance, so every row is a
+  group of its own: nothing is sorted or grouped.  Lifts and nodes built
+  from canonical data by order-preserving maps usually arrive like this.
+* *Runs of equal rows.*  Otherwise the rows are sorted.  If the same test
+  holds between consecutive distinct rows, the groups are the runs of
+  equal consecutive rows, found in one vectorized pass.
+* *Near-ties.*  Otherwise the scan runs over the distinct rows that share
+  a chain of near-ties with another row in every column, and each is
+  compared against all its candidate representatives in one array
+  operation.
+
+``canonical_support`` takes the first route; ``_group_rows`` the other two.
 """
 
 from __future__ import annotations
@@ -62,6 +70,21 @@ def _lex_perm(pts: np.ndarray) -> np.ndarray:
     return np.lexsort(pts.T[::-1])
 
 
+def _first_gaps(pts: np.ndarray) -> np.ndarray:
+    """For each pair of consecutive rows, the difference in the first
+    coordinate where they differ; 0 for equal rows.
+
+    Rows in input order may be far apart, so a difference may overflow;
+    read as +-inf it still orders and compares with ``tol`` correctly.
+    """
+    with np.errstate(over="ignore"):
+        diff = pts[1:] - pts[:-1]
+    gaps = diff[:, -1]
+    for j in range(pts.shape[1] - 2, -1, -1):
+        gaps = np.where(diff[:, j] != 0, diff[:, j], gaps)
+    return gaps
+
+
 def _group_rows(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Group lexicographically sorted rows, l-inf tolerance ``tol``.
 
@@ -73,12 +96,11 @@ def _group_rows(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     *Runs of equal rows.*  Equal rows are consecutive after the
     lexicographic sort.  A row equal to its predecessor sees the same
     candidates and joins its predecessor's group, so only the first row of
-    each run (its head) needs grouping.  Sort each column.  If no column
-    has two adjacent distinct values at most ``tol`` apart, then no two
-    distinct values of a column are within ``tol``: any value between them
-    would be closer still.  So two rows within ``tol`` in every coordinate
-    are equal rows, each head opens its own group, and the groups are the
-    runs.  The result is exactly the scan's.
+    each run (its head) needs grouping.  A head's first gap (see
+    ``_first_gaps``) is positive.  If no first gap lies in (0, ``tol``],
+    the heads are pairwise farther than ``tol`` apart (the argument in
+    ``canonical_support``), so each head opens its own group and the
+    groups are the runs.  The result is exactly the scan's.
 
     *Near-ties.*  Otherwise ``_first_match_scan`` runs the scan over the
     heads that ``_shared_chains`` cannot rule out, comparing each against
@@ -87,15 +109,13 @@ def _group_rows(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (group id per row, representative row indices in group order).
     """
+    gaps = _first_gaps(pts)
     head = np.empty(pts.shape[0], dtype=bool)
     head[0] = True
-    head[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    head[1:] = gaps != 0
     run = head.cumsum(dtype=np.intp) - 1
     heads = head.nonzero()[0]
-    cols = np.sort(pts, axis=0)
-    gaps = cols[1:] - cols[:-1]
-    near = gaps <= tol  # a gap of 0 is a repeated value, not a near-tie
-    if not (near.any() and (gaps[near] > 0).any()):
+    if not (gaps[head[1:]] <= tol).any():
         return run, heads
     rows = pts[heads]
     sub = _shared_chains(rows, tol).nonzero()[0]
@@ -169,6 +189,18 @@ def canonical_support(points, weights, tol: float = MERGE_TOL) -> tuple[np.ndarr
     the total mass to one, applies the weight floor and renormalizes.  The
     returned arrays are fresh, C-contiguous and read-only.
 
+    Rows that arrive in canonical order skip the sort and the grouping.
+    If every first gap (``_first_gaps``) exceeds ``tol``, the rows are
+    strictly increasing, so the sort would keep them in place.  They are
+    also pairwise farther than ``tol`` apart.  Take rows i < k and the
+    first column j where some consecutive pair between them differs: the
+    rows agree before column j, column j does not decrease from row i to
+    row k, and one step m -> m + 1 in it exceeds ``tol``.  Float
+    subtraction is monotone, so x_k[j] - x_i[j] >= x_{m+1}[j] - x_m[j] >
+    ``tol`` as computed.  So the scan makes every row its own group, and
+    the grouping would give ``0.0 + w = w``: the result is exactly that of
+    the sorted route.
+
     Raises EmptyInputError when there are no atoms, NegativeWeightError for
     a negative weight, ValueError for shape mismatches or non-finite data.
     """
@@ -186,16 +218,15 @@ def canonical_support(points, weights, tol: float = MERGE_TOL) -> tuple[np.ndarr
         raise NegativeWeightError(f"negative weight {w.min()!r}")
 
     pts = pts + 0.0  # normalize -0.0 to +0.0 so sorting and dumps are stable
-    perm = _lex_perm(pts)
-    pts = np.ascontiguousarray(pts[perm])
-    w = w[perm]
-
-    if pts.shape[0] > 1:
+    if (_first_gaps(pts) > max(tol, 0.0)).all():  # a negative tol still merges equal rows
+        atoms, mass = pts, w.copy()
+    else:
+        perm = _lex_perm(pts)
+        pts = np.ascontiguousarray(pts[perm])
+        w = w[perm]
         gid, reps = _group_rows(pts, tol)
         atoms = pts[reps]
         mass = np.bincount(gid, weights=w, minlength=len(reps))
-    else:
-        atoms, mass = pts, w.copy()
 
     total = float(mass.sum())
     if total <= 0.0:
@@ -289,7 +320,7 @@ class DiscreteMeasure:
 
     def allclose(self, other: "DiscreteMeasure", tol: float = AGREE_TOL) -> bool:
         """Atom-by-atom comparison of two canonical measures."""
-        return (
+        return self is other or (
             self.dim == other.dim
             and self.natoms == other.natoms
             and float(np.max(np.abs(self.atoms - other.atoms), initial=0.0)) <= tol
@@ -349,7 +380,7 @@ class LiftedMeasure:
         return self.positions.shape[0]
 
     def allclose(self, other: "LiftedMeasure", tol: float = AGREE_TOL) -> bool:
-        return (
+        return self is other or (
             self.dim == other.dim
             and self.natoms == other.natoms
             and float(np.max(np.abs(self.positions - other.positions), initial=0.0)) <= tol

@@ -138,15 +138,20 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
         if mu.dim != 1:
             raise DimMismatchError("the splitting rule needs a 1-D measure")
         md = median_data(mu)
-        x = mu.atoms[:, 0]
-        # The median atom carries eta rightward mass, and an appended row
-        # carries its 1/2 - cdf_left leftward mass, which is 0 when the mass
-        # left of B exceeds 1/2 by roundoff (below CDF_TOL); zero parts are
-        # dropped by canonicalization.
-        pos = np.append(x, md.B)[:, None]
-        vel = np.append(np.where(x < md.B, -1.0, 1.0), -1.0)[:, None]
-        left = max(0.5 - md.cdf_left_of_B, 0.0)
-        w = np.append(np.where(x == md.B, md.eta, mu.weights), left)
+        i = int(np.searchsorted(mu.atoms[:, 0], md.B))
+        # The median atom B = x_i is repeated: row i carries its
+        # 1/2 - cdf_left leftward mass, which is 0 when the mass left of B
+        # exceeds 1/2 by roundoff (below CDF_TOL), and row i + 1 its eta
+        # rightward mass; zero parts are dropped by canonicalization.  The
+        # rows come out in canonical order, so canonicalization neither
+        # sorts nor groups them.
+        count = np.ones(mu.natoms, dtype=np.intp)
+        count[i] = 2
+        pos = np.repeat(mu.atoms, count, axis=0)
+        vel = np.where(np.arange(mu.natoms + 1) > i, 1.0, -1.0)[:, None]
+        w = np.repeat(mu.weights, count)
+        w[i] = max(0.5 - md.cdf_left_of_B, 0.0)
+        w[i + 1] = md.eta
         return LiftedMeasure(pos, vel, w)
 
     if isinstance(spec, CustomPvf):

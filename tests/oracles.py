@@ -136,6 +136,17 @@ def greedy_groups(pts: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
     return gid, reps
 
 
+def in_canonical_order(pts, tol: float) -> bool:
+    """Whether each row exceeds its predecessor by more than ``tol`` in the
+    first coordinate where the two differ (equal rows fail), row by row."""
+    rows = [[float(x) for x in row] for row in pts]
+    for a, b in zip(rows, rows[1:]):
+        gap = next((y - x for x, y in zip(a, b) if x != y), 0.0)
+        if not gap > tol:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # transport references
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
+import oracles
 from mdelab import make_lifted, make_measure
 
 # Plain coordinates for generic properties.
@@ -57,6 +58,38 @@ def near_tie_rows(draw, widths=(1, 2, 4, 11), tol: float = 1e-12, max_rows: int 
         rows.append(row)
     pts = np.array(rows, dtype=float)
     return np.ascontiguousarray(pts[np.lexsort(pts.T[::-1])])
+
+
+@st.composite
+def canonical_rows(draw, tol: float = 1e-12, max_rows: int = 12):
+    """Rows already in canonical order at ``tol``, weights, and a shuffle.
+
+    Coordinates are -0.0 or a base value plus or minus an offset from
+    {0, tol - 1 ulp, tol, tol + 1 ulp, 2 tol}, in 1 to 3 columns.  The
+    drawn rows are sorted, and a row is kept only when it exceeds the last
+    kept row by more than ``tol`` in the first coordinate where they
+    differ.  Weights mix zeros, a sub-floor 1e-18 and ordinary weights,
+    with at least one ordinary.  The shuffle is never the identity on two
+    or more rows.  Returns (rows, weights, permutation).
+    """
+    d = draw(st.integers(1, 3))
+    offsets = [0.0, np.nextafter(tol, 0.0), tol, np.nextafter(tol, np.inf), 2.0 * tol]
+    pool = [b + s * o for b in (0.0, -0.5, 1.0) for s in (-1.0, 1.0) for o in offsets]
+    value = st.sampled_from(pool + [-0.0])
+    n = draw(st.integers(1, max_rows))
+    rows = sorted(tuple(draw(value) for _ in range(d)) for _ in range(n))
+    kept = [rows[0]]
+    for row in rows[1:]:
+        if oracles.in_canonical_order([kept[-1], row], tol):
+            kept.append(row)
+    n = len(kept)
+    weight = st.sampled_from([0.0, 1e-18]) | positive_weight
+    w = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    w[draw(st.integers(0, n - 1))] = draw(positive_weight)
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+    if n > 1 and (perm == np.arange(n)).all():
+        perm = perm[::-1]
+    return np.array(kept, dtype=float), w, perm
 
 
 @st.composite

@@ -1,3 +1,6 @@
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -249,8 +252,13 @@ def with_examples(tol):
     return decorate
 
 
+# a near-tie in column 1 between rows that differ first in column 0
+SEPARATED_HEADS = np.array([[0.0, 0.0], [0.0, 5.0], [1.0, 5.0 + 1e-13]])
+
+
 @given(sts.near_tie_rows(tol=MERGE_TOL))
 @with_examples(MERGE_TOL)
+@example(SEPARATED_HEADS)
 def test_group_rows_matches_greedy_scan(pts):
     assert_same_groups(pts, MERGE_TOL)
 
@@ -372,3 +380,92 @@ def test_binomial_bundle_sends_few_rows_to_the_scan(monkeypatch):
     seen.update(grouped=0, scanned=0)
     DiscreteMeasure(ens.knots[:, -1, :], ens.weights)
     assert 0 < seen["scanned"] < seen["grouped"] / 10
+
+
+def test_separated_heads_take_the_runs_route(monkeypatch):
+    def no_scan(rows, tol):
+        raise AssertionError("near-tie scan ran on rows whose first gaps exceed tol")
+
+    monkeypatch.setattr(measures, "_first_match_scan", no_scan)
+    assert len(assert_same_groups(SEPARATED_HEADS, MERGE_TOL)) == 3
+
+
+# ---------------------------------------------------------------------------
+# rows that arrive in canonical order skip the sort
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def counted_sorts():
+    """Record the row count of every sort ``canonical_support`` makes."""
+    sorts = []
+    lex_perm = measures._lex_perm
+
+    def counting(rows):
+        sorts.append(rows.shape[0])
+        return lex_perm(rows)
+
+    with mock.patch.object(measures, "_lex_perm", counting):
+        yield sorts
+
+
+def canonical_both_ways(pts, w, perm, tol):
+    """``canonical_support`` of the rows as given and shuffled by ``perm``,
+    with the number of sorts each one made."""
+    with counted_sorts() as sorts:
+        given_order = measures.canonical_support(pts, w, tol)
+        sorted_in_order = len(sorts)
+        shuffled = measures.canonical_support(pts[perm], w[perm], tol)
+    return given_order, shuffled, sorted_in_order, len(sorts) - sorted_in_order
+
+
+def gap_examples(tol):
+    """Two rows whose first difference is tol - 1 ulp, tol or tol + 1 ulp,
+    in column 0 and in a later column, with weights and the swap."""
+    def decorate(test):
+        one, swap = np.ones(2), np.array([1, 0])
+        for gap in (np.nextafter(tol, 0.0), tol, np.nextafter(tol, np.inf)):
+            test = example((np.array([[0.0], [gap]]), one, swap))(test)
+            test = example((np.array([[-0.0, 1.0], [gap, 0.0]]), one, swap))(test)
+            test = example((np.array([[0.0, 0.0, 1.0], [0.0, gap, 0.0]]), one, swap))(test)
+        return test
+    return decorate
+
+
+def check_routes_agree(case, tol):
+    pts, w, perm = case
+    (atoms, mass), (atoms2, mass2), sorts, sorts2 = canonical_both_ways(pts, w, perm, tol)
+    assert sorts == (0 if oracles.in_canonical_order(pts, tol) else 1)
+    assert sorts2 == (1 if pts.shape[0] > 1 else 0)
+    assert np.array_equal(atoms, atoms2)
+    assert np.array_equal(mass, mass2)
+    assert not np.signbit(atoms[atoms == 0.0]).any()
+
+
+@given(sts.canonical_rows(tol=MERGE_TOL))
+@gap_examples(MERGE_TOL)
+def test_canonical_rows_skip_the_sort_with_the_same_result(case):
+    check_routes_agree(case, MERGE_TOL)
+
+
+@given(sts.canonical_rows(tol=1e-6))
+@gap_examples(1e-6)
+def test_canonical_rows_skip_the_sort_with_the_same_result_at_coalesce_tol(case):
+    check_routes_agree(case, 1e-6)
+
+
+def test_canonical_route_ignores_overflow_in_input_order():
+    # -1e308 to 1e308 overflows; the sorted neighbours are 1e308 apart
+    with np.errstate(over="raise"):
+        atoms, weights = measures.canonical_support([-1e308, 1e308, 0.0], np.ones(3))
+    assert atoms[:, 0].tolist() == [-1e308, 0.0, 1e308]
+    assert np.all(weights == 1.0 / 3.0)
+
+
+def test_splitting_run_and_its_residual_sort_nothing():
+    from mdelab import GridSpec, SchemeConfig, SplittingParticlePvf, residual, run_scheme
+
+    spec, mu0 = SplittingParticlePvf(), quantile_uniform(0.0, 1.0, 256)
+    with counted_sorts() as sorts:
+        path = run_scheme(spec, mu0, SchemeConfig(scheme="lagrangian", grid=GridSpec(T=1.0, N=16)))
+        residual(path, spec)
+    assert sorts == []
