@@ -18,28 +18,37 @@ and downstream grouping are deterministic:
 
 Merging follows one rule, the greedy first-match scan in lexicographic
 order: a row joins the first earlier group representative within the
-tolerance in every coordinate, or opens a group.  Three routes compute it,
-chosen from the data, and each gives exactly the scan's result.
+tolerance in every coordinate, or opens a group.  ``canonical_support``
+first validates the input with four whole-array reductions (the least and
+greatest coordinate and weight; NaN propagates through both) and runs the
+per-check tests, in their fixed order, only when that joint test fails.
+It then reads each pair of consecutive rows' first gap (``_first_gaps``)
+once, and picks one of three routes from them.  Each gives exactly the
+scan's result.
 
 * *Already canonical.*  If each row exceeds its predecessor by more than
   the tolerance in the first coordinate where the two differ, the rows are
   sorted and pairwise farther apart than the tolerance, so every row is a
   group of its own: nothing is sorted or grouped.  Lifts and nodes built
   from canonical data by order-preserving maps usually arrive like this.
-* *Runs of equal rows.*  Otherwise the rows are sorted.  If the same test
-  holds between consecutive distinct rows, the groups are the runs of
-  equal consecutive rows, found in one vectorized pass.
+* *Runs of equal rows.*  If the rows are sorted and every nonzero first
+  gap exceeds the tolerance, the only ties are exact, and the groups are
+  the runs of equal consecutive rows.  Sorted input needs no sort; other
+  input is sorted first and, if the same test holds, grouped the same way.
 * *Near-ties.*  Otherwise the scan runs over the distinct rows that share
   a chain of near-ties with another row in every column, and each is
   compared against all its candidate representatives in one array
   operation.
 
-``canonical_support`` takes the first route; ``_group_rows`` the other two.
+``canonical_support`` takes the first route and the runs route on sorted
+input; ``_group_rows`` the other two on the sorted rows.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -70,19 +79,30 @@ def _lex_perm(pts: np.ndarray) -> np.ndarray:
     return np.lexsort(pts.T[::-1])
 
 
-def _first_gaps(pts: np.ndarray) -> np.ndarray:
+def _first_gaps(pts: np.ndarray, wide: bool = True) -> np.ndarray:
     """For each pair of consecutive rows, the difference in the first
     coordinate where they differ; 0 for equal rows.
 
     Rows in input order may be far apart, so a difference may overflow;
     read as +-inf it still orders and compares with ``tol`` correctly.
+    The overflow warning is silenced unless ``wide`` is False, which the
+    caller passes when no difference can overflow.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore") if wide else nullcontext():
         diff = pts[1:] - pts[:-1]
     gaps = diff[:, -1]
     for j in range(pts.shape[1] - 2, -1, -1):
         gaps = np.where(diff[:, j] != 0, diff[:, j], gaps)
     return gaps
+
+
+def _runs(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run id per row and the first row of each run, for runs of equal
+    consecutive rows (a first gap of 0 continues a run)."""
+    head = np.empty(gaps.shape[0] + 1, dtype=bool)
+    head[0] = True
+    head[1:] = gaps != 0
+    return head.cumsum(dtype=np.intp) - 1, head.nonzero()[0]
 
 
 def _group_rows(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -110,12 +130,8 @@ def _group_rows(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     Returns (group id per row, representative row indices in group order).
     """
     gaps = _first_gaps(pts)
-    head = np.empty(pts.shape[0], dtype=bool)
-    head[0] = True
-    head[1:] = gaps != 0
-    run = head.cumsum(dtype=np.intp) - 1
-    heads = head.nonzero()[0]
-    if not (gaps[head[1:]] <= tol).any():
+    run, heads = _runs(gaps)
+    if not (gaps[gaps != 0] <= tol).any():
         return run, heads
     rows = pts[heads]
     sub = _shared_chains(rows, tol).nonzero()[0]
@@ -199,7 +215,10 @@ def canonical_support(points, weights, tol: float = MERGE_TOL) -> tuple[np.ndarr
     subtraction is monotone, so x_k[j] - x_i[j] >= x_{m+1}[j] - x_m[j] >
     ``tol`` as computed.  So the scan makes every row its own group, and
     the grouping would give ``0.0 + w = w``: the result is exactly that of
-    the sorted route.
+    the sorted route.  Rows whose first gaps are each 0 or above ``tol``
+    are sorted too, and the stable sort would keep them in place; the
+    same argument applies to the first rows of their runs of equal rows,
+    so the groups are the runs, as ``_group_rows`` would find them.
 
     Raises EmptyInputError when there are no atoms, NegativeWeightError for
     a negative weight, ValueError for shape mismatches or non-finite data.
@@ -210,32 +229,44 @@ def canonical_support(points, weights, tol: float = MERGE_TOL) -> tuple[np.ndarr
         raise EmptyInputError("a measure needs at least one atom")
     if pts.shape[0] != w.shape[0]:
         raise ValueError(f"{pts.shape[0]} atoms but {w.shape[0]} weights")
-    if not np.isfinite(pts).all():
-        raise ValueError("atom coordinates must be finite")
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite")
-    if (w < 0).any():
-        raise NegativeWeightError(f"negative weight {w.min()!r}")
+    lo = float(np.minimum.reduce(pts, axis=None, initial=math.inf))
+    hi = float(np.maximum.reduce(pts, axis=None, initial=-math.inf))
+    if not (-math.inf < lo and hi < math.inf
+            and 0.0 <= float(np.minimum.reduce(w)) and float(np.maximum.reduce(w)) < math.inf):
+        # NaN fails every comparison; name the first failed check
+        if not np.isfinite(pts).all():
+            raise ValueError("atom coordinates must be finite")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
+        if (w < 0).any():
+            raise NegativeWeightError(f"negative weight {w.min()!r}")
 
     pts = pts + 0.0  # normalize -0.0 to +0.0 so sorting and dumps are stable
-    if (_first_gaps(pts) > max(tol, 0.0)).all():  # a negative tol still merges equal rows
+    # |x - y| <= hi - lo for any two coordinates, so if that is finite no
+    # difference overflows
+    gaps = _first_gaps(pts, wide=not math.isfinite(hi - lo))
+    floor = max(tol, 0.0)  # a negative tol still merges equal rows
+    if np.minimum.reduce(gaps, initial=math.inf) > floor:
         atoms, mass = pts, w.copy()
     else:
-        perm = _lex_perm(pts)
-        pts = np.ascontiguousarray(pts[perm])
-        w = w[perm]
-        gid, reps = _group_rows(pts, tol)
+        if (gaps[gaps != 0] > floor).all():  # sorted, and every tie is exact
+            gid, reps = _runs(gaps)
+        else:
+            perm = _lex_perm(pts)
+            pts = np.ascontiguousarray(pts[perm])
+            w = w[perm]
+            gid, reps = _group_rows(pts, tol)
         atoms = pts[reps]
         mass = np.bincount(gid, weights=w, minlength=len(reps))
 
-    total = float(mass.sum())
+    total = float(np.add.reduce(mass))
     if total <= 0.0:
         raise ValueError("total mass must be positive")
     if abs(total - 1.0) > UNIT_MASS_TOL:
         mass = mass / total
 
-    keep = mass >= WEIGHT_FLOOR
-    if not keep.all():
+    if not np.minimum.reduce(mass) >= WEIGHT_FLOOR:  # NaN (an overflowing total) drops too
+        keep = mass >= WEIGHT_FLOOR
         atoms = atoms[keep]
         mass = mass[keep]
         if atoms.shape[0] == 0:
@@ -360,7 +391,7 @@ class LiftedMeasure:
             raise ValueError(
                 f"positions {pos.shape} and velocities {vel.shape} must have the same shape"
             )
-        joint = np.hstack([pos, vel])
+        joint = np.concatenate((pos, vel), axis=1)
         joint, weights = canonical_support(joint, self.weights)
         d = pos.shape[1]
         pos = np.ascontiguousarray(joint[:, :d])

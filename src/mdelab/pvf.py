@@ -72,12 +72,14 @@ class MedianData:
     """Weighted-median bookkeeping for a 1-D measure.
 
     ``B`` is the smallest atom whose CDF strictly exceeds 1/2 (up to
-    CDF_TOL), ``eta = F(B) - 1/2`` the overshoot, ``mass_at_B`` the weight
-    sitting on B, and ``cdf_left_of_B = F(B) - mass_at_B`` the mass strictly
-    left of B, exactly rounded when it lies within CDF_TOL of 1/2.  These
-    satisfy mass_at_B = eta + 1/2 - cdf_left_of_B.
+    CDF_TOL) and ``index`` its row in the measure's atoms, ``eta = F(B) -
+    1/2`` the overshoot, ``mass_at_B`` the weight sitting on B, and
+    ``cdf_left_of_B = F(B) - mass_at_B`` the mass strictly left of B,
+    exactly rounded when it lies within CDF_TOL of 1/2.  These satisfy
+    mass_at_B = eta + 1/2 - cdf_left_of_B.
     """
 
+    index: int
     B: float
     eta: float
     mass_at_B: float
@@ -107,7 +109,7 @@ def median_data(mu: DiscreteMeasure) -> MedianData:
         # at every step, where the fsum would cost a few percent of the run.
         left = math.fsum(mu.weights[:idx].tolist())
         eta = mass - (0.5 - left)
-    return MedianData(B=B, eta=eta, mass_at_B=mass, cdf_left_of_B=left)
+    return MedianData(index=idx, B=B, eta=eta, mass_at_B=mass, cdf_left_of_B=left)
 
 
 def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
@@ -138,20 +140,21 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
         if mu.dim != 1:
             raise DimMismatchError("the splitting rule needs a 1-D measure")
         md = median_data(mu)
-        i = int(np.searchsorted(mu.atoms[:, 0], md.B))
-        # The median atom B = x_i is repeated: row i carries its
-        # 1/2 - cdf_left leftward mass, which is 0 when the mass left of B
-        # exceeds 1/2 by roundoff (below CDF_TOL), and row i + 1 its eta
-        # rightward mass; zero parts are dropped by canonicalization.  The
-        # rows come out in canonical order, so canonicalization neither
-        # sorts nor groups them.
+        i, left = md.index, max(0.5 - md.cdf_left_of_B, 0.0)
+        # The median atom B = x_i splits into row i, its 1/2 - cdf_left
+        # leftward mass, and row i + 1, its eta rightward mass.  When the
+        # mass left of B reaches 1/2 (or exceeds it by roundoff below
+        # CDF_TOL) the leftward part is 0, and B moves right whole in one
+        # row (s = 0).  The rows come out in canonical order, so
+        # canonicalization neither sorts nor groups them.
+        s = int(left > 0.0)
         count = np.ones(mu.natoms, dtype=np.intp)
-        count[i] = 2
+        count[i] += s
         pos = np.repeat(mu.atoms, count, axis=0)
-        vel = np.where(np.arange(mu.natoms + 1) > i, 1.0, -1.0)[:, None]
+        vel = np.where(np.arange(mu.natoms + s) >= i + s, 1.0, -1.0)[:, None]
         w = np.repeat(mu.weights, count)
-        w[i] = max(0.5 - md.cdf_left_of_B, 0.0)
-        w[i + 1] = md.eta
+        w[i] = left
+        w[i + s] = md.eta
         return LiftedMeasure(pos, vel, w)
 
     if isinstance(spec, CustomPvf):
@@ -174,8 +177,8 @@ def lift_size_bound(spec: PvfSpec, mu: DiscreteMeasure) -> Optional[int]:
     """Atoms ``eval_pvf(spec, mu)`` builds before canonicalization, or None.
 
     A graph field lifts n atoms, a constant fiber of m atoms n m, and the
-    splitting rule n + 1 (the median atom splits in two).  A custom rule's
-    size is unknown until it runs.
+    splitting rule at most n + 1 (the median atom may split in two).  A
+    custom rule's size is unknown until it runs.
     """
     if isinstance(spec, GraphPvf):
         return mu.natoms

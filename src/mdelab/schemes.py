@@ -214,9 +214,10 @@ def _lift(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig) -> LiftedMeasur
 
 
 def _prune(mu: DiscreteMeasure, floor: float) -> tuple[DiscreteMeasure, float]:
-    drop = mu.weights < floor  # weights are positive, so a zero floor drops nothing
-    if not drop.any():
+    # weights are positive, so a zero floor drops nothing
+    if np.minimum.reduce(mu.weights) >= floor:
         return mu, 0.0
+    drop = mu.weights < floor
     lost = float(mu.weights[drop].sum())
     return DiscreteMeasure(mu.atoms[~drop], mu.weights[~drop]), lost
 

@@ -305,9 +305,22 @@ def w1_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, method: str = "auto") 
 
 
 def w1_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[TransportPlan, float]:
-    """An optimal coupling for the Euclidean Wasserstein-1 problem."""
+    """An optimal coupling for the Euclidean Wasserstein-1 problem.
+
+    On the line the atoms are sorted, so the north-west corner of the
+    weights is the monotone coupling, which is optimal; it is built
+    directly in O(m + n) cells.  Elsewhere the simplex solves the LP.
+    """
     if mu.dim != nu.dim:
         raise DimMismatchError(f"dim {mu.dim} vs {nu.dim}")
+    if mu.dim == 1:
+        cells = _north_west(mu.weights.tolist(), nu.weights.tolist())
+        i, j = np.array(list(cells), dtype=np.intp).T
+        x = np.array(list(cells.values()))
+        plan = np.zeros((mu.natoms, nu.natoms))
+        plan[i, j] = x
+        value = float(np.dot(x, np.abs(mu.atoms[i, 0] - nu.atoms[j, 0])))
+        return TransportPlan(plan), value
     cost = _pairwise_dist(mu.atoms, nu.atoms)
     return lp_solve(cost, mu.weights, nu.weights)
 

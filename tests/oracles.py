@@ -136,15 +136,17 @@ def greedy_groups(pts: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
     return gid, reps
 
 
+def first_gaps(pts) -> list[float]:
+    """For each pair of consecutive rows, the difference in the first
+    coordinate where they differ (0.0 for equal rows), row by row."""
+    rows = [[float(x) for x in row] for row in pts]
+    return [next((y - x for x, y in zip(a, b) if x != y), 0.0) for a, b in zip(rows, rows[1:])]
+
+
 def in_canonical_order(pts, tol: float) -> bool:
     """Whether each row exceeds its predecessor by more than ``tol`` in the
-    first coordinate where the two differ (equal rows fail), row by row."""
-    rows = [[float(x) for x in row] for row in pts]
-    for a, b in zip(rows, rows[1:]):
-        gap = next((y - x for x, y in zip(a, b) if x != y), 0.0)
-        if not gap > tol:
-            return False
-    return True
+    first coordinate where the two differ (equal rows fail)."""
+    return all(gap > tol for gap in first_gaps(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +437,28 @@ def splitting_lift_loop(xs, ws, B, eta, cdf_left):
             vel.extend([1.0, -1.0])
             w.extend([eta, max(0.5 - cdf_left, 0.0)])
     return np.asarray(pos)[:, None], np.asarray(vel)[:, None], np.asarray(w)
+
+
+def splitting_lift_rows(atoms, weights, B, eta, cdf_left):
+    """The splitting rule's raw lift in n + 1 rows, built whole-array.
+
+    The median atom B (found by ``np.searchsorted``) is always repeated:
+    row i carries its max(1/2 - ``cdf_left``, 0) leftward mass and row
+    i + 1 its ``eta`` rightward mass, and the weight floor of the canonical
+    form drops a zero row.  ``eval_pvf`` builds no zero row; the two must
+    give the same canonical lift.  Returns (positions, velocities, weights)
+    before canonicalization.
+    """
+    n = len(weights)
+    i = int(np.searchsorted(atoms[:, 0], B))
+    count = np.ones(n, dtype=np.intp)
+    count[i] = 2
+    pos = np.repeat(atoms, count, axis=0)
+    vel = np.where(np.arange(n + 1) > i, 1.0, -1.0)[:, None]
+    w = np.repeat(weights, count)
+    w[i] = max(0.5 - cdf_left, 0.0)
+    w[i + 1] = eta
+    return pos, vel, w
 
 
 def glue_loop(head_knots, head_weights, h_at, tail_velocities, tail_weights, t_at,

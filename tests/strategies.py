@@ -60,22 +60,35 @@ def near_tie_rows(draw, widths=(1, 2, 4, 11), tol: float = 1e-12, max_rows: int 
     return np.ascontiguousarray(pts[np.lexsort(pts.T[::-1])])
 
 
+def near_tol_values(tol: float):
+    """-0.0, or one of 0, -0.5 and 1 plus or minus an offset from
+    {0, tol - 1 ulp, tol, tol + 1 ulp, 2 tol}."""
+    offsets = [0.0, np.nextafter(tol, 0.0), tol, np.nextafter(tol, np.inf), 2.0 * tol]
+    pool = [b + s * o for b in (0.0, -0.5, 1.0) for s in (-1.0, 1.0) for o in offsets]
+    return st.sampled_from(pool + [-0.0])
+
+
+def mixed_weights(draw, n: int) -> np.ndarray:
+    """n weights mixing zeros, a sub-floor 1e-18 and ordinary weights, with
+    at least one ordinary."""
+    weight = st.sampled_from([0.0, 1e-18]) | positive_weight
+    w = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    w[draw(st.integers(0, n - 1))] = draw(positive_weight)
+    return w
+
+
 @st.composite
 def canonical_rows(draw, tol: float = 1e-12, max_rows: int = 12):
     """Rows already in canonical order at ``tol``, weights, and a shuffle.
 
-    Coordinates are -0.0 or a base value plus or minus an offset from
-    {0, tol - 1 ulp, tol, tol + 1 ulp, 2 tol}, in 1 to 3 columns.  The
+    Coordinates come from ``near_tol_values``, in 1 to 3 columns.  The
     drawn rows are sorted, and a row is kept only when it exceeds the last
     kept row by more than ``tol`` in the first coordinate where they
-    differ.  Weights mix zeros, a sub-floor 1e-18 and ordinary weights,
-    with at least one ordinary.  The shuffle is never the identity on two
-    or more rows.  Returns (rows, weights, permutation).
+    differ.  Weights come from ``mixed_weights``.  The shuffle is never
+    the identity on two or more rows.  Returns (rows, weights, permutation).
     """
     d = draw(st.integers(1, 3))
-    offsets = [0.0, np.nextafter(tol, 0.0), tol, np.nextafter(tol, np.inf), 2.0 * tol]
-    pool = [b + s * o for b in (0.0, -0.5, 1.0) for s in (-1.0, 1.0) for o in offsets]
-    value = st.sampled_from(pool + [-0.0])
+    value = near_tol_values(tol)
     n = draw(st.integers(1, max_rows))
     rows = sorted(tuple(draw(value) for _ in range(d)) for _ in range(n))
     kept = [rows[0]]
@@ -83,13 +96,41 @@ def canonical_rows(draw, tol: float = 1e-12, max_rows: int = 12):
         if oracles.in_canonical_order([kept[-1], row], tol):
             kept.append(row)
     n = len(kept)
-    weight = st.sampled_from([0.0, 1e-18]) | positive_weight
-    w = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
-    w[draw(st.integers(0, n - 1))] = draw(positive_weight)
+    w = mixed_weights(draw, n)
     perm = np.array(draw(st.permutations(range(n))), dtype=np.intp)
     if n > 1 and (perm == np.arange(n)).all():
         perm = perm[::-1]
     return np.array(kept, dtype=float), w, perm
+
+
+@st.composite
+def sorted_rows_with_ties(draw, tol: float = 1e-12, max_rows: int = 12):
+    """Sorted rows with exact duplicates, weights, and a shuffle.
+
+    Coordinates come from ``near_tol_values``, in 1 to 3 columns, so
+    consecutive distinct rows differ first by tol - 1 ulp, tol, tol + 1
+    ulp or more, and -0.0 stands beside 0.0.  The drawn rows are sorted
+    and each is repeated one to three times in place.  Weights come from
+    ``mixed_weights``.  The shuffle keeps equal rows (-0.0 equals 0.0) in
+    their order: a group's mass is summed in row order, so reordering its
+    equal rows could change the last bit.  It may be the identity.
+    Returns (rows, weights, permutation).
+    """
+    d = draw(st.integers(1, 3))
+    value = near_tol_values(tol)
+    n = draw(st.integers(1, max_rows))
+    rows = sorted(tuple(draw(value) for _ in range(d)) for _ in range(n))
+    reps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    rows = [row for row, k in zip(rows, reps) for _ in range(k)]
+    n = len(rows)
+    w = mixed_weights(draw, n)
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+    classes: dict = {}
+    label = np.array([classes.setdefault(row, len(classes)) for row in rows])
+    for c in range(len(classes)):
+        at = np.flatnonzero(label[perm] == c)
+        perm[at] = np.sort(perm[at])
+    return np.array(rows, dtype=float), w, perm
 
 
 @st.composite

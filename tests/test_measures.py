@@ -453,6 +453,41 @@ def test_canonical_rows_skip_the_sort_with_the_same_result_at_coalesce_tol(case)
     check_routes_agree(case, 1e-6)
 
 
+def tie_examples(tol):
+    """Sorted rows with an exact tie (-0.0 beside 0.0) followed by a row
+    tol - 1 ulp, tol or tol + 1 ulp away, in column 0 and in a later
+    column, with a sub-floor weight on the tie and a shuffle that keeps the
+    tied rows in order."""
+    def decorate(test):
+        w, perm = np.array([1.0, 1e-18, 0.5]), np.array([2, 0, 1])
+        for gap in (np.nextafter(tol, 0.0), tol, np.nextafter(tol, np.inf)):
+            test = example((np.array([[0.0], [-0.0], [gap]]), w, perm))(test)
+            test = example((np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0 + gap]]), w, perm))(test)
+        return test
+    return decorate
+
+
+def check_sorted_rows_with_ties(case, tol):
+    pts, w, perm = case
+    (atoms, mass), (atoms2, mass2), sorts, _ = canonical_both_ways(pts, w, perm, tol)
+    exact_ties = all(gap == 0.0 or gap > tol for gap in oracles.first_gaps(pts))
+    assert sorts == (0 if exact_ties else 1)
+    assert atoms.shape == atoms2.shape and atoms.tobytes() == atoms2.tobytes()
+    assert mass.tobytes() == mass2.tobytes()
+
+
+@given(sts.sorted_rows_with_ties(tol=MERGE_TOL))
+@tie_examples(MERGE_TOL)
+def test_sorted_rows_with_exact_ties_skip_the_sort_with_the_same_result(case):
+    check_sorted_rows_with_ties(case, MERGE_TOL)
+
+
+@given(sts.sorted_rows_with_ties(tol=1e-6))
+@tie_examples(1e-6)
+def test_sorted_rows_with_exact_ties_skip_the_sort_at_coalesce_tol(case):
+    check_sorted_rows_with_ties(case, 1e-6)
+
+
 def test_canonical_route_ignores_overflow_in_input_order():
     # -1e308 to 1e308 overflows; the sorted neighbours are 1e308 apart
     with np.errstate(over="raise"):
@@ -469,3 +504,64 @@ def test_splitting_run_and_its_residual_sort_nothing():
         path = run_scheme(spec, mu0, SchemeConfig(scheme="lagrangian", grid=GridSpec(T=1.0, N=16)))
         residual(path, spec)
     assert sorts == []
+
+
+def test_builtins_sort_at_most_twice(tmp_path):
+    import dataclasses
+
+    from mdelab import get_scenario, list_scenarios, run_scenario
+
+    with counted_sorts() as sorts:
+        for name, _ in list_scenarios():
+            scn = get_scenario(name)
+            run_scenario(dataclasses.replace(scn, outputs=str(tmp_path / name)))
+    assert len(sorts) <= 2
+
+
+# ---------------------------------------------------------------------------
+# validation: four reductions, then the per-check tests in their order
+# ---------------------------------------------------------------------------
+
+NAN, INF = np.nan, np.inf
+
+
+@pytest.mark.parametrize("mode", ["plain", "raise"])
+@pytest.mark.parametrize(
+    "points, weights, error, message",
+    [
+        ([[0.0], [NAN]], [1.0, 1.0], ValueError, "atom coordinates must be finite"),
+        ([[INF], [0.0]], [1.0, 1.0], ValueError, "atom coordinates must be finite"),
+        ([[0.0, -INF]], [1.0], ValueError, "atom coordinates must be finite"),
+        ([[0.0], [1.0]], [NAN, 1.0], ValueError, "weights must be finite"),
+        ([[0.0], [1.0]], [1.0, INF], ValueError, "weights must be finite"),
+        ([[0.0], [1.0]], [1.0, -INF], ValueError, "weights must be finite"),
+        ([[0.0], [1.0]], [1.0, -0.5], NegativeWeightError, "negative weight np.float64(-0.5)"),
+        ([[0.0], [1.0], [2.0]], [-2.0, 1.0, -0.5], NegativeWeightError,
+         "negative weight np.float64(-2.0)"),
+        # combinations: coordinates are checked first, then finiteness, then sign
+        ([[NAN], [1.0]], [1.0, -1.0], ValueError, "atom coordinates must be finite"),
+        ([[0.0], [-INF]], [NAN, 1.0], ValueError, "atom coordinates must be finite"),
+        ([[0.0], [1.0]], [-1.0, NAN], ValueError, "weights must be finite"),
+        ([[0.0], [1.0]], [-1.0, INF], ValueError, "weights must be finite"),
+        (np.zeros((0, 1)), [], EmptyInputError, "a measure needs at least one atom"),
+        ([], [1.0], EmptyInputError, "a measure needs at least one atom"),
+        ([[0.0], [1.0]], [1.0], ValueError, "2 atoms but 1 weights"),
+        ([[NAN]], [1.0, 2.0], ValueError, "1 atoms but 2 weights"),
+        (np.zeros((1, 1, 1)), [1.0], ValueError,
+         "points must be a 1-D or 2-D array, got shape (1, 1, 1)"),
+        ([[0.0], [1.0]], [0.0, 0.0], ValueError, "total mass must be positive"),
+    ],
+)
+def test_validation_errors_keep_their_class_message_and_order(points, weights, error, message, mode):
+    with np.errstate(all="raise") if mode == "raise" else np.errstate():
+        with pytest.raises(error) as info:
+            measures.canonical_support(points, weights)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("mode", ["plain", "raise"])
+def test_validation_accepts_a_negative_zero_weight(mode):
+    with np.errstate(all="raise") if mode == "raise" else np.errstate():
+        atoms, weights = measures.canonical_support([[0.0], [1.0]], [-0.0, 1.0])
+    assert atoms.tolist() == [[1.0]] and weights.tolist() == [1.0]

@@ -85,6 +85,7 @@ def test_median_data_internal_consistency(mu):
     assert md.eta >= -1e-12
     assert md.cdf_left_of_B <= 0.5 + 1e-12
     assert md.B in mu.atoms[:, 0]
+    assert mu.atoms[md.index, 0] == md.B
 
 
 @given(sts.measures(max_atoms=7), st.sampled_from([1.25, 2.0, 3.0]))
@@ -238,3 +239,43 @@ def test_splitting_lift_matches_loop_reference(mu):
         mu.atoms[:, 0], mu.weights, md.B, md.eta, md.cdf_left_of_B
     )
     assert eval_pvf(SPLIT, mu) == make_lifted(pos, vel, w)
+
+
+def test_torn_block_lagrangian_step_builds_n_lift_rows(monkeypatch):
+    """A uniform block of 256 atoms tears with exactly half its mass left of
+    the median atom at every step, so B moves right whole: the lift has n
+    rows, not the n + 1 of the construction kept in ``oracles``, and the
+    lift and the next node are bit-identical to what that one gives."""
+    from mdelab import GridSpec, SchemeConfig, measures, quantile_uniform, schemes
+
+    cfg = SchemeConfig(scheme="lagrangian", grid=GridSpec(T=1.0, N=16))
+    rows = []
+    canonical_support = measures.canonical_support
+
+    def counting(points, weights, tol=measures.MERGE_TOL):
+        rows.append(len(weights))
+        return canonical_support(points, weights, tol)
+
+    monkeypatch.setattr(measures, "canonical_support", counting)
+    mu = quantile_uniform(0.0, 1.0, 256)
+    for _ in range(cfg.grid.N):
+        md = median_data(mu)
+        assert md.cdf_left_of_B == 0.5
+        rows.clear()
+        lifted, nxt, _ = schemes._lagrangian_step(SPLIT, mu, cfg)
+        assert rows == [mu.natoms, mu.natoms]  # the lift, then the next node
+        pos, vel, w = oracles.splitting_lift_rows(
+            mu.atoms, mu.weights, md.B, md.eta, md.cdf_left_of_B
+        )
+        assert len(w) == mu.natoms + 1
+        old = make_lifted(pos, vel, w)
+        old_next = make_measure(old.positions + cfg.grid.dt * old.velocities, old.weights)
+        for a, b in [
+            (lifted.positions, old.positions),
+            (lifted.velocities, old.velocities),
+            (lifted.weights, old.weights),
+            (nxt.atoms, old_next.atoms),
+            (nxt.weights, old_next.weights),
+        ]:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        mu = nxt

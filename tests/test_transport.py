@@ -281,6 +281,20 @@ def test_w1_plan_1d_is_the_monotone_coupling(mu, nu):
     assert value == pytest.approx(w1_distance(mu, nu, method="quantile"), abs=1e-10)
 
 
+def test_w1_plan_1d_is_the_north_west_corner_without_the_simplex(monkeypatch):
+    def no_simplex(*args, **kwargs):
+        raise AssertionError("the simplex ran on the line")
+
+    monkeypatch.setattr(transport, "_simplex", no_simplex)
+    rng = np.random.default_rng(61)
+    mu, nu = (m1(rng.uniform(-1.0, 1.0, k), rng.uniform(0.5, 1.5, k)) for k in (200, 300))
+    plan, value = w1_plan(mu, nu)
+    assert np.count_nonzero(plan.mass) <= mu.natoms + nu.natoms - 1
+    assert np.allclose(plan.mass, oracles.monotone_coupling(mu.weights, nu.weights),
+                       rtol=0.0, atol=1e-12)
+    assert value == pytest.approx(w1_distance(mu, nu, method="quantile"), abs=1e-12)
+
+
 def test_w1_2d_200_atoms_against_scipy():
     rng = np.random.default_rng(37)
     mu, nu = (
