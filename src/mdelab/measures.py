@@ -64,12 +64,14 @@ from .tolerances import AGREE_TOL, MERGE_TOL, UNIT_MASS_TOL, WEIGHT_FLOOR
 # ---------------------------------------------------------------------------
 
 def _as_points(points) -> np.ndarray:
-    """Coerce input to a (n, d) float array; 1-D input is read as n points in R^1."""
+    """Coerce input to a (n, d) float array, d >= 1; 1-D input is read as n points in R^1."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2:
         raise ValueError(f"points must be a 1-D or 2-D array, got shape {pts.shape}")
+    if pts.shape[1] == 0:
+        raise ValueError(f"points need at least one coordinate, got shape {pts.shape}")
     return pts
 
 

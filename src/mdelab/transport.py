@@ -9,19 +9,24 @@ vanish for distinct lifted measures.
 
 All couplings are computed by one transportation (network) simplex on
 the m x n cost matrix, with no external solver: the basis is a spanning
-tree of m + n - 1 cells, started at the north-west corner and kept
-strongly feasible against degeneracy (Cunningham 1976; Peyre & Cuturi,
-Computational Optimal Transport, ch. 3).  As in network simplex codes, a
-pivot updates parents, depths and duals only on the subtree that moves,
-and the entering cell is found by block-search pricing, the default rule
-of the LEMON network simplex (Kovacs 2015, "Minimum-cost flow algorithms:
-an experimental evaluation").  On the line the Wasserstein
-distance is instead integrated exactly from the CDF difference, which
-doubles as an independent cross-check of the simplex in the test suite.
+tree of m + n - 1 cells, kept strongly feasible against degeneracy
+(Cunningham 1976; Peyre & Cuturi, Computational Optimal Transport,
+ch. 3).  A cold solve prices the north-west corner first, which is
+optimal on the line, and otherwise starts from the least-cost
+(matrix-minimum) basis when that has no zero-mass cell and costs less;
+on 2-D data that roughly halves the pivots.  As in network simplex
+codes, a pivot updates parents, depths and duals only on the subtree
+that moves, and the entering cell is found by block-search pricing, the
+default rule of the LEMON network simplex (Kovacs 2015, "Minimum-cost
+flow algorithms: an experimental evaluation").  On the line the
+Wasserstein distance is instead integrated exactly from the CDF
+difference, which doubles as an independent cross-check of the simplex
+in the test suite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -48,6 +53,8 @@ class TransportPlan:
 
     def __post_init__(self):
         m = np.asarray(self.mass, dtype=float)
+        if not np.isfinite(m).all():
+            raise ValueError("plan mass must be finite")
         if m.ndim != 2:
             raise ValueError("plan mass must be a 2-D matrix")
         if np.any(m < -PLAN_NEG_TOL):
@@ -105,6 +112,39 @@ def _north_west(a: list[float], b: list[float]) -> dict[tuple[int, int], float]:
             rb = b[j]
 
 
+def _least_cost(C: np.ndarray, a, b) -> dict[tuple[int, int], float]:
+    """Least-cost basis: m + n - 1 cells and their masses.
+
+    Cells are taken in increasing cost order, ties row-major.  A cell whose
+    row and column are both open gets the smaller of what they have left
+    and closes one of them, the row when it runs out first or together
+    (unless it is the last open row), as in ``_north_west``.  No later cell
+    lies on a closed line, so the cells form a spanning tree.  A row and a
+    column that run out together leave a zero-mass cell to come.
+    """
+    m, n = C.shape
+    ra, rb = list(a), list(b)
+    row_open, col_open = [True] * m, [True] * n
+    rows_left, cols_left = m, n
+    flow = {}
+    order = np.argsort(C, axis=None, kind="stable")
+    for i, j in zip((order // n).tolist(), (order % n).tolist()):
+        if not (row_open[i] and col_open[j]):
+            continue
+        x = min(ra[i], rb[j])
+        flow[i, j] = x
+        ra[i], rb[j] = ra[i] - x, rb[j] - x
+        if rows_left == cols_left == 1:
+            break
+        if cols_left == 1 or (rows_left > 1 and ra[i] <= rb[j]):
+            row_open[i] = False
+            rows_left -= 1
+        else:
+            col_open[j] = False
+            cols_left -= 1
+    return flow
+
+
 _BLOCK_CELLS = 4096  # pricing visits whole rows, at least this many cells at once
 
 
@@ -125,19 +165,36 @@ def _hang(adj: list[set], C: list[list[float]], m: int, parent, depth, pot, top:
                 order.append(q)
 
 
+def _tree(flow, C: list[list[float]], m: int, n: int):
+    """Adjacency sets, parents, depths and duals of the basis ``flow`` hung from row 0."""
+    adj = [set() for _ in range(m + n)]
+    for i, j in flow:
+        adj[i].add(m + j)
+        adj[m + j].add(i)
+    parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
+    _hang(adj, C, m, parent, depth, pot, 0)
+    return adj, parent, depth, pot
+
+
 def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
     """Transportation simplex on a strongly feasible tree.
 
-    ``a`` and ``b`` are positive marginals.  The basis starts at the
-    north-west corner, or at ``flow`` (the basic cells of an earlier
-    solve with the same marginals); when ``allowed`` is given, only those
-    cells may enter.  Pricing is block search (Kovacs 2015): blocks of
-    whole rows of at least ``_BLOCK_CELLS`` cells, visited in turn from
-    the block of the last entering cell; the most negative reduced cost
-    of the first block that has one enters, so a problem of one block
-    enters by Dantzig's rule.  The cell that leaves is Cunningham's: the
-    last blocking cell met going round the cycle from its apex, which
-    keeps zero-mass cells pointing to the root and rules out cycling.
+    ``a`` and ``b`` are positive marginals.  The basis starts at ``flow``
+    (the basic cells of an earlier solve with the same marginals) when it
+    is given.  Otherwise it starts at the north-west corner, which is
+    priced first: on the line, where the atoms are sorted, it is optimal
+    and no pivot is made.  If it is not optimal, the least-cost basis
+    replaces it when that carries positive mass on every cell and costs
+    less.  A tree without zero-mass cells is strongly feasible whatever
+    its root; a degenerate least-cost basis is not used.  When
+    ``allowed`` is given, only those cells may enter.  Pricing is block
+    search (Kovacs 2015): blocks of whole rows of at least
+    ``_BLOCK_CELLS`` cells, visited in turn from the block of the last
+    entering cell; the most negative reduced cost of the first block that
+    has one enters, so a problem of one block enters by Dantzig's rule.
+    The cell that leaves is Cunningham's: the last blocking cell met
+    going round the cycle from its apex, which keeps zero-mass cells
+    pointing to the root and rules out cycling.
 
     The tree is hung from row 0 once.  A pivot re-hangs only the subtree
     that the leaving cell cuts off, below the entering cell.  A dual is
@@ -151,23 +208,14 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
     pivot count.
     """
     m, n = C.shape
-    flow = _north_west(list(a), list(b)) if flow is None else dict(flow)
-    adj = [set() for _ in range(m + n)]
-    for i, j in flow:
-        adj[i].add(m + j)
-        adj[m + j].add(i)
     Cl = C.tolist()
     tol = REDUCED_COST_TOL * (1.0 + float(np.abs(C).max()))
-    parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
-    _hang(adj, Cl, m, parent, depth, pot, 0)
-
-    def cell(q):  # the basic cell joining node q to its parent
-        return (q, parent[q] - m) if q < m else (parent[q], q - m)
-
     rows = -(-_BLOCK_CELLS // n)
     blocks = -(-m // rows)
-    block = 0
-    for pivots in range(cap):
+    block, u = 0, None  # u: the duals of the tree last priced
+
+    def entering():  # the cell that enters the current tree, or None at an optimum
+        nonlocal block, u
         u = np.array(pot)
         for _ in range(blocks):
             lo, hi = block * rows, min(block * rows + rows, m)
@@ -175,12 +223,31 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
             price = R if allowed is None else np.where(allowed[lo:hi], R, 0.0)
             k = int(price.argmin())
             if price.flat[k] < -tol:
-                break
+                i, j = divmod(k, n)
+                return lo + i, j
             block = (block + 1) % blocks
-        else:
+        return None
+
+    def cost(f):
+        return math.fsum(Cl[i][j] * x for (i, j), x in f.items())
+
+    def cell(q):  # the basic cell joining node q to its parent
+        return (q, parent[q] - m) if q < m else (parent[q], q - m)
+
+    cold = flow is None
+    flow = _north_west(list(a), list(b)) if cold else dict(flow)
+    adj, parent, depth, pot = _tree(flow, Cl, m, n)
+    enter = entering()
+    if cold and enter is not None:
+        start = _least_cost(C, a, b)
+        if min(start.values()) > 0.0 and cost(start) < cost(flow):
+            flow = start
+            adj, parent, depth, pot = _tree(flow, Cl, m, n)
+            enter = entering()
+    for pivots in range(cap):
+        if enter is None:
             return flow, C - u[:m, None] - u[None, m:], pivots
-        i, j = divmod(k, n)
-        i += lo
+        i, j = enter
         up, side = [], []  # from row i and from column j to their common ancestor
         p, q = i, m + j
         while p != q:
@@ -210,6 +277,7 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
         parent[top], depth[top] = below, depth[below] + 1
         pot[top] = Cl[i][j] - pot[below]
         _hang(adj, Cl, m, parent, depth, pot, top)
+        enter = entering()
     raise IterationCapError(f"simplex exceeded {cap} iterations")
 
 
@@ -219,8 +287,10 @@ def lp_solve(
     """Minimize ``sum(costs * plan)`` over plans with the given marginals.
 
     A transportation simplex: the basis is a spanning tree of m + n - 1
-    cells, started at the north-west corner; rows and columns of zero mass
-    are left out of the tree and carry none.  Both marginals must be
+    cells, started at the north-west corner when that is optimal and
+    otherwise at the least-cost basis when it has no zero-mass cell and
+    costs less; rows and columns of zero mass are left out of the tree and
+    carry none.  Both marginals must be
     probability vectors (sums within ``AGREE_TOL`` of one).  Raises
     IterationCapError past ``max_iter`` pivots (default 10 m n).
     """
@@ -231,6 +301,8 @@ def lp_solve(
         raise ValueError("costs must be finite")
     r = np.asarray(row_marginals, dtype=float).ravel()
     c = np.asarray(col_marginals, dtype=float).ravel()
+    if not (np.isfinite(r).all() and np.isfinite(c).all()):
+        raise ValueError("marginals must be finite")
     m, n = C.shape
     if r.shape[0] != m or c.shape[0] != n:
         raise ValueError("marginal lengths must match the cost matrix shape")

@@ -303,7 +303,8 @@ def fiber_faceopt(pos_cost, vel_cost, a, b, face_tol: float = 1e-9):
 
 # The solver as it was before pivots re-hung only the subtree that moves:
 # the whole basis tree is re-hung and every cell priced (Dantzig) at every
-# pivot.  The package's solver must match it bit for bit, pivot for pivot,
+# pivot.  It starts by the package's rule, with a plain-loop least-cost
+# basis.  The package's solver must match it bit for bit, pivot for pivot,
 # on problems that it prices in one block.
 
 REDUCED_COST_TOL = 1e-11  # mdelab.tolerances.REDUCED_COST_TOL
@@ -334,6 +335,44 @@ def north_west(a: list[float], b: list[float]) -> dict[tuple[int, int], float]:
             rb = b[j]
 
 
+def least_cost(C: list[list[float]], a, b) -> dict[tuple[int, int], float]:
+    """Least-cost basis: m + n - 1 cells and their masses.
+
+    In increasing cost order, ties row-major, each cell of an open row and
+    an open column gets the smaller of what they have left.  It closes its
+    row when the row runs out first or together with the column, else its
+    column; the last open row (column) is never closed before the last
+    cell.
+    """
+    m, n = len(a), len(b)
+    ra, rb = list(a), list(b)
+    rows, cols = set(range(m)), set(range(n))
+    flow = {}
+    for _, i, j in sorted((C[i][j], i, j) for i in range(m) for j in range(n)):
+        if i not in rows or j not in cols:
+            continue
+        x = min(ra[i], rb[j])
+        flow[i, j] = x
+        ra[i] -= x
+        rb[j] -= x
+        if len(rows) == 1 and len(cols) == 1:
+            return flow
+        if len(cols) == 1 or (len(rows) > 1 and ra[i] <= rb[j]):
+            rows.remove(i)
+        else:
+            cols.remove(j)
+    raise AssertionError("the least-cost basis ran out of cells")
+
+
+def tree_adjacency(flow, m: int, n: int) -> list[set]:
+    """Node neighbours of the basis tree: rows 0..m-1, columns m.."""
+    adj = [set() for _ in range(m + n)]
+    for i, j in flow:
+        adj[i].add(m + j)
+        adj[m + j].add(i)
+    return adj
+
+
 def hang(adj: list[set], C: list[list[float]], m: int) -> tuple[list[int], np.ndarray]:
     """Parents and duals of the basis tree hung from row 0.
 
@@ -355,25 +394,35 @@ def hang(adj: list[set], C: list[list[float]], m: int) -> tuple[list[int], np.nd
 def simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
     """Transportation simplex on a strongly feasible tree.
 
-    ``a`` and ``b`` are positive marginals.  The basis starts at the
-    north-west corner, or at ``flow`` (the basic cells of an earlier
-    solve with the same marginals); when ``allowed`` is given, only those
-    cells may enter.  Each pivot prices every cell at once, enters the
-    most negative reduced cost (Dantzig) and leaves by Cunningham's rule:
-    the last blocking cell met going round the cycle from its apex, which
-    keeps zero-mass cells pointing to the root and rules out cycling.
+    ``a`` and ``b`` are positive marginals.  The basis starts at ``flow``
+    (the basic cells of an earlier solve with the same marginals) when it
+    is given.  Otherwise the north-west corner is priced; if it is not
+    optimal, the least-cost basis replaces it when every one of its cells
+    carries positive mass and it costs less.  When ``allowed`` is given,
+    only those cells may enter.  Each pivot prices every cell at once,
+    enters the most negative reduced cost (Dantzig) and leaves by
+    Cunningham's rule: the last blocking cell met going round the cycle
+    from its apex, which keeps zero-mass cells pointing to the root and
+    rules out cycling.
 
     Returns the basic cells with their masses, the reduced costs and the
     pivot count.
     """
     m, n = C.shape
-    flow = north_west(list(a), list(b)) if flow is None else dict(flow)
-    adj = [set() for _ in range(m + n)]
-    for i, j in flow:
-        adj[i].add(m + j)
-        adj[m + j].add(i)
     Cl = C.tolist()
     tol = REDUCED_COST_TOL * (1.0 + float(np.abs(C).max()))
+    if flow is None:
+        flow = north_west(list(a), list(b))
+        _, pot = hang(tree_adjacency(flow, m, n), Cl, m)
+        R = C - pot[:m, None] - pot[None, m:]
+        price = R if allowed is None else np.where(allowed, R, 0.0)
+        if price.min() < -tol:
+            start = least_cost(Cl, a, b)
+            costs = [math.fsum(Cl[i][j] * x for (i, j), x in f.items()) for f in (start, flow)]
+            if all(x > 0.0 for x in start.values()) and costs[0] < costs[1]:
+                flow = start
+    flow = dict(flow)
+    adj = tree_adjacency(flow, m, n)
     for pivots in range(cap):
         parent, pot = hang(adj, Cl, m)
         R = C - pot[:m, None] - pot[None, m:]

@@ -550,6 +550,9 @@ NAN, INF = np.nan, np.inf
         (np.zeros((1, 1, 1)), [1.0], ValueError,
          "points must be a 1-D or 2-D array, got shape (1, 1, 1)"),
         ([[0.0], [1.0]], [0.0, 0.0], ValueError, "total mass must be positive"),
+        ([[]], [1.0], ValueError, "points need at least one coordinate, got shape (1, 0)"),
+        (np.zeros((2, 0)), [NAN, -1.0], ValueError,
+         "points need at least one coordinate, got shape (2, 0)"),
     ],
 )
 def test_validation_errors_keep_their_class_message_and_order(points, weights, error, message, mode):
@@ -558,6 +561,12 @@ def test_validation_errors_keep_their_class_message_and_order(points, weights, e
             measures.canonical_support(points, weights)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_lifted_points_without_coordinates_are_rejected():
+    with pytest.raises(ValueError) as info:
+        make_lifted([[]], [[]], [1.0])
+    assert str(info.value) == "points need at least one coordinate, got shape (1, 0)"
 
 
 @pytest.mark.parametrize("mode", ["plain", "raise"])

@@ -11,6 +11,7 @@ from mdelab import (
     GridSpec,
     IterationCapError,
     SchemeConfig,
+    TransportPlan,
     dirac,
     fiber_pseudometric,
     lifted_w1,
@@ -22,7 +23,7 @@ from mdelab import (
     w1_plan,
 )
 from mdelab import transport
-from mdelab.tolerances import REDUCED_COST_TOL, TIGHT_TOL
+from mdelab.tolerances import AGREE_TOL, REDUCED_COST_TOL, TIGHT_TOL
 from mdelab.analysis import TestFunction
 
 
@@ -152,6 +153,25 @@ def test_lp_solve_against_scipy():
         assert float(np.sum(plan.mass * cost)) == pytest.approx(value, abs=1e-10)
 
 
+@pytest.mark.parametrize("r, c", [
+    ([np.nan, 1.0], [0.5, 0.5]),
+    ([0.5, 0.5], [np.nan, 1.0]),
+    ([np.inf, 0.0], [0.5, 0.5]),
+    ([0.5, 0.5], [1.0, -np.inf]),
+])
+def test_lp_solve_rejects_non_finite_marginals(r, c):
+    with pytest.raises(ValueError) as info:
+        lp_solve([[0.0, 1.0], [1.0, 0.0]], r, c)
+    assert str(info.value) == "marginals must be finite"
+
+
+@pytest.mark.parametrize("mass", [[[np.nan]], [[np.inf]], [[0.5, -np.inf]], [[0.5, np.nan], [-1.0, 0.0]]])
+def test_transport_plan_rejects_non_finite_mass(mass):
+    with pytest.raises(ValueError) as info:
+        TransportPlan(mass)
+    assert str(info.value) == "plan mass must be finite"
+
+
 def test_lp_solve_iteration_cap():
     cost = [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]
     third = [1.0 / 3.0] * 3
@@ -258,6 +278,84 @@ def test_simplex_matches_reference_through_both_fiber_stages():
         tight = R <= TIGHT_TOL * (1.0 + wstar)
         vel_cost = np.abs(v1.velocities - v2.velocities.T)
         _same_as_reference(vel_cost, a, b, flow=flow, allowed=tight)
+
+
+def test_least_cost_start_is_a_positive_spanning_tree():
+    rng = np.random.default_rng(67)
+    for m, n in ((1, 5), (7, 12), (40, 40), (30, 9)):
+        mu, nu = (make_measure(rng.uniform(-1.0, 1.0, (k, 2)), rng.uniform(0.5, 1.5, k))
+                  for k in (m, n))
+        C = _cost(mu, nu)
+        flow = transport._least_cost(C, mu.weights, nu.weights)
+        assert len(flow) == m + n - 1 and min(flow.values()) > 0.0
+        plan = np.zeros((m, n))
+        for (i, j), x in flow.items():
+            plan[i, j] = x
+        assert np.max(np.abs(plan.sum(axis=1) - mu.weights)) <= AGREE_TOL
+        assert np.max(np.abs(plan.sum(axis=0) - nu.weights)) <= AGREE_TOL
+        # m + n - 1 cells, each joining two components: a spanning tree
+        root = list(range(m + n))
+        for i, j in flow:
+            p, q = i, m + j
+            while root[p] != p:
+                p = root[p]
+            while root[q] != q:
+                q = root[q]
+            assert p != q
+            root[p] = q
+        assert list(flow.items()) == list(oracles.least_cost(C.tolist(), mu.weights, nu.weights).items())
+
+
+def test_sorted_line_problems_take_no_pivot_and_no_least_cost_start(monkeypatch):
+    # on the line the north-west corner of sorted atoms is optimal, so the
+    # first pricing ends the solve before the least-cost start is built
+    def no_least_cost(*args, **kwargs):
+        raise AssertionError("the least-cost start was built")
+
+    monkeypatch.setattr(transport, "_least_cost", no_least_cost)
+    rng = np.random.default_rng(71)
+    for n in (10, 20, 40):
+        mu, nu = (m1(rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 1.5, n)) for _ in range(2))
+        angle = rng.uniform(0.0, np.pi)
+        u, c = np.array([np.cos(angle), np.sin(angle)]), rng.uniform(-1.0, 1.0, 2)
+        line = [make_measure(p.atoms * u + c, p.weights) for p in (mu, nu)]
+        for p, q in ((mu, nu), line):
+            C = _cost(p, q)
+            _, R, pivots = transport._simplex(C, p.weights, q.weights, 10 * C.size)
+            assert pivots == 0 and R.min() >= -REDUCED_COST_TOL * (1.0 + C.max())
+            assert w1_distance(p, q, method="lp") == pytest.approx(
+                w1_distance(mu, nu, method="quantile"), abs=1e-12)
+
+
+def test_a_dearer_least_cost_start_keeps_the_north_west_corner():
+    # the least-cost start is positive but costs 31/18 against 7/6
+    C = np.array([[2.0, 5.0], [5.0, 0.0], [0.0, 0.0]])
+    a, b = np.array([4.0, 2.0, 3.0]) / 9.0, np.array([0.5, 0.5])
+    start = transport._least_cost(C, a, b)
+    north_west = transport._north_west(list(a), list(b))
+    assert min(start.values()) > 0.0
+    assert sum(C[e] * x for e, x in start.items()) > sum(C[e] * x for e, x in north_west.items())
+    flow, R, pivots = transport._simplex(C, a, b, 10 * C.size)
+    nw_flow, nw_R, nw_pivots = transport._simplex(C, a, b, 10 * C.size, flow=north_west)
+    assert list(flow.items()) == list(nw_flow.items())
+    assert pivots == nw_pivots == 1 and np.array_equal(R, nw_R)
+
+
+def test_least_cost_start_cuts_the_pivots_of_2d_pairs():
+    # the north-west corner, passed in as a warm start, is the old cold start
+    rng = np.random.default_rng(73)
+    pivots = {"least-cost": 0, "north-west": 0}
+    for _ in range(5):
+        mu, nu = _pair_2d(rng, 40)
+        C, a, b = _cost(mu, nu), mu.weights, nu.weights
+        flow, _, k = transport._simplex(C, a, b, 10 * C.size)
+        nw_flow, _, nw_k = transport._simplex(C, a, b, 10 * C.size,
+                                              flow=transport._north_west(list(a), list(b)))
+        pivots["least-cost"] += k
+        pivots["north-west"] += nw_k
+        assert sum(C[e] * x for e, x in flow.items()) == pytest.approx(
+            sum(C[e] * x for e, x in nw_flow.items()), abs=1e-12)
+    assert pivots["least-cost"] <= 0.7 * pivots["north-west"]
 
 
 @pytest.mark.parametrize("n", [100, 200])
