@@ -18,13 +18,23 @@ and downstream grouping are deterministic:
 
 Merging follows one rule, the greedy first-match scan in lexicographic
 order: a row joins the first earlier group representative within the
-tolerance in every coordinate, or opens a group.  ``canonical_support``
-first validates the input with four whole-array reductions (the least and
-greatest coordinate and weight; NaN propagates through both) and runs the
-per-check tests, in their fixed order, only when that joint test fails.
-It then reads each pair of consecutive rows' first gap (``_first_gaps``)
-once, and picks one of three routes from them.  Each gives exactly the
-scan's result.
+tolerance in every coordinate, or opens a group.
+
+Input is validated where it enters the library, and derived rows go
+through the kernel alone.  ``canonical_support`` (and so every public
+constructor) validates its input with four whole-array reductions (the
+least and greatest coordinate and weight; NaN propagates through both)
+and runs the per-check tests, in their fixed order, only when that joint
+test fails; then it calls the kernel, ``_canonical``.  Rows the library
+derives from canonical measures (a rule's lift, a scheme's next node, a
+lift's base) are built by ``DiscreteMeasure._derived`` and
+``LiftedMeasure._derived``, which run the kernel and check only what
+their construction does not prove: the coordinates of rows computed by
+arithmetic that can overflow.
+
+The kernel reads each pair of consecutive rows' first gap
+(``_first_gaps``) once, and picks one of three routes from them.  Each
+gives exactly the scan's result.
 
 * *Already canonical.*  If each row exceeds its predecessor by more than
   the tolerance in the first coordinate where the two differ, the rows are
@@ -40,8 +50,8 @@ scan's result.
   compared against all its candidate representatives in one array
   operation.
 
-``canonical_support`` takes the first route and the runs route on sorted
-input; ``_group_rows`` the other two on the sorted rows.
+``_canonical`` takes the first route and the runs route on sorted input;
+``_group_rows`` the other two on the sorted rows.
 """
 
 from __future__ import annotations
@@ -81,17 +91,15 @@ def _lex_perm(pts: np.ndarray) -> np.ndarray:
     return np.lexsort(pts.T[::-1])
 
 
-def _first_gaps(pts: np.ndarray, wide: bool = True) -> np.ndarray:
+def _first_gaps(pts: np.ndarray) -> np.ndarray:
     """For each pair of consecutive rows, the difference in the first
     coordinate where they differ; 0 for equal rows.
 
-    Rows in input order may be far apart, so a difference may overflow;
-    read as +-inf it still orders and compares with ``tol`` correctly.
-    The overflow warning is silenced unless ``wide`` is False, which the
-    caller passes when no difference can overflow.
+    Rows far apart may have a difference that overflows; read as +-inf it
+    still orders and compares with ``tol`` correctly.  The caller silences
+    the overflow where it can happen.
     """
-    with np.errstate(over="ignore") if wide else nullcontext():
-        diff = pts[1:] - pts[:-1]
+    diff = pts[1:] - pts[:-1]
     gaps = diff[:, -1]
     for j in range(pts.shape[1] - 2, -1, -1):
         gaps = np.where(diff[:, j] != 0, diff[:, j], gaps)
@@ -121,7 +129,7 @@ def _group_rows(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     each run (its head) needs grouping.  A head's first gap (see
     ``_first_gaps``) is positive.  If no first gap lies in (0, ``tol``],
     the heads are pairwise farther than ``tol`` apart (the argument in
-    ``canonical_support``), so each head opens its own group and the
+    ``_canonical``), so each head opens its own group and the
     groups are the runs.  The result is exactly the scan's.
 
     *Near-ties.*  Otherwise ``_first_match_scan`` runs the scan over the
@@ -129,15 +137,19 @@ def _group_rows(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     all its candidate representatives at once.  Every other head is
     farther than ``tol`` from all rows, so it is a group of its own.
 
+    A difference of two coordinates that overflows is read as +-inf,
+    which orders and compares with ``tol`` correctly, and is not reported.
+
     Returns (group id per row, representative row indices in group order).
     """
-    gaps = _first_gaps(pts)
-    run, heads = _runs(gaps)
-    if not (gaps[gaps != 0] <= tol).any():
-        return run, heads
-    rows = pts[heads]
-    sub = _shared_chains(rows, tol).nonzero()[0]
-    gid, reps = _first_match_scan(rows[sub], tol)
+    with np.errstate(over="ignore"):
+        gaps = _first_gaps(pts)
+        run, heads = _runs(gaps)
+        if not (gaps[gaps != 0] <= tol).any():
+            return run, heads
+        rows = pts[heads]
+        sub = _shared_chains(rows, tol).nonzero()[0]
+        gid, reps = _first_match_scan(rows[sub], tol)
     is_rep = np.ones(rows.shape[0], dtype=bool)
     is_rep[sub] = False
     is_rep[sub[reps]] = True
@@ -207,6 +219,75 @@ def canonical_support(points, weights, tol: float = MERGE_TOL) -> tuple[np.ndarr
     the total mass to one, applies the weight floor and renormalizes.  The
     returned arrays are fresh, C-contiguous and read-only.
 
+    This is the checked entry point, where outside input enters: four
+    whole-array reductions (the least and greatest coordinate and weight;
+    NaN fails their joint test) validate the data, and only when they fail
+    do the single checks run, in a fixed order, so each error has the same
+    class and message whether or not ``np.errstate(all="raise")`` is in
+    force.  Then the kernel, ``_canonical``, does the work.
+
+    Raises EmptyInputError when there are no atoms, NegativeWeightError for
+    a negative weight, ValueError for shape mismatches or non-finite data.
+    """
+    pts = _as_points(points)
+    w = np.asarray(weights, dtype=float).ravel()
+    n = pts.shape[0]
+    if n == 0:
+        raise EmptyInputError("a measure needs at least one atom")
+    if n != w.shape[0]:
+        raise ValueError(f"{n} atoms but {w.shape[0]} weights")
+    lo, hi = _bounds(pts)
+    w_hi = float(np.maximum.reduce(w))
+    if not (-math.inf < lo and hi < math.inf
+            and 0.0 <= float(np.minimum.reduce(w)) and w_hi < math.inf):
+        # NaN fails every comparison; name the first failed check
+        if not np.isfinite(pts).all():
+            raise ValueError("atom coordinates must be finite")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
+        if (w < 0).any():
+            raise NegativeWeightError(f"negative weight {w.min()!r}")
+    # |x - y| <= hi - lo for any two coordinates, and a partial sum of the
+    # weights stays below 2 n max(w): if both are finite, nothing overflows
+    wide = not (math.isfinite(hi - lo) and math.isfinite(2.0 * n * w_hi))
+    return _canonical(pts, w, tol, wide)
+
+
+def _bounds(pts: np.ndarray) -> tuple[float, float]:
+    """Least and greatest coordinate; NaN propagates through both."""
+    return (float(np.minimum.reduce(pts, axis=None, initial=math.inf)),
+            float(np.maximum.reduce(pts, axis=None, initial=-math.inf)))
+
+
+def _derived_support(pts: np.ndarray, w: np.ndarray, check: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``_canonical`` of rows the library derived from canonical data.
+
+    ``pts`` is an (n, d) float array with n >= 1 and ``w`` its n finite,
+    nonnegative weights, of total at most n: the construction proves what
+    ``canonical_support`` would check, except that arithmetic on finite
+    atoms can overflow.  With ``check`` the coordinates are tested for
+    finiteness (two reductions, which also tell whether a difference can
+    overflow); without it the caller has proved them finite, and the
+    kernel reads any overflowing difference as +-inf.
+    """
+    if not check:
+        return _canonical(pts, w, MERGE_TOL, True)
+    lo, hi = _bounds(pts)
+    if not (-math.inf < lo and hi < math.inf):
+        raise ValueError("atom coordinates must be finite")
+    return _canonical(pts, w, MERGE_TOL, not math.isfinite(hi - lo))
+
+
+def _canonical(pts: np.ndarray, w: np.ndarray, tol: float, wide: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical form of valid rows: the kernel behind
+    ``canonical_support`` and the ``_derived`` constructors.
+
+    ``pts`` is an (n, d) float array with n >= 1 and finite entries, ``w``
+    its n finite, nonnegative weights.  ``wide`` says that a difference of
+    two coordinates or the total of the weights may overflow; overflow is
+    then read as +-inf, which still orders and compares with ``tol``
+    correctly, and is not reported.
+
     Rows that arrive in canonical order skip the sort and the grouping.
     If every first gap (``_first_gaps``) exceeds ``tol``, the rows are
     strictly increasing, so the sort would keep them in place.  They are
@@ -222,52 +303,40 @@ def canonical_support(points, weights, tol: float = MERGE_TOL) -> tuple[np.ndarr
     same argument applies to the first rows of their runs of equal rows,
     so the groups are the runs, as ``_group_rows`` would find them.
 
-    Raises EmptyInputError when there are no atoms, NegativeWeightError for
-    a negative weight, ValueError for shape mismatches or non-finite data.
+    Finite weights whose total overflows are scaled by the largest of
+    them first; a total that does not overflow is used as it is.
     """
-    pts = _as_points(points)
-    w = np.asarray(weights, dtype=float).ravel()
-    if pts.shape[0] == 0:
-        raise EmptyInputError("a measure needs at least one atom")
-    if pts.shape[0] != w.shape[0]:
-        raise ValueError(f"{pts.shape[0]} atoms but {w.shape[0]} weights")
-    lo = float(np.minimum.reduce(pts, axis=None, initial=math.inf))
-    hi = float(np.maximum.reduce(pts, axis=None, initial=-math.inf))
-    if not (-math.inf < lo and hi < math.inf
-            and 0.0 <= float(np.minimum.reduce(w)) and float(np.maximum.reduce(w)) < math.inf):
-        # NaN fails every comparison; name the first failed check
-        if not np.isfinite(pts).all():
-            raise ValueError("atom coordinates must be finite")
-        if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
-        if (w < 0).any():
-            raise NegativeWeightError(f"negative weight {w.min()!r}")
-
-    pts = pts + 0.0  # normalize -0.0 to +0.0 so sorting and dumps are stable
-    # |x - y| <= hi - lo for any two coordinates, so if that is finite no
-    # difference overflows
-    gaps = _first_gaps(pts, wide=not math.isfinite(hi - lo))
-    floor = max(tol, 0.0)  # a negative tol still merges equal rows
-    if np.minimum.reduce(gaps, initial=math.inf) > floor:
-        atoms, mass = pts, w.copy()
-    else:
-        if (gaps[gaps != 0] > floor).all():  # sorted, and every tie is exact
-            gid, reps = _runs(gaps)
+    with np.errstate(over="ignore") if wide else nullcontext():
+        pts = pts + 0.0  # normalize -0.0 to +0.0 so sorting and dumps are stable
+        gaps = _first_gaps(pts)
+        floor = max(tol, 0.0)  # a negative tol still merges equal rows
+        gid = None
+        if np.minimum.reduce(gaps, initial=math.inf) > floor:
+            atoms, mass = pts, w.copy()
         else:
-            perm = _lex_perm(pts)
-            pts = np.ascontiguousarray(pts[perm])
-            w = w[perm]
-            gid, reps = _group_rows(pts, tol)
-        atoms = pts[reps]
-        mass = np.bincount(gid, weights=w, minlength=len(reps))
+            if (gaps[gaps != 0] > floor).all():  # sorted, and every tie is exact
+                gid, reps = _runs(gaps)
+            else:
+                perm = _lex_perm(pts)
+                pts = np.ascontiguousarray(pts[perm])
+                w = w[perm]
+                gid, reps = _group_rows(pts, tol)
+            atoms = pts[reps]
+            mass = np.bincount(gid, weights=w, minlength=len(reps))
+        total = float(np.add.reduce(mass))
 
-    total = float(np.add.reduce(mass))
-    if total <= 0.0:
+    if total == math.inf:
+        # a weight that underflows here is below the floor anyway
+        with np.errstate(under="ignore"):
+            w = w / np.maximum.reduce(w)
+            mass = w if gid is None else np.bincount(gid, weights=w, minlength=len(reps))
+            mass = mass / np.add.reduce(mass)
+    elif total <= 0.0:
         raise ValueError("total mass must be positive")
-    if abs(total - 1.0) > UNIT_MASS_TOL:
+    elif abs(total - 1.0) > UNIT_MASS_TOL:
         mass = mass / total
 
-    if not np.minimum.reduce(mass) >= WEIGHT_FLOOR:  # NaN (an overflowing total) drops too
+    if not np.minimum.reduce(mass) >= WEIGHT_FLOOR:
         keep = mass >= WEIGHT_FLOOR
         atoms = atoms[keep]
         mass = mass[keep]
@@ -338,6 +407,21 @@ class DiscreteMeasure:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
+    @classmethod
+    def _derived(cls, points: np.ndarray, weights: np.ndarray, check: bool = True) -> "DiscreteMeasure":
+        """The measure on rows the library derived from canonical data.
+
+        Runs the canonical kernel, and of the input checks only the
+        finiteness of the coordinates, and that only with ``check``; see
+        ``_derived_support`` for what the caller must guarantee.  Input
+        from outside the library goes through the constructor instead.
+        """
+        mu = object.__new__(cls)
+        atoms, weights = _derived_support(points, weights, check)
+        object.__setattr__(mu, "atoms", atoms)
+        object.__setattr__(mu, "weights", weights)
+        return mu
+
     @property
     def dim(self) -> int:
         return self.atoms.shape[1]
@@ -393,9 +477,23 @@ class LiftedMeasure:
             raise ValueError(
                 f"positions {pos.shape} and velocities {vel.shape} must have the same shape"
             )
-        joint = np.concatenate((pos, vel), axis=1)
-        joint, weights = canonical_support(joint, self.weights)
-        d = pos.shape[1]
+        self._set(*canonical_support(np.concatenate((pos, vel), axis=1), self.weights))
+
+    @classmethod
+    def _derived(cls, joint: np.ndarray, weights: np.ndarray, check: bool = True) -> "LiftedMeasure":
+        """The lifted measure on rows (position, velocity), given as one
+        (n, 2 d) array, that the library derived from canonical data.
+
+        Checks as ``DiscreteMeasure._derived`` does.
+        """
+        lifted = object.__new__(cls)
+        lifted._set(*_derived_support(joint, weights, check))
+        return lifted
+
+    def _set(self, joint: np.ndarray, weights: np.ndarray) -> None:
+        # contiguous copies: arithmetic on strided views of the joint rows
+        # costs more than the copies (a scheme step reads them twice)
+        d = joint.shape[1] // 2
         pos = np.ascontiguousarray(joint[:, :d])
         vel = np.ascontiguousarray(joint[:, d:])
         pos.setflags(write=False)
@@ -433,8 +531,9 @@ class LiftedMeasure:
 
     @cached_property
     def _base(self) -> "DiscreteMeasure":
-        # computed once per lift: schemes and path validation all ask for it
-        return DiscreteMeasure(self.positions, self.weights)
+        # computed once per lift: schemes and path validation all ask for it;
+        # the positions and weights are canonical, so nothing is checked
+        return DiscreteMeasure._derived(self.positions, self.weights, check=False)
 
     def __repr__(self) -> str:
         return f"LiftedMeasure(natoms={self.natoms}, dim={self.dim})"

@@ -90,11 +90,17 @@ def median_data(mu: DiscreteMeasure) -> MedianData:
     """Locate the weighted median atom of a measure on the line."""
     if mu.dim != 1:
         raise DimMismatchError("median_data needs a 1-D measure")
-    cdf = np.cumsum(mu.weights)
-    idx = int(np.argmax(cdf > 0.5 + CDF_TOL))
+    idx, eta, mass, left = _median(mu)
+    return MedianData(index=idx, B=float(mu.atoms[idx, 0]), eta=eta, mass_at_B=mass,
+                      cdf_left_of_B=left)
+
+
+def _median(mu: DiscreteMeasure) -> tuple[int, float, float, float]:
+    """``median_data`` of a 1-D measure as (index, eta, mass_at_B, cdf_left_of_B)."""
+    cdf = mu.weights.cumsum()
+    idx = int((cdf > 0.5 + CDF_TOL).argmax())
     if not cdf[idx] > 0.5 + CDF_TOL:  # pragma: no cover - total mass is one
         idx = mu.natoms - 1
-    B = float(mu.atoms[idx, 0])
     eta = float(cdf[idx] - 0.5)
     mass = float(mu.weights[idx])
     if mass <= 0:  # pragma: no cover - canonical measures have positive weights
@@ -109,11 +115,17 @@ def median_data(mu: DiscreteMeasure) -> MedianData:
         # at every step, where the fsum would cost a few percent of the run.
         left = math.fsum(mu.weights[:idx].tolist())
         eta = mass - (0.5 - left)
-    return MedianData(index=idx, B=B, eta=eta, mass_at_B=mass, cdf_left_of_B=left)
+    return idx, eta, mass, left
 
 
 def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
-    """Evaluate a velocity-fiber rule; the result's base is exactly ``mu``."""
+    """Evaluate a velocity-fiber rule; the result's base is exactly ``mu``.
+
+    A graph field's velocities come from a user callable, so its lift is
+    checked in full.  The constant-fiber and splitting lifts are built from
+    canonical measures by copying and multiplying weights, so they go
+    through the canonical kernel with no check.
+    """
     if isinstance(spec, GraphPvf):
         vels = []
         for x in mu.atoms:
@@ -130,17 +142,18 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
             raise DimMismatchError(
                 f"fiber dim {spec.omega.dim} vs measure dim {mu.dim}"
             )
-        n, m = mu.natoms, spec.omega.natoms
-        pos = np.repeat(mu.atoms, m, axis=0)
-        vel = np.tile(spec.omega.atoms, (n, 1))
+        n, m, d = mu.natoms, spec.omega.natoms, mu.dim
+        joint = np.empty((n, m, 2 * d))
+        joint[:, :, :d] = mu.atoms[:, None, :]
+        joint[:, :, d:] = spec.omega.atoms
         w = (mu.weights[:, None] * spec.omega.weights[None, :]).ravel()
-        return LiftedMeasure(pos, vel, w)
+        return LiftedMeasure._derived(joint.reshape(n * m, 2 * d), w, check=False)
 
     if isinstance(spec, SplittingParticlePvf):
         if mu.dim != 1:
             raise DimMismatchError("the splitting rule needs a 1-D measure")
-        md = median_data(mu)
-        i, left = md.index, max(0.5 - md.cdf_left_of_B, 0.0)
+        i, eta, _, left_of_B = _median(mu)
+        left = max(0.5 - left_of_B, 0.0)
         # The median atom B = x_i splits into row i, its 1/2 - cdf_left
         # leftward mass, and row i + 1, its eta rightward mass.  When the
         # mass left of B reaches 1/2 (or exceeds it by roundoff below
@@ -148,14 +161,17 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
         # row (s = 0).  The rows come out in canonical order, so
         # canonicalization neither sorts nor groups them.
         s = int(left > 0.0)
-        count = np.ones(mu.natoms, dtype=np.intp)
-        count[i] += s
-        pos = np.repeat(mu.atoms, count, axis=0)
-        vel = np.where(np.arange(mu.natoms + s) >= i + s, 1.0, -1.0)[:, None]
-        w = np.repeat(mu.weights, count)
+        joint = np.empty((mu.natoms + s, 2))
+        w = np.empty(mu.natoms + s)
+        joint[:i + 1, 0] = mu.atoms[:i + 1, 0]
+        joint[i + s:, 0] = mu.atoms[i:, 0]
+        joint[:i + s, 1] = -1.0
+        joint[i + s:, 1] = 1.0
+        w[:i + 1] = mu.weights[:i + 1]
+        w[i + s:] = mu.weights[i:]
         w[i] = left
-        w[i + s] = md.eta
-        return LiftedMeasure(pos, vel, w)
+        w[i + s] = eta
+        return LiftedMeasure._derived(joint, w, check=False)
 
     if isinstance(spec, CustomPvf):
         out = spec.evaluate(mu)

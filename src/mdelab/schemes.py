@@ -18,6 +18,12 @@ scheme named by ``SchemeConfig.scheme`` picks the step:
 Runs record the node measures plus, per step, the lifted measure that
 generated it, which is what linear-in-time interpolation and trajectory
 reconstruction consume.
+
+Every lift and node a step builds is derived from canonical measures, so
+it is built by ``DiscreteMeasure._derived`` or ``LiftedMeasure._derived``:
+the canonical kernel, plus a finiteness check on the atoms that arithmetic
+produced (a node, an interpolated measure, a binned velocity), where a
+float overflow can first appear.
 """
 
 from __future__ import annotations
@@ -136,6 +142,8 @@ class MeasurePath:
         object.__setattr__(self, "times", times)
         if times.shape[0] < 2:
             raise ValueError("a path needs at least two node times")
+        if not np.isfinite(times).all():
+            raise ValueError("node times must be finite")
         if abs(times[0]) > MERGE_TOL:
             raise ValueError("paths start at time zero")
         if np.any(np.diff(times) <= 0):
@@ -187,13 +195,15 @@ def snap_velocity(lifted: LiftedMeasure, grid: GridSpec) -> LiftedMeasure:
 
     Positions must already sit on the space grid (within ``AGREE_TOL``);
     they are passed through untouched, so the base measure is preserved.
+    The binned velocities overflow when ``dv`` is tiny, so they are
+    checked for finiteness; nothing else is.
     """
     pos = lifted.positions
     nearest = np.rint(pos / grid.dx) * grid.dx
     if float(np.max(np.abs(pos - nearest), initial=0.0)) > AGREE_TOL:
         raise BaseOffGridError("base atoms are not on the space grid")
-    idx = _bin_indices(lifted.velocities, grid.dv)
-    return LiftedMeasure(pos, idx * grid.dv, lifted.weights)
+    vel = _bin_indices(lifted.velocities, grid.dv) * grid.dv
+    return LiftedMeasure._derived(np.concatenate((pos, vel), axis=1), lifted.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +225,7 @@ def _lift(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig) -> LiftedMeasur
 
 def _prune(mu: DiscreteMeasure, floor: float) -> tuple[DiscreteMeasure, float]:
     # weights are positive, so a zero floor drops nothing
-    if np.minimum.reduce(mu.weights) >= floor:
+    if floor == 0.0 or np.minimum.reduce(mu.weights) >= floor:
         return mu, 0.0
     drop = mu.weights < floor
     lost = float(mu.weights[drop].sum())
@@ -232,13 +242,14 @@ def _las_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     lifted = snap_velocity(_lift(spec, mu, cfg), grid)
     ix = np.rint(lifted.positions / grid.dx)
     iv = np.rint(lifted.velocities / grid.dv)
-    return lifted, DiscreteMeasure((ix + iv) * grid.dx, lifted.weights), 0.0
+    return lifted, DiscreteMeasure._derived((ix + iv) * grid.dx, lifted.weights), 0.0
 
 
 def _lagrangian_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     """Children at x + dt v, merged at ``coalesce_tol`` and pruned below ``prune_floor``."""
     lifted = _lift(spec, mu, cfg)
-    nxt = DiscreteMeasure(lifted.positions + cfg.grid.dt * lifted.velocities, lifted.weights)
+    nxt = DiscreteMeasure._derived(lifted.positions + cfg.grid.dt * lifted.velocities,
+                                   lifted.weights)
     if cfg.coalesce_tol > MERGE_TOL:
         nxt = coalesce(nxt, cfg.coalesce_tol)
     nxt, lost = _prune(nxt, cfg.prune_floor)
@@ -249,10 +260,13 @@ def _mean_velocity_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     """Each atom moves by dt times its fiber mean, recorded as a one-point fiber.
 
     ``max_atoms`` applies; ``coalesce_tol`` and ``prune_floor`` do not.
+    The node is built (and its atoms checked) first: a mean that is not
+    finite makes its atom not finite, so the lift needs no check.
     """
     _, vbar = fiber_means(_lift(spec, mu, cfg))
-    nxt = DiscreteMeasure(mu.atoms + cfg.grid.dt * vbar, mu.weights)
-    return LiftedMeasure(mu.atoms, vbar, mu.weights), nxt, 0.0
+    nxt = DiscreteMeasure._derived(mu.atoms + cfg.grid.dt * vbar, mu.weights)
+    joint = np.concatenate((mu.atoms, vbar), axis=1)
+    return LiftedMeasure._derived(joint, mu.weights, check=False), nxt, 0.0
 
 
 _STEPS = {LAS: _las_step, LAGRANGIAN: _lagrangian_step, MEAN_VELOCITY: _mean_velocity_step}
@@ -289,7 +303,7 @@ def locate_time(times: np.ndarray, t: float) -> tuple[int, bool]:
     for the interval (times[k], times[k+1]) holding t; OutOfRangeError outside.
     """
     t = float(t)
-    if t < times[0] - MERGE_TOL or t > times[-1] + MERGE_TOL:
+    if not times[0] - MERGE_TOL <= t <= times[-1] + MERGE_TOL:  # NaN fails too
         raise OutOfRangeError(f"t={t:g} outside [{times[0]:g}, {times[-1]:g}]")
     k = int(np.argmin(np.abs(times - t)))
     if abs(times[k] - t) <= MERGE_TOL:
@@ -309,7 +323,7 @@ def interpolate_at(path: MeasurePath, t: float) -> DiscreteMeasure:
     if at_node:
         return path.measures[k]
     lifted = path.interp[k]
-    return DiscreteMeasure(
+    return DiscreteMeasure._derived(
         lifted.positions + (t - times[k]) * lifted.velocities, lifted.weights
     )
 

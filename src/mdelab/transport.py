@@ -308,7 +308,12 @@ def lp_solve(
         raise ValueError("marginal lengths must match the cost matrix shape")
     if np.any(r < 0) or np.any(c < 0):
         raise ValueError("marginals must be nonnegative")
-    if abs(r.sum() - 1.0) > AGREE_TOL or abs(c.sum() - 1.0) > AGREE_TOL:
+    # a nonnegative vector whose largest entry passes 1 + AGREE_TOL sums
+    # past it too, and testing that first keeps a huge one from overflowing
+    if (
+        r.max(initial=0.0) > 1.0 + AGREE_TOL or c.max(initial=0.0) > 1.0 + AGREE_TOL
+        or abs(r.sum() - 1.0) > AGREE_TOL or abs(c.sum() - 1.0) > AGREE_TOL
+    ):
         raise ValueError("marginals must each sum to one")
 
     cap = int(max_iter) if max_iter is not None else 10 * m * n

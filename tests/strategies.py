@@ -134,6 +134,36 @@ def sorted_rows_with_ties(draw, tol: float = 1e-12, max_rows: int = 12):
 
 
 @st.composite
+def derived_rows(draw, tol: float = 1e-12, floor: float = 1e-15, unit_tol: float = 1e-13):
+    """Rows and weights of the kind the library derives from canonical data.
+
+    The rows are ``near_tie_rows`` in 1, 2 or 4 columns, sorted or
+    shuffled.  Each weight is 0, ``floor`` - 1 ulp, ``floor``, ``floor`` + 1
+    ulp or an ordinary one; the ordinary weights (at least one) are parts
+    k/64 of one, scaled so that the total lands on 1, 1 - ``unit_tol`` or
+    1 + ``unit_tol``, or 1 ulp beside either.  Returns (rows, weights).
+    """
+    pts = draw(near_tie_rows(widths=(1, 2, 4), tol=tol))
+    n = pts.shape[0]
+    if draw(st.booleans()):
+        pts = pts[np.array(draw(st.permutations(range(n))), dtype=np.intp)]
+    tiny = st.sampled_from([0.0, np.nextafter(floor, 0.0), floor, np.nextafter(floor, 1.0)])
+    is_tiny = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    is_tiny[draw(st.integers(0, n - 1))] = False
+    ordinary = int((~is_tiny).sum())
+    cuts = sorted(draw(st.lists(st.integers(1, 63), min_size=ordinary - 1,
+                                max_size=ordinary - 1, unique=True)))
+    parts = np.diff([0, *cuts, 64]) / 64.0
+    totals = [1.0]
+    for edge in (1.0 - unit_tol, 1.0 + unit_tol):
+        totals += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)]
+    w = np.empty(n)
+    w[~is_tiny] = parts * draw(st.sampled_from(totals))
+    w[is_tiny] = [draw(tiny) for _ in range(n - ordinary)]
+    return np.ascontiguousarray(pts), w
+
+
+@st.composite
 def transport_problems(draw, max_side: int = 6):
     """Degenerate transportation LPs as (cost, a, b).
 

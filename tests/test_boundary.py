@@ -1,0 +1,47 @@
+"""Input is validated where it enters the library.
+
+``DiscreteMeasure._derived`` and ``LiftedMeasure._derived`` build values
+from rows the library derived from canonical measures, and run the
+canonical kernel ``_canonical`` with only the checks the derivation does
+not prove.  Outside input must go through the checked constructors, so
+these entry points may be called only from the modules that derive rows.
+"""
+
+import ast
+from pathlib import Path
+
+import mdelab
+
+UNCHECKED = {"_derived", "_canonical"}
+ALLOWED = {"measures.py", "pvf.py", "schemes.py"}
+ROOT = Path(mdelab.__file__).parent
+
+
+def unchecked_calls(path: Path) -> list[str]:
+    """Calls to an unchecked entry point in a source file, as file:line: name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in UNCHECKED:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    return found
+
+
+def sources() -> list[Path]:
+    demos = ROOT.parents[1] / "demos"
+    return sorted(ROOT.glob("*.py")) + sorted(demos.glob("*.py"))
+
+
+def test_unchecked_construction_stays_inside_the_deriving_modules():
+    outside = [hit for path in sources() if path.name not in ALLOWED or path.parent != ROOT
+               for hit in unchecked_calls(path)]
+    assert outside == []
+
+
+def test_the_deriving_modules_use_the_unchecked_entry_points():
+    # guards the test above against a rename that would leave it vacuous
+    inside = {path.name for path in sources()
+              if path.name in ALLOWED and path.parent == ROOT and unchecked_calls(path)}
+    assert inside == ALLOWED

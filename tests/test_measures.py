@@ -1,3 +1,4 @@
+import warnings
 from contextlib import contextmanager
 from unittest import mock
 
@@ -10,6 +11,7 @@ import strategies as sts
 from mdelab import (
     DiscreteMeasure,
     EmptyInputError,
+    LiftedMeasure,
     MERGE_TOL,
     NegativeWeightError,
     base_of,
@@ -574,3 +576,80 @@ def test_validation_accepts_a_negative_zero_weight(mode):
     with np.errstate(all="raise") if mode == "raise" else np.errstate():
         atoms, weights = measures.canonical_support([[0.0], [1.0]], [-0.0, 1.0])
     assert atoms.tolist() == [[1.0]] and weights.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("mode", ["plain", "raise"])
+def test_weights_whose_total_overflows_are_scaled_by_the_largest(mode):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise") if mode == "raise" else np.errstate():
+            mu = make_measure([[0.0], [1.0]], [1e308, 1e308])
+            merged = make_measure([[0.0], [0.0], [1.0]], [1e308, 1e308, 1e308])
+            light = make_measure([[0.0], [1.0], [2.0]], [1e308, 1e308, 1.0])
+            atoms, weights = measures.canonical_support([[0.0], [1.0]], [1e308, 5e307])
+    assert mu.atoms.tolist() == [[0.0], [1.0]] and mu.weights.tolist() == [0.5, 0.5]
+    assert merged.weights.tolist() == [2.0 / 3.0, 1.0 / 3.0]
+    # the light atom scales to 1e-308 / 2, below the floor
+    assert light.atoms.tolist() == [[0.0], [1.0]] and light.weights.tolist() == [0.5, 0.5]
+    # a total that does not overflow is used as it is
+    w = np.array([1e308, 5e307])
+    assert weights.tobytes() == (w / np.add.reduce(w)).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["plain", "raise"])
+def test_near_ties_among_far_apart_rows_raise_no_overflow(mode):
+    # the sort, the chain test and the scan all subtract rows 2e308 apart
+    pts = np.array([[1e308, 1e-13], [-1e308, 0.0], [1e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise") if mode == "raise" else np.errstate():
+            atoms, weights = measures.canonical_support(pts, np.ones(3))
+            derived = DiscreteMeasure._derived(pts, np.ones(3), check=False)
+    assert atoms.tolist() == [[-1e308, 0.0], [1e308, 0.0]]
+    assert weights.tolist() == [1.0 / 3.0, 2.0 / 3.0]
+    assert derived == DiscreteMeasure(atoms, weights)
+
+
+# ---------------------------------------------------------------------------
+# derived rows: the kernel alone gives the bits the checked constructors give
+# ---------------------------------------------------------------------------
+
+def outcome(build):
+    """The arrays a constructor returns, as bytes with their shape, or the
+    class and message of the error it raises."""
+    try:
+        value = build()
+    except Exception as exc:  # compared, so a difference fails the test
+        return type(exc), str(exc)
+    arrays = (value.atoms, value.weights) if isinstance(value, DiscreteMeasure) else (
+        value.positions, value.velocities, value.weights)
+    return [(a.shape, np.ascontiguousarray(a).tobytes(), a.flags.writeable) for a in arrays]
+
+
+def derived_examples(test):
+    """Weights at the floor +- 1 ulp on rows at the merge tolerance +- 1 ulp,
+    with totals at 1 +- UNIT_MASS_TOL."""
+    floor, unit = measures.WEIGHT_FLOOR, measures.UNIT_MASS_TOL
+    for gap in (np.nextafter(MERGE_TOL, 0.0), MERGE_TOL, np.nextafter(MERGE_TOL, 1.0)):
+        for tiny in (np.nextafter(floor, 0.0), floor, np.nextafter(floor, 1.0)):
+            for total in (1.0 - unit, 1.0, 1.0 + unit):
+                pts = np.array([[0.0, 1.0], [gap, 1.0], [1.0, gap], [1.0, 0.0]])
+                w = np.array([tiny, 0.5 * total, tiny, 0.5 * total])
+                test = example((pts, w), gap != MERGE_TOL)(test)
+    return test
+
+
+@given(sts.derived_rows(tol=MERGE_TOL), st.booleans())
+@derived_examples
+def test_derived_construction_matches_the_checked_one(case, check):
+    pts, w = case
+    assert outcome(lambda: DiscreteMeasure._derived(pts, w, check=check)) == outcome(
+        lambda: DiscreteMeasure(pts, w))
+    if pts.shape[1] % 2 == 0:
+        d = pts.shape[1] // 2
+        checked = outcome(lambda: LiftedMeasure(pts[:, :d], pts[:, d:], w))
+        assert outcome(lambda: LiftedMeasure._derived(pts, w, check=check)) == checked
+        if not isinstance(checked[0], type):
+            lifted = LiftedMeasure._derived(pts, w, check=check)
+            assert outcome(lambda: base_of(lifted)) == outcome(
+                lambda: DiscreteMeasure(lifted.positions, lifted.weights))

@@ -250,13 +250,13 @@ def test_torn_block_lagrangian_step_builds_n_lift_rows(monkeypatch):
 
     cfg = SchemeConfig(scheme="lagrangian", grid=GridSpec(T=1.0, N=16))
     rows = []
-    canonical_support = measures.canonical_support
+    kernel = measures._canonical
 
-    def counting(points, weights, tol=measures.MERGE_TOL):
-        rows.append(len(weights))
-        return canonical_support(points, weights, tol)
+    def counting(pts, w, tol, wide):
+        rows.append(len(w))
+        return kernel(pts, w, tol, wide)
 
-    monkeypatch.setattr(measures, "canonical_support", counting)
+    monkeypatch.setattr(measures, "_canonical", counting)
     mu = quantile_uniform(0.0, 1.0, 256)
     for _ in range(cfg.grid.N):
         md = median_data(mu)

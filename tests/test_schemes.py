@@ -242,6 +242,21 @@ def test_interpolate_out_of_range():
         interpolate_at(path, 1.01)
 
 
+def test_nan_time_is_out_of_range_for_every_caller():
+    from mdelab import build_representation, evaluate_pushforward, verify_fiber_barycenter
+
+    path = run_scheme(SPLIT, dirac(0.0), cfg(LAS, N=4))
+    ens = build_representation(path)
+    for call in (
+        lambda: interpolate_at(path, np.nan),
+        lambda: evaluate_pushforward(ens, np.nan),
+        lambda: verify_fiber_barycenter(ens, SPLIT, np.nan),
+    ):
+        with pytest.raises(OutOfRangeError) as info:
+            call()
+        assert str(info.value) == "t=nan outside [0, 1]"
+
+
 # ---------------------------------------------------------------------------
 # support control
 # ---------------------------------------------------------------------------
@@ -310,16 +325,17 @@ def test_atom_cap_trips_before_the_rule_is_evaluated(monkeypatch, scheme, spec, 
 
 def test_mean_velocity_builds_no_measure_per_fiber(monkeypatch):
     # the fiber means come from one grouping of the lift, so a step builds
-    # a fixed handful of canonical measures, not one per base atom
+    # a fixed handful of canonical measures, not one per base atom; every
+    # one of them, checked or derived, goes through the kernel
     calls = []
-    canonical = measures.canonical_support
+    kernel = measures._canonical
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return canonical(*args, **kwargs)
+        return kernel(*args, **kwargs)
 
     mu0 = quantile_uniform(0.0, 1.0, 256)
-    monkeypatch.setattr(measures, "canonical_support", counted)
+    monkeypatch.setattr(measures, "_canonical", counted)
     run_scheme(SPLIT, mu0, cfg(MEAN_VELOCITY, N=4))
     assert len(calls) <= 5 * 4
 
@@ -383,6 +399,37 @@ def test_las_atoms_stay_on_grid():
     for mu in path.measures:
         idx = np.rint(mu.atoms / g.dx)
         assert np.max(np.abs(mu.atoms - idx * g.dx)) <= 1e-9 * g.dx
+
+
+@pytest.mark.parametrize("times", [[np.nan, 1.0], [0.0, np.nan], [0.0, np.inf]])
+def test_path_rejects_non_finite_times(times):
+    lift = eval_pvf(SPLIT, dirac(0.0))
+    with pytest.raises(ValueError) as info:
+        MeasurePath(times=times, measures=(dirac(0.0), dirac(0.0)), interp=(lift,))
+    assert str(info.value) == "node times must be finite"
+
+
+@pytest.mark.parametrize(
+    "spec, mu0, config",
+    [
+        # the next node x + dt v overflows
+        (SPLIT, dirac([1.7e308]), cfg(LAGRANGIAN, T=1e308, N=2)),
+        (ConstantFiberPvf(dirac(1.0)), dirac([1.7e308]), cfg(MEAN_VELOCITY, T=1e308, N=2)),
+        (SPLIT, dirac([1.7e308]), cfg(LAS, T=1e308, N=2)),
+        # a graph field returns NaN
+        (GraphPvf(lambda x: np.array([np.nan])), dirac(0.0), cfg(LAGRANGIAN)),
+        # the binned velocities v / dv overflow
+        (SPLIT, dirac(0.0), cfg(LAS, N=1, dv=1e-310)),
+    ],
+)
+def test_overflow_in_a_step_is_a_non_finite_atom(spec, mu0, config):
+    # derived rows skip the weight checks but not the finiteness of atoms
+    # that arithmetic produced
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as info:
+            run_scheme(spec, mu0, config)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "atom coordinates must be finite"
 
 
 def test_path_validation_errors():

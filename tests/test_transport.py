@@ -165,6 +165,27 @@ def test_lp_solve_rejects_non_finite_marginals(r, c):
     assert str(info.value) == "marginals must be finite"
 
 
+@pytest.mark.parametrize("mode", ["plain", "raise"])
+@pytest.mark.parametrize("r, c", [
+    ([1e308, 1e308], [0.5, 0.5]),
+    ([0.5, 0.5], [1e308, 1e308]),
+    ([1e308, 1e308], [1e308, 1e308]),
+    ([1.0 + 2.0 * AGREE_TOL, 0.0], [0.5, 0.5]),
+])
+def test_lp_solve_rejects_huge_marginals_without_overflow(r, c, mode):
+    # finite marginals whose sum overflows: the same error in both modes,
+    # and no numpy warning on the way
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise") if mode == "raise" else np.errstate():
+            with pytest.raises(ValueError) as info:
+                lp_solve([[0.0, 1.0], [1.0, 0.0]], r, c)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "marginals must each sum to one"
+
+
 @pytest.mark.parametrize("mass", [[[np.nan]], [[np.inf]], [[0.5, -np.inf]], [[0.5, np.nan], [-1.0, 0.0]]])
 def test_transport_plan_rejects_non_finite_mass(mass):
     with pytest.raises(ValueError) as info:
