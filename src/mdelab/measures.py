@@ -26,8 +26,8 @@ constructor) validates its input with four whole-array reductions (the
 least and greatest coordinate and weight; NaN propagates through both)
 and runs the per-check tests, in their fixed order, only when that joint
 test fails; then it calls the kernel, ``_canonical``.  Rows the library
-derives from canonical measures (a rule's lift, a scheme's next node, a
-lift's base) are built by ``DiscreteMeasure._derived`` and
+derives from canonical measures (a rule's lift, a scheme's next or pruned
+node, a lift's base) are built by ``DiscreteMeasure._derived`` and
 ``LiftedMeasure._derived``, which run the kernel and check only what
 their construction does not prove: the coordinates of rows computed by
 arithmetic that can overflow.
@@ -325,8 +325,8 @@ def _canonical(pts: np.ndarray, w: np.ndarray, tol: float, wide: bool) -> tuple[
             mass = np.bincount(gid, weights=w, minlength=len(reps))
         total = float(np.add.reduce(mass))
 
+    # a weight that underflows in a renormalization is below the floor anyway
     if total == math.inf:
-        # a weight that underflows here is below the floor anyway
         with np.errstate(under="ignore"):
             w = w / np.maximum.reduce(w)
             mass = w if gid is None else np.bincount(gid, weights=w, minlength=len(reps))
@@ -334,7 +334,8 @@ def _canonical(pts: np.ndarray, w: np.ndarray, tol: float, wide: bool) -> tuple[
     elif total <= 0.0:
         raise ValueError("total mass must be positive")
     elif abs(total - 1.0) > UNIT_MASS_TOL:
-        mass = mass / total
+        with np.errstate(under="ignore"):
+            mass = mass / total
 
     if not np.minimum.reduce(mass) >= WEIGHT_FLOOR:
         keep = mass >= WEIGHT_FLOOR
@@ -403,9 +404,7 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        atoms, weights = canonical_support(self.atoms, self.weights)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
+        self._set(*canonical_support(self.atoms, self.weights))
 
     @classmethod
     def _derived(cls, points: np.ndarray, weights: np.ndarray, check: bool = True) -> "DiscreteMeasure":
@@ -417,10 +416,12 @@ class DiscreteMeasure:
         from outside the library goes through the constructor instead.
         """
         mu = object.__new__(cls)
-        atoms, weights = _derived_support(points, weights, check)
-        object.__setattr__(mu, "atoms", atoms)
-        object.__setattr__(mu, "weights", weights)
+        mu._set(*_derived_support(points, weights, check))
         return mu
+
+    def _set(self, atoms: np.ndarray, weights: np.ndarray) -> None:
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def dim(self) -> int:
@@ -606,8 +607,10 @@ def coalesce(mu: DiscreteMeasure, tol: float) -> DiscreteMeasure:
     """
     if tol < 0:
         raise ValueError("tol must be >= 0")
-    atoms, weights = canonical_support(mu.atoms, mu.weights, tol=max(tol, MERGE_TOL))
-    return DiscreteMeasure(atoms, weights)
+    # mu's arrays are canonical, and so valid: one pass of the kernel
+    out = object.__new__(DiscreteMeasure)
+    out._set(*_canonical(mu.atoms, mu.weights, max(tol, MERGE_TOL), True))
+    return out
 
 
 def base_of(lifted: LiftedMeasure) -> DiscreteMeasure:

@@ -67,36 +67,15 @@ class CustomPvf:
 PvfSpec = Union[GraphPvf, ConstantFiberPvf, SplittingParticlePvf, CustomPvf]
 
 
-@dataclass(frozen=True)
-class MedianData:
-    """Weighted-median bookkeeping for a 1-D measure.
-
-    ``B`` is the smallest atom whose CDF strictly exceeds 1/2 (up to
-    CDF_TOL) and ``index`` its row in the measure's atoms, ``eta = F(B) -
-    1/2`` the overshoot, ``mass_at_B`` the weight sitting on B, and
-    ``cdf_left_of_B = F(B) - mass_at_B`` the mass strictly left of B,
-    exactly rounded when it lies within CDF_TOL of 1/2.  These satisfy
-    mass_at_B = eta + 1/2 - cdf_left_of_B.
-    """
-
-    index: int
-    B: float
-    eta: float
-    mass_at_B: float
-    cdf_left_of_B: float
-
-
-def median_data(mu: DiscreteMeasure) -> MedianData:
-    """Locate the weighted median atom of a measure on the line."""
-    if mu.dim != 1:
-        raise DimMismatchError("median_data needs a 1-D measure")
-    idx, eta, mass, left = _median(mu)
-    return MedianData(index=idx, B=float(mu.atoms[idx, 0]), eta=eta, mass_at_B=mass,
-                      cdf_left_of_B=left)
-
-
 def _median(mu: DiscreteMeasure) -> tuple[int, float, float, float]:
-    """``median_data`` of a 1-D measure as (index, eta, mass_at_B, cdf_left_of_B)."""
+    """The weighted median of a 1-D measure as (index, eta, mass_at_B, cdf_left_of_B).
+
+    B = ``mu.atoms[index]`` is the smallest atom whose CDF strictly exceeds
+    1/2 (up to CDF_TOL), ``eta = F(B) - 1/2`` the overshoot, ``mass_at_B``
+    the weight sitting on B, and ``cdf_left_of_B = F(B) - mass_at_B`` the
+    mass strictly left of B, exactly rounded when it lies within CDF_TOL of
+    1/2.  These satisfy mass_at_B = eta + 1/2 - cdf_left_of_B.
+    """
     cdf = mu.weights.cumsum()
     idx = int((cdf > 0.5 + CDF_TOL).argmax())
     if not cdf[idx] > 0.5 + CDF_TOL:  # pragma: no cover - total mass is one
@@ -121,11 +100,33 @@ def _median(mu: DiscreteMeasure) -> tuple[int, float, float, float]:
 def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
     """Evaluate a velocity-fiber rule; the result's base is exactly ``mu``.
 
-    A graph field's velocities come from a user callable, so its lift is
-    checked in full.  The constant-fiber and splitting lifts are built from
-    canonical measures by copying and multiplying weights, so they go
-    through the canonical kernel with no check.
+    A shipped rule's rows (``_lift_rows``) go through the canonical kernel
+    once.  A graph field's velocities come from a user callable, so they
+    are checked for finiteness; the constant-fiber and splitting rows are
+    built from canonical measures by copying and multiplying weights, so
+    they are not checked.  A custom rule's lift is returned as it is, once
+    its base is checked.
     """
+    if isinstance(spec, CustomPvf):
+        out = spec.evaluate(mu)
+        if not isinstance(out, LiftedMeasure):
+            raise ValueError("custom rule must return a LiftedMeasure")
+        base = base_of(out)  # cached: the scheme asks for the same base
+        if not (
+            base.natoms == mu.natoms
+            and np.array_equal(base.atoms, mu.atoms)
+            and np.max(np.abs(base.weights - mu.weights)) <= AGREE_TOL
+        ):
+            raise ValueError("custom rule must preserve the base measure")
+        return out
+    joint, w = _lift_rows(spec, mu)
+    return LiftedMeasure._derived(joint, w, check=isinstance(spec, GraphPvf))
+
+
+def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (position, velocity) of ``V[mu]``, one fresh (n, 2 d) array,
+    and their weights, before canonicalization; a custom rule supplies the
+    rows of the lift ``eval_pvf`` returns."""
     if isinstance(spec, GraphPvf):
         vels = []
         for x in mu.atoms:
@@ -135,7 +136,7 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
                     f"field returned shape {v.shape}, expected ({mu.dim},)"
                 )
             vels.append(v)
-        return LiftedMeasure(mu.atoms, np.vstack(vels), mu.weights)
+        return np.concatenate((mu.atoms, np.vstack(vels)), axis=1), mu.weights
 
     if isinstance(spec, ConstantFiberPvf):
         if spec.omega.dim != mu.dim:
@@ -147,7 +148,7 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
         joint[:, :, :d] = mu.atoms[:, None, :]
         joint[:, :, d:] = spec.omega.atoms
         w = (mu.weights[:, None] * spec.omega.weights[None, :]).ravel()
-        return LiftedMeasure._derived(joint.reshape(n * m, 2 * d), w, check=False)
+        return joint.reshape(n * m, 2 * d), w
 
     if isinstance(spec, SplittingParticlePvf):
         if mu.dim != 1:
@@ -171,20 +172,11 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
         w[i + s:] = mu.weights[i:]
         w[i] = left
         w[i + s] = eta
-        return LiftedMeasure._derived(joint, w, check=False)
+        return joint, w
 
     if isinstance(spec, CustomPvf):
-        out = spec.evaluate(mu)
-        if not isinstance(out, LiftedMeasure):
-            raise ValueError("custom rule must return a LiftedMeasure")
-        base = base_of(out)  # cached: the scheme asks for the same base
-        if not (
-            base.natoms == mu.natoms
-            and np.array_equal(base.atoms, mu.atoms)
-            and np.max(np.abs(base.weights - mu.weights)) <= AGREE_TOL
-        ):
-            raise ValueError("custom rule must preserve the base measure")
-        return out
+        out = eval_pvf(spec, mu)
+        return np.concatenate((out.positions, out.velocities), axis=1), out.weights
 
     raise TypeError(f"not a velocity-fiber rule: {spec!r}")
 

@@ -23,7 +23,10 @@ Every lift and node a step builds is derived from canonical measures, so
 it is built by ``DiscreteMeasure._derived`` or ``LiftedMeasure._derived``:
 the canonical kernel, plus a finiteness check on the atoms that arithmetic
 produced (a node, an interpolated measure, a binned velocity), where a
-float overflow can first appear.
+float overflow can first appear.  A step runs the kernel once per value:
+the lift, the node and the lift's base.  The lattice scheme bins the
+rule's raw rows (``pvf._lift_rows``) before its lift's one pass, and the
+base of a ``mean-velocity`` lift is the node it starts from.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .measures import (
     fiber_means,
     support_radius,
 )
-from .pvf import PvfSpec, eval_pvf, lift_size_bound
+from .pvf import PvfSpec, _lift_rows, eval_pvf, lift_size_bound
 from .tolerances import AGREE_TOL, CELL_TOL, MERGE_TOL, PRUNE_FLOOR_MAX
 
 LAS = "las"
@@ -190,37 +193,22 @@ def snap_space(mu: DiscreteMeasure, grid: GridSpec) -> DiscreteMeasure:
     return DiscreteMeasure(idx * grid.dx, mu.weights)
 
 
-def snap_velocity(lifted: LiftedMeasure, grid: GridSpec) -> LiftedMeasure:
-    """Bin the velocities of a lifted measure onto the dv grid.
-
-    Positions must already sit on the space grid (within ``AGREE_TOL``);
-    they are passed through untouched, so the base measure is preserved.
-    The binned velocities overflow when ``dv`` is tiny, so they are
-    checked for finiteness; nothing else is.
-    """
-    pos = lifted.positions
-    nearest = np.rint(pos / grid.dx) * grid.dx
-    if float(np.max(np.abs(pos - nearest), initial=0.0)) > AGREE_TOL:
-        raise BaseOffGridError("base atoms are not on the space grid")
-    vel = _bin_indices(lifted.velocities, grid.dv) * grid.dv
-    return LiftedMeasure._derived(np.concatenate((pos, vel), axis=1), lifted.weights)
-
-
 # ---------------------------------------------------------------------------
 # runs
 # ---------------------------------------------------------------------------
 
-def _lift(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig) -> LiftedMeasure:
-    """``eval_pvf(spec, mu)``, refused before evaluation when the atoms it
-    would build exceed ``cfg.max_atoms``; a custom rule is checked after."""
+def _lift(evaluate, spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
+    """``evaluate(spec, mu)``, which is ``eval_pvf`` or its raw rows
+    ``_lift_rows``, refused before evaluation when the atoms it would build
+    exceed ``cfg.max_atoms``; a custom rule is checked after."""
     bound = lift_size_bound(spec, mu)
-    lifted = None
+    out = None
     if bound is None:
-        lifted = eval_pvf(spec, mu)
-        bound = lifted.natoms
+        out = evaluate(spec, mu)
+        bound = len(out[1]) if isinstance(out, tuple) else out.natoms
     if bound > cfg.max_atoms:
         raise SupportBlowupError(f"{bound} atoms exceed the cap of {cfg.max_atoms}")
-    return eval_pvf(spec, mu) if lifted is None else lifted
+    return evaluate(spec, mu) if out is None else out
 
 
 def _prune(mu: DiscreteMeasure, floor: float) -> tuple[DiscreteMeasure, float]:
@@ -229,17 +217,26 @@ def _prune(mu: DiscreteMeasure, floor: float) -> tuple[DiscreteMeasure, float]:
         return mu, 0.0
     drop = mu.weights < floor
     lost = float(mu.weights[drop].sum())
-    return DiscreteMeasure(mu.atoms[~drop], mu.weights[~drop]), lost
+    return DiscreteMeasure._derived(mu.atoms[~drop], mu.weights[~drop], check=False), lost
 
 
 def _las_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
-    """Children on the lattice, computed in integer lattice coordinates.
+    """Fibers binned onto the dv grid, children on the lattice.
 
-    Atoms sit exactly on multiples of dx, so recombining children coincide
+    The rule's raw rows are binned, so the lift takes one kernel pass; their
+    positions must sit on the space grid (within ``AGREE_TOL``), and the
+    binned velocities, which overflow when ``dv`` is tiny, are checked for
+    finiteness.  Children are computed in integer lattice coordinates: atoms
+    sit exactly on multiples of dx, so recombining children coincide
     exactly (binomial-type weights come out in exact dyadic arithmetic).
     """
     grid = cfg.grid
-    lifted = snap_velocity(_lift(spec, mu, cfg), grid)
+    joint, w = _lift(_lift_rows, spec, mu, cfg)
+    pos, vel = np.hsplit(joint, 2)  # views: binning vel bins the rows
+    if float(np.max(np.abs(pos - np.rint(pos / grid.dx) * grid.dx), initial=0.0)) > AGREE_TOL:
+        raise BaseOffGridError("base atoms are not on the space grid")
+    vel[:] = _bin_indices(vel, grid.dv) * grid.dv
+    lifted = LiftedMeasure._derived(joint, w)
     ix = np.rint(lifted.positions / grid.dx)
     iv = np.rint(lifted.velocities / grid.dv)
     return lifted, DiscreteMeasure._derived((ix + iv) * grid.dx, lifted.weights), 0.0
@@ -247,7 +244,7 @@ def _las_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
 
 def _lagrangian_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     """Children at x + dt v, merged at ``coalesce_tol`` and pruned below ``prune_floor``."""
-    lifted = _lift(spec, mu, cfg)
+    lifted = _lift(eval_pvf, spec, mu, cfg)
     nxt = DiscreteMeasure._derived(lifted.positions + cfg.grid.dt * lifted.velocities,
                                    lifted.weights)
     if cfg.coalesce_tol > MERGE_TOL:
@@ -261,12 +258,15 @@ def _mean_velocity_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
 
     ``max_atoms`` applies; ``coalesce_tol`` and ``prune_floor`` do not.
     The node is built (and its atoms checked) first: a mean that is not
-    finite makes its atom not finite, so the lift needs no check.
+    finite makes its atom not finite, so the lift needs no check.  The
+    one-point lift's base is ``mu`` itself, so it is not computed.
     """
-    _, vbar = fiber_means(_lift(spec, mu, cfg))
+    _, vbar = fiber_means(_lift(eval_pvf, spec, mu, cfg))
     nxt = DiscreteMeasure._derived(mu.atoms + cfg.grid.dt * vbar, mu.weights)
-    joint = np.concatenate((mu.atoms, vbar), axis=1)
-    return LiftedMeasure._derived(joint, mu.weights, check=False), nxt, 0.0
+    lifted = LiftedMeasure._derived(np.concatenate((mu.atoms, vbar), axis=1), mu.weights,
+                                    check=False)
+    object.__setattr__(lifted, "_base", mu)
+    return lifted, nxt, 0.0
 
 
 _STEPS = {LAS: _las_step, LAGRANGIAN: _lagrangian_step, MEAN_VELOCITY: _mean_velocity_step}

@@ -61,6 +61,8 @@ class TrajectoryEnsemble:
         knots = np.asarray(self.knots, dtype=float)
         if knots.ndim != 3:
             raise ValueError("knots must have shape (curves, times, dim)")
+        if not np.isfinite(times).all():
+            raise ValueError("knot times must be finite")
         if times.shape[0] < 2 or np.any(np.diff(times) <= 0):
             raise ValueError("need at least two strictly increasing knot times")
         if knots.shape[1] != times.shape[0]:

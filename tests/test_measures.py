@@ -596,6 +596,17 @@ def test_weights_whose_total_overflows_are_scaled_by_the_largest(mode):
     assert weights.tobytes() == (w / np.add.reduce(w)).tobytes()
 
 
+def test_subnormal_weights_renormalize_alike_in_raise_mode():
+    # 1e-310 / 2 underflows to a subnormal, which the floor then drops
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plain = make_measure([[0.0], [1.0]], [1e-310, 2.0])
+        with np.errstate(all="raise"):
+            raised = make_measure([[0.0], [1.0]], [1e-310, 2.0])
+    assert plain == raised
+    assert plain.atoms.tolist() == [[1.0]] and plain.weights.tolist() == [1.0]
+
+
 @pytest.mark.parametrize("mode", ["plain", "raise"])
 def test_near_ties_among_far_apart_rows_raise_no_overflow(mode):
     # the sort, the chain test and the scan all subtract rows 2e308 apart

@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -23,7 +25,7 @@ from mdelab import (
     sublinearity_bound,
 )
 from mdelab.measures import disintegrate
-from mdelab.pvf import median_data
+from mdelab.pvf import _median
 
 SPLIT = SplittingParticlePvf()
 PM1 = make_measure([[-1.0], [1.0]], [0.5, 0.5])
@@ -31,6 +33,15 @@ PM1 = make_measure([[-1.0], [1.0]], [0.5, 0.5])
 
 def m1(xs, ws):
     return make_measure([[x] for x in xs], ws)
+
+
+Median = namedtuple("Median", "index B eta mass_at_B cdf_left_of_B")
+
+
+def median(mu):
+    """``pvf._median`` of a 1-D measure, with the median atom B itself."""
+    i, eta, mass, left = _median(mu)
+    return Median(i, float(mu.atoms[i, 0]), eta, mass, left)
 
 
 def test_graph_zero_field_gives_zero_fibers():
@@ -61,25 +72,23 @@ def test_splitting_on_two_atoms():
 def test_splitting_requires_dim_1():
     with pytest.raises(DimMismatchError):
         eval_pvf(SPLIT, dirac([0.0, 0.0]))
-    with pytest.raises(DimMismatchError):
-        median_data(dirac([0.0, 0.0]))
 
 
-def test_median_data_examples():
-    md = median_data(dirac(0.0))
+def test_median_examples():
+    md = median(dirac(0.0))
     assert (md.B, md.eta, md.mass_at_B) == (0.0, 0.5, 1.0)
 
-    md = median_data(m1([-0.7, 0.7], [0.5, 0.5]))
+    md = median(m1([-0.7, 0.7], [0.5, 0.5]))
     assert (md.B, md.eta) == (0.7, 0.5)
 
-    md = median_data(m1([0.0, 1 / 3, 2 / 3, 1.0], [0.25] * 4))
+    md = median(m1([0.0, 1 / 3, 2 / 3, 1.0], [0.25] * 4))
     assert md.B == pytest.approx(2 / 3, abs=1e-15)
     assert md.eta == pytest.approx(0.25, abs=1e-12)
 
 
 @given(sts.measures(max_atoms=7))
-def test_median_data_internal_consistency(mu):
-    md = median_data(mu)
+def test_median_internal_consistency(mu):
+    md = median(mu)
     cdf_at_B = md.cdf_left_of_B + md.mass_at_B
     assert md.eta == pytest.approx(cdf_at_B - 0.5, abs=1e-12)
     assert md.eta >= -1e-12
@@ -91,7 +100,7 @@ def test_median_data_internal_consistency(mu):
 @given(sts.measures(max_atoms=7), st.sampled_from([1.25, 2.0, 3.0]))
 def test_median_scale_consistency(mu, c):
     scaled = make_measure(c * mu.atoms, mu.weights)
-    assert median_data(scaled).B == c * median_data(mu).B
+    assert median(scaled).B == c * median(mu).B
 
 
 def test_barycentric_field_examples():
@@ -135,7 +144,7 @@ def test_base_consistency_all_variants(mu):
 
 @given(sts.measures(max_atoms=7))
 def test_splitting_fiber_at_split_atom(mu):
-    md = median_data(mu)
+    md = median(mu)
     dis = disintegrate(eval_pvf(SPLIT, mu))
     k = int(np.searchsorted(dis.base.atoms[:, 0], md.B))
     fiber = dis.fibers[k]
@@ -234,7 +243,7 @@ def split_inputs(draw):
 @example(m1([0.0, 1.0], [0.5, 0.5]))
 @example(m1([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25]))
 def test_splitting_lift_matches_loop_reference(mu):
-    md = median_data(mu)
+    md = median(mu)
     pos, vel, w = oracles.splitting_lift_loop(
         mu.atoms[:, 0], mu.weights, md.B, md.eta, md.cdf_left_of_B
     )
@@ -259,7 +268,7 @@ def test_torn_block_lagrangian_step_builds_n_lift_rows(monkeypatch):
     monkeypatch.setattr(measures, "_canonical", counting)
     mu = quantile_uniform(0.0, 1.0, 256)
     for _ in range(cfg.grid.N):
-        md = median_data(mu)
+        md = median(mu)
         assert md.cdf_left_of_B == 0.5
         rows.clear()
         lifted, nxt, _ = schemes._lagrangian_step(SPLIT, mu, cfg)

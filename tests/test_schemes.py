@@ -19,7 +19,6 @@ from mdelab import (
     dirac,
     eval_pvf,
     interpolate_at,
-    make_lifted,
     make_measure,
     quantile_uniform,
     run_scheme,
@@ -30,7 +29,8 @@ from mdelab import (
 )
 from mdelab import measures, schemes
 from mdelab.pvf import GRAPH_FIELDS
-from mdelab.schemes import snap_space, snap_velocity
+from mdelab.schemes import snap_space
+from mdelab.tolerances import WEIGHT_FLOOR
 
 SPLIT = SplittingParticlePvf()
 PM1 = make_measure([[-1.0], [1.0]], [0.5, 0.5])
@@ -94,30 +94,39 @@ def test_snap_space_w1_bound():
         assert w1_distance(mu, snap_space(mu, g)) <= np.sqrt(2) * g.dx + 1e-12
 
 
-def test_snap_velocity_examples():
-    g = GridSpec(T=3.0, N=3, dv=1.0)
-    lift = make_lifted([[0.0]], [[0.0]], [1.0])
-    assert np.array_equal(snap_velocity(lift, g).velocities, [[0.0]])
-
-    fast = make_lifted([[0.0]], [[2.0 * np.sqrt(3.0)]], [1.0])
-    assert snap_velocity(fast, g).velocities[0, 0] == 3.0
-
-    back = make_lifted([[0.0]], [[-0.4]], [1.0])
-    assert snap_velocity(back, g).velocities[0, 0] == -1.0
+def las_lift(v, **grid):
+    """The first lift of a ``las`` run from delta_0 under the constant velocity v."""
+    return run_scheme(ConstantFiberPvf(dirac(v)), dirac(0.0), cfg(LAS, **grid)).interp[0]
 
 
-def test_snap_velocity_boundary_dust_bins_upward():
+def test_las_bins_velocities_examples():
+    g = dict(T=3.0, N=3, dv=1.0)
+    assert np.array_equal(las_lift(0.0, **g).velocities, [[0.0]])
+    assert las_lift(2.0 * np.sqrt(3.0), **g).velocities[0, 0] == 3.0
+    assert las_lift(-0.4, **g).velocities[0, 0] == -1.0
+
+
+def test_las_velocity_boundary_dust_bins_upward():
     # velocity exactly on a bin edge up to float error stays in that bin
-    g = GridSpec(T=1.0, N=5)  # dv = 0.2, and 1/0.2 rounds below 5
-    lift = make_lifted([[0.0]], [[1.0]], [1.0])
-    assert snap_velocity(lift, g).velocities[0, 0] == 1.0
+    # (N = 5: dv = 0.2, and 1/0.2 rounds below 5)
+    assert las_lift(1.0, T=1.0, N=5).velocities[0, 0] == 1.0
 
 
-def test_snap_velocity_rejects_off_grid_base():
-    g = GridSpec(T=1.0, N=4)
-    off = make_lifted([[g.dx * 0.5]], [[1.0]], [1.0])
+def test_las_applies_the_weight_floor_to_binned_rows():
+    # each row 0.5 * 1.2e-15 lies below WEIGHT_FLOOR, but the two rows of
+    # one atom share the velocity bin 0, and the binned atom does not
+    omega = m1([0.1, 0.12, 1.0], [1.2e-15, 1.2e-15, 1.0])
+    lifted = run_scheme(ConstantFiberPvf(omega), m1([0.0, 0.25], [0.5, 0.5]), cfg(LAS)).interp[0]
+    assert lifted.velocities[:, 0].tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert lifted.weights[0] == lifted.weights[2] >= WEIGHT_FLOOR
+
+
+def test_las_rejects_off_grid_base():
+    # run_scheme snaps mu0 onto the grid first, so step from an off-grid node
+    config = cfg(LAS, N=4)
+    off = dirac(config.grid.dx * 0.5)
     with pytest.raises(BaseOffGridError):
-        snap_velocity(off, g)
+        schemes._las_step(ConstantFiberPvf(dirac(1.0)), off, config)
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +327,14 @@ def test_lagrangian_support_blowup_guard():
 def test_atom_cap_trips_before_the_rule_is_evaluated(monkeypatch, scheme, spec, mu0, cap):
     calls = []
     monkeypatch.setattr(schemes, "eval_pvf", lambda *args: calls.append(args))
+    monkeypatch.setattr(schemes, "_lift_rows", lambda *args: calls.append(args))
     with pytest.raises(SupportBlowupError):
         run_scheme(spec, mu0, cfg(scheme, max_atoms=cap))
     assert calls == []
 
 
-def test_mean_velocity_builds_no_measure_per_fiber(monkeypatch):
-    # the fiber means come from one grouping of the lift, so a step builds
-    # a fixed handful of canonical measures, not one per base atom; every
-    # one of them, checked or derived, goes through the kernel
+def counted_kernel(monkeypatch) -> list:
+    """Record the arguments of every call of the canonical kernel."""
     calls = []
     kernel = measures._canonical
 
@@ -334,10 +342,38 @@ def test_mean_velocity_builds_no_measure_per_fiber(monkeypatch):
         calls.append(args)
         return kernel(*args, **kwargs)
 
-    mu0 = quantile_uniform(0.0, 1.0, 256)
     monkeypatch.setattr(measures, "_canonical", counted)
+    return calls
+
+
+def test_mean_velocity_builds_no_measure_per_fiber(monkeypatch):
+    # the fiber means come from one grouping of the lift, so a step builds
+    # a fixed handful of canonical measures, not one per base atom; every
+    # one of them, checked or derived, goes through the kernel
+    mu0 = quantile_uniform(0.0, 1.0, 256)
+    calls = counted_kernel(monkeypatch)
     run_scheme(SPLIT, mu0, cfg(MEAN_VELOCITY, N=4))
-    assert len(calls) <= 5 * 4
+    assert len(calls) <= 3 * 4
+
+
+@pytest.mark.parametrize("scheme, extra", [(LAS, 1), (LAGRANGIAN, 0), (MEAN_VELOCITY, 0)])
+@pytest.mark.parametrize("spec", [SPLIT, BINOMIAL, PEANO], ids=["split", "binomial", "peano"])
+def test_a_step_runs_the_kernel_once_per_value(monkeypatch, scheme, extra, spec):
+    # the lift, the node and the base; the lattice scheme also snaps mu0
+    mu0 = make_measure([[0.0], [0.25], [0.5]], [0.2, 0.3, 0.5])
+    calls = counted_kernel(monkeypatch)
+    run_scheme(spec, mu0, cfg(scheme, N=5))
+    assert len(calls) == 3 * 5 + extra
+
+
+def test_coalescing_steps_run_the_kernel_once_more(monkeypatch):
+    mu0 = make_measure([[0.0], [0.25], [0.5]], [0.2, 0.3, 0.5])
+    calls = counted_kernel(monkeypatch)
+    run_scheme(BINOMIAL, mu0, cfg(LAGRANGIAN, N=5, coalesce_tol=0.01))
+    assert len(calls) == 4 * 5
+    calls.clear()
+    measures.coalesce(mu0, 0.3)
+    assert len(calls) == 1
 
 
 def test_atom_cap_checks_a_custom_rule_after_evaluation():

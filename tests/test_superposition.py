@@ -214,6 +214,13 @@ def test_trajectory_ensemble_validation():
         TrajectoryEnsemble(times=[0.0, 1.0], weights=[1.0], knots=[[0.0, 1.0]])
 
 
+@pytest.mark.parametrize("times", [[np.nan, 1.0], [0.0, np.nan], [0.0, np.inf]])
+def test_trajectory_ensemble_rejects_non_finite_times(times):
+    with pytest.raises(ValueError) as info:
+        TrajectoryEnsemble(times=times, weights=[1.0], knots=[[[0.0], [1.0]]])
+    assert str(info.value) == "knot times must be finite"
+
+
 def test_identical_curves_merge():
     ens = TrajectoryEnsemble(
         times=[0.0, 1.0],
