@@ -259,9 +259,14 @@ def _mean_velocity_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     ``max_atoms`` applies; ``coalesce_tol`` and ``prune_floor`` do not.
     The node is built (and its atoms checked) first: a mean that is not
     finite makes its atom not finite, so the lift needs no check.  The
-    one-point lift's base is ``mu`` itself, so it is not computed.
+    one-point lift's base is ``mu`` itself, so it is not computed, unless
+    the weight floor dropped a whole fiber of the lift: then the step
+    starts from the lift's base, whose atoms are the fibers left.
     """
-    _, vbar = fiber_means(_lift(eval_pvf, spec, mu, cfg))
+    lift = _lift(eval_pvf, spec, mu, cfg)
+    _, vbar = fiber_means(lift)
+    if len(vbar) < mu.natoms:
+        mu = base_of(lift)
     nxt = DiscreteMeasure._derived(mu.atoms + cfg.grid.dt * vbar, mu.weights)
     lifted = LiftedMeasure._derived(np.concatenate((mu.atoms, vbar), axis=1), mu.weights,
                                     check=False)

@@ -11,15 +11,18 @@ All couplings are computed by one transportation (network) simplex on
 the m x n cost matrix, with no external solver: the basis is a spanning
 tree of m + n - 1 cells, kept strongly feasible against degeneracy
 (Cunningham 1976; Peyre & Cuturi, Computational Optimal Transport,
-ch. 3).  A cold solve prices the north-west corner first, which is
-optimal on the line, and otherwise starts from the least-cost
+ch. 3).  A cold solve prices the north-west corner first, cell by cell
+along its staircase with no tree built, and stops there when it is
+optimal, as on the line.  Otherwise it starts from the least-cost
 (matrix-minimum) basis when that has no zero-mass cell and costs less;
-on 2-D data that roughly halves the pivots.  As in network simplex
-codes, a pivot updates parents, depths and duals only on the subtree
-that moves, and the entering cell is found by block-search pricing, the
-default rule of the LEMON network simplex (Kovacs 2015, "Minimum-cost
-flow algorithms: an experimental evaluation").  On the line the
-Wasserstein distance is instead integrated exactly from the CDF
+on 2-D data that roughly halves the pivots.  Only the basis the pivots
+start from is hung as a tree, whose adjacency carries each basic cell's
+cost.  As in network simplex codes, a pivot updates parents, depths and
+duals only on the subtree that moves, and the entering cell is found by
+block-search pricing, the default rule of the LEMON network simplex
+(Kovacs 2015, "Minimum-cost flow algorithms: an experimental
+evaluation").  Equal measures are at distance 0 with no solve.  On the
+line the Wasserstein distance is instead integrated exactly from the CDF
 difference, which doubles as an independent cross-check of the simplex
 in the test suite.
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional
 
 import numpy as np
@@ -59,10 +63,19 @@ class TransportPlan:
             raise ValueError("plan mass must be a 2-D matrix")
         if np.any(m < -PLAN_NEG_TOL):
             raise ValueError("plan mass must be nonnegative")
-        m = np.clip(m, 0.0, None)
-        m = np.ascontiguousarray(m)
-        m.setflags(write=False)
-        object.__setattr__(self, "mass", m)
+        self._set(np.ascontiguousarray(np.clip(m, 0.0, None)))
+
+    @classmethod
+    def _solved(cls, mass: np.ndarray) -> "TransportPlan":
+        """The plan of a solve, whose finite, nonnegative masses the solver
+        wrote into a fresh contiguous matrix: nothing is re-checked."""
+        plan = object.__new__(cls)
+        plan._set(mass)
+        return plan
+
+    def _set(self, mass: np.ndarray) -> None:
+        mass.setflags(write=False)
+        object.__setattr__(self, "mass", mass)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -123,7 +136,7 @@ def _least_cost(C: np.ndarray, a, b) -> dict[tuple[int, int], float]:
     column that run out together leave a zero-mass cell to come.
     """
     m, n = C.shape
-    ra, rb = list(a), list(b)
+    ra, rb = a.tolist(), b.tolist()
     row_open, col_open = [True] * m, [True] * n
     rows_left, cols_left = m, n
     flow = {}
@@ -148,32 +161,39 @@ def _least_cost(C: np.ndarray, a, b) -> dict[tuple[int, int], float]:
 _BLOCK_CELLS = 4096  # pricing visits whole rows, at least this many cells at once
 
 
-def _hang(adj: list[set], C: list[list[float]], m: int, parent, depth, pot, top: int) -> None:
+def _hang(adj: list[dict], parent, depth, top: int, pot_top: float) -> tuple[list[int], list[float]]:
     """Hang the subtree below node ``top`` from it, in place.
 
-    Nodes 0..m-1 are the rows and m.. the columns; a basic cell (i, j)
-    joins node i and node m + j and has u_i + v_j = C[i][j].  The parent,
-    depth and dual of ``top`` must already be set.
+    Nodes 0..m-1 are the rows and m.. the columns; ``adj[p]`` maps each
+    neighbour q of node p to the cost of the basic cell joining them, whose
+    duals satisfy u_p + u_q = that cost.  The parent and depth of ``top``
+    must already be set; ``pot_top`` is its dual.  Returns the nodes hung,
+    ``top`` first, and their duals.
     """
-    order = [top]
-    for p in order:
-        for q in adj[p]:
-            if q != parent[p]:
+    order, pot = [top], [pot_top]
+    for p, x in zip(order, pot):
+        up, d, cost = parent[p], depth[p] + 1, adj[p]
+        for q in cost:
+            if q != up:
                 parent[q] = p
-                depth[q] = depth[p] + 1
-                pot[q] = (C[p][q - m] if q >= m else C[q][p - m]) - pot[p]
+                depth[q] = d
                 order.append(q)
+                pot.append(cost[q] - x)
+    return order, pot
 
 
-def _tree(flow, C: list[list[float]], m: int, n: int):
-    """Adjacency sets, parents, depths and duals of the basis ``flow`` hung from row 0."""
-    adj = [set() for _ in range(m + n)]
+def _tree(flow, C: list[list[float]], m: int, n: int, u: np.ndarray):
+    """Adjacency, parents and depths of the basis ``flow`` hung from row 0.
+
+    Writes the duals into ``u``, rows first.
+    """
+    adj = [{} for _ in range(m + n)]
     for i, j in flow:
-        adj[i].add(m + j)
-        adj[m + j].add(i)
-    parent, depth, pot = [-1] * (m + n), [0] * (m + n), [0.0] * (m + n)
-    _hang(adj, C, m, parent, depth, pot, 0)
-    return adj, parent, depth, pot
+        adj[i][m + j] = adj[m + j][i] = C[i][j]
+    parent, depth = [-1] * (m + n), [0] * (m + n)
+    order, pot = _hang(adj, parent, depth, 0, 0.0)
+    u.put(order, pot)
+    return adj, parent, depth
 
 
 def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
@@ -183,26 +203,29 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
     (the basic cells of an earlier solve with the same marginals) when it
     is given.  Otherwise it starts at the north-west corner, which is
     priced first: on the line, where the atoms are sorted, it is optimal
-    and no pivot is made.  If it is not optimal, the least-cost basis
-    replaces it when that carries positive mass on every cell and costs
-    less.  A tree without zero-mass cells is strongly feasible whatever
-    its root; a degenerate least-cost basis is not used.  When
-    ``allowed`` is given, only those cells may enter.  Pricing is block
-    search (Kovacs 2015): blocks of whole rows of at least
-    ``_BLOCK_CELLS`` cells, visited in turn from the block of the last
-    entering cell; the most negative reduced cost of the first block that
-    has one enters, so a problem of one block enters by Dantzig's rule.
-    The cell that leaves is Cunningham's: the last blocking cell met
-    going round the cycle from its apex, which keeps zero-mass cells
-    pointing to the root and rules out cycling.
+    and no pivot is made.  Each cell of that staircase, in order, adds a
+    row or a column next to a node already placed, its parent in the tree
+    hung from row 0, so the staircase is priced in one loop and no tree is
+    built for it.  If it is not optimal, the least-cost basis replaces it
+    when that carries positive mass on every cell and costs less.  A tree
+    without zero-mass cells is strongly feasible whatever its root; a
+    degenerate least-cost basis is not used.  When ``allowed`` is given,
+    only those cells may enter.  Pricing is block search (Kovacs 2015):
+    blocks of whole rows of at least ``_BLOCK_CELLS`` cells, visited in
+    turn from the block of the last entering cell; the most negative
+    reduced cost of the first block that has one enters, so a problem of
+    one block enters by Dantzig's rule.  The cell that leaves is
+    Cunningham's: the last blocking cell met going round the cycle from
+    its apex, which keeps zero-mass cells pointing to the root and rules
+    out cycling.
 
-    The tree is hung from row 0 once.  A pivot re-hangs only the subtree
-    that the leaving cell cuts off, below the entering cell.  A dual is
-    computed from its parent's by one formula, so it depends only on its
-    path from the root: duals outside the subtree keep their paths and
-    values, and those inside are recomputed along their new paths.  Every
-    dual is thus bit-identical to a full re-hang of the new tree, and
-    none can drift.
+    The tree the pivots start from is hung from row 0 once.  A pivot
+    re-hangs only the subtree that the leaving cell cuts off, below the
+    entering cell.  A dual is computed from its parent's by one formula,
+    so it depends only on its path from the root: duals outside the
+    subtree keep their paths and values, and those inside are recomputed
+    along their new paths.  Every dual is thus bit-identical to a full
+    re-hang of the new tree, and none can drift.
 
     Returns the basic cells with their masses, the reduced costs and the
     pivot count.
@@ -212,17 +235,25 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
     tol = REDUCED_COST_TOL * (1.0 + float(np.abs(C).max()))
     rows = -(-_BLOCK_CELLS // n)
     blocks = -(-m // rows)
-    block, u = 0, None  # u: the duals of the tree last priced
+    block = 0
+    u = np.empty(m + n)  # the duals: rows, then columns
+    urow, vcol = u[:m, None], u[m:]
+    buf = np.empty((min(rows, m), n))
+    spans = [  # per block: its first row, costs, row duals, reduced costs and allowed cells
+        (lo, C[lo:lo + rows], urow[lo:lo + rows], buf[:min(rows, m - lo)],
+         None if allowed is None else allowed[lo:lo + rows])
+        for lo in range(0, m, rows)
+    ]
 
     def entering():  # the cell that enters the current tree, or None at an optimum
-        nonlocal block, u
-        u = np.array(pot)
+        nonlocal block
         for _ in range(blocks):
-            lo, hi = block * rows, min(block * rows + rows, m)
-            R = C[lo:hi] - u[lo:hi, None] - u[None, m:]
-            price = R if allowed is None else np.where(allowed[lo:hi], R, 0.0)
+            lo, Cb, ub, R, ok = spans[block]
+            np.subtract(Cb, ub, out=R)
+            np.subtract(R, vcol, out=R)
+            price = R if ok is None else np.where(ok, R, 0.0)
             k = int(price.argmin())
-            if price.flat[k] < -tol:
+            if price.item(k) < -tol:
                 i, j = divmod(k, n)
                 return lo + i, j
             block = (block + 1) % blocks
@@ -231,52 +262,79 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
     def cost(f):
         return math.fsum(Cl[i][j] * x for (i, j), x in f.items())
 
-    def cell(q):  # the basic cell joining node q to its parent
-        return (q, parent[q] - m) if q < m else (parent[q], q - m)
-
-    cold = flow is None
-    flow = _north_west(list(a), list(b)) if cold else dict(flow)
-    adj, parent, depth, pot = _tree(flow, Cl, m, n)
-    enter = entering()
-    if cold and enter is not None:
-        start = _least_cost(C, a, b)
-        if min(start.values()) > 0.0 and cost(start) < cost(flow):
-            flow = start
-            adj, parent, depth, pot = _tree(flow, Cl, m, n)
-            enter = entering()
+    if flow is None:
+        flow = _north_west(a.tolist(), b.tolist())
+        pot, last = [0.0] * (m + n), 0
+        for i, j in flow:  # each cell places its new row or column under the other
+            if i != last:
+                pot[i], last = Cl[i][j] - pot[m + j], i
+            else:
+                pot[m + j] = Cl[i][j] - pot[i]
+        u[:] = pot
+        enter = entering()
+        if enter is not None:
+            start = _least_cost(C, a, b)
+            if min(start.values()) > 0.0 and cost(start) < cost(flow):
+                flow = start
+                adj, parent, depth = _tree(flow, Cl, m, n, u)
+                enter = entering()
+            else:  # the staircase stays: hang it, which rewrites the same duals
+                adj, parent, depth = _tree(flow, Cl, m, n, u)
+    else:
+        flow = dict(flow)
+        adj, parent, depth = _tree(flow, Cl, m, n, u)
+        enter = entering()
     for pivots in range(cap):
         if enter is None:
-            return flow, C - u[:m, None] - u[None, m:], pivots
+            return flow, C - urow - vcol, pivots
         i, j = enter
-        up, side = [], []  # from row i and from column j to their common ancestor
+        # walk from row i and from column j up to their common ancestor; the
+        # cells met on the way from row i that lose mass are those of rows,
+        # and on the way from column j those of columns.  Cunningham's cell
+        # is the last minimum going round the cycle from the apex down to
+        # row i, then over (i, j) and up from column j: the first minimum
+        # met from row i, unless one from column j is as small.
+        lose, gain = [], []
         p, q = i, m + j
+        dp = dq = math.inf
         while p != q:
             if depth[p] >= depth[q]:
-                up.append(p)
-                p = parent[p]
+                r = parent[p]
+                if p < m:
+                    e = p, r - m
+                    lose.append(e)
+                    if flow[e] < dp:
+                        dp, ep = flow[e], e
+                else:
+                    gain.append((r, p - m))
+                p = r
             else:
-                side.append(q)
-                q = parent[q]
-        # the cycle from its apex down to row i, then over cell (i, j) and
-        # up from column j; True marks the cells that lose mass
-        cycle = [(cell(q), q < m) for q in reversed(up)]
-        cycle += [(cell(q), q >= m) for q in side]
-        delta = min(flow[e] for e, loses in cycle if loses)
-        out = [c for c, (e, loses) in enumerate(cycle) if loses and flow[e] == delta][-1]
-        leave = cycle[out][0]
-        for e, loses in cycle:
-            flow[e] += -delta if loses else delta
+                r = parent[q]
+                if q >= m:
+                    e = r, q - m
+                    lose.append(e)
+                    if flow[e] <= dq:
+                        dq, eq = flow[e], e
+                else:
+                    gain.append((q, r - m))
+                q = r
+        # the end of (i, j) cut off from the root heads the subtree that moves
+        if dq <= dp:
+            delta, leave, top, below = dq, eq, m + j, i
+        else:
+            delta, leave, top, below = dp, ep, i, m + j
+        for e in lose:
+            flow[e] -= delta
+        for e in gain:
+            flow[e] += delta
         del flow[leave]
         flow[i, j] = delta
-        adj[leave[0]].discard(m + leave[1])
-        adj[m + leave[1]].discard(leave[0])
-        adj[i].add(m + j)
-        adj[m + j].add(i)
-        # the end of (i, j) cut off from the root heads the subtree that moves
-        top, below = (i, m + j) if out < len(up) else (m + j, i)
+        del adj[leave[0]][m + leave[1]], adj[m + leave[1]][leave[0]]
+        c = Cl[i][j]
+        adj[i][m + j] = adj[m + j][i] = c
         parent[top], depth[top] = below, depth[below] + 1
-        pot[top] = Cl[i][j] - pot[below]
-        _hang(adj, Cl, m, parent, depth, pot, top)
+        order, pot = _hang(adj, parent, depth, top, c - u.item(below))
+        u.put(order, pot)
         enter = entering()
     raise IterationCapError(f"simplex exceeded {cap} iterations")
 
@@ -295,16 +353,53 @@ def lp_solve(
     IterationCapError past ``max_iter`` pivots (default 10 m n).
     """
     C = np.asarray(costs, dtype=float)
+    r = np.asarray(row_marginals, dtype=float).ravel()
+    c = np.asarray(col_marginals, dtype=float).ravel()
+    # one pass of joint reductions admits valid input; the checks one by
+    # one run only on a failure, to raise the first error they find
+    if not (
+        C.ndim == 2 and C.shape == (r.size, c.size) and C.size
+        and -math.inf < C.min() and C.max() < math.inf
+        and 0.0 <= r.min() and r.max() <= 1.0 + AGREE_TOL
+        and 0.0 <= c.min() and c.max() <= 1.0 + AGREE_TOL
+        and abs(r.sum() - 1.0) <= AGREE_TOL and abs(c.sum() - 1.0) <= AGREE_TOL
+    ):
+        _check_lp_input(C, r, c)
+    m, n = C.shape
+    cap = int(max_iter) if max_iter is not None else 10 * m * n
+    full = r.all() and c.all()
+    if full:
+        a, b = r, c
+    else:
+        rows, cols = np.flatnonzero(r), np.flatnonzero(c)
+        a, b = r[rows], c[cols]
+    if a.sum() != b.sum():
+        # balance the totals, or the north-west corner strands the excess
+        # in its last cell; each marginal moves by at most half their gap
+        total = (a.sum() + b.sum()) / 2.0
+        a, b = a * (total / a.sum()), b * (total / b.sum())
+    flow, _, _ = _simplex(C if full else C[np.ix_(rows, cols)], a, b, cap)
+    i, j = np.fromiter(chain.from_iterable(flow), np.intp, 2 * len(flow)).reshape(-1, 2).T
+    mass = np.zeros((m, n))
+    mass[(i, j) if full else (rows[i], cols[j])] = list(flow.values())
+    plan = TransportPlan._solved(mass)
+    if (
+        np.max(np.abs(plan.row_marginals - r)) > AGREE_TOL
+        or np.max(np.abs(plan.col_marginals - c)) > AGREE_TOL
+    ):  # pragma: no cover - the balanced totals keep the plan within tolerance
+        raise LpFailureError("solver returned a plan violating the marginals")
+    return plan, float(np.sum(C * plan.mass))
+
+
+def _check_lp_input(C: np.ndarray, r: np.ndarray, c: np.ndarray) -> None:
+    """Raise the first error that ``lp_solve``'s input has."""
     if C.ndim != 2:
         raise ValueError("costs must be a 2-D matrix")
     if not np.all(np.isfinite(C)):
         raise ValueError("costs must be finite")
-    r = np.asarray(row_marginals, dtype=float).ravel()
-    c = np.asarray(col_marginals, dtype=float).ravel()
     if not (np.isfinite(r).all() and np.isfinite(c).all()):
         raise ValueError("marginals must be finite")
-    m, n = C.shape
-    if r.shape[0] != m or c.shape[0] != n:
+    if r.shape[0] != C.shape[0] or c.shape[0] != C.shape[1]:
         raise ValueError("marginal lengths must match the cost matrix shape")
     if np.any(r < 0) or np.any(c < 0):
         raise ValueError("marginals must be nonnegative")
@@ -315,26 +410,6 @@ def lp_solve(
         or abs(r.sum() - 1.0) > AGREE_TOL or abs(c.sum() - 1.0) > AGREE_TOL
     ):
         raise ValueError("marginals must each sum to one")
-
-    cap = int(max_iter) if max_iter is not None else 10 * m * n
-    rows, cols = np.flatnonzero(r > 0), np.flatnonzero(c > 0)
-    a, b = r[rows], c[cols]
-    if a.sum() != b.sum():
-        # balance the totals, or the north-west corner strands the excess
-        # in its last cell; each marginal moves by at most half their gap
-        total = (a.sum() + b.sum()) / 2.0
-        a, b = a * (total / a.sum()), b * (total / b.sum())
-    flow, _, _ = _simplex(C[np.ix_(rows, cols)], a, b, cap)
-    plan = np.zeros((m, n))
-    for (i, j), x in flow.items():
-        plan[rows[i], cols[j]] = x
-    plan = TransportPlan(plan)
-    if (
-        np.max(np.abs(plan.row_marginals - r)) > AGREE_TOL
-        or np.max(np.abs(plan.col_marginals - c)) > AGREE_TOL
-    ):  # pragma: no cover - the balanced totals keep the plan within tolerance
-        raise LpFailureError("solver returned a plan violating the marginals")
-    return plan, float(np.sum(C * plan.mass))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +439,8 @@ def w1_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, method: str = "auto") 
     ``method`` is "auto" (quantile integration on the line, LP otherwise),
     "quantile" (1-D only) or "lp".  Both routes are exact for atomic
     measures up to float roundoff, which the test suite exploits by
-    comparing them against each other.
+    comparing them against each other.  The LP route returns 0.0 for equal
+    measures without a solve.
     """
     if mu.dim != nu.dim:
         raise DimMismatchError(f"dim {mu.dim} vs {nu.dim}")
@@ -375,6 +451,8 @@ def w1_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, method: str = "auto") 
             raise DimMismatchError("quantile integration needs dim 1")
         return _w1_quantile(mu, nu)
     if method == "lp":
+        if mu == nu:  # bit-equal canonical measures: no solve
+            return 0.0
         cost = _pairwise_dist(mu.atoms, nu.atoms)
         _, value = lp_solve(cost, mu.weights, nu.weights)
         return max(value, 0.0)
@@ -384,12 +462,15 @@ def w1_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, method: str = "auto") 
 def w1_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[TransportPlan, float]:
     """An optimal coupling for the Euclidean Wasserstein-1 problem.
 
-    On the line the atoms are sorted, so the north-west corner of the
-    weights is the monotone coupling, which is optimal; it is built
-    directly in O(m + n) cells.  Elsewhere the simplex solves the LP.
+    Equal measures get the diagonal plan.  On the line the atoms are
+    sorted, so the north-west corner of the weights is the monotone
+    coupling, which is optimal; it is built directly in O(m + n) cells.
+    Elsewhere the simplex solves the LP.
     """
     if mu.dim != nu.dim:
         raise DimMismatchError(f"dim {mu.dim} vs {nu.dim}")
+    if mu == nu:
+        return TransportPlan._solved(np.diag(mu.weights)), 0.0
     if mu.dim == 1:
         cells = _north_west(mu.weights.tolist(), nu.weights.tolist())
         i, j = np.array(list(cells), dtype=np.intp).T
@@ -397,7 +478,7 @@ def w1_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[TransportPlan, fl
         plan = np.zeros((mu.natoms, nu.natoms))
         plan[i, j] = x
         value = float(np.dot(x, np.abs(mu.atoms[i, 0] - nu.atoms[j, 0])))
-        return TransportPlan(plan), value
+        return TransportPlan._solved(plan), value
     cost = _pairwise_dist(mu.atoms, nu.atoms)
     return lp_solve(cost, mu.weights, nu.weights)
 

@@ -36,7 +36,7 @@ from mdelab.pvf import GRAPH_FIELDS
 
 PATHS = 480
 COALESCE_CALLS = 400
-DIGEST = "eb05f84be3ec9d41d264e873af658f50443bf6cb189495fcd384edbabf5a17cd"
+DIGEST = "ab2b104c530fca88c21b57f331db85c47fa6b30e0ff12a724638175f6b5577a5"
 
 
 def _measure(rng, dim, max_atoms=6):

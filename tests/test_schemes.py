@@ -356,6 +356,20 @@ def test_mean_velocity_builds_no_measure_per_fiber(monkeypatch):
     assert len(calls) <= 3 * 4
 
 
+@pytest.mark.parametrize("n", [2, 6])
+def test_mean_velocity_steps_from_the_lift_base_when_the_floor_drops_a_fiber(n):
+    # the first atom weighs 1.5e-15, so its fiber has 7.5e-16 per velocity,
+    # under the weight floor, and the lift has n - 1 fibers: the step goes
+    # on from them, as lagrangian does, and their zero means keep them still
+    mu0 = make_measure(np.arange(n, dtype=float)[:, None],
+                       [1.5e-15 * (n - 1)] + [1.0] * (n - 1))
+    assert mu0.natoms == n
+    path = run_scheme(BINOMIAL, mu0, cfg(MEAN_VELOCITY, N=2))
+    base = run_scheme(BINOMIAL, mu0, cfg(LAGRANGIAN, N=2)).measures[0]
+    assert base.natoms == n - 1 and base.atoms[0, 0] == 1.0
+    assert all(mu == base for mu in path.measures)
+
+
 @pytest.mark.parametrize("scheme, extra", [(LAS, 1), (LAGRANGIAN, 0), (MEAN_VELOCITY, 0)])
 @pytest.mark.parametrize("spec", [SPLIT, BINOMIAL, PEANO], ids=["split", "binomial", "peano"])
 def test_a_step_runs_the_kernel_once_per_value(monkeypatch, scheme, extra, spec):

@@ -198,6 +198,25 @@ def test_lp_solve_iteration_cap():
     third = [1.0 / 3.0] * 3
     with pytest.raises(IterationCapError):
         lp_solve(cost, third, third, max_iter=1)
+    # a cap of 0 raises even where the north-west corner is optimal
+    half = [0.5, 0.5]
+    with pytest.raises(IterationCapError):
+        lp_solve([[0.0, 1.0], [1.0, 0.0]], half, half, max_iter=0)
+    assert lp_solve([[0.0, 1.0], [1.0, 0.0]], half, half, max_iter=1)[1] == 0.0
+
+
+def test_lp_solve_plan_is_read_only_and_as_if_checked():
+    rng = np.random.default_rng(79)
+    mu, nu = _pair_2d(rng, 12)
+    for a, b in ((mu.weights, nu.weights), (np.r_[mu.weights[:-1], 0.0] / mu.weights[:-1].sum(),
+                                             nu.weights)):
+        plan, _ = lp_solve(_cost(mu, nu), a, b)
+        assert not plan.mass.flags.writeable and plan.mass.flags.c_contiguous
+        checked = TransportPlan(plan.mass)
+        assert plan.mass.dtype == checked.mass.dtype
+        assert plan.mass.tobytes() == checked.mass.tobytes()
+        with pytest.raises(ValueError):
+            plan.mass[0, 0] = 1.0
 
 
 @given(sts.transport_problems())
@@ -236,6 +255,7 @@ def test_simplex_keeps_a_strongly_feasible_tree(problem):
 # the simplex against the reference that re-hangs the whole tree and prices
 # every cell at every pivot
 # ---------------------------------------------------------------------------
+
 
 def _same_as_reference(C, a, b, **kw):
     # one pricing block: the same pivots, so the same cells in the same
@@ -348,6 +368,32 @@ def test_sorted_line_problems_take_no_pivot_and_no_least_cost_start(monkeypatch)
                 w1_distance(mu, nu, method="quantile"), abs=1e-12)
 
 
+def test_an_optimal_staircase_is_priced_without_a_tree(monkeypatch):
+    # line problems, the 1-D LP route and the first fiber stage stop at the
+    # north-west corner, which is priced cell by cell with no tree
+    def no_tree(*args, **kwargs):
+        raise AssertionError("a basis tree was built")
+
+    monkeypatch.setattr(transport, "_tree", no_tree)
+    rng = np.random.default_rng(83)
+    for n in (1, 5, 20, 40):
+        mu, nu = (m1(rng.uniform(-1.0, 1.0, k), rng.uniform(0.5, 1.5, k)) for k in (n, n + 3))
+        angle = rng.uniform(0.0, np.pi)
+        u, c = np.array([np.cos(angle), np.sin(angle)]), rng.uniform(-1.0, 1.0, 2)
+        line = [make_measure(p.atoms * u + c, p.weights) for p in (mu, nu)]
+        exact = w1_distance(mu, nu, method="quantile")
+        assert w1_distance(mu, nu, method="lp") == pytest.approx(exact, abs=1e-12)
+        assert w1_distance(*line) == pytest.approx(exact, abs=1e-12)
+        v1, v2 = (
+            make_lifted(rng.choice(rng.uniform(-1.0, 1.0, 5), (k, 1)),
+                        rng.uniform(-1.0, 1.0, (k, 1)), rng.uniform(0.5, 1.5, k))
+            for k in (n, n + 2)
+        )
+        pos_cost = np.abs(v1.positions - v2.positions.T)
+        _, R, pivots = transport._simplex(pos_cost, v1.weights, v2.weights, 10 * pos_cost.size)
+        assert pivots == 0 and R.min() >= -REDUCED_COST_TOL * (1.0 + pos_cost.max())
+
+
 def test_a_dearer_least_cost_start_keeps_the_north_west_corner():
     # the least-cost start is positive but costs 31/18 against 7/6
     C = np.array([[2.0, 5.0], [5.0, 0.0], [0.0, 0.0]])
@@ -412,6 +458,24 @@ def test_w1_plan_1d_is_the_north_west_corner_without_the_simplex(monkeypatch):
     assert np.allclose(plan.mass, oracles.monotone_coupling(mu.weights, nu.weights),
                        rtol=0.0, atol=1e-12)
     assert value == pytest.approx(w1_distance(mu, nu, method="quantile"), abs=1e-12)
+
+
+def test_equal_measures_take_no_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(transport, "lp_solve", no_solve)
+    monkeypatch.setattr(transport, "_simplex", no_solve)
+    rng = np.random.default_rng(89)
+    for d in (1, 2):
+        mu = make_measure(rng.uniform(-1.0, 1.0, (30, d)), rng.uniform(0.5, 1.5, 30))
+        twin = make_measure(mu.atoms.copy(), mu.weights.copy())
+        assert twin == mu and twin is not mu
+        assert w1_distance(mu, twin, method="lp") == 0.0
+        assert w1_distance(mu, twin) == 0.0
+        plan, value = w1_plan(mu, twin)
+        assert value == 0.0 and np.array_equal(plan.mass, np.diag(mu.weights))
+        assert not plan.mass.flags.writeable
 
 
 def test_w1_2d_200_atoms_against_scipy():
