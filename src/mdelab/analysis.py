@@ -22,12 +22,16 @@ import numpy as np
 
 from .errors import EmptyInputError
 from .measures import DiscreteMeasure
-from .pvf import PvfSpec, eval_pvf
+from .pvf import PvfSpec, _is_lift, eval_pvf
 from .schemes import MeasurePath, interpolate_at
 from .transport import w1_distance
 
 # sup of |grad f| for the cubic bump, attained at |x-c| = r/sqrt(5)
 _GRAD_SUP = 96.0 / (25.0 * np.sqrt(5.0))
+# the largest temporary of a residual block, in bytes; larger blocks
+# measured slower, since fresh pages for each temporary cost more than the
+# numpy calls they save
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -73,18 +77,25 @@ class TestFunction:
 
 
 def _bump_values(points: np.ndarray, centers: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Cubic bump values, shape (bumps, points), for centers (bumps, d) and
-    squared radii (bumps,)."""
-    diff = points[None, :, :] - centers[:, None, :]
-    s = 1.0 - np.sum(diff**2, axis=2) / r2[:, None]
+    """Cubic bump values, shape (bumps, ...) for points (..., d), centers
+    (bumps, d) and squared radii (bumps,)."""
+    diff, r2 = _offsets(points, centers, r2)
+    s = 1.0 - np.sum(diff**2, axis=-1) / r2
     return np.maximum(s, 0.0) ** 3
 
 
 def _bump_gradients(points: np.ndarray, centers: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Cubic bump gradients, shape (bumps, points, d); see ``_bump_values``."""
-    diff = points[None, :, :] - centers[:, None, :]
-    s = np.maximum(1.0 - np.sum(diff**2, axis=2) / r2[:, None], 0.0)
-    return (-6.0 / r2)[:, None, None] * s[:, :, None] ** 2 * diff
+    """Cubic bump gradients, shape (bumps, ..., d); see ``_bump_values``."""
+    diff, r2 = _offsets(points, centers, r2)
+    s = np.maximum(1.0 - np.sum(diff**2, axis=-1) / r2, 0.0)
+    return (-6.0 / r2)[..., None] * s[..., None] ** 2 * diff
+
+
+def _offsets(points: np.ndarray, centers: np.ndarray, r2: np.ndarray):
+    """points - center per bump, shape (bumps, ..., d), and the squared
+    radii shaped to broadcast against its leading axes."""
+    lead = (len(centers),) + (1,) * (points.ndim - 1)
+    return points[None] - centers.reshape(lead + centers.shape[1:]), r2.reshape(lead)
 
 
 def default_test_family(measures: Sequence[DiscreteMeasure]) -> list[TestFunction]:
@@ -98,8 +109,8 @@ def default_test_family(measures: Sequence[DiscreteMeasure]) -> list[TestFunctio
     """
     if len(measures) == 0:
         raise EmptyInputError("need at least one measure to size the family")
-    lo = np.min([m.atoms.min(axis=0) for m in measures], axis=0)
-    hi = np.max([m.atoms.max(axis=0) for m in measures], axis=0)
+    atoms = np.concatenate([m.atoms for m in measures])
+    lo, hi = atoms.min(axis=0), atoms.max(axis=0)
     mid = (lo + hi) / 2.0
     half = 1.2 * (hi - lo) / 2.0
     lo, hi = mid - half, mid + half
@@ -135,10 +146,14 @@ def residual(
     """Defect |⟨mu_k, f⟩ - ⟨mu_0, f⟩ - Trap_k| per bump f and node k.
 
     Trap_k is the trapezoid sum over nodes 0..k of the mean of
-    grad f(x)·v under the velocity rule re-evaluated at each node measure.
-    Re-evaluation (rather than reusing the stored interval lifts) makes
-    this a test of the path as a candidate solution, independent of the
-    scheme that produced it.
+    grad f(x)·v under the velocity rule evaluated at each node measure.
+    Evaluating the rule at the nodes (rather than trusting the stored
+    interval lifts) makes this a test of the path as a candidate solution,
+    independent of the scheme that produced it.  A stored lift stands in
+    for the evaluation only where it is that evaluation bit for bit (see
+    ``pvf._is_lift``): a splitting lift that ``eval_pvf`` built from this
+    ``spec`` object and from the node itself.  Graph fields and custom
+    rules run user code, so they are always evaluated again.
     """
     if family is None:
         family = default_test_family(path.measures)
@@ -146,18 +161,29 @@ def residual(
     if not family:
         raise EmptyInputError("test family is empty")
     times = path.times
-    nnodes = times.shape[0]
     centers = np.array([f.center for f in family])
     r2 = np.array([f.radius**2 for f in family])
-    integrand = np.empty((len(family), nnodes))
-    values = np.empty((len(family), nnodes))
-    # The whole family at once on each node.  Sums and dots still run per
-    # bump (row), so each defect is bit for bit what a one-bump loop gives.
-    for k, mu in enumerate(path.measures):
-        lf = eval_pvf(spec, mu)
-        grad = _bump_gradients(lf.positions, centers, r2)
-        integrand[:, k] = np.sum(np.sum(grad * lf.velocities, axis=2) * lf.weights, axis=1)
-        values[:, k] = [np.dot(mu.weights, row) for row in _bump_values(mu.atoms, centers, r2)]
+    nodes = path.measures
+    lifts = [
+        lift if _is_lift(lift, spec, mu) else eval_pvf(spec, mu)
+        for lift, mu in zip(path.interp, nodes)
+    ]
+    lifts.append(eval_pvf(spec, nodes[-1]))
+    integrand = np.empty((len(family), len(nodes)))
+    values = np.empty((len(family), len(nodes)))
+    # The whole family at once on blocks of nodes (and of lifts) with equal
+    # atom counts.  Sums run along each node's contiguous row and the value
+    # dots per bump and node, so each defect is bit for bit what a loop over
+    # bumps and nodes gives.
+    for ks in _blocks([lf.natoms for lf in lifts], family, path.dim):
+        grad = _bump_gradients(np.stack([lifts[k].positions for k in ks]), centers, r2)
+        vel = np.stack([lifts[k].velocities for k in ks])
+        w = np.stack([lifts[k].weights for k in ks])
+        integrand[:, ks] = np.sum(np.sum(grad * vel, axis=-1) * w, axis=-1)
+    for ks in _blocks([mu.natoms for mu in nodes], family, path.dim):
+        vals = _bump_values(np.stack([nodes[k].atoms for k in ks]), centers, r2)
+        for j, k in enumerate(ks):
+            values[:, k] = [np.dot(nodes[k].weights, row) for row in vals[:, j]]
     steps = np.diff(times)
     trap = np.zeros_like(values)
     np.cumsum(steps * (integrand[:, :-1] + integrand[:, 1:]) / 2.0, axis=1, out=trap[:, 1:])
@@ -175,6 +201,18 @@ def residual(
         dt=dt,
         family_description=desc,
     )
+
+
+def _blocks(sizes: Sequence[int], family: Sequence[TestFunction], dim: int):
+    """Lists of node indices with equal ``sizes``, in chunks whose
+    (bumps, nodes, atoms, d) float temporaries stay under ``_BLOCK_BYTES``."""
+    by_size: dict[int, list[int]] = {}
+    for k, n in enumerate(sizes):
+        by_size.setdefault(n, []).append(k)
+    for n, ks in by_size.items():
+        step = max(1, _BLOCK_BYTES // (8 * len(family) * n * dim))
+        for s in range(0, len(ks), step):
+            yield ks[s:s + step]
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .measures import (
     fiber_means,
     make_measure,
 )
-from .tolerances import AGREE_TOL, CDF_TOL
+from .tolerances import AGREE_TOL, CDF_TOL, UNIT_MASS_TOL
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,10 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
     built from canonical measures by copying and multiplying weights, so
     they are not checked.  A custom rule's lift is returned as it is, once
     its base is checked.
+
+    Where the kernel would return ``mu`` itself as the lift's base, ``mu``
+    is attached as the base, so it is not computed again (see
+    ``_keeps_base``); a splitting lift also records its rule.
     """
     if isinstance(spec, CustomPvf):
         out = spec.evaluate(mu)
@@ -119,14 +123,49 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
         ):
             raise ValueError("custom rule must preserve the base measure")
         return out
-    joint, w = _lift_rows(spec, mu)
-    return LiftedMeasure._derived(joint, w, check=isinstance(spec, GraphPvf))
+    joint, w, exact = _lift_rows(spec, mu)
+    lift = LiftedMeasure._derived(joint, w, check=isinstance(spec, GraphPvf))
+    if exact and _keeps_base(lift, w, mu):
+        object.__setattr__(lift, "_base", mu)
+        if isinstance(spec, SplittingParticlePvf):
+            object.__setattr__(lift, "_rule", spec)  # see _is_lift
+    return lift
 
 
-def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
+def _keeps_base(lift: LiftedMeasure, w: np.ndarray, mu: DiscreteMeasure) -> bool:
+    """Whether the base of ``lift``, built from exact rows with weights
+    ``w``, is ``mu`` bit for bit.
+
+    Exact rows (see ``_lift_rows``) are ``mu``'s atoms, the median atom
+    possibly twice, and their weights regroup to ``mu``'s exactly.  If the
+    lift's kernel pass kept every row and weight (no weight-floor drop, no
+    renormalization), the base pass groups the positions back to ``mu``'s
+    atoms and the weights to ``mu``'s; it keeps them, since they are at
+    least ``WEIGHT_FLOOR``, unless their total, the same reduction of the
+    same values, is more than ``UNIT_MASS_TOL`` from one.
+    """
+    return (np.array_equal(lift.weights, w)
+            and abs(float(np.add.reduce(mu.weights)) - 1.0) <= UNIT_MASS_TOL)
+
+
+def _is_lift(lift: LiftedMeasure, spec: PvfSpec, mu: DiscreteMeasure) -> bool:
+    """Whether ``lift`` is ``eval_pvf(spec, mu)`` bit for bit, known
+    without evaluating it: ``eval_pvf`` built it from this splitting rule
+    object and attached ``mu`` itself as its base, and the splitting rule
+    runs no user code.  A graph field's callable may not be a function of
+    the position alone, so its lifts record no rule and are never taken
+    for an evaluation."""
+    return getattr(lift, "_rule", None) is spec and base_of(lift) is mu
+
+
+def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray, bool]:
     """The rows (position, velocity) of ``V[mu]``, one fresh (n, 2 d) array,
-    and their weights, before canonicalization; a custom rule supplies the
-    rows of the lift ``eval_pvf`` returns."""
+    their weights, before canonicalization, and whether the rows are exact:
+    their positions are ``mu``'s atoms in order, the median atom possibly
+    twice, and their weights regroup to ``mu``'s bit for bit.  A graph
+    field's rows are exact, and so are the splitting rule's when the median
+    splits exactly; a custom rule supplies the rows of the lift
+    ``eval_pvf`` returns."""
     if isinstance(spec, GraphPvf):
         vels = []
         for x in mu.atoms:
@@ -136,7 +175,7 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
                     f"field returned shape {v.shape}, expected ({mu.dim},)"
                 )
             vels.append(v)
-        return np.concatenate((mu.atoms, np.vstack(vels)), axis=1), mu.weights
+        return np.concatenate((mu.atoms, np.vstack(vels)), axis=1), mu.weights, True
 
     if isinstance(spec, ConstantFiberPvf):
         if spec.omega.dim != mu.dim:
@@ -148,19 +187,20 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
         joint[:, :, :d] = mu.atoms[:, None, :]
         joint[:, :, d:] = spec.omega.atoms
         w = (mu.weights[:, None] * spec.omega.weights[None, :]).ravel()
-        return joint.reshape(n * m, 2 * d), w
+        return joint.reshape(n * m, 2 * d), w, False
 
     if isinstance(spec, SplittingParticlePvf):
         if mu.dim != 1:
             raise DimMismatchError("the splitting rule needs a 1-D measure")
-        i, eta, _, left_of_B = _median(mu)
+        i, eta, mass, left_of_B = _median(mu)
         left = max(0.5 - left_of_B, 0.0)
         # The median atom B = x_i splits into row i, its 1/2 - cdf_left
         # leftward mass, and row i + 1, its eta rightward mass.  When the
         # mass left of B reaches 1/2 (or exceeds it by roundoff below
         # CDF_TOL) the leftward part is 0, and B moves right whole in one
         # row (s = 0).  The rows come out in canonical order, so
-        # canonicalization neither sorts nor groups them.
+        # canonicalization neither sorts nor groups them.  The split is
+        # exact when the two parts add back to B's weight in floats.
         s = int(left > 0.0)
         joint = np.empty((mu.natoms + s, 2))
         w = np.empty(mu.natoms + s)
@@ -172,11 +212,11 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
         w[i + s:] = mu.weights[i:]
         w[i] = left
         w[i + s] = eta
-        return joint, w
+        return joint, w, left + eta == mass
 
     if isinstance(spec, CustomPvf):
         out = eval_pvf(spec, mu)
-        return np.concatenate((out.positions, out.velocities), axis=1), out.weights
+        return np.concatenate((out.positions, out.velocities), axis=1), out.weights, False
 
     raise TypeError(f"not a velocity-fiber rule: {spec!r}")
 

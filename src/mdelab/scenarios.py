@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, IoError
+from .errors import ConfigError, EndpointMismatchError, IoError
 from .measures import (
     DiscreteMeasure,
     dirac,
@@ -354,6 +354,22 @@ def run_scenario(scn: Scenario) -> dict:
         raise ConfigError(f"T: {scn.T!r} overflows floating point ({exc})") from exc
 
 
+def _represent(path: MeasurePath, T: float, radius: float):
+    """``build_representation(path)``.  Where floats lie farther apart
+    than ``MERGE_TOL`` (atoms at 8192 or farther out), a curve's endpoint
+    can miss its node atom by roundoff; such a miss is a horizon too long
+    for the absolute tolerance, a ConfigError naming ``T``."""
+    try:
+        return build_representation(path)
+    except EndpointMismatchError as exc:
+        if np.spacing(radius) > MERGE_TOL:
+            raise ConfigError(
+                f"T: {T!r} puts atoms at {radius:g}, where floats lie farther apart "
+                f"than the merge tolerance {MERGE_TOL:g} ({exc})"
+            ) from exc
+        raise
+
+
 def _run_all(scn: Scenario) -> dict:
     started = time.perf_counter()
     spec = scn.pvf_spec()
@@ -396,7 +412,7 @@ def _run_all(scn: Scenario) -> dict:
             pruned[tag] = path.pruned_mass
             radii[tag] = max(support_radius(mu) for mu in path.measures)
             if scn.represent:
-                ens = build_representation(path)
+                ens = _represent(path, scn.T, radii[tag])
                 emit(f"trajectories_{tag}.json", artifacts.write_trajectories_json, ens)
             if scn.residual:
                 rep = residual(path, spec)

@@ -23,10 +23,16 @@ Every lift and node a step builds is derived from canonical measures, so
 it is built by ``DiscreteMeasure._derived`` or ``LiftedMeasure._derived``:
 the canonical kernel, plus a finiteness check on the atoms that arithmetic
 produced (a node, an interpolated measure, a binned velocity), where a
-float overflow can first appear.  A step runs the kernel once per value:
-the lift, the node and the lift's base.  The lattice scheme bins the
-rule's raw rows (``pvf._lift_rows``) before its lift's one pass, and the
-base of a ``mean-velocity`` lift is the node it starts from.
+float overflow can first appear.  A step runs the kernel once per value
+it builds: the lift and the node, and the lift's base only where that
+base can differ from the node the step started from.  ``eval_pvf``
+attaches the node itself as the base of a graph field's lift, and of a
+splitting lift whose median splits exactly, when the lift's kernel pass
+kept every row and weight; the base of a ``mean-velocity`` lift is the
+node it starts from.  So a ``lagrangian`` step of those rules runs the
+kernel twice, and the run records the node it started from as node k.
+The lattice scheme bins the rule's raw rows (``pvf._lift_rows``) before
+its lift's one pass, and computes that lift's base.
 """
 
 from __future__ import annotations
@@ -231,8 +237,8 @@ def _las_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     exactly (binomial-type weights come out in exact dyadic arithmetic).
     """
     grid = cfg.grid
-    joint, w = _lift(_lift_rows, spec, mu, cfg)
-    pos, vel = np.hsplit(joint, 2)  # views: binning vel bins the rows
+    joint, w, _ = _lift(_lift_rows, spec, mu, cfg)
+    pos, vel = joint[:, :mu.dim], joint[:, mu.dim:]  # views: binning vel bins the rows
     if float(np.max(np.abs(pos - np.rint(pos / grid.dx) * grid.dx), initial=0.0)) > AGREE_TOL:
         raise BaseOffGridError("base atoms are not on the space grid")
     vel[:] = _bin_indices(vel, grid.dv) * grid.dv
@@ -283,6 +289,8 @@ def run_scheme(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> Measur
     A step maps a node to (its lift, the next node, the mass pruned).  The
     lattice scheme first bins ``mu0`` onto the space grid.  Each node is
     replaced by the base of its lift: the weight floor may trim lift tails.
+    Where the lift's base is the node itself (see ``pvf.eval_pvf``), that
+    is the same object, and nothing is computed.
     """
     grid = cfg.grid
     step = _STEPS[cfg.scheme]

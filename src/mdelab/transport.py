@@ -439,24 +439,24 @@ def w1_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, method: str = "auto") 
     ``method`` is "auto" (quantile integration on the line, LP otherwise),
     "quantile" (1-D only) or "lp".  Both routes are exact for atomic
     measures up to float roundoff, which the test suite exploits by
-    comparing them against each other.  The LP route returns 0.0 for equal
-    measures without a solve.
+    comparing them against each other.  Both return 0.0 for equal measures
+    without integrating or solving.
     """
     if mu.dim != nu.dim:
         raise DimMismatchError(f"dim {mu.dim} vs {nu.dim}")
     if method == "auto":
         method = "quantile" if mu.dim == 1 else "lp"
+    if method not in ("quantile", "lp"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "quantile" and mu.dim != 1:
+        raise DimMismatchError("quantile integration needs dim 1")
+    if mu == nu:  # bit-equal canonical measures
+        return 0.0
     if method == "quantile":
-        if mu.dim != 1:
-            raise DimMismatchError("quantile integration needs dim 1")
         return _w1_quantile(mu, nu)
-    if method == "lp":
-        if mu == nu:  # bit-equal canonical measures: no solve
-            return 0.0
-        cost = _pairwise_dist(mu.atoms, nu.atoms)
-        _, value = lp_solve(cost, mu.weights, nu.weights)
-        return max(value, 0.0)
-    raise ValueError(f"unknown method {method!r}")
+    cost = _pairwise_dist(mu.atoms, nu.atoms)
+    _, value = lp_solve(cost, mu.weights, nu.weights)
+    return max(value, 0.0)
 
 
 def w1_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[TransportPlan, float]:

@@ -16,6 +16,7 @@ from mdelab import (
     SchemeConfig,
     SplittingParticlePvf,
     TestFunction,
+    base_of,
     convergence_study,
     default_test_family,
     dirac,
@@ -29,10 +30,15 @@ from mdelab import (
     scheme_compare,
     w1_distance,
 )
+from mdelab import analysis, schemes
 from mdelab.pvf import GRAPH_FIELDS
 
 SPLIT = SplittingParticlePvf()
 BINOMIAL = ConstantFiberPvf(make_measure([[-1.0], [1.0]], [0.5, 0.5]))
+
+
+def m1(xs, ws):
+    return make_measure([[x] for x in xs], ws)
 
 
 def cfg(scheme, T=1.0, N=8, **kw):
@@ -212,6 +218,72 @@ def test_residual_matches_loop_reference_on_a_long_run():
     # 300 atoms: the per-bump sums run over long, pairwise-summed rows
     path = run_scheme(SPLIT, quantile_uniform(0.0, 1.0, 300), cfg(LAGRANGIAN, N=16))
     assert_residual_matches_loop(path, SPLIT)
+
+
+def counted_evaluations(monkeypatch) -> list:
+    """Record the measure of every ``eval_pvf`` call the residual makes."""
+    calls = []
+    evaluate = analysis.eval_pvf
+
+    def counted(spec, mu):
+        calls.append(mu)
+        return evaluate(spec, mu)
+
+    monkeypatch.setattr(analysis, "eval_pvf", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mu0", [
+    quantile_uniform(0.0, 1.0, 256),  # every split exact
+    # split 0 is inexact, and splits 1 and 2 leave a sliver under the weight floor
+    m1([0.572, 0.318, 0.619, 0.582, 0.104], [0.5, 0.45, 0.74, 0.18, 0.25]),
+    m1([0.0, 1.0, 2.0], [0.5 + 3e-16, 0.25, 0.25 - 3e-16]),  # every split inexact
+], ids=["torn-block", "mixed", "inexact"])
+def test_residual_reuses_the_exact_splitting_lifts_of_a_lagrangian_path(monkeypatch, mu0):
+    # a step's lift is reusable when its base is the node the step started
+    # from: every node is the base of its lift, but not every base is that
+    started = {}
+    evaluate = schemes.eval_pvf
+
+    def recorded(spec, mu):
+        lift = evaluate(spec, mu)
+        started[id(lift)] = mu
+        return lift
+
+    monkeypatch.setattr(schemes, "eval_pvf", recorded)
+    path = run_scheme(SPLIT, mu0, cfg(LAGRANGIAN, N=16))
+    reusable = [base_of(lift) is started[id(lift)] for lift in path.interp]
+    calls = counted_evaluations(monkeypatch)
+    assert_residual_matches_loop(path, SPLIT)
+    # the last node, and every node whose lift is not reusable
+    expected = [mu for mu, ok in zip(path.measures, reusable + [False]) if not ok]
+    assert len(calls) == len(expected) and all(a is b for a, b in zip(calls, expected))
+    assert len(calls) == {256: 1, 5: 4, 3: 17}[mu0.natoms]
+
+
+@pytest.mark.parametrize("spec, scheme", [
+    (SPLIT, LAS),
+    (SPLIT, MEAN_VELOCITY),
+    (BINOMIAL, LAGRANGIAN),
+    (GraphPvf(GRAPH_FIELDS["linear"]), LAGRANGIAN),
+    (CustomPvf(lambda mu: eval_pvf(SPLIT, mu)), LAGRANGIAN),
+])
+def test_residual_evaluates_every_node_it_cannot_reuse(monkeypatch, spec, scheme):
+    # lattice and one-point lifts are not the rule's; a constant fiber's
+    # base is computed; a graph field and a custom rule run user code
+    path = run_scheme(spec, make_measure([[0.0], [0.25], [0.5]], [0.2, 0.3, 0.5]), cfg(scheme))
+    calls = counted_evaluations(monkeypatch)
+    assert_residual_matches_loop(path, spec)
+    assert len(calls) == len(path.measures)
+
+
+def test_residual_reuses_lifts_of_the_same_rule_object_only(monkeypatch):
+    path = run_scheme(SPLIT, quantile_uniform(0.0, 1.0, 64), cfg(LAGRANGIAN, N=8))
+    calls = counted_evaluations(monkeypatch)
+    other = SplittingParticlePvf()
+    assert other == SPLIT and other is not SPLIT
+    assert np.array_equal(residual(path, other).defects, residual(path, SPLIT).defects)
+    assert len(calls) == len(path.measures) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,22 @@ def test_malformed_scenario_field_is_a_config_error(tmp_path, capsys, field, bad
     assert field in err
 
 
+@pytest.mark.parametrize("T, code", [(1e30, 2), (1e20, 0)])
+def test_binomial_far_out_is_a_config_error_naming_T_or_runs(tmp_path, capsys, T, code):
+    # at T = 1e30 a curve's endpoint misses its node atom by roundoff, since
+    # floats there lie much farther apart than the absolute merge tolerance
+    spec = scenario_to_json(get_scenario("binomial"))
+    spec.update(T=T, outputs=str(tmp_path / "o"))
+    path = tmp_path / "far.json"
+    write_json(spec, path)
+    got, out, err = run_cli(["run", str(path)], capsys)
+    assert got == code
+    if code == 2:
+        assert err.startswith("configuration error: T:")
+    else:
+        assert err == "" and "binomial: wrote" in out
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mdelab", "list"],

@@ -11,6 +11,7 @@ from mdelab import (
     ConstantFiberPvf,
     CustomPvf,
     DimMismatchError,
+    DiscreteMeasure,
     GRAPH_FIELDS,
     GraphPvf,
     SplittingParticlePvf,
@@ -22,6 +23,7 @@ from mdelab import (
     make_measure,
     pvf_from_json,
     pvf_to_json,
+    quantile_uniform,
     sublinearity_bound,
 )
 from mdelab.measures import disintegrate
@@ -288,3 +290,56 @@ def test_torn_block_lagrangian_step_builds_n_lift_rows(monkeypatch):
         ]:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         mu = nxt
+
+
+def bits(mu):
+    return mu.atoms.shape, mu.atoms.tobytes(), mu.weights.tobytes()
+
+
+@st.composite
+def attach_inputs(draw):
+    """(rule, measure) pairs on every route of an attached base: splits
+    exact and inexact, torn blocks (600 atoms reach the ``fsum`` near-tie),
+    median atoms that move whole, leftward slivers under ``WEIGHT_FLOOR``,
+    and 2-D graph fields whose first gaps are at most ``MERGE_TOL``."""
+    kind = draw(st.sampled_from(["split", "block", "sliver", "graph", "graph-2d"]))
+    if kind == "split":
+        return SPLIT, draw(split_inputs())
+    if kind == "block":
+        a = draw(sts.finite)
+        return SPLIT, quantile_uniform(a, a + 1.0, draw(st.sampled_from([1, 2, 6, 100, 256, 600])))
+    if kind == "sliver":
+        # the mass left of the median atom falls j 1e-16 short of 1/2
+        d = draw(st.integers(-30, 30)) * 1e-16
+        return SPLIT, m1([0.0, 1.0, 2.0], [0.5 - d, 0.25, 0.25 + d])
+    field = GRAPH_FIELDS[draw(st.sampled_from(sorted(GRAPH_FIELDS)))]
+    if kind == "graph":
+        return GraphPvf(field), draw(sts.measures(max_atoms=9))
+    rows = draw(sts.near_tie_rows(widths=(2,)))
+    return GraphPvf(field), make_measure(rows, np.arange(1.0, len(rows) + 1.0))
+
+
+@given(attach_inputs())
+@example((SPLIT, m1([0.0, 1.0, 2.0], [0.5 - 3e-16, 0.25, 0.25 + 3e-16])))
+@example((SPLIT, m1([0.0, 1.0, 2.0], [0.5 - 1e-16, 0.25, 0.25 + 1e-16])))
+@example((GraphPvf(GRAPH_FIELDS["linear"]), make_measure([[0.0, 0.0], [5e-13, 1.0]], [1.0, 2.0])))
+def test_an_attached_base_is_what_the_kernel_returns(case):
+    # eval_pvf attaches mu as its lift's base only where the kernel, run on
+    # the lift's positions and weights, returns mu bit for bit
+    spec, mu = case
+    lift = eval_pvf(spec, mu)
+    if base_of(lift) is mu:
+        assert bits(DiscreteMeasure._derived(lift.positions, lift.weights, check=False)) == bits(mu)
+
+
+@pytest.mark.parametrize("spec, mu, attached", [
+    (SPLIT, m1([0.0, 1.0, 2.0], [0.2, 0.3, 0.5]), True),  # B moves right whole
+    (SPLIT, m1([0.0, 1.0, 2.0], [0.1, 0.7, 0.2]), True),  # 0.4 + 0.3 adds back to 0.7
+    (SPLIT, m1([0.0, 1.0, 2.0], [0.5 + 3e-16, 0.25, 0.25 - 3e-16]), False),  # inexact split
+    (SPLIT, m1([0.0, 1.0, 2.0], [0.5 - 1e-16, 0.25, 0.25 + 1e-16]), False),  # sliver dropped
+    (SPLIT, m1([0.0, 1.0, 2.0], [0.5 - 2e-15, 0.25, 0.25 + 2e-15]), True),  # sliver kept
+    (GraphPvf(GRAPH_FIELDS["peano"]), make_measure([[0.0, 0.0], [5e-13, 1.0]], [1.0, 2.0]), True),
+    (ConstantFiberPvf(make_measure([[0.5]], [1.0])), m1([0.0, 1.0], [0.5, 0.5]), False),
+])
+def test_which_lifts_carry_their_node_as_base(spec, mu, attached):
+    assert (base_of(eval_pvf(spec, mu)) is mu) == attached

@@ -16,6 +16,7 @@ from mdelab import (
     SchemeConfig,
     SplittingParticlePvf,
     SupportBlowupError,
+    base_of,
     dirac,
     eval_pvf,
     interpolate_at,
@@ -373,11 +374,17 @@ def test_mean_velocity_steps_from_the_lift_base_when_the_floor_drops_a_fiber(n):
 @pytest.mark.parametrize("scheme, extra", [(LAS, 1), (LAGRANGIAN, 0), (MEAN_VELOCITY, 0)])
 @pytest.mark.parametrize("spec", [SPLIT, BINOMIAL, PEANO], ids=["split", "binomial", "peano"])
 def test_a_step_runs_the_kernel_once_per_value(monkeypatch, scheme, extra, spec):
-    # the lift, the node and the base; the lattice scheme also snaps mu0
+    # the lift, the node and the base; the lattice scheme also snaps mu0.
+    # Under lagrangian the base of a graph-field lift, and of a splitting
+    # lift whose median splits exactly (every step here), is the node the
+    # step started from, and is not computed.
     mu0 = make_measure([[0.0], [0.25], [0.5]], [0.2, 0.3, 0.5])
     calls = counted_kernel(monkeypatch)
-    run_scheme(spec, mu0, cfg(scheme, N=5))
-    assert len(calls) == 3 * 5 + extra
+    path = run_scheme(spec, mu0, cfg(scheme, N=5))
+    per_step = 2 if scheme == LAGRANGIAN and spec is not BINOMIAL else 3
+    assert len(calls) == per_step * 5 + extra
+    if per_step == 2:
+        assert all(base_of(lift) is mu for lift, mu in zip(path.interp, path.measures))
 
 
 def test_coalescing_steps_run_the_kernel_once_more(monkeypatch):

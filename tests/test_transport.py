@@ -461,11 +461,15 @@ def test_w1_plan_1d_is_the_north_west_corner_without_the_simplex(monkeypatch):
 
 
 def test_equal_measures_take_no_solve(monkeypatch):
+    # nor an integral on the quantile route, whose value there is exactly 0.0
+    integral = transport._w1_quantile
+
     def no_solve(*args, **kwargs):
-        raise AssertionError("an LP was solved")
+        raise AssertionError("an LP was solved or a W1 integrated")
 
     monkeypatch.setattr(transport, "lp_solve", no_solve)
     monkeypatch.setattr(transport, "_simplex", no_solve)
+    monkeypatch.setattr(transport, "_w1_quantile", no_solve)
     rng = np.random.default_rng(89)
     for d in (1, 2):
         mu = make_measure(rng.uniform(-1.0, 1.0, (30, d)), rng.uniform(0.5, 1.5, 30))
@@ -476,6 +480,9 @@ def test_equal_measures_take_no_solve(monkeypatch):
         plan, value = w1_plan(mu, twin)
         assert value == 0.0 and np.array_equal(plan.mass, np.diag(mu.weights))
         assert not plan.mass.flags.writeable
+        if d == 1:
+            assert w1_distance(mu, twin, method="quantile") == 0.0
+            assert integral(mu, twin) == 0.0
 
 
 def test_w1_2d_200_atoms_against_scipy():
