@@ -26,11 +26,15 @@ constructor) validates its input with four whole-array reductions (the
 least and greatest coordinate and weight; NaN propagates through both)
 and runs the per-check tests, in their fixed order, only when that joint
 test fails; then it calls the kernel, ``_canonical``.  Rows the library
-derives from canonical measures (a rule's lift, a scheme's next or pruned
-node, a lift's base) are built by ``DiscreteMeasure._derived`` and
+derives from canonical measures (a scheme's next or pruned node, a
+lift's base, a binned lift) are built by ``DiscreteMeasure._derived`` and
 ``LiftedMeasure._derived``, which run the kernel and check only what
 their construction does not prove: the coordinates of rows computed by
-arithmetic that can overflow.
+arithmetic that can overflow.  A shipped rule's lift, and a
+``mean-velocity`` step's one-point lift, arrive in canonical order by
+construction; ``LiftedMeasure._presorted`` builds them with no kernel
+pass, running only its weight tests, and hands the rows to the kernel
+when one fails.
 
 The kernel reads each pair of consecutive rows' first gap
 (``_first_gaps``) once, and picks one of three routes from them.  Each
@@ -491,12 +495,53 @@ class LiftedMeasure:
         lifted._set(*_derived_support(joint, weights, check))
         return lifted
 
+    @classmethod
+    def _presorted(cls, joint: np.ndarray, weights: np.ndarray, check: bool = False) -> "LiftedMeasure":
+        """The lifted measure on rows (position, velocity), given as one
+        (n, 2 d) array, whose construction proves them in canonical order:
+        lexicographically sorted and pairwise farther than ``MERGE_TOL``
+        apart in the l-inf distance as computed.
+
+        A rule's rows are (see ``pvf._lift_rows``): their positions are a
+        canonical measure's atoms in order, which are sorted and pairwise
+        farther than ``MERGE_TOL`` apart, and the rows at one position have
+        sorted velocities as far apart.  On such rows the kernel keeps every
+        row in place as a group of its own: by the argument in
+        ``_canonical``'s docstring when every first gap exceeds the
+        tolerance, and otherwise because the sort keeps sorted distinct rows
+        in place and the scan finds no two rows within the tolerance.  Its
+        weights are then ``0.0 + w = w``.  So only the kernel's tail runs:
+        the weight total must lie within ``UNIT_MASS_TOL`` of one, and every
+        weight must reach ``WEIGHT_FLOOR``; if either test fails, the rows
+        go through the kernel as ``_derived`` sends them.  Otherwise
+        ``weights`` is adopted, not copied, and marked read-only, and
+        ``_set`` copies the velocities, which may come from user code or
+        arithmetic, by ``+ 0.0``; the positions are canonical atoms, so they
+        hold no -0.0.
+
+        With ``check`` the velocities are first tested for finiteness, with
+        the error ``_derived`` raises; the positions are finite atoms.
+        """
+        if check:
+            lo, hi = _bounds(joint[:, joint.shape[1] // 2:])
+            if not (-math.inf < lo and hi < math.inf):
+                raise ValueError("atom coordinates must be finite")
+        if not (abs(float(np.add.reduce(weights)) - 1.0) <= UNIT_MASS_TOL
+                and np.minimum.reduce(weights) >= WEIGHT_FLOOR):
+            return cls._derived(joint, weights, check=False)
+        weights.setflags(write=False)
+        lifted = object.__new__(cls)
+        lifted._set(joint, weights)
+        return lifted
+
     def _set(self, joint: np.ndarray, weights: np.ndarray) -> None:
         # contiguous copies: arithmetic on strided views of the joint rows
-        # costs more than the copies (a scheme step reads them twice)
+        # costs more than the copies (a scheme step reads them twice); the
+        # velocities are copied by + 0.0, which reads a -0.0 in rows that
+        # skipped the kernel (``_presorted``) as +0.0
         d = joint.shape[1] // 2
         pos = np.ascontiguousarray(joint[:, :d])
-        vel = np.ascontiguousarray(joint[:, d:])
+        vel = joint[:, d:] + 0.0
         pos.setflags(write=False)
         vel.setflags(write=False)
         object.__setattr__(self, "positions", pos)

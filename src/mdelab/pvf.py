@@ -100,16 +100,17 @@ def _median(mu: DiscreteMeasure) -> tuple[int, float, float, float]:
 def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
     """Evaluate a velocity-fiber rule; the result's base is exactly ``mu``.
 
-    A shipped rule's rows (``_lift_rows``) go through the canonical kernel
-    once.  A graph field's velocities come from a user callable, so they
-    are checked for finiteness; the constant-fiber and splitting rows are
-    built from canonical measures by copying and multiplying weights, so
-    they are not checked.  A custom rule's lift is returned as it is, once
-    its base is checked.
+    A shipped rule's rows (``_lift_rows``) arrive in canonical order, so
+    ``LiftedMeasure._presorted`` builds the lift with no kernel pass unless
+    a weight test fails.  A graph field's velocities come from a user
+    callable, so they are checked for finiteness; the constant-fiber and
+    splitting rows are built from canonical measures by copying and
+    multiplying weights, so they are not checked.  A custom rule's lift is
+    returned as it is, once its base is checked.
 
     Where the kernel would return ``mu`` itself as the lift's base, ``mu``
-    is attached as the base, so it is not computed again (see
-    ``_keeps_base``); a splitting lift also records its rule.
+    is attached as the base, so it is not computed (see ``_keeps_base``);
+    a splitting lift also records its rule.
     """
     if isinstance(spec, CustomPvf):
         out = spec.evaluate(mu)
@@ -124,7 +125,7 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
             raise ValueError("custom rule must preserve the base measure")
         return out
     joint, w, exact = _lift_rows(spec, mu)
-    lift = LiftedMeasure._derived(joint, w, check=isinstance(spec, GraphPvf))
+    lift = LiftedMeasure._presorted(joint, w, check=isinstance(spec, GraphPvf))
     if exact and _keeps_base(lift, w, mu):
         object.__setattr__(lift, "_base", mu)
         if isinstance(spec, SplittingParticlePvf):
@@ -138,13 +139,16 @@ def _keeps_base(lift: LiftedMeasure, w: np.ndarray, mu: DiscreteMeasure) -> bool
 
     Exact rows (see ``_lift_rows``) are ``mu``'s atoms, the median atom
     possibly twice, and their weights regroup to ``mu``'s exactly.  If the
-    lift's kernel pass kept every row and weight (no weight-floor drop, no
-    renormalization), the base pass groups the positions back to ``mu``'s
-    atoms and the weights to ``mu``'s; it keeps them, since they are at
-    least ``WEIGHT_FLOOR``, unless their total, the same reduction of the
-    same values, is more than ``UNIT_MASS_TOL`` from one.
+    lift kept every row and weight (no weight-floor drop, no
+    renormalization, no merge), the base pass groups the positions back to
+    ``mu``'s atoms and the weights to ``mu``'s; it keeps them, since they
+    are at least ``WEIGHT_FLOOR``, unless their total, the same reduction
+    of the same values, is more than ``UNIT_MASS_TOL`` from one.  A lift
+    built with no kernel pass adopted ``w`` itself; one built by the
+    kernel (binned rows, or rows a weight test sent there) kept every row
+    when its weights equal ``w``.
     """
-    return (np.array_equal(lift.weights, w)
+    return ((lift.weights is w or np.array_equal(lift.weights, w))
             and abs(float(np.add.reduce(mu.weights)) - 1.0) <= UNIT_MASS_TOL)
 
 
@@ -165,7 +169,16 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
     twice, and their weights regroup to ``mu``'s bit for bit.  A graph
     field's rows are exact, and so are the splitting rule's when the median
     splits exactly; a custom rule supplies the rows of the lift
-    ``eval_pvf`` returns."""
+    ``eval_pvf`` returns.
+
+    A shipped rule's rows are in canonical order, as
+    ``LiftedMeasure._presorted`` needs: lexicographically sorted and
+    pairwise farther than ``MERGE_TOL`` apart.  Their positions are
+    ``mu``'s canonical atoms, which are.  A graph field gives one row per
+    atom.  The splitting rule repeats only the median row, with velocities
+    -1 < +1, which lie 2 apart.  A constant fiber gives the rows
+    (x_i, omega_j) in i-major order over two canonical measures, so the
+    rows at one position are omega's atoms in order."""
     if isinstance(spec, GraphPvf):
         vels = []
         for x in mu.atoms:

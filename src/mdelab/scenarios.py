@@ -30,7 +30,6 @@ from .measures import (
     dirac,
     make_measure,
     quantile_uniform,
-    support_radius,
 )
 from .pvf import PvfSpec, pvf_from_json
 from .schemes import SCHEMES, GridSpec, MeasurePath, SchemeConfig, run_scheme
@@ -410,7 +409,8 @@ def _run_all(scn: Scenario) -> dict:
             tag = f"{_safe_tag(scheme)}_N{n}"
             emit(f"path_{tag}.csv", artifacts.write_path_csv, path)
             pruned[tag] = path.pruned_mass
-            radii[tag] = max(support_radius(mu) for mu in path.measures)
+            atoms = np.concatenate([mu.atoms for mu in path.measures])
+            radii[tag] = float(np.max(np.linalg.norm(atoms, axis=1)))
             if scn.represent:
                 ens = _represent(path, scn.T, radii[tag])
                 emit(f"trajectories_{tag}.json", artifacts.write_trajectories_json, ens)

@@ -19,20 +19,25 @@ Runs record the node measures plus, per step, the lifted measure that
 generated it, which is what linear-in-time interpolation and trajectory
 reconstruction consume.
 
-Every lift and node a step builds is derived from canonical measures, so
-it is built by ``DiscreteMeasure._derived`` or ``LiftedMeasure._derived``:
-the canonical kernel, plus a finiteness check on the atoms that arithmetic
-produced (a node, an interpolated measure, a binned velocity), where a
-float overflow can first appear.  A step runs the kernel once per value
-it builds: the lift and the node, and the lift's base only where that
-base can differ from the node the step started from.  ``eval_pvf``
-attaches the node itself as the base of a graph field's lift, and of a
-splitting lift whose median splits exactly, when the lift's kernel pass
-kept every row and weight; the base of a ``mean-velocity`` lift is the
-node it starts from.  So a ``lagrangian`` step of those rules runs the
-kernel twice, and the run records the node it started from as node k.
-The lattice scheme bins the rule's raw rows (``pvf._lift_rows``) before
-its lift's one pass, and computes that lift's base.
+Every lift and node a step builds is derived from canonical measures.  A
+rule's lift, and a ``mean-velocity`` step's one-point lift, arrive in
+canonical order, so ``LiftedMeasure._presorted`` builds them with no
+kernel pass; every other value is built by ``DiscreteMeasure._derived``
+or ``LiftedMeasure._derived``: the canonical kernel, plus a finiteness
+check on the atoms that arithmetic produced (a node, an interpolated
+measure, a binned velocity), where a float overflow can first appear.
+A step runs the kernel at most once per value it builds: for the node,
+for a lattice lift (its binned velocities can collide), and for the
+lift's base only where that base can differ from the node the step
+started from.  The node itself is attached as the base of a graph
+field's lift, and of a splitting lift whose median splits exactly, when
+the lift kept every row and weight (``pvf._keeps_base``), under
+``lagrangian`` and ``las`` alike; the base of a ``mean-velocity`` lift is
+the node it starts from.  So a step runs the kernel once under
+``lagrangian`` and twice under ``las`` for those rules, once under
+``mean-velocity`` for every rule, and once more for the base of a
+constant fiber's lift; the run records the node it started from as
+node k.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from .measures import (
     fiber_means,
     support_radius,
 )
-from .pvf import PvfSpec, _lift_rows, eval_pvf, lift_size_bound
+from .pvf import PvfSpec, _keeps_base, _lift_rows, eval_pvf, lift_size_bound
 from .tolerances import AGREE_TOL, CELL_TOL, MERGE_TOL, PRUNE_FLOOR_MAX
 
 LAS = "las"
@@ -229,20 +234,25 @@ def _prune(mu: DiscreteMeasure, floor: float) -> tuple[DiscreteMeasure, float]:
 def _las_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     """Fibers binned onto the dv grid, children on the lattice.
 
-    The rule's raw rows are binned, so the lift takes one kernel pass; their
-    positions must sit on the space grid (within ``AGREE_TOL``), and the
-    binned velocities, which overflow when ``dv`` is tiny, are checked for
-    finiteness.  Children are computed in integer lattice coordinates: atoms
-    sit exactly on multiples of dx, so recombining children coincide
-    exactly (binomial-type weights come out in exact dyadic arithmetic).
+    The rule's raw rows are binned, so the lift takes one kernel pass
+    (binned velocities can collide); their positions must sit on the space
+    grid (within ``AGREE_TOL``), and the binned velocities, which overflow
+    when ``dv`` is tiny, are checked for finiteness.  Binning moves no
+    position, so where ``eval_pvf`` would attach ``mu`` as the base of the
+    rule's lift, it is attached here too (``pvf._keeps_base``).  Children
+    are computed in integer lattice coordinates: atoms sit exactly on
+    multiples of dx, so recombining children coincide exactly
+    (binomial-type weights come out in exact dyadic arithmetic).
     """
     grid = cfg.grid
-    joint, w, _ = _lift(_lift_rows, spec, mu, cfg)
+    joint, w, exact = _lift(_lift_rows, spec, mu, cfg)
     pos, vel = joint[:, :mu.dim], joint[:, mu.dim:]  # views: binning vel bins the rows
     if float(np.max(np.abs(pos - np.rint(pos / grid.dx) * grid.dx), initial=0.0)) > AGREE_TOL:
         raise BaseOffGridError("base atoms are not on the space grid")
     vel[:] = _bin_indices(vel, grid.dv) * grid.dv
     lifted = LiftedMeasure._derived(joint, w)
+    if exact and _keeps_base(lifted, w, mu):
+        object.__setattr__(lifted, "_base", mu)
     ix = np.rint(lifted.positions / grid.dx)
     iv = np.rint(lifted.velocities / grid.dv)
     return lifted, DiscreteMeasure._derived((ix + iv) * grid.dx, lifted.weights), 0.0
@@ -265,17 +275,18 @@ def _mean_velocity_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     ``max_atoms`` applies; ``coalesce_tol`` and ``prune_floor`` do not.
     The node is built (and its atoms checked) first: a mean that is not
     finite makes its atom not finite, so the lift needs no check.  The
-    one-point lift's base is ``mu`` itself, so it is not computed, unless
-    the weight floor dropped a whole fiber of the lift: then the step
-    starts from the lift's base, whose atoms are the fibers left.
+    one-point lift's rows (x_i, v_i) over ``mu``'s canonical atoms are in
+    canonical order, so it takes no kernel pass.  Its base is ``mu``
+    itself, so it is not computed, unless the weight floor dropped a whole
+    fiber of the lift: then the step starts from the lift's base, whose
+    atoms are the fibers left.
     """
     lift = _lift(eval_pvf, spec, mu, cfg)
     _, vbar = fiber_means(lift)
     if len(vbar) < mu.natoms:
         mu = base_of(lift)
     nxt = DiscreteMeasure._derived(mu.atoms + cfg.grid.dt * vbar, mu.weights)
-    lifted = LiftedMeasure._derived(np.concatenate((mu.atoms, vbar), axis=1), mu.weights,
-                                    check=False)
+    lifted = LiftedMeasure._presorted(np.concatenate((mu.atoms, vbar), axis=1), mu.weights)
     object.__setattr__(lifted, "_base", mu)
     return lifted, nxt, 0.0
 

@@ -422,12 +422,28 @@ def _pairwise_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _w1_quantile(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Exact 1-D Wasserstein-1 as the integral of |F_mu - F_nu|."""
+    """Exact 1-D Wasserstein-1 as the integral of |F_mu - F_nu|.
+
+    Atoms that span more than the float range overflow a gap of the grid.
+    Only then, when the integral is not finite, is it taken again on the
+    halved coordinates and doubled, so every other pair keeps its bits.
+    """
     a = mu.atoms[:, 0]
     b = nu.atoms[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _cdf_gap_integral(a, b, mu.weights, nu.weights)
+    if not math.isfinite(value):
+        with np.errstate(under="ignore"):
+            value = 2.0 * _cdf_gap_integral(a / 2.0, b / 2.0, mu.weights, nu.weights)
+    return value
+
+
+def _cdf_gap_integral(a: np.ndarray, b: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
+    """The integral of |F_a - F_b| over the line, for sorted atoms ``a`` and
+    ``b`` with weights ``wa`` and ``wb``."""
     grid = np.sort(np.concatenate([a, b]))
-    cwa = np.concatenate([[0.0], np.cumsum(mu.weights)])
-    cwb = np.concatenate([[0.0], np.cumsum(nu.weights)])
+    cwa = np.concatenate([[0.0], np.cumsum(wa)])
+    cwb = np.concatenate([[0.0], np.cumsum(wb)])
     fa = cwa[np.searchsorted(a, grid, side="right")]
     fb = cwb[np.searchsorted(b, grid, side="right")]
     return float(np.sum(np.abs(fa - fb)[:-1] * np.diff(grid)))

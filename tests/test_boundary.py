@@ -3,8 +3,10 @@
 ``DiscreteMeasure._derived`` and ``LiftedMeasure._derived`` build values
 from rows the library derived from canonical measures, and run the
 canonical kernel ``_canonical`` with only the checks the derivation does
-not prove.  Outside input must go through the checked constructors, so
-these entry points may be called only from the modules that derive rows.
+not prove; ``LiftedMeasure._presorted`` skips the kernel for rows whose
+construction proves them canonical.  Outside input must go through the
+checked constructors, so these entry points may be called only from the
+modules that derive rows.
 """
 
 import ast
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import mdelab
 
-UNCHECKED = {"_derived", "_canonical"}
+UNCHECKED = {"_derived", "_presorted", "_canonical"}
 ALLOWED = {"measures.py", "pvf.py", "schemes.py"}
 ROOT = Path(mdelab.__file__).parent
 

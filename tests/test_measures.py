@@ -9,21 +9,27 @@ from hypothesis import example, given, strategies as st
 import oracles
 import strategies as sts
 from mdelab import (
+    ConstantFiberPvf,
     DiscreteMeasure,
     EmptyInputError,
+    GRAPH_FIELDS,
+    GraphPvf,
     LiftedMeasure,
     MERGE_TOL,
     NegativeWeightError,
+    SplittingParticlePvf,
     base_of,
     coalesce,
     dirac,
+    eval_pvf,
     make_lifted,
     make_measure,
     quantile_uniform,
     support_radius,
 )
 from mdelab import measures
-from mdelab.measures import Disintegration, disintegrate, match_rows
+from mdelab.measures import Disintegration, disintegrate, fiber_means, match_rows
+from mdelab.pvf import _lift_rows
 
 
 def test_make_measure_normalizes_single_atom():
@@ -664,3 +670,74 @@ def test_derived_construction_matches_the_checked_one(case, check):
             lifted = LiftedMeasure._derived(pts, w, check=check)
             assert outcome(lambda: base_of(lifted)) == outcome(
                 lambda: DiscreteMeasure(lifted.positions, lifted.weights))
+
+
+# ---------------------------------------------------------------------------
+# presorted rows: a rule's lift with no kernel pass has the kernel's bits
+# ---------------------------------------------------------------------------
+
+def _signed_zero(x):
+    return np.full_like(x, -0.0)
+
+
+NOT_FINITE = [lambda x: np.full_like(x, np.nan), lambda x: np.full_like(x, np.inf),
+              lambda x: np.where(x > 0.5, -np.inf, x)]
+
+
+@st.composite
+def presorted_inputs(draw):
+    """(rule, measure, one-point) over the rows of every shipped rule in 1-D
+    and 2-D.  Measures come from near-tie rows, so 2-D atoms can have first
+    gaps at most ``MERGE_TOL`` while lying pairwise farther apart; weights
+    of 1e-8 make constant-fiber slivers under ``WEIGHT_FLOOR``, and so does
+    a splitting median whose left part falls short by j 1e-16.  Graph
+    fields include -0.0, NaN and inf velocities.  With one-point, the rows
+    are the ``mean-velocity`` lift over the rule's fiber means."""
+    dim = draw(st.sampled_from([1, 2]))
+    weight = st.sampled_from([1.0, 0.25, 1e-8])
+
+    def measure():
+        rows = draw(sts.near_tie_rows(widths=(dim,), max_rows=8))
+        return make_measure(rows, [draw(weight) for _ in rows])
+
+    mu = measure()
+    one_point = draw(st.booleans())
+    kind = draw(st.sampled_from(["graph", "fiber", "split"][:2 + (dim == 1)]))
+    if kind == "graph":
+        fields = [*GRAPH_FIELDS.values(), _signed_zero] + ([] if one_point else NOT_FINITE)
+        return GraphPvf(draw(st.sampled_from(fields))), mu, one_point
+    if kind == "fiber":
+        return ConstantFiberPvf(measure()), mu, one_point
+    d = draw(st.integers(-30, 30)) * 1e-16
+    sliver = make_measure([[0.0], [1.0], [2.0]], [0.5 - d, 0.25, 0.25 + d])
+    return SplittingParticlePvf(), draw(st.sampled_from([mu, sliver])), one_point
+
+
+UNIT = measures.UNIT_MASS_TOL
+TOTALS = [1.0, 1.0 - 2 * UNIT, 1.0 - UNIT, 1.0 + UNIT, 1.0 + 2 * UNIT]
+LINEAR_2D = make_measure([[0.0, 0.0], [5e-13, 1.0]], [1.0, 2.0])  # first gap 5e-13
+
+
+@given(presorted_inputs(), st.sampled_from(TOTALS))
+@example((GraphPvf(GRAPH_FIELDS["linear"]), LINEAR_2D, False), 1.0)
+@example((GraphPvf(_signed_zero), LINEAR_2D, False), 1.0)
+@example((GraphPvf(NOT_FINITE[0]), LINEAR_2D, False), 1.0)
+@example((GraphPvf(NOT_FINITE[1]), LINEAR_2D, False), 1.0)
+@example((ConstantFiberPvf(make_measure([[0.0], [1.0]], [1.0, 1e-8])),
+          make_measure([[0.0], [1.0]], [1.0, 1e-8]), False), 1.0)
+def test_a_presorted_lift_has_the_kernel_bits(case, total):
+    spec, mu, one_point = case
+    check = isinstance(spec, GraphPvf) and not one_point
+    if one_point:
+        lift = eval_pvf(spec, mu)
+        atoms, vbar = fiber_means(lift)
+        base = base_of(lift) if len(vbar) < mu.natoms else mu
+        joint, w = np.concatenate((atoms, vbar), axis=1), base.weights
+    else:
+        joint, w, _ = _lift_rows(spec, mu)
+        if total == 1.0:
+            assert outcome(lambda: eval_pvf(spec, mu)) == outcome(
+                lambda: LiftedMeasure._derived(joint.copy(), w.copy(), check=check))
+    w = w * total
+    assert outcome(lambda: LiftedMeasure._presorted(joint.copy(), w.copy(), check=check)) == outcome(
+        lambda: LiftedMeasure._derived(joint.copy(), w.copy(), check=check))

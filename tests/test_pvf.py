@@ -274,7 +274,8 @@ def test_torn_block_lagrangian_step_builds_n_lift_rows(monkeypatch):
         assert md.cdf_left_of_B == 0.5
         rows.clear()
         lifted, nxt, _ = schemes._lagrangian_step(SPLIT, mu, cfg)
-        assert rows == [mu.natoms, mu.natoms]  # the lift, then the next node
+        assert rows == [mu.natoms]  # the next node; the lift takes no pass
+        assert lifted.natoms == mu.natoms
         pos, vel, w = oracles.splitting_lift_rows(
             mu.atoms, mu.weights, md.B, md.eta, md.cdf_left_of_B
         )
@@ -328,6 +329,20 @@ def test_an_attached_base_is_what_the_kernel_returns(case):
     # the lift's positions and weights, returns mu bit for bit
     spec, mu = case
     lift = eval_pvf(spec, mu)
+    if base_of(lift) is mu:
+        assert bits(DiscreteMeasure._derived(lift.positions, lift.weights, check=False)) == bits(mu)
+
+
+@given(attach_inputs(), st.sampled_from([1.0, 0.25, 1e-3]))
+def test_a_lattice_lift_attaches_only_the_base_the_kernel_returns(case, dv):
+    # las bins the rows before its lift's kernel pass, and attaches mu as
+    # the base by the rule eval_pvf follows
+    from mdelab import GridSpec, SchemeConfig, schemes
+
+    spec, mu = case
+    cfg = SchemeConfig(scheme="las", grid=GridSpec(T=1.0, N=4, dv=dv))
+    mu = schemes.snap_space(mu, cfg.grid)
+    lift, _, _ = schemes._las_step(spec, mu, cfg)
     if base_of(lift) is mu:
         assert bits(DiscreteMeasure._derived(lift.positions, lift.weights, check=False)) == bits(mu)
 

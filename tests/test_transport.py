@@ -186,6 +186,24 @@ def test_lp_solve_rejects_huge_marginals_without_overflow(r, c, mode):
     assert str(info.value) == "marginals must each sum to one"
 
 
+@pytest.mark.parametrize("mode", ["plain", "raise"])
+def test_quantile_w1_of_atoms_spanning_the_float_range(mode):
+    # the grid gap 2e308 overflowed, and W1 came back inf with a warning;
+    # the LP route still refuses the pair, since its costs overflow
+    import warnings
+
+    mu = make_measure([[-1e308], [1e308]], [0.5, 0.5])
+    nu = make_measure([[-1e308], [1e308]], [0.4, 0.6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise") if mode == "raise" else np.errstate():
+            value = w1_distance(mu, nu)
+    assert value == pytest.approx(2e307, rel=1e-15)
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
+        w1_distance(mu, nu, method="lp")
+    assert str(info.value) == "costs must be finite"
+
+
 @pytest.mark.parametrize("mass", [[[np.nan]], [[np.inf]], [[0.5, -np.inf]], [[0.5, np.nan], [-1.0, 0.0]]])
 def test_transport_plan_rejects_non_finite_mass(mass):
     with pytest.raises(ValueError) as info:
