@@ -239,10 +239,8 @@ def _csv_text(header: str, columns: list) -> str:
     A float array column is written in %.17g (see ``fmt``); any other
     column is a list written with str().
     """
-    cells = [_float_texts(c, _F) if isinstance(c, np.ndarray) else c for c in columns]
-    row = ",".join(["%s"] * len(cells)) + "\n"
-    values = tuple(itertools.chain.from_iterable(zip(*cells)))
-    return header + "\n" + (row * len(cells[0])) % values
+    cells = [_float_texts(c, _F) if isinstance(c, np.ndarray) else map(str, c) for c in columns]
+    return "\n".join([header, *map(",".join, zip(*cells))]) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -21,24 +21,37 @@ order: a row joins the first earlier group representative within the
 tolerance in every coordinate, or opens a group.
 
 Input is validated where it enters the library, and derived rows go
-through the kernel alone.  ``canonical_support`` (and so every public
-constructor) validates its input with four whole-array reductions (the
-least and greatest coordinate and weight; NaN propagates through both)
-and runs the per-check tests, in their fixed order, only when that joint
-test fails; then it calls the kernel, ``_canonical``.  Rows the library
-derives from canonical measures (a scheme's next or pruned node, a
-lift's base, a binned lift) are built by ``DiscreteMeasure._derived`` and
-``LiftedMeasure._derived``, which run the kernel and check only what
-their construction does not prove: the coordinates of rows computed by
-arithmetic that can overflow.  A shipped rule's lift, and a
-``mean-velocity`` step's one-point lift, arrive in canonical order by
-construction; ``LiftedMeasure._presorted`` builds them with no kernel
-pass, running only its weight tests, and hands the rows to the kernel
-when one fails.
+through the kernel alone.  Which constructor builds what:
+
+* ``canonical_support`` (and so every public constructor) validates its
+  input with four whole-array reductions (the least and greatest
+  coordinate and weight; NaN propagates through both) and runs the
+  per-check tests, in their fixed order, only when that joint test
+  fails; then it calls the kernel, ``_canonical``.
+* ``DiscreteMeasure._derived`` and ``LiftedMeasure._derived`` build rows
+  the library derives from canonical measures (a scheme's next or pruned
+  node, an interpolated measure, a lift's base, a binned lift).  They run
+  the kernel and check only what the construction does not prove: the
+  coordinates of rows computed by arithmetic that can overflow.  Rows on
+  the line (every node of a 1-D run) take the gap test of the kernel's
+  first route before the finiteness check (``_derived_support``): rows
+  that pass it strictly increase, so their end rows stand in for the two
+  finiteness reductions.  The kernel then takes the gaps and the test's
+  outcome, and on its first route adopts read-only derived weights
+  rather than copying them.
+* ``LiftedMeasure._presorted`` builds a shipped rule's lift, and a
+  ``mean-velocity`` step's one-point lift, which arrive in canonical
+  order by construction: it runs only the weight tests, adopts the
+  position and velocity columns and the weights as they are, and hands
+  the rows to the kernel when a test fails.
+
+A test is skipped only where the docstring of the constructor that skips
+it shows that the construction guarantees its outcome.
 
 The kernel reads each pair of consecutive rows' first gap
-(``_first_gaps``) once, and picks one of three routes from them.  Each
-gives exactly the scan's result.
+(``_first_gaps``) once, or takes them from the derived path's gap test,
+and picks one of three routes from them.  Each gives exactly the scan's
+result.
 
 * *Already canonical.*  If each row exceeds its predecessor by more than
   the tolerance in the first coordinate where the two differ, the rows are
@@ -270,19 +283,43 @@ def _derived_support(pts: np.ndarray, w: np.ndarray, check: bool) -> tuple[np.nd
     nonnegative weights, of total at most n: the construction proves what
     ``canonical_support`` would check, except that arithmetic on finite
     atoms can overflow.  With ``check`` the coordinates are tested for
-    finiteness (two reductions, which also tell whether a difference can
-    overflow); without it the caller has proved them finite, and the
+    finiteness; without it the caller has proved them finite, and the
     kernel reads any overflowing difference as +-inf.
+
+    Rows on the line are checked by one gap test, the kernel's first
+    route (see ``_canonical``).  Their gaps are taken with overflow and
+    invalid operations silenced, since the rows are not yet known to be
+    finite, and nothing is reported from them.  If every gap exceeds
+    ``MERGE_TOL``, the rows strictly increase (a NaN gap fails the test,
+    and a - b > 0 as computed means a > b), so the end rows are the least
+    and greatest coordinate, and the finiteness test reads them in place
+    of two reductions.  Otherwise the rows take the two reductions.  The
+    kernel then takes the gaps and the test's outcome instead of computing
+    them again.
     """
     if not check:
         return _canonical(pts, w, MERGE_TOL, True)
-    lo, hi = _bounds(pts)
+    gaps = apart = None
+    if pts.shape[1] == 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gaps = pts[1:, 0] - pts[:-1, 0]
+        apart = bool(np.minimum.reduce(gaps, initial=math.inf) > MERGE_TOL)
+    lo, hi = (float(pts[0, 0]), float(pts[-1, 0])) if apart else _bounds(pts)
     if not (-math.inf < lo and hi < math.inf):
         raise ValueError("atom coordinates must be finite")
-    return _canonical(pts, w, MERGE_TOL, not math.isfinite(hi - lo))
+    return _canonical(pts, w, MERGE_TOL, not math.isfinite(hi - lo), gaps, apart)
 
 
-def _canonical(pts: np.ndarray, w: np.ndarray, tol: float, wide: bool) -> tuple[np.ndarray, np.ndarray]:
+def _columns(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint rows (position, velocity) as contiguous position and velocity
+    columns."""
+    d = joint.shape[1] // 2
+    return np.ascontiguousarray(joint[:, :d]), np.ascontiguousarray(joint[:, d:])
+
+
+def _canonical(pts: np.ndarray, w: np.ndarray, tol: float, wide: bool,
+               gaps: np.ndarray | None = None,
+               apart: bool | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The canonical form of valid rows: the kernel behind
     ``canonical_support`` and the ``_derived`` constructors.
 
@@ -307,16 +344,33 @@ def _canonical(pts: np.ndarray, w: np.ndarray, tol: float, wide: bool) -> tuple[
     same argument applies to the first rows of their runs of equal rows,
     so the groups are the runs, as ``_group_rows`` would find them.
 
+    ``gaps`` and ``apart`` are given only by ``_derived_support``: the
+    first gaps of rows on the line, taken before -0.0 was read as +0.0,
+    and whether every one exceeds ``tol`` (there ``MERGE_TOL``).  A
+    difference with a zero operand of either sign is the same up to the
+    sign of a zero result, and 0.0 and -0.0 compare alike in every test
+    the routes make, so the routes and their results are the same.  On
+    the first route, derived weights that are read-only and contiguous
+    are adopted, not copied: they belong to a canonical measure or a
+    lift, which nothing writes.  Weights from ``canonical_support`` are
+    always copied, since outside input may be a read-only view of an
+    array its owner still writes.
+
     Finite weights whose total overflows are scaled by the largest of
     them first; a total that does not overflow is used as it is.
     """
     with np.errstate(over="ignore") if wide else nullcontext():
         pts = pts + 0.0  # normalize -0.0 to +0.0 so sorting and dumps are stable
-        gaps = _first_gaps(pts)
+        if gaps is None:
+            gaps = _first_gaps(pts)
         floor = max(tol, 0.0)  # a negative tol still merges equal rows
         gid = None
-        if np.minimum.reduce(gaps, initial=math.inf) > floor:
-            atoms, mass = pts, w.copy()
+        derived = apart is not None
+        if not derived:
+            apart = np.minimum.reduce(gaps, initial=math.inf) > floor
+        if apart:
+            adopt = derived and not w.flags.writeable and w.flags.c_contiguous
+            atoms, mass = pts, (w if adopt else w.copy())
         else:
             if (gaps[gaps != 0] > floor).all():  # sorted, and every tie is exact
                 gid, reps = _runs(gaps)
@@ -482,7 +536,8 @@ class LiftedMeasure:
             raise ValueError(
                 f"positions {pos.shape} and velocities {vel.shape} must have the same shape"
             )
-        self._set(*canonical_support(np.concatenate((pos, vel), axis=1), self.weights))
+        joint, weights = canonical_support(np.concatenate((pos, vel), axis=1), self.weights)
+        self._set(*_columns(joint), weights)
 
     @classmethod
     def _derived(cls, joint: np.ndarray, weights: np.ndarray, check: bool = True) -> "LiftedMeasure":
@@ -491,16 +546,18 @@ class LiftedMeasure:
 
         Checks as ``DiscreteMeasure._derived`` does.
         """
+        joint, weights = _derived_support(joint, weights, check)
         lifted = object.__new__(cls)
-        lifted._set(*_derived_support(joint, weights, check))
+        lifted._set(*_columns(joint), weights)
         return lifted
 
     @classmethod
-    def _presorted(cls, joint: np.ndarray, weights: np.ndarray, check: bool = False) -> "LiftedMeasure":
-        """The lifted measure on rows (position, velocity), given as one
-        (n, 2 d) array, whose construction proves them in canonical order:
-        lexicographically sorted and pairwise farther than ``MERGE_TOL``
-        apart in the l-inf distance as computed.
+    def _presorted(cls, positions: np.ndarray, velocities: np.ndarray, weights: np.ndarray,
+                   check: bool = False) -> "LiftedMeasure":
+        """The lifted measure on rows (position, velocity), given as two
+        C-contiguous (n, d) arrays, whose construction proves them in
+        canonical order: lexicographically sorted and pairwise farther than
+        ``MERGE_TOL`` apart in the l-inf distance as computed.
 
         A rule's rows are (see ``pvf._lift_rows``): their positions are a
         canonical measure's atoms in order, which are sorted and pairwise
@@ -513,39 +570,36 @@ class LiftedMeasure:
         weights are then ``0.0 + w = w``.  So only the kernel's tail runs:
         the weight total must lie within ``UNIT_MASS_TOL`` of one, and every
         weight must reach ``WEIGHT_FLOOR``; if either test fails, the rows
-        go through the kernel as ``_derived`` sends them.  Otherwise
-        ``weights`` is adopted, not copied, and marked read-only, and
-        ``_set`` copies the velocities, which may come from user code or
-        arithmetic, by ``+ 0.0``; the positions are canonical atoms, so they
-        hold no -0.0.
+        go through the kernel as ``_derived`` sends them.
 
-        With ``check`` the velocities are first tested for finiteness, with
-        the error ``_derived`` raises; the positions are finite atoms.
+        Otherwise the three arrays are adopted, not copied, and marked
+        read-only: the caller hands them over, and nothing else writes
+        them.  The positions are canonical atoms, so they hold no -0.0.
+        With ``check`` the velocities come from user code: they are tested
+        for finiteness, with the error ``_derived`` raises, and copied by
+        ``+ 0.0``, which reads a -0.0 as +0.0.  Without it the caller
+        proves them finite and free of -0.0.
         """
         if check:
-            lo, hi = _bounds(joint[:, joint.shape[1] // 2:])
+            lo, hi = _bounds(velocities)
             if not (-math.inf < lo and hi < math.inf):
                 raise ValueError("atom coordinates must be finite")
+            velocities = velocities + 0.0
         if not (abs(float(np.add.reduce(weights)) - 1.0) <= UNIT_MASS_TOL
                 and np.minimum.reduce(weights) >= WEIGHT_FLOOR):
-            return cls._derived(joint, weights, check=False)
+            return cls._derived(np.concatenate((positions, velocities), axis=1), weights, check=False)
         weights.setflags(write=False)
         lifted = object.__new__(cls)
-        lifted._set(joint, weights)
+        lifted._set(positions, velocities, weights)
         return lifted
 
-    def _set(self, joint: np.ndarray, weights: np.ndarray) -> None:
-        # contiguous copies: arithmetic on strided views of the joint rows
-        # costs more than the copies (a scheme step reads them twice); the
-        # velocities are copied by + 0.0, which reads a -0.0 in rows that
-        # skipped the kernel (``_presorted``) as +0.0
-        d = joint.shape[1] // 2
-        pos = np.ascontiguousarray(joint[:, :d])
-        vel = joint[:, d:] + 0.0
-        pos.setflags(write=False)
-        vel.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "velocities", vel)
+    def _set(self, positions: np.ndarray, velocities: np.ndarray, weights: np.ndarray) -> None:
+        # contiguous columns (``_columns``, ``_presorted``): a scheme step
+        # reads them twice, and arithmetic on strided views costs more
+        positions.setflags(write=False)
+        velocities.setflags(write=False)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "velocities", velocities)
         object.__setattr__(self, "weights", weights)
 
     @property

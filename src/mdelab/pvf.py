@@ -124,8 +124,8 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
         ):
             raise ValueError("custom rule must preserve the base measure")
         return out
-    joint, w, exact = _lift_rows(spec, mu)
-    lift = LiftedMeasure._presorted(joint, w, check=isinstance(spec, GraphPvf))
+    pos, vel, w, exact = _lift_rows(spec, mu)
+    lift = LiftedMeasure._presorted(pos, vel, w, check=isinstance(spec, GraphPvf))
     if exact and _keeps_base(lift, w, mu):
         object.__setattr__(lift, "_base", mu)
         if isinstance(spec, SplittingParticlePvf):
@@ -162,23 +162,27 @@ def _is_lift(lift: LiftedMeasure, spec: PvfSpec, mu: DiscreteMeasure) -> bool:
     return getattr(lift, "_rule", None) is spec and base_of(lift) is mu
 
 
-def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray, bool]:
-    """The rows (position, velocity) of ``V[mu]``, one fresh (n, 2 d) array,
-    their weights, before canonicalization, and whether the rows are exact:
-    their positions are ``mu``'s atoms in order, the median atom possibly
-    twice, and their weights regroup to ``mu``'s bit for bit.  A graph
-    field's rows are exact, and so are the splitting rule's when the median
-    splits exactly; a custom rule supplies the rows of the lift
-    ``eval_pvf`` returns.
+def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """The rows (position, velocity) of ``V[mu]`` before canonicalization,
+    as C-contiguous (n, d) position and velocity columns, their weights,
+    and whether the rows are exact: their positions are ``mu``'s atoms in
+    order, the median atom possibly twice, and their weights regroup to
+    ``mu``'s bit for bit.  A graph field's rows are exact, and so are the
+    splitting rule's when the median splits exactly; a custom rule supplies
+    the rows of the lift ``eval_pvf`` returns.
 
-    A shipped rule's rows are in canonical order, as
-    ``LiftedMeasure._presorted`` needs: lexicographically sorted and
-    pairwise farther than ``MERGE_TOL`` apart.  Their positions are
-    ``mu``'s canonical atoms, which are.  A graph field gives one row per
-    atom.  The splitting rule repeats only the median row, with velocities
-    -1 < +1, which lie 2 apart.  A constant fiber gives the rows
-    (x_i, omega_j) in i-major order over two canonical measures, so the
-    rows at one position are omega's atoms in order."""
+    The columns are what ``LiftedMeasure._presorted`` adopts: the velocity
+    column and the weights are fresh, or read-only canonical arrays, and
+    the position column is fresh or ``mu.atoms`` itself.  No column holds
+    -0.0, except a graph field's velocities, which ``_presorted`` checks.
+    A shipped rule's rows are in canonical order, as ``_presorted`` needs:
+    lexicographically sorted and pairwise farther than ``MERGE_TOL``
+    apart.  Their positions are ``mu``'s canonical atoms, which are.  A
+    graph field gives one row per atom.  The splitting rule repeats only
+    the median row, with velocities -1 < +1, which lie 2 apart.  A
+    constant fiber gives the rows (x_i, omega_j) in i-major order over two
+    canonical measures, so the rows at one position are omega's atoms in
+    order."""
     if isinstance(spec, GraphPvf):
         vels = []
         for x in mu.atoms:
@@ -188,7 +192,7 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
                     f"field returned shape {v.shape}, expected ({mu.dim},)"
                 )
             vels.append(v)
-        return np.concatenate((mu.atoms, np.vstack(vels)), axis=1), mu.weights, True
+        return mu.atoms, np.vstack(vels), mu.weights, True
 
     if isinstance(spec, ConstantFiberPvf):
         if spec.omega.dim != mu.dim:
@@ -196,11 +200,12 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
                 f"fiber dim {spec.omega.dim} vs measure dim {mu.dim}"
             )
         n, m, d = mu.natoms, spec.omega.natoms, mu.dim
-        joint = np.empty((n, m, 2 * d))
-        joint[:, :, :d] = mu.atoms[:, None, :]
-        joint[:, :, d:] = spec.omega.atoms
+        pos = np.empty((n, m, d))
+        pos[:] = mu.atoms[:, None, :]
+        vel = np.empty((n, m, d))
+        vel[:] = spec.omega.atoms
         w = (mu.weights[:, None] * spec.omega.weights[None, :]).ravel()
-        return joint.reshape(n * m, 2 * d), w, False
+        return pos.reshape(n * m, d), vel.reshape(n * m, d), w, False
 
     if isinstance(spec, SplittingParticlePvf):
         if mu.dim != 1:
@@ -211,25 +216,31 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
         # leftward mass, and row i + 1, its eta rightward mass.  When the
         # mass left of B reaches 1/2 (or exceeds it by roundoff below
         # CDF_TOL) the leftward part is 0, and B moves right whole in one
-        # row (s = 0).  The rows come out in canonical order, so
-        # canonicalization neither sorts nor groups them.  The split is
-        # exact when the two parts add back to B's weight in floats.
+        # row (s = 0), so the positions are mu's atoms themselves.  The
+        # rows come out in canonical order, so canonicalization neither
+        # sorts nor groups them.  The split is exact when the two parts add
+        # back to B's weight in floats.
+        n = mu.natoms
         s = int(left > 0.0)
-        joint = np.empty((mu.natoms + s, 2))
-        w = np.empty(mu.natoms + s)
-        joint[:i + 1, 0] = mu.atoms[:i + 1, 0]
-        joint[i + s:, 0] = mu.atoms[i:, 0]
-        joint[:i + s, 1] = -1.0
-        joint[i + s:, 1] = 1.0
+        if s:
+            pos = np.empty((n + 1, 1))
+            pos[:i + 1] = mu.atoms[:i + 1]
+            pos[i + 1:] = mu.atoms[i:]
+        else:
+            pos = mu.atoms
+        vel = np.empty((n + s, 1))
+        vel[:i + s] = -1.0
+        vel[i + s:] = 1.0
+        w = np.empty(n + s)
         w[:i + 1] = mu.weights[:i + 1]
         w[i + s:] = mu.weights[i:]
         w[i] = left
         w[i + s] = eta
-        return joint, w, left + eta == mass
+        return pos, vel, w, left + eta == mass
 
     if isinstance(spec, CustomPvf):
         out = eval_pvf(spec, mu)
-        return np.concatenate((out.positions, out.velocities), axis=1), out.weights, False
+        return out.positions, out.velocities, out.weights, False
 
     raise TypeError(f"not a velocity-fiber rule: {spec!r}")
 

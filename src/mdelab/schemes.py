@@ -22,10 +22,17 @@ reconstruction consume.
 Every lift and node a step builds is derived from canonical measures.  A
 rule's lift, and a ``mean-velocity`` step's one-point lift, arrive in
 canonical order, so ``LiftedMeasure._presorted`` builds them with no
-kernel pass; every other value is built by ``DiscreteMeasure._derived``
-or ``LiftedMeasure._derived``: the canonical kernel, plus a finiteness
-check on the atoms that arithmetic produced (a node, an interpolated
-measure, a binned velocity), where a float overflow can first appear.
+kernel pass; the splitting rule hands it position and velocity columns
+it keeps as they are, so the lift copies nothing.  Every other value is
+built by ``DiscreteMeasure._derived`` or ``LiftedMeasure._derived``: the
+canonical kernel, plus a finiteness check on the atoms that arithmetic
+produced (a node, an interpolated measure, a binned velocity), where a
+float overflow can first appear.  A node on the line whose children keep
+the lift's order, as under ``lagrangian`` the splitting rule's and a
+monotone field's do, passes the kernel's first route by one gap test,
+which also reads the finiteness check off its end rows, and adopts the
+lift's weights; a node whose children collide (``las``, a constant
+fiber) goes on to the rest of the kernel, which reuses the gaps.
 A step runs the kernel at most once per value it builds: for the node,
 for a lattice lift (its binned velocities can collide), and for the
 lift's base only where that base can differ from the node the step
@@ -216,7 +223,7 @@ def _lift(evaluate, spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     out = None
     if bound is None:
         out = evaluate(spec, mu)
-        bound = len(out[1]) if isinstance(out, tuple) else out.natoms
+        bound = len(out[2]) if isinstance(out, tuple) else out.natoms
     if bound > cfg.max_atoms:
         raise SupportBlowupError(f"{bound} atoms exceed the cap of {cfg.max_atoms}")
     return evaluate(spec, mu) if out is None else out
@@ -245,12 +252,11 @@ def _las_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     (binomial-type weights come out in exact dyadic arithmetic).
     """
     grid = cfg.grid
-    joint, w, exact = _lift(_lift_rows, spec, mu, cfg)
-    pos, vel = joint[:, :mu.dim], joint[:, mu.dim:]  # views: binning vel bins the rows
+    pos, vel, w, exact = _lift(_lift_rows, spec, mu, cfg)
     if float(np.max(np.abs(pos - np.rint(pos / grid.dx) * grid.dx), initial=0.0)) > AGREE_TOL:
         raise BaseOffGridError("base atoms are not on the space grid")
-    vel[:] = _bin_indices(vel, grid.dv) * grid.dv
-    lifted = LiftedMeasure._derived(joint, w)
+    vel = _bin_indices(vel, grid.dv) * grid.dv
+    lifted = LiftedMeasure._derived(np.concatenate((pos, vel), axis=1), w)
     if exact and _keeps_base(lifted, w, mu):
         object.__setattr__(lifted, "_base", mu)
     ix = np.rint(lifted.positions / grid.dx)
@@ -276,7 +282,8 @@ def _mean_velocity_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     The node is built (and its atoms checked) first: a mean that is not
     finite makes its atom not finite, so the lift needs no check.  The
     one-point lift's rows (x_i, v_i) over ``mu``'s canonical atoms are in
-    canonical order, so it takes no kernel pass.  Its base is ``mu``
+    canonical order, so it takes no kernel pass; its velocities are the
+    means copied by ``+ 0.0``, which reads a -0.0 as +0.0.  Its base is ``mu``
     itself, so it is not computed, unless the weight floor dropped a whole
     fiber of the lift: then the step starts from the lift's base, whose
     atoms are the fibers left.
@@ -286,7 +293,7 @@ def _mean_velocity_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     if len(vbar) < mu.natoms:
         mu = base_of(lift)
     nxt = DiscreteMeasure._derived(mu.atoms + cfg.grid.dt * vbar, mu.weights)
-    lifted = LiftedMeasure._presorted(np.concatenate((mu.atoms, vbar), axis=1), mu.weights)
+    lifted = LiftedMeasure._presorted(mu.atoms, vbar + 0.0, mu.weights)
     object.__setattr__(lifted, "_base", mu)
     return lifted, nxt, 0.0
 

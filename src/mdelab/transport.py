@@ -417,8 +417,11 @@ def _check_lp_input(C: np.ndarray, r: np.ndarray, c: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def _pairwise_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    diff = X[:, None, :] - Y[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=2))
+    # a difference or square that overflows reads as inf, unreported, so
+    # costs that are not finite meet lp_solve's ValueError in every mode
+    with np.errstate(over="ignore"):
+        diff = X[:, None, :] - Y[None, :, :]
+        return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 def _w1_quantile(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

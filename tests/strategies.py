@@ -164,6 +164,39 @@ def derived_rows(draw, tol: float = 1e-12, floor: float = 1e-15, unit_tol: float
 
 
 @st.composite
+def line_rows(draw, tol: float = 1e-12, floor: float = 1e-15, unit_tol: float = 1e-13):
+    """Derived rows on the line around the gap test of the kernel's first
+    route, and their weights.
+
+    The rows run from a start value (0, -0.0, 1 or -1e308) by steps of
+    ``tol`` - 1 ulp, ``tol``, ``tol`` + 1 ulp, 0.25, 0, -1 or 1e308, so a
+    row may tie, step back or overflow to inf.  Either end may then become
+    NaN or +-inf, and a row -0.0.  The weights are equal parts of a total
+    at 1, 1 +- ``unit_tol`` or 1 ulp beside either, with some set to
+    ``floor`` or 1 ulp beside it.  Returns (rows of shape (n, 1), weights).
+    """
+    n = draw(st.integers(1, 6))
+    steps = [np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0), 0.25, 0.0, -1.0, 1e308]
+    x = [draw(st.sampled_from([0.0, -0.0, 1.0, -1e308]))]
+    with np.errstate(over="ignore"):
+        for _ in range(n - 1):
+            x.append(x[-1] + draw(st.sampled_from(steps)))
+    pts = np.array(x)
+    for end in (0, n - 1):
+        pts[end] = draw(st.sampled_from([pts[end], pts[end], np.nan, np.inf, -np.inf]))
+    if draw(st.booleans()):
+        pts[draw(st.integers(0, n - 1))] = -0.0
+    totals = [1.0]
+    for edge in (1.0 - unit_tol, 1.0 + unit_tol):
+        totals += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)]
+    w = np.full(n, draw(st.sampled_from(totals)) / n)
+    tiny = st.sampled_from([np.nextafter(floor, 0.0), floor, np.nextafter(floor, 1.0)])
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True)):
+        w[i] = draw(tiny)
+    return pts[:, None], w
+
+
+@st.composite
 def transport_problems(draw, max_side: int = 6):
     """Degenerate transportation LPs as (cost, a, b).
 

@@ -281,6 +281,12 @@ def written(writer, payload, out_dir) -> bytes:
     return p.read_bytes()
 
 
+def test_csv_text_joins_cells_and_writes_an_empty_table_as_its_header():
+    assert artifacts._csv_text("i,mass", [[], np.array([])]) == "i,mass\n"
+    text = artifacts._csv_text("i,name,mass", [[0, 12], ["las", "lagrangian"], np.array([0.5, -0.0])])
+    assert text == "i,name,mass\n0,las,0.5\n12,lagrangian,-0\n"
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @given(data=st.data())
 def test_path_csv_matches_per_value_writer(dim, data, out_dir):

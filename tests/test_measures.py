@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 import strategies as sts
@@ -672,6 +672,78 @@ def test_derived_construction_matches_the_checked_one(case, check):
                 lambda: DiscreteMeasure(lifted.positions, lifted.weights))
 
 
+def derived_before_the_gap_test(pts, w):
+    """The checked derived path without the gap test: two reductions for
+    the finiteness test, then the kernel."""
+    lo, hi = measures._bounds(pts)
+    if not (-np.inf < lo and hi < np.inf):
+        raise ValueError("atom coordinates must be finite")
+    return measures._canonical(pts, w, MERGE_TOL, not np.isfinite(hi - lo))
+
+
+def support_outcome(build):
+    """The (atoms, weights) a kernel path returns, as bytes with their shape
+    and flags, or the class and message of the error it raises."""
+    try:
+        arrays = build()
+    except Exception as exc:  # compared, so a difference fails the test
+        return type(exc), str(exc)
+    return [(a.shape, a.tobytes(), a.flags.writeable, a.flags.c_contiguous) for a in arrays]
+
+
+def gap_test_examples(test):
+    """Two rows a gap of ``MERGE_TOL`` +- 1 ulp apart, and one row with a
+    total at 1 +- ``UNIT_MASS_TOL`` +- 1 ulp or a weight at ``WEIGHT_FLOOR``
+    +- 1 ulp beside a heavy one."""
+    unit, floor = measures.UNIT_MASS_TOL, measures.WEIGHT_FLOOR
+    for gap in (np.nextafter(MERGE_TOL, 0.0), MERGE_TOL, np.nextafter(MERGE_TOL, 1.0)):
+        test = example((np.array([[0.0], [gap]]), np.full(2, 0.5)), "plain", True)(test)
+    for edge in (1.0 - unit, 1.0 + unit):
+        for total in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0)):
+            test = example((np.array([[1.0]]), np.array([total])), "all", True)(test)
+    for tiny in (np.nextafter(floor, 0.0), floor, np.nextafter(floor, 1.0)):
+        test = example((np.array([[0.0], [1.0]]), np.array([1.0, tiny])), "plain", True)(test)
+    return test
+
+
+@settings(max_examples=300)
+@given(sts.line_rows(tol=MERGE_TOL), st.sampled_from(["plain", "over", "all"]), st.booleans())
+@gap_test_examples
+@example((np.array([[0.0], [1e308], [-1e308], [1.0]]), np.full(4, 0.25)), "over", False)
+@example((np.array([[0.0], [1e308], [-1e308], [1.0]]), np.full(4, 0.25)), "plain", False)
+@example((np.array([[-1e308], [1e308]]), np.full(2, 0.5)), "all", True)
+@example((np.array([[np.inf], [np.inf]]), np.full(2, 0.5)), "all", True)
+@example((np.array([[-0.0]]), np.ones(1)), "plain", True)
+def test_the_gap_test_route_gives_the_kernel_bits(case, mode, frozen):
+    # derived rows on the line that pass one gap test skip the two
+    # finiteness reductions and the kernel; every other row takes them, and
+    # the kernel reuses the gaps.  The result, or the error, is the same in
+    # every error mode, and no warning is raised where none was.
+    pts, w = case
+    if frozen:
+        w.setflags(write=False)
+    errstate = {"plain": {}, "over": {"over": "raise"}, "all": {"all": "raise"}}[mode]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(**errstate):
+            fast = support_outcome(lambda: measures._derived_support(pts.copy(), w, True))
+            before = support_outcome(lambda: derived_before_the_gap_test(pts.copy(), w))
+    assert fast == before
+
+
+def test_the_gap_test_route_adopts_read_only_weights():
+    pts = np.array([[0.0], [1.0]])
+    w = np.array([0.25, 0.75])
+    _, copied = measures._derived_support(pts, w, True)
+    assert copied is not w and not copied.flags.writeable
+    w.setflags(write=False)
+    _, adopted = measures._derived_support(pts, w, True)
+    assert adopted is w
+    # outside input is always copied, read-only or not
+    assert not np.shares_memory(DiscreteMeasure(pts, w).weights, w)
+    assert not np.shares_memory(measures.canonical_support(pts, w)[1], w)
+
+
 # ---------------------------------------------------------------------------
 # presorted rows: a rule's lift with no kernel pass has the kernel's bits
 # ---------------------------------------------------------------------------
@@ -732,12 +804,13 @@ def test_a_presorted_lift_has_the_kernel_bits(case, total):
         lift = eval_pvf(spec, mu)
         atoms, vbar = fiber_means(lift)
         base = base_of(lift) if len(vbar) < mu.natoms else mu
-        joint, w = np.concatenate((atoms, vbar), axis=1), base.weights
+        pos, vel, w = atoms, vbar + 0.0, base.weights
     else:
-        joint, w, _ = _lift_rows(spec, mu)
-        if total == 1.0:
-            assert outcome(lambda: eval_pvf(spec, mu)) == outcome(
-                lambda: LiftedMeasure._derived(joint.copy(), w.copy(), check=check))
+        pos, vel, w, _ = _lift_rows(spec, mu)
+    joint = np.concatenate((pos, vel), axis=1)
+    if total == 1.0 and not one_point:
+        assert outcome(lambda: eval_pvf(spec, mu)) == outcome(
+            lambda: LiftedMeasure._derived(joint.copy(), w.copy(), check=check))
     w = w * total
-    assert outcome(lambda: LiftedMeasure._presorted(joint.copy(), w.copy(), check=check)) == outcome(
+    assert outcome(lambda: LiftedMeasure._presorted(pos.copy(), vel.copy(), w.copy(), check=check)) == outcome(
         lambda: LiftedMeasure._derived(joint.copy(), w.copy(), check=check))

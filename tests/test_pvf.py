@@ -263,9 +263,9 @@ def test_torn_block_lagrangian_step_builds_n_lift_rows(monkeypatch):
     rows = []
     kernel = measures._canonical
 
-    def counting(pts, w, tol, wide):
+    def counting(pts, w, *args):
         rows.append(len(w))
-        return kernel(pts, w, tol, wide)
+        return kernel(pts, w, *args)
 
     monkeypatch.setattr(measures, "_canonical", counting)
     mu = quantile_uniform(0.0, 1.0, 256)

@@ -199,9 +199,30 @@ def test_quantile_w1_of_atoms_spanning_the_float_range(mode):
         with np.errstate(all="raise") if mode == "raise" else np.errstate():
             value = w1_distance(mu, nu)
     assert value == pytest.approx(2e307, rel=1e-15)
-    with np.errstate(over="ignore"), pytest.raises(ValueError) as info:
-        w1_distance(mu, nu, method="lp")
+    with warnings.catch_warnings(), pytest.raises(ValueError) as info:
+        warnings.simplefilter("error")
+        with np.errstate(all="raise") if mode == "raise" else np.errstate():
+            w1_distance(mu, nu, method="lp")
     assert str(info.value) == "costs must be finite"
+
+
+@pytest.mark.parametrize("mode", ["plain", "over", "all"])
+def test_lp_costs_that_overflow_raise_one_error_in_every_mode(mode):
+    # the distance of atoms 2e308 apart overflowed as a FloatingPointError
+    # in raise mode; it now reads as inf, which the LP refuses
+    import warnings
+
+    mu = make_measure([[-1e308, 0.0], [1e308, 0.0]], [0.5, 0.5])
+    nu = make_measure([[-1e308, 0.0], [1e308, 0.0]], [0.4, 0.6])
+    lifted = make_lifted(mu.atoms, mu.atoms, mu.weights)
+    other = make_lifted(nu.atoms, nu.atoms, nu.weights)
+    errstate = {"plain": {}, "over": {"over": "raise"}, "all": {"all": "raise"}}[mode]
+    for distance, a, b in [(w1_distance, mu, nu), (lifted_w1, lifted, other)]:
+        with warnings.catch_warnings(), pytest.raises(ValueError) as info:
+            warnings.simplefilter("error")
+            with np.errstate(**errstate):
+                distance(a, b)
+        assert str(info.value) == "costs must be finite"
 
 
 @pytest.mark.parametrize("mass", [[[np.nan]], [[np.inf]], [[0.5, -np.inf]], [[0.5, np.nan], [-1.0, 0.0]]])
