@@ -16,15 +16,23 @@ along its staircase with no tree built, and stops there when it is
 optimal, as on the line.  Otherwise it starts from the least-cost
 (matrix-minimum) basis when that has no zero-mass cell and costs less;
 on 2-D data that roughly halves the pivots.  Only the basis the pivots
-start from is hung as a tree, whose adjacency carries each basic cell's
-cost.  As in network simplex codes, a pivot updates parents, depths and
-duals only on the subtree that moves, and the entering cell is found by
-block-search pricing, the default rule of the LEMON network simplex
+start from is hung as a tree.  As in the network simplex of LEMON
 (Kovacs 2015, "Minimum-cost flow algorithms: an experimental
-evaluation").  Equal measures are at distance 0 with no solve.  On the
-line the Wasserstein distance is instead integrated exactly from the CDF
+evaluation"), the tree is kept in lists indexed by node: parent, depth,
+children, and the cost and mass of the cell to the parent.  A pivot
+reverses the tree path between the entering and the leaving cell, and
+updates depths and duals only on the subtree that moves.  The entering
+cell is found by block-search pricing, LEMON's default rule, into a
+buffer of the whole matrix that holds the reduced costs when the solve
+ends.  Equal measures are at distance 0 with no solve.  On the line the
+Wasserstein distance is instead integrated exactly from the CDF
 difference, which doubles as an independent cross-check of the simplex
 in the test suite.
+
+``lp_solve`` checks its input, which comes from outside the package.
+The distances build their costs from canonical measures and hand their
+weights to the same solve, ``_lp``, which tests only that the costs are
+finite.
 """
 
 from __future__ import annotations
@@ -161,47 +169,66 @@ def _least_cost(C: np.ndarray, a, b) -> dict[tuple[int, int], float]:
 _BLOCK_CELLS = 4096  # pricing visits whole rows, at least this many cells at once
 
 
-def _hang(adj: list[dict], parent, depth, top: int, pot_top: float) -> tuple[list[int], list[float]]:
-    """Hang the subtree below node ``top`` from it, in place.
+def _hang(children, depth, cost, top: int, pot_top: float) -> tuple[list[int], list[float]]:
+    """Re-hang the subtree of node ``top``: its depths, in place, and duals.
 
-    Nodes 0..m-1 are the rows and m.. the columns; ``adj[p]`` maps each
-    neighbour q of node p to the cost of the basic cell joining them, whose
-    duals satisfy u_p + u_q = that cost.  The parent and depth of ``top``
-    must already be set; ``pot_top`` is its dual.  Returns the nodes hung,
-    ``top`` first, and their duals.
+    ``children[p]`` lists the nodes hung from node p, and ``cost[q]`` is the
+    cost of the basic cell joining node q to its parent, whose duals satisfy
+    u_p + u_q = that cost.  The depth of ``top`` must already be set;
+    ``pot_top`` is its dual.  Returns the nodes of the subtree, ``top``
+    first, and their duals.
     """
     order, pot = [top], [pot_top]
     for p, x in zip(order, pot):
-        up, d, cost = parent[p], depth[p] + 1, adj[p]
-        for q in cost:
-            if q != up:
-                parent[q] = p
+        kids = children[p]
+        if kids:
+            d = depth[p] + 1
+            for q in kids:
                 depth[q] = d
-                order.append(q)
                 pot.append(cost[q] - x)
+            order += kids
     return order, pot
 
 
 def _tree(flow, C: list[list[float]], m: int, n: int, u: np.ndarray):
-    """Adjacency, parents and depths of the basis ``flow`` hung from row 0.
+    """The basis ``flow`` hung from row 0, as lists indexed by node.
 
-    Writes the duals into ``u``, rows first.
+    Nodes 0..m-1 are the rows and m.. the columns.  Returns each node's
+    parent, depth and children, and the cost and mass of the basic cell
+    joining it to its parent (row 0's are unused).  Writes the duals into
+    ``u``, rows first.
     """
-    adj = [{} for _ in range(m + n)]
+    children = [[] for _ in range(m + n)]  # the neighbours, until the parent is taken out
     for i, j in flow:
-        adj[i][m + j] = adj[m + j][i] = C[i][j]
+        children[i].append(m + j)
+        children[m + j].append(i)
     parent, depth = [-1] * (m + n), [0] * (m + n)
-    order, pot = _hang(adj, parent, depth, 0, 0.0)
+    cost, mass = [0.0] * (m + n), [0.0] * (m + n)
+    order, pot = [0], [0.0]
+    for p, x in zip(order, pot):
+        kids = children[p]
+        if p:
+            kids.remove(parent[p])
+        d = depth[p] + 1
+        for q in kids:
+            i, j = (p, q - m) if q >= m else (q, p - m)
+            c = C[i][j]
+            parent[q], depth[q] = p, d
+            cost[q], mass[q] = c, flow[i, j]
+            pot.append(c - x)
+        order += kids
     u.put(order, pot)
-    return adj, parent, depth
+    return parent, depth, children, cost, mass
 
 
 def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
     """Transportation simplex on a strongly feasible tree.
 
-    ``a`` and ``b`` are positive marginals.  The basis starts at ``flow``
-    (the basic cells of an earlier solve with the same marginals) when it
-    is given.  Otherwise it starts at the north-west corner, which is
+    ``a`` and ``b`` are positive marginals, not checked here: ``lp_solve``
+    checks outside input, and ``_lp`` takes canonical weights.  The basis
+    starts at ``flow`` (the basic cells of an earlier solve with the same
+    marginals) when it is given.  Otherwise it starts at the north-west
+    corner, which is
     priced first: on the line, where the atoms are sorted, it is optimal
     and no pivot is made.  Each cell of that staircase, in order, adds a
     row or a column next to a node already placed, its parent in the tree
@@ -219,13 +246,25 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
     its apex, which keeps zero-mass cells pointing to the root and rules
     out cycling.
 
-    The tree the pivots start from is hung from row 0 once.  A pivot
-    re-hangs only the subtree that the leaving cell cuts off, below the
-    entering cell.  A dual is computed from its parent's by one formula,
-    so it depends only on its path from the root: duals outside the
-    subtree keep their paths and values, and those inside are recomputed
-    along their new paths.  Every dual is thus bit-identical to a full
-    re-hang of the new tree, and none can drift.
+    The tree the pivots start from is hung from row 0 once, into lists
+    indexed by node: parent, depth, children, and the cost and mass of
+    the cell to the parent.  So the cycle walk reads masses by node.  A
+    pivot reverses the tree path from the entering cell's cut-off end up
+    to the leaving cell: each node on it now hangs from the path node it
+    carried before, by the same cell, whose cost and mass move with it;
+    the cut-off end hangs by the entering cell, and the leaving cell is
+    gone.  Then only the subtree that moved is re-hung, over the children
+    lists.  A dual is computed from its parent's by one formula, so it
+    depends only on its path from the root: duals outside the subtree keep
+    their paths and values, and those inside are recomputed along their
+    new paths.  Every dual is thus bit-identical to a full re-hang of the
+    new tree, and none can drift.  The basis dict keeps the cells in the
+    order they entered; its masses are read back from the nodes at the
+    end.
+
+    The pricing buffer spans the whole m x n matrix, and a solve ends when
+    a round over every block finds no entering cell, so the buffer then
+    holds the reduced costs C - u - v under the final duals.
 
     Returns the basic cells with their masses, the reduced costs and the
     pivot count.
@@ -238,9 +277,9 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
     block = 0
     u = np.empty(m + n)  # the duals: rows, then columns
     urow, vcol = u[:m, None], u[m:]
-    buf = np.empty((min(rows, m), n))
+    reduced = np.empty((m, n))
     spans = [  # per block: its first row, costs, row duals, reduced costs and allowed cells
-        (lo, C[lo:lo + rows], urow[lo:lo + rows], buf[:min(rows, m - lo)],
+        (lo, C[lo:lo + rows], urow[lo:lo + rows], reduced[lo:lo + rows],
          None if allowed is None else allowed[lo:lo + rows])
         for lo in range(0, m, rows)
     ]
@@ -259,7 +298,7 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
             block = (block + 1) % blocks
         return None
 
-    def cost(f):
+    def total(f):
         return math.fsum(Cl[i][j] * x for (i, j), x in f.items())
 
     if flow is None:
@@ -274,19 +313,23 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
         enter = entering()
         if enter is not None:
             start = _least_cost(C, a, b)
-            if min(start.values()) > 0.0 and cost(start) < cost(flow):
+            if min(start.values()) > 0.0 and total(start) < total(flow):
                 flow = start
-                adj, parent, depth = _tree(flow, Cl, m, n, u)
+                parent, depth, children, cost, mass = _tree(flow, Cl, m, n, u)
                 enter = entering()
             else:  # the staircase stays: hang it, which rewrites the same duals
-                adj, parent, depth = _tree(flow, Cl, m, n, u)
+                parent, depth, children, cost, mass = _tree(flow, Cl, m, n, u)
     else:
         flow = dict(flow)
-        adj, parent, depth = _tree(flow, Cl, m, n, u)
+        parent, depth, children, cost, mass = _tree(flow, Cl, m, n, u)
         enter = entering()
     for pivots in range(cap):
         if enter is None:
-            return flow, C - urow - vcol, pivots
+            if pivots:  # the cell joining a child to its parent holds the child's mass
+                for e in flow:
+                    i, j = e
+                    flow[e] = mass[i] if parent[i] == m + j else mass[m + j]
+            return flow, reduced, pivots
         i, j = enter
         # walk from row i and from column j up to their common ancestor; the
         # cells met on the way from row i that lose mass are those of rows,
@@ -299,41 +342,49 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
         dp = dq = math.inf
         while p != q:
             if depth[p] >= depth[q]:
-                r = parent[p]
                 if p < m:
-                    e = p, r - m
-                    lose.append(e)
-                    if flow[e] < dp:
-                        dp, ep = flow[e], e
+                    lose.append(p)
+                    if mass[p] < dp:
+                        dp, ep = mass[p], p
                 else:
-                    gain.append((r, p - m))
-                p = r
+                    gain.append(p)
+                p = parent[p]
             else:
-                r = parent[q]
                 if q >= m:
-                    e = r, q - m
-                    lose.append(e)
-                    if flow[e] <= dq:
-                        dq, eq = flow[e], e
+                    lose.append(q)
+                    if mass[q] <= dq:
+                        dq, eq = mass[q], q
                 else:
-                    gain.append((q, r - m))
-                q = r
+                    gain.append(q)
+                q = parent[q]
         # the end of (i, j) cut off from the root heads the subtree that moves
         if dq <= dp:
             delta, leave, top, below = dq, eq, m + j, i
         else:
             delta, leave, top, below = dp, ep, i, m + j
-        for e in lose:
-            flow[e] -= delta
-        for e in gain:
-            flow[e] += delta
-        del flow[leave]
+        for p in lose:
+            mass[p] -= delta
+        for p in gain:
+            mass[p] += delta
+        up = parent[leave]
+        del flow[(leave, up - m) if leave < m else (up, leave - m)]
         flow[i, j] = delta
-        del adj[leave[0]][m + leave[1]], adj[m + leave[1]][leave[0]]
-        c = Cl[i][j]
-        adj[i][m + j] = adj[m + j][i] = c
-        parent[top], depth[top] = below, depth[below] + 1
-        order, pot = _hang(adj, parent, depth, top, c - u.item(below))
+        # reverse the path from top up to the leaving cell: each node on it
+        # hangs from the path node it carried, by the cell that joined them
+        c, x, p = Cl[i][j], delta, below
+        q = top
+        while True:
+            up = parent[q]
+            children[up].remove(q)
+            children[p].append(q)
+            parent[q] = p
+            cost[q], c = c, cost[q]
+            mass[q], x = x, mass[q]
+            if q == leave:
+                break
+            p, q = q, up
+        depth[top] = depth[below] + 1
+        order, pot = _hang(children, depth, cost, top, cost[top] - u.item(below))
         u.put(order, pot)
         enter = entering()
     raise IterationCapError(f"simplex exceeded {cap} iterations")
@@ -364,6 +415,24 @@ def lp_solve(
         and 0.0 <= c.min() and c.max() <= 1.0 + AGREE_TOL
         and abs(r.sum() - 1.0) <= AGREE_TOL and abs(c.sum() - 1.0) <= AGREE_TOL
     ):
+        _check_lp_input(C, r, c)
+    return _lp(C, r, c, max_iter)
+
+
+def _lp(C: np.ndarray, r: np.ndarray, c: np.ndarray, max_iter: Optional[int] = None):
+    """The solve of ``lp_solve``, on marginals it does not check.
+
+    ``lp_solve`` calls it after its checks.  The distances call it with the
+    weights of canonical measures: each is at least ``WEIGHT_FLOOR`` > 0,
+    and their total is within ``UNIT_MASS_TOL`` of one, or is the sum of a
+    renormalization, a few ulps from one; both are well inside
+    ``AGREE_TOL``.  So those marginals pass every test of ``lp_solve``,
+    and the cost matrix built from the atoms has their shape.  Its entries
+    are distances, never below 0, so one test of the largest admits them;
+    a cost that overflowed to inf, or is NaN, fails it and raises
+    ``lp_solve``'s error.
+    """
+    if not C.max() < math.inf:
         _check_lp_input(C, r, c)
     m, n = C.shape
     cap = int(max_iter) if max_iter is not None else 10 * m * n
@@ -473,8 +542,7 @@ def w1_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, method: str = "auto") 
         return 0.0
     if method == "quantile":
         return _w1_quantile(mu, nu)
-    cost = _pairwise_dist(mu.atoms, nu.atoms)
-    _, value = lp_solve(cost, mu.weights, nu.weights)
+    _, value = _lp(_pairwise_dist(mu.atoms, nu.atoms), mu.weights, nu.weights)
     return max(value, 0.0)
 
 
@@ -498,8 +566,7 @@ def w1_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[TransportPlan, fl
         plan[i, j] = x
         value = float(np.dot(x, np.abs(mu.atoms[i, 0] - nu.atoms[j, 0])))
         return TransportPlan._solved(plan), value
-    cost = _pairwise_dist(mu.atoms, nu.atoms)
-    return lp_solve(cost, mu.weights, nu.weights)
+    return _lp(_pairwise_dist(mu.atoms, nu.atoms), mu.weights, nu.weights)
 
 
 def lifted_w1(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
@@ -514,7 +581,7 @@ def lifted_w1(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
     cost = _pairwise_dist(v1.positions, v2.positions) + _pairwise_dist(
         v1.velocities, v2.velocities
     )
-    _, value = lp_solve(cost, v1.weights, v2.weights)
+    _, value = _lp(cost, v1.weights, v2.weights)
     return max(value, 0.0)
 
 

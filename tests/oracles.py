@@ -4,9 +4,10 @@ Nothing in this module calls into mdelab, except that the per-fiber mean
 reference builds each fiber with ``mdelab.make_measure``, as the route it
 stands for did.  Expected values come from exact rational arithmetic
 (fractions + math.comb), closed forms, scipy's HiGHS linear-programming
-solver, brute-force vertex enumeration, and the row-at-a-time greedy
-grouping scan that defines canonical-form merging, so agreement with the
-package is meaningful.
+solver, an LP-duality certificate (the c-transform of a basis's column
+duals bounds the optimum from below), brute-force vertex enumeration, and
+the row-at-a-time greedy grouping scan that defines canonical-form
+merging, so agreement with the package is meaningful.
 
 The loop references at the end (the splitting lift, curve gluing and the
 weak residual) are the per-atom and per-pair loops that the package's
@@ -389,6 +390,28 @@ def hang(adj: list[set], C: list[list[float]], m: int) -> tuple[list[int], np.nd
                 pot[q] = (C[p][q - m] if q >= m else C[q][p - m]) - pot[p]
                 order.append(q)
     return parent, np.array(pot)
+
+
+def certify(C, r, c, flow) -> tuple[float, float]:
+    """Bounds (lower, upper) on the optimal cost, from the basis ``flow``.
+
+    An LP-duality certificate (Peyre & Cuturi, Computational Optimal
+    Transport, ch. 3).  The column duals v are those of the basis hung from
+    row 0.  Their c-transform u_i = min_j (C_ij - v_j) gives u_i + v_j <=
+    C_ij for every cell, so sum r u + sum c v bounds the cost of every plan
+    with marginals r and c from below.  The upper bound is the cost of the
+    basis's plan, summed as ``lp_solve`` sums it.
+    """
+    C = np.asarray(C, dtype=float)
+    m, n = C.shape
+    _, pot = hang(tree_adjacency(flow, m, n), C.tolist(), m)
+    v = pot[m:]
+    u = (C - v).min(axis=1)
+    plan = np.zeros((m, n))
+    for (i, j), x in flow.items():
+        plan[i, j] = x
+    lower = math.fsum(np.concatenate([np.asarray(r) * u, np.asarray(c) * v]))
+    return lower, float(np.sum(C * plan))
 
 
 def simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):

@@ -7,6 +7,11 @@ not prove; ``LiftedMeasure._presorted`` skips the kernel for rows whose
 construction proves them canonical.  Outside input must go through the
 checked constructors, so these entry points may be called only from the
 modules that derive rows.
+
+In the same way ``transport._lp`` solves a transport problem whose
+marginals it does not check: the distances hand it canonical weights, and
+``lp_solve`` checks outside input before it calls it.  Only ``transport``
+may call it.
 """
 
 import ast
@@ -19,14 +24,14 @@ ALLOWED = {"measures.py", "pvf.py", "schemes.py"}
 ROOT = Path(mdelab.__file__).parent
 
 
-def unchecked_calls(path: Path) -> list[str]:
-    """Calls to an unchecked entry point in a source file, as file:line: name."""
+def unchecked_calls(path: Path, names=UNCHECKED) -> list[str]:
+    """Calls to one of ``names`` in a source file, as file:line: name."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in UNCHECKED:
+            if name in names:
                 found.append(f"{path.name}:{node.lineno}: {name}")
     return found
 
@@ -47,3 +52,10 @@ def test_the_deriving_modules_use_the_unchecked_entry_points():
     inside = {path.name for path in sources()
               if path.name in ALLOWED and path.parent == ROOT and unchecked_calls(path)}
     assert inside == ALLOWED
+
+
+def test_the_unchecked_solve_is_called_only_inside_transport():
+    calls = {path: unchecked_calls(path, {"_lp"}) for path in sources()}
+    transport = ROOT / "transport.py"
+    assert [hit for path, hits in calls.items() if path != transport for hit in hits] == []
+    assert calls[transport]  # guards against a rename that would leave the test vacuous

@@ -477,6 +477,59 @@ def test_block_pricing_matches_reference_value(n):
     assert pivots > 0 and R.min() >= -REDUCED_COST_TOL * (1.0 + C.max())
 
 
+def _basis_duals(C, flow):
+    # the duals of the basis hung from row 0, by the reference re-hang
+    m, n = C.shape
+    _, pot = oracles.hang(oracles.tree_adjacency(flow, m, n), C.tolist(), m)
+    return pot[:m, None], pot[None, m:]
+
+
+@pytest.mark.parametrize("m, n", [(70, 70), (120, 80), (160, 80)])
+def test_multi_block_reduced_costs_are_c_minus_u_minus_v(m, n):
+    # the pricing buffer is returned as the reduced costs, so after the last
+    # round it must hold C - u - v for the final duals in every block, from a
+    # cold start and from a warm start restricted to the allowed cells
+    assert 2 <= -(-m // -(-transport._BLOCK_CELLS // n)) <= 4
+    rng = np.random.default_rng(59 + m + n)
+    mu, nu = (make_measure(rng.uniform(-1.0, 1.0, (k, 2)), rng.uniform(0.5, 1.5, k)) for k in (m, n))
+    a, b, C = mu.weights, nu.weights, _cost(mu, nu)
+    flow, R, pivots = transport._simplex(C, a, b, 10 * C.size)
+    u, v = _basis_duals(C, flow)
+    assert pivots > 0 and np.array_equal(R, C - u - v)
+    C2 = rng.uniform(0.0, 2.0, (m, n))
+    allowed = rng.random((m, n)) < 0.5
+    allowed[tuple(np.array(list(flow)).T)] = True
+    flow2, R2, pivots2 = transport._simplex(C2, a, b, 10 * C.size, flow=flow, allowed=allowed)
+    u2, v2 = _basis_duals(C2, flow2)
+    assert pivots2 > 0 and np.array_equal(R2, C2 - u2 - v2)
+
+
+def _assert_certified(monkeypatch, mu, nu):
+    # the LP-duality gap of the basis behind w1_distance: the simplex stops
+    # when no cell prices below -REDUCED_COST_TOL (1 + max C), so the
+    # c-transform of its column duals is within that of the plan's cost
+    solves = []
+    simplex = transport._simplex
+
+    def recorded(C, a, b, cap, **kw):
+        out = simplex(C, a, b, cap, **kw)
+        solves.append((C, a, b, out[0]))
+        return out
+
+    monkeypatch.setattr(transport, "_simplex", recorded)
+    value = w1_distance(mu, nu)
+    [(C, a, b, flow)] = solves
+    lower, upper = oracles.certify(C, a, b, flow)
+    assert upper == value
+    assert abs(upper - lower) <= 2.0 * REDUCED_COST_TOL * (1.0 + C.max())
+
+
+@pytest.mark.parametrize("n", [200, 400, 800])
+def test_w1_2d_is_certified_by_lp_duality(monkeypatch, n):
+    rng = np.random.default_rng(37)
+    _assert_certified(monkeypatch, *_pair_2d(rng, n))
+
+
 @given(sts.measures(max_atoms=8), sts.measures(max_atoms=8))
 def test_w1_plan_1d_is_the_monotone_coupling(mu, nu):
     plan, value = w1_plan(mu, nu)
@@ -535,7 +588,8 @@ def test_w1_2d_200_atoms_against_scipy():
     assert w1_distance(mu, nu) == pytest.approx(ref, abs=1e-9)
 
 
-def test_w1_2d_walk_at_desk_scale_against_scipy():
+@pytest.fixture(scope="module")
+def walk_pair():
     # las final nodes of the four-direction walk at N = 16 and 32: 289 and
     # 1049 atoms (WEIGHT_FLOOR drops 40 corners of 1089), weights to 1.5e-15
     walk = ConstantFiberPvf(make_measure([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
@@ -545,8 +599,19 @@ def test_w1_2d_walk_at_desk_scale_against_scipy():
         for N in (16, 32)
     )
     assert (mu.natoms, nu.natoms) == (289, 1049)
+    return mu, nu
+
+
+def test_w1_2d_walk_at_desk_scale_against_scipy(walk_pair):
+    mu, nu = walk_pair
     ref, _ = oracles.lp_transport_scipy(_cost(mu, nu), mu.weights, nu.weights, tight=True)
     assert w1_distance(mu, nu) == pytest.approx(ref, abs=1e-9)
+
+
+def test_w1_2d_walk_at_desk_scale_is_certified_by_lp_duality(monkeypatch, walk_pair):
+    # the pair whose marginal totals differ by 9e-14, which HiGHS's default
+    # call reports infeasible
+    _assert_certified(monkeypatch, *walk_pair)
 
 
 def test_transport_plan_nonzeros_row_major():
