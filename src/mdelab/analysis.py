@@ -303,7 +303,10 @@ def scheme_compare(runs: Mapping[str, MeasurePath]) -> ComparisonTable:
     """Tabulate pairwise gaps between paths run on one grid.
 
     ``runs`` maps a scheme tag to its path; pairs follow the mapping's
-    order.  All paths must share their node times.
+    order.  All paths must share their node times.  Tags that map to one
+    path object share its sweeps: a pair of one object with itself has gap
+    0.0, as the W1 of equal measures is, and each ordered pair of distinct
+    objects is swept once, so a repeat gets the bits a second sweep would.
     """
     tags = list(runs)
     if len(tags) == 0:
@@ -312,9 +315,12 @@ def scheme_compare(runs: Mapping[str, MeasurePath]) -> ComparisonTable:
     if any(not np.array_equal(runs[tag].times, first.times) for tag in tags):
         raise ValueError("paths must share their node times")
     pairs = tuple((a, b) for i, a in enumerate(tags) for b in tags[i + 1 :])
-    gaps = tuple(
-        float(max(map(w1_distance, runs[a].measures, runs[b].measures)))
-        for a, b in pairs
-    )
+    # keyed by the ordered pair of path objects, which ``runs`` keeps alive
+    sweeps = {(id(p), id(p)): 0.0 for p in runs.values()}
+    for a, b in pairs:
+        key = (id(runs[a]), id(runs[b]))
+        if key not in sweeps:
+            sweeps[key] = float(max(map(w1_distance, runs[a].measures, runs[b].measures)))
+    gaps = tuple(sweeps[id(runs[a]), id(runs[b])] for a, b in pairs)
     N = first.times.shape[0] - 1
     return ComparisonTable(N=N, T=first.T, pairs=pairs, gaps=gaps)

@@ -8,6 +8,8 @@ the output directory, and finishes with a manifest that echoes the full
 normalized configuration, so re-running from the manifest reproduces the
 artifacts byte for byte.  Each distinct scheme configuration is run once;
 the comparison and convergence reports score the paths already computed.
+Configurations whose paths are equal bit for bit share one path, and the
+work downstream of it is done once (see ``run_scenario``).
 
 Five built-ins cover the desk-scale experiments: "splitting-dirac",
 "splitting-uniform", "binomial", "uniform-fiber", "peano".
@@ -19,7 +21,7 @@ import copy
 import numbers
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -34,7 +36,7 @@ from .measures import (
 from .pvf import PvfSpec, pvf_from_json
 from .schemes import SCHEMES, GridSpec, MeasurePath, SchemeConfig, run_scheme
 from .superposition import build_representation
-from .analysis import convergence_study, residual, scheme_compare
+from .analysis import ConvergenceTable, convergence_study, residual, scheme_compare
 from .tolerances import MERGE_TOL
 from . import artifacts
 from .artifacts import SCHEMA
@@ -344,6 +346,23 @@ def run_scenario(scn: Scenario) -> dict:
 
     Runs are memoized by their full ``SchemeConfig``, so each distinct
     configuration is run once and the reports score the memoized paths.
+    Runs whose paths are equal bit for bit (``las`` and ``lagrangian`` on
+    a rule whose lifts stay on the grid, for one) then share one path
+    object.  The key is every array of the path (``_path_arrays``),
+    compared by shape and bits with each distinct path so far; paths of
+    another N part at their node times.  Everything downstream is
+    memoized by that object, for the length of this call only:
+    - one curve bundle, one residual, and one text per file for each
+      distinct path; a text is kept only while a later scheme of the same
+      N shares the path, and a repeat is written from it, all or nothing;
+    - one convergence study per distinct tuple of paths, relabelled with
+      each scheme's name;
+    - in ``scheme_compare``, one W1 sweep per distinct pair.
+    Each of these is a deterministic function of the arrays the key
+    compares, so a shared result is the one a second computation would
+    give, bit for bit, and every artifact is as if nothing were shared.
+    Each N's runs are made before its files are written.
+
     A float overflow (a horizon too long) is a ConfigError naming ``T``.
     """
     try:
@@ -351,6 +370,32 @@ def run_scenario(scn: Scenario) -> dict:
             return _run_all(scn)
     except FloatingPointError as exc:
         raise ConfigError(f"T: {scn.T!r} overflows floating point ({exc})") from exc
+
+
+def _path_arrays(path: MeasurePath):
+    """Every array of a path, the data its artifacts and reports read:
+    node times, pruned mass, each node's atoms and weights, and each
+    lift's positions, velocities and weights."""
+    yield path.times
+    yield np.array(path.pruned_mass)
+    for mu in path.measures:
+        yield mu.atoms
+        yield mu.weights
+    for lift in path.interp:
+        yield lift.positions
+        yield lift.velocities
+        yield lift.weights
+
+
+def _same_path(a: MeasurePath, b: MeasurePath) -> bool:
+    """True if every array of ``a`` has the shape and the bits of ``b``'s.
+
+    The node times come first, and their length fixes the number of
+    arrays, so paths of different N part at once."""
+    return all(
+        x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in zip(_path_arrays(a), _path_arrays(b))
+    )
 
 
 def _represent(path: MeasurePath, T: float, radius: float):
@@ -391,41 +436,64 @@ def _run_all(scn: Scenario) -> dict:
     radii: dict[str, float] = {}
     notes: list[str] = []
 
-    def emit(name: str, writer, payload) -> None:
-        writer(payload, os.path.join(out, name))
+    def emit(name: str, writer, payload, keep: Optional[list] = None) -> None:
+        text = writer(payload, os.path.join(out, name))
+        if keep is not None:
+            keep.append(text)
         written.append(name)
 
-    memo: dict[SchemeConfig, MeasurePath] = {}
+    paths: dict[SchemeConfig, MeasurePath] = {}
+    distinct: list[MeasurePath] = []
 
     def path_for(cfg: SchemeConfig) -> MeasurePath:
-        if cfg not in memo:
-            memo[cfg] = run_scheme(spec, mu0, cfg)
-        return memo[cfg]
+        if cfg not in paths:
+            path = run_scheme(spec, mu0, cfg)
+            paths[cfg] = next((p for p in distinct if _same_path(p, path)), path)
+            if paths[cfg] is path:
+                distinct.append(path)
+        return paths[cfg]
 
     for i, n in enumerate(scn.Ns):
-        for scheme in scn.schemes:
-            cfg = SchemeConfig(scheme, scn.grid(i), scn.coalesce_tol, scn.prune_floor)
-            path = path_for(cfg)
-            tag = f"{_safe_tag(scheme)}_N{n}"
-            emit(f"path_{tag}.csv", artifacts.write_path_csv, path)
+        runs = [(f"{_safe_tag(scheme)}_N{n}",
+                 path_for(SchemeConfig(scheme, scn.grid(i), scn.coalesce_tol, scn.prune_floor)))
+                for scheme in scn.schemes]
+        # the texts of a path's files, kept only while a later run of this N
+        # shares the path; no run of another N has its node times
+        texts: dict[int, list[str]] = {}
+        for j, (tag, path) in enumerate(runs):
             pruned[tag] = path.pruned_mass
             atoms = np.concatenate([mu.atoms for mu in path.measures])
             radii[tag] = float(np.max(np.linalg.norm(atoms, axis=1)))
+            names = [f"path_{tag}.csv"]
             if scn.represent:
-                ens = _represent(path, scn.T, radii[tag])
-                emit(f"trajectories_{tag}.json", artifacts.write_trajectories_json, ens)
+                names.append(f"trajectories_{tag}.json")
             if scn.residual:
-                rep = residual(path, spec)
-                emit(f"residual_{tag}.csv", artifacts.write_residual_csv, rep)
-                obj = artifacts.residual_to_json(rep)
-                emit(f"residual_{tag}.json", artifacts.write_json, obj)
+                names += [f"residual_{tag}.csv", f"residual_{tag}.json"]
+            later = any(p is path for _, p in runs[j + 1:])
+            kept = texts.pop(id(path), None)
+            if kept is not None:
+                for name, text in zip(names, kept):
+                    artifacts._write_text(text, os.path.join(out, name))
+                written.extend(names)
+            else:
+                kept = [] if later else None
+                emit(names[0], artifacts.write_path_csv, path, kept)
+                if scn.represent:
+                    ens = _represent(path, scn.T, radii[tag])
+                    emit(names[1], artifacts.write_trajectories_json, ens, kept)
+                if scn.residual:
+                    rep = residual(path, spec)
+                    emit(names[-2], artifacts.write_residual_csv, rep, kept)
+                    obj = artifacts.residual_to_json(rep)
+                    emit(names[-1], artifacts.write_json, obj, kept)
+            if later:
+                texts[id(path)] = kept
 
     # compare and converge use standard grids (dv = 1/N), default housekeeping
     if scn.compare:
         for n in scn.Ns:
             grid = GridSpec(T=scn.T, N=n)
-            runs = {tag: path_for(SchemeConfig(tag, grid)) for tag in SCHEMES}
-            table = scheme_compare(runs)
+            table = scheme_compare({tag: path_for(SchemeConfig(tag, grid)) for tag in SCHEMES})
             emit(f"comparison_N{n}.csv", artifacts.write_comparison_csv, table)
             obj = artifacts.comparison_to_json(table)
             emit(f"comparison_N{n}.json", artifacts.write_json, obj)
@@ -437,9 +505,13 @@ def _run_all(scn: Scenario) -> dict:
             notes.append("converge uses standard grids; dv overrides ignored")
         if len(scn.Ns) >= 2:
             grids = [GridSpec(T=scn.T, N=n) for n in scn.Ns]
+            studies: dict[tuple[int, ...], ConvergenceTable] = {}
             for scheme in scn.schemes:
-                paths = [path_for(SchemeConfig(scheme, g)) for g in grids]
-                table = convergence_study(paths, scheme)
+                sweep = [path_for(SchemeConfig(scheme, g)) for g in grids]
+                key = tuple(map(id, sweep))
+                if key not in studies:
+                    studies[key] = convergence_study(sweep, scheme)
+                table = replace(studies[key], scheme=scheme)
                 stag = _safe_tag(scheme)
                 emit(f"convergence_{stag}.csv", artifacts.write_convergence_csv, table)
                 obj = artifacts.convergence_to_json(table)

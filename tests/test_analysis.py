@@ -394,3 +394,27 @@ def test_scheme_compare_binomial_gaps_shrink():
     fine = scheme_compare(all_schemes(BINOMIAL, dirac(0.0), N=16))
     for a, b, gap in fine.rows():
         assert gap <= coarse.gap(a, b) + 1e-12
+
+
+def test_scheme_compare_on_one_path_under_two_tags_is_the_table_of_two_copies(monkeypatch):
+    calls = []
+    real = analysis.w1_distance
+
+    def counting(mu, nu):
+        calls.append(None)
+        return real(mu, nu)
+
+    monkeypatch.setattr(analysis, "w1_distance", counting)
+    path = run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, N=4))
+    copy = run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, N=4))
+    other = run_scheme(BINOMIAL, dirac(0.0), cfg(MEAN_VELOCITY, N=4))
+    assert copy is not path
+    shared = scheme_compare({"a": path, "b": path, "c": other, "d": path})
+    # one sweep for each ordered pair of distinct objects: (path, other) and
+    # (other, path), since W1 is swept in the order of the pair
+    assert len(calls) == 2 * 5
+    twice = scheme_compare({"a": path, "b": copy, "c": other, "d": path})
+    # (path, copy), (path, other), (copy, other), (copy, path), (other, path)
+    assert len(calls) == 2 * 5 + 5 * 5
+    assert shared == twice
+    assert shared.gap("a", "b") == 0.0 and shared.gap("a", "c") > 0.0

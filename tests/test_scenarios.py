@@ -1,13 +1,16 @@
 import dataclasses
 import math
+import re
+import shutil
 import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mdelab.scenarios as sc
-from mdelab import ConfigError, IoError, quantile_uniform
+from mdelab import ConfigError, IoError, analysis, quantile_uniform, superposition, transport
 from mdelab.scenarios import (
     Scenario,
     get_scenario,
@@ -300,3 +303,190 @@ def test_run_scenario_dv_override_still_compares_standard_grids(tmp_path, monkey
     scn = tiny_scenario(tmp_path, dvs=(0.25,), compare=True)
     assert count_runs(monkeypatch, scn) == (4, 4)
     assert (tmp_path / "comparison_N2.csv").is_file()
+
+
+# ---------------------------------------------------------------------------
+# shared work: runs whose paths are equal bit for bit share one path object
+# ---------------------------------------------------------------------------
+
+# the constant fiber 1/4 (d_{+-e1} + d_{+-e2}) from d_0: under las and
+# lagrangian every node is the multinomial law, bit for bit
+WALK = scenario_from_json({
+    "name": "walk-2d",
+    "pvf": {"kind": "constant_fiber", "omega": {
+        "kind": "atoms", "atoms": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+        "weights": [0.25] * 4}},
+    "initial": {"kind": "dirac", "point": [0.0, 0.0]},
+    "T": 1.0, "N": [4, 8, 16], "scheme": "all", "compare": True, "converge": True,
+})
+
+
+def seeded_scenario(seed: int) -> Scenario:
+    """A 1-D constant fiber of three off-grid velocities from three atoms,
+    every report on: no two schemes give one path."""
+    rng = np.random.default_rng(seed)
+    return scenario_from_json({
+        "name": f"seeded-{seed}",
+        "pvf": {"kind": "constant_fiber", "omega": {
+            "kind": "atoms", "atoms": rng.uniform(-1, 1, (3, 1)).tolist(),
+            "weights": rng.uniform(0.5, 1.5, 3).tolist()}},
+        "initial": {"kind": "atoms", "atoms": rng.uniform(-1, 1, (3, 1)).tolist(),
+                    "weights": rng.uniform(0.5, 1.5, 3).tolist()},
+        "T": 1.0, "N": [2, 4], "scheme": "all",
+        "compare": True, "converge": True, "represent": True, "residual": True,
+    })
+
+
+def count_calls(scn, *fns) -> list[int]:
+    """Run ``scn``; the number of calls to each of ``fns``, counted in every
+    mdelab module that holds the function."""
+    counts = [0] * len(fns)
+
+    def counting(i, fn):
+        def wrapper(*args, **kwargs):
+            counts[i] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for i, fn in enumerate(fns):
+            wrapper = counting(i, fn)
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("mdelab"):
+                    for attr in [a for a, v in vars(mod).items() if v is fn]:
+                        mp.setattr(mod, attr, wrapper)
+        run_scenario(scn)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        # W1 calls, curve bundles and residuals; unshared, splitting-dirac
+        # makes 261 W1 calls and binomial 75 W1 calls and 9 bundles
+        ("splitting-dirac", [87, 0, 0]),
+        ("binomial", [33, 6, 0]),
+        # no two schemes give one path: as unshared
+        ("uniform-fiber", [15, 0, 0]),
+        ("peano", [0, 3, 0]),
+        ("splitting-uniform", [0, 0, 1]),
+    ],
+)
+def test_shared_paths_share_their_work(tmp_path, name, expected):
+    scn = dataclasses.replace(get_scenario(name), outputs=str(tmp_path))
+    fns = (transport.w1_distance, superposition.build_representation, analysis.residual)
+    # the memos live for one call: a second run in the process repeats the work
+    assert [count_calls(scn, *fns) for _ in range(2)] == [expected] * 2
+
+
+def test_the_walk_makes_half_the_lp_solves(tmp_path):
+    # unshared, the walk at N = (4, 8, 16) makes 80 solves: las and lagrangian
+    # each solve the same converge and compare pairs
+    scn = dataclasses.replace(WALK, outputs=str(tmp_path))
+    assert count_calls(scn, transport._simplex) == [40]
+
+
+def artifact_bytes(scn, out) -> dict[str, bytes]:
+    """Every file a run of ``scn`` writes into ``out``, the manifest's wall time
+    dropped; ``out`` is removed after."""
+    run_scenario(dataclasses.replace(scn, outputs=str(out)))
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    files["manifest.json"] = re.sub(rb'"wall_time_s": [^\n]*\n', b"", files["manifest.json"])
+    shutil.rmtree(out)
+    return files
+
+
+@pytest.mark.parametrize(
+    "scn, shares",
+    [(get_scenario(name), name in ("splitting-dirac", "binomial")) for name in sorted(sc._BUILTINS)]
+    + [(WALK, True)]
+    + [(seeded_scenario(seed), False) for seed in range(3)],
+    ids=lambda x: x.name if isinstance(x, Scenario) else None,
+)
+def test_a_shared_run_writes_the_artifacts_of_an_unshared_one(tmp_path, monkeypatch, scn, shares):
+    hits = []
+    same_path = sc._same_path
+
+    def recording(a, b):
+        hits.append(same_path(a, b))
+        return hits[-1]
+
+    monkeypatch.setattr(sc, "_same_path", recording)
+    shared = artifact_bytes(scn, tmp_path / "out")
+    assert any(hits) == shares
+    monkeypatch.setattr(sc, "_same_path", lambda a, b: False)  # every path its own
+    assert artifact_bytes(scn, tmp_path / "out") == shared
+
+
+def changed(path, field: str, k: int, attr: str):
+    """A copy of ``path`` whose ``field[k]`` (a node or a lift) has the first
+    entry of its ``attr`` array moved 1 ulp up."""
+    items = list(getattr(path, field))
+    names = ("atoms", "weights") if field == "measures" else ("positions", "velocities", "weights")
+    arrays = [getattr(items[k], name).copy() for name in names]
+    a = arrays[names.index(attr)]
+    a.flat[0] = np.nextafter(a.flat[0], np.inf)
+    items[k] = object.__new__(type(items[k]))
+    items[k]._set(*arrays)
+    return dataclasses.replace(path, **{field: tuple(items)})
+
+
+def test_a_path_copy_that_differs_in_one_array_is_not_shared():
+    scn = get_scenario("binomial")
+    cfg = sc.SchemeConfig("lagrangian", sc.GridSpec(T=1.0, N=4))
+    path = sc.run_scheme(scn.pvf_spec(), scn.initial_measure(), cfg)
+    copy = sc.run_scheme(scn.pvf_spec(), scn.initial_measure(), cfg)
+    assert copy is not path
+    assert sc._same_path(copy, path)
+    others = [
+        changed(path, "interp", 2, "weights"),  # a lift's weight, 1 ulp up
+        changed(path, "measures", 2, "weights"),  # a node's weight
+        dataclasses.replace(path, pruned_mass=np.nextafter(path.pruned_mass, 1.0)),
+        changed(path, "measures", 2, "atoms"),  # a node moved by 1 ulp, lifts equal
+        changed(path, "interp", 2, "positions"),
+        changed(path, "interp", 2, "velocities"),
+    ]
+    for other in others:
+        assert not sc._same_path(other, path) and not sc._same_path(path, other)
+
+
+def test_the_same_bytes_in_another_shape_are_not_shared():
+    def path(atoms, weights):
+        node = types.SimpleNamespace(atoms=np.array(atoms), weights=np.array(weights))
+        return types.SimpleNamespace(times=np.array([0.0]), pruned_mass=0.0,
+                                     measures=(node,), interp=())
+
+    one = path([[0.0], [1.0]], [0.5, 0.5])
+    for other in (path([[0.0, 1.0]], [0.5, 0.5]),  # reshaped
+                  path([[0.0], [1.0], [0.5]], [0.5])):  # a float moved across arrays
+        assert not sc._same_path(other, one) and not sc._same_path(one, other)
+
+
+def test_the_memos_live_for_one_call(tmp_path):
+    """A run, a failed one included, leaves no module-level state behind."""
+    def state():
+        return {(name, attr): len(value)
+                for name, mod in list(sys.modules.items()) if name.startswith("mdelab")
+                for attr, value in vars(mod).items() if isinstance(value, (dict, list, set))}
+
+    # las keeps its texts for lagrangian; the run fails on mean-velocity's first file
+    scn = dataclasses.replace(get_scenario("binomial"), Ns=(2,),
+                              schemes=("las", "mean-velocity", "lagrangian"))
+    clean = artifact_bytes(scn, tmp_path / "out")
+    before = state()
+    writes = []
+    real = sc.artifacts._write_text
+
+    def failing(text, file_path):
+        writes.append(file_path)
+        if len(writes) == 3:
+            raise IoError("disk full")
+        return real(text, file_path)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sc.artifacts, "_write_text", failing)
+        with pytest.raises(IoError):
+            run_scenario(dataclasses.replace(scn, outputs=str(tmp_path / "failed")))
+    assert writes[-1].endswith("path_mean-velocity_N2.csv")
+    assert state() == before
+    assert artifact_bytes(scn, tmp_path / "out") == clean
