@@ -21,32 +21,27 @@ order: a row joins the first earlier group representative within the
 tolerance in every coordinate, or opens a group.
 
 Input is validated where it enters the library, and derived rows go
-through the kernel alone.  Which constructor builds what:
+through the kernel alone.  There are two ways in:
 
 * ``canonical_support`` (and so every public constructor) validates its
   input with four whole-array reductions (the least and greatest
   coordinate and weight; NaN propagates through both) and runs the
   per-check tests, in their fixed order, only when that joint test
   fails; then it calls the kernel, ``_canonical``.
-* ``DiscreteMeasure._derived`` and ``LiftedMeasure._derived`` build rows
-  the library derives from canonical measures (a scheme's next or pruned
-  node, an interpolated measure, a lift's base, a binned lift).  They run
-  the kernel and check only what the construction does not prove: the
-  coordinates of rows computed by arithmetic that can overflow.  Rows on
-  the line (every node of a 1-D run) take the gap test of the kernel's
-  first route before the finiteness check (``_derived_support``): rows
-  that pass it strictly increase, so their end rows stand in for the two
-  finiteness reductions.  The kernel then takes the gaps and the test's
-  outcome, and on its first route adopts read-only derived weights
-  rather than copying them.
-* ``LiftedMeasure._presorted`` builds a shipped rule's lift, and a
-  ``mean-velocity`` step's one-point lift, which arrive in canonical
-  order by construction: it runs only the weight tests, adopts the
-  position and velocity columns and the weights as they are, and hands
-  the rows to the kernel when a test fails.
+* ``_derive`` is the one constructor of the values the library derives
+  from canonical measures: a rule's lift, a scheme's next or pruned node,
+  an interpolated measure, a lift's base, a coalesced measure.  The
+  caller passes the rows with what their construction proves: that they
+  are finite, that they are in canonical order (the kernel then runs
+  only its weight tests), or that the weights are a canonical measure's
+  (which pass those tests, so they are skipped).  A lift's base, and the
+  rule it evaluates, are passed in too where the rows prove the base.
+  Rows on the line with unproved coordinates take the gap test of the
+  kernel's first route before the finiteness check, and the kernel
+  reuses its outcome.
 
-A test is skipped only where the docstring of the constructor that skips
-it shows that the construction guarantees its outcome.
+A test is skipped only where the docstring of ``_derive`` shows that the
+construction guarantees its outcome.
 
 The kernel reads each pair of consecutive rows' first gap
 (``_first_gaps``) once, or takes them from the derived path's gap test,
@@ -241,13 +236,15 @@ def canonical_support(points, weights, tol: float = MERGE_TOL) -> tuple[np.ndarr
     NaN fails their joint test) validate the data, and only when they fail
     do the single checks run, in a fixed order, so each error has the same
     class and message whether or not ``np.errstate(all="raise")`` is in
-    force.  Then the kernel, ``_canonical``, does the work.
+    force.  Then the kernel, ``_canonical``, does the work on a copy of the
+    weights, since outside input may be a view of an array its owner still
+    writes.
 
     Raises EmptyInputError when there are no atoms, NegativeWeightError for
     a negative weight, ValueError for shape mismatches or non-finite data.
     """
     pts = _as_points(points)
-    w = np.asarray(weights, dtype=float).ravel()
+    w = np.array(weights, dtype=float).ravel()
     n = pts.shape[0]
     if n == 0:
         raise EmptyInputError("a measure needs at least one atom")
@@ -267,7 +264,7 @@ def canonical_support(points, weights, tol: float = MERGE_TOL) -> tuple[np.ndarr
     # |x - y| <= hi - lo for any two coordinates, and a partial sum of the
     # weights stays below 2 n max(w): if both are finite, nothing overflows
     wide = not (math.isfinite(hi - lo) and math.isfinite(2.0 * n * w_hi))
-    return _canonical(pts, w, tol, wide)
+    return _frozen(*_canonical(pts, w, tol, wide))
 
 
 def _bounds(pts: np.ndarray) -> tuple[float, float]:
@@ -276,38 +273,10 @@ def _bounds(pts: np.ndarray) -> tuple[float, float]:
             float(np.maximum.reduce(pts, axis=None, initial=-math.inf)))
 
 
-def _derived_support(pts: np.ndarray, w: np.ndarray, check: bool) -> tuple[np.ndarray, np.ndarray]:
-    """``_canonical`` of rows the library derived from canonical data.
-
-    ``pts`` is an (n, d) float array with n >= 1 and ``w`` its n finite,
-    nonnegative weights, of total at most n: the construction proves what
-    ``canonical_support`` would check, except that arithmetic on finite
-    atoms can overflow.  With ``check`` the coordinates are tested for
-    finiteness; without it the caller has proved them finite, and the
-    kernel reads any overflowing difference as +-inf.
-
-    Rows on the line are checked by one gap test, the kernel's first
-    route (see ``_canonical``).  Their gaps are taken with overflow and
-    invalid operations silenced, since the rows are not yet known to be
-    finite, and nothing is reported from them.  If every gap exceeds
-    ``MERGE_TOL``, the rows strictly increase (a NaN gap fails the test,
-    and a - b > 0 as computed means a > b), so the end rows are the least
-    and greatest coordinate, and the finiteness test reads them in place
-    of two reductions.  Otherwise the rows take the two reductions.  The
-    kernel then takes the gaps and the test's outcome instead of computing
-    them again.
-    """
-    if not check:
-        return _canonical(pts, w, MERGE_TOL, True)
-    gaps = apart = None
-    if pts.shape[1] == 1:
-        with np.errstate(over="ignore", invalid="ignore"):
-            gaps = pts[1:, 0] - pts[:-1, 0]
-        apart = bool(np.minimum.reduce(gaps, initial=math.inf) > MERGE_TOL)
-    lo, hi = (float(pts[0, 0]), float(pts[-1, 0])) if apart else _bounds(pts)
-    if not (-math.inf < lo and hi < math.inf):
-        raise ValueError("atom coordinates must be finite")
-    return _canonical(pts, w, MERGE_TOL, not math.isfinite(hi - lo), gaps, apart)
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _columns(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -318,16 +287,16 @@ def _columns(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _canonical(pts: np.ndarray, w: np.ndarray, tol: float, wide: bool,
-               gaps: np.ndarray | None = None,
-               apart: bool | None = None) -> tuple[np.ndarray, np.ndarray]:
+               gaps: np.ndarray | None = None, apart: bool | None = None,
+               tested: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The canonical form of valid rows: the kernel behind
-    ``canonical_support`` and the ``_derived`` constructors.
+    ``canonical_support`` and ``_derive``.
 
     ``pts`` is an (n, d) float array with n >= 1 and finite entries, ``w``
-    its n finite, nonnegative weights.  ``wide`` says that a difference of
-    two coordinates or the total of the weights may overflow; overflow is
-    then read as +-inf, which still orders and compares with ``tol``
-    correctly, and is not reported.
+    its n finite, nonnegative weights, which the kernel may return as they
+    are.  ``wide`` says that a difference of two coordinates or the total
+    of the weights may overflow; overflow is then read as +-inf, which
+    still orders and compares with ``tol`` correctly, and is not reported.
 
     Rows that arrive in canonical order skip the sort and the grouping.
     If every first gap (``_first_gaps``) exceeds ``tol``, the rows are
@@ -344,17 +313,14 @@ def _canonical(pts: np.ndarray, w: np.ndarray, tol: float, wide: bool,
     same argument applies to the first rows of their runs of equal rows,
     so the groups are the runs, as ``_group_rows`` would find them.
 
-    ``gaps`` and ``apart`` are given only by ``_derived_support``: the
-    first gaps of rows on the line, taken before -0.0 was read as +0.0,
-    and whether every one exceeds ``tol`` (there ``MERGE_TOL``).  A
-    difference with a zero operand of either sign is the same up to the
-    sign of a zero result, and 0.0 and -0.0 compare alike in every test
-    the routes make, so the routes and their results are the same.  On
-    the first route, derived weights that are read-only and contiguous
-    are adopted, not copied: they belong to a canonical measure or a
-    lift, which nothing writes.  Weights from ``canonical_support`` are
-    always copied, since outside input may be a read-only view of an
-    array its owner still writes.
+    ``gaps``, ``apart`` and ``tested`` are given only by ``_derive``:
+    the first gaps of rows on the line, taken before -0.0 was read as
+    +0.0, and whether every one exceeds ``tol``.  A difference with a zero
+    operand of either sign is the same up to the sign of a zero result,
+    and 0.0 and -0.0 compare alike in every test the routes make, so the
+    routes and their results are the same.  With ``tested``, the weights
+    on the first route are returned without the tail's tests, which
+    ``_derive`` shows they pass.
 
     Finite weights whose total overflows are scaled by the largest of
     them first; a total that does not overflow is used as it is.
@@ -364,14 +330,12 @@ def _canonical(pts: np.ndarray, w: np.ndarray, tol: float, wide: bool,
         if gaps is None:
             gaps = _first_gaps(pts)
         floor = max(tol, 0.0)  # a negative tol still merges equal rows
-        gid = None
-        derived = apart is not None
-        if not derived:
+        if apart is None:
             apart = np.minimum.reduce(gaps, initial=math.inf) > floor
-        if apart:
-            adopt = derived and not w.flags.writeable and w.flags.c_contiguous
-            atoms, mass = pts, (w if adopt else w.copy())
-        else:
+        if apart and tested:
+            return pts, w
+        atoms, mass, gid = pts, w, None
+        if not apart:
             if (gaps[gaps != 0] > floor).all():  # sorted, and every tie is exact
                 gid, reps = _runs(gaps)
             else:
@@ -382,12 +346,23 @@ def _canonical(pts: np.ndarray, w: np.ndarray, tol: float, wide: bool,
             atoms = pts[reps]
             mass = np.bincount(gid, weights=w, minlength=len(reps))
         total = float(np.add.reduce(mass))
+    return _unit(total, mass, w, gid, atoms)
 
+
+def _unit(total: float, mass: np.ndarray, w: np.ndarray, gid: np.ndarray | None,
+          *cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The kernel's tail: group masses ``mass`` of total ``total``, from
+    weights ``w`` grouped by ``gid`` (None when every row is a group),
+    normalized to mass one with the weight floor applied.
+
+    Returns the columns ``cols`` of the groups kept, then their masses; an
+    unchanged ``mass`` is returned as it is.
+    """
     # a weight that underflows in a renormalization is below the floor anyway
     if total == math.inf:
         with np.errstate(under="ignore"):
             w = w / np.maximum.reduce(w)
-            mass = w if gid is None else np.bincount(gid, weights=w, minlength=len(reps))
+            mass = w if gid is None else np.bincount(gid, weights=w, minlength=len(mass))
             mass = mass / np.add.reduce(mass)
     elif total <= 0.0:
         raise ValueError("total mass must be positive")
@@ -397,19 +372,102 @@ def _canonical(pts: np.ndarray, w: np.ndarray, tol: float, wide: bool,
 
     if not np.minimum.reduce(mass) >= WEIGHT_FLOOR:
         keep = mass >= WEIGHT_FLOOR
-        atoms = atoms[keep]
-        mass = mass[keep]
-        if atoms.shape[0] == 0:
+        mass, cols = mass[keep], [c[keep] for c in cols]
+        if mass.shape[0] == 0:
             raise EmptyInputError("all atoms fell below the weight floor")
         kept = float(mass.sum())
         if abs(kept - 1.0) > UNIT_MASS_TOL:
             mass = mass / kept
+    return (*cols, mass)
 
-    atoms = np.ascontiguousarray(atoms)
-    mass = np.ascontiguousarray(mass)
-    atoms.setflags(write=False)
-    mass.setflags(write=False)
-    return atoms, mass
+
+def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None = None, *,
+            ordered: bool = False, finite: bool = False, tested: bool = False,
+            base: "DiscreteMeasure | None" = None, rule=None,
+            tol: float = MERGE_TOL) -> "DiscreteMeasure | LiftedMeasure":
+    """The measure on rows the library derived from canonical measures: a
+    ``DiscreteMeasure`` on ``rows``, or with ``velocities`` the
+    ``LiftedMeasure`` on the rows (``rows``, ``velocities``).
+
+    The one constructor of derived values: a scheme's lift, next node or
+    pruned node, an interpolated measure, a lift's base, a coalesced
+    measure.  Outside input goes through the public constructors instead.
+    ``rows`` (and ``velocities``) are C-contiguous (n, d) float arrays with
+    n >= 1, ``weights`` a C-contiguous array of their n nonnegative finite
+    weights, of total at most n; the arrays are handed over, and the value
+    may keep them.  The
+    caller states what the construction proves, and the constructor skips
+    the checks and the kernel work whose outcome that fixes:
+
+    * ``finite``: the coordinates are finite.  Otherwise they are tested,
+      with the error ``canonical_support`` raises: the rows given to the
+      kernel, or with ``ordered`` the velocities, which are then read
+      through ``+ 0.0`` (a -0.0 becomes +0.0).  Rows on the line given to
+      the kernel take the gap test of its first route first, with overflow
+      and invalid operations silenced (the rows are not yet known to be
+      finite).  If every gap exceeds ``tol``, the rows strictly increase
+      (a NaN gap fails the test, and a - b > 0 as computed means a > b),
+      so the end rows are the least and greatest coordinate, and the test
+      reads them in place of two reductions; the kernel takes the gaps and
+      the test's outcome.
+    * ``ordered``: the rows are in canonical order, lexicographically
+      sorted and pairwise farther than ``tol`` apart in the l-inf distance
+      as computed, and hold no -0.0; the positions are a canonical
+      measure's atoms, or some of them, in order.  On such rows the kernel
+      keeps every row in place as a group of its own: by the argument in
+      ``_canonical``'s docstring when every first gap exceeds ``tol``, and
+      otherwise because the sort keeps sorted distinct rows in place and
+      the scan finds no two rows within ``tol``.  Its weights are then
+      ``0.0 + w = w``, so only its tail (``_unit``) runs, and the rows are
+      kept as they are.
+    * ``tested``: ``weights`` is a canonical measure's weights array.  The
+      kernel leaves every weight at least ``WEIGHT_FLOOR`` and their total
+      (``np.add.reduce``) within ``UNIT_MASS_TOL`` of one.  A total it
+      keeps is the one it tested, and a weight it keeps passed the floor;
+      a floor renormalization divides by a kept mass below 1 -
+      ``UNIT_MASS_TOL``, which lowers no weight.  Where it divides by a
+      sum s, numpy's pairwise summation of n values errs by less than
+      (log2 n + 26) u relatively (u = 2^-53), so s, then each quotient
+      (one more u) and their sum lie within 2 (log2 n + 27) u < 1e-13 of
+      one for any n below 2^40.  So on a route that keeps every row and
+      weight as given, both tests of the tail pass, and they are skipped.
+    * ``base`` (a lift only): the rows are exact for the canonical measure
+      ``base``: their positions are its atoms in order, one possibly
+      twice, and their weights regroup to its weights bit for bit.  If the
+      lift keeps every row and weight, the base pass would group the
+      positions back to ``base``'s atoms and the weights to its weights,
+      and keep them (they are tested, as above).  So ``base`` is then the
+      lift's base, and it is not computed.  ``rule`` is the rule whose
+      evaluation at ``base`` the lift is (see ``pvf._is_lift``); it is
+      recorded with the base.
+    * ``tol``: the merge tolerance, ``MERGE_TOL`` or, for ``coalesce``,
+      more.
+    """
+    lifted = velocities is not None
+    # the rows to check: a lift's velocities when its rows are ordered
+    pts = velocities if ordered else np.concatenate((rows, velocities), axis=1) if lifted else rows
+    gaps = apart = None
+    wide = True
+    if not finite:
+        if pts.shape[1] == 1 and not ordered:
+            with np.errstate(over="ignore", invalid="ignore"):
+                gaps = pts[1:, 0] - pts[:-1, 0]
+            apart = bool(np.minimum.reduce(gaps, initial=math.inf) > tol)
+        lo, hi = (float(pts[0, 0]), float(pts[-1, 0])) if apart else _bounds(pts)
+        if not (-math.inf < lo and hi < math.inf):
+            raise ValueError("atom coordinates must be finite")
+        wide = not math.isfinite(hi - lo)
+    if ordered:
+        cols = (rows, velocities if finite else velocities + 0.0) if lifted else (rows,)
+        *cols, mass = (*cols, weights) if tested else _unit(
+            float(np.add.reduce(weights)), weights, weights, None, *cols)
+    else:
+        atoms, mass = _canonical(pts, weights, tol, wide, gaps, apart, tested)
+        cols = _columns(atoms) if lifted else (atoms,)
+    out = object.__new__(LiftedMeasure if lifted else DiscreteMeasure)
+    keeps = base is not None and (mass is weights or np.array_equal(mass, weights))
+    out._set(*cols, mass, *((base, rule) if keeps else ()))
+    return out
 
 
 def match_rows(rows: np.ndarray, reps: np.ndarray, tol: float = MERGE_TOL) -> np.ndarray:
@@ -464,20 +522,9 @@ class DiscreteMeasure:
     def __post_init__(self):
         self._set(*canonical_support(self.atoms, self.weights))
 
-    @classmethod
-    def _derived(cls, points: np.ndarray, weights: np.ndarray, check: bool = True) -> "DiscreteMeasure":
-        """The measure on rows the library derived from canonical data.
-
-        Runs the canonical kernel, and of the input checks only the
-        finiteness of the coordinates, and that only with ``check``; see
-        ``_derived_support`` for what the caller must guarantee.  Input
-        from outside the library goes through the constructor instead.
-        """
-        mu = object.__new__(cls)
-        mu._set(*_derived_support(points, weights, check))
-        return mu
-
     def _set(self, atoms: np.ndarray, weights: np.ndarray) -> None:
+        # also the initializer of ``_derive``, which may adopt fresh arrays
+        _frozen(atoms, weights)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
@@ -528,6 +575,7 @@ class LiftedMeasure:
     positions: np.ndarray
     velocities: np.ndarray
     weights: np.ndarray
+    _rule = None  # the rule given to ``_derive`` with the base; see ``pvf._is_lift``
 
     def __post_init__(self):
         pos = _as_points(self.positions)
@@ -539,68 +587,18 @@ class LiftedMeasure:
         joint, weights = canonical_support(np.concatenate((pos, vel), axis=1), self.weights)
         self._set(*_columns(joint), weights)
 
-    @classmethod
-    def _derived(cls, joint: np.ndarray, weights: np.ndarray, check: bool = True) -> "LiftedMeasure":
-        """The lifted measure on rows (position, velocity), given as one
-        (n, 2 d) array, that the library derived from canonical data.
-
-        Checks as ``DiscreteMeasure._derived`` does.
-        """
-        joint, weights = _derived_support(joint, weights, check)
-        lifted = object.__new__(cls)
-        lifted._set(*_columns(joint), weights)
-        return lifted
-
-    @classmethod
-    def _presorted(cls, positions: np.ndarray, velocities: np.ndarray, weights: np.ndarray,
-                   check: bool = False) -> "LiftedMeasure":
-        """The lifted measure on rows (position, velocity), given as two
-        C-contiguous (n, d) arrays, whose construction proves them in
-        canonical order: lexicographically sorted and pairwise farther than
-        ``MERGE_TOL`` apart in the l-inf distance as computed.
-
-        A rule's rows are (see ``pvf._lift_rows``): their positions are a
-        canonical measure's atoms in order, which are sorted and pairwise
-        farther than ``MERGE_TOL`` apart, and the rows at one position have
-        sorted velocities as far apart.  On such rows the kernel keeps every
-        row in place as a group of its own: by the argument in
-        ``_canonical``'s docstring when every first gap exceeds the
-        tolerance, and otherwise because the sort keeps sorted distinct rows
-        in place and the scan finds no two rows within the tolerance.  Its
-        weights are then ``0.0 + w = w``.  So only the kernel's tail runs:
-        the weight total must lie within ``UNIT_MASS_TOL`` of one, and every
-        weight must reach ``WEIGHT_FLOOR``; if either test fails, the rows
-        go through the kernel as ``_derived`` sends them.
-
-        Otherwise the three arrays are adopted, not copied, and marked
-        read-only: the caller hands them over, and nothing else writes
-        them.  The positions are canonical atoms, so they hold no -0.0.
-        With ``check`` the velocities come from user code: they are tested
-        for finiteness, with the error ``_derived`` raises, and copied by
-        ``+ 0.0``, which reads a -0.0 as +0.0.  Without it the caller
-        proves them finite and free of -0.0.
-        """
-        if check:
-            lo, hi = _bounds(velocities)
-            if not (-math.inf < lo and hi < math.inf):
-                raise ValueError("atom coordinates must be finite")
-            velocities = velocities + 0.0
-        if not (abs(float(np.add.reduce(weights)) - 1.0) <= UNIT_MASS_TOL
-                and np.minimum.reduce(weights) >= WEIGHT_FLOOR):
-            return cls._derived(np.concatenate((positions, velocities), axis=1), weights, check=False)
-        weights.setflags(write=False)
-        lifted = object.__new__(cls)
-        lifted._set(positions, velocities, weights)
-        return lifted
-
-    def _set(self, positions: np.ndarray, velocities: np.ndarray, weights: np.ndarray) -> None:
-        # contiguous columns (``_columns``, ``_presorted``): a scheme step
-        # reads them twice, and arithmetic on strided views costs more
-        positions.setflags(write=False)
-        velocities.setflags(write=False)
+    def _set(self, positions: np.ndarray, velocities: np.ndarray, weights: np.ndarray,
+             base: DiscreteMeasure | None = None, rule=None) -> None:
+        # contiguous columns (``_columns``, ``_derive``): a scheme step reads
+        # them twice, and arithmetic on strided views costs more; ``base``
+        # and ``rule`` as ``_derive`` documents them
+        _frozen(positions, velocities, weights)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "velocities", velocities)
         object.__setattr__(self, "weights", weights)
+        if base is not None:
+            object.__setattr__(self, "_base", base)
+            object.__setattr__(self, "_rule", rule)
 
     @property
     def dim(self) -> int:
@@ -631,9 +629,9 @@ class LiftedMeasure:
 
     @cached_property
     def _base(self) -> "DiscreteMeasure":
-        # computed once per lift: schemes and path validation all ask for it;
-        # the positions and weights are canonical, so nothing is checked
-        return DiscreteMeasure._derived(self.positions, self.weights, check=False)
+        # computed once per lift, unless ``_derive`` was given it: schemes
+        # and path validation all ask for it
+        return _derive(self.positions, self.weights, finite=True, tested=True)
 
     def __repr__(self) -> str:
         return f"LiftedMeasure(natoms={self.natoms}, dim={self.dim})"
@@ -704,18 +702,17 @@ def coalesce(mu: DiscreteMeasure, tol: float) -> DiscreteMeasure:
     Idempotent at fixed ``tol``: surviving representatives are pairwise
     farther apart than ``tol``.
     """
-    if tol < 0:
+    if not tol >= 0:  # NaN fails too
         raise ValueError("tol must be >= 0")
     # mu's arrays are canonical, and so valid: one pass of the kernel
-    out = object.__new__(DiscreteMeasure)
-    out._set(*_canonical(mu.atoms, mu.weights, max(tol, MERGE_TOL), True))
-    return out
+    return _derive(mu.atoms, mu.weights, finite=True, tested=True, tol=max(tol, MERGE_TOL))
 
 
 def base_of(lifted: LiftedMeasure) -> DiscreteMeasure:
     """Projection of a lifted measure onto its position factor.
 
-    Computed once per lifted measure; later calls return the same object.
+    Computed once per lifted measure, unless the constructor was given
+    it; later calls return the same object.
     """
     return lifted._base
 

@@ -26,11 +26,12 @@ from .errors import ConfigError, DimMismatchError, EmptyInputError
 from .measures import (
     DiscreteMeasure,
     LiftedMeasure,
+    _derive,
     base_of,
     fiber_means,
     make_measure,
 )
-from .tolerances import AGREE_TOL, CDF_TOL, UNIT_MASS_TOL
+from .tolerances import AGREE_TOL, CDF_TOL
 
 
 @dataclass(frozen=True)
@@ -100,17 +101,18 @@ def _median(mu: DiscreteMeasure) -> tuple[int, float, float, float]:
 def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
     """Evaluate a velocity-fiber rule; the result's base is exactly ``mu``.
 
-    A shipped rule's rows (``_lift_rows``) arrive in canonical order, so
-    ``LiftedMeasure._presorted`` builds the lift with no kernel pass unless
-    a weight test fails.  A graph field's velocities come from a user
+    A shipped rule's rows (``_lift_rows``) arrive in canonical order, and
+    ``measures._derive`` builds the lift from them with no kernel pass: it
+    runs the weight tests, and not even those on a graph field's weights,
+    which are ``mu``'s.  A graph field's velocities come from a user
     callable, so they are checked for finiteness; the constant-fiber and
     splitting rows are built from canonical measures by copying and
     multiplying weights, so they are not checked.  A custom rule's lift is
     returned as it is, once its base is checked.
 
-    Where the kernel would return ``mu`` itself as the lift's base, ``mu``
-    is attached as the base, so it is not computed (see ``_keeps_base``);
-    a splitting lift also records its rule.
+    Exact rows pass ``mu`` to the constructor as the lift's base, which is
+    then not computed when the lift keeps every row and weight; a
+    splitting lift also passes its rule (see ``_is_lift``).
     """
     if isinstance(spec, CustomPvf):
         out = spec.evaluate(mu)
@@ -125,41 +127,19 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
             raise ValueError("custom rule must preserve the base measure")
         return out
     pos, vel, w, exact = _lift_rows(spec, mu)
-    lift = LiftedMeasure._presorted(pos, vel, w, check=isinstance(spec, GraphPvf))
-    if exact and _keeps_base(lift, w, mu):
-        object.__setattr__(lift, "_base", mu)
-        if isinstance(spec, SplittingParticlePvf):
-            object.__setattr__(lift, "_rule", spec)  # see _is_lift
-    return lift
-
-
-def _keeps_base(lift: LiftedMeasure, w: np.ndarray, mu: DiscreteMeasure) -> bool:
-    """Whether the base of ``lift``, built from exact rows with weights
-    ``w``, is ``mu`` bit for bit.
-
-    Exact rows (see ``_lift_rows``) are ``mu``'s atoms, the median atom
-    possibly twice, and their weights regroup to ``mu``'s exactly.  If the
-    lift kept every row and weight (no weight-floor drop, no
-    renormalization, no merge), the base pass groups the positions back to
-    ``mu``'s atoms and the weights to ``mu``'s; it keeps them, since they
-    are at least ``WEIGHT_FLOOR``, unless their total, the same reduction
-    of the same values, is more than ``UNIT_MASS_TOL`` from one.  A lift
-    built with no kernel pass adopted ``w`` itself; one built by the
-    kernel (binned rows, or rows a weight test sent there) kept every row
-    when its weights equal ``w``.
-    """
-    return ((lift.weights is w or np.array_equal(lift.weights, w))
-            and abs(float(np.add.reduce(mu.weights)) - 1.0) <= UNIT_MASS_TOL)
+    return _derive(pos, w, velocities=vel, ordered=True, finite=not isinstance(spec, GraphPvf),
+                   tested=w is mu.weights, base=mu if exact else None,
+                   rule=spec if isinstance(spec, SplittingParticlePvf) else None)
 
 
 def _is_lift(lift: LiftedMeasure, spec: PvfSpec, mu: DiscreteMeasure) -> bool:
     """Whether ``lift`` is ``eval_pvf(spec, mu)`` bit for bit, known
     without evaluating it: ``eval_pvf`` built it from this splitting rule
-    object and attached ``mu`` itself as its base, and the splitting rule
-    runs no user code.  A graph field's callable may not be a function of
-    the position alone, so its lifts record no rule and are never taken
-    for an evaluation."""
-    return getattr(lift, "_rule", None) is spec and base_of(lift) is mu
+    object and gave ``mu`` itself to the constructor as its base, and the
+    splitting rule runs no user code.  A graph field's callable may not be
+    a function of the position alone, so its lifts record no rule and are
+    never taken for an evaluation."""
+    return lift._rule is spec and base_of(lift) is mu
 
 
 def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
@@ -171,14 +151,14 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
     splitting rule's when the median splits exactly; a custom rule supplies
     the rows of the lift ``eval_pvf`` returns.
 
-    The columns are what ``LiftedMeasure._presorted`` adopts: the velocity
-    column and the weights are fresh, or read-only canonical arrays, and
-    the position column is fresh or ``mu.atoms`` itself.  No column holds
-    -0.0, except a graph field's velocities, which ``_presorted`` checks.
-    A shipped rule's rows are in canonical order, as ``_presorted`` needs:
-    lexicographically sorted and pairwise farther than ``MERGE_TOL``
-    apart.  Their positions are ``mu``'s canonical atoms, which are.  A
-    graph field gives one row per atom.  The splitting rule repeats only
+    The columns are what ``measures._derive`` adopts: the velocity column
+    and the weights are fresh, or read-only canonical arrays, and the
+    position column is fresh or ``mu.atoms`` itself.  No column holds
+    -0.0, except a graph field's velocities, which ``_derive`` checks.
+    A shipped rule's rows are in canonical order, as ``_derive`` needs
+    for ``ordered``: lexicographically sorted and pairwise farther than
+    ``MERGE_TOL`` apart.  Their positions are ``mu``'s canonical atoms,
+    which are.  A graph field gives one row per atom.  The splitting rule repeats only
     the median row, with velocities -1 < +1, which lie 2 apart.  A
     constant fiber gives the rows (x_i, omega_j) in i-major order over two
     canonical measures, so the rows at one position are omega's atoms in

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, EndpointMismatchError, IoError
+from .errors import ConfigError, DimMismatchError, EndpointMismatchError, IoError
 from .measures import (
     DiscreteMeasure,
     dirac,
@@ -182,6 +182,13 @@ def _number(value, field: str) -> float:
         raise ConfigError(f"{field}: {exc}") from exc
 
 
+def _nonempty_string(obj: dict, field: str, default: str) -> str:
+    value = obj.get(field, default)
+    if not (isinstance(value, str) and value):
+        raise ConfigError(f"{field}: expected a nonempty string, got {value!r}")
+    return value
+
+
 def scenario_from_json(obj: dict) -> Scenario:
     if not isinstance(obj, dict):
         raise ConfigError("scenario: expected a JSON object")
@@ -217,7 +224,7 @@ def scenario_from_json(obj: dict) -> Scenario:
             raise ConfigError(f"{key}: expected true or false")
         flags[key] = val
     return Scenario(
-        name=str(obj.get("name", "custom")),
+        name=_nonempty_string(obj, "name", "custom"),
         pvf=obj["pvf"],
         initial=obj["initial"],
         T=T,
@@ -226,7 +233,7 @@ def scenario_from_json(obj: dict) -> Scenario:
         dvs=dvs,
         coalesce_tol=_number(obj.get("coalesce_tol", MERGE_TOL), "coalesce_tol"),
         prune_floor=_number(obj.get("prune_floor", 0.0), "prune_floor"),
-        outputs=str(obj.get("outputs", "out")),
+        outputs=_nonempty_string(obj, "outputs", "out"),
         description=str(obj.get("description", "")),
         **flags,
     )
@@ -363,13 +370,17 @@ def run_scenario(scn: Scenario) -> dict:
     give, bit for bit, and every artifact is as if nothing were shared.
     Each N's runs are made before its files are written.
 
-    A float overflow (a horizon too long) is a ConfigError naming ``T``.
+    A float overflow (a horizon too long) is a ConfigError naming ``T``,
+    and a rule that does not fit the initial measure's dimension one
+    naming ``pvf``; the first step raises it, before any file is written.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
             return _run_all(scn)
     except FloatingPointError as exc:
         raise ConfigError(f"T: {scn.T!r} overflows floating point ({exc})") from exc
+    except DimMismatchError as exc:
+        raise ConfigError(f"pvf: {exc}") from exc
 
 
 def _path_arrays(path: MeasurePath):

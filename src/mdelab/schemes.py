@@ -19,28 +19,30 @@ Runs record the node measures plus, per step, the lifted measure that
 generated it, which is what linear-in-time interpolation and trajectory
 reconstruction consume.
 
-Every lift and node a step builds is derived from canonical measures.  A
-rule's lift, and a ``mean-velocity`` step's one-point lift, arrive in
-canonical order, so ``LiftedMeasure._presorted`` builds them with no
-kernel pass; the splitting rule hands it position and velocity columns
-it keeps as they are, so the lift copies nothing.  Every other value is
-built by ``DiscreteMeasure._derived`` or ``LiftedMeasure._derived``: the
-canonical kernel, plus a finiteness check on the atoms that arithmetic
-produced (a node, an interpolated measure, a binned velocity), where a
-float overflow can first appear.  A node on the line whose children keep
-the lift's order, as under ``lagrangian`` the splitting rule's and a
-monotone field's do, passes the kernel's first route by one gap test,
-which also reads the finiteness check off its end rows, and adopts the
-lift's weights; a node whose children collide (``las``, a constant
-fiber) goes on to the rest of the kernel, which reuses the gaps.
+Every lift and node a step builds is derived from canonical measures,
+and ``measures._derive`` builds it, told what the step proves.  A rule's
+lift, and a ``mean-velocity`` step's one-point lift, arrive in canonical
+order, so they take no kernel pass; the splitting rule hands over
+position and velocity columns that the lift keeps as they are.  Every
+other value goes through the canonical kernel, plus a finiteness check
+on the atoms that arithmetic produced (a node, an interpolated measure,
+a binned velocity), where a float overflow can first appear.  A node on
+the line whose children keep the lift's order, as under ``lagrangian``
+the splitting rule's and a monotone field's do, passes the kernel's
+first route by one gap test, which also reads the finiteness check off
+its end rows; its weights are the lift's, which a canonical measure
+already tested, so it adopts them untested.  A node whose children
+collide (``las``, a constant fiber) goes on to the rest of the kernel,
+which reuses the gaps.
+
 A step runs the kernel at most once per value it builds: for the node,
 for a lattice lift (its binned velocities can collide), and for the
 lift's base only where that base can differ from the node the step
-started from.  The node itself is attached as the base of a graph
-field's lift, and of a splitting lift whose median splits exactly, when
-the lift kept every row and weight (``pvf._keeps_base``), under
-``lagrangian`` and ``las`` alike; the base of a ``mean-velocity`` lift is
-the node it starts from.  So a step runs the kernel once under
+started from.  The node is passed to the constructor as the base of a
+graph field's lift, and of a splitting lift whose median splits
+exactly, and is taken when the lift keeps every row and weight, under
+``lagrangian`` and ``las`` alike; it is always the base of a
+``mean-velocity`` lift.  So a step runs the kernel once under
 ``lagrangian`` and twice under ``las`` for those rules, once under
 ``mean-velocity`` for every rule, and once more for the base of a
 constant fiber's lift; the run records the node it started from as
@@ -58,12 +60,13 @@ from .errors import BaseOffGridError, OutOfRangeError, SupportBlowupError
 from .measures import (
     DiscreteMeasure,
     LiftedMeasure,
+    _derive,
     base_of,
     coalesce,
     fiber_means,
     support_radius,
 )
-from .pvf import PvfSpec, _keeps_base, _lift_rows, eval_pvf, lift_size_bound
+from .pvf import PvfSpec, _lift_rows, eval_pvf, lift_size_bound
 from .tolerances import AGREE_TOL, CELL_TOL, MERGE_TOL, PRUNE_FLOOR_MAX
 
 LAS = "las"
@@ -235,7 +238,8 @@ def _prune(mu: DiscreteMeasure, floor: float) -> tuple[DiscreteMeasure, float]:
         return mu, 0.0
     drop = mu.weights < floor
     lost = float(mu.weights[drop].sum())
-    return DiscreteMeasure._derived(mu.atoms[~drop], mu.weights[~drop], check=False), lost
+    # some of mu's canonical rows, in order
+    return _derive(mu.atoms[~drop], mu.weights[~drop], ordered=True, finite=True), lost
 
 
 def _las_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
@@ -245,30 +249,27 @@ def _las_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     (binned velocities can collide); their positions must sit on the space
     grid (within ``AGREE_TOL``), and the binned velocities, which overflow
     when ``dv`` is tiny, are checked for finiteness.  Binning moves no
-    position, so where ``eval_pvf`` would attach ``mu`` as the base of the
-    rule's lift, it is attached here too (``pvf._keeps_base``).  Children
-    are computed in integer lattice coordinates: atoms sit exactly on
-    multiples of dx, so recombining children coincide exactly
-    (binomial-type weights come out in exact dyadic arithmetic).
+    position, so where ``eval_pvf`` passes ``mu`` as the base of the
+    rule's lift, it is passed here too.  Children are computed in integer
+    lattice coordinates: atoms sit exactly on multiples of dx, so
+    recombining children coincide exactly (binomial-type weights come out
+    in exact dyadic arithmetic).
     """
     grid = cfg.grid
     pos, vel, w, exact = _lift(_lift_rows, spec, mu, cfg)
     if float(np.max(np.abs(pos - np.rint(pos / grid.dx) * grid.dx), initial=0.0)) > AGREE_TOL:
         raise BaseOffGridError("base atoms are not on the space grid")
     vel = _bin_indices(vel, grid.dv) * grid.dv
-    lifted = LiftedMeasure._derived(np.concatenate((pos, vel), axis=1), w)
-    if exact and _keeps_base(lifted, w, mu):
-        object.__setattr__(lifted, "_base", mu)
+    lifted = _derive(pos, w, velocities=vel, tested=w is mu.weights, base=mu if exact else None)
     ix = np.rint(lifted.positions / grid.dx)
     iv = np.rint(lifted.velocities / grid.dv)
-    return lifted, DiscreteMeasure._derived((ix + iv) * grid.dx, lifted.weights), 0.0
+    return lifted, _derive((ix + iv) * grid.dx, lifted.weights, tested=True), 0.0
 
 
 def _lagrangian_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     """Children at x + dt v, merged at ``coalesce_tol`` and pruned below ``prune_floor``."""
     lifted = _lift(eval_pvf, spec, mu, cfg)
-    nxt = DiscreteMeasure._derived(lifted.positions + cfg.grid.dt * lifted.velocities,
-                                   lifted.weights)
+    nxt = _derive(lifted.positions + cfg.grid.dt * lifted.velocities, lifted.weights, tested=True)
     if cfg.coalesce_tol > MERGE_TOL:
         nxt = coalesce(nxt, cfg.coalesce_tol)
     nxt, lost = _prune(nxt, cfg.prune_floor)
@@ -282,19 +283,20 @@ def _mean_velocity_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     The node is built (and its atoms checked) first: a mean that is not
     finite makes its atom not finite, so the lift needs no check.  The
     one-point lift's rows (x_i, v_i) over ``mu``'s canonical atoms are in
-    canonical order, so it takes no kernel pass; its velocities are the
-    means copied by ``+ 0.0``, which reads a -0.0 as +0.0.  Its base is ``mu``
-    itself, so it is not computed, unless the weight floor dropped a whole
-    fiber of the lift: then the step starts from the lift's base, whose
-    atoms are the fibers left.
+    canonical order and carry ``mu``'s weights, so it takes no kernel pass
+    and no weight test; its velocities are the means copied by ``+ 0.0``,
+    which reads a -0.0 as +0.0.  Its base is ``mu`` itself, so it is not
+    computed, unless the weight floor dropped a whole fiber of the lift:
+    then the step starts from the lift's base, whose atoms are the fibers
+    left.
     """
     lift = _lift(eval_pvf, spec, mu, cfg)
     _, vbar = fiber_means(lift)
     if len(vbar) < mu.natoms:
         mu = base_of(lift)
-    nxt = DiscreteMeasure._derived(mu.atoms + cfg.grid.dt * vbar, mu.weights)
-    lifted = LiftedMeasure._presorted(mu.atoms, vbar + 0.0, mu.weights)
-    object.__setattr__(lifted, "_base", mu)
+    nxt = _derive(mu.atoms + cfg.grid.dt * vbar, mu.weights, tested=True)
+    lifted = _derive(mu.atoms, mu.weights, velocities=vbar + 0.0, ordered=True, finite=True,
+                     tested=True, base=mu)
     return lifted, nxt, 0.0
 
 
@@ -354,9 +356,8 @@ def interpolate_at(path: MeasurePath, t: float) -> DiscreteMeasure:
     if at_node:
         return path.measures[k]
     lifted = path.interp[k]
-    return DiscreteMeasure._derived(
-        lifted.positions + (t - times[k]) * lifted.velocities, lifted.weights
-    )
+    return _derive(lifted.positions + (t - times[k]) * lifted.velocities, lifted.weights,
+                   tested=True)
 
 
 def support_bound_check(path: MeasurePath, C: float, R: float) -> bool:

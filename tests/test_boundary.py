@@ -1,12 +1,14 @@
 """Input is validated where it enters the library.
 
-``DiscreteMeasure._derived`` and ``LiftedMeasure._derived`` build values
-from rows the library derived from canonical measures, and run the
-canonical kernel ``_canonical`` with only the checks the derivation does
-not prove; ``LiftedMeasure._presorted`` skips the kernel for rows whose
-construction proves them canonical.  Outside input must go through the
-checked constructors, so these entry points may be called only from the
-modules that derive rows.
+``measures._derive`` is the one constructor of values the library derives
+from canonical measures.  It runs the canonical kernel ``_canonical``, or
+only the kernel's weight tests, with only the checks the caller's proofs
+leave open, and it takes a lift's base and rule as arguments.  Outside
+input must go through the checked constructors, so these entry points may
+be called only from the modules that derive rows.  A value is complete
+when it is constructed: ``object.__setattr__`` runs only in
+``__post_init__`` and ``_set``-style initializers, never on a value
+another function built.
 
 In the same way ``transport._lp`` solves a transport problem whose
 marginals it does not check: the distances hand it canonical weights, and
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import mdelab
 
-UNCHECKED = {"_derived", "_presorted", "_canonical"}
+UNCHECKED = {"_derive", "_canonical"}
 ALLOWED = {"measures.py", "pvf.py", "schemes.py"}
 ROOT = Path(mdelab.__file__).parent
 
@@ -52,6 +54,31 @@ def test_the_deriving_modules_use_the_unchecked_entry_points():
     inside = {path.name for path in sources()
               if path.name in ALLOWED and path.parent == ROOT and unchecked_calls(path)}
     assert inside == ALLOWED
+
+
+def setattr_calls(path: Path) -> list[tuple[str, str]]:
+    """``object.__setattr__`` calls in a source file, as (file:line, name
+    of the innermost enclosing function)."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__setattr__"
+                    and getattr(child.func.value, "id", None) == "object"):
+                found.append((f"{path.name}:{child.lineno}", func))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else func)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return found
+
+
+def test_values_are_set_only_by_their_initializers():
+    calls = [call for path in sorted(ROOT.glob("*.py")) for call in setattr_calls(path)]
+    assert [where for where, func in calls
+            if not (func == "__post_init__" or func.startswith("_set"))] == []
+    assert calls  # guards against a pattern that would leave the test vacuous
 
 
 def test_the_unchecked_solve_is_called_only_inside_transport():

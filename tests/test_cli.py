@@ -175,6 +175,46 @@ def test_malformed_scenario_field_is_a_config_error(tmp_path, capsys, field, bad
     assert field in err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"initial": {"kind": "dirac", "point": [0.0, 0.0]}},
+        {"pvf": {"kind": "constant_fiber", "omega": {"atoms": [[-1.0, 1.0]], "weights": [1.0]}}},
+    ],
+    ids=["splitting-2d", "fiber-2d-over-1d"],
+)
+def test_rule_and_measure_of_other_dimensions_are_a_config_error(tmp_path, capsys, bad):
+    spec = scenario_to_json(get_scenario("splitting-dirac"))
+    spec.update(N=[2], outputs=str(tmp_path / "o"))
+    spec.update(bad)
+    path = tmp_path / "dims.json"
+    write_json(spec, path)
+    code, out, err = run_cli(["run", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("configuration error: pvf:")
+    assert out == ""
+    assert list((tmp_path / "o").iterdir()) == []  # no artifact written
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("outputs", None), ("outputs", []), ("outputs", ""), ("outputs", 7),
+     ("name", None), ("name", ""), ("name", ["x"])],
+    ids=["outputs-null", "outputs-list", "outputs-empty", "outputs-number",
+         "name-null", "name-empty", "name-list"],
+)
+def test_name_and_outputs_must_be_nonempty_strings(tmp_path, capsys, monkeypatch, field, value):
+    monkeypatch.chdir(tmp_path)
+    spec = scenario_to_json(get_scenario("splitting-dirac"))
+    spec.update(N=[2], scheme="las", outputs="o")
+    spec[field] = value
+    write_json(spec, tmp_path / "bad.json")
+    code, _, err = run_cli(["run", "bad.json"], capsys)
+    assert code == 2
+    assert err.startswith(f"configuration error: {field}:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]  # no directory made
+
+
 @pytest.mark.parametrize("T, code", [(1e30, 2), (1e20, 0)])
 def test_binomial_far_out_is_a_config_error_naming_T_or_runs(tmp_path, capsys, T, code):
     # at T = 1e30 a curve's endpoint misses its node atom by roundoff, since

@@ -125,6 +125,8 @@ def test_coalesce_examples():
 def test_coalesce_rejects_negative_tolerance():
     with pytest.raises(ValueError):
         coalesce(dirac(0.0), -1.0)
+    with pytest.raises(ValueError):  # a NaN tolerance would merge nothing
+        coalesce(make_measure([[0.0], [1e-3], [1.0]], np.ones(3)), float("nan"))
 
 
 @given(sts.measures(max_atoms=8))
@@ -621,7 +623,7 @@ def test_near_ties_among_far_apart_rows_raise_no_overflow(mode):
         warnings.simplefilter("error")
         with np.errstate(all="raise") if mode == "raise" else np.errstate():
             atoms, weights = measures.canonical_support(pts, np.ones(3))
-            derived = DiscreteMeasure._derived(pts, np.ones(3), check=False)
+            derived = measures._derive(pts, np.ones(3), finite=True)
     assert atoms.tolist() == [[-1e308, 0.0], [1e308, 0.0]]
     assert weights.tolist() == [1.0 / 3.0, 2.0 / 3.0]
     assert derived == DiscreteMeasure(atoms, weights)
@@ -659,15 +661,28 @@ def derived_examples(test):
 @given(sts.derived_rows(tol=MERGE_TOL), st.booleans())
 @derived_examples
 def test_derived_construction_matches_the_checked_one(case, check):
+    # the constructor is handed its arrays and may keep them, so each call
+    # gets copies; with a canonical measure's weights (tested) the weight
+    # tests are skipped and the bits are still the checked constructor's
     pts, w = case
-    assert outcome(lambda: DiscreteMeasure._derived(pts, w, check=check)) == outcome(
-        lambda: DiscreteMeasure(pts, w))
+    checked = outcome(lambda: DiscreteMeasure(pts, w))
+    assert outcome(lambda: measures._derive(pts.copy(), w.copy(), finite=not check)) == checked
+    if not isinstance(checked[0], type):
+        weights = DiscreteMeasure(pts, w).weights
+        rows = pts[:len(weights)]
+        assert outcome(lambda: measures._derive(rows.copy(), weights, finite=not check, tested=True)) \
+            == outcome(lambda: DiscreteMeasure(rows, weights))
     if pts.shape[1] % 2 == 0:
         d = pts.shape[1] // 2
         checked = outcome(lambda: LiftedMeasure(pts[:, :d], pts[:, d:], w))
-        assert outcome(lambda: LiftedMeasure._derived(pts, w, check=check)) == checked
+
+        def derived():
+            return measures._derive(pts[:, :d].copy(), w.copy(), velocities=pts[:, d:].copy(),
+                                    finite=not check)
+
+        assert outcome(derived) == checked
         if not isinstance(checked[0], type):
-            lifted = LiftedMeasure._derived(pts, w, check=check)
+            lifted = derived()
             assert outcome(lambda: base_of(lifted)) == outcome(
                 lambda: DiscreteMeasure(lifted.positions, lifted.weights))
 
@@ -678,7 +693,12 @@ def derived_before_the_gap_test(pts, w):
     lo, hi = measures._bounds(pts)
     if not (-np.inf < lo and hi < np.inf):
         raise ValueError("atom coordinates must be finite")
-    return measures._canonical(pts, w, MERGE_TOL, not np.isfinite(hi - lo))
+    return measures._frozen(*measures._canonical(pts, w, MERGE_TOL, not np.isfinite(hi - lo)))
+
+
+def derived_arrays(pts, w):
+    mu = measures._derive(pts, w)
+    return mu.atoms, mu.weights
 
 
 def support_outcome(build):
@@ -718,30 +738,38 @@ def test_the_gap_test_route_gives_the_kernel_bits(case, mode, frozen):
     # derived rows on the line that pass one gap test skip the two
     # finiteness reductions and the kernel; every other row takes them, and
     # the kernel reuses the gaps.  The result, or the error, is the same in
-    # every error mode, and no warning is raised where none was.
+    # every error mode, read-only weights or not, and no warning is raised
+    # where none was.
     pts, w = case
-    if frozen:
-        w.setflags(write=False)
+
+    def weights():
+        given = w.copy()
+        given.setflags(write=not frozen)
+        return given
+
     errstate = {"plain": {}, "over": {"over": "raise"}, "all": {"all": "raise"}}[mode]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(**errstate):
-            fast = support_outcome(lambda: measures._derived_support(pts.copy(), w, True))
-            before = support_outcome(lambda: derived_before_the_gap_test(pts.copy(), w))
+            fast = support_outcome(lambda: derived_arrays(pts.copy(), weights()))
+            before = support_outcome(lambda: derived_before_the_gap_test(pts.copy(), weights()))
     assert fast == before
 
 
 def test_the_gap_test_route_adopts_read_only_weights():
+    # derived weights are handed over: kept as they are, read-only or not
     pts = np.array([[0.0], [1.0]])
-    w = np.array([0.25, 0.75])
-    _, copied = measures._derived_support(pts, w, True)
-    assert copied is not w and not copied.flags.writeable
-    w.setflags(write=False)
-    _, adopted = measures._derived_support(pts, w, True)
-    assert adopted is w
+    for frozen in (False, True):
+        w = np.array([0.25, 0.75])
+        w.setflags(write=not frozen)
+        adopted = measures._derive(pts, w).weights
+        assert adopted is w and not adopted.flags.writeable
     # outside input is always copied, read-only or not
-    assert not np.shares_memory(DiscreteMeasure(pts, w).weights, w)
-    assert not np.shares_memory(measures.canonical_support(pts, w)[1], w)
+    for frozen in (False, True):
+        w = np.array([0.25, 0.75])
+        w.setflags(write=not frozen)
+        assert not np.shares_memory(DiscreteMeasure(pts, w).weights, w)
+        assert not np.shares_memory(measures.canonical_support(pts, w)[1], w)
 
 
 # ---------------------------------------------------------------------------
@@ -807,10 +835,17 @@ def test_a_presorted_lift_has_the_kernel_bits(case, total):
         pos, vel, w = atoms, vbar + 0.0, base.weights
     else:
         pos, vel, w, _ = _lift_rows(spec, mu)
-    joint = np.concatenate((pos, vel), axis=1)
+    # a canonical measure's weights: the graph rule's are mu's
+    tested = one_point or w is mu.weights
+
+    def build(w, **facts):
+        return lambda: measures._derive(pos.copy(), w.copy(), velocities=vel.copy(),
+                                        finite=not check, **facts)
+
+    kernel = outcome(build(w))
     if total == 1.0 and not one_point:
-        assert outcome(lambda: eval_pvf(spec, mu)) == outcome(
-            lambda: LiftedMeasure._derived(joint.copy(), w.copy(), check=check))
+        assert outcome(lambda: eval_pvf(spec, mu)) == kernel
+    if total == 1.0 and tested:
+        assert outcome(build(w, ordered=True, tested=True)) == kernel
     w = w * total
-    assert outcome(lambda: LiftedMeasure._presorted(pos.copy(), vel.copy(), w.copy(), check=check)) == outcome(
-        lambda: LiftedMeasure._derived(joint.copy(), w.copy(), check=check))
+    assert outcome(build(w, ordered=True)) == outcome(build(w))

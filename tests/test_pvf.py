@@ -11,7 +11,6 @@ from mdelab import (
     ConstantFiberPvf,
     CustomPvf,
     DimMismatchError,
-    DiscreteMeasure,
     GRAPH_FIELDS,
     GraphPvf,
     SplittingParticlePvf,
@@ -26,7 +25,7 @@ from mdelab import (
     quantile_uniform,
     sublinearity_bound,
 )
-from mdelab.measures import disintegrate
+from mdelab.measures import _derive, disintegrate
 from mdelab.pvf import _median
 
 SPLIT = SplittingParticlePvf()
@@ -330,7 +329,7 @@ def test_an_attached_base_is_what_the_kernel_returns(case):
     spec, mu = case
     lift = eval_pvf(spec, mu)
     if base_of(lift) is mu:
-        assert bits(DiscreteMeasure._derived(lift.positions, lift.weights, check=False)) == bits(mu)
+        assert bits(_derive(lift.positions, lift.weights, finite=True)) == bits(mu)
 
 
 @given(attach_inputs(), st.sampled_from([1.0, 0.25, 1e-3]))
@@ -344,7 +343,7 @@ def test_a_lattice_lift_attaches_only_the_base_the_kernel_returns(case, dv):
     mu = schemes.snap_space(mu, cfg.grid)
     lift, _, _ = schemes._las_step(spec, mu, cfg)
     if base_of(lift) is mu:
-        assert bits(DiscreteMeasure._derived(lift.positions, lift.weights, check=False)) == bits(mu)
+        assert bits(_derive(lift.positions, lift.weights, finite=True)) == bits(mu)
 
 
 @pytest.mark.parametrize("spec, mu, attached", [
