@@ -2,14 +2,19 @@
 
 A scenario is plain JSON data (schema "mde-lab/1"): a velocity-rule
 fragment, an initial-measure fragment, horizon T, one or more grid sizes,
-scheme tags, and analysis flags.  ``run_scenario`` executes every
-(scheme, N) combination, writes CSV paths plus any requested reports into
-the output directory, and finishes with a manifest that echoes the full
-normalized configuration, so re-running from the manifest reproduces the
-artifacts byte for byte.  Each distinct scheme configuration is run once;
-the comparison and convergence reports score the paths already computed.
-Configurations whose paths are equal bit for bit share one path, and the
-work downstream of it is done once (see ``run_scenario``).
+scheme tags, and analysis flags.  Each JSON key is a field of ``Scenario``
+(``N``, ``scheme`` and ``dv`` stand for ``Ns``, ``schemes`` and ``dvs``),
+and ``Scenario`` checks every field, however the scenario was made: a
+JSON file, a CLI override or a Python call.  Numbers must be JSON numbers,
+not bools or strings.  ``run_scenario`` executes every (scheme, N)
+combination before it touches the output directory, writes CSV paths plus
+any requested reports there, and finishes with a manifest that echoes the
+full normalized configuration, so re-running from the manifest reproduces
+the artifacts, and the manifest, byte for byte.  Each distinct scheme
+configuration is run once; the comparison and convergence reports score
+the paths already computed.  Configurations whose paths are equal bit for
+bit share one path, and the work downstream of it is done once (see
+``run_scenario``).
 
 Five built-ins cover the desk-scale experiments: "splitting-dirac",
 "splitting-uniform", "binomial", "uniform-fiber", "peano".
@@ -21,7 +26,7 @@ import copy
 import numbers
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -81,7 +86,13 @@ def initial_from_spec(obj: dict, where: str = "initial") -> DiscreteMeasure:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete experiment configuration, held as plain data."""
+    """A complete experiment configuration, held as plain data.
+
+    Every field is checked here, so a JSON file, a CLI override and a
+    Python caller meet the same checks; a bad field is a ConfigError that
+    names it.  ``T``, ``coalesce_tol``, ``prune_floor`` and each ``dv`` are
+    real numbers other than bools, stored as floats.  ``pvf`` and
+    ``initial`` are copied here and checked when a run builds them."""
 
     name: str
     pvf: dict
@@ -100,8 +111,19 @@ class Scenario:
     description: str = ""
 
     def __post_init__(self):
-        if not self.name:
-            raise ConfigError("name: must be nonempty")
+        for key in ("name", "outputs"):
+            value = getattr(self, key)
+            if not (isinstance(value, str) and value):
+                raise ConfigError(f"{key}: expected a nonempty string, got {value!r}")
+        if not isinstance(self.description, str):
+            raise ConfigError(f"description: expected a string, got {self.description!r}")
+        for key in ("residual", "converge", "compare", "represent"):
+            if not isinstance(getattr(self, key), bool):
+                raise ConfigError(f"{key}: expected true or false")
+        for key in ("T", "coalesce_tol", "prune_floor"):
+            object.__setattr__(self, key, _number(getattr(self, key), key))
+        if self.dvs is not None:
+            object.__setattr__(self, "dvs", tuple(_number(v, "dv") for v in self.dvs))
         if len(self.Ns) == 0:
             raise ConfigError("N: need at least one grid size")
         if not all(_is_grid_size(n) and n + 1 <= SchemeConfig.max_atoms for n in self.Ns):
@@ -122,10 +144,8 @@ class Scenario:
         object.__setattr__(self, "initial", copy.deepcopy(self.initial))
         object.__setattr__(self, "Ns", tuple(int(n) for n in self.Ns))
         object.__setattr__(self, "schemes", tuple(self.schemes))
-        if self.dvs is not None:
-            object.__setattr__(self, "dvs", tuple(float(v) for v in self.dvs))
-        # T, dv, coalesce_tol and prune_floor are checked by the run configs
-        # they build; those messages start with the field name
+        # the run configs check the numbers' ranges; their messages start
+        # with the field name
         try:
             for i in range(len(self.Ns)):
                 SchemeConfig(self.schemes[0], self.grid(i), self.coalesce_tol, self.prune_floor)
@@ -152,44 +172,30 @@ def _is_grid_size(n) -> bool:
     return isinstance(n, numbers.Integral) and n >= 1
 
 
+def _number(value, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{field}: expected a number, got {value!r}")
+    return float(value)
+
+
+# the JSON key of each field whose key is not its name
+_JSON_KEYS = {"Ns": "N", "schemes": "scheme", "dvs": "dv"}
+
+
 def scenario_to_json(scn: Scenario) -> dict:
-    obj = {
-        "schema": SCHEMA,
-        "name": scn.name,
-        "description": scn.description,
-        "pvf": copy.deepcopy(scn.pvf),
-        "initial": copy.deepcopy(scn.initial),
-        "T": scn.T,
-        "N": list(scn.Ns),
-        "scheme": list(scn.schemes),
-        "residual": scn.residual,
-        "converge": scn.converge,
-        "compare": scn.compare,
-        "represent": scn.represent,
-        "coalesce_tol": scn.coalesce_tol,
-        "prune_floor": scn.prune_floor,
-        "outputs": scn.outputs,
-    }
-    if scn.dvs is not None:
-        obj["dv"] = list(scn.dvs)
+    """The scenario as JSON data; ``dv`` is left out when it is None."""
+    obj = {"schema": SCHEMA}
+    for f in fields(scn):
+        value = getattr(scn, f.name)
+        if value is not None:
+            value = list(value) if isinstance(value, tuple) else copy.deepcopy(value)
+            obj[_JSON_KEYS.get(f.name, f.name)] = value
     return obj
 
 
-def _number(value, field: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{field}: {exc}") from exc
-
-
-def _nonempty_string(obj: dict, field: str, default: str) -> str:
-    value = obj.get(field, default)
-    if not (isinstance(value, str) and value):
-        raise ConfigError(f"{field}: expected a nonempty string, got {value!r}")
-    return value
-
-
 def scenario_from_json(obj: dict) -> Scenario:
+    """Read a scenario from JSON data; a single ``N``, ``dv`` or scheme tag
+    stands for a list, and ``"scheme": "all"`` (the default) for every scheme."""
     if not isinstance(obj, dict):
         raise ConfigError("scenario: expected a JSON object")
     schema = obj.get("schema", SCHEMA)
@@ -198,45 +204,22 @@ def scenario_from_json(obj: dict) -> Scenario:
     for key in ("pvf", "initial", "T", "N"):
         if key not in obj:
             raise ConfigError(f"{key}: required")
-    raw_n = obj["N"]
-    Ns = tuple(raw_n) if isinstance(raw_n, (list, tuple)) else (raw_n,)
-    raw_scheme = obj.get("scheme", "all")
-    if raw_scheme == "all":
-        schemes = tuple(SCHEMES)
-    elif isinstance(raw_scheme, str):
-        schemes = (raw_scheme,)
-    elif isinstance(raw_scheme, (list, tuple)):
-        schemes = tuple(raw_scheme)
-    else:
+    kw = {"name": "custom", "schemes": "all"}
+    for f in fields(Scenario):
+        key = _JSON_KEYS.get(f.name, f.name)
+        if key in obj:
+            kw[f.name] = obj[key]
+    if not isinstance(kw["Ns"], (list, tuple)):
+        kw["Ns"] = (kw["Ns"],)
+    if kw["schemes"] == "all":
+        kw["schemes"] = tuple(SCHEMES)
+    elif isinstance(kw["schemes"], str):
+        kw["schemes"] = (kw["schemes"],)
+    elif not isinstance(kw["schemes"], (list, tuple)):
         raise ConfigError("scheme: expected a tag, a list of tags, or 'all'")
-    raw_dv = obj.get("dv")
-    if raw_dv is None:
-        dvs = None
-    elif isinstance(raw_dv, (list, tuple)):
-        dvs = tuple(_number(v, "dv") for v in raw_dv)
-    else:
-        dvs = (_number(raw_dv, "dv"),) * len(Ns)
-    T = _number(obj["T"], "T")
-    flags = {}
-    for key in ("residual", "converge", "compare", "represent"):
-        val = obj.get(key, False)
-        if not isinstance(val, bool):
-            raise ConfigError(f"{key}: expected true or false")
-        flags[key] = val
-    return Scenario(
-        name=_nonempty_string(obj, "name", "custom"),
-        pvf=obj["pvf"],
-        initial=obj["initial"],
-        T=T,
-        Ns=Ns,
-        schemes=schemes,
-        dvs=dvs,
-        coalesce_tol=_number(obj.get("coalesce_tol", MERGE_TOL), "coalesce_tol"),
-        prune_floor=_number(obj.get("prune_floor", 0.0), "prune_floor"),
-        outputs=_nonempty_string(obj, "outputs", "out"),
-        description=str(obj.get("description", "")),
-        **flags,
-    )
+    if not isinstance(kw.get("dvs"), (list, tuple, type(None))):
+        kw["dvs"] = (kw["dvs"],) * len(kw["Ns"])
+    return Scenario(**kw)
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +327,6 @@ def get_scenario(name: str) -> Scenario:
 # runner
 # ---------------------------------------------------------------------------
 
-def _safe_tag(scheme: str) -> str:
-    return scheme.replace("/", "-")
-
-
 def run_scenario(scn: Scenario) -> dict:
     """Execute all (scheme, N) runs and write artifacts; returns the manifest.
 
@@ -368,11 +347,13 @@ def run_scenario(scn: Scenario) -> dict:
     Each of these is a deterministic function of the arrays the key
     compares, so a shared result is the one a second computation would
     give, bit for bit, and every artifact is as if nothing were shared.
-    Each N's runs are made before its files are written.
+    Every run, the standard-grid runs of the reports included, is made
+    before the output directory is created or an earlier manifest removed.
 
     A float overflow (a horizon too long) is a ConfigError naming ``T``,
     and a rule that does not fit the initial measure's dimension one
-    naming ``pvf``; the first step raises it, before any file is written.
+    naming ``pvf``; the first step raises it, and the output directory
+    is left as it was.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -429,6 +410,27 @@ def _run_all(scn: Scenario) -> dict:
     started = time.perf_counter()
     spec = scn.pvf_spec()
     mu0 = scn.initial_measure()
+    paths: dict[SchemeConfig, MeasurePath] = {}
+    distinct: list[MeasurePath] = []
+
+    def path_for(cfg: SchemeConfig) -> MeasurePath:
+        if cfg not in paths:
+            path = run_scheme(spec, mu0, cfg)
+            paths[cfg] = next((p for p in distinct if _same_path(p, path)), path)
+            if paths[cfg] is path:
+                distinct.append(path)
+        return paths[cfg]
+
+    # every run comes first, so a run that fails leaves the directory as it was
+    runs = [[(f"{scheme}_N{n}",
+              path_for(SchemeConfig(scheme, scn.grid(i), scn.coalesce_tol, scn.prune_floor)))
+             for scheme in scn.schemes]
+            for i, n in enumerate(scn.Ns)]
+    # compare and converge use standard grids (dv = 1/N), default housekeeping
+    converge = scn.converge and len(scn.Ns) >= 2
+    standard = {scheme: [path_for(SchemeConfig(scheme, GridSpec(T=scn.T, N=n))) for n in scn.Ns]
+                for scheme in (SCHEMES if scn.compare else scn.schemes if converge else ())}
+
     out = scn.outputs
     try:
         os.makedirs(out, exist_ok=True)
@@ -453,25 +455,11 @@ def _run_all(scn: Scenario) -> dict:
             keep.append(text)
         written.append(name)
 
-    paths: dict[SchemeConfig, MeasurePath] = {}
-    distinct: list[MeasurePath] = []
-
-    def path_for(cfg: SchemeConfig) -> MeasurePath:
-        if cfg not in paths:
-            path = run_scheme(spec, mu0, cfg)
-            paths[cfg] = next((p for p in distinct if _same_path(p, path)), path)
-            if paths[cfg] is path:
-                distinct.append(path)
-        return paths[cfg]
-
-    for i, n in enumerate(scn.Ns):
-        runs = [(f"{_safe_tag(scheme)}_N{n}",
-                 path_for(SchemeConfig(scheme, scn.grid(i), scn.coalesce_tol, scn.prune_floor)))
-                for scheme in scn.schemes]
+    for n_runs in runs:
         # the texts of a path's files, kept only while a later run of this N
         # shares the path; no run of another N has its node times
         texts: dict[int, list[str]] = {}
-        for j, (tag, path) in enumerate(runs):
+        for j, (tag, path) in enumerate(n_runs):
             pruned[tag] = path.pruned_mass
             atoms = np.concatenate([mu.atoms for mu in path.measures])
             radii[tag] = float(np.max(np.linalg.norm(atoms, axis=1)))
@@ -480,7 +468,7 @@ def _run_all(scn: Scenario) -> dict:
                 names.append(f"trajectories_{tag}.json")
             if scn.residual:
                 names += [f"residual_{tag}.csv", f"residual_{tag}.json"]
-            later = any(p is path for _, p in runs[j + 1:])
+            later = any(p is path for _, p in n_runs[j + 1:])
             kept = texts.pop(id(path), None)
             if kept is not None:
                 for name, text in zip(names, kept):
@@ -500,11 +488,9 @@ def _run_all(scn: Scenario) -> dict:
             if later:
                 texts[id(path)] = kept
 
-    # compare and converge use standard grids (dv = 1/N), default housekeeping
     if scn.compare:
-        for n in scn.Ns:
-            grid = GridSpec(T=scn.T, N=n)
-            table = scheme_compare({tag: path_for(SchemeConfig(tag, grid)) for tag in SCHEMES})
+        for k, n in enumerate(scn.Ns):
+            table = scheme_compare({tag: standard[tag][k] for tag in SCHEMES})
             emit(f"comparison_N{n}.csv", artifacts.write_comparison_csv, table)
             obj = artifacts.comparison_to_json(table)
             emit(f"comparison_N{n}.json", artifacts.write_json, obj)
@@ -514,19 +500,17 @@ def _run_all(scn: Scenario) -> dict:
             notes.append("converge requested but only one N given; skipped")
         elif scn.dvs is not None:
             notes.append("converge uses standard grids; dv overrides ignored")
-        if len(scn.Ns) >= 2:
-            grids = [GridSpec(T=scn.T, N=n) for n in scn.Ns]
-            studies: dict[tuple[int, ...], ConvergenceTable] = {}
-            for scheme in scn.schemes:
-                sweep = [path_for(SchemeConfig(scheme, g)) for g in grids]
-                key = tuple(map(id, sweep))
-                if key not in studies:
-                    studies[key] = convergence_study(sweep, scheme)
-                table = replace(studies[key], scheme=scheme)
-                stag = _safe_tag(scheme)
-                emit(f"convergence_{stag}.csv", artifacts.write_convergence_csv, table)
-                obj = artifacts.convergence_to_json(table)
-                emit(f"convergence_{stag}.json", artifacts.write_json, obj)
+    if converge:
+        studies: dict[tuple[int, ...], ConvergenceTable] = {}
+        for scheme in scn.schemes:
+            sweep = standard[scheme]
+            key = tuple(map(id, sweep))
+            if key not in studies:
+                studies[key] = convergence_study(sweep, scheme)
+            table = replace(studies[key], scheme=scheme)
+            emit(f"convergence_{scheme}.csv", artifacts.write_convergence_csv, table)
+            obj = artifacts.convergence_to_json(table)
+            emit(f"convergence_{scheme}.json", artifacts.write_json, obj)
 
     manifest = {
         "schema": SCHEMA,

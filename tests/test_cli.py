@@ -193,15 +193,36 @@ def test_rule_and_measure_of_other_dimensions_are_a_config_error(tmp_path, capsy
     assert code == 2
     assert err.startswith("configuration error: pvf:")
     assert out == ""
-    assert list((tmp_path / "o").iterdir()) == []  # no artifact written
+    assert not (tmp_path / "o").exists()  # the failed run made no directory
+
+
+def test_failed_run_leaves_an_earlier_run_as_it_was(tmp_path, capsys):
+    out = tmp_path / "d"
+    spec = scenario_to_json(get_scenario("splitting-dirac"))
+    spec.update(N=[2], scheme="las", outputs=str(out))
+    write_json(spec, tmp_path / "good.json")
+    assert run_cli(["run", str(tmp_path / "good.json")], capsys)[0] == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "manifest.json" in before and "path_las_N2.csv" in before
+
+    spec["initial"] = {"kind": "dirac", "point": [0.0, 0.0]}
+    write_json(spec, tmp_path / "bad.json")
+    code, _, err = run_cli(["run", str(tmp_path / "bad.json")], capsys)
+    assert code == 2
+    assert err.startswith("configuration error: pvf:")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 @pytest.mark.parametrize(
     "field, value",
     [("outputs", None), ("outputs", []), ("outputs", ""), ("outputs", 7),
-     ("name", None), ("name", ""), ("name", ["x"])],
+     ("name", None), ("name", ""), ("name", ["x"]),
+     ("T", True), ("T", "1"), ("coalesce_tol", False), ("prune_floor", "0"),
+     ("dv", [True, True, True]), ("description", None), ("description", ["a"])],
     ids=["outputs-null", "outputs-list", "outputs-empty", "outputs-number",
-         "name-null", "name-empty", "name-list"],
+         "name-null", "name-empty", "name-list",
+         "T-true", "T-string", "coalesce_tol-false", "prune_floor-string",
+         "dv-bools", "description-null", "description-list"],
 )
 def test_name_and_outputs_must_be_nonempty_strings(tmp_path, capsys, monkeypatch, field, value):
     monkeypatch.chdir(tmp_path)
@@ -211,8 +232,16 @@ def test_name_and_outputs_must_be_nonempty_strings(tmp_path, capsys, monkeypatch
     write_json(spec, tmp_path / "bad.json")
     code, _, err = run_cli(["run", "bad.json"], capsys)
     assert code == 2
-    assert err.startswith(f"configuration error: {field}:")
+    assert err.startswith(f"configuration error: {field}: expected")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]  # no directory made
+
+
+def test_empty_output_override_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(["run", "peano", "--out", ""], capsys)
+    assert code == 2
+    assert err.startswith("configuration error: outputs:")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("T, code", [(1e30, 2), (1e20, 0)])

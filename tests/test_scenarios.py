@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mdelab.scenarios as sc
-from mdelab import ConfigError, IoError, analysis, quantile_uniform, superposition, transport
+from mdelab import ConfigError, IoError, analysis, artifacts, quantile_uniform, superposition, transport
 from mdelab.scenarios import (
     Scenario,
     get_scenario,
@@ -91,17 +91,41 @@ def test_scenario_deep_copies_config_dicts():
     assert scn.pvf["kind"] == "splitting"
 
 
-def test_scenario_json_round_trip():
-    scn = tiny_scenario(
-        "out/x",
-        Ns=(3, 6),
-        dvs=(1.0, 0.5),
-        schemes=("las", "lagrangian"),
-        residual=True,
-        compare=True,
-    )
+def round_trip_scenario(name):
+    if name == "tiny":
+        return tiny_scenario("out/x", Ns=(3, 6), dvs=(1.0, 0.5),
+                             schemes=("las", "lagrangian"), residual=True, compare=True)
+    if name == "peano-ints":
+        return dataclasses.replace(get_scenario("peano"), T=3, coalesce_tol=0, prune_floor=0)
+    return get_scenario(name)
+
+
+@pytest.mark.parametrize("name", ["tiny", "peano-ints"] + sorted(sc._BUILTINS))
+def test_scenario_json_round_trip(name):
+    """A scenario's JSON text is a fixed point of one more read and write,
+    so a manifest re-run writes the manifest it was read from."""
+    scn = round_trip_scenario(name)
+    text = artifacts._json_text(scenario_to_json(scn))
     again = scenario_from_json(scenario_to_json(scn))
     assert again == scn
+    assert artifacts._json_text(scenario_to_json(again)) == text
+
+
+def test_every_field_round_trips_through_json():
+    """Every field is set away from its default, so a field that the JSON
+    form drops, or maps to no key, comes back changed."""
+    scn = Scenario(
+        name="all-fields", pvf={"kind": "graph", "field": "peano"},
+        initial={"kind": "dirac", "point": [-1.0]}, T=2.0, Ns=(2, 4),
+        schemes=("lagrangian", "las"), dvs=(0.5, 0.25), residual=True,
+        converge=True, compare=True, represent=True, coalesce_tol=1e-9,
+        prune_floor=1e-12, outputs="o/all", description="every field set",
+    )
+    for f in dataclasses.fields(Scenario):
+        assert getattr(scn, f.name) != f.default, f.name
+    obj = scenario_to_json(scn)
+    assert len(obj) == 1 + len(dataclasses.fields(Scenario))  # "schema" and one key per field
+    assert scenario_from_json(obj) == scn
 
 
 def test_scenario_from_json_forms():
