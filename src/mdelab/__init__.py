@@ -8,6 +8,8 @@ representations of runs, weak-residual and convergence diagnostics, and a
 scenario-driven CLI that reproduces the desk-scale experiments.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BaseOffGridError,
     ConfigError,
@@ -99,79 +101,7 @@ from . import artifacts
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaseOffGridError",
-    "ConfigError",
-    "DimMismatchError",
-    "EmptyInputError",
-    "EndpointMismatchError",
-    "IoError",
-    "IterationCapError",
-    "LpFailureError",
-    "MdeLabError",
-    "NegativeWeightError",
-    "OutOfRangeError",
-    "SupportBlowupError",
-    "MERGE_TOL",
-    "WEIGHT_FLOOR",
-    "DiscreteMeasure",
-    "LiftedMeasure",
-    "base_of",
-    "coalesce",
-    "dirac",
-    "make_lifted",
-    "make_measure",
-    "quantile_uniform",
-    "support_radius",
-    "TransportPlan",
-    "fiber_pseudometric",
-    "lifted_w1",
-    "lp_solve",
-    "w1_distance",
-    "w1_plan",
-    "GRAPH_FIELDS",
-    "ConstantFiberPvf",
-    "CustomPvf",
-    "GraphPvf",
-    "PvfSpec",
-    "SplittingParticlePvf",
-    "barycentric_field",
-    "eval_pvf",
-    "pvf_from_json",
-    "pvf_to_json",
-    "sublinearity_bound",
-    "LAGRANGIAN",
-    "LAS",
-    "MEAN_VELOCITY",
-    "SCHEMES",
-    "GridSpec",
-    "MeasurePath",
-    "SchemeConfig",
-    "interpolate_at",
-    "run_scheme",
-    "support_bound_check",
-    "FiberBarycenterReport",
-    "TrajectoryEnsemble",
-    "build_representation",
-    "concat_merge",
-    "evaluate_pushforward",
-    "max_speed",
-    "verify_fiber_barycenter",
-    "ComparisonTable",
-    "ConvergenceTable",
-    "ResidualReport",
-    "TestFunction",
-    "convergence_study",
-    "default_test_family",
-    "residual",
-    "scheme_compare",
-    "Scenario",
-    "get_scenario",
-    "initial_from_spec",
-    "list_scenarios",
-    "run_scenario",
-    "scenario_from_json",
-    "scenario_to_json",
-    "artifacts",
-    "__version__",
-]
+# every public name imported above and the artifacts module; the imports
+# also bind the other submodules, which are left out
+__all__ = [name for name, value in list(globals().items()) if not name.startswith("_")
+           and (name == "artifacts" or not isinstance(value, _ModuleType))] + ["__version__"]

@@ -17,15 +17,14 @@ keys and float shapes (the curves of a trajectories document), from one
 template.  Each distinct float is formatted once per file: runs
 repeat their node times, lattice sites and weights.
 
-Every writer returns the text it wrote, so a caller that writes one
-payload to several files formats it once.
-
 Each write is all or nothing.  The finished text goes to a temporary file
 beside the target (``.<name>.<pid>.tmp``), which ``os.replace`` then renames
 over it, so a reader sees the old file or the new one, never a partial
 one.  On any OSError the temporary file is removed and IoError is raised.
 There is no fsync: the rename guards against a failed or killed process,
-not against a power cut.
+not against a power cut.  ``scenarios.run_scenario`` makes a whole run of
+files all or nothing in the same way: it writes them into a staging
+directory and moves them in only once every one is there.
 """
 
 from __future__ import annotations
@@ -62,9 +61,8 @@ def fmt(x: float) -> str:
     return _F % float(x)
 
 
-def _write_text(text: str, file_path: PathLike) -> str:
-    """Write ``text`` to a temporary file beside ``file_path``, then rename it
-    there; returns ``text``."""
+def _write_text(text: str, file_path: PathLike) -> None:
+    """Write ``text`` to a temporary file beside ``file_path``, then rename it there."""
     path = os.fspath(file_path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
@@ -79,12 +77,11 @@ def _write_text(text: str, file_path: PathLike) -> str:
             raise
     except OSError as exc:
         raise IoError(f"cannot write {path!r}: {exc}") from exc
-    return text
 
 
-def write_json(obj, file_path: PathLike) -> str:
-    """``obj`` as indented JSON with sorted keys; returns the text written."""
-    return _write_text(_json_text(obj), file_path)
+def write_json(obj, file_path: PathLike) -> None:
+    """``obj`` as indented JSON with sorted keys."""
+    _write_text(_json_text(obj), file_path)
 
 
 def read_json(file_path: PathLike):
@@ -253,43 +250,43 @@ def _csv_text(header: str, columns: list) -> str:
 # CSV tables
 # ---------------------------------------------------------------------------
 
-def write_path_csv(path: MeasurePath, file_path: PathLike) -> str:
-    """One row per (node time, atom): t, coordinates, weight; returns the text written."""
+def write_path_csv(path: MeasurePath, file_path: PathLike) -> None:
+    """One row per (node time, atom): t, coordinates, weight."""
     header = "t," + ",".join(f"x{i + 1}" for i in range(path.dim)) + ",weight"
     times = np.repeat(path.times, [mu.natoms for mu in path.measures])
     atoms = np.concatenate([mu.atoms for mu in path.measures])
     weights = np.concatenate([mu.weights for mu in path.measures])
-    return _write_text(_csv_text(header, [times, *atoms.T, weights]), file_path)
+    _write_text(_csv_text(header, [times, *atoms.T, weights]), file_path)
 
 
-def write_plan_csv(plan: TransportPlan, file_path: PathLike) -> str:
-    """Sparse transport plan rows i,j,mass in row-major order; returns the text written."""
+def write_plan_csv(plan: TransportPlan, file_path: PathLike) -> None:
+    """Sparse transport plan rows i,j,mass in row-major order."""
     rows, cols = np.nonzero(plan.mass > 0)
     columns = [rows.tolist(), cols.tolist(), plan.mass[rows, cols]]
-    return _write_text(_csv_text("i,j,mass", columns), file_path)
+    _write_text(_csv_text("i,j,mass", columns), file_path)
 
 
-def write_residual_csv(report: ResidualReport, file_path: PathLike) -> str:
-    """Long-form rows: test-function index, node time, defect; returns the text written."""
+def write_residual_csv(report: ResidualReport, file_path: PathLike) -> None:
+    """Long-form rows: test-function index, node time, defect."""
     nf, nt = report.defects.shape
     columns = [np.repeat(np.arange(nf), nt).tolist(), np.tile(report.times, nf),
                report.defects.ravel()]
-    return _write_text(_csv_text("function,t,defect", columns), file_path)
+    _write_text(_csv_text("function,t,defect", columns), file_path)
 
 
-def write_convergence_csv(table: ConvergenceTable, file_path: PathLike) -> str:
-    """Plot-ready rows: N, error; returns the text written."""
+def write_convergence_csv(table: ConvergenceTable, file_path: PathLike) -> None:
+    """Plot-ready rows: N, error."""
     rows = table.rows()
     columns = [[n for n, _ in rows], np.array([e for _, e in rows], dtype=float)]
-    return _write_text(_csv_text("N,error", columns), file_path)
+    _write_text(_csv_text("N,error", columns), file_path)
 
 
-def write_comparison_csv(table: ComparisonTable, file_path: PathLike) -> str:
-    """One row per scheme pair: scheme_a, scheme_b, gap; returns the text written."""
+def write_comparison_csv(table: ComparisonTable, file_path: PathLike) -> None:
+    """One row per scheme pair: scheme_a, scheme_b, gap."""
     rows = table.rows()
     columns = [[a for a, _, _ in rows], [b for _, b, _ in rows],
                np.array([g for _, _, g in rows], dtype=float)]
-    return _write_text(_csv_text("scheme_a,scheme_b,gap", columns), file_path)
+    _write_text(_csv_text("scheme_a,scheme_b,gap", columns), file_path)
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +352,9 @@ def trajectories_from_json(obj: dict) -> TrajectoryEnsemble:
     return TrajectoryEnsemble(times=times, weights=weights, knots=knots)
 
 
-def write_trajectories_json(ens: TrajectoryEnsemble, file_path: PathLike) -> str:
-    """The curve bundle as a trajectories document; returns the text written."""
-    return write_json(trajectories_to_json(ens), file_path)
+def write_trajectories_json(ens: TrajectoryEnsemble, file_path: PathLike) -> None:
+    """The curve bundle as a trajectories document."""
+    write_json(trajectories_to_json(ens), file_path)
 
 
 def read_trajectories_json(file_path: PathLike) -> TrajectoryEnsemble:

@@ -6,11 +6,13 @@ scheme tags, and analysis flags.  Each JSON key is a field of ``Scenario``
 (``N``, ``scheme`` and ``dv`` stand for ``Ns``, ``schemes`` and ``dvs``),
 and ``Scenario`` checks every field, however the scenario was made: a
 JSON file, a CLI override or a Python call.  Numbers must be JSON numbers,
-not bools or strings.  ``run_scenario`` executes every (scheme, N)
-combination before it touches the output directory, writes CSV paths plus
-any requested reports there, and finishes with a manifest that echoes the
-full normalized configuration, so re-running from the manifest reproduces
-the artifacts, and the manifest, byte for byte.  Each distinct scheme
+not bools or strings, and a key that names no field is an error.
+``run_scenario`` executes every (scheme, N) combination and writes CSV
+paths, any requested reports and a manifest that echoes the full
+normalized configuration, so re-running from the manifest reproduces the
+artifacts, and the manifest, byte for byte.  The files are staged and
+move into the output directory only when every one is written, so a run
+that fails leaves that directory as it was.  Each distinct scheme
 configuration is run once; the comparison and convergence reports score
 the paths already computed.  Configurations whose paths are equal bit for
 bit share one path, and the work downstream of it is done once (see
@@ -22,9 +24,11 @@ Five built-ins cover the desk-scale experiments: "splitting-dirac",
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import numbers
 import os
+import shutil
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -195,7 +199,8 @@ def scenario_to_json(scn: Scenario) -> dict:
 
 def scenario_from_json(obj: dict) -> Scenario:
     """Read a scenario from JSON data; a single ``N``, ``dv`` or scheme tag
-    stands for a list, and ``"scheme": "all"`` (the default) for every scheme."""
+    stands for a list, and ``"scheme": "all"`` (the default) for every scheme.
+    A key that is neither ``schema`` nor a field's key is a ConfigError."""
     if not isinstance(obj, dict):
         raise ConfigError("scenario: expected a JSON object")
     schema = obj.get("schema", SCHEMA)
@@ -204,11 +209,12 @@ def scenario_from_json(obj: dict) -> Scenario:
     for key in ("pvf", "initial", "T", "N"):
         if key not in obj:
             raise ConfigError(f"{key}: required")
+    names = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(Scenario)}
+    for key in obj:
+        if key not in names and key != "schema":
+            raise ConfigError(f"{key}: unknown key (known: schema, {', '.join(sorted(names))})")
     kw = {"name": "custom", "schemes": "all"}
-    for f in fields(Scenario):
-        key = _JSON_KEYS.get(f.name, f.name)
-        if key in obj:
-            kw[f.name] = obj[key]
+    kw.update((names[key], value) for key, value in obj.items() if key != "schema")
     if not isinstance(kw["Ns"], (list, tuple)):
         kw["Ns"] = (kw["Ns"],)
     if kw["schemes"] == "all":
@@ -338,22 +344,28 @@ def run_scenario(scn: Scenario) -> dict:
     compared by shape and bits with each distinct path so far; paths of
     another N part at their node times.  Everything downstream is
     memoized by that object, for the length of this call only:
-    - one curve bundle, one residual, and one text per file for each
-      distinct path; a text is kept only while a later scheme of the same
-      N shares the path, and a repeat is written from it, all or nothing;
+    - one curve bundle and one residual for each distinct path; a later
+      run that shares the path copies the first run's files;
     - one convergence study per distinct tuple of paths, relabelled with
       each scheme's name;
     - in ``scheme_compare``, one W1 sweep per distinct pair.
     Each of these is a deterministic function of the arrays the key
     compares, so a shared result is the one a second computation would
     give, bit for bit, and every artifact is as if nothing were shared.
-    Every run, the standard-grid runs of the reports included, is made
-    before the output directory is created or an earlier manifest removed.
+
+    Every file, the manifest included, is written into a staging
+    directory inside the output directory, ``.stage.<pid>.tmp``.  Only
+    when every file is there does the run remove an earlier manifest,
+    move each artifact in and the manifest last, and remove the staging
+    directory.  So a run that fails before that leaves the output
+    directory byte for byte as it was, or absent if the run created it.
+    Files that the run does not write are left alone.  A failure while
+    the files move in can only be an I/O error, and the missing manifest
+    then marks the directory as partial.
 
     A float overflow (a horizon too long) is a ConfigError naming ``T``,
     and a rule that does not fit the initial measure's dimension one
-    naming ``pvf``; the first step raises it, and the output directory
-    is left as it was.
+    naming ``pvf``.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -421,45 +433,26 @@ def _run_all(scn: Scenario) -> dict:
                 distinct.append(path)
         return paths[cfg]
 
-    # every run comes first, so a run that fails leaves the directory as it was
-    runs = [[(f"{scheme}_N{n}",
-              path_for(SchemeConfig(scheme, scn.grid(i), scn.coalesce_tol, scn.prune_floor)))
-             for scheme in scn.schemes]
-            for i, n in enumerate(scn.Ns)]
+    runs = [(f"{scheme}_N{n}",
+             path_for(SchemeConfig(scheme, scn.grid(i), scn.coalesce_tol, scn.prune_floor)))
+            for i, n in enumerate(scn.Ns) for scheme in scn.schemes]
     # compare and converge use standard grids (dv = 1/N), default housekeeping
     converge = scn.converge and len(scn.Ns) >= 2
     standard = {scheme: [path_for(SchemeConfig(scheme, GridSpec(T=scn.T, N=n))) for n in scn.Ns]
                 for scheme in (SCHEMES if scn.compare else scn.schemes if converge else ())}
 
-    out = scn.outputs
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create output directory {out!r}: {exc}") from exc
-    # an earlier run's manifest must not describe the files this run writes
-    try:
-        os.remove(os.path.join(out, "manifest.json"))
-    except FileNotFoundError:
-        pass
-    except OSError as exc:
-        raise IoError(f"cannot remove the old manifest in {out!r}: {exc}") from exc
-
     written: list[str] = []
     pruned: dict[str, float] = {}
     radii: dict[str, float] = {}
     notes: list[str] = []
+    with _staged(scn.outputs, written) as stage:
 
-    def emit(name: str, writer, payload, keep: Optional[list] = None) -> None:
-        text = writer(payload, os.path.join(out, name))
-        if keep is not None:
-            keep.append(text)
-        written.append(name)
+        def emit(name: str, writer, payload) -> None:
+            writer(payload, os.path.join(stage, name))
+            written.append(name)
 
-    for n_runs in runs:
-        # the texts of a path's files, kept only while a later run of this N
-        # shares the path; no run of another N has its node times
-        texts: dict[int, list[str]] = {}
-        for j, (tag, path) in enumerate(n_runs):
+        first: dict[int, list[str]] = {}  # the files of each distinct path's first run
+        for tag, path in runs:
             pruned[tag] = path.pruned_mass
             atoms = np.concatenate([mu.atoms for mu in path.measures])
             radii[tag] = float(np.max(np.linalg.norm(atoms, axis=1)))
@@ -468,59 +461,85 @@ def _run_all(scn: Scenario) -> dict:
                 names.append(f"trajectories_{tag}.json")
             if scn.residual:
                 names += [f"residual_{tag}.csv", f"residual_{tag}.json"]
-            later = any(p is path for _, p in n_runs[j + 1:])
-            kept = texts.pop(id(path), None)
-            if kept is not None:
-                for name, text in zip(names, kept):
-                    artifacts._write_text(text, os.path.join(out, name))
-                written.extend(names)
-            else:
-                kept = [] if later else None
-                emit(names[0], artifacts.write_path_csv, path, kept)
-                if scn.represent:
-                    ens = _represent(path, scn.T, radii[tag])
-                    emit(names[1], artifacts.write_trajectories_json, ens, kept)
-                if scn.residual:
-                    rep = residual(path, spec)
-                    emit(names[-2], artifacts.write_residual_csv, rep, kept)
-                    obj = artifacts.residual_to_json(rep)
-                    emit(names[-1], artifacts.write_json, obj, kept)
-            if later:
-                texts[id(path)] = kept
+            if id(path) in first:
+                for src, name in zip(first[id(path)], names):
+                    emit(name, shutil.copyfile, os.path.join(stage, src))
+                continue
+            first[id(path)] = names
+            emit(names[0], artifacts.write_path_csv, path)
+            if scn.represent:
+                ens = _represent(path, scn.T, radii[tag])
+                emit(names[1], artifacts.write_trajectories_json, ens)
+            if scn.residual:
+                rep = residual(path, spec)
+                emit(names[-2], artifacts.write_residual_csv, rep)
+                obj = artifacts.residual_to_json(rep)
+                emit(names[-1], artifacts.write_json, obj)
 
-    if scn.compare:
-        for k, n in enumerate(scn.Ns):
-            table = scheme_compare({tag: standard[tag][k] for tag in SCHEMES})
-            emit(f"comparison_N{n}.csv", artifacts.write_comparison_csv, table)
-            obj = artifacts.comparison_to_json(table)
-            emit(f"comparison_N{n}.json", artifacts.write_json, obj)
+        if scn.compare:
+            for k, n in enumerate(scn.Ns):
+                table = scheme_compare({tag: standard[tag][k] for tag in SCHEMES})
+                emit(f"comparison_N{n}.csv", artifacts.write_comparison_csv, table)
+                obj = artifacts.comparison_to_json(table)
+                emit(f"comparison_N{n}.json", artifacts.write_json, obj)
 
-    if scn.converge:
-        if len(scn.Ns) < 2:
-            notes.append("converge requested but only one N given; skipped")
-        elif scn.dvs is not None:
-            notes.append("converge uses standard grids; dv overrides ignored")
-    if converge:
-        studies: dict[tuple[int, ...], ConvergenceTable] = {}
-        for scheme in scn.schemes:
-            sweep = standard[scheme]
-            key = tuple(map(id, sweep))
-            if key not in studies:
-                studies[key] = convergence_study(sweep, scheme)
-            table = replace(studies[key], scheme=scheme)
-            emit(f"convergence_{scheme}.csv", artifacts.write_convergence_csv, table)
-            obj = artifacts.convergence_to_json(table)
-            emit(f"convergence_{scheme}.json", artifacts.write_json, obj)
+        if scn.converge:
+            if len(scn.Ns) < 2:
+                notes.append("converge requested but only one N given; skipped")
+            elif scn.dvs is not None:
+                notes.append("converge uses standard grids; dv overrides ignored")
+        if converge:
+            studies: dict[tuple[int, ...], ConvergenceTable] = {}
+            for scheme in scn.schemes:
+                sweep = standard[scheme]
+                key = tuple(map(id, sweep))
+                if key not in studies:
+                    studies[key] = convergence_study(sweep, scheme)
+                table = replace(studies[key], scheme=scheme)
+                emit(f"convergence_{scheme}.csv", artifacts.write_convergence_csv, table)
+                obj = artifacts.convergence_to_json(table)
+                emit(f"convergence_{scheme}.json", artifacts.write_json, obj)
 
-    manifest = {
-        "schema": SCHEMA,
-        "kind": "manifest",
-        "scenario": scenario_to_json(scn),
-        "artifacts": sorted(written),
-        "pruned_mass": pruned,
-        "support_radius": radii,
-        "notes": notes,
-        "wall_time_s": time.perf_counter() - started,
-    }
-    artifacts.write_json(manifest, os.path.join(out, "manifest.json"))
+        manifest = {
+            "schema": SCHEMA,
+            "kind": "manifest",
+            "scenario": scenario_to_json(scn),
+            "artifacts": sorted(written),
+            "pruned_mass": pruned,
+            "support_radius": radii,
+            "notes": notes,
+            "wall_time_s": time.perf_counter() - started,
+        }
+        artifacts.write_json(manifest, os.path.join(stage, "manifest.json"))
     return manifest
+
+
+@contextlib.contextmanager
+def _staged(out: str, written: list[str]):
+    """Yield a staging directory inside ``out``, creating ``out`` if need be.
+
+    On a normal exit the staged files commit: the earlier manifest in
+    ``out`` is removed, each file named in ``written`` moves into ``out``,
+    then the manifest.  On any exit the staging directory is removed, and
+    so is ``out`` if this call created it and it is still empty.  An
+    OSError is an IoError.  The directory sits inside ``out``, not beside
+    it, so every move stays on one filesystem even when ``out`` is a mount
+    point.
+    """
+    stage = os.path.join(out, f".stage.{os.getpid()}.tmp")
+    fresh = not os.path.isdir(out)
+    try:
+        try:
+            os.makedirs(stage, exist_ok=True)
+            yield stage
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out, "manifest.json"))
+            for name in written + ["manifest.json"]:
+                os.replace(os.path.join(stage, name), os.path.join(out, name))
+        except OSError as exc:
+            raise IoError(f"cannot write the run's files to {out!r}: {exc}") from exc
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+        if fresh:
+            with contextlib.suppress(OSError):
+                os.rmdir(out)  # empty only if the run failed before a file moved in

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import mdelab.scenarios as sc
 import oracles
 from mdelab import (
     ComparisonTable,
@@ -461,35 +462,77 @@ class _HalfWritten:
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+def tree(path) -> dict[str, bytes]:
+    """Every entry of the directory ``path``, by name: a file's bytes, or
+    None for a directory."""
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in path.iterdir()}
+
+
 def test_failed_write_in_a_run_leaves_only_whole_files(tmp_path, monkeypatch):
+    """The k-th write of a run fails, for every k: a fresh target is not
+    made, and an earlier run's tree is left byte for byte, manifest included."""
     base = dataclasses.replace(
         get_scenario("binomial"), Ns=(2, 4), schemes=(LAS,), compare=False, residual=True,
     )
     clean = tmp_path / "clean"
     run_scenario(dataclasses.replace(base, outputs=str(clean)))
-    whole = {name: (clean / name).read_bytes() for name in os.listdir(clean)}
+    whole = tree(clean)
     assert len(whole) == 11 and "manifest.json" in whole
 
-    cases = [(None, base, k) for k in range(len(whole))]
-    # a re-run into a directory that holds an earlier run's files, failing
-    # at its 4th write, must not leave the earlier run's manifest behind
-    earlier = dataclasses.replace(get_scenario("binomial"), Ns=(2, 4))
-    cases.append((earlier, dataclasses.replace(earlier, T=2.0), 3))
-    for i, (before, scn, k) in enumerate(cases):
-        out = tmp_path / f"fail{i}"
-        if before is not None:
-            run_scenario(dataclasses.replace(before, outputs=str(out)))
-        monkeypatch.setattr(artifacts, "open", _FullDisk(k), raising=False)
-        with pytest.raises(IoError):
-            run_scenario(dataclasses.replace(scn, outputs=str(out)))
-        monkeypatch.undo()
-        left = {name: (out / name).read_bytes() for name in os.listdir(out)}
-        assert "manifest.json" not in left
-        if before is None:
-            # the k files written before the failure, each whole; no partial
-            # file, no temporary file, and no manifest, which is written last
-            assert len(left) == k
-            assert all(whole.get(name) == text for name, text in left.items())
+    # the earlier run shares some file names with the failing one, not all
+    earlier = tmp_path / "earlier"
+    run_scenario(dataclasses.replace(get_scenario("binomial"), Ns=(2, 4), T=2.0,
+                                     outputs=str(earlier)))
+    before = tree(earlier)
+    assert "path_las_N2.csv" in before and "residual_las_N2.csv" not in before
+    for k in range(len(whole)):
+        for out in (tmp_path / f"fresh{k}", earlier):
+            monkeypatch.setattr(artifacts, "open", _FullDisk(k), raising=False)
+            with pytest.raises(IoError):
+                run_scenario(dataclasses.replace(base, outputs=str(out)))
+            monkeypatch.undo()
+        assert not (tmp_path / f"fresh{k}").exists()
+        assert tree(earlier) == before
+
+
+class Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("stage", ["_represent", "residual", "scheme_compare", "convergence_study"])
+def test_a_run_that_fails_in_any_stage_leaves_the_target_as_it_was(tmp_path, monkeypatch, stage):
+    scn = dataclasses.replace(get_scenario("binomial"), Ns=(2, 4), residual=True)
+    earlier = tmp_path / "d"
+    run_scenario(dataclasses.replace(scn, outputs=str(earlier)))
+    before = tree(earlier)
+    calls = []
+    real = getattr(sc, stage)
+
+    def failing(*args):
+        calls.append(stage)
+        if len(calls) == 2:  # after the first call's files are staged
+            raise Boom(stage)
+        return real(*args)
+
+    monkeypatch.setattr(sc, stage, failing)
+    for out in (earlier, tmp_path / "fresh"):
+        calls.clear()
+        with pytest.raises(Boom):
+            run_scenario(dataclasses.replace(scn, T=2.0, outputs=str(out)))
+    assert tree(earlier) == before
+    assert not (tmp_path / "fresh").exists()
+
+
+def test_a_run_keeps_files_it_does_not_write(tmp_path):
+    out = tmp_path / "d"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine")
+    stale = out / f".stage.{os.getpid()}.tmp"  # left by a killed run with this pid
+    stale.mkdir()
+    (stale / "path_las_N9.csv").write_text("stale")
+    manifest = run_scenario(dataclasses.replace(get_scenario("peano"), outputs=str(out)))
+    assert sorted(tree(out)) == sorted(manifest["artifacts"] + ["manifest.json", "notes.txt"])
+    assert (out / "notes.txt").read_text() == "mine"
 
 
 def test_failed_write_leaves_no_temporary_file(tmp_path):

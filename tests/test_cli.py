@@ -260,6 +260,34 @@ def test_binomial_far_out_is_a_config_error_naming_T_or_runs(tmp_path, capsys, T
         assert err == "" and "binomial: wrote" in out
 
 
+def test_far_out_run_leaves_an_earlier_run_as_it_was(tmp_path, capsys):
+    # the curve bundles fail after the first files are written
+    out = tmp_path / "d"
+    spec = scenario_to_json(get_scenario("binomial"))
+    spec.update(outputs=str(out))
+    write_json(spec, tmp_path / "good.json")
+    assert run_cli(["run", str(tmp_path / "good.json")], capsys)[0] == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(before) == 31 and "manifest.json" in before
+
+    spec.update(T=1e30)
+    write_json(spec, tmp_path / "far.json")
+    code, _, err = run_cli(["run", str(tmp_path / "far.json")], capsys)
+    assert code == 2 and err.startswith("configuration error: T:")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_misspelt_key_is_a_config_error_naming_it(tmp_path, capsys):
+    spec = scenario_to_json(get_scenario("peano"))
+    spec.update(residul=True, outputs=str(tmp_path / "o"))
+    write_json(spec, tmp_path / "typo.json")
+    code, out, err = run_cli(["run", str(tmp_path / "typo.json")], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: residul: unknown key")
+    assert "residual" in err  # the known keys are listed
+    assert not (tmp_path / "o").exists()
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "mdelab", "list"],

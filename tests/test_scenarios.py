@@ -158,6 +158,9 @@ def test_scenario_from_json_diagnostics():
         scenario_from_json({**good, "residual": "yes"})
     with pytest.raises(ConfigError, match="scheme"):
         scenario_from_json({**good, "scheme": 3})
+    # a field's own name is not its JSON key
+    with pytest.raises(ConfigError, match="^Ns: unknown key"):
+        scenario_from_json({**good, "Ns": [2]})
 
 
 def field_paths(obj: dict) -> list[tuple[str, ...]]:
@@ -493,7 +496,7 @@ def test_the_memos_live_for_one_call(tmp_path):
                 for name, mod in list(sys.modules.items()) if name.startswith("mdelab")
                 for attr, value in vars(mod).items() if isinstance(value, (dict, list, set))}
 
-    # las keeps its texts for lagrangian; the run fails on mean-velocity's first file
+    # lagrangian's files are copied from las's; the run fails on mean-velocity's first file
     scn = dataclasses.replace(get_scenario("binomial"), Ns=(2,),
                               schemes=("las", "mean-velocity", "lagrangian"))
     clean = artifact_bytes(scn, tmp_path / "out")
