@@ -135,10 +135,6 @@ class ResidualReport:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
         object.__setattr__(self, "defects", np.asarray(self.defects, dtype=float))
 
-    @property
-    def nfunctions(self) -> int:
-        return self.defects.shape[0]
-
 
 def residual(
     path: MeasurePath, spec: PvfSpec, family: Optional[Sequence[TestFunction]] = None

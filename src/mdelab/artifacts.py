@@ -39,7 +39,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, IoError
+from .errors import ConfigError, IoError, MdeLabError
 from .analysis import ComparisonTable, ConvergenceTable, ResidualReport
 from .schemes import MeasurePath
 from .superposition import TrajectoryEnsemble
@@ -347,9 +347,9 @@ def trajectories_from_json(obj: dict) -> TrajectoryEnsemble:
         curves = obj["curves"]
         weights = np.asarray([c["weight"] for c in curves], dtype=float)
         knots = np.asarray([c["knots"] for c in curves], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        return TrajectoryEnsemble(times=times, weights=weights, knots=knots)
+    except (KeyError, TypeError, ValueError, MdeLabError) as exc:
         raise ConfigError(f"trajectories document malformed: {exc}") from exc
-    return TrajectoryEnsemble(times=times, weights=weights, knots=knots)
 
 
 def write_trajectories_json(ens: TrajectoryEnsemble, file_path: PathLike) -> None:

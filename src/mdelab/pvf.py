@@ -11,12 +11,15 @@ a velocity fiber to each atom.  Three concrete rules are shipped:
   atom splits so that exactly half of the total mass travels each way.
 
 ``CustomPvf`` wraps any callable with the same contract for in-process
-extensions.
+extensions.  The JSON fragments of rules and of measures are read here,
+the measures by one parser, ``initial_from_spec``, since a constant
+fiber's ``omega`` is a measure fragment too.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -28,8 +31,10 @@ from .measures import (
     LiftedMeasure,
     _derive,
     base_of,
+    dirac,
     fiber_means,
     make_measure,
+    quantile_uniform,
 )
 from .tolerances import AGREE_TOL, CDF_TOL
 
@@ -225,6 +230,11 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
     raise TypeError(f"not a velocity-fiber rule: {spec!r}")
 
 
+#: The default cap on the atoms of a scheme step (``SchemeConfig.max_atoms``),
+#: and the most atoms a ``uniform_1d`` fragment may ask for.
+MAX_ATOMS = 1_000_000
+
+
 def lift_size_bound(spec: PvfSpec, mu: DiscreteMeasure) -> Optional[int]:
     """Atoms ``eval_pvf(spec, mu)`` builds before canonicalization, or None.
 
@@ -298,19 +308,52 @@ GRAPH_FIELDS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def _measure_from_fragment(obj: dict, where: str) -> DiscreteMeasure:
+#: The keys each kind of measure fragment requires, by kind.
+_MEASURE_KEYS = {"atoms": ("atoms", "weights"), "dirac": ("point",), "uniform_1d": ("a", "b")}
+
+
+def initial_from_spec(obj: dict, where: str = "initial") -> DiscreteMeasure:
+    """Build a measure from a JSON fragment: dirac, atoms, or uniform_1d.
+
+    Accepted fragments::
+
+        {"kind": "atoms", "atoms": [[...], ...], "weights": [...]}
+        {"kind": "dirac", "point": [...]}
+        {"kind": "uniform_1d", "a": a, "b": b, "atoms": 64}
+
+    Every error is a ConfigError whose message starts with ``where``.
+    """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
-    if "kind" in obj:
-        from .scenarios import initial_from_spec  # late import, small cycle
-
-        return initial_from_spec(obj, where)
+    kind = obj.get("kind")
+    if not (isinstance(kind, str) and kind in _MEASURE_KEYS):
+        raise ConfigError(
+            f"{where}.kind: unknown kind {kind!r} (known: {', '.join(_MEASURE_KEYS)})"
+        )
+    for key in _MEASURE_KEYS[kind]:
+        if key not in obj:
+            raise ConfigError(f"{where}.{key}: required for {kind}")
+    natoms = obj.get("atoms", 64)  # read by uniform_1d only
+    if kind == "uniform_1d" and not (_is_grid_size(natoms) and natoms <= MAX_ATOMS):
+        raise ConfigError(f"{where}.atoms: expected an integer in [1, {MAX_ATOMS}], "
+                          f"got {natoms!r}")
     try:
-        return make_measure(obj["atoms"], obj["weights"])
-    except KeyError as exc:
-        raise ConfigError(f"{where}: missing field {exc.args[0]!r}") from exc
+        if kind == "dirac":
+            return dirac(obj["point"])
+        if kind == "atoms":
+            return make_measure(obj["atoms"], obj["weights"])
+        return quantile_uniform(float(obj["a"]), float(obj["b"]), int(natoms))
     except Exception as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{where}{'.point' if kind == 'dirac' else ''}: {exc}") from exc
+
+
+def _is_grid_size(n) -> bool:
+    """True for an integer >= 1; an integral float such as 4.0 counts, a bool does not."""
+    if isinstance(n, bool):
+        return False
+    if isinstance(n, float):
+        return n >= 1 and n.is_integer()
+    return isinstance(n, numbers.Integral) and n >= 1
 
 
 def pvf_from_json(obj: dict) -> PvfSpec:
@@ -322,6 +365,9 @@ def pvf_from_json(obj: dict) -> PvfSpec:
         {"kind": "constant_fiber", "omega": {"atoms": [...], "weights": [...]}}
         {"kind": "constant_fiber", "omega": {"kind": "uniform_1d", ...}}
         {"kind": "splitting"}
+
+    ``omega`` is a measure fragment (``initial_from_spec``); without a
+    ``kind`` it is an ``atoms`` fragment, as ``pvf_to_json`` writes it.
     """
     if not isinstance(obj, dict):
         raise ConfigError("pvf: expected an object")
@@ -335,8 +381,10 @@ def pvf_from_json(obj: dict) -> PvfSpec:
     if kind == "constant_fiber":
         if "omega" not in obj:
             raise ConfigError("pvf.omega: required for constant_fiber")
-        omega = _measure_from_fragment(obj["omega"], "pvf.omega")
-        return ConstantFiberPvf(omega=omega)
+        omega = obj["omega"]
+        if isinstance(omega, dict) and "kind" not in omega:
+            omega = dict(omega, kind="atoms")
+        return ConstantFiberPvf(omega=initial_from_spec(omega, "pvf.omega"))
     if kind == "splitting":
         return SplittingParticlePvf()
     raise ConfigError(f"pvf.kind: unknown kind {kind!r}")

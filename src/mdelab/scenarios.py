@@ -36,56 +36,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DimMismatchError, EndpointMismatchError, IoError
-from .measures import (
-    DiscreteMeasure,
-    dirac,
-    make_measure,
-    quantile_uniform,
-)
-from .pvf import PvfSpec, pvf_from_json
+from .measures import DiscreteMeasure
+from .pvf import PvfSpec, _is_grid_size, initial_from_spec, pvf_from_json
 from .schemes import SCHEMES, GridSpec, MeasurePath, SchemeConfig, run_scheme
 from .superposition import build_representation
 from .analysis import ConvergenceTable, convergence_study, residual, scheme_compare
 from .tolerances import MERGE_TOL
 from . import artifacts
 from .artifacts import SCHEMA
-
-
-def initial_from_spec(obj: dict, where: str = "initial") -> DiscreteMeasure:
-    """Build a measure from a JSON fragment: dirac, atoms, or uniform_1d."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    kind = obj.get("kind")
-    if kind == "dirac":
-        if "point" not in obj:
-            raise ConfigError(f"{where}.point: required for dirac")
-        try:
-            return dirac(obj["point"])
-        except Exception as exc:
-            raise ConfigError(f"{where}.point: {exc}") from exc
-    if kind == "atoms":
-        for key in ("atoms", "weights"):
-            if key not in obj:
-                raise ConfigError(f"{where}.{key}: required for atoms")
-        try:
-            return make_measure(obj["atoms"], obj["weights"])
-        except Exception as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    if kind == "uniform_1d":
-        for key in ("a", "b"):
-            if key not in obj:
-                raise ConfigError(f"{where}.{key}: required for uniform_1d")
-        natoms = obj.get("atoms", 64)
-        if not (_is_grid_size(natoms) and natoms <= SchemeConfig.max_atoms):
-            raise ConfigError(f"{where}.atoms: expected an integer in [1, "
-                              f"{SchemeConfig.max_atoms}], got {natoms!r}")
-        try:
-            return quantile_uniform(float(obj["a"]), float(obj["b"]), int(natoms))
-        except Exception as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(
-        f"{where}.kind: unknown kind {kind!r} (known: atoms, dirac, uniform_1d)"
-    )
 
 
 @dataclass(frozen=True)
@@ -165,15 +123,6 @@ class Scenario:
     def grid(self, i: int) -> GridSpec:
         dv = None if self.dvs is None else self.dvs[i]
         return GridSpec(T=self.T, N=self.Ns[i], dv=dv)
-
-
-def _is_grid_size(n) -> bool:
-    """True for an integer >= 1; an integral float such as 4.0 counts, a bool does not."""
-    if isinstance(n, bool):
-        return False
-    if isinstance(n, float):
-        return n >= 1 and n.is_integer()
-    return isinstance(n, numbers.Integral) and n >= 1
 
 
 def _number(value, field: str) -> float:
@@ -521,13 +470,17 @@ def _staged(out: str, written: list[str]):
     On a normal exit the staged files commit: the earlier manifest in
     ``out`` is removed, each file named in ``written`` moves into ``out``,
     then the manifest.  On any exit the staging directory is removed, and
-    so is ``out`` if this call created it and it is still empty.  An
-    OSError is an IoError.  The directory sits inside ``out``, not beside
-    it, so every move stays on one filesystem even when ``out`` is a mount
-    point.
+    so are ``out`` and its ancestors that this call created, each while it
+    is empty; a directory that was there before is kept.  An OSError is an
+    IoError.  The directory sits inside ``out``, not beside it, so every
+    move stays on one filesystem even when ``out`` is a mount point.
     """
     stage = os.path.join(out, f".stage.{os.getpid()}.tmp")
-    fresh = not os.path.isdir(out)
+    created = []  # the directories makedirs will create, innermost first
+    head = os.path.abspath(out)
+    while not os.path.isdir(head):
+        created.append(head)
+        head = os.path.dirname(head)
     try:
         try:
             os.makedirs(stage, exist_ok=True)
@@ -540,6 +493,6 @@ def _staged(out: str, written: list[str]):
             raise IoError(f"cannot write the run's files to {out!r}: {exc}") from exc
     finally:
         shutil.rmtree(stage, ignore_errors=True)
-        if fresh:
-            with contextlib.suppress(OSError):
-                os.rmdir(out)  # empty only if the run failed before a file moved in
+        with contextlib.suppress(OSError):
+            for path in created:
+                os.rmdir(path)  # empty only if the run failed before a file moved in

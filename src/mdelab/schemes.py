@@ -66,7 +66,7 @@ from .measures import (
     fiber_means,
     support_radius,
 )
-from .pvf import PvfSpec, _lift_rows, eval_pvf, lift_size_bound
+from .pvf import MAX_ATOMS, PvfSpec, _lift_rows, eval_pvf, lift_size_bound
 from .tolerances import AGREE_TOL, CELL_TOL, MERGE_TOL, PRUNE_FLOOR_MAX
 
 LAS = "las"
@@ -91,7 +91,8 @@ class GridSpec:
     def __post_init__(self):
         if not 0 < self.T < math.inf:
             raise ValueError("T must be positive and finite")
-        if not (isinstance(self.N, (int, np.integer)) and self.N >= 1):
+        if not (isinstance(self.N, (int, np.integer)) and not isinstance(self.N, bool)
+                and self.N >= 1):
             raise ValueError("N must be a positive integer")
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "N", int(self.N))
@@ -133,7 +134,7 @@ class SchemeConfig:
     grid: GridSpec
     coalesce_tol: float = MERGE_TOL
     prune_floor: float = 0.0
-    max_atoms: int = 1_000_000
+    max_atoms: int = MAX_ATOMS
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:

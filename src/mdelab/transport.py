@@ -406,16 +406,23 @@ def lp_solve(
     C = np.asarray(costs, dtype=float)
     r = np.asarray(row_marginals, dtype=float).ravel()
     c = np.asarray(col_marginals, dtype=float).ravel()
-    # one pass of joint reductions admits valid input; the checks one by
-    # one run only on a failure, to raise the first error they find
-    if not (
-        C.ndim == 2 and C.shape == (r.size, c.size) and C.size
-        and -math.inf < C.min() and C.max() < math.inf
-        and 0.0 <= r.min() and r.max() <= 1.0 + AGREE_TOL
-        and 0.0 <= c.min() and c.max() <= 1.0 + AGREE_TOL
-        and abs(r.sum() - 1.0) <= AGREE_TOL and abs(c.sum() - 1.0) <= AGREE_TOL
+    if C.ndim != 2:
+        raise ValueError("costs must be a 2-D matrix")
+    if not np.all(np.isfinite(C)):
+        raise ValueError("costs must be finite")
+    if not (np.isfinite(r).all() and np.isfinite(c).all()):
+        raise ValueError("marginals must be finite")
+    if r.shape[0] != C.shape[0] or c.shape[0] != C.shape[1]:
+        raise ValueError("marginal lengths must match the cost matrix shape")
+    if np.any(r < 0) or np.any(c < 0):
+        raise ValueError("marginals must be nonnegative")
+    # a nonnegative vector whose largest entry passes 1 + AGREE_TOL sums
+    # past it too, and testing that first keeps a huge one from overflowing
+    if (
+        r.max(initial=0.0) > 1.0 + AGREE_TOL or c.max(initial=0.0) > 1.0 + AGREE_TOL
+        or abs(r.sum() - 1.0) > AGREE_TOL or abs(c.sum() - 1.0) > AGREE_TOL
     ):
-        _check_lp_input(C, r, c)
+        raise ValueError("marginals must each sum to one")
     return _lp(C, r, c, max_iter)
 
 
@@ -429,11 +436,11 @@ def _lp(C: np.ndarray, r: np.ndarray, c: np.ndarray, max_iter: Optional[int] = N
     ``AGREE_TOL``.  So those marginals pass every test of ``lp_solve``,
     and the cost matrix built from the atoms has their shape.  Its entries
     are distances, never below 0, so one test of the largest admits them;
-    a cost that overflowed to inf, or is NaN, fails it and raises
-    ``lp_solve``'s error.
+    a cost that overflowed to inf, or is NaN, fails it and raises the
+    error ``lp_solve`` raises for such costs.
     """
     if not C.max() < math.inf:
-        _check_lp_input(C, r, c)
+        raise ValueError("costs must be finite")
     m, n = C.shape
     cap = int(max_iter) if max_iter is not None else 10 * m * n
     full = r.all() and c.all()
@@ -458,27 +465,6 @@ def _lp(C: np.ndarray, r: np.ndarray, c: np.ndarray, max_iter: Optional[int] = N
     ):  # pragma: no cover - the balanced totals keep the plan within tolerance
         raise LpFailureError("solver returned a plan violating the marginals")
     return plan, float(np.sum(C * plan.mass))
-
-
-def _check_lp_input(C: np.ndarray, r: np.ndarray, c: np.ndarray) -> None:
-    """Raise the first error that ``lp_solve``'s input has."""
-    if C.ndim != 2:
-        raise ValueError("costs must be a 2-D matrix")
-    if not np.all(np.isfinite(C)):
-        raise ValueError("costs must be finite")
-    if not (np.isfinite(r).all() and np.isfinite(c).all()):
-        raise ValueError("marginals must be finite")
-    if r.shape[0] != C.shape[0] or c.shape[0] != C.shape[1]:
-        raise ValueError("marginal lengths must match the cost matrix shape")
-    if np.any(r < 0) or np.any(c < 0):
-        raise ValueError("marginals must be nonnegative")
-    # a nonnegative vector whose largest entry passes 1 + AGREE_TOL sums
-    # past it too, and testing that first keeps a huge one from overflowing
-    if (
-        r.max(initial=0.0) > 1.0 + AGREE_TOL or c.max(initial=0.0) > 1.0 + AGREE_TOL
-        or abs(r.sum() - 1.0) > AGREE_TOL or abs(c.sum() - 1.0) > AGREE_TOL
-    ):
-        raise ValueError("marginals must each sum to one")
 
 
 # ---------------------------------------------------------------------------

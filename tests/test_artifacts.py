@@ -215,6 +215,18 @@ def test_trajectories_from_json_diagnostics():
         )
 
 
+@pytest.mark.parametrize("doc", [
+    {"times": [0.0, 1.0], "curves": [{"weight": 1.0, "knots": [[0.0], [1.0], [2.0]]}]},
+    {"times": [1.0, 0.0], "curves": [{"weight": 1.0, "knots": [[0.0], [1.0]]}]},
+    {"times": [0.0, 1.0], "curves": []},
+    {"times": [0.0, 1.0], "curves": [{"weight": -1.0, "knots": [[0.0], [1.0]]},
+                                     {"weight": 2.0, "knots": [[1.0], [1.0]]}]},
+], ids=["knots-per-time", "decreasing-times", "no-curves", "negative-weight"])
+def test_a_malformed_trajectories_document_is_a_config_error(doc):
+    with pytest.raises(ConfigError, match="trajectories document malformed"):
+        trajectories_from_json(doc)
+
+
 def test_artifact_writes_are_deterministic(tmp_path):
     path = las_path(N=3)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -533,6 +545,19 @@ def test_a_run_keeps_files_it_does_not_write(tmp_path):
     manifest = run_scenario(dataclasses.replace(get_scenario("peano"), outputs=str(out)))
     assert sorted(tree(out)) == sorted(manifest["artifacts"] + ["manifest.json", "notes.txt"])
     assert (out / "notes.txt").read_text() == "mine"
+
+
+def test_a_failed_run_removes_only_the_directories_it_made(tmp_path, monkeypatch):
+    # binomial's curve bundles fail at T = 1e30, after the first files are staged
+    scn = dataclasses.replace(get_scenario("binomial"), T=1e30)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError):
+        run_scenario(dataclasses.replace(scn, outputs=os.path.join("a", "b", "d")))
+    assert os.listdir(tmp_path) == []
+    (tmp_path / "a").mkdir()  # an empty directory that was there before
+    with pytest.raises(ConfigError):
+        run_scenario(dataclasses.replace(scn, outputs=str(tmp_path / "a" / "b" / "d")))
+    assert os.listdir(tmp_path) == ["a"] and os.listdir(tmp_path / "a") == []
 
 
 def test_failed_write_leaves_no_temporary_file(tmp_path):

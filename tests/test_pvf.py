@@ -226,6 +226,13 @@ def test_pvf_json_diagnostics():
         pvf_from_json({"kind": "constant_fiber"})
     with pytest.raises(ConfigError):
         pvf_from_json({"field": "peano"})
+    # a kind-less omega is an atoms fragment; a measure kind must be a known string
+    with pytest.raises(ConfigError, match=r"^pvf\.omega\.weights: required for atoms$"):
+        pvf_from_json({"kind": "constant_fiber", "omega": {"atoms": [[1.0]]}})
+    with pytest.raises(ConfigError, match=r"^pvf\.omega\.kind: unknown kind \[\]"):
+        pvf_from_json({"kind": "constant_fiber", "omega": {"kind": []}})
+    with pytest.raises(ConfigError, match=r"^pvf\.omega\.point: "):
+        pvf_from_json({"kind": "constant_fiber", "omega": {"kind": "dirac", "point": "x"}})
 
 
 @st.composite

@@ -62,6 +62,7 @@ def test_grid_spec_defaults_and_validation():
         dict(T=1.0, N=4, dv=-1.0),
         dict(T=float("inf"), N=2),
         dict(T=1.0, N=2, dv=float("inf")),
+        dict(T=1.0, N=True),
     ):
         with pytest.raises(ValueError):
             GridSpec(**bad)

@@ -125,6 +125,24 @@ def test_lp_solve_validates_inputs():
         lp_solve([[np.inf]], [1.0], [1.0])
 
 
+@pytest.mark.parametrize("mode", ["plain", "raise"])
+@pytest.mark.parametrize("costs, r, c, message", [
+    # each input also has every fault checked after the one it names
+    ([0.0, 1.0], [-1.0, 1.0, 1.0], [2.0], "costs must be a 2-D matrix"),
+    ([[np.nan, 1.0]], [-1.0, 1.0, 1.0], [2.0], "costs must be finite"),
+    ([[0.0, 1.0], [1.0, 0.0]], [-1.0, 1.0, 1.0], [2.0],
+     "marginal lengths must match the cost matrix shape"),
+    ([[0.0, 1.0], [1.0, 0.0]], [-0.5, 1.5], [2.0, 0.0], "marginals must be nonnegative"),
+    (np.zeros((0, 0)), [], [], "marginals must each sum to one"),
+])
+def test_lp_solve_names_the_first_fault_of_its_input(costs, r, c, message, mode):
+    with np.errstate(all="raise") if mode == "raise" else np.errstate():
+        with pytest.raises(ValueError) as info:
+            lp_solve(costs, r, c)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("gap", [0.9e-9, -0.9e-9])
 def test_lp_solve_unequal_marginal_totals(gap):
     r, c = [0.5, 0.5 + gap], [0.5, 0.5 - gap]
