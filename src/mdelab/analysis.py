@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyInputError
+from .errors import DimMismatchError, EmptyInputError
 from .measures import DiscreteMeasure
 from .pvf import PvfSpec, _is_lift, eval_pvf
 from .schemes import MeasurePath, interpolate_at
@@ -64,38 +64,42 @@ class TestFunction:
         return self.center.shape[0]
 
     def value(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return _bump_values(pts, self.center[None, :], np.array([self.radius**2]))[0]
+        return _bump(*self._at(points))[2][0] ** 3
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return _bump_gradients(pts, self.center[None, :], np.array([self.radius**2]))[0]
+        return _bump_gradients(*_bump(*self._at(points)))[0]
 
     def lipschitz_bound(self) -> float:
         """Exact sup-norm of the gradient (well below the crude 6/r)."""
         return _GRAD_SUP / self.radius
 
-
-def _bump_values(points: np.ndarray, centers: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Cubic bump values, shape (bumps, ...) for points (..., d), centers
-    (bumps, d) and squared radii (bumps,)."""
-    diff, r2 = _offsets(points, centers, r2)
-    s = 1.0 - np.sum(diff**2, axis=-1) / r2
-    return np.maximum(s, 0.0) ** 3
+    def _at(self, points):
+        """The arguments of ``_bump`` for this bump at ``points``."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        _check_dims([self], pts.shape[-1])
+        return pts, self.center[None, :], np.array([self.radius**2])
 
 
-def _bump_gradients(points: np.ndarray, centers: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Cubic bump gradients, shape (bumps, ..., d); see ``_bump_values``."""
-    diff, r2 = _offsets(points, centers, r2)
-    s = np.maximum(1.0 - np.sum(diff**2, axis=-1) / r2, 0.0)
-    return (-6.0 / r2)[..., None] * s[..., None] ** 2 * diff
+def _check_dims(family: Sequence[TestFunction], dim: int) -> None:
+    """Raise DimMismatchError, naming both dimensions, for a bump not of ``dim``."""
+    for f in family:
+        if f.dim != dim:
+            raise DimMismatchError(f"test function dim {f.dim} vs point dim {dim}")
 
 
-def _offsets(points: np.ndarray, centers: np.ndarray, r2: np.ndarray):
-    """points - center per bump, shape (bumps, ..., d), and the squared
-    radii shaped to broadcast against its leading axes."""
+def _bump(points: np.ndarray, centers: np.ndarray, r2: np.ndarray):
+    """(points - center, squared radius, s = max(1 - |points - center|^2 / r^2, 0))
+    per bump, for points (..., d), centers (bumps, d) and squared radii
+    (bumps,): the bump's value is s^3.  The differences have shape
+    (bumps, ..., d), s (bumps, ...), and the radii broadcast against s."""
     lead = (len(centers),) + (1,) * (points.ndim - 1)
-    return points[None] - centers.reshape(lead + centers.shape[1:]), r2.reshape(lead)
+    diff, r2 = points[None] - centers.reshape(lead + centers.shape[1:]), r2.reshape(lead)
+    return diff, r2, np.maximum(1.0 - np.sum(diff**2, axis=-1) / r2, 0.0)
+
+
+def _bump_gradients(diff: np.ndarray, r2: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Cubic bump gradients, shape (bumps, ..., d), from the parts ``_bump`` returns."""
+    return (-6.0 / r2)[..., None] * s[..., None] ** 2 * diff
 
 
 def default_test_family(measures: Sequence[DiscreteMeasure]) -> list[TestFunction]:
@@ -156,6 +160,7 @@ def residual(
     family = list(family)
     if not family:
         raise EmptyInputError("test family is empty")
+    _check_dims(family, path.dim)
     times = path.times
     centers = np.array([f.center for f in family])
     r2 = np.array([f.radius**2 for f in family])
@@ -167,19 +172,25 @@ def residual(
     lifts.append(eval_pvf(spec, nodes[-1]))
     integrand = np.empty((len(family), len(nodes)))
     values = np.empty((len(family), len(nodes)))
-    # The whole family at once on blocks of nodes (and of lifts) with equal
-    # atom counts.  Sums run along each node's contiguous row and the value
-    # dots per bump and node, so each defect is bit for bit what a loop over
-    # bumps and nodes gives.
-    for ks in _blocks([lf.natoms for lf in lifts], family, path.dim):
-        grad = _bump_gradients(np.stack([lifts[k].positions for k in ks]), centers, r2)
+    # The whole family at once on blocks of nodes with equal atom and lift
+    # row counts.  Where each lift's positions are its node's atoms (the
+    # same array: a graph field's lift, a splitting lift whose median moves
+    # whole), the bump polynomial s serves both the values and the
+    # gradients.  Sums run along each node's contiguous row, and the value
+    # of a bump at a node is one stacked dot of the node's weights with its
+    # row, so each defect is bit for bit what a loop over bumps and nodes
+    # gives.
+    keys = [(mu.natoms, lf.natoms, lf.positions is mu.atoms) for mu, lf in zip(nodes, lifts)]
+    for ks in _blocks(keys, family, path.dim):
+        diff, r2s, s = _bump(np.stack([nodes[k].atoms for k in ks]), centers, r2)
+        w = np.stack([nodes[k].weights for k in ks])
+        values[:, ks] = np.matmul((s**3)[..., None, :], w[None, :, :, None])[..., 0, 0]
+        if not keys[ks[0]][2]:
+            diff, r2s, s = _bump(np.stack([lifts[k].positions for k in ks]), centers, r2)
+        grad = _bump_gradients(diff, r2s, s)
         vel = np.stack([lifts[k].velocities for k in ks])
         w = np.stack([lifts[k].weights for k in ks])
         integrand[:, ks] = np.sum(np.sum(grad * vel, axis=-1) * w, axis=-1)
-    for ks in _blocks([mu.natoms for mu in nodes], family, path.dim):
-        vals = _bump_values(np.stack([nodes[k].atoms for k in ks]), centers, r2)
-        for j, k in enumerate(ks):
-            values[:, k] = [np.dot(nodes[k].weights, row) for row in vals[:, j]]
     steps = np.diff(times)
     trap = np.zeros_like(values)
     np.cumsum(steps * (integrand[:, :-1] + integrand[:, 1:]) / 2.0, axis=1, out=trap[:, 1:])
@@ -199,14 +210,15 @@ def residual(
     )
 
 
-def _blocks(sizes: Sequence[int], family: Sequence[TestFunction], dim: int):
-    """Lists of node indices with equal ``sizes``, in chunks whose
-    (bumps, nodes, atoms, d) float temporaries stay under ``_BLOCK_BYTES``."""
-    by_size: dict[int, list[int]] = {}
-    for k, n in enumerate(sizes):
-        by_size.setdefault(n, []).append(k)
-    for n, ks in by_size.items():
-        step = max(1, _BLOCK_BYTES // (8 * len(family) * n * dim))
+def _blocks(keys: Sequence[tuple[int, int, bool]], family: Sequence[TestFunction], dim: int):
+    """Lists of node indices with equal ``keys`` (node atoms, lift rows,
+    shared positions), in chunks whose (bumps, nodes, rows, d) float
+    temporaries stay under ``_BLOCK_BYTES``."""
+    by_key: dict[tuple[int, int, bool], list[int]] = {}
+    for k, key in enumerate(keys):
+        by_key.setdefault(key, []).append(k)
+    for (n, m, _), ks in by_key.items():
+        step = max(1, _BLOCK_BYTES // (8 * len(family) * max(n, m) * dim))
         for s in range(0, len(ks), step):
             yield ks[s:s + step]
 

@@ -7,15 +7,20 @@ JSON writes repr.  Rows follow canonical atom order, and newlines are
 fixed to "\\n", so identical inputs produce byte-identical files on any
 platform.
 
-Each file is formatted as one string from whole arrays: one ``%`` over a
-template that holds a ``%s`` per float.  A CSV's template is its row
-repeated once per row.  A JSON document's comes from one encoder whose
-text is byte-identical to ``json.dump(obj, fh, indent=2, sort_keys=True)``
-plus a final newline (NaN and Infinity included); it takes each
-rectangular list of floats, and each list of records that share their
-keys and float shapes (the curves of a trajectories document), from one
-template.  Each distinct float is formatted once per file: runs
-repeat their node times, lattice sites and weights.
+Each file is formatted as one string from whole arrays, and each
+distinct float in it is formatted once (runs repeat their node times,
+lattice sites and weights), by one ``%`` over a template that holds a
+``%s`` per distinct float.  A CSV formats its float columns so and joins
+the cells of each row with ",".  A JSON document is one ``%`` over a
+template with a ``%s`` per float, from one encoder whose text is
+byte-identical to ``json.dump(obj, fh, indent=2, sort_keys=True)`` plus a
+final newline (NaN and Infinity included); it takes each rectangular list
+of floats, and each list of records that share their keys and float
+shapes, from one template.  A writer may hand the encoder float arrays
+whole in a private leaf (``_Floats``): a trajectories document's times,
+and its curves as the knots array and the weights array, with no nested
+lists and no dict per curve.  ``write_json`` on user objects meets no such
+leaf and still refuses a raw ndarray.
 
 Each write is all or nothing.  The finished text goes to a temporary file
 beside the target (``.<name>.<pid>.tmp``), which ``os.replace`` then renames
@@ -32,8 +37,8 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-import math
 import os
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Optional, Union
 
@@ -117,13 +122,13 @@ def _float_texts(values, template: str) -> list:
 _JSON_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _float_array(items) -> Optional[tuple[tuple[int, ...], list]]:
-    """(shape, row-major floats) of a rectangular nested list of floats, else None."""
+def _float_array(items) -> Optional[np.ndarray]:
+    """A rectangular nested list of floats as an array, else None."""
     shape = [len(items)]
     while True:
         kinds = set(map(type, items))
         if kinds == {float}:
-            return tuple(shape), items
+            return np.array(items).reshape(shape)
         if not kinds <= {list, tuple}:
             return None
         lengths = set(map(len, items))
@@ -133,9 +138,27 @@ def _float_array(items) -> Optional[tuple[tuple[int, ...], list]]:
         items = list(itertools.chain.from_iterable(items))
 
 
-def _record_array(items, nl: str) -> Optional[tuple[str, list]]:
-    """(template, row-major floats) of a list of dicts that share their str
-    keys, where each key's values form a float array, else None."""
+@dataclass(frozen=True)
+class _Floats:
+    """A JSON list held as float arrays, which the encoder formats whole
+    from one template: without ``keys``, the nested list that
+    ``columns[0].tolist()`` gives; with ``keys`` (sorted), the list of
+    records {key: row}, one per row of the ``columns``.  The encoder makes
+    one of each list of floats and each list of records that share their
+    keys and float shapes (``_leaf``), and a writer may hand it one built
+    from its own arrays.  ``write_json`` on user objects still refuses a
+    raw ndarray."""
+
+    columns: tuple
+    keys: tuple = ()
+
+
+def _leaf(items) -> Optional[_Floats]:
+    """A nonempty list of floats, or of dicts that share their str keys
+    where each key's values form a float array, as a leaf, else None."""
+    array = _float_array(items)
+    if array is not None:
+        return _Floats((array,))
     if set(map(type, items)) != {dict}:
         return None
     first = items[0].keys()
@@ -144,16 +167,19 @@ def _record_array(items, nl: str) -> Optional[tuple[str, list]]:
         return None
     keys = sorted(first)
     columns = [_float_array([d[k] for d in items]) for k in keys]
-    if None in columns:
-        return None
+    return None if any(c is None for c in columns) else _Floats(tuple(columns), tuple(keys))
+
+
+def _records(keys, columns, nl: str) -> tuple[str, np.ndarray]:
+    """(template, row-major floats) of the list of records {key: row}, one
+    per row of the float ``columns``, which follow the sorted ``keys``."""
     inner, inner2 = nl + "  ", nl + "    "
     fields = [_json_string(k).replace("%", "%%") + ": "
-              + (_float_template(shape[1:], inner2) if len(shape) > 1 else "%s")
-              for k, (shape, _) in zip(keys, columns)]
+              + (_float_template(c.shape[1:], inner2) if c.ndim > 1 else "%s")
+              for k, c in zip(keys, columns)]
     record = "{" + inner2 + ("," + inner2).join(fields) + inner + "}"
-    n = len(items)
-    values = np.hstack([np.array(v, dtype=float).reshape(n, -1) for _, v in columns])
-    return "[" + inner + ("," + inner).join([record] * n) + nl + "]", values.ravel().tolist()
+    values = np.hstack([c.reshape(len(c), -1) for c in columns])
+    return "[" + inner + ("," + inner).join([record] * len(values)) + nl + "]", values
 
 
 def _float_template(shape: tuple[int, ...], nl: str) -> str:
@@ -166,8 +192,9 @@ def _float_template(shape: tuple[int, ...], nl: str) -> str:
 def _emit(obj, nl: str, parts: list, floats: list) -> None:
     """Append the JSON text of ``obj`` at the indentation ``nl`` to ``parts``.
 
-    Each float becomes a ``%s`` placeholder and its value goes to ``floats``;
-    every literal ``%`` is doubled.
+    Each float becomes a ``%s`` placeholder and its value goes to
+    ``floats``: a list of runs, each a list of floats or a leaf's float
+    array, the last a list.  Every literal ``%`` is doubled.
     """
     if isinstance(obj, str):
         parts.append(_json_string(obj).replace("%", "%%"))
@@ -181,23 +208,19 @@ def _emit(obj, nl: str, parts: list, floats: list) -> None:
         parts.append(int.__repr__(obj))
     elif isinstance(obj, float):
         parts.append("%s")
-        floats.append(float(obj))
+        floats[-1].append(float(obj))
+    elif isinstance(obj, _Floats):
+        template, values = (_records(obj.keys, obj.columns, nl) if obj.keys else
+                            (_float_template(obj.columns[0].shape, nl), obj.columns[0]))
+        parts.append(template)
+        floats += [values, []]
     elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")
             return
-        array = _float_array(obj)
-        if array is not None:
-            shape, values = array
-            parts.append(_float_template(shape, nl))
-            floats.extend(values)
-            return
-        records = _record_array(obj, nl)
-        if records is not None:
-            template, values = records
-            parts.append(template)
-            floats.extend(values)
-            return
+        leaf = _leaf(obj)
+        if leaf is not None:
+            return _emit(leaf, nl, parts, floats)
         inner = nl + "  "
         sep = "["
         for item in obj:
@@ -228,10 +251,11 @@ def _emit(obj, nl: str, parts: list, floats: list) -> None:
 def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, formatted from whole arrays."""
     parts: list[str] = []
-    floats: list[float] = []
+    floats: list = [[]]
     _emit(obj, "\n", parts, floats)
-    texts = _float_texts(floats, "%r")
-    if not math.isfinite(sum(floats)):  # the sum is finite only if every float is
+    values = np.concatenate([np.asarray(run, dtype=float).ravel() for run in floats])
+    texts = _float_texts(values, "%r")
+    if not np.isfinite(values).all():
         texts = [_JSON_NAMES.get(t, t) for t in texts]
     return "".join(parts) % tuple(texts) + "\n"
 
@@ -342,19 +366,39 @@ def trajectories_to_json(ens: TrajectoryEnsemble) -> dict:
 
 
 def trajectories_from_json(obj: dict) -> TrajectoryEnsemble:
+    """The ensemble of a trajectories document; every number in it is a
+    JSON number, an int or a float (not a bool)."""
     try:
-        times = np.asarray(obj["times"], dtype=float)
         curves = obj["curves"]
-        weights = np.asarray([c["weight"] for c in curves], dtype=float)
-        knots = np.asarray([c["knots"] for c in curves], dtype=float)
+        times = _json_floats(obj["times"], "times", 1)
+        weights = _json_floats([c["weight"] for c in curves], "weight", 1)
+        knots = _json_floats([c["knots"] for c in curves], "knots", 3)
         return TrajectoryEnsemble(times=times, weights=weights, knots=knots)
-    except (KeyError, TypeError, ValueError, MdeLabError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, MdeLabError) as exc:
         raise ConfigError(f"trajectories document malformed: {exc}") from exc
 
 
+def _json_floats(items, what: str, ndim: int) -> np.ndarray:
+    """Nested JSON lists of numbers, ``ndim`` deep and rectangular, as a
+    float array, from one ``np.fromiter``."""
+    level, shape = [items], []
+    for _ in range(ndim):
+        lengths = set(map(len, level))  # a number where a list belongs is a TypeError
+        if len(lengths) > 1:
+            raise ValueError(f"{what}: lists of unequal lengths")
+        shape.append(lengths.pop() if lengths else 0)
+        level = list(itertools.chain.from_iterable(level))
+    if set(map(type, level)) - {int, float}:
+        raise TypeError(f"{what}: expected numbers")
+    return np.fromiter(level, float, len(level)).reshape(shape)
+
+
 def write_trajectories_json(ens: TrajectoryEnsemble, file_path: PathLike) -> None:
-    """The curve bundle as a trajectories document."""
-    write_json(trajectories_to_json(ens), file_path)
+    """The curve bundle as a trajectories document, its arrays handed to
+    the encoder whole."""
+    doc = {"schema": SCHEMA, "kind": "trajectories", "times": _Floats((ens.times,)),
+           "curves": _Floats((ens.knots, ens.weights), ("knots", "weight"))}
+    _write_text(_json_text(doc), file_path)
 
 
 def read_trajectories_json(file_path: PathLike) -> TrajectoryEnsemble:

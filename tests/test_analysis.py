@@ -7,6 +7,7 @@ import strategies as sts
 from mdelab import (
     ConstantFiberPvf,
     CustomPvf,
+    DimMismatchError,
     GraphPvf,
     GridSpec,
     LAGRANGIAN,
@@ -109,6 +110,36 @@ def test_bump_validation():
         TestFunction(center=np.array([0.0]), radius=0.0)
 
 
+def refuse_blocks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a block was evaluated")
+
+    monkeypatch.setattr(analysis, "_bump", refuse)
+
+
+def test_a_bump_of_another_dimension_is_refused_at_points():
+    f = TestFunction([0.0, 1.0], 2.0)
+    for evaluate in (f.value, f.gradient):
+        with pytest.raises(DimMismatchError, match="test function dim 2 vs point dim 1"):
+            evaluate([[0.0]])
+    assert f.value([[0.0, 1.0]])[0] == 1.0
+
+
+def test_a_bump_of_another_dimension_is_refused_by_the_residual(monkeypatch):
+    path = run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, N=4))
+    refuse_blocks(monkeypatch)
+    with pytest.raises(DimMismatchError, match="test function dim 2 vs point dim 1"):
+        residual(path, BINOMIAL, [TestFunction([0.0, 1.0], 2.0)])
+
+
+def test_a_family_of_mixed_dimensions_is_refused_by_the_residual(monkeypatch):
+    path = run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, N=4))
+    family = [TestFunction([0.0], 2.0), TestFunction([0.0, 1.0], 2.0), TestFunction([1.0], 1.0)]
+    refuse_blocks(monkeypatch)
+    with pytest.raises(DimMismatchError, match="test function dim 2 vs point dim 1"):
+        residual(path, BINOMIAL, family)
+
+
 def test_default_family_covers_inflated_hull():
     mus = [dirac(-1.0), dirac(3.0)]
     family = default_test_family(mus)
@@ -184,7 +215,8 @@ def assert_residual_matches_loop(path, spec, family=None):
 
 
 RULES = {
-    1: [SPLIT, BINOMIAL, GraphPvf(GRAPH_FIELDS["linear"])],
+    1: [SPLIT, BINOMIAL, GraphPvf(GRAPH_FIELDS["linear"]),
+        ConstantFiberPvf(make_measure([[-1.0], [0.5], [2.0]], [0.25, 0.5, 0.25]))],
     2: [ConstantFiberPvf(make_measure([[1.0, 0.0], [-0.5, 0.25]], [0.25, 0.75])),
         GraphPvf(GRAPH_FIELDS["peano"])],
 }
@@ -192,12 +224,15 @@ RULES = {
 
 @st.composite
 def residual_problems(draw):
-    """A short grid-free run of up to 40 atoms in 1-D or 2-D, with the
-    default family or a few bumps of mixed radii."""
+    """A short run of up to 40 atoms in 1-D or 2-D under each scheme, with
+    the default family or a few bumps of mixed radii.  Graph fields and
+    splitting lifts whose median moves whole share their node's atoms; a
+    constant fiber of m atoms lifts n atoms to n m rows."""
     d = draw(st.integers(1, 2))
     mu0 = draw(sts.measures(dim=d, max_atoms=40))
     spec = draw(st.sampled_from(RULES[d]))
-    path = run_scheme(spec, mu0, cfg(LAGRANGIAN, N=draw(st.integers(1, 4))))
+    scheme = draw(st.sampled_from([LAGRANGIAN, LAS, MEAN_VELOCITY]))
+    path = run_scheme(spec, mu0, cfg(scheme, N=draw(st.integers(1, 4))))
     family = None
     if draw(st.booleans()):
         bump = st.builds(
@@ -218,6 +253,26 @@ def test_residual_matches_loop_reference_on_a_long_run():
     # 300 atoms: the per-bump sums run over long, pairwise-summed rows
     path = run_scheme(SPLIT, quantile_uniform(0.0, 1.0, 300), cfg(LAGRANGIAN, N=16))
     assert_residual_matches_loop(path, SPLIT)
+
+
+@pytest.mark.parametrize("mu0, shared", [
+    (quantile_uniform(0.0, 1.0, 256), True),  # every median moves whole: n rows
+    (m1([0.0, 1.0, 2.0], [0.25, 0.5, 0.25]), False),  # the first median splits: n + 1 rows
+], ids=["torn-block", "split-median"])
+def test_residual_shares_the_bump_polynomial_only_on_a_node_s_own_atoms(monkeypatch, mu0, shared):
+    path = run_scheme(SPLIT, mu0, cfg(LAGRANGIAN, N=16))
+    rows = [lift.natoms for lift in path.interp]
+    assert rows == [mu.natoms + (not shared and k == 0) for k, mu in enumerate(path.measures[:-1])]
+    calls = {"_bump": 0, "_bump_gradients": 0}
+    for name in calls:
+        def counted(*args, kernel=getattr(analysis, name), name=name):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(analysis, name, counted)
+    assert_residual_matches_loop(path, SPLIT)
+    # one polynomial per block where it is shared, and a second for the lift rows where not
+    assert (calls["_bump"] == calls["_bump_gradients"]) == shared
 
 
 def counted_evaluations(monkeypatch) -> list:

@@ -221,10 +221,29 @@ def test_trajectories_from_json_diagnostics():
     {"times": [0.0, 1.0], "curves": []},
     {"times": [0.0, 1.0], "curves": [{"weight": -1.0, "knots": [[0.0], [1.0]]},
                                      {"weight": 2.0, "knots": [[1.0], [1.0]]}]},
-], ids=["knots-per-time", "decreasing-times", "no-curves", "negative-weight"])
+    {"times": [0.0, 1.0], "curves": [{"weight": True, "knots": [[0.0], [1.0]]}]},
+    {"times": [0.0, 1.0], "curves": [{"weight": [1.0], "knots": [[0.0], [1.0]]}]},
+    {"times": [[0, 1]], "curves": [{"weight": 1.0, "knots": [[0.0], [1.0]]}]},
+    {"times": [0.0, 1.0], "curves": [{"weight": 1.0, "knots": [[0.0], [False]]}]},
+    {"times": [0.0, 1.0], "curves": [{"weight": 1.0, "knots": [[0.0], ["1"]]}]},
+    {"times": [0.0, 1.0], "curves": [{"weight": 1.0, "knots": [[0.0], [1.0, 2.0]]}]},
+    {"times": [0.0, 1.0], "curves": [{"weight": 1.0, "knots": [0.0, 1.0]}]},
+    {"times": [0.0, 1.0], "curves": [{"weight": 0.5, "knots": [[0.0], [1.0]]},
+                                     {"weight": 0.5, "knots": [[0.0, 1.0], [1.0, 2.0]]}]},
+    {"times": [0.0, 10**400], "curves": [{"weight": 1.0, "knots": [[0.0], [1.0]]}]},
+], ids=["knots-per-time", "decreasing-times", "no-curves", "negative-weight", "bool-weight",
+        "list-weight", "nested-times", "bool-knot", "string-knot", "ragged-knots",
+        "flat-knots", "mixed-dims", "huge-int"])
 def test_a_malformed_trajectories_document_is_a_config_error(doc):
     with pytest.raises(ConfigError, match="trajectories document malformed"):
         trajectories_from_json(doc)
+
+
+def test_a_trajectories_document_may_hold_json_integers():
+    ens = trajectories_from_json(
+        {"times": [0, 1], "curves": [{"weight": 1, "knots": [[0, 2], [1, -3]]}]})
+    assert ens.times.tolist() == [0.0, 1.0] and ens.weights.tolist() == [1.0]
+    assert ens.knots.tolist() == [[[0.0, 2.0], [1.0, -3.0]]]
 
 
 def test_artifact_writes_are_deterministic(tmp_path):
@@ -377,6 +396,9 @@ def test_trajectories_json_matches_per_value_writer(data, out_dir):
     doc = oracles.trajectories_doc(SCHEMA, ens.times, ens.weights, ens.knots)
     assert trajectories_to_json(ens) == doc
     assert written(write_trajectories_json, ens, out_dir) == oracles.json_text(doc).encode()
+    back = read_trajectories_json(out_dir / "artifact")
+    for name in ("times", "weights", "knots"):
+        assert np.array_equal(getattr(back, name), getattr(ens, name))
 
 
 json_scalars = (st.none() | st.booleans() | st.integers() | json_floats
@@ -422,8 +444,17 @@ def test_write_json_rejects_what_json_rejects(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
+class _NoList(np.ndarray):
+    """An array whose ``tolist`` refuses: nested lists are not on the write path."""
+
+    def tolist(self):
+        raise AssertionError("tolist on the write path")
+
+
 def test_writers_format_whole_arrays(tmp_path, monkeypatch):
-    """Neither the stdlib encoder nor the per-value fmt is on the write path."""
+    """Neither the stdlib encoder nor the per-value fmt is on the write
+    path, and a curve bundle reaches the encoder as arrays: no nested
+    lists and no document of per-curve dicts."""
     ens = build_representation(run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, 10)))
     assert ens.ncurves == 1024
     expected_text = oracles.json_text(trajectories_to_json(ens))
@@ -433,6 +464,11 @@ def test_writers_format_whole_arrays(tmp_path, monkeypatch):
 
     monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
     monkeypatch.setattr(artifacts, "fmt", refuse)
+    monkeypatch.setattr(artifacts, "trajectories_to_json", refuse)
+    for name in ("times", "weights", "knots"):
+        object.__setattr__(ens, name, getattr(ens, name).view(_NoList))
+    with pytest.raises(AssertionError):
+        ens.knots.ravel().tolist()
     with pytest.raises(AssertionError):
         json.dumps([1.0], indent=2)
     write_trajectories_json(ens, tmp_path / "bundle.json")
