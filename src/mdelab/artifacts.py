@@ -7,20 +7,15 @@ JSON writes repr.  Rows follow canonical atom order, and newlines are
 fixed to "\\n", so identical inputs produce byte-identical files on any
 platform.
 
-Each file is formatted as one string from whole arrays, and each
-distinct float in it is formatted once (runs repeat their node times,
-lattice sites and weights), by one ``%`` over a template that holds a
-``%s`` per distinct float.  A CSV formats its float columns so and joins
-the cells of each row with ",".  A JSON document is one ``%`` over a
-template with a ``%s`` per float, from one encoder whose text is
-byte-identical to ``json.dump(obj, fh, indent=2, sort_keys=True)`` plus a
-final newline (NaN and Infinity included); it takes each rectangular list
-of floats, and each list of records that share their keys and float
-shapes, from one template.  A writer may hand the encoder float arrays
-whole in a private leaf (``_Floats``): a trajectories document's times,
-and its curves as the knots array and the weights array, with no nested
-lists and no dict per curve.  ``write_json`` on user objects meets no such
-leaf and still refuses a raw ndarray.
+A CSV is formatted as one string from whole arrays, and each distinct
+float in it is formatted once (runs repeat their node times, lattice
+sites and weights), by one ``%`` over a template that holds a ``%s`` per
+distinct float; the cells of each row are joined with ",".  A JSON
+document is ``json.dumps(obj, indent=2, sort_keys=True)`` plus a final
+newline.  The one exception is the trajectories document, whose curve
+bundle can hold thousands of curves: ``write_trajectories_json`` writes
+the same text from one template over the bundle's arrays, with no nested
+lists and no dict per curve.
 
 Each write is all or nothing.  The finished text goes to a temporary file
 beside the target (``.<name>.<pid>.tmp``), which ``os.replace`` then renames
@@ -38,9 +33,7 @@ import contextlib
 import itertools
 import json
 import os
-from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _json_string
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -84,6 +77,10 @@ def _write_text(text: str, file_path: PathLike) -> None:
         raise IoError(f"cannot write {path!r}: {exc}") from exc
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(obj, file_path: PathLike) -> None:
     """``obj`` as indented JSON with sorted keys."""
     _write_text(_json_text(obj), file_path)
@@ -118,146 +115,11 @@ def _float_texts(values, template: str) -> list:
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
-# json's names for the floats that repr writes as nan, inf and -inf
-_JSON_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_array(items) -> Optional[np.ndarray]:
-    """A rectangular nested list of floats as an array, else None."""
-    shape = [len(items)]
-    while True:
-        kinds = set(map(type, items))
-        if kinds == {float}:
-            return np.array(items).reshape(shape)
-        if not kinds <= {list, tuple}:
-            return None
-        lengths = set(map(len, items))
-        if len(lengths) != 1 or 0 in lengths:
-            return None
-        shape.append(lengths.pop())
-        items = list(itertools.chain.from_iterable(items))
-
-
-@dataclass(frozen=True)
-class _Floats:
-    """A JSON list held as float arrays, which the encoder formats whole
-    from one template: without ``keys``, the nested list that
-    ``columns[0].tolist()`` gives; with ``keys`` (sorted), the list of
-    records {key: row}, one per row of the ``columns``.  The encoder makes
-    one of each list of floats and each list of records that share their
-    keys and float shapes (``_leaf``), and a writer may hand it one built
-    from its own arrays.  ``write_json`` on user objects still refuses a
-    raw ndarray."""
-
-    columns: tuple
-    keys: tuple = ()
-
-
-def _leaf(items) -> Optional[_Floats]:
-    """A nonempty list of floats, or of dicts that share their str keys
-    where each key's values form a float array, as a leaf, else None."""
-    array = _float_array(items)
-    if array is not None:
-        return _Floats((array,))
-    if set(map(type, items)) != {dict}:
-        return None
-    first = items[0].keys()
-    if not first or not all(isinstance(k, str) for k in first) or any(
-            d.keys() != first for d in items):
-        return None
-    keys = sorted(first)
-    columns = [_float_array([d[k] for d in items]) for k in keys]
-    return None if any(c is None for c in columns) else _Floats(tuple(columns), tuple(keys))
-
-
-def _records(keys, columns, nl: str) -> tuple[str, np.ndarray]:
-    """(template, row-major floats) of the list of records {key: row}, one
-    per row of the float ``columns``, which follow the sorted ``keys``."""
-    inner, inner2 = nl + "  ", nl + "    "
-    fields = [_json_string(k).replace("%", "%%") + ": "
-              + (_float_template(c.shape[1:], inner2) if c.ndim > 1 else "%s")
-              for k, c in zip(keys, columns)]
-    record = "{" + inner2 + ("," + inner2).join(fields) + inner + "}"
-    values = np.hstack([c.reshape(len(c), -1) for c in columns])
-    return "[" + inner + ("," + inner).join([record] * len(values)) + nl + "]", values
-
-
 def _float_template(shape: tuple[int, ...], nl: str) -> str:
     """The indented text of a float array of ``shape``, one ``%s`` per float."""
     inner = nl + "  "
     item = "%s" if len(shape) == 1 else _float_template(shape[1:], inner)
     return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"
-
-
-def _emit(obj, nl: str, parts: list, floats: list) -> None:
-    """Append the JSON text of ``obj`` at the indentation ``nl`` to ``parts``.
-
-    Each float becomes a ``%s`` placeholder and its value goes to
-    ``floats``: a list of runs, each a list of floats or a leaf's float
-    array, the last a list.  Every literal ``%`` is doubled.
-    """
-    if isinstance(obj, str):
-        parts.append(_json_string(obj).replace("%", "%%"))
-    elif obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        parts.append("%s")
-        floats[-1].append(float(obj))
-    elif isinstance(obj, _Floats):
-        template, values = (_records(obj.keys, obj.columns, nl) if obj.keys else
-                            (_float_template(obj.columns[0].shape, nl), obj.columns[0]))
-        parts.append(template)
-        floats += [values, []]
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        leaf = _leaf(obj)
-        if leaf is not None:
-            return _emit(leaf, nl, parts, floats)
-        inner = nl + "  "
-        sep = "["
-        for item in obj:
-            parts.append(sep + inner)
-            _emit(item, inner, parts, floats)
-            sep = ","
-        parts.append(nl + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{"
-        for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                if not (key is None or isinstance(key, (int, float))):
-                    raise TypeError(f"keys must be str, int, float, bool or None, "
-                                    f"not {type(key).__name__}")
-                key = json.dumps(key)
-            parts.append(sep + inner + _json_string(key).replace("%", "%%") + ": ")
-            _emit(value, inner, parts, floats)
-            sep = ","
-        parts.append(nl + "}")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, formatted from whole arrays."""
-    parts: list[str] = []
-    floats: list = [[]]
-    _emit(obj, "\n", parts, floats)
-    values = np.concatenate([np.asarray(run, dtype=float).ravel() for run in floats])
-    texts = _float_texts(values, "%r")
-    if not np.isfinite(values).all():
-        texts = [_JSON_NAMES.get(t, t) for t in texts]
-    return "".join(parts) % tuple(texts) + "\n"
 
 
 def _csv_text(header: str, columns: list) -> str:
@@ -394,11 +256,22 @@ def _json_floats(items, what: str, ndim: int) -> np.ndarray:
 
 
 def write_trajectories_json(ens: TrajectoryEnsemble, file_path: PathLike) -> None:
-    """The curve bundle as a trajectories document, its arrays handed to
-    the encoder whole."""
-    doc = {"schema": SCHEMA, "kind": "trajectories", "times": _Floats((ens.times,)),
-           "curves": _Floats((ens.knots, ens.weights), ("knots", "weight"))}
-    _write_text(_json_text(doc), file_path)
+    """The text of ``write_json(trajectories_to_json(ens))``, formatted
+    from one template over the bundle's arrays.
+
+    The layout is fixed: sorted keys, and each curve ``{"knots", "weight"}``.
+    The ensemble's floats are finite, so repr is their JSON text, and no
+    user text enters the template, so it needs no ``%`` escaping.
+    """
+    n, nt, d = ens.knots.shape
+    curve = ('{\n      "knots": ' + _float_template((nt, d), "\n      ")
+             + ',\n      "weight": %s\n    }')
+    template = ('{\n  "curves": [\n    ' + ",\n    ".join([curve] * n)
+                + '\n  ],\n  "kind": "trajectories",\n  "schema": ' + json.dumps(SCHEMA)
+                + ',\n  "times": ' + _float_template((nt,), "\n  ") + "\n}\n")
+    values = np.concatenate([np.hstack([ens.knots.reshape(n, -1), ens.weights[:, None]]).ravel(),
+                             ens.times])
+    _write_text(template % tuple(_float_texts(values, "%r")), file_path)
 
 
 def read_trajectories_json(file_path: PathLike) -> TrajectoryEnsemble:

@@ -91,6 +91,8 @@ class Scenario:
         if not all(_is_grid_size(n) and n + 1 <= SchemeConfig.max_atoms for n in self.Ns):
             raise ConfigError(f"N: expected integers in [1, {SchemeConfig.max_atoms - 1}]"
                               f" (N + 1 nodes within max_atoms), got {list(self.Ns)!r}")
+        if len(set(self.Ns)) != len(self.Ns):
+            raise ConfigError(f"N: a grid size is repeated in {list(self.Ns)!r}")
         if len(self.schemes) == 0:
             raise ConfigError("scheme: need at least one scheme")
         unknown = [s for s in self.schemes if s not in SCHEMES]
@@ -98,6 +100,8 @@ class Scenario:
             raise ConfigError(
                 f"scheme: unknown {unknown[0]!r} (known: {', '.join(SCHEMES)}, all)"
             )
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ConfigError(f"scheme: a scheme is repeated in {list(self.schemes)!r}")
         if self.converge and any(b <= a for a, b in zip(self.Ns, self.Ns[1:])):
             raise ConfigError("N: grid sizes must strictly increase for converge")
         if self.dvs is not None and len(self.dvs) != len(self.Ns):
@@ -426,6 +430,8 @@ def _run_all(scn: Scenario) -> dict:
                 emit(names[-1], artifacts.write_json, obj)
 
         if scn.compare:
+            if scn.dvs is not None:
+                notes.append("compare uses standard grids; dv overrides ignored")
             for k, n in enumerate(scn.Ns):
                 table = scheme_compare({tag: standard[tag][k] for tag in SCHEMES})
                 emit(f"comparison_N{n}.csv", artifacts.write_comparison_csv, table)

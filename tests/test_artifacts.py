@@ -452,9 +452,10 @@ class _NoList(np.ndarray):
 
 
 def test_writers_format_whole_arrays(tmp_path, monkeypatch):
-    """Neither the stdlib encoder nor the per-value fmt is on the write
-    path, and a curve bundle reaches the encoder as arrays: no nested
-    lists and no document of per-curve dicts."""
+    """A curve bundle is written from its arrays: no stdlib encoder, no
+    nested lists and no document of per-curve dicts.  A scenario run
+    writes its small documents with the stdlib encoder, but never formats
+    a float one value at a time with fmt, nor builds a trajectories dict."""
     ens = build_representation(run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, 10)))
     assert ens.ncurves == 1024
     expected_text = oracles.json_text(trajectories_to_json(ens))
@@ -462,16 +463,17 @@ def test_writers_format_whole_arrays(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("per-value formatting on the write path")
 
-    monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
     monkeypatch.setattr(artifacts, "fmt", refuse)
     monkeypatch.setattr(artifacts, "trajectories_to_json", refuse)
-    for name in ("times", "weights", "knots"):
-        object.__setattr__(ens, name, getattr(ens, name).view(_NoList))
-    with pytest.raises(AssertionError):
-        ens.knots.ravel().tolist()
-    with pytest.raises(AssertionError):
-        json.dumps([1.0], indent=2)
-    write_trajectories_json(ens, tmp_path / "bundle.json")
+    with monkeypatch.context() as bundle_only:
+        bundle_only.setattr(json.JSONEncoder, "iterencode", refuse)
+        for name in ("times", "weights", "knots"):
+            object.__setattr__(ens, name, getattr(ens, name).view(_NoList))
+        with pytest.raises(AssertionError):
+            ens.knots.ravel().tolist()
+        with pytest.raises(AssertionError):
+            json.dumps([1.0], indent=2)
+        write_trajectories_json(ens, tmp_path / "bundle.json")
     run_scenario(dataclasses.replace(get_scenario("binomial"), outputs=str(tmp_path / "binomial")))
     monkeypatch.undo()
     assert (tmp_path / "bundle.json").read_text() == expected_text

@@ -129,6 +129,14 @@ def test_bad_grid_override(capsys):
     assert "--n" in err
 
 
+def test_repeated_grid_override_is_a_config_error(tmp_path, capsys):
+    code, out, err = run_cli(["run", "splitting-dirac", "--out", str(tmp_path / "o"), "--n", "4,4"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: N: a grid size is repeated")
+    assert not (tmp_path / "o").exists()
+
+
 def test_unwritable_output_dir(tmp_path, capsys):
     blocker = tmp_path / "file.txt"
     blocker.write_text("x")
@@ -149,6 +157,9 @@ def test_unwritable_output_dir(tmp_path, capsys):
         ("coalesce_tol", {"coalesce_tol": -1}),
         ("prune_floor", {"prune_floor": 0.5}),
         ("N", {"N": [4, 2], "converge": True}),
+        ("N", {"N": [4, 4]}),
+        ("N", {"N": [2, 2], "dv": [0.5, 0.25]}),
+        ("scheme", {"scheme": ["las", "las"]}),
         ("N", {"N": [2.7]}),
         ("N", {"N": [True]}),
         ("T", {"T": float("inf")}),

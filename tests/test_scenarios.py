@@ -82,6 +82,13 @@ def test_scenario_validation():
         tiny_scenario("out", schemes=("rk4",))
     with pytest.raises(ConfigError, match="dv"):
         tiny_scenario("out", dvs=(1.0, 0.5))
+    # a repeated N or scheme would write the same file twice, whatever the dv
+    with pytest.raises(ConfigError, match="^N: a grid size is repeated"):
+        tiny_scenario("out", Ns=(4, 4))
+    with pytest.raises(ConfigError, match="^N: a grid size is repeated"):
+        tiny_scenario("out", Ns=(2, 4, 2), dvs=(0.5, 0.25, 0.125))
+    with pytest.raises(ConfigError, match="^scheme: a scheme is repeated"):
+        tiny_scenario("out", schemes=("las", "lagrangian", "las"))
 
 
 def test_scenario_deep_copies_config_dicts():
@@ -330,6 +337,8 @@ def test_run_scenario_dv_override_still_compares_standard_grids(tmp_path, monkey
     scn = tiny_scenario(tmp_path, dvs=(0.25,), compare=True)
     assert count_runs(monkeypatch, scn) == (4, 4)
     assert (tmp_path / "comparison_N2.csv").is_file()
+    manifest = artifacts.read_json(tmp_path / "manifest.json")
+    assert manifest["notes"] == ["compare uses standard grids; dv overrides ignored"]
 
 
 # ---------------------------------------------------------------------------
