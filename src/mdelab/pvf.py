@@ -83,9 +83,10 @@ def _median(mu: DiscreteMeasure) -> tuple[int, float, float, float]:
     1/2.  These satisfy mass_at_B = eta + 1/2 - cdf_left_of_B.
     """
     cdf = mu.weights.cumsum()
-    idx = int((cdf > 0.5 + CDF_TOL).argmax())
-    if not cdf[idx] > 0.5 + CDF_TOL:  # pragma: no cover - total mass is one
-        idx = mu.natoms - 1
+    # a cumsum of positive weights never decreases, so the first index past
+    # 1/2 is one binary search, capped at the last atom as a total of one
+    # never needs
+    idx = min(int(cdf.searchsorted(0.5 + CDF_TOL, side="right")), mu.natoms - 1)
     eta = float(cdf[idx] - 0.5)
     mass = float(mu.weights[idx])
     if mass <= 0:  # pragma: no cover - canonical measures have positive weights
@@ -108,9 +109,10 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
 
     A shipped rule's rows (``_lift_rows``) arrive in canonical order, and
     ``measures._derive`` builds the lift from them with no kernel pass: it
-    runs the weight tests, and not even those on a graph field's weights,
-    which are ``mu``'s.  A graph field's velocities come from a user
-    callable, so they are checked for finiteness; the constant-fiber and
+    runs the weight tests, and not even those where the weights are
+    ``mu``'s array itself, as a graph field's are, and a splitting lift's
+    whose median atom moves whole.  A graph field's velocities come from a
+    user callable, so they are checked for finiteness; the constant-fiber and
     splitting rows are built from canonical measures by copying and
     multiplying weights, so they are not checked.  A custom rule's lift is
     returned as it is, once its base is checked.
@@ -153,12 +155,16 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
     and whether the rows are exact: their positions are ``mu``'s atoms in
     order, the median atom possibly twice, and their weights regroup to
     ``mu``'s bit for bit.  A graph field's rows are exact, and so are the
-    splitting rule's when the median splits exactly; a custom rule supplies
-    the rows of the lift ``eval_pvf`` returns.
+    splitting rule's when the median splits exactly or moves whole with
+    its own weight; a custom rule supplies the rows of the lift
+    ``eval_pvf`` returns.
 
     The columns are what ``measures._derive`` adopts: the velocity column
-    and the weights are fresh, or read-only canonical arrays, and the
-    position column is fresh or ``mu.atoms`` itself.  No column holds
+    is fresh, or a read-only canonical array; the position column is fresh
+    or ``mu.atoms`` itself; the weights are fresh, read-only canonical
+    weights, or ``mu.weights`` itself: a graph field's, and the splitting
+    rule's when the median atom moves right whole with its own weight, so
+    that its rows' weights are ``mu``'s bit for bit.  No column holds
     -0.0, except a graph field's velocities, which ``_derive`` checks.
     A shipped rule's rows are in canonical order, as ``_derive`` needs
     for ``ordered``: lexicographically sorted and pairwise farther than
@@ -201,21 +207,25 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
         # leftward mass, and row i + 1, its eta rightward mass.  When the
         # mass left of B reaches 1/2 (or exceeds it by roundoff below
         # CDF_TOL) the leftward part is 0, and B moves right whole in one
-        # row (s = 0), so the positions are mu's atoms themselves.  The
-        # rows come out in canonical order, so canonicalization neither
-        # sorts nor groups them.  The split is exact when the two parts add
-        # back to B's weight in floats.
+        # row (s = 0), so the positions are mu's atoms themselves; when its
+        # row also carries B's own weight (eta == mass), the weights are
+        # mu's too, and mu's array is handed over.  The rows come out in
+        # canonical order, so canonicalization neither sorts nor groups
+        # them.  The split is exact when the two parts add back to B's
+        # weight in floats.
         n = mu.natoms
         s = int(left > 0.0)
+        vel = np.empty((n + s, 1))
+        vel[:i + s] = -1.0
+        vel[i + s:] = 1.0
+        if not s and eta == mass:
+            return mu.atoms, vel, mu.weights, True
         if s:
             pos = np.empty((n + 1, 1))
             pos[:i + 1] = mu.atoms[:i + 1]
             pos[i + 1:] = mu.atoms[i:]
         else:
             pos = mu.atoms
-        vel = np.empty((n + s, 1))
-        vel[:i + s] = -1.0
-        vel[i + s:] = 1.0
         w = np.empty(n + s)
         w[:i + 1] = mu.weights[:i + 1]
         w[i + s:] = mu.weights[i:]
@@ -233,6 +243,12 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
 #: The default cap on the atoms of a scheme step (``SchemeConfig.max_atoms``),
 #: and the most atoms a ``uniform_1d`` fragment may ask for.
 MAX_ATOMS = 1_000_000
+
+
+def is_count(n) -> bool:
+    """True for an integer >= 1 (numpy's too), as a cap or a grid size must
+    be; a bool and a float (NaN, which no count exceeds, included) are not."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
 
 
 def lift_size_bound(spec: PvfSpec, mu: DiscreteMeasure) -> Optional[int]:
@@ -348,12 +364,8 @@ def initial_from_spec(obj: dict, where: str = "initial") -> DiscreteMeasure:
 
 
 def _is_grid_size(n) -> bool:
-    """True for an integer >= 1; an integral float such as 4.0 counts, a bool does not."""
-    if isinstance(n, bool):
-        return False
-    if isinstance(n, float):
-        return n >= 1 and n.is_integer()
-    return isinstance(n, numbers.Integral) and n >= 1
+    """``is_count``, or an integral float such as 4.0, as JSON may write one."""
+    return is_count(n) or (isinstance(n, float) and n >= 1 and n.is_integer())
 
 
 def pvf_from_json(obj: dict) -> PvfSpec:

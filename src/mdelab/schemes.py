@@ -40,13 +40,20 @@ for a lattice lift (its binned velocities can collide), and for the
 lift's base only where that base can differ from the node the step
 started from.  The node is passed to the constructor as the base of a
 graph field's lift, and of a splitting lift whose median splits
-exactly, and is taken when the lift keeps every row and weight, under
-``lagrangian`` and ``las`` alike; it is always the base of a
-``mean-velocity`` lift.  So a step runs the kernel once under
+exactly or moves whole, and is taken when the lift keeps every row and
+weight, under ``lagrangian`` and ``las`` alike; it is always the base of
+a ``mean-velocity`` lift.  So a step runs the kernel once under
 ``lagrangian`` and twice under ``las`` for those rules, once under
 ``mean-velocity`` for every rule, and once more for the base of a
 constant fiber's lift; the run records the node it started from as
 node k.
+
+A lift whose weights are the node's own array takes no weight test: a
+graph field's, and a splitting lift's whose median atom moves right
+whole with its own weight, as a torn dyadic block's does at every step.
+Such a splitting step runs no ``measures._unit`` (the weight total and
+floor) under ``lagrangian`` or ``las``; one whose median splits runs it
+once, on the lift's fresh weights.
 """
 
 from __future__ import annotations
@@ -66,7 +73,7 @@ from .measures import (
     fiber_means,
     support_radius,
 )
-from .pvf import MAX_ATOMS, PvfSpec, _lift_rows, eval_pvf, lift_size_bound
+from .pvf import MAX_ATOMS, PvfSpec, _lift_rows, eval_pvf, is_count, lift_size_bound
 from .tolerances import AGREE_TOL, CELL_TOL, MERGE_TOL, PRUNE_FLOOR_MAX
 
 LAS = "las"
@@ -91,8 +98,7 @@ class GridSpec:
     def __post_init__(self):
         if not 0 < self.T < math.inf:
             raise ValueError("T must be positive and finite")
-        if not (isinstance(self.N, (int, np.integer)) and not isinstance(self.N, bool)
-                and self.N >= 1):
+        if not is_count(self.N):
             raise ValueError("N must be a positive integer")
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "N", int(self.N))
@@ -123,11 +129,11 @@ class GridSpec:
 class SchemeConfig:
     """Which scheme to run and with what housekeeping parameters.
 
-    ``max_atoms`` caps the atoms of each step.  Every scheme compares it
-    with the lift size that ``pvf.lift_size_bound`` predicts, so a step
-    that would blow up is refused before its atoms are built;
-    canonicalization may merge some afterwards.  A custom rule is checked
-    after evaluation.  A node has at most the atoms of its lift.
+    ``max_atoms``, a positive integer, caps the atoms of each step.  Every
+    scheme compares it with the lift size that ``pvf.lift_size_bound``
+    predicts, so a step that would blow up is refused before its atoms are
+    built; canonicalization may merge some afterwards.  A custom rule is
+    checked after evaluation.  A node has at most the atoms of its lift.
     """
 
     scheme: str
@@ -143,8 +149,8 @@ class SchemeConfig:
             raise ValueError("coalesce_tol must be >= 0")
         if not 0.0 <= self.prune_floor <= PRUNE_FLOOR_MAX:
             raise ValueError(f"prune_floor must lie in [0, {PRUNE_FLOOR_MAX:g}]")
-        if self.max_atoms < 1:
-            raise ValueError("max_atoms must be >= 1")
+        if not is_count(self.max_atoms):
+            raise ValueError("max_atoms must be a positive integer")
 
 
 @dataclass(frozen=True, eq=False)

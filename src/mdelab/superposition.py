@@ -38,7 +38,7 @@ from .measures import (
     fiber_means,
     match_rows,
 )
-from .pvf import PvfSpec, barycentric_field
+from .pvf import PvfSpec, barycentric_field, is_count
 from .schemes import MeasurePath, locate_time
 from .tolerances import AGREE_TOL, MERGE_TOL
 
@@ -178,12 +178,14 @@ def build_representation(path: MeasurePath, max_curves: int = 1_000_000) -> Traj
     """Reconstruct a run as a trajectory ensemble from its interval data.
 
     The count of glued pairs before merging (see ``_glued_pairs``) is
-    computed from the path first; past ``max_curves`` it raises
-    SupportBlowupError before any curve is built.  The first interval's
-    lifted measure then seeds the bundle, one segment per atom, and each
-    later interval is glued on by ``concat_merge`` with the recorded node
-    measure as the joint.
+    computed from the path first; past ``max_curves``, a positive integer,
+    it raises SupportBlowupError before any curve is built.  The first
+    interval's lifted measure then seeds the bundle, one segment per atom,
+    and each later interval is glued on by ``concat_merge`` with the
+    recorded node measure as the joint.
     """
+    if not is_count(max_curves):
+        raise ValueError("max_curves must be a positive integer")
     pairs = _glued_pairs(path)
     if pairs > max_curves:
         raise SupportBlowupError(f"{pairs:.0f} curves exceed the cap of {max_curves}")

@@ -9,16 +9,17 @@ duals bounds the optimum from below), brute-force vertex enumeration, and
 the row-at-a-time greedy grouping scan that defines canonical-form
 merging, so agreement with the package is meaningful.
 
-The loop references at the end (the splitting lift, curve gluing and the
-weak residual) are the per-atom and per-pair loops that the package's
-whole-array kernels replace.  They take plain arrays and use the same
-floating-point operations in the same order, so the kernels must match
-them bit for bit.  The per-fiber means are the exception: the reference
-merges and normalizes each fiber first, so it agrees with the kernel
-within a stated bound.  The per-value artifact writers are the references
-for the whole-table CSV and JSON formatting in the same way, and the
-transportation simplex that re-hangs the whole tree and prices every cell
-at every pivot is the reference for the package's solver.
+The loop references at the end (the splitting lift and its median,
+curve gluing and the weak residual) are the per-atom and per-pair loops,
+or the earlier forms, that the package's whole-array kernels replace.
+They take plain arrays and use the same floating-point operations in the
+same order, so the kernels must match them bit for bit.  The per-fiber
+means are the exception: the reference merges and normalizes each fiber
+first, so it agrees with the kernel within a stated bound.  The
+per-value artifact writers are the references for the whole-table CSV
+and JSON formatting in the same way, and the transportation simplex that
+re-hangs the whole tree and prices every cell at every pivot is the
+reference for the package's solver.
 """
 
 import itertools
@@ -531,6 +532,26 @@ def splitting_lift_rows(atoms, weights, B, eta, cdf_left):
     w[i] = max(0.5 - cdf_left, 0.0)
     w[i + 1] = eta
     return pos, vel, w
+
+
+def median_argmax(weights, cdf_tol):
+    """The weighted median of positive 1-D weights as (index, eta, mass_at_B,
+    cdf_left_of_B), by the first index whose cumsum exceeds 1/2 + ``cdf_tol``
+    found with ``argmax`` over a boolean mask and tested again (the last
+    index when none does).  Near the tie the mass left of B is summed with
+    ``math.fsum`` unless the cumsum lands on 1/2 itself.
+    """
+    cdf = weights.cumsum()
+    idx = int((cdf > 0.5 + cdf_tol).argmax())
+    if not cdf[idx] > 0.5 + cdf_tol:
+        idx = len(weights) - 1
+    eta = float(cdf[idx] - 0.5)
+    mass = float(weights[idx])
+    left = float(cdf[idx] - mass)
+    if left != 0.5 and abs(0.5 - left) <= cdf_tol:
+        left = math.fsum(weights[:idx].tolist())
+        eta = mass - (0.5 - left)
+    return idx, eta, mass, left
 
 
 def glue_loop(head_knots, head_weights, h_at, tail_velocities, tail_weights, t_at,

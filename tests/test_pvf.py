@@ -13,6 +13,8 @@ from mdelab import (
     DimMismatchError,
     GRAPH_FIELDS,
     GraphPvf,
+    GridSpec,
+    SchemeConfig,
     SplittingParticlePvf,
     barycentric_field,
     base_of,
@@ -23,10 +25,12 @@ from mdelab import (
     pvf_from_json,
     pvf_to_json,
     quantile_uniform,
+    run_scheme,
     sublinearity_bound,
 )
 from mdelab.measures import _derive, disintegrate
-from mdelab.pvf import _median
+from mdelab.pvf import _lift_rows, _median
+from mdelab.tolerances import CDF_TOL
 
 SPLIT = SplittingParticlePvf()
 PM1 = make_measure([[-1.0], [1.0]], [0.5, 0.5])
@@ -256,6 +260,50 @@ def test_splitting_lift_matches_loop_reference(mu):
         mu.atoms[:, 0], mu.weights, md.B, md.eta, md.cdf_left_of_B
     )
     assert eval_pvf(SPLIT, mu) == make_lifted(pos, vel, w)
+
+
+@st.composite
+def splitting_routes(draw):
+    """1-D measures on every route of the splitting lift: dyadic blocks of
+    2^k equal atoms torn by a few steps (the median atom moves whole),
+    random weights, the 100- and 600-equal-atom near-ties, and a dirac
+    start (the median splits) with the steps after it."""
+    kind = draw(st.sampled_from(["torn", "random", "near-tie", "dirac"]))
+    if kind == "random":
+        return draw(split_inputs())
+    a = draw(sts.dyadic)
+    if kind == "torn":
+        mu = quantile_uniform(a, a + 1.0, 2 ** draw(st.integers(0, 9)))
+    elif kind == "near-tie":
+        mu = quantile_uniform(a, a + 1.0, draw(st.sampled_from([100, 600])))
+    else:
+        mu = dirac(a)
+    steps = draw(st.integers(0, 3))
+    if steps:
+        cfg = SchemeConfig(scheme="lagrangian", grid=GridSpec(T=steps / 8, N=steps))
+        mu = run_scheme(SPLIT, mu, cfg).measures[-1]
+    return mu
+
+
+@given(splitting_routes())
+@example(dirac(0.0))  # the median splits
+@example(quantile_uniform(0.0, 1.0, 256))  # moves whole
+@example(m1([0.0, 1.0, 2.0], [0.5 + 3e-16, 0.25, 0.25 - 3e-16]))  # moves whole, lighter
+@example(quantile_uniform(0.0, 1.0, 100))
+@example(quantile_uniform(0.0, 1.0, 600))
+def test_splitting_lift_is_the_checked_lift_of_its_rows(mu):
+    # the median is the argmax form's; the lift is the public constructor's
+    # on the same rows, bit for bit; and the lift adopts mu's weights array
+    # exactly when the median atom moves right whole with its own weight
+    ref = oracles.median_argmax(mu.weights, CDF_TOL)
+    assert _median(mu) == ref
+    _, eta, mass, left = ref
+    lift = eval_pvf(SPLIT, mu)
+    checked = make_lifted(*_lift_rows(SPLIT, mu)[:3])
+    for a, b in [(lift.positions, checked.positions), (lift.velocities, checked.velocities),
+                 (lift.weights, checked.weights)]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (lift.weights is mu.weights) == (left >= 0.5 and eta == mass)
 
 
 def test_torn_block_lagrangian_step_builds_n_lift_rows(monkeypatch):

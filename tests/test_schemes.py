@@ -29,7 +29,7 @@ from mdelab import (
     w1_distance,
 )
 from mdelab import measures, schemes
-from mdelab.pvf import GRAPH_FIELDS
+from mdelab.pvf import GRAPH_FIELDS, _median
 from mdelab.schemes import snap_space
 from mdelab.tolerances import WEIGHT_FLOOR
 
@@ -77,6 +77,12 @@ def test_scheme_config_validation():
         SchemeConfig(scheme=LAS, grid=GridSpec(T=1.0, N=4), coalesce_tol=-1.0)
     with pytest.raises(ValueError):
         SchemeConfig(scheme=LAS, grid=GridSpec(T=1.0, N=4), coalesce_tol=float("nan"))
+    # a cap that no count exceeds (NaN), a bool and a non-integer are refused
+    for cap in (0, float("nan"), True, 2.5, 100.0, "100"):
+        with pytest.raises(ValueError) as info:
+            SchemeConfig(scheme=LAS, grid=GridSpec(T=1.0, N=4), max_atoms=cap)
+        assert str(info.value) == "max_atoms must be a positive integer"
+    assert SchemeConfig(scheme=LAS, grid=GridSpec(T=1.0, N=4), max_atoms=np.int64(5)).max_atoms == 5
 
 
 def test_snap_space_examples():
@@ -346,6 +352,50 @@ def counted_kernel(monkeypatch) -> list:
 
     monkeypatch.setattr(measures, "_canonical", counted)
     return calls
+
+
+def counted_unit(monkeypatch) -> list:
+    """Record the group masses of every call of the kernel's weight tests."""
+    calls = []
+    unit = measures._unit
+
+    def counted(total, mass, *args):
+        calls.append(mass)
+        return unit(total, mass, *args)
+
+    monkeypatch.setattr(measures, "_unit", counted)
+    return calls
+
+
+@pytest.mark.parametrize("scheme", [LAGRANGIAN, LAS])
+@pytest.mark.parametrize("mu0, expected", [
+    (dirac(0.0), [False] + [True] * 7),  # splits exactly, then moves whole
+    (quantile_uniform(0.0, 1.0, 256), [True] * 8),  # a dyadic block, torn at every step
+    (make_measure([[0.0], [0.25], [0.5]], [0.3, 0.3, 0.4]), [False] + [True] * 7),
+    # B moves right whole, but lighter than its own weight by roundoff
+    (make_measure([[0.0], [0.25], [0.5]], [0.5 + 3e-16, 0.25, 0.25 - 3e-16]), [False] * 8),
+], ids=["dirac", "block", "three", "lighter"])
+def test_a_splitting_step_tests_weights_only_where_its_median_splits(monkeypatch, scheme, mu0,
+                                                                     expected):
+    # A median atom that moves right whole with its own weight leaves the
+    # node's weights as they are: the lift adopts the node's array and runs
+    # no weight test, and nor does the node after it.  A split makes fresh
+    # weights, tested once.
+    config = cfg(scheme, N=8)
+    step = schemes._STEPS[scheme]
+    mu = snap_space(mu0, config.grid) if scheme == LAS else mu0
+    calls = counted_unit(monkeypatch)
+    seen = []
+    for _ in range(config.grid.N):
+        _, eta, mass, left = _median(mu)
+        whole = left >= 0.5 and eta == mass
+        calls.clear()
+        lift, nxt, _ = step(SPLIT, mu, config)
+        assert len(calls) == (0 if whole else 1)
+        assert (lift.weights is mu.weights) == whole
+        seen.append(whole)
+        mu = nxt
+    assert seen == expected
 
 
 def test_mean_velocity_builds_no_measure_per_fiber(monkeypatch):

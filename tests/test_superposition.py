@@ -275,6 +275,11 @@ def test_build_representation_curve_cap(monkeypatch):
     for cap in (7, 15):
         with pytest.raises(SupportBlowupError):
             build_representation(path, max_curves=cap)
+    # a cap that no count exceeds (NaN), a bool and a non-integer are refused
+    for cap in (0, float("nan"), True, 15.5, 16.0):
+        with pytest.raises(ValueError) as info:
+            build_representation(path, max_curves=cap)
+        assert str(info.value) == "max_curves must be a positive integer"
 
 
 @given(
