@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -119,7 +120,10 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
 
     Exact rows pass ``mu`` to the constructor as the lift's base, which is
     then not computed when the lift keeps every row and weight; a
-    splitting lift also passes its rule (see ``_is_lift``).
+    splitting lift also passes its rule (see ``_is_lift``).  Splitting
+    lifts of measures that share one weights array share its velocity
+    column (and on the split route its weights), computed once: both are
+    functions of the read-only weights alone (see ``_lift_rows``).
     """
     if isinstance(spec, CustomPvf):
         out = spec.evaluate(mu)
@@ -160,20 +164,30 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
     ``eval_pvf`` returns.
 
     The columns are what ``measures._derive`` adopts: the velocity column
-    is fresh, or a read-only canonical array; the position column is fresh
-    or ``mu.atoms`` itself; the weights are fresh, read-only canonical
-    weights, or ``mu.weights`` itself: a graph field's, and the splitting
-    rule's when the median atom moves right whole with its own weight, so
-    that its rows' weights are ``mu``'s bit for bit.  No column holds
-    -0.0, except a graph field's velocities, which ``_derive`` checks.
+    is fresh, or a read-only array; the position column is fresh or
+    ``mu.atoms`` itself; the weights are fresh, read-only, or ``mu.weights``
+    itself: a graph field's, and the splitting rule's when the median atom
+    moves right whole with its own weight, so that its rows' weights are
+    ``mu``'s bit for bit.  No column holds -0.0, except a graph field's
+    velocities, which ``_derive`` checks.
     A shipped rule's rows are in canonical order, as ``_derive`` needs
     for ``ordered``: lexicographically sorted and pairwise farther than
     ``MERGE_TOL`` apart.  Their positions are ``mu``'s canonical atoms,
-    which are.  A graph field gives one row per atom.  The splitting rule repeats only
-    the median row, with velocities -1 < +1, which lie 2 apart.  A
-    constant fiber gives the rows (x_i, omega_j) in i-major order over two
-    canonical measures, so the rows at one position are omega's atoms in
-    order."""
+    which are.  A graph field gives one row per atom.  The splitting rule
+    repeats only the median row, with velocities -1 < +1, which lie 2
+    apart.  A constant fiber gives the rows (x_i, omega_j) in i-major
+    order over two canonical measures, so the rows at one position are
+    omega's atoms in order.
+
+    The splitting rule's velocity and weight columns and its exactness
+    flag are functions of ``mu.weights`` alone, on both routes: the median
+    split (i, s) fixes the velocities, and with the median's two parts the
+    weights.  Canonical weights are read-only, so ``_split`` keeps these
+    for the last weights array it saw, by identity, and a measure on the
+    same array (the next node of a run whose median atom moves whole, or
+    the same node lifted again) reuses them, read-only and shared, with no
+    median search.  The dimension check runs first and the positions come
+    from ``mu.atoms`` on every call."""
     if isinstance(spec, GraphPvf):
         vels = []
         for x in mu.atoms:
@@ -201,43 +215,80 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
     if isinstance(spec, SplittingParticlePvf):
         if mu.dim != 1:
             raise DimMismatchError("the splitting rule needs a 1-D measure")
-        i, eta, mass, left_of_B = _median(mu)
-        left = max(0.5 - left_of_B, 0.0)
-        # The median atom B = x_i splits into row i, its 1/2 - cdf_left
-        # leftward mass, and row i + 1, its eta rightward mass.  When the
-        # mass left of B reaches 1/2 (or exceeds it by roundoff below
-        # CDF_TOL) the leftward part is 0, and B moves right whole in one
-        # row (s = 0), so the positions are mu's atoms themselves; when its
-        # row also carries B's own weight (eta == mass), the weights are
-        # mu's too, and mu's array is handed over.  The rows come out in
-        # canonical order, so canonicalization neither sorts nor groups
-        # them.  The split is exact when the two parts add back to B's
-        # weight in floats.
-        n = mu.natoms
-        s = int(left > 0.0)
-        vel = np.empty((n + s, 1))
-        vel[:i + s] = -1.0
-        vel[i + s:] = 1.0
-        if not s and eta == mass:
-            return mu.atoms, vel, mu.weights, True
-        if s:
-            pos = np.empty((n + 1, 1))
-            pos[:i + 1] = mu.atoms[:i + 1]
-            pos[i + 1:] = mu.atoms[i:]
-        else:
-            pos = mu.atoms
-        w = np.empty(n + s)
-        w[:i + 1] = mu.weights[:i + 1]
-        w[i + s:] = mu.weights[i:]
-        w[i] = left
-        w[i + s] = eta
-        return pos, vel, w, left + eta == mass
+        i, s, vel, w, exact = _split(mu)
+        if not s:
+            return mu.atoms, vel, w, exact
+        pos = np.empty((mu.natoms + 1, 1))
+        pos[:i + 1] = mu.atoms[:i + 1]
+        pos[i + 1:] = mu.atoms[i:]
+        return pos, vel, w, exact
 
     if isinstance(spec, CustomPvf):
         out = eval_pvf(spec, mu)
         return out.positions, out.velocities, out.weights, False
 
     raise TypeError(f"not a velocity-fiber rule: {spec!r}")
+
+
+#: What the last weights array ``_split`` saw fixes: that array, its
+#: velocity column and its lift's weights (the array itself, or the
+#: two-part column), each by weak reference, so that no finished run's
+#: arrays stay alive, then the median split (i, s) and the exactness flag.
+_split_memo: Optional[tuple] = None
+
+
+def _split(mu: DiscreteMeasure) -> tuple[int, int, np.ndarray, np.ndarray, bool]:
+    """The splitting lift of ``mu`` as far as its weights fix it: the median
+    index i, s = 1 when the median atom splits in two rows and 0 when it
+    moves right whole in one, the velocity column, the weights, and whether
+    the rows are exact.
+
+    The weights are ``mu.weights`` itself, or a fresh column with the two
+    parts of the median atom; both columns are read-only.  None of these
+    reads ``mu.atoms``, so they are kept for the last weights array seen,
+    keyed by its identity: canonical weights are read-only, so an array
+    seen again holds the same values, and the columns and the flag are the
+    ones computed from them.  The nodes of a run whose median atom moves
+    right whole with its own weight share the first node's array, so the
+    median and the columns are computed once per run.
+    """
+    global _split_memo
+    memo = _split_memo
+    if memo is not None:
+        key, vel_ref, w_ref, i, s, exact = memo
+        if key() is mu.weights:
+            vel, w = vel_ref(), w_ref()
+            if vel is not None and w is not None:
+                return i, s, vel, w, exact
+    i, eta, mass, left_of_B = _median(mu)
+    left = max(0.5 - left_of_B, 0.0)
+    # The median atom B = x_i splits into row i, its 1/2 - cdf_left
+    # leftward mass, and row i + 1, its eta rightward mass.  When the mass
+    # left of B reaches 1/2 (or exceeds it by roundoff below CDF_TOL) the
+    # leftward part is 0, and B moves right whole in one row (s = 0), so
+    # the positions are mu's atoms themselves; when its row also carries
+    # B's own weight (eta == mass), the weights are mu's too, and mu's
+    # array is handed over.  The rows come out in canonical order, so
+    # canonicalization neither sorts nor groups them.  The split is exact
+    # when the two parts add back to B's weight in floats.
+    n = mu.natoms
+    s = int(left > 0.0)
+    vel = np.empty((n + s, 1))
+    vel[:i + s] = -1.0
+    vel[i + s:] = 1.0
+    vel.setflags(write=False)
+    if not s and eta == mass:
+        w, exact = mu.weights, True
+    else:
+        w = np.empty(n + s)
+        w[:i + 1] = mu.weights[:i + 1]
+        w[i + s:] = mu.weights[i:]
+        w[i] = left
+        w[i + s] = eta
+        w.setflags(write=False)
+        exact = left + eta == mass
+    _split_memo = (weakref.ref(mu.weights), weakref.ref(vel), weakref.ref(w), i, s, exact)
+    return i, s, vel, w, exact
 
 
 #: The default cap on the atoms of a scheme step (``SchemeConfig.max_atoms``),

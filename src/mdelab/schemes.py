@@ -53,7 +53,13 @@ graph field's, and a splitting lift's whose median atom moves right
 whole with its own weight, as a torn dyadic block's does at every step.
 Such a splitting step runs no ``measures._unit`` (the weight total and
 floor) under ``lagrangian`` or ``las``; one whose median splits runs it
-once, on the lift's fresh weights.
+once, on the lift's fresh weights.  Its next node then holds the same
+weights array, and the splitting rule keeps what that array fixes (the
+median split, the velocity column and the exactness flag, see
+``pvf._lift_rows``), so such a run finds the median once: a torn block's
+later steps, and a ``splitting-dirac`` run's after its first split, run
+no median search and build no velocity column, and their lifts share
+one read-only velocity column.
 """
 
 from __future__ import annotations
@@ -96,14 +102,14 @@ class GridSpec:
     dv: float = None  # type: ignore[assignment]  # filled in __post_init__
 
     def __post_init__(self):
-        if not 0 < self.T < math.inf:
+        if isinstance(self.T, bool) or not 0 < self.T < math.inf:
             raise ValueError("T must be positive and finite")
         if not is_count(self.N):
             raise ValueError("N must be a positive integer")
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "N", int(self.N))
         dv = 1.0 / self.N if self.dv is None else float(self.dv)
-        if not 0 < dv < math.inf:
+        if isinstance(self.dv, bool) or not 0 < dv < math.inf:
             raise ValueError("dv must be positive and finite")
         object.__setattr__(self, "dv", dv)
         if abs(self.N * self.dt - self.T) > MERGE_TOL * max(1.0, self.T):
@@ -145,9 +151,9 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not self.coalesce_tol >= 0:
+        if isinstance(self.coalesce_tol, bool) or not self.coalesce_tol >= 0:
             raise ValueError("coalesce_tol must be >= 0")
-        if not 0.0 <= self.prune_floor <= PRUNE_FLOOR_MAX:
+        if isinstance(self.prune_floor, bool) or not 0.0 <= self.prune_floor <= PRUNE_FLOOR_MAX:
             raise ValueError(f"prune_floor must lie in [0, {PRUNE_FLOOR_MAX:g}]")
         if not is_count(self.max_atoms):
             raise ValueError("max_atoms must be a positive integer")

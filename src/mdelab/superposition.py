@@ -114,12 +114,18 @@ def concat_merge(
     m (a / m_head)(b / m_tail); this conditional-independence pairing
     preserves both marginals.
     """
+    return _glue(head, tail, t_end, joint, match_rows(tail.positions, joint.atoms, MERGE_TOL))
+
+
+def _glue(head: TrajectoryEnsemble, tail: LiftedMeasure, t_end: float, joint: DiscreteMeasure,
+          t_at: np.ndarray) -> TrajectoryEnsemble:
+    """``concat_merge`` given ``t_at``, the joint atom each segment of
+    ``tail`` starts on (``match_rows`` of its positions, -1 for none)."""
     dt = t_end - head.times[-1]
     if not dt > 0:
         raise ValueError(f"need t_end > {head.times[-1]:g}, got {t_end:g}")
     end_pts = head.knots[:, -1, :]
     h_at = match_rows(end_pts, joint.atoms, MERGE_TOL)
-    t_at = match_rows(tail.positions, joint.atoms, MERGE_TOL)
     if np.any(h_at < 0) or np.any(t_at < 0):
         raise EndpointMismatchError("a curve endpoint matches no joint atom")
     m_head = np.bincount(h_at, weights=head.weights, minlength=joint.natoms)
@@ -152,8 +158,10 @@ def concat_merge(
     return TrajectoryEnsemble(times=times, weights=weights, knots=knots)
 
 
-def _glued_pairs(path: MeasurePath) -> float:
-    """Number of (curve, segment) pairs that gluing the whole path makes.
+def _glued_pairs(path: MeasurePath) -> tuple[float, list[np.ndarray]]:
+    """Number of (curve, segment) pairs that gluing the whole path makes,
+    and for each interval k >= 1 the atom of node k each lift atom starts
+    on, as ``concat_merge`` matches it.
 
     Carries the count of curves through each lift atom from node to node:
     at node k the curves ending on an atom continue along every lift atom
@@ -163,6 +171,7 @@ def _glued_pairs(path: MeasurePath) -> float:
     """
     times, nodes, lifts = path.times, path.measures, path.interp
     through = np.ones(lifts[0].natoms)
+    starts = []
     for k in range(1, len(lifts)):
         prev = lifts[k - 1]
         ends = prev.positions + (times[k] - times[k - 1]) * prev.velocities
@@ -171,7 +180,8 @@ def _glued_pairs(path: MeasurePath) -> float:
         if np.any(end_at < 0) or np.any(start_at < 0):
             raise EndpointMismatchError(f"a curve endpoint matches no atom of node {k}")
         through = np.bincount(end_at, weights=through, minlength=nodes[k].natoms)[start_at]
-    return float(through.sum())
+        starts.append(start_at)
+    return float(through.sum()), starts
 
 
 def build_representation(path: MeasurePath, max_curves: int = 1_000_000) -> TrajectoryEnsemble:
@@ -181,12 +191,13 @@ def build_representation(path: MeasurePath, max_curves: int = 1_000_000) -> Traj
     computed from the path first; past ``max_curves``, a positive integer,
     it raises SupportBlowupError before any curve is built.  The first
     interval's lifted measure then seeds the bundle, one segment per atom,
-    and each later interval is glued on by ``concat_merge`` with the
-    recorded node measure as the joint.
+    and each later interval is glued on as ``concat_merge`` glues it, with
+    the recorded node measure as the joint; the segment starts are the
+    ones the count matched, not matched again.
     """
     if not is_count(max_curves):
         raise ValueError("max_curves must be a positive integer")
-    pairs = _glued_pairs(path)
+    pairs, starts = _glued_pairs(path)
     if pairs > max_curves:
         raise SupportBlowupError(f"{pairs:.0f} curves exceed the cap of {max_curves}")
     times, first = path.times, path.interp[0]
@@ -194,7 +205,7 @@ def build_representation(path: MeasurePath, max_curves: int = 1_000_000) -> Traj
     knots = np.stack([first.positions, ends], axis=1)
     ens = TrajectoryEnsemble(times=times[:2], weights=first.weights, knots=knots)
     for k in range(1, len(path.interp)):
-        ens = concat_merge(ens, path.interp[k], times[k + 1], path.measures[k])
+        ens = _glue(ens, path.interp[k], times[k + 1], path.measures[k], starts[k - 1])
     return ens
 
 

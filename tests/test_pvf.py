@@ -1,4 +1,5 @@
 from collections import namedtuple
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from mdelab import (
     run_scheme,
     sublinearity_bound,
 )
+from mdelab import pvf
 from mdelab.measures import _derive, disintegrate
 from mdelab.pvf import _lift_rows, _median
 from mdelab.tolerances import CDF_TOL
@@ -345,6 +347,69 @@ def test_torn_block_lagrangian_step_builds_n_lift_rows(monkeypatch):
         ]:
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         mu = nxt
+
+
+@contextmanager
+def unmemoized():
+    """A context in which the splitting rule forgets the weights it has
+    seen before every evaluation, so each lift computes its median and
+    columns afresh."""
+    split = pvf._split
+
+    def fresh(mu):
+        pvf._split_memo = None
+        return split(mu)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pvf, "_split", fresh)
+        yield
+
+
+def lift_bits(lift):
+    return [(a.shape, a.tobytes()) for a in (lift.positions, lift.velocities, lift.weights)]
+
+
+def path_bits(path):
+    return ([bits(mu) for mu in path.measures], [lift_bits(lift) for lift in path.interp],
+            path.pruned_mass)
+
+
+@given(splitting_routes())
+@example(dirac(0.0))
+@example(quantile_uniform(0.0, 1.0, 256))
+@example(quantile_uniform(0.0, 1.0, 100))
+@example(quantile_uniform(0.0, 1.0, 600))
+@example(m1([0.0, 1.0, 2.0], [0.5 + 3e-16, 0.25, 0.25 - 3e-16]))  # B lighter than its weight
+def test_a_splitting_run_is_the_same_with_its_memo_emptied_before_every_lift(mu):
+    # the memo keeps what a weights array fixes; a run that finds it at
+    # every step and one that computes it afresh are the same bit for bit
+    for scheme in ("lagrangian", "las", "mean-velocity"):
+        cfg = SchemeConfig(scheme=scheme, grid=GridSpec(T=1.0, N=6))
+        kept = path_bits(run_scheme(SPLIT, mu, cfg))
+        with unmemoized():
+            assert path_bits(run_scheme(SPLIT, mu, cfg)) == kept
+
+
+def test_measures_sharing_weights_but_not_atoms_lift_to_their_own_rows():
+    # nodes k and k + 1 of a torn block hold one weights array on atoms
+    # that moved: the second lift reuses the first's columns, and each is
+    # the lift computed afresh
+    path = run_scheme(SPLIT, quantile_uniform(0.0, 1.0, 256),
+                      SchemeConfig(scheme="lagrangian", grid=GridSpec(T=1.0, N=4)))
+    for k in range(4):
+        a, b = path.measures[k], path.measures[k + 1]
+        assert a.weights is b.weights and not np.array_equal(a.atoms, b.atoms)
+        lifts = [eval_pvf(SPLIT, a), eval_pvf(SPLIT, b)]
+        assert lifts[0].velocities is lifts[1].velocities
+        with unmemoized():
+            fresh = [eval_pvf(SPLIT, a), eval_pvf(SPLIT, b)]
+        assert [lift_bits(lift) for lift in lifts] == [lift_bits(lift) for lift in fresh]
+        assert all(base_of(lift) is mu for lift, mu in zip(lifts, (a, b)))
+    # the shared columns are read-only before any lift adopts them, as the
+    # rows las bins are never adopted
+    for mu in (dirac(0.0), path.measures[0]):
+        _, vel, w, _ = _lift_rows(SPLIT, mu)
+        assert not (vel.flags.writeable or w.flags.writeable)
 
 
 def bits(mu):

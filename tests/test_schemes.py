@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,7 @@ from mdelab import (
     support_radius,
     w1_distance,
 )
-from mdelab import measures, schemes
+from mdelab import measures, pvf, schemes
 from mdelab.pvf import GRAPH_FIELDS, _median
 from mdelab.schemes import snap_space
 from mdelab.tolerances import WEIGHT_FLOOR
@@ -66,6 +69,16 @@ def test_grid_spec_defaults_and_validation():
     ):
         with pytest.raises(ValueError):
             GridSpec(**bad)
+    # a bool is refused as a time or a step, as a Scenario refuses it,
+    # though Python would read it as 0 or 1
+    for bad, message in [
+        (dict(T=True, N=2), "T must be positive and finite"),
+        (dict(T=1.0, N=2, dv=True), "dv must be positive and finite"),
+        (dict(T=1.0, N=2, dv=False), "dv must be positive and finite"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            GridSpec(**bad)
+        assert str(info.value) == message
 
 
 def test_scheme_config_validation():
@@ -83,6 +96,15 @@ def test_scheme_config_validation():
             SchemeConfig(scheme=LAS, grid=GridSpec(T=1.0, N=4), max_atoms=cap)
         assert str(info.value) == "max_atoms must be a positive integer"
     assert SchemeConfig(scheme=LAS, grid=GridSpec(T=1.0, N=4), max_atoms=np.int64(5)).max_atoms == 5
+    # and so is a bool for either housekeeping parameter
+    for bad, message in [
+        (dict(coalesce_tol=True), "coalesce_tol must be >= 0"),
+        (dict(coalesce_tol=False), "coalesce_tol must be >= 0"),
+        (dict(prune_floor=False), "prune_floor must lie in [0, 1e-06]"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            SchemeConfig(scheme=LAS, grid=GridSpec(T=1.0, N=4), **bad)
+        assert str(info.value) == message
 
 
 def test_snap_space_examples():
@@ -396,6 +418,31 @@ def test_a_splitting_step_tests_weights_only_where_its_median_splits(monkeypatch
         seen.append(whole)
         mu = nxt
     assert seen == expected
+
+
+def test_a_torn_block_run_finds_its_median_once_and_keeps_nothing_alive(monkeypatch):
+    # every node of a torn block holds the first node's weights array, so
+    # the median and the velocity column are computed once per run, and
+    # every lift shares that read-only column; the rule keeps them only by
+    # weak reference, so they go with the path
+    calls = [0]
+    median = pvf._median
+
+    def counted(mu):
+        calls[0] += 1
+        return median(mu)
+
+    monkeypatch.setattr(pvf, "_median", counted)
+    path = run_scheme(SPLIT, quantile_uniform(0.0, 1.0, 256), cfg(LAGRANGIAN, N=256))
+    assert calls == [1]
+    vel = path.interp[0].velocities
+    assert not vel.flags.writeable
+    assert all(lift.velocities is vel for lift in path.interp)
+    assert all(mu.weights is path.measures[0].weights for mu in path.measures)
+    refs = [weakref.ref(path.measures[0].weights), weakref.ref(vel)]
+    del path, vel
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_mean_velocity_builds_no_measure_per_fiber(monkeypatch):

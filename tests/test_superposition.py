@@ -267,9 +267,10 @@ def test_binomial_curve_count_is_product_structure():
 
 def test_build_representation_curve_cap(monkeypatch):
     def never(*args):
-        raise AssertionError("concat_merge ran before the curve cap")
+        raise AssertionError("gluing ran before the curve cap")
 
     monkeypatch.setattr(superposition, "concat_merge", never)
+    monkeypatch.setattr(superposition, "_glue", never)
     path = run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, N=4))
     # 2**4 curves: the cap fires on the exact count, one below it too
     for cap in (7, 15):
@@ -290,7 +291,43 @@ def test_build_representation_curve_cap(monkeypatch):
 )
 def test_glued_pair_count_is_the_curve_count(scheme, spec, mu0, n):
     path = run_scheme(spec, mu0, cfg(scheme, N=n))
-    assert superposition._glued_pairs(path) == build_representation(path).ncurves
+    assert superposition._glued_pairs(path)[0] == build_representation(path).ncurves
+
+
+def glued_by_concat_merge(path):
+    """The bundle of a path glued interval by interval with the public
+    ``concat_merge``, which matches the segment starts itself."""
+    times, first = path.times, path.interp[0]
+    ends = first.positions + (times[1] - times[0]) * first.velocities
+    ens = TrajectoryEnsemble(times=times[:2], weights=first.weights,
+                             knots=np.stack([first.positions, ends], axis=1))
+    for k in range(1, len(path.interp)):
+        ens = concat_merge(ens, path.interp[k], times[k + 1], path.measures[k])
+    return ens
+
+
+@pytest.mark.parametrize("scheme, spec", [(LAS, BINOMIAL), (LAGRANGIAN, SPLIT), (LAS, SPLIT),
+                                          (LAGRANGIAN, PEANO)],
+                         ids=["las-binomial", "lagrangian-split", "las-split", "peano"])
+def test_a_glued_interval_matches_its_segment_starts_once(monkeypatch, scheme, spec):
+    # the cap count matches each interval's segment starts, and the glue
+    # reuses them: 3 matches per glued interval (curve ends twice, segment
+    # starts once), and the bundle is concat_merge's bit for bit
+    n = 5
+    path = run_scheme(spec, m1([0.0, 0.25, 0.5], [0.2, 0.3, 0.5]), cfg(scheme, N=n))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return match_rows(*args)
+
+    monkeypatch.setattr(superposition, "match_rows", counted)
+    ens = build_representation(path)
+    assert len(calls) == 3 * (n - 1)
+    monkeypatch.undo()
+    ref = glued_by_concat_merge(path)
+    for a, b in [(ens.times, ref.times), (ens.weights, ref.weights), (ens.knots, ref.knots)]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_binomial_bundle_runs_no_transport(monkeypatch):
