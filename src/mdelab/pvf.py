@@ -121,9 +121,10 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
     Exact rows pass ``mu`` to the constructor as the lift's base, which is
     then not computed when the lift keeps every row and weight; a
     splitting lift also passes its rule (see ``_is_lift``).  Splitting
-    lifts of measures that share one weights array share its velocity
-    column (and on the split route its weights), computed once: both are
-    functions of the read-only weights alone (see ``_lift_rows``).
+    lifts of measures that share one weights array, on which the median
+    atom moves right whole with its own weight, share its velocity column,
+    computed once: it is a function of the read-only weights alone (see
+    ``_split``).  A split median's columns are built at every call.
     """
     if isinstance(spec, CustomPvf):
         out = spec.evaluate(mu)
@@ -180,14 +181,15 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
     omega's atoms in order.
 
     The splitting rule's velocity and weight columns and its exactness
-    flag are functions of ``mu.weights`` alone, on both routes: the median
-    split (i, s) fixes the velocities, and with the median's two parts the
-    weights.  Canonical weights are read-only, so ``_split`` keeps these
-    for the last weights array it saw, by identity, and a measure on the
-    same array (the next node of a run whose median atom moves whole, or
-    the same node lifted again) reuses them, read-only and shared, with no
-    median search.  The dimension check runs first and the positions come
-    from ``mu.atoms`` on every call."""
+    flag are functions of ``mu.weights`` alone: the median split fixes the
+    velocities, and with the median's two parts the weights.  Canonical
+    weights are read-only, so where the median atom moves right whole with
+    its own weight ``_split`` keeps the velocity column for the last such
+    weights array, by identity, and a measure on the same array (the next
+    node of such a run, or the same node lifted again) reuses it,
+    read-only and shared, with no median search.  A split's columns are
+    not kept (see ``_split_memo``).  The dimension check runs first and
+    the positions come from ``mu.atoms`` on every call."""
     if isinstance(spec, GraphPvf):
         vels = []
         for x in mu.atoms:
@@ -215,8 +217,8 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
     if isinstance(spec, SplittingParticlePvf):
         if mu.dim != 1:
             raise DimMismatchError("the splitting rule needs a 1-D measure")
-        i, s, vel, w, exact = _split(mu)
-        if not s:
+        i, vel, w, exact = _split(mu)
+        if i is None:
             return mu.atoms, vel, w, exact
         pos = np.empty((mu.natoms + 1, 1))
         pos[:i + 1] = mu.atoms[:i + 1]
@@ -230,36 +232,39 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
     raise TypeError(f"not a velocity-fiber rule: {spec!r}")
 
 
-#: What the last weights array ``_split`` saw fixes: that array, its
-#: velocity column and its lift's weights (the array itself, or the
-#: two-part column), each by weak reference, so that no finished run's
-#: arrays stay alive, then the median split (i, s) and the exactness flag.
+#: The last weights array ``_split`` saw whose median atom moves right
+#: whole with its own weight, and that array's velocity column, each by
+#: weak reference, so that no finished run's arrays stay alive.  Only
+#: this route is kept: its lift's weights are the array itself, which a
+#: run's next node holds too.  A split's columns are not kept: a run does
+#: not lift a split node's array again while the lift holding them lives,
+#: so no lookup found them.
 _split_memo: Optional[tuple] = None
 
 
-def _split(mu: DiscreteMeasure) -> tuple[int, int, np.ndarray, np.ndarray, bool]:
+def _split(mu: DiscreteMeasure) -> tuple[Optional[int], np.ndarray, np.ndarray, bool]:
     """The splitting lift of ``mu`` as far as its weights fix it: the median
-    index i, s = 1 when the median atom splits in two rows and 0 when it
-    moves right whole in one, the velocity column, the weights, and whether
-    the rows are exact.
+    index i when the median atom splits in two rows, None when it moves
+    right whole in one, the velocity column, the weights, and whether the
+    rows are exact.
 
     The weights are ``mu.weights`` itself, or a fresh column with the two
     parts of the median atom; both columns are read-only.  None of these
-    reads ``mu.atoms``, so they are kept for the last weights array seen,
-    keyed by its identity: canonical weights are read-only, so an array
-    seen again holds the same values, and the columns and the flag are the
-    ones computed from them.  The nodes of a run whose median atom moves
-    right whole with its own weight share the first node's array, so the
-    median and the columns are computed once per run.
+    reads ``mu.atoms``.  Where the median atom moves right whole with its
+    own weight, the weights are ``mu``'s array and the rows are exact, so
+    the velocity column is kept for that array, keyed by its identity:
+    canonical weights are read-only, so an array seen again holds the same
+    values and the column computed from them.  The nodes of such a run
+    share the first node's array, so the median and the column are
+    computed once per run.  A median that splits, or moves whole lighter
+    than its weight, is found afresh at every call (see ``_split_memo``).
     """
     global _split_memo
-    memo = _split_memo
-    if memo is not None:
-        key, vel_ref, w_ref, i, s, exact = memo
-        if key() is mu.weights:
-            vel, w = vel_ref(), w_ref()
-            if vel is not None and w is not None:
-                return i, s, vel, w, exact
+    if _split_memo is not None:
+        key, vel_ref = _split_memo
+        vel = vel_ref()
+        if key() is mu.weights and vel is not None:
+            return None, vel, mu.weights, True
     i, eta, mass, left_of_B = _median(mu)
     left = max(0.5 - left_of_B, 0.0)
     # The median atom B = x_i splits into row i, its 1/2 - cdf_left
@@ -278,17 +283,15 @@ def _split(mu: DiscreteMeasure) -> tuple[int, int, np.ndarray, np.ndarray, bool]
     vel[i + s:] = 1.0
     vel.setflags(write=False)
     if not s and eta == mass:
-        w, exact = mu.weights, True
-    else:
-        w = np.empty(n + s)
-        w[:i + 1] = mu.weights[:i + 1]
-        w[i + s:] = mu.weights[i:]
-        w[i] = left
-        w[i + s] = eta
-        w.setflags(write=False)
-        exact = left + eta == mass
-    _split_memo = (weakref.ref(mu.weights), weakref.ref(vel), weakref.ref(w), i, s, exact)
-    return i, s, vel, w, exact
+        _split_memo = (weakref.ref(mu.weights), weakref.ref(vel))
+        return None, vel, mu.weights, True
+    w = np.empty(n + s)
+    w[:i + 1] = mu.weights[:i + 1]
+    w[i + s:] = mu.weights[i:]
+    w[i] = left
+    w[i + s] = eta
+    w.setflags(write=False)
+    return i if s else None, vel, w, left + eta == mass
 
 
 #: The default cap on the atoms of a scheme step (``SchemeConfig.max_atoms``),

@@ -53,13 +53,14 @@ graph field's, and a splitting lift's whose median atom moves right
 whole with its own weight, as a torn dyadic block's does at every step.
 Such a splitting step runs no ``measures._unit`` (the weight total and
 floor) under ``lagrangian`` or ``las``; one whose median splits runs it
-once, on the lift's fresh weights.  Its next node then holds the same
-weights array, and the splitting rule keeps what that array fixes (the
-median split, the velocity column and the exactness flag, see
-``pvf._lift_rows``), so such a run finds the median once: a torn block's
-later steps, and a ``splitting-dirac`` run's after its first split, run
-no median search and build no velocity column, and their lifts share
-one read-only velocity column.
+once, on the lift's fresh weights.  The next node of a whole step holds
+the same weights array, and the splitting rule keeps that array's
+velocity column (see ``pvf._split``), so such a run finds the median
+once: a torn block's later steps, and a ``splitting-dirac`` run's after
+its first split, run no median search and build no velocity column, and
+their lifts share one read-only velocity column.  What a split fixes is
+not kept: a run does not lift a split node's weights again while the lift
+holding its columns lives.
 """
 
 from __future__ import annotations

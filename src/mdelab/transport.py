@@ -38,6 +38,7 @@ finite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Optional
@@ -170,13 +171,15 @@ _BLOCK_CELLS = 4096  # pricing visits whole rows, at least this many cells at on
 
 
 def _hang(children, depth, cost, top: int, pot_top: float) -> tuple[list[int], list[float]]:
-    """Re-hang the subtree of node ``top``: its depths, in place, and duals.
+    """Hang the subtree of node ``top``: its depths, in place, and duals.
 
-    ``children[p]`` lists the nodes hung from node p, and ``cost[q]`` is the
-    cost of the basic cell joining node q to its parent, whose duals satisfy
-    u_p + u_q = that cost.  The depth of ``top`` must already be set;
-    ``pot_top`` is its dual.  Returns the nodes of the subtree, ``top``
-    first, and their duals.
+    The one routine that computes depths and duals: ``_tree`` hangs the
+    whole start tree with it from row 0 (``top`` 0, dual 0), and a pivot
+    re-hangs the subtree that moved.  ``children[p]`` lists the nodes hung
+    from node p, and ``cost[q]`` is the cost of the basic cell joining
+    node q to its parent, whose duals satisfy u_p + u_q = that cost.  The
+    depth of ``top`` must already be set; ``pot_top`` is its dual.
+    Returns the nodes of the subtree, ``top`` first, and their duals.
     """
     order, pot = [top], [pot_top]
     for p, x in zip(order, pot):
@@ -193,10 +196,12 @@ def _hang(children, depth, cost, top: int, pot_top: float) -> tuple[list[int], l
 def _tree(flow, C: list[list[float]], m: int, n: int, u: np.ndarray):
     """The basis ``flow`` hung from row 0, as lists indexed by node.
 
-    Nodes 0..m-1 are the rows and m.. the columns.  Returns each node's
-    parent, depth and children, and the cost and mass of the basic cell
-    joining it to its parent (row 0's are unused).  Writes the duals into
-    ``u``, rows first.
+    Nodes 0..m-1 are the rows and m.. the columns.  Orients the basis:
+    each node's parent and children, and the cost and mass of the basic
+    cell joining it to its parent (row 0's are unused).  The depths and
+    the duals, written into ``u`` rows first, come from ``_hang``, so a
+    start tree's duals and a re-hung subtree's share one formula.
+    Returns parent, depth, children, cost and mass.
     """
     children = [[] for _ in range(m + n)]  # the neighbours, until the parent is taken out
     for i, j in flow:
@@ -204,20 +209,16 @@ def _tree(flow, C: list[list[float]], m: int, n: int, u: np.ndarray):
         children[m + j].append(i)
     parent, depth = [-1] * (m + n), [0] * (m + n)
     cost, mass = [0.0] * (m + n), [0.0] * (m + n)
-    order, pot = [0], [0.0]
-    for p, x in zip(order, pot):
+    order = [0]
+    for p in order:
         kids = children[p]
         if p:
             kids.remove(parent[p])
-        d = depth[p] + 1
         for q in kids:
             i, j = (p, q - m) if q >= m else (q, p - m)
-            c = C[i][j]
-            parent[q], depth[q] = p, d
-            cost[q], mass[q] = c, flow[i, j]
-            pot.append(c - x)
+            parent[q], cost[q], mass[q] = p, C[i][j], flow[i, j]
         order += kids
-    u.put(order, pot)
+    u.put(*_hang(children, depth, cost, 0, 0.0))
     return parent, depth, children, cost, mass
 
 
@@ -246,15 +247,20 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
     its apex, which keeps zero-mass cells pointing to the root and rules
     out cycling.
 
-    The tree the pivots start from is hung from row 0 once, into lists
-    indexed by node: parent, depth, children, and the cost and mass of
-    the cell to the parent.  So the cycle walk reads masses by node.  A
+    Every start that pivots (a warm start, the least-cost start, or a
+    staircase that is not optimal) is hung from row 0 at one site, by
+    ``_tree``, into lists indexed by node: parent, depth, children, and
+    the cost and mass of the cell to the parent; then it is priced once.
+    A staircase that stays is so priced twice, cell by cell and on its
+    tree, to the same duals and the same entering cell.  An optimal
+    staircase is never hung.  The cycle walk reads masses by node.  A
     pivot reverses the tree path from the entering cell's cut-off end up
     to the leaving cell: each node on it now hangs from the path node it
     carried before, by the same cell, whose cost and mass move with it;
     the cut-off end hangs by the entering cell, and the leaving cell is
     gone.  Then only the subtree that moved is re-hung, over the children
-    lists.  A dual is computed from its parent's by one formula, so it
+    lists.  A dual is computed from its parent's by one formula, in
+    ``_hang``, for the start tree and for every subtree that moves, so it
     depends only on its path from the root: duals outside the subtree keep
     their paths and values, and those inside are recomputed along their
     new paths.  Every dual is thus bit-identical to a full re-hang of the
@@ -310,19 +316,16 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
             else:
                 pot[m + j] = Cl[i][j] - pot[i]
         u[:] = pot
-        enter = entering()
-        if enter is not None:
+        pivoting = entering() is not None  # an optimal staircase is left without a tree
+        if pivoting:
             start = _least_cost(C, a, b)
             if min(start.values()) > 0.0 and total(start) < total(flow):
                 flow = start
-                parent, depth, children, cost, mass = _tree(flow, Cl, m, n, u)
-                enter = entering()
-            else:  # the staircase stays: hang it, which rewrites the same duals
-                parent, depth, children, cost, mass = _tree(flow, Cl, m, n, u)
     else:
-        flow = dict(flow)
+        flow, pivoting = dict(flow), True
+    if pivoting:  # the one site that hangs a start: the tree the pivots leave
         parent, depth, children, cost, mass = _tree(flow, Cl, m, n, u)
-        enter = entering()
+    enter = entering() if pivoting else None
     for pivots in range(cap):
         if enter is None:
             if pivots:  # the cell joining a child to its parent holds the child's mass
@@ -400,8 +403,10 @@ def lp_solve(
     otherwise at the least-cost basis when it has no zero-mass cell and
     costs less; rows and columns of zero mass are left out of the tree and
     carry none.  Both marginals must be
-    probability vectors (sums within ``AGREE_TOL`` of one).  Raises
-    IterationCapError past ``max_iter`` pivots (default 10 m n).
+    probability vectors (sums within ``AGREE_TOL`` of one).  ``max_iter``
+    is None or an integer >= 0 (numpy's too, not a bool); the solve raises
+    IterationCapError past that many pivots (default 10 m n), and a cap
+    of 0 raises even where the north-west corner is optimal.
     """
     C = np.asarray(costs, dtype=float)
     r = np.asarray(row_marginals, dtype=float).ravel()
@@ -423,6 +428,10 @@ def lp_solve(
         or abs(r.sum() - 1.0) > AGREE_TOL or abs(c.sum() - 1.0) > AGREE_TOL
     ):
         raise ValueError("marginals must each sum to one")
+    if max_iter is not None and not (
+        isinstance(max_iter, numbers.Integral) and not isinstance(max_iter, bool) and max_iter >= 0
+    ):
+        raise ValueError(f"max_iter must be None or an integer >= 0, got {max_iter!r}")
     return _lp(C, r, c, max_iter)
 
 

@@ -212,6 +212,23 @@ def test_measure_equality_is_exact_and_allclose_tolerant():
     assert not a.allclose(b, tol=1e-13)
 
 
+def test_lifted_allclose_is_tolerant_within_tol_only():
+    a = make_lifted([[0.0], [1.0]], [[-1.0], [1.0]], [0.5, 0.5])
+    for b in (
+        make_lifted([[0.0], [1.0 + 1e-11]], [[-1.0], [1.0]], [0.5, 0.5]),
+        make_lifted([[0.0], [1.0]], [[-1.0], [1.0 - 1e-11]], [0.5, 0.5]),
+        make_lifted([[0.0], [1.0]], [[-1.0], [1.0]], [0.5 + 1e-11, 0.5 - 1e-11]),
+    ):
+        assert a != b
+        assert a.allclose(b, tol=1e-9) and b.allclose(a, tol=1e-9)
+        assert not a.allclose(b, tol=1e-13)
+    assert a.allclose(a, tol=0.0)
+    # another atom count or dimension is never close
+    assert not a.allclose(make_lifted([[0.0]], [[-1.0]], [1.0]), tol=10.0)
+    plane = make_lifted([[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
+    assert not a.allclose(plane, tol=10.0) and not plane.allclose(a, tol=10.0)
+
+
 # ---------------------------------------------------------------------------
 # the grouping kernel against the greedy reference scan
 # ---------------------------------------------------------------------------

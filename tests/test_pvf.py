@@ -412,6 +412,29 @@ def test_measures_sharing_weights_but_not_atoms_lift_to_their_own_rows():
         assert not (vel.flags.writeable or w.flags.writeable)
 
 
+def test_a_split_median_leaves_the_memo_of_a_whole_median(monkeypatch):
+    # node 0 of a torn block moves its median atom whole, and its lift,
+    # kept alive as a path keeps it, holds the velocity column the memo
+    # refers to weakly; a lift whose median splits keeps nothing, so node 0
+    # lifted again finds its median without a search
+    calls = [0]
+    median = pvf._median
+
+    def counted(mu):
+        calls[0] += 1
+        return median(mu)
+
+    monkeypatch.setattr(pvf, "_median", counted)
+    monkeypatch.setattr(pvf, "_split_memo", None)
+    node = quantile_uniform(0.0, 1.0, 256)
+    kept = eval_pvf(SPLIT, node)
+    assert eval_pvf(SPLIT, dirac(0.0)).natoms == 2
+    again = eval_pvf(SPLIT, node)
+    assert calls == [2]
+    assert again.velocities is kept.velocities and again.weights is node.weights
+    assert lift_bits(again) == lift_bits(kept)
+
+
 def bits(mu):
     return mu.atoms.shape, mu.atoms.tobytes(), mu.weights.tobytes()
 

@@ -45,6 +45,15 @@ def test_w1_dim_mismatch():
         w1_distance(dirac(0.0), dirac([0.0, 0.0]))
     with pytest.raises(ValueError):
         w1_distance(dirac(0.0), dirac(1.0), method="bogus")
+    with pytest.raises(DimMismatchError):
+        w1_plan(dirac(0.0), dirac([0.0, 0.0]))
+    with pytest.raises(DimMismatchError):
+        w1_distance(dirac([0.0, 0.0]), dirac([1.0, 0.0]), method="quantile")
+    flat = make_lifted([[0.0]], [[0.0]], [1.0])
+    plane = make_lifted([[0.0, 0.0]], [[0.0, 0.0]], [1.0])
+    for distance in (lifted_w1, fiber_pseudometric):
+        with pytest.raises(DimMismatchError):
+            distance(flat, plane)
 
 
 def test_w1_positive_for_distinct_measures():
@@ -123,6 +132,15 @@ def test_lp_solve_validates_inputs():
         lp_solve([[1.0]], [0.7], [1.0])  # marginals must both sum to one
     with pytest.raises(ValueError):
         lp_solve([[np.inf]], [1.0], [1.0])
+    # the cap is None or an integer >= 0, checked after every other input
+    for cap in ("3", 2.5, True, np.bool_(True), -1, np.int64(-1), np.nan, np.inf, [3]):
+        with pytest.raises(ValueError) as info:
+            lp_solve([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5], [0.5, 0.5], max_iter=cap)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"max_iter must be None or an integer >= 0, got {cap!r}"
+    with pytest.raises(ValueError) as info:
+        lp_solve([[1.0]], [0.7], [1.0], max_iter=-1)
+    assert str(info.value) == "marginals must each sum to one"
 
 
 @pytest.mark.parametrize("mode", ["plain", "raise"])
@@ -260,6 +278,11 @@ def test_lp_solve_iteration_cap():
     with pytest.raises(IterationCapError):
         lp_solve([[0.0, 1.0], [1.0, 0.0]], half, half, max_iter=0)
     assert lp_solve([[0.0, 1.0], [1.0, 0.0]], half, half, max_iter=1)[1] == 0.0
+    # numpy's integers are caps too
+    with pytest.raises(IterationCapError):
+        lp_solve([[0.0, 1.0], [1.0, 0.0]], half, half, max_iter=np.int64(0))
+    for cap in (np.int32(1), np.uint8(1), None):
+        assert lp_solve([[0.0, 1.0], [1.0, 0.0]], half, half, max_iter=cap)[1] == 0.0
 
 
 def test_lp_solve_plan_is_read_only_and_as_if_checked():
@@ -646,6 +669,21 @@ def test_w1_plan_consistency():
     assert value == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(plan.row_marginals, mu.weights, atol=1e-9)
     assert np.allclose(plan.col_marginals, nu.weights, atol=1e-9)
+
+
+def test_w1_plan_2d_is_the_lp_plan():
+    # off the line the plan is the simplex's: read-only, with the weights as
+    # marginals, and its value is w1_distance's bit for bit
+    rng = np.random.default_rng(97)
+    for n in (5, 20, 60):
+        mu, nu = _pair_2d(rng, n)
+        plan, value = w1_plan(mu, nu)
+        assert not plan.mass.flags.writeable
+        with pytest.raises(ValueError):
+            plan.mass[0, 0] = 1.0
+        assert np.max(np.abs(plan.row_marginals - mu.weights)) <= AGREE_TOL
+        assert np.max(np.abs(plan.col_marginals - nu.weights)) <= AGREE_TOL
+        assert value == w1_distance(mu, nu)
 
 
 def test_lifted_w1_examples():
