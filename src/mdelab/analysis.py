@@ -15,6 +15,7 @@ ready for CSV plotting, and neither runs a scheme.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -49,9 +50,11 @@ class TestFunction:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.center, dtype=float)).ravel()
-        r = float(self.radius)
-        if not (r > 0 and np.isfinite(r)):
-            raise ValueError("radius must be positive and finite")
+        r = self.radius
+        # a bool or a string would read as a number through float()
+        if isinstance(r, bool) or not isinstance(r, numbers.Real) or not (r > 0 and np.isfinite(r)):
+            raise ValueError(f"radius must be a positive finite number, got {r!r}")
+        r = float(r)
         if not np.all(np.isfinite(c)):
             raise ValueError("center must be finite")
         c = c + 0.0

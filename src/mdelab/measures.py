@@ -69,6 +69,7 @@ result.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -274,8 +275,13 @@ def _bounds(pts: np.ndarray) -> tuple[float, float]:
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each read-only: a writeable one is frozen, and one that
+    is already read-only, as a canonical measure's columns handed on by a
+    scheme step are, is left as it is, since testing the flag costs less
+    than setting it again."""
     for a in arrays:
-        a.setflags(write=False)
+        if a.flags.writeable:
+            a.setflags(write=False)
     return arrays
 
 
@@ -320,11 +326,15 @@ def _canonical(pts: np.ndarray, w: np.ndarray, tol: float, wide: bool,
     and 0.0 and -0.0 compare alike in every test the routes make, so the
     routes and their results are the same.  With ``tested``, the weights
     on the first route are returned without the tail's tests, which
-    ``_derive`` shows they pass.
+    ``_derive`` shows they pass; given ``apart`` too, as a scheme's next
+    node on the line is, only the -0.0 normalization is left, which cannot
+    overflow, so it runs before the ``np.errstate`` context is entered.
 
     Finite weights whose total overflows are scaled by the largest of
     them first; a total that does not overflow is used as it is.
     """
+    if apart and tested:  # given by _derive: see the docstring
+        return pts + 0.0, w
     with np.errstate(over="ignore") if wide else nullcontext():
         pts = pts + 0.0  # normalize -0.0 to +0.0 so sorting and dumps are stable
         if gaps is None:
@@ -442,28 +452,36 @@ def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None
       recorded with the base.
     * ``tol``: the merge tolerance, ``MERGE_TOL`` or, for ``coalesce``,
       more.
+
+    Given all of ``ordered``, ``finite`` and ``tested``, as a splitting lift
+    whose median atom moves whole and a ``mean-velocity`` lift are, nothing
+    is left to test or compute: the value adopts the arrays as given, with
+    ``base`` and ``rule`` when given, and reads nothing else.  Every value
+    freezes its arrays (``_frozen``), and only those still writeable.
     """
     lifted = velocities is not None
-    # the rows to check: a lift's velocities when its rows are ordered
-    pts = velocities if ordered else np.concatenate((rows, velocities), axis=1) if lifted else rows
-    gaps = apart = None
-    wide = True
-    if not finite:
-        if pts.shape[1] == 1 and not ordered:
-            with np.errstate(over="ignore", invalid="ignore"):
-                gaps = pts[1:, 0] - pts[:-1, 0]
-            apart = bool(np.minimum.reduce(gaps, initial=math.inf) > tol)
-        lo, hi = (float(pts[0, 0]), float(pts[-1, 0])) if apart else _bounds(pts)
-        if not (-math.inf < lo and hi < math.inf):
-            raise ValueError("atom coordinates must be finite")
-        wide = not math.isfinite(hi - lo)
-    if ordered:
-        cols = (rows, velocities if finite else velocities + 0.0) if lifted else (rows,)
-        *cols, mass = (*cols, weights) if tested else _unit(
-            float(np.add.reduce(weights)), weights, weights, None, *cols)
-    else:
-        atoms, mass = _canonical(pts, weights, tol, wide, gaps, apart, tested)
-        cols = _columns(atoms) if lifted else (atoms,)
+    cols, mass = ((rows, velocities) if lifted else (rows,)), weights
+    if not (ordered and finite and tested):  # else nothing is left to test or compute
+        # the rows to check: a lift's velocities when its rows are ordered
+        pts = velocities if ordered else np.concatenate(cols, axis=1) if lifted else rows
+        gaps = apart = None
+        wide = True
+        if not finite:
+            if pts.shape[1] == 1 and not ordered:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    gaps = pts[1:, 0] - pts[:-1, 0]
+                apart = bool(np.minimum.reduce(gaps, initial=math.inf) > tol)
+            lo, hi = (float(pts[0, 0]), float(pts[-1, 0])) if apart else _bounds(pts)
+            if not (-math.inf < lo and hi < math.inf):
+                raise ValueError("atom coordinates must be finite")
+            wide = not math.isfinite(hi - lo)
+        if ordered:
+            cols = (rows, velocities + 0.0) if lifted and not finite else cols
+            if not tested:
+                *cols, mass = _unit(float(np.add.reduce(weights)), weights, weights, None, *cols)
+        else:
+            atoms, mass = _canonical(pts, weights, tol, wide, gaps, apart, tested)
+            cols = _columns(atoms) if lifted else (atoms,)
     out = object.__new__(LiftedMeasure if lifted else DiscreteMeasure)
     keeps = base is not None and (mass is weights or np.array_equal(mass, weights))
     out._set(*cols, mass, *((base, rule) if keeps else ()))
@@ -675,15 +693,23 @@ def dirac(point) -> DiscreteMeasure:
     return DiscreteMeasure(pt[None, :], np.ones(1))
 
 
+def is_count(n) -> bool:
+    """True for an integer >= 1 (numpy's too), as a count of atoms, a cap
+    or a grid size must be; a bool and a float (NaN, which no count
+    exceeds, included) are not."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+
+
 def quantile_uniform(a: float, b: float, natoms: int) -> DiscreteMeasure:
     """Quantile discretization of the uniform distribution on [a, b].
 
     Places ``natoms`` equal atoms at the quantile midpoints
     a + (b - a) (i + 1/2) / n, the standard grid-free stand-in for a
-    uniform density in 1-D computations.
+    uniform density in 1-D computations.  ``natoms`` is an integer >= 1
+    (``is_count``): a bool, a float or a string is refused.
     """
-    if natoms < 1:
-        raise ValueError("natoms must be >= 1")
+    if not is_count(natoms):
+        raise ValueError(f"natoms must be an integer >= 1, got {natoms!r}")
     if not b > a:
         raise ValueError("need b > a")
     i = np.arange(natoms, dtype=float)

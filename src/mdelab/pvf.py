@@ -11,7 +11,9 @@ a velocity fiber to each atom.  Three concrete rules are shipped:
   atom splits so that exactly half of the total mass travels each way.
 
 ``CustomPvf`` wraps any callable with the same contract for in-process
-extensions.  The JSON fragments of rules and of measures are read here,
+extensions.  What a scheme step and ``eval_pvf`` use of a rule, the size
+of its lift and its rows, is one entry per kind in one table,
+``_KINDS``.  The JSON fragments of rules and of measures are read here,
 the measures by one parser, ``initial_from_spec``, since a constant
 fiber's ``omega`` is a measure fragment too.
 """
@@ -19,10 +21,9 @@ fiber's ``omega`` is a measure fragment too.
 from __future__ import annotations
 
 import math
-import numbers
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .measures import (
     base_of,
     dirac,
     fiber_means,
+    is_count,
     make_measure,
     quantile_uniform,
 )
@@ -108,15 +110,17 @@ def _median(mu: DiscreteMeasure) -> tuple[int, float, float, float]:
 def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
     """Evaluate a velocity-fiber rule; the result's base is exactly ``mu``.
 
-    A shipped rule's rows (``_lift_rows``) arrive in canonical order, and
-    ``measures._derive`` builds the lift from them with no kernel pass: it
-    runs the weight tests, and not even those where the weights are
-    ``mu``'s array itself, as a graph field's are, and a splitting lift's
-    whose median atom moves whole.  A graph field's velocities come from a
-    user callable, so they are checked for finiteness; the constant-fiber and
-    splitting rows are built from canonical measures by copying and
-    multiplying weights, so they are not checked.  A custom rule's lift is
-    returned as it is, once its base is checked.
+    A shipped rule's rows (its entry's ``rows``, see ``_Kind``) arrive in
+    canonical order, and ``measures._derive`` builds the lift from them
+    with no kernel pass: it runs the weight tests, and not even those where
+    the weights are ``mu``'s array itself, as a graph field's are, and a
+    splitting lift's whose median atom moves whole; such a splitting lift
+    is built from its columns as they are, with nothing tested.  A graph
+    field's velocities come from a user callable, so they are checked for
+    finiteness; the constant-fiber and splitting rows are built from
+    canonical measures by copying and multiplying weights, so they are not
+    checked.  A custom rule's lift is returned as it is, once its base is
+    checked.
 
     Exact rows pass ``mu`` to the constructor as the lift's base, which is
     then not computed when the lift keeps every row and weight; a
@@ -126,22 +130,13 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
     computed once: it is a function of the read-only weights alone (see
     ``_split``).  A split median's columns are built at every call.
     """
-    if isinstance(spec, CustomPvf):
-        out = spec.evaluate(mu)
-        if not isinstance(out, LiftedMeasure):
-            raise ValueError("custom rule must return a LiftedMeasure")
-        base = base_of(out)  # cached: the scheme asks for the same base
-        if not (
-            base.natoms == mu.natoms
-            and np.array_equal(base.atoms, mu.atoms)
-            and np.max(np.abs(base.weights - mu.weights)) <= AGREE_TOL
-        ):
-            raise ValueError("custom rule must preserve the base measure")
-        return out
-    pos, vel, w, exact = _lift_rows(spec, mu)
-    return _derive(pos, w, velocities=vel, ordered=True, finite=not isinstance(spec, GraphPvf),
+    kind = _kind(spec)
+    if kind.size is None:
+        return _custom_lift(spec, mu)
+    pos, vel, w, exact = kind.rows(spec, mu)
+    return _derive(pos, w, velocities=vel, ordered=True, finite=kind.finite,
                    tested=w is mu.weights, base=mu if exact else None,
-                   rule=spec if isinstance(spec, SplittingParticlePvf) else None)
+                   rule=spec if kind.recorded else None)
 
 
 def _is_lift(lift: LiftedMeasure, spec: PvfSpec, mu: DiscreteMeasure) -> bool:
@@ -154,15 +149,26 @@ def _is_lift(lift: LiftedMeasure, spec: PvfSpec, mu: DiscreteMeasure) -> bool:
     return lift._rule is spec and base_of(lift) is mu
 
 
-def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """The rows (position, velocity) of ``V[mu]`` before canonicalization,
-    as C-contiguous (n, d) position and velocity columns, their weights,
-    and whether the rows are exact: their positions are ``mu``'s atoms in
-    order, the median atom possibly twice, and their weights regroup to
-    ``mu``'s bit for bit.  A graph field's rows are exact, and so are the
-    splitting rule's when the median splits exactly or moves whole with
-    its own weight; a custom rule supplies the rows of the lift
-    ``eval_pvf`` returns.
+class _Kind(NamedTuple):
+    """What a scheme step and ``eval_pvf`` use of a kind of rule, looked up
+    once per call by ``_kind``.
+
+    ``size(spec, mu)`` is the number of atoms ``eval_pvf(spec, mu)`` builds
+    before canonicalization, which a step checks against ``max_atoms``
+    before it evaluates the rule: n for a graph field, n m for a constant
+    fiber of m atoms, and at most n + 1 for the splitting rule (the median
+    atom may split in two).  It is None for a custom rule, whose size is
+    unknown until it runs and whose lift ``eval_pvf`` returns as it is.
+
+    ``rows(spec, mu)`` gives the rows (position, velocity) of ``V[mu]``
+    before canonicalization, as C-contiguous (n, d) position and velocity
+    columns, their weights, and whether the rows are exact: their positions
+    are ``mu``'s atoms in order, the median atom possibly twice, and their
+    weights regroup to ``mu``'s bit for bit.  A graph field's rows are
+    exact, and so are the splitting rule's when the median splits exactly
+    or moves whole with its own weight; a custom rule supplies the rows of
+    the lift ``eval_pvf`` returns.  ``eval_pvf`` builds the lift from them,
+    and the lattice scheme bins them.
 
     The columns are what ``measures._derive`` adopts: the velocity column
     is fresh, or a read-only array; the position column is fresh or
@@ -180,7 +186,50 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
     order over two canonical measures, so the rows at one position are
     omega's atoms in order.
 
-    The splitting rule's velocity and weight columns and its exactness
+    ``finite`` says that the rows are finite by construction, and
+    ``recorded`` that a lift with an attached base records its rule (see
+    ``_is_lift``): only the splitting rule runs no user code.
+    """
+
+    size: Optional[Callable[[PvfSpec, DiscreteMeasure], int]]
+    rows: Callable[[PvfSpec, DiscreteMeasure], tuple[np.ndarray, np.ndarray, np.ndarray, bool]]
+    finite: bool
+    recorded: bool
+
+
+def _kind(spec: PvfSpec) -> _Kind:
+    """The entry of ``spec``'s kind of rule in ``_KINDS``."""
+    for cls in type(spec).__mro__:
+        kind = _KINDS.get(cls)
+        if kind is not None:
+            return kind
+    raise TypeError(f"not a velocity-fiber rule: {spec!r}")
+
+
+def _graph_rows(spec: GraphPvf, mu: DiscreteMeasure):
+    vels = []
+    for x in mu.atoms:
+        v = np.atleast_1d(np.asarray(spec.velocity(x.copy()), dtype=float))
+        if v.shape != (mu.dim,):
+            raise DimMismatchError(f"field returned shape {v.shape}, expected ({mu.dim},)")
+        vels.append(v)
+    return mu.atoms, np.vstack(vels), mu.weights, True
+
+
+def _fiber_rows(spec: ConstantFiberPvf, mu: DiscreteMeasure):
+    if spec.omega.dim != mu.dim:
+        raise DimMismatchError(f"fiber dim {spec.omega.dim} vs measure dim {mu.dim}")
+    n, m, d = mu.natoms, spec.omega.natoms, mu.dim
+    pos = np.empty((n, m, d))
+    pos[:] = mu.atoms[:, None, :]
+    vel = np.empty((n, m, d))
+    vel[:] = spec.omega.atoms
+    w = (mu.weights[:, None] * spec.omega.weights[None, :]).ravel()
+    return pos.reshape(n * m, d), vel.reshape(n * m, d), w, False
+
+
+def _splitting_rows(spec: SplittingParticlePvf, mu: DiscreteMeasure):
+    """The splitting rule's velocity and weight columns and its exactness
     flag are functions of ``mu.weights`` alone: the median split fixes the
     velocities, and with the median's two parts the weights.  Canonical
     weights are read-only, so where the median atom moves right whole with
@@ -190,46 +239,44 @@ def _lift_rows(spec: PvfSpec, mu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarr
     read-only and shared, with no median search.  A split's columns are
     not kept (see ``_split_memo``).  The dimension check runs first and
     the positions come from ``mu.atoms`` on every call."""
-    if isinstance(spec, GraphPvf):
-        vels = []
-        for x in mu.atoms:
-            v = np.atleast_1d(np.asarray(spec.velocity(x.copy()), dtype=float))
-            if v.shape != (mu.dim,):
-                raise DimMismatchError(
-                    f"field returned shape {v.shape}, expected ({mu.dim},)"
-                )
-            vels.append(v)
-        return mu.atoms, np.vstack(vels), mu.weights, True
+    if mu.dim != 1:
+        raise DimMismatchError("the splitting rule needs a 1-D measure")
+    i, vel, w, exact = _split(mu)
+    if i is None:
+        return mu.atoms, vel, w, exact
+    pos = np.empty((mu.natoms + 1, 1))
+    pos[:i + 1] = mu.atoms[:i + 1]
+    pos[i + 1:] = mu.atoms[i:]
+    return pos, vel, w, exact
 
-    if isinstance(spec, ConstantFiberPvf):
-        if spec.omega.dim != mu.dim:
-            raise DimMismatchError(
-                f"fiber dim {spec.omega.dim} vs measure dim {mu.dim}"
-            )
-        n, m, d = mu.natoms, spec.omega.natoms, mu.dim
-        pos = np.empty((n, m, d))
-        pos[:] = mu.atoms[:, None, :]
-        vel = np.empty((n, m, d))
-        vel[:] = spec.omega.atoms
-        w = (mu.weights[:, None] * spec.omega.weights[None, :]).ravel()
-        return pos.reshape(n * m, d), vel.reshape(n * m, d), w, False
 
-    if isinstance(spec, SplittingParticlePvf):
-        if mu.dim != 1:
-            raise DimMismatchError("the splitting rule needs a 1-D measure")
-        i, vel, w, exact = _split(mu)
-        if i is None:
-            return mu.atoms, vel, w, exact
-        pos = np.empty((mu.natoms + 1, 1))
-        pos[:i + 1] = mu.atoms[:i + 1]
-        pos[i + 1:] = mu.atoms[i:]
-        return pos, vel, w, exact
+def _custom_lift(spec: CustomPvf, mu: DiscreteMeasure) -> LiftedMeasure:
+    out = spec.evaluate(mu)
+    if not isinstance(out, LiftedMeasure):
+        raise ValueError("custom rule must return a LiftedMeasure")
+    base = base_of(out)  # cached: the scheme asks for the same base
+    if not (
+        base.natoms == mu.natoms
+        and np.array_equal(base.atoms, mu.atoms)
+        and np.max(np.abs(base.weights - mu.weights)) <= AGREE_TOL
+    ):
+        raise ValueError("custom rule must preserve the base measure")
+    return out
 
-    if isinstance(spec, CustomPvf):
-        out = eval_pvf(spec, mu)
-        return out.positions, out.velocities, out.weights, False
 
-    raise TypeError(f"not a velocity-fiber rule: {spec!r}")
+def _custom_rows(spec: CustomPvf, mu: DiscreteMeasure):
+    out = _custom_lift(spec, mu)
+    return out.positions, out.velocities, out.weights, False
+
+
+#: One entry per kind of rule (see ``_Kind``).
+_KINDS: dict[type, _Kind] = {
+    SplittingParticlePvf: _Kind(lambda spec, mu: mu.natoms + 1, _splitting_rows, True, True),
+    GraphPvf: _Kind(lambda spec, mu: mu.natoms, _graph_rows, False, False),
+    ConstantFiberPvf: _Kind(lambda spec, mu: mu.natoms * spec.omega.natoms, _fiber_rows,
+                            True, False),
+    CustomPvf: _Kind(None, _custom_rows, False, False),
+}
 
 
 #: The last weights array ``_split`` saw whose median atom moves right
@@ -297,28 +344,6 @@ def _split(mu: DiscreteMeasure) -> tuple[Optional[int], np.ndarray, np.ndarray, 
 #: The default cap on the atoms of a scheme step (``SchemeConfig.max_atoms``),
 #: and the most atoms a ``uniform_1d`` fragment may ask for.
 MAX_ATOMS = 1_000_000
-
-
-def is_count(n) -> bool:
-    """True for an integer >= 1 (numpy's too), as a cap or a grid size must
-    be; a bool and a float (NaN, which no count exceeds, included) are not."""
-    return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
-
-
-def lift_size_bound(spec: PvfSpec, mu: DiscreteMeasure) -> Optional[int]:
-    """Atoms ``eval_pvf(spec, mu)`` builds before canonicalization, or None.
-
-    A graph field lifts n atoms, a constant fiber of m atoms n m, and the
-    splitting rule at most n + 1 (the median atom may split in two).  A
-    custom rule's size is unknown until it runs.
-    """
-    if isinstance(spec, GraphPvf):
-        return mu.natoms
-    if isinstance(spec, ConstantFiberPvf):
-        return mu.natoms * spec.omega.natoms
-    if isinstance(spec, SplittingParticlePvf):
-        return mu.natoms + 1
-    return None
 
 
 def barycentric_field(spec: PvfSpec, mu: DiscreteMeasure) -> np.ndarray:

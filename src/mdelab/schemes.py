@@ -61,6 +61,17 @@ its first split, run no median search and build no velocity column, and
 their lifts share one read-only velocity column.  What a split fixes is
 not kept: a run does not lift a split node's weights again while the lift
 holding its columns lives.
+
+A step does no bookkeeping that its inputs already settle.  Its rule's
+kind is one entry of one table (``pvf._KINDS``), which gives the atom
+cap its size bound and ``eval_pvf`` and the lattice scheme their rows:
+a lattice step looks it up once, and a ``lagrangian`` or
+``mean-velocity`` step once for the cap and once in ``eval_pvf``.  A
+value freezes only the arrays that are still writeable, so a lift that
+adopts a node's read-only columns sets no flag, and a lift built from
+rows whose order, finiteness and weights are all proved (a whole
+median's splitting lift, a ``mean-velocity`` lift) is the arrays as
+given and nothing else.
 """
 
 from __future__ import annotations
@@ -78,9 +89,10 @@ from .measures import (
     base_of,
     coalesce,
     fiber_means,
+    is_count,
     support_radius,
 )
-from .pvf import MAX_ATOMS, PvfSpec, _lift_rows, eval_pvf, is_count, lift_size_bound
+from .pvf import MAX_ATOMS, PvfSpec, _kind, eval_pvf
 from .tolerances import AGREE_TOL, CELL_TOL, MERGE_TOL, PRUNE_FLOOR_MAX
 
 LAS = "las"
@@ -137,10 +149,11 @@ class SchemeConfig:
     """Which scheme to run and with what housekeeping parameters.
 
     ``max_atoms``, a positive integer, caps the atoms of each step.  Every
-    scheme compares it with the lift size that ``pvf.lift_size_bound``
-    predicts, so a step that would blow up is refused before its atoms are
-    built; canonicalization may merge some afterwards.  A custom rule is
-    checked after evaluation.  A node has at most the atoms of its lift.
+    scheme compares it with the lift size that the rule's entry
+    (``pvf._Kind``) predicts, so a step that would blow up is refused
+    before its atoms are built; canonicalization may merge some
+    afterwards.  A custom rule is checked after evaluation.  A node has at
+    most the atoms of its lift.
     """
 
     scheme: str
@@ -232,15 +245,15 @@ def snap_space(mu: DiscreteMeasure, grid: GridSpec) -> DiscreteMeasure:
 # runs
 # ---------------------------------------------------------------------------
 
-def _lift(evaluate, spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
-    """``evaluate(spec, mu)``, which is ``eval_pvf`` or its raw rows
-    ``_lift_rows``, refused before evaluation when the atoms it would build
-    exceed ``cfg.max_atoms``; a custom rule is checked after."""
-    bound = lift_size_bound(spec, mu)
-    out = None
-    if bound is None:
-        out = evaluate(spec, mu)
-        bound = len(out[2]) if isinstance(out, tuple) else out.natoms
+def _lift(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig, rows: bool = False):
+    """``eval_pvf(spec, mu)``, or with ``rows`` the raw rows of the rule's
+    entry (``pvf._Kind``), refused before evaluation when the atoms it
+    would build, the entry's ``size``, exceed ``cfg.max_atoms``; a custom
+    rule, whose entry has no ``size``, is checked after."""
+    kind = _kind(spec)
+    evaluate = kind.rows if rows else eval_pvf
+    out = None if kind.size else evaluate(spec, mu)  # a custom rule runs first
+    bound = kind.size(spec, mu) if kind.size else len(out[2] if rows else out.weights)
     if bound > cfg.max_atoms:
         raise SupportBlowupError(f"{bound} atoms exceed the cap of {cfg.max_atoms}")
     return evaluate(spec, mu) if out is None else out
@@ -270,7 +283,7 @@ def _las_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     in exact dyadic arithmetic).
     """
     grid = cfg.grid
-    pos, vel, w, exact = _lift(_lift_rows, spec, mu, cfg)
+    pos, vel, w, exact = _lift(spec, mu, cfg, rows=True)
     if float(np.max(np.abs(pos - np.rint(pos / grid.dx) * grid.dx), initial=0.0)) > AGREE_TOL:
         raise BaseOffGridError("base atoms are not on the space grid")
     vel = _bin_indices(vel, grid.dv) * grid.dv
@@ -282,7 +295,7 @@ def _las_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
 
 def _lagrangian_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     """Children at x + dt v, merged at ``coalesce_tol`` and pruned below ``prune_floor``."""
-    lifted = _lift(eval_pvf, spec, mu, cfg)
+    lifted = _lift(spec, mu, cfg)
     nxt = _derive(lifted.positions + cfg.grid.dt * lifted.velocities, lifted.weights, tested=True)
     if cfg.coalesce_tol > MERGE_TOL:
         nxt = coalesce(nxt, cfg.coalesce_tol)
@@ -304,7 +317,7 @@ def _mean_velocity_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     then the step starts from the lift's base, whose atoms are the fibers
     left.
     """
-    lift = _lift(eval_pvf, spec, mu, cfg)
+    lift = _lift(spec, mu, cfg)
     _, vbar = fiber_means(lift)
     if len(vbar) < mu.natoms:
         mu = base_of(lift)

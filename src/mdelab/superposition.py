@@ -36,9 +36,10 @@ from .measures import (
     base_of,
     canonical_support,
     fiber_means,
+    is_count,
     match_rows,
 )
-from .pvf import PvfSpec, barycentric_field, is_count
+from .pvf import PvfSpec, barycentric_field
 from .schemes import MeasurePath, locate_time
 from .tolerances import AGREE_TOL, MERGE_TOL
 

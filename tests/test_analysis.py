@@ -108,6 +108,17 @@ def test_bump_lipschitz_bound_is_sharp_supremum():
 def test_bump_validation():
     with pytest.raises(ValueError):
         TestFunction(center=np.array([0.0]), radius=0.0)
+    for radius in (2, np.int64(2), np.float64(2.0)):
+        f = TestFunction(center=np.array([0.0]), radius=radius)
+        assert type(f.radius) is float and f.radius == 2.0
+
+
+@pytest.mark.parametrize("radius", [True, False, "2", None, [1.0], np.array([1.0]), 0,
+                                    -1.0, float("nan"), float("inf")])
+def test_bump_refuses_a_radius_that_is_not_a_positive_number(radius):
+    # float() read True as 1.0 and "2" as 2.0
+    with pytest.raises(ValueError, match="radius must be a positive finite number"):
+        TestFunction(center=np.array([0.0]), radius=radius)
 
 
 def refuse_blocks(monkeypatch):

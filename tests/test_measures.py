@@ -29,7 +29,7 @@ from mdelab import (
 )
 from mdelab import measures
 from mdelab.measures import Disintegration, disintegrate, fiber_means, match_rows
-from mdelab.pvf import _lift_rows
+from mdelab.pvf import _kind
 
 
 def test_make_measure_normalizes_single_atom():
@@ -109,6 +109,16 @@ def test_quantile_uniform_layout():
     mu = quantile_uniform(-1.0, 1.0, 4)
     assert np.allclose(mu.atoms[:, 0], [-0.75, -0.25, 0.25, 0.75])
     assert np.allclose(mu.weights, 0.25)
+    assert quantile_uniform(-1.0, 1.0, np.int64(4)) == mu
+
+
+@pytest.mark.parametrize("natoms", [True, False, 2.0, 2.5, float("nan"), float("inf"), "3", None, 0, -1])
+def test_quantile_uniform_refuses_a_natoms_that_is_not_a_count(natoms):
+    # a bool, a float or a string reached numpy before, as a TypeError or
+    # as "arange: cannot compute length"
+    with pytest.raises(ValueError, match="natoms must be an integer >= 1") as info:
+        quantile_uniform(0.0, 1.0, natoms)
+    assert type(info.value) is ValueError
 
 
 def test_coalesce_examples():
@@ -851,7 +861,7 @@ def test_a_presorted_lift_has_the_kernel_bits(case, total):
         base = base_of(lift) if len(vbar) < mu.natoms else mu
         pos, vel, w = atoms, vbar + 0.0, base.weights
     else:
-        pos, vel, w, _ = _lift_rows(spec, mu)
+        pos, vel, w, _ = _kind(spec).rows(spec, mu)
     # a canonical measure's weights: the graph rule's are mu's
     tested = one_point or w is mu.weights
 

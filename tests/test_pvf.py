@@ -31,7 +31,7 @@ from mdelab import (
 )
 from mdelab import pvf
 from mdelab.measures import _derive, disintegrate
-from mdelab.pvf import _lift_rows, _median
+from mdelab.pvf import _kind, _median
 from mdelab.tolerances import CDF_TOL
 
 SPLIT = SplittingParticlePvf()
@@ -301,7 +301,7 @@ def test_splitting_lift_is_the_checked_lift_of_its_rows(mu):
     assert _median(mu) == ref
     _, eta, mass, left = ref
     lift = eval_pvf(SPLIT, mu)
-    checked = make_lifted(*_lift_rows(SPLIT, mu)[:3])
+    checked = make_lifted(*_kind(SPLIT).rows(SPLIT, mu)[:3])
     for a, b in [(lift.positions, checked.positions), (lift.velocities, checked.velocities),
                  (lift.weights, checked.weights)]:
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -408,7 +408,7 @@ def test_measures_sharing_weights_but_not_atoms_lift_to_their_own_rows():
     # the shared columns are read-only before any lift adopts them, as the
     # rows las bins are never adopted
     for mu in (dirac(0.0), path.measures[0]):
-        _, vel, w, _ = _lift_rows(SPLIT, mu)
+        _, vel, w, _ = _kind(SPLIT).rows(SPLIT, mu)
         assert not (vel.flags.writeable or w.flags.writeable)
 
 

@@ -23,6 +23,7 @@ from mdelab import (
     dirac,
     eval_pvf,
     interpolate_at,
+    make_lifted,
     make_measure,
     quantile_uniform,
     run_scheme,
@@ -357,7 +358,9 @@ def test_lagrangian_support_blowup_guard():
 def test_atom_cap_trips_before_the_rule_is_evaluated(monkeypatch, scheme, spec, mu0, cap):
     calls = []
     monkeypatch.setattr(schemes, "eval_pvf", lambda *args: calls.append(args))
-    monkeypatch.setattr(schemes, "_lift_rows", lambda *args: calls.append(args))
+    # no rows are built either: the lattice scheme takes them from the rule's entry
+    rows = pvf._kind(spec)._replace(rows=lambda *args: calls.append(args))
+    monkeypatch.setitem(pvf._KINDS, type(spec), rows)
     with pytest.raises(SupportBlowupError):
         run_scheme(spec, mu0, cfg(scheme, max_atoms=cap))
     assert calls == []
@@ -487,6 +490,66 @@ def test_a_step_runs_the_kernel_once_per_value(monkeypatch, scheme, extra, spec)
     assert len(calls) == per_step * 5 + extra
     if attached:
         assert all(base_of(lift) is mu for lift, mu in zip(path.interp, path.measures))
+
+
+def lift_bits(lift) -> list:
+    return [(a.shape, a.tobytes()) for a in (lift.positions, lift.velocities, lift.weights)]
+
+
+def seeded_measures() -> list:
+    """1-D starting measures on every splitting route: a Dirac (its median
+    splits), seeded clouds (splits exact and inexact) and a seeded torn
+    block (its median atom moves right whole with its own weight, so its
+    lifts adopt every column as given)."""
+    rng = np.random.default_rng(33)
+    out = [dirac(float(rng.uniform(-1.0, 1.0)))]
+    for n in (2, 5, 9):
+        out.append(m1(rng.uniform(-1.0, 1.0, n).tolist(), rng.uniform(0.1, 1.0, n).tolist()))
+    a = float(rng.uniform(-1.0, 1.0))
+    return out + [quantile_uniform(a, a + 1.0, 16)]
+
+
+@pytest.mark.parametrize("scheme", [LAS, LAGRANGIAN, MEAN_VELOCITY])
+@pytest.mark.parametrize("spec", [SPLIT, BINOMIAL, PEANO, CustomPvf(lambda mu: eval_pvf(SPLIT, mu))],
+                         ids=["split", "binomial", "peano", "custom"])
+def test_stored_lifts_are_canonical_read_only_and_the_rules_only_where_taken_for_it(
+        monkeypatch, scheme, spec):
+    # A step's bookkeeping (no flag set twice, a lift adopted as given, one
+    # rule lookup) must leave what a path stores as the checked constructors
+    # would build it.  Every stored lift is its own rows' canonical form bit
+    # for bit; every array of every node and lift is read-only; a lift is
+    # taken for the rule's evaluation at its node (``pvf._is_lift``) exactly
+    # where eval_pvf built it from this splitting rule object with the node
+    # the step started from as its base, and it then is that evaluation;
+    # that node is its base exactly where the rule's rows prove it.
+    built = []
+    evaluate = schemes.eval_pvf
+
+    def recorded(spec, mu):
+        lift = evaluate(spec, mu)
+        built.append((lift, mu))  # kept alive, so that no id is reused
+        return lift
+
+    monkeypatch.setattr(schemes, "eval_pvf", recorded)
+    for mu0 in seeded_measures():
+        built.clear()
+        path = run_scheme(spec, mu0, cfg(scheme, N=4))
+        for mu in path.measures:
+            assert not (mu.atoms.flags.writeable or mu.weights.flags.writeable)
+        for lift, node in zip(path.interp, path.measures):
+            rows = (lift.positions, lift.velocities, lift.weights)
+            assert not any(a.flags.writeable for a in rows)
+            assert lift_bits(make_lifted(*rows)) == lift_bits(lift)
+            assert base_of(lift) is node
+            origin = next((b for a, b in built if a is lift), None)  # the node eval_pvf lifted
+            assert pvf._is_lift(lift, spec, node) == (spec is SPLIT and origin is node)
+            if origin is not None and not isinstance(spec, CustomPvf):
+                # the step started from its lift's base exactly where the
+                # rows are exact and the lift keeps every one of them
+                *_, w, exact = pvf._kind(spec).rows(spec, origin)
+                assert (origin is node) == (exact and lift.natoms == len(w))
+            if pvf._is_lift(lift, spec, node):
+                assert lift_bits(evaluate(spec, node)) == lift_bits(lift)
 
 
 def test_coalescing_steps_run_the_kernel_once_more(monkeypatch):
