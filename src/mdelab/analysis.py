@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimMismatchError, EmptyInputError
 from .measures import DiscreteMeasure
-from .pvf import PvfSpec, _is_lift, eval_pvf
+from .pvf import PvfSpec, eval_pvf
 from .schemes import MeasurePath, interpolate_at
 from .transport import w1_distance
 
@@ -152,11 +152,7 @@ def residual(
     grad f(x)·v under the velocity rule evaluated at each node measure.
     Evaluating the rule at the nodes (rather than trusting the stored
     interval lifts) makes this a test of the path as a candidate solution,
-    independent of the scheme that produced it.  A stored lift stands in
-    for the evaluation only where it is that evaluation bit for bit (see
-    ``pvf._is_lift``): a splitting lift that ``eval_pvf`` built from this
-    ``spec`` object and from the node itself.  Graph fields and custom
-    rules run user code, so they are always evaluated again.
+    independent of the scheme that produced it.
     """
     if family is None:
         family = default_test_family(path.measures)
@@ -168,11 +164,7 @@ def residual(
     centers = np.array([f.center for f in family])
     r2 = np.array([f.radius**2 for f in family])
     nodes = path.measures
-    lifts = [
-        lift if _is_lift(lift, spec, mu) else eval_pvf(spec, mu)
-        for lift, mu in zip(path.interp, nodes)
-    ]
-    lifts.append(eval_pvf(spec, nodes[-1]))
+    lifts = [eval_pvf(spec, mu) for mu in nodes]
     integrand = np.empty((len(family), len(nodes)))
     values = np.empty((len(family), len(nodes)))
     # The whole family at once on blocks of nodes with equal atom and lift

@@ -34,8 +34,8 @@ through the kernel alone.  There are two ways in:
   caller passes the rows with what their construction proves: that they
   are finite, that they are in canonical order (the kernel then runs
   only its weight tests), or that the weights are a canonical measure's
-  (which pass those tests, so they are skipped).  A lift's base, and the
-  rule it evaluates, are passed in too where the rows prove the base.
+  (which pass those tests, so they are skipped).  A lift's base is
+  passed in too where the rows prove it.
   Rows on the line with unproved coordinates take the gap test of the
   kernel's first route before the finiteness check, and the kernel
   reuses its outcome.
@@ -393,7 +393,7 @@ def _unit(total: float, mass: np.ndarray, w: np.ndarray, gid: np.ndarray | None,
 
 def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None = None, *,
             ordered: bool = False, finite: bool = False, tested: bool = False,
-            base: "DiscreteMeasure | None" = None, rule=None,
+            base: "DiscreteMeasure | None" = None,
             tol: float = MERGE_TOL) -> "DiscreteMeasure | LiftedMeasure":
     """The measure on rows the library derived from canonical measures: a
     ``DiscreteMeasure`` on ``rows``, or with ``velocities`` the
@@ -447,17 +447,15 @@ def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None
       lift keeps every row and weight, the base pass would group the
       positions back to ``base``'s atoms and the weights to its weights,
       and keep them (they are tested, as above).  So ``base`` is then the
-      lift's base, and it is not computed.  ``rule`` is the rule whose
-      evaluation at ``base`` the lift is (see ``pvf._is_lift``); it is
-      recorded with the base.
+      lift's base, and it is not computed.
     * ``tol``: the merge tolerance, ``MERGE_TOL`` or, for ``coalesce``,
       more.
 
     Given all of ``ordered``, ``finite`` and ``tested``, as a splitting lift
     whose median atom moves whole and a ``mean-velocity`` lift are, nothing
     is left to test or compute: the value adopts the arrays as given, with
-    ``base`` and ``rule`` when given, and reads nothing else.  Every value
-    freezes its arrays (``_frozen``), and only those still writeable.
+    ``base`` when given, and reads nothing else.  Every value freezes its
+    arrays (``_frozen``), and only those still writeable.
     """
     lifted = velocities is not None
     cols, mass = ((rows, velocities) if lifted else (rows,)), weights
@@ -484,7 +482,7 @@ def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None
             cols = _columns(atoms) if lifted else (atoms,)
     out = object.__new__(LiftedMeasure if lifted else DiscreteMeasure)
     keeps = base is not None and (mass is weights or np.array_equal(mass, weights))
-    out._set(*cols, mass, *((base, rule) if keeps else ()))
+    out._set(*cols, mass, *((base,) if keeps else ()))
     return out
 
 
@@ -593,7 +591,6 @@ class LiftedMeasure:
     positions: np.ndarray
     velocities: np.ndarray
     weights: np.ndarray
-    _rule = None  # the rule given to ``_derive`` with the base; see ``pvf._is_lift``
 
     def __post_init__(self):
         pos = _as_points(self.positions)
@@ -606,17 +603,16 @@ class LiftedMeasure:
         self._set(*_columns(joint), weights)
 
     def _set(self, positions: np.ndarray, velocities: np.ndarray, weights: np.ndarray,
-             base: DiscreteMeasure | None = None, rule=None) -> None:
+             base: DiscreteMeasure | None = None) -> None:
         # contiguous columns (``_columns``, ``_derive``): a scheme step reads
         # them twice, and arithmetic on strided views costs more; ``base``
-        # and ``rule`` as ``_derive`` documents them
+        # as ``_derive`` documents it
         _frozen(positions, velocities, weights)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "velocities", velocities)
         object.__setattr__(self, "weights", weights)
         if base is not None:
             object.__setattr__(self, "_base", base)
-            object.__setattr__(self, "_rule", rule)
 
     @property
     def dim(self) -> int:

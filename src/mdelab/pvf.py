@@ -123,8 +123,7 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
     checked.
 
     Exact rows pass ``mu`` to the constructor as the lift's base, which is
-    then not computed when the lift keeps every row and weight; a
-    splitting lift also passes its rule (see ``_is_lift``).  Splitting
+    then not computed when the lift keeps every row and weight.  Splitting
     lifts of measures that share one weights array, on which the median
     atom moves right whole with its own weight, share its velocity column,
     computed once: it is a function of the read-only weights alone (see
@@ -135,18 +134,7 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
         return _custom_lift(spec, mu)
     pos, vel, w, exact = kind.rows(spec, mu)
     return _derive(pos, w, velocities=vel, ordered=True, finite=kind.finite,
-                   tested=w is mu.weights, base=mu if exact else None,
-                   rule=spec if kind.recorded else None)
-
-
-def _is_lift(lift: LiftedMeasure, spec: PvfSpec, mu: DiscreteMeasure) -> bool:
-    """Whether ``lift`` is ``eval_pvf(spec, mu)`` bit for bit, known
-    without evaluating it: ``eval_pvf`` built it from this splitting rule
-    object and gave ``mu`` itself to the constructor as its base, and the
-    splitting rule runs no user code.  A graph field's callable may not be
-    a function of the position alone, so its lifts record no rule and are
-    never taken for an evaluation."""
-    return lift._rule is spec and base_of(lift) is mu
+                   tested=w is mu.weights, base=mu if exact else None)
 
 
 class _Kind(NamedTuple):
@@ -186,15 +174,12 @@ class _Kind(NamedTuple):
     order over two canonical measures, so the rows at one position are
     omega's atoms in order.
 
-    ``finite`` says that the rows are finite by construction, and
-    ``recorded`` that a lift with an attached base records its rule (see
-    ``_is_lift``): only the splitting rule runs no user code.
+    ``finite`` says that the rows are finite by construction.
     """
 
     size: Optional[Callable[[PvfSpec, DiscreteMeasure], int]]
     rows: Callable[[PvfSpec, DiscreteMeasure], tuple[np.ndarray, np.ndarray, np.ndarray, bool]]
     finite: bool
-    recorded: bool
 
 
 def _kind(spec: PvfSpec) -> _Kind:
@@ -271,11 +256,10 @@ def _custom_rows(spec: CustomPvf, mu: DiscreteMeasure):
 
 #: One entry per kind of rule (see ``_Kind``).
 _KINDS: dict[type, _Kind] = {
-    SplittingParticlePvf: _Kind(lambda spec, mu: mu.natoms + 1, _splitting_rows, True, True),
-    GraphPvf: _Kind(lambda spec, mu: mu.natoms, _graph_rows, False, False),
-    ConstantFiberPvf: _Kind(lambda spec, mu: mu.natoms * spec.omega.natoms, _fiber_rows,
-                            True, False),
-    CustomPvf: _Kind(None, _custom_rows, False, False),
+    SplittingParticlePvf: _Kind(lambda spec, mu: mu.natoms + 1, _splitting_rows, True),
+    GraphPvf: _Kind(lambda spec, mu: mu.natoms, _graph_rows, False),
+    ConstantFiberPvf: _Kind(lambda spec, mu: mu.natoms * spec.omega.natoms, _fiber_rows, True),
+    CustomPvf: _Kind(None, _custom_rows, False),
 }
 
 
@@ -403,8 +387,10 @@ GRAPH_FIELDS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-#: The keys each kind of measure fragment requires, by kind.
-_MEASURE_KEYS = {"atoms": ("atoms", "weights"), "dirac": ("point",), "uniform_1d": ("a", "b")}
+#: The keys each kind of measure fragment takes besides ``kind``, by kind;
+#: all are required but a ``uniform_1d`` fragment's atom count.
+_MEASURE_KEYS = {"atoms": ("atoms", "weights"), "dirac": ("point",),
+                 "uniform_1d": ("a", "b", "atoms")}
 
 
 def initial_from_spec(obj: dict, where: str = "initial") -> DiscreteMeasure:
@@ -416,18 +402,17 @@ def initial_from_spec(obj: dict, where: str = "initial") -> DiscreteMeasure:
         {"kind": "dirac", "point": [...]}
         {"kind": "uniform_1d", "a": a, "b": b, "atoms": 64}
 
-    Every error is a ConfigError whose message starts with ``where``.
+    Every number is a JSON number, an int or a float but not a bool, and a
+    key the kind does not take is an error.  Every error is a ConfigError
+    whose message starts with ``where``.
     """
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    kind = obj.get("kind")
-    if not (isinstance(kind, str) and kind in _MEASURE_KEYS):
-        raise ConfigError(
-            f"{where}.kind: unknown kind {kind!r} (known: {', '.join(_MEASURE_KEYS)})"
-        )
+    kind = _fragment_kind(obj, where, _MEASURE_KEYS)
     for key in _MEASURE_KEYS[kind]:
+        if kind == "uniform_1d" and key == "atoms":
+            continue  # a count, 64 when left out; checked below
         if key not in obj:
             raise ConfigError(f"{where}.{key}: required for {kind}")
+        _check_numbers(obj[key], f"{where}.{key}", lists=kind != "uniform_1d")
     natoms = obj.get("atoms", 64)  # read by uniform_1d only
     if kind == "uniform_1d" and not (_is_grid_size(natoms) and natoms <= MAX_ATOMS):
         raise ConfigError(f"{where}.atoms: expected an integer in [1, {MAX_ATOMS}], "
@@ -442,9 +427,39 @@ def initial_from_spec(obj: dict, where: str = "initial") -> DiscreteMeasure:
         raise ConfigError(f"{where}{'.point' if kind == 'dirac' else ''}: {exc}") from exc
 
 
+def _fragment_kind(obj: dict, where: str, keys: dict[str, tuple]) -> str:
+    """The kind of the fragment ``obj``, one of ``keys``, which maps each
+    kind to the keys it takes besides ``kind``.  Anything else, and a key
+    the kind does not take, is a ConfigError."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    kind = obj.get("kind")
+    if not (isinstance(kind, str) and kind in keys):
+        raise ConfigError(f"{where}.kind: unknown kind {kind!r} (known: {', '.join(keys)})")
+    for key in obj:
+        if key != "kind" and key not in keys[kind]:
+            known = ", ".join(("kind",) + keys[kind])
+            raise ConfigError(f"{where}.{key}: unknown key (known: {known})")
+    return kind
+
+
+def _check_numbers(value, where: str, lists: bool = True) -> None:
+    """Raise ConfigError unless ``value`` is a JSON number, an int or a
+    float but not a bool, or with ``lists`` nested lists of them."""
+    if lists and isinstance(value, (list, tuple)):
+        for item in value:
+            _check_numbers(item, where)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+
+
 def _is_grid_size(n) -> bool:
     """``is_count``, or an integral float such as 4.0, as JSON may write one."""
     return is_count(n) or (isinstance(n, float) and n >= 1 and n.is_integer())
+
+
+#: The keys each kind of rule fragment takes besides ``kind``, by kind.
+_PVF_KEYS = {"graph": ("field",), "constant_fiber": ("omega",), "splitting": ()}
 
 
 def pvf_from_json(obj: dict) -> PvfSpec:
@@ -458,11 +473,10 @@ def pvf_from_json(obj: dict) -> PvfSpec:
         {"kind": "splitting"}
 
     ``omega`` is a measure fragment (``initial_from_spec``); without a
-    ``kind`` it is an ``atoms`` fragment, as ``pvf_to_json`` writes it.
+    ``kind`` it is an ``atoms`` fragment, as ``pvf_to_json`` writes it.  A
+    key the kind does not take is a ConfigError.
     """
-    if not isinstance(obj, dict):
-        raise ConfigError("pvf: expected an object")
-    kind = obj.get("kind")
+    kind = _fragment_kind(obj, "pvf", _PVF_KEYS)
     if kind == "graph":
         name = obj.get("field")
         if not isinstance(name, str) or name not in GRAPH_FIELDS:
@@ -476,9 +490,7 @@ def pvf_from_json(obj: dict) -> PvfSpec:
         if isinstance(omega, dict) and "kind" not in omega:
             omega = dict(omega, kind="atoms")
         return ConstantFiberPvf(omega=initial_from_spec(omega, "pvf.omega"))
-    if kind == "splitting":
-        return SplittingParticlePvf()
-    raise ConfigError(f"pvf.kind: unknown kind {kind!r}")
+    return SplittingParticlePvf()
 
 
 def pvf_to_json(spec: PvfSpec) -> dict:

@@ -17,7 +17,7 @@ from mdelab import (
     SchemeConfig,
     SplittingParticlePvf,
     TestFunction,
-    base_of,
+    build_representation,
     convergence_study,
     default_test_family,
     dirac,
@@ -31,7 +31,7 @@ from mdelab import (
     scheme_compare,
     w1_distance,
 )
-from mdelab import analysis, schemes
+from mdelab import analysis, superposition
 from mdelab.pvf import GRAPH_FIELDS
 
 SPLIT = SplittingParticlePvf()
@@ -305,51 +305,41 @@ def counted_evaluations(monkeypatch) -> list:
     m1([0.572, 0.318, 0.619, 0.582, 0.104], [0.5, 0.45, 0.74, 0.18, 0.25]),
     m1([0.0, 1.0, 2.0], [0.5 + 3e-16, 0.25, 0.25 - 3e-16]),  # every split inexact
 ], ids=["torn-block", "mixed", "inexact"])
-def test_residual_reuses_the_exact_splitting_lifts_of_a_lagrangian_path(monkeypatch, mu0):
-    # a step's lift is reusable when its base is the node the step started
-    # from: every node is the base of its lift, but not every base is that
-    started = {}
-    evaluate = schemes.eval_pvf
-
-    def recorded(spec, mu):
-        lift = evaluate(spec, mu)
-        started[id(lift)] = mu
-        return lift
-
-    monkeypatch.setattr(schemes, "eval_pvf", recorded)
-    path = run_scheme(SPLIT, mu0, cfg(LAGRANGIAN, N=16))
-    reusable = [base_of(lift) is started[id(lift)] for lift in path.interp]
-    calls = counted_evaluations(monkeypatch)
-    assert_residual_matches_loop(path, SPLIT)
-    # the last node, and every node whose lift is not reusable
-    expected = [mu for mu, ok in zip(path.measures, reusable + [False]) if not ok]
-    assert len(calls) == len(expected) and all(a is b for a, b in zip(calls, expected))
-    assert len(calls) == {256: 1, 5: 4, 3: 17}[mu0.natoms]
+def test_residual_matches_the_loop_on_lagrangian_splitting_paths(mu0):
+    assert_residual_matches_loop(run_scheme(SPLIT, mu0, cfg(LAGRANGIAN, N=16)), SPLIT)
 
 
-@pytest.mark.parametrize("spec, scheme", [
-    (SPLIT, LAS),
-    (SPLIT, MEAN_VELOCITY),
-    (BINOMIAL, LAGRANGIAN),
-    (GraphPvf(GRAPH_FIELDS["linear"]), LAGRANGIAN),
-    (CustomPvf(lambda mu: eval_pvf(SPLIT, mu)), LAGRANGIAN),
-])
-def test_residual_evaluates_every_node_it_cannot_reuse(monkeypatch, spec, scheme):
-    # lattice and one-point lifts are not the rule's; a constant fiber's
-    # base is computed; a graph field and a custom rule run user code
-    path = run_scheme(spec, make_measure([[0.0], [0.25], [0.5]], [0.2, 0.3, 0.5]), cfg(scheme))
+@pytest.mark.parametrize("scheme", [LAS, LAGRANGIAN, MEAN_VELOCITY])
+@pytest.mark.parametrize("spec", [
+    SPLIT, BINOMIAL, GraphPvf(GRAPH_FIELDS["linear"]), CustomPvf(lambda mu: eval_pvf(SPLIT, mu)),
+], ids=["split", "binomial", "graph", "custom"])
+def test_residual_evaluates_each_node_once_and_the_bundle_glues_each_interval_once(
+        monkeypatch, spec, scheme):
+    # the residual evaluates the rule at every node and reads no stored
+    # lift; the bundle glues each of the N - 1 later intervals with the
+    # public concat_merge
+    n = 5
+    path = run_scheme(spec, make_measure([[0.0], [0.25], [0.5]], [0.2, 0.3, 0.5]), cfg(scheme, N=n))
     calls = counted_evaluations(monkeypatch)
     assert_residual_matches_loop(path, spec)
-    assert len(calls) == len(path.measures)
+    assert len(calls) == len(path.measures) and all(a is b for a, b in zip(calls, path.measures))
+    glued = []
+    concat_merge = superposition.concat_merge
+
+    def counted(*args):
+        glued.append(args)
+        return concat_merge(*args)
+
+    monkeypatch.setattr(superposition, "concat_merge", counted)
+    build_representation(path)
+    assert len(glued) == n - 1
 
 
-def test_residual_reuses_lifts_of_the_same_rule_object_only(monkeypatch):
+def test_residual_is_the_same_for_an_equal_rule_object():
     path = run_scheme(SPLIT, quantile_uniform(0.0, 1.0, 64), cfg(LAGRANGIAN, N=8))
-    calls = counted_evaluations(monkeypatch)
     other = SplittingParticlePvf()
     assert other == SPLIT and other is not SPLIT
     assert np.array_equal(residual(path, other).defects, residual(path, SPLIT).defects)
-    assert len(calls) == len(path.measures) + 1
 
 
 # ---------------------------------------------------------------------------

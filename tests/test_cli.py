@@ -207,6 +207,30 @@ def test_rule_and_measure_of_other_dimensions_are_a_config_error(tmp_path, capsy
     assert not (tmp_path / "o").exists()  # the failed run made no directory
 
 
+@pytest.mark.parametrize(
+    "where, bad",
+    [
+        ("initial.atom", {"initial": {"kind": "uniform_1d", "a": 0, "b": 1, "atom": 256}}),
+        ("pvf.rate", {"pvf": {"kind": "splitting", "rate": 2}}),
+        ("pvf.feild", {"pvf": {"kind": "graph", "field": "linear", "feild": "peano"}}),
+        ("pvf.omega.atom", {"pvf": {"kind": "constant_fiber",
+                                    "omega": {"atoms": [[1.0]], "weights": [1.0], "atom": 1}}}),
+        ("initial.a", {"initial": {"kind": "uniform_1d", "a": True, "b": 1}}),
+        ("initial.weights", {"initial": {"kind": "atoms", "atoms": [[0.0]], "weights": ["1"]}}),
+    ],
+)
+def test_a_fragment_typo_or_a_non_number_is_a_config_error(tmp_path, capsys, where, bad):
+    spec = scenario_to_json(get_scenario("splitting-dirac"))
+    spec.update(N=[2], outputs=str(tmp_path / "o"))
+    spec.update(bad)
+    write_json(spec, tmp_path / "typo.json")
+    code, out, err = run_cli(["run", str(tmp_path / "typo.json")], capsys)
+    assert code == 2
+    assert err.startswith(f"configuration error: {where}: ")
+    assert out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_failed_run_leaves_an_earlier_run_as_it_was(tmp_path, capsys):
     out = tmp_path / "d"
     spec = scenario_to_json(get_scenario("splitting-dirac"))

@@ -241,6 +241,24 @@ def test_pvf_json_diagnostics():
         pvf_from_json({"kind": "constant_fiber", "omega": {"kind": "dirac", "point": "x"}})
 
 
+OMEGA = {"atoms": [[-1.0], [1.0]], "weights": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("frag, where, known", [
+    ({"kind": "splitting", "rate": 2}, "pvf.rate", "kind"),
+    ({"kind": "graph", "field": "linear", "feild": "peano"}, "pvf.feild", "kind, field"),
+    ({"kind": "constant_fiber", "omega": OMEGA, "omgea": OMEGA}, "pvf.omgea", "kind, omega"),
+    ({"kind": "constant_fiber", "omega": dict(OMEGA, atom=2)}, "pvf.omega.atom",
+     "kind, atoms, weights"),
+    ({"kind": "constant_fiber", "omega": {"kind": "uniform_1d", "a": 0, "b": 1, "atom": 2}},
+     "pvf.omega.atom", "kind, a, b, atoms"),
+])
+def test_a_rule_fragment_refuses_a_key_its_kind_does_not_take(frag, where, known):
+    with pytest.raises(ConfigError) as info:
+        pvf_from_json(frag)
+    assert str(info.value) == f"{where}: unknown key (known: {known})"
+
+
 @st.composite
 def split_inputs(draw):
     """1-D measures whose median often falls exactly on a CDF step: dyadic

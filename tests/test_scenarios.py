@@ -43,9 +43,10 @@ def tiny_scenario(outputs, **kw):
 def test_initial_from_spec_kinds():
     d = initial_from_spec({"kind": "dirac", "point": [2.0]})
     assert d.atoms[0, 0] == 2.0
+    assert initial_from_spec({"kind": "dirac", "point": [2]}) == d  # an int is a JSON number
 
     atoms = initial_from_spec(
-        {"kind": "atoms", "atoms": [[0.0], [1.0]], "weights": [1, 3]}
+        {"kind": "atoms", "atoms": [[0], [1.0]], "weights": [1, 3]}
     )
     assert np.array_equal(atoms.weights, [0.25, 0.75])
 
@@ -67,6 +68,35 @@ def test_initial_from_spec_diagnostics():
         initial_from_spec({"kind": "gaussian"})
     with pytest.raises(ConfigError):
         initial_from_spec("dirac")
+
+
+@pytest.mark.parametrize("frag, key, known", [
+    ({"kind": "uniform_1d", "a": 0, "b": 1, "atom": 256}, "atom", "kind, a, b, atoms"),
+    ({"kind": "atoms", "atoms": [[0.0]], "weights": [1.0], "weight": [1.0]}, "weight",
+     "kind, atoms, weights"),
+    ({"kind": "dirac", "point": [0.0], "a": 0}, "a", "kind, point"),
+])
+def test_a_measure_fragment_refuses_a_key_its_kind_does_not_take(frag, key, known):
+    with pytest.raises(ConfigError, match=rf"^initial\.{key}: unknown key \(known: {known}\)$"):
+        initial_from_spec(frag)
+
+
+@pytest.mark.parametrize("frag, key, bad", [
+    ({"kind": "uniform_1d", "a": True, "b": 1}, "a", True),
+    ({"kind": "uniform_1d", "a": 0, "b": "1"}, "b", "1"),
+    ({"kind": "uniform_1d", "a": [0], "b": 1}, "a", [0]),
+    ({"kind": "uniform_1d", "a": None, "b": 1}, "a", None),
+    ({"kind": "dirac", "point": ["0.5"]}, "point", "0.5"),
+    ({"kind": "dirac", "point": [0.0, False]}, "point", False),
+    ({"kind": "atoms", "atoms": [[0.0], [1.0]], "weights": [True, "1"]}, "weights", True),
+    ({"kind": "atoms", "atoms": [[0.0], [True]], "weights": [1, 1]}, "atoms", True),
+    ({"kind": "atoms", "atoms": [["0"]], "weights": [1]}, "atoms", "0"),
+    ({"kind": "atoms", "atoms": [[0.0]], "weights": [{}]}, "weights", {}),
+])
+def test_a_measure_fragment_takes_json_numbers_only(frag, key, bad):
+    with pytest.raises(ConfigError) as info:
+        initial_from_spec(frag)
+    assert str(info.value) == f"initial.{key}: expected a number, got {bad!r}"
 
 
 # ---------------------------------------------------------------------------

@@ -512,16 +512,14 @@ def seeded_measures() -> list:
 @pytest.mark.parametrize("scheme", [LAS, LAGRANGIAN, MEAN_VELOCITY])
 @pytest.mark.parametrize("spec", [SPLIT, BINOMIAL, PEANO, CustomPvf(lambda mu: eval_pvf(SPLIT, mu))],
                          ids=["split", "binomial", "peano", "custom"])
-def test_stored_lifts_are_canonical_read_only_and_the_rules_only_where_taken_for_it(
-        monkeypatch, scheme, spec):
+def test_stored_lifts_are_canonical_and_read_only(monkeypatch, scheme, spec):
     # A step's bookkeeping (no flag set twice, a lift adopted as given, one
     # rule lookup) must leave what a path stores as the checked constructors
     # would build it.  Every stored lift is its own rows' canonical form bit
-    # for bit; every array of every node and lift is read-only; a lift is
-    # taken for the rule's evaluation at its node (``pvf._is_lift``) exactly
-    # where eval_pvf built it from this splitting rule object with the node
-    # the step started from as its base, and it then is that evaluation;
-    # that node is its base exactly where the rule's rows prove it.
+    # for bit; every array of every node and lift is read-only; a lift that
+    # eval_pvf built with the node the step started from as its base is the
+    # rule's evaluation at that node; that node is its base exactly where
+    # the rule's rows prove it.
     built = []
     evaluate = schemes.eval_pvf
 
@@ -542,13 +540,12 @@ def test_stored_lifts_are_canonical_read_only_and_the_rules_only_where_taken_for
             assert lift_bits(make_lifted(*rows)) == lift_bits(lift)
             assert base_of(lift) is node
             origin = next((b for a, b in built if a is lift), None)  # the node eval_pvf lifted
-            assert pvf._is_lift(lift, spec, node) == (spec is SPLIT and origin is node)
             if origin is not None and not isinstance(spec, CustomPvf):
                 # the step started from its lift's base exactly where the
                 # rows are exact and the lift keeps every one of them
                 *_, w, exact = pvf._kind(spec).rows(spec, origin)
                 assert (origin is node) == (exact and lift.natoms == len(w))
-            if pvf._is_lift(lift, spec, node):
+            if origin is node:
                 assert lift_bits(evaluate(spec, node)) == lift_bits(lift)
 
 

@@ -270,7 +270,6 @@ def test_build_representation_curve_cap(monkeypatch):
         raise AssertionError("gluing ran before the curve cap")
 
     monkeypatch.setattr(superposition, "concat_merge", never)
-    monkeypatch.setattr(superposition, "_glue", never)
     path = run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, N=4))
     # 2**4 curves: the cap fires on the exact count, one below it too
     for cap in (7, 15):
@@ -291,12 +290,12 @@ def test_build_representation_curve_cap(monkeypatch):
 )
 def test_glued_pair_count_is_the_curve_count(scheme, spec, mu0, n):
     path = run_scheme(spec, mu0, cfg(scheme, N=n))
-    assert superposition._glued_pairs(path)[0] == build_representation(path).ncurves
+    assert superposition._glued_pairs(path) == build_representation(path).ncurves
 
 
 def glued_by_concat_merge(path):
     """The bundle of a path glued interval by interval with the public
-    ``concat_merge``, which matches the segment starts itself."""
+    ``concat_merge``."""
     times, first = path.times, path.interp[0]
     ends = first.positions + (times[1] - times[0]) * first.velocities
     ens = TrajectoryEnsemble(times=times[:2], weights=first.weights,
@@ -309,10 +308,10 @@ def glued_by_concat_merge(path):
 @pytest.mark.parametrize("scheme, spec", [(LAS, BINOMIAL), (LAGRANGIAN, SPLIT), (LAS, SPLIT),
                                           (LAGRANGIAN, PEANO)],
                          ids=["las-binomial", "lagrangian-split", "las-split", "peano"])
-def test_a_glued_interval_matches_its_segment_starts_once(monkeypatch, scheme, spec):
-    # the cap count matches each interval's segment starts, and the glue
-    # reuses them: 3 matches per glued interval (curve ends twice, segment
-    # starts once), and the bundle is concat_merge's bit for bit
+def test_a_glued_interval_matches_curve_ends_and_segment_starts_twice(monkeypatch, scheme, spec):
+    # the cap count and concat_merge each match an interval's curve ends
+    # and segment starts: 4 matches per glued interval, and the bundle is
+    # concat_merge's bit for bit
     n = 5
     path = run_scheme(spec, m1([0.0, 0.25, 0.5], [0.2, 0.3, 0.5]), cfg(scheme, N=n))
     calls = []
@@ -323,7 +322,7 @@ def test_a_glued_interval_matches_its_segment_starts_once(monkeypatch, scheme, s
 
     monkeypatch.setattr(superposition, "match_rows", counted)
     ens = build_representation(path)
-    assert len(calls) == 3 * (n - 1)
+    assert len(calls) == 4 * (n - 1)
     monkeypatch.undo()
     ref = glued_by_concat_merge(path)
     for a, b in [(ens.times, ref.times), (ens.weights, ref.weights), (ens.knots, ref.knots)]:
