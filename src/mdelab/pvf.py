@@ -269,7 +269,9 @@ _KINDS: dict[type, _Kind] = {
 #: this route is kept: its lift's weights are the array itself, which a
 #: run's next node holds too.  A split's columns are not kept: a run does
 #: not lift a split node's array again while the lift holding them lives,
-#: so no lookup found them.
+#: so no lookup found them.  A ``lagrangian`` run stops lifting a torn
+#: block after its first whole step (``schemes._moved_whole``), so the
+#: entry serves ``las`` and ``mean-velocity`` runs and ``residual``.
 _split_memo: Optional[tuple] = None
 
 
@@ -289,6 +291,10 @@ def _split(mu: DiscreteMeasure) -> tuple[Optional[int], np.ndarray, np.ndarray, 
     share the first node's array, so the median and the column are
     computed once per run.  A median that splits, or moves whole lighter
     than its weight, is found afresh at every call (see ``_split_memo``).
+    Under ``lagrangian`` such a run calls this for its first whole step
+    only: ``schemes.run_scheme`` carries a torn block's later steps in one
+    running sum, since this column, a function of the weights alone, is
+    the same at every node.
     """
     global _split_memo
     if _split_memo is not None:

@@ -58,7 +58,15 @@ the same weights array, and the splitting rule keeps that array's
 velocity column (see ``pvf._split``), so such a run finds the median
 once: a torn block's later steps, and a ``splitting-dirac`` run's after
 its first split, run no median search and build no velocity column, and
-their lifts share one read-only velocity column.  What a split fixes is
+their lifts share one read-only velocity column.  Under ``lagrangian``,
+with the default merge tolerance, those later steps are one affine
+motion, node k + 1 = node k + dt v, so ``run_scheme`` takes them in whole
+arrays (``_moved_whole``): one sequential running sum,
+``np.add.accumulate``, adds dt v to each node's atoms in the order a step
+does, so every node has the step's bits, and one gap reduction per node
+stands for the step's gap test.  Such steps call no ``eval_pvf`` and run
+no kernel.  ``las`` and ``mean-velocity`` runs, and ``residual``, still
+lift each node, through the rule's kept column.  What a split fixes is
 not kept: a run does not lift a split node's weights again while the lift
 holding its columns lives.
 
@@ -92,7 +100,7 @@ from .measures import (
     is_count,
     support_radius,
 )
-from .pvf import MAX_ATOMS, PvfSpec, _kind, eval_pvf
+from .pvf import _KINDS, MAX_ATOMS, PvfSpec, SplittingParticlePvf, _kind, eval_pvf
 from .tolerances import AGREE_TOL, CELL_TOL, MERGE_TOL, PRUNE_FLOOR_MAX
 
 LAS = "las"
@@ -329,6 +337,57 @@ def _mean_velocity_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
 
 _STEPS = {LAS: _las_step, LAGRANGIAN: _lagrangian_step, MEAN_VELOCITY: _mean_velocity_step}
 
+#: The bytes of one block of a torn block's running sum (``_moved_whole``).
+_BLOCK_BYTES = 1 << 18
+
+
+def _moved_whole(mu: DiscreteMeasure, vel: np.ndarray, dt: float, steps: int):
+    """Up to ``steps`` ``lagrangian`` splitting steps from ``mu``, as
+    (lift, next node, 0.0), of a run whose last step moved its median atom
+    right whole: the lift's positions were its node's atoms, its weights
+    the node's array, which the next node ``mu`` adopted, and ``vel`` its
+    velocity column.
+
+    The splitting rule's velocity column is a function of the weights
+    array alone (``pvf._split``), so every later lift is ``mu``'s atoms
+    with ``vel`` and the same weights, and every later node is its lift's
+    positions plus the same ``dtv = dt * vel``.  The cap saw this atom
+    count already, no weight changes for the floor to drop, and the merge
+    tolerance is ``MERGE_TOL``.  So only the step's gap test can differ:
+    each node's atoms come from one sequential running sum,
+    ``np.add.accumulate``, which adds ``dtv`` to the row before as a step
+    does, so they are the step's bits.  A node whose gaps all exceed
+    ``MERGE_TOL`` and whose end rows are finite passes the test as
+    ``_derive`` makes it, and is adopted with ``+ 0.0`` into a fresh
+    array; its lift is built with the node before it as its base, as a
+    step's is.  At the first node that fails, the steps stop, and the
+    scheme's step, run from the last node given, refuses or merges it
+    with its own error in every ``np.errstate`` mode.  Overflow here is
+    silenced, since a node it spoils is not given.  The sums run in blocks
+    of ``_BLOCK_BYTES``, each starting from the last node of the one
+    before.
+    """
+    w = mu.weights
+    dtv = dt * vel
+    rows = max(1, _BLOCK_BYTES // (8 * mu.natoms))
+    while steps:
+        m = min(rows, steps)
+        x = np.empty((m + 1,) + mu.atoms.shape)
+        x[0] = mu.atoms
+        x[1:] = dtv
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.accumulate(x, axis=0, out=x)
+            gap = np.minimum.reduce(x[1:, 1:, 0] - x[1:, :-1, 0], axis=1, initial=math.inf)
+            ok = (gap > MERGE_TOL) & np.isfinite(x[1:, 0, 0]) & np.isfinite(x[1:, -1, 0])
+        for j, passed in enumerate(ok.tolist(), 1):
+            if not passed:
+                return
+            lifted = _derive(mu.atoms, w, velocities=vel, ordered=True, finite=True, tested=True,
+                             base=mu)
+            mu = _derive(x[j] + 0.0, w, ordered=True, finite=True, tested=True)
+            yield lifted, mu, 0.0
+        steps -= m
+
 
 def run_scheme(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> MeasurePath:
     """Run the scheme named by ``cfg.scheme`` for N steps of dt from ``mu0``.
@@ -338,15 +397,31 @@ def run_scheme(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> Measur
     replaced by the base of its lift: the weight floor may trim lift tails.
     Where the lift's base is the node itself (see ``pvf.eval_pvf``), that
     is the same object, and nothing is computed.
+
+    A ``lagrangian`` step under the splitting rule whose median atom moved
+    right whole, its lift holding the node's atoms and weights and the next
+    node those weights, hands the steps that follow to ``_moved_whole``
+    while they pass its test, at ``coalesce_tol <= MERGE_TOL``; the next
+    node adopts the lift's weights only where the floor dropped none.
     """
     grid = cfg.grid
     step = _STEPS[cfg.scheme]
+    whole = (cfg.scheme == LAGRANGIAN and cfg.coalesce_tol <= MERGE_TOL
+             and _kind(spec) is _KINDS[SplittingParticlePvf])
     mu = snap_space(mu0, grid) if cfg.scheme == LAS else mu0
     measures = [mu]
     lifts: list[LiftedMeasure] = []
     pruned = 0.0
-    for _ in range(grid.N):
-        lifted, mu, lost = step(spec, mu, cfg)
+    moved = iter(())
+    for k in range(grid.N):
+        out = next(moved, None)
+        if out is None:
+            out = step(spec, mu, cfg)
+            lifted, nxt, _ = out
+            if (whole and lifted.positions is mu.atoms
+                    and lifted.weights is mu.weights is nxt.weights):
+                moved = _moved_whole(nxt, lifted.velocities, grid.dt, grid.N - k - 1)
+        lifted, mu, lost = out
         measures[-1] = base_of(lifted)
         lifts.append(lifted)
         measures.append(mu)

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from mdelab import (
     BaseOffGridError,
+    ConfigError,
     ConstantFiberPvf,
     CustomPvf,
     GraphPvf,
@@ -16,6 +17,7 @@ from mdelab import (
     MEAN_VELOCITY,
     MeasurePath,
     OutOfRangeError,
+    Scenario,
     SchemeConfig,
     SplittingParticlePvf,
     SupportBlowupError,
@@ -26,6 +28,7 @@ from mdelab import (
     make_lifted,
     make_measure,
     quantile_uniform,
+    run_scenario,
     run_scheme,
     sublinearity_bound,
     support_bound_check,
@@ -427,7 +430,9 @@ def test_a_torn_block_run_finds_its_median_once_and_keeps_nothing_alive(monkeypa
     # every node of a torn block holds the first node's weights array, so
     # the median and the velocity column are computed once per run, and
     # every lift shares that read-only column; the rule keeps them only by
-    # weak reference, so they go with the path
+    # weak reference, so they go with the path.  The steps after the first
+    # are one running sum, so the run makes one kernel pass, for the first
+    # step's node, not one per step
     calls = [0]
     median = pvf._median
 
@@ -436,16 +441,153 @@ def test_a_torn_block_run_finds_its_median_once_and_keeps_nothing_alive(monkeypa
         return median(mu)
 
     monkeypatch.setattr(pvf, "_median", counted)
-    path = run_scheme(SPLIT, quantile_uniform(0.0, 1.0, 256), cfg(LAGRANGIAN, N=256))
+    mu0 = quantile_uniform(0.0, 1.0, 256)
+    passes = counted_kernel(monkeypatch)
+    path = run_scheme(SPLIT, mu0, cfg(LAGRANGIAN, N=256))
     assert calls == [1]
+    assert len(passes) == 1
+    passes.clear()  # the pass's arguments hold the weights
     vel = path.interp[0].velocities
     assert not vel.flags.writeable
     assert all(lift.velocities is vel for lift in path.interp)
     assert all(mu.weights is path.measures[0].weights for mu in path.measures)
     refs = [weakref.ref(path.measures[0].weights), weakref.ref(vel)]
-    del path, vel
+    del path, vel, mu0
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+def reference_run(spec, mu, config, nodes: list):
+    """``run_scheme`` under ``lagrangian`` as a plain loop over its step,
+    recorded as ``run_scheme`` records: fills ``nodes`` (so that a failing
+    run leaves the node its failing step started from last) and returns
+    the lifts and the pruned mass."""
+    nodes.append(mu)
+    lifts, pruned = [], 0.0
+    for _ in range(config.grid.N):
+        lift, mu, lost = schemes._lagrangian_step(spec, mu, config)
+        nodes[-1] = base_of(lift)
+        lifts.append(lift)
+        nodes.append(mu)
+        pruned += lost
+    return lifts, pruned
+
+
+def node_bits(mu) -> list:
+    return [(a.shape, a.tobytes()) for a in (mu.atoms, mu.weights)]
+
+
+def outcome(run) -> tuple:
+    """What ``run()`` returns, or the class and message of what it raises."""
+    try:
+        return "ok", run()
+    except Exception as exc:  # every error is compared, whatever its class
+        return type(exc), str(exc)
+
+
+def counted_moves(monkeypatch) -> list:
+    """Record the number of steps handed to ``schemes._moved_whole`` at each start."""
+    starts = []
+    moved = schemes._moved_whole
+
+    def counted(mu, vel, dt, steps):
+        starts.append(steps)
+        return moved(mu, vel, dt, steps)
+
+    monkeypatch.setattr(schemes, "_moved_whole", counted)
+    return starts
+
+
+def differential_cases():
+    rng = np.random.default_rng(35)
+    for n, N, starts in [(2, 1, [0]), (2, 64, [63]), (4, 3, [2]), (6, 100, [98]),
+                         (10, 256, [254]), (64, 17, [16]), (256, 64, [63]), (256, 256, [255]),
+                         (600, 128, [127]), (998, 9, []), (1000, 256, [255])]:
+        a = float(rng.uniform(-1.0, 1.0))
+        yield pytest.param(quantile_uniform(a, a + 1.0, n), cfg(LAGRANGIAN, N=N), starts,
+                           id=f"block{n}-N{N}")
+    for N in (64, 256):
+        yield pytest.param(dirac(float(rng.uniform(-1.0, 1.0))), cfg(LAGRANGIAN, N=N), [N - 2],
+                           id=f"dirac-N{N}")
+    # two atoms one ulp apart round together when they cross 16384 at the
+    # fourth step: the running sum stops, the step merges them, and the
+    # two atoms left move whole again
+    u = float(np.spacing(8192.0))
+    yield pytest.param(m1([0.0, 16383.25 - u, 16383.25], [0.5, 0.25, 0.25]),
+                       cfg(LAGRANGIAN, T=2.0, N=8), [7, 3], id="merge")
+    cases = [
+        ("lighter", m1([0.0, 0.25, 0.5], [0.5 + 3e-16, 0.25, 0.25 - 3e-16]), {}, []),
+        ("coalesce", quantile_uniform(0.0, 1.0, 8), dict(coalesce_tol=0.5), []),
+        ("floor-keeps", quantile_uniform(0.0, 1.0, 256), dict(prune_floor=1e-6), [31]),
+        ("floor-drops", m1([0.0, 0.25, 0.5, 0.75], [5e-7, 0.5 - 5e-7, 0.25, 0.25]),
+         dict(prune_floor=1e-6), [3]),
+        ("cap-n", quantile_uniform(0.0, 1.0, 16), dict(max_atoms=16), []),
+        ("cap-n+1", quantile_uniform(0.0, 1.0, 16), dict(max_atoms=17), [31]),
+    ]
+    for name, mu0, kw, starts in cases:
+        yield pytest.param(mu0, cfg(LAGRANGIAN, N=32, **kw), starts, id=name)
+
+
+@pytest.mark.parametrize("mu0, config, starts", differential_cases())
+def test_a_splitting_run_equals_its_step_loop(monkeypatch, mu0, config, starts):
+    # A lagrangian splitting run whose median atom moves whole finishes in
+    # one running sum (``schemes._moved_whole``); every node, lift and the
+    # pruned mass are the plain step loop's bit for bit, and an error is
+    # the loop's error.  ``starts`` pins where the running sum took over.
+    moved = counted_moves(monkeypatch)
+    nodes = []
+    expected = outcome(lambda: reference_run(SPLIT, mu0, config, nodes))
+    got = outcome(lambda: run_scheme(SPLIT, mu0, config))
+    assert moved == starts
+    if expected[0] != "ok":
+        assert got == expected
+        return
+    lifts, pruned = expected[1]
+    path = got[1]
+    assert [node_bits(mu) for mu in path.measures] == [node_bits(mu) for mu in nodes]
+    assert [lift_bits(lift) for lift in path.interp] == [lift_bits(lift) for lift in lifts]
+    assert np.float64(path.pruned_mass).tobytes() == np.float64(pruned).tobytes()
+    assert all(mu is base_of(lift) for mu, lift in zip(path.measures, path.interp))
+
+
+@pytest.mark.parametrize("mode", [{}, dict(all="raise"), dict(over="ignore", invalid="ignore")],
+                         ids=["plain", "raise", "ignore"])
+def test_an_overflowing_horizon_fails_where_the_step_loop_fails(monkeypatch, mode):
+    # the right atom moves whole to +1.6e308 + k dt and overflows at a step
+    # the running sum reaches: the sum silences the overflow and stops, and
+    # the scheme's step fails on the same node with the loop's error, in
+    # every errstate mode (plain: the warning the loop's add raises)
+    mu0 = m1([-1.0, 1.6e308], [0.5, 0.5])
+    config = cfg(LAGRANGIAN, T=1e308, N=64)
+    begun = []
+    step = schemes._STEPS[LAGRANGIAN]
+    monkeypatch.setitem(schemes._STEPS, LAGRANGIAN,
+                        lambda spec, mu, c: step(spec, begun.append(mu) or mu, c))
+    moved = counted_moves(monkeypatch)
+    nodes = []
+    with np.errstate(**mode):
+        expected = outcome(lambda: reference_run(SPLIT, mu0, config, nodes))
+        got = outcome(lambda: run_scheme(SPLIT, mu0, config))
+    assert expected[0] != "ok" and got == expected
+    assert moved == [63] and len(begun) == 2 and len(nodes) > 3
+    assert node_bits(begun[-1]) == node_bits(nodes[-1])
+
+
+def test_an_overflowing_splitting_scenario_names_its_horizon(monkeypatch, tmp_path):
+    # the scenario runner's raise mode turns the loop's overflow, met after
+    # the running sum stops, into the ConfigError naming T
+    moved = counted_moves(monkeypatch)
+    scn = Scenario(name="torn", pvf={"kind": "splitting"},
+                   initial={"kind": "atoms", "atoms": [[-1.0], [1.6e308]], "weights": [0.5, 0.5]},
+                   T=1e308, Ns=(64,), schemes=(LAGRANGIAN,), outputs=str(tmp_path / "out"))
+    config = cfg(LAGRANGIAN, T=1e308, N=64)
+    with np.errstate(over="raise", invalid="raise"):
+        error = outcome(lambda: reference_run(SPLIT, scn.initial_measure(), config, []))
+    assert error[0] is FloatingPointError
+    with pytest.raises(ConfigError) as info:
+        run_scenario(scn)
+    assert str(info.value) == f"T: {1e308!r} overflows floating point ({error[1]})"
+    assert moved == [63]
 
 
 def test_mean_velocity_builds_no_measure_per_fiber(monkeypatch):
@@ -478,16 +620,20 @@ def test_a_step_runs_the_kernel_once_per_value(monkeypatch, scheme, extra, spec)
     # A rule's lift arrives in canonical order and takes no pass, except
     # under las, which bins it; the node takes one; the lattice scheme also
     # snaps mu0.  The base of a graph-field lift, and of a splitting lift
-    # whose median splits exactly (every step here), is the node the step
-    # started from, and is not computed; nor is a mean-velocity lift's.
-    # A constant fiber's lift computes its base.
+    # whose median atom moves right whole with its own weight (every step
+    # here: on weights [0.2, 0.3, 0.5] it does not split), is the node the
+    # step started from, and is not computed; nor is a mean-velocity
+    # lift's.  A constant fiber's lift computes its base.  Under lagrangian
+    # the splitting run's steps after the first are one running sum
+    # (``schemes._moved_whole``), which runs no kernel.
     mu0 = make_measure([[0.0], [0.25], [0.5]], [0.2, 0.3, 0.5])
     calls = counted_kernel(monkeypatch)
     path = run_scheme(spec, mu0, cfg(scheme, N=5))
     per_step = {LAS: 2, LAGRANGIAN: 1, MEAN_VELOCITY: 1}[scheme]
     attached = scheme == MEAN_VELOCITY or spec is not BINOMIAL
     per_step += not attached
-    assert len(calls) == per_step * 5 + extra
+    steps = 1 if scheme == LAGRANGIAN and spec is SPLIT else 5
+    assert len(calls) == per_step * steps + extra
     if attached:
         assert all(base_of(lift) is mu for lift, mu in zip(path.interp, path.measures))
 
