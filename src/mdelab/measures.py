@@ -36,17 +36,13 @@ through the kernel alone.  There are two ways in:
   only its weight tests), or that the weights are a canonical measure's
   (which pass those tests, so they are skipped).  A lift's base is
   passed in too where the rows prove it.
-  Rows on the line with unproved coordinates take the gap test of the
-  kernel's first route before the finiteness check, and the kernel
-  reuses its outcome.
 
 A test is skipped only where the docstring of ``_derive`` shows that the
 construction guarantees its outcome.
 
 The kernel reads each pair of consecutive rows' first gap
-(``_first_gaps``) once, or takes them from the derived path's gap test,
-and picks one of three routes from them.  Each gives exactly the scan's
-result.
+(``_first_gaps``) once and picks one of three routes from them.  Each
+gives exactly the scan's result.
 
 * *Already canonical.*  If each row exceeds its predecessor by more than
   the tolerance in the first coordinate where the two differ, the rows are
@@ -55,15 +51,16 @@ result.
   from canonical data by order-preserving maps usually arrive like this.
 * *Runs of equal rows.*  If the rows are sorted and every nonzero first
   gap exceeds the tolerance, the only ties are exact, and the groups are
-  the runs of equal consecutive rows.  Sorted input needs no sort; other
-  input is sorted first and, if the same test holds, grouped the same way.
+  the runs of equal consecutive rows.
 * *Near-ties.*  Otherwise the scan runs over the distinct rows that share
   a chain of near-ties with another row in every column, and each is
   compared against all its candidate representatives in one array
   operation.
 
-``_canonical`` takes the first route and the runs route on sorted input;
-``_group_rows`` the other two on the sorted rows.
+``_canonical`` takes the first route; otherwise it sorts the rows only if
+some first gap is below 0, and ``_group_rows`` takes one of the other two
+on the sorted rows, with the gaps when they were not moved.  Rows that
+arrive sorted are never sorted again.
 """
 
 from __future__ import annotations
@@ -128,7 +125,8 @@ def _runs(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return head.cumsum(dtype=np.intp) - 1, head.nonzero()[0]
 
 
-def _group_rows(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _group_rows(pts: np.ndarray, tol: float,
+                gaps: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Group lexicographically sorted rows, l-inf tolerance ``tol``.
 
     The rule is the greedy first-match scan: rows are taken in order, and a
@@ -150,13 +148,16 @@ def _group_rows(pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     all its candidate representatives at once.  Every other head is
     farther than ``tol`` from all rows, so it is a group of its own.
 
+    ``gaps``, the rows' first gaps, is given only by ``_canonical``, which
+    has computed them already.
+
     A difference of two coordinates that overflows is read as +-inf,
     which orders and compares with ``tol`` correctly, and is not reported.
 
     Returns (group id per row, representative row indices in group order).
     """
     with np.errstate(over="ignore"):
-        gaps = _first_gaps(pts)
+        gaps = _first_gaps(pts) if gaps is None else gaps
         run, heads = _runs(gaps)
         if not (gaps[gaps != 0] <= tol).any():
             return run, heads
@@ -293,7 +294,6 @@ def _columns(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _canonical(pts: np.ndarray, w: np.ndarray, tol: float, wide: bool,
-               gaps: np.ndarray | None = None, apart: bool | None = None,
                tested: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The canonical form of valid rows: the kernel behind
     ``canonical_support`` and ``_derive``.
@@ -304,55 +304,44 @@ def _canonical(pts: np.ndarray, w: np.ndarray, tol: float, wide: bool,
     of the weights may overflow; overflow is then read as +-inf, which
     still orders and compares with ``tol`` correctly, and is not reported.
 
-    Rows that arrive in canonical order skip the sort and the grouping.
-    If every first gap (``_first_gaps``) exceeds ``tol``, the rows are
-    strictly increasing, so the sort would keep them in place.  They are
-    also pairwise farther than ``tol`` apart.  Take rows i < k and the
-    first column j where some consecutive pair between them differs: the
-    rows agree before column j, column j does not decrease from row i to
-    row k, and one step m -> m + 1 in it exceeds ``tol``.  Float
-    subtraction is monotone, so x_k[j] - x_i[j] >= x_{m+1}[j] - x_m[j] >
-    ``tol`` as computed.  So the scan makes every row its own group, and
-    the grouping would give ``0.0 + w = w``: the result is exactly that of
-    the sorted route.  Rows whose first gaps are each 0 or above ``tol``
-    are sorted too, and the stable sort would keep them in place; the
-    same argument applies to the first rows of their runs of equal rows,
-    so the groups are the runs, as ``_group_rows`` would find them.
+    The kernel computes the first gaps (``_first_gaps``) of the rows once
+    and picks its route from them.  Rows that arrive in canonical order
+    skip the sort and the grouping.  If every first gap exceeds ``tol``,
+    the rows are strictly increasing, so the sort would keep them in
+    place.  They are also pairwise farther than ``tol`` apart.  Take rows
+    i < k and the first column j where some consecutive pair between them
+    differs: the rows agree before column j, column j does not decrease
+    from row i to row k, and one step m -> m + 1 in it exceeds ``tol``.
+    Float subtraction is monotone, so x_k[j] - x_i[j] >= x_{m+1}[j] -
+    x_m[j] > ``tol`` as computed.  So the scan makes every row its own
+    group, and the grouping would give ``0.0 + w = w``: the result is
+    exactly that of the sorted route.
 
-    ``gaps``, ``apart`` and ``tested`` are given only by ``_derive``:
-    the first gaps of rows on the line, taken before -0.0 was read as
-    +0.0, and whether every one exceeds ``tol``.  A difference with a zero
-    operand of either sign is the same up to the sign of a zero result,
-    and 0.0 and -0.0 compare alike in every test the routes make, so the
-    routes and their results are the same.  With ``tested``, the weights
-    on the first route are returned without the tail's tests, which
-    ``_derive`` shows they pass; given ``apart`` too, as a scheme's next
-    node on the line is, only the -0.0 normalization is left, which cannot
-    overflow, so it runs before the ``np.errstate`` context is entered.
+    Otherwise only rows out of order, where some first gap is below 0, are
+    sorted; rows whose first gaps are all at least 0 are sorted already,
+    and the stable sort would keep them in place.  ``_group_rows`` then
+    groups the sorted rows, taking the gaps when the rows were not moved.
+
+    ``tested`` is given only by ``_derive``: with it, the weights on the
+    first route are returned without the tail's tests, which ``_derive``
+    shows they pass.
 
     Finite weights whose total overflows are scaled by the largest of
     them first; a total that does not overflow is used as it is.
     """
-    if apart and tested:  # given by _derive: see the docstring
-        return pts + 0.0, w
     with np.errstate(over="ignore") if wide else nullcontext():
         pts = pts + 0.0  # normalize -0.0 to +0.0 so sorting and dumps are stable
-        if gaps is None:
-            gaps = _first_gaps(pts)
+        gaps = _first_gaps(pts)
         floor = max(tol, 0.0)  # a negative tol still merges equal rows
-        if apart is None:
-            apart = np.minimum.reduce(gaps, initial=math.inf) > floor
+        apart = np.minimum.reduce(gaps, initial=math.inf) > floor
         if apart and tested:
             return pts, w
         atoms, mass, gid = pts, w, None
         if not apart:
-            if (gaps[gaps != 0] > floor).all():  # sorted, and every tie is exact
-                gid, reps = _runs(gaps)
-            else:
+            if np.minimum.reduce(gaps) < 0.0:  # out of order
                 perm = _lex_perm(pts)
-                pts = np.ascontiguousarray(pts[perm])
-                w = w[perm]
-                gid, reps = _group_rows(pts, tol)
+                pts, w, gaps = np.ascontiguousarray(pts[perm]), w[perm], None
+            gid, reps = _group_rows(pts, tol, gaps)
             atoms = pts[reps]
             mass = np.bincount(gid, weights=w, minlength=len(reps))
         total = float(np.add.reduce(mass))
@@ -412,22 +401,17 @@ def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None
     * ``finite``: the coordinates are finite.  Otherwise they are tested,
       with the error ``canonical_support`` raises: the rows given to the
       kernel, or with ``ordered`` the velocities, which are then read
-      through ``+ 0.0`` (a -0.0 becomes +0.0).  Rows on the line given to
-      the kernel take the gap test of its first route first, with overflow
-      and invalid operations silenced (the rows are not yet known to be
-      finite).  If every gap exceeds ``tol``, the rows strictly increase
-      (a NaN gap fails the test, and a - b > 0 as computed means a > b),
-      so the end rows are the least and greatest coordinate, and the test
-      reads them in place of two reductions; the kernel takes the gaps and
-      the test's outcome.
+      through ``+ 0.0`` (a -0.0 becomes +0.0).  The test is the least
+      and greatest coordinate (``_bounds``), two reductions through which
+      NaN propagates.
     * ``ordered``: the rows are in canonical order, lexicographically
       sorted and pairwise farther than ``tol`` apart in the l-inf distance
       as computed, and hold no -0.0; the positions are a canonical
       measure's atoms, or some of them, in order.  On such rows the kernel
       keeps every row in place as a group of its own: by the argument in
       ``_canonical``'s docstring when every first gap exceeds ``tol``, and
-      otherwise because the sort keeps sorted distinct rows in place and
-      the scan finds no two rows within ``tol``.  Its weights are then
+      otherwise because sorted rows are not moved and the scan finds no
+      two rows within ``tol``.  Its weights are then
       ``0.0 + w = w``, so only its tail (``_unit``) runs, and the rows are
       kept as they are.
     * ``tested``: ``weights`` is a canonical measure's weights array.  The
@@ -462,14 +446,9 @@ def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None
     if not (ordered and finite and tested):  # else nothing is left to test or compute
         # the rows to check: a lift's velocities when its rows are ordered
         pts = velocities if ordered else np.concatenate(cols, axis=1) if lifted else rows
-        gaps = apart = None
         wide = True
         if not finite:
-            if pts.shape[1] == 1 and not ordered:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    gaps = pts[1:, 0] - pts[:-1, 0]
-                apart = bool(np.minimum.reduce(gaps, initial=math.inf) > tol)
-            lo, hi = (float(pts[0, 0]), float(pts[-1, 0])) if apart else _bounds(pts)
+            lo, hi = _bounds(pts)
             if not (-math.inf < lo and hi < math.inf):
                 raise ValueError("atom coordinates must be finite")
             wide = not math.isfinite(hi - lo)
@@ -478,7 +457,7 @@ def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None
             if not tested:
                 *cols, mass = _unit(float(np.add.reduce(weights)), weights, weights, None, *cols)
         else:
-            atoms, mass = _canonical(pts, weights, tol, wide, gaps, apart, tested)
+            atoms, mass = _canonical(pts, weights, tol, wide, tested)
             cols = _columns(atoms) if lifted else (atoms,)
     out = object.__new__(LiftedMeasure if lifted else DiscreteMeasure)
     keeps = base is not None and (mass is weights or np.array_equal(mass, weights))

@@ -39,7 +39,7 @@ from .measures import (
     make_measure,
     quantile_uniform,
 )
-from .tolerances import AGREE_TOL, CDF_TOL
+from .tolerances import AGREE_TOL, CDF_TOL, WEIGHT_FLOOR
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,9 @@ def _median(mu: DiscreteMeasure) -> tuple[int, float, float, float]:
 
 
 def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
-    """Evaluate a velocity-fiber rule; the result's base is exactly ``mu``.
+    """Evaluate a velocity-fiber rule; the result's base is ``mu``, less
+    any atom whose lifted rows all fall below ``WEIGHT_FLOOR`` and are
+    dropped, as the rows of an atom only a few times the floor can be.
 
     A shipped rule's rows (its entry's ``rows``, see ``_Kind``) arrive in
     canonical order, and ``measures._derive`` builds the lift from them
@@ -342,10 +344,16 @@ def barycentric_field(spec: PvfSpec, mu: DiscreteMeasure) -> np.ndarray:
 
     Read off ``eval_pvf(spec, mu)`` by ``measures.fiber_means``: a one-atom
     fiber's velocity comes back unchanged, so graph fields are exact.
+    Raises ``EmptyInputError`` when the weight floor left an atom no
+    fiber: its lifted rows all fell below ``WEIGHT_FLOOR`` and were
+    dropped.  The lift's positions are ``mu``'s atoms in order, so the
+    atoms kept agree with ``mu``'s up to the first one lost.
     """
     atoms, means = fiber_means(eval_pvf(spec, mu))
-    if not np.array_equal(atoms, mu.atoms):  # pragma: no cover
-        raise RuntimeError("fiber rule did not preserve the base support")
+    if not np.array_equal(atoms, mu.atoms):
+        i = int(np.append((atoms != mu.atoms[:len(atoms)]).any(axis=1), True).argmax())
+        raise EmptyInputError(f"the fiber of atom {i} at {mu.atoms[i].tolist()} fell below "
+                              f"the weight floor WEIGHT_FLOOR = {WEIGHT_FLOOR!r}")
     return means
 
 

@@ -26,14 +26,12 @@ order, so they take no kernel pass; the splitting rule hands over
 position and velocity columns that the lift keeps as they are.  Every
 other value goes through the canonical kernel, plus a finiteness check
 on the atoms that arithmetic produced (a node, an interpolated measure,
-a binned velocity), where a float overflow can first appear.  A node on
-the line whose children keep the lift's order, as under ``lagrangian``
-the splitting rule's and a monotone field's do, passes the kernel's
-first route by one gap test, which also reads the finiteness check off
-its end rows; its weights are the lift's, which a canonical measure
-already tested, so it adopts them untested.  A node whose children
-collide (``las``, a constant fiber) goes on to the rest of the kernel,
-which reuses the gaps.
+a binned velocity), where a float overflow can first appear.  A node
+whose children keep the lift's order, as under ``lagrangian`` the
+splitting rule's and a monotone field's do, takes the kernel's first
+route; its weights are the lift's, which a canonical measure already
+tested, so it adopts them untested.  A node whose children collide
+(``las``, a constant fiber) goes on to the rest of the kernel.
 
 A step runs the kernel at most once per value it builds: for the node,
 for a lattice lift (its binned velocities can collide), and for the
@@ -64,7 +62,7 @@ motion, node k + 1 = node k + dt v, so ``run_scheme`` takes them in whole
 arrays (``_moved_whole``): one sequential running sum,
 ``np.add.accumulate``, adds dt v to each node's atoms in the order a step
 does, so every node has the step's bits, and one gap reduction per node
-stands for the step's gap test.  Such steps call no ``eval_pvf`` and run
+stands for the step's finiteness check and first-route test.  Such steps call no ``eval_pvf`` and run
 no kernel.  ``las`` and ``mean-velocity`` runs, and ``residual``, still
 lift each node, through the rule's kept column.  What a split fixes is
 not kept: a run does not lift a split node's weights again while the lift
@@ -353,13 +351,13 @@ def _moved_whole(mu: DiscreteMeasure, vel: np.ndarray, dt: float, steps: int):
     with ``vel`` and the same weights, and every later node is its lift's
     positions plus the same ``dtv = dt * vel``.  The cap saw this atom
     count already, no weight changes for the floor to drop, and the merge
-    tolerance is ``MERGE_TOL``.  So only the step's gap test can differ:
-    each node's atoms come from one sequential running sum,
-    ``np.add.accumulate``, which adds ``dtv`` to the row before as a step
-    does, so they are the step's bits.  A node whose gaps all exceed
-    ``MERGE_TOL`` and whose end rows are finite passes the test as
-    ``_derive`` makes it, and is adopted with ``+ 0.0`` into a fresh
-    array; its lift is built with the node before it as its base, as a
+    tolerance is ``MERGE_TOL``.  So only the node's finiteness check and
+    the kernel's first-route test can differ: each node's atoms come from
+    one sequential running sum, ``np.add.accumulate``, which adds ``dtv``
+    to the row before as a step does, so they are the step's bits.  A
+    node whose gaps all exceed ``MERGE_TOL`` strictly increases, so if its
+    end rows are finite, every row is, and it passes both as the step's
+    node does; it is adopted with ``+ 0.0`` into a fresh array; its lift is built with the node before it as its base, as a
     step's is.  At the first node that fails, the steps stop, and the
     scheme's step, run from the last node given, refuses or merges it
     with its own error in every ``np.errstate`` mode.  Overflow here is

@@ -165,8 +165,8 @@ def derived_rows(draw, tol: float = 1e-12, floor: float = 1e-15, unit_tol: float
 
 @st.composite
 def line_rows(draw, tol: float = 1e-12, floor: float = 1e-15, unit_tol: float = 1e-13):
-    """Derived rows on the line around the gap test of the kernel's first
-    route, and their weights.
+    """Derived rows on the line around the test of the kernel's first
+    route (every first gap above ``tol``), and their weights.
 
     The rows run from a start value (0, -0.0, 1 or -1e308) by steps of
     ``tol`` - 1 ulp, ``tol``, ``tol`` + 1 ulp, 0.25, 0, -1 or 1e308, so a

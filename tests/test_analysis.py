@@ -8,6 +8,7 @@ from mdelab import (
     ConstantFiberPvf,
     CustomPvf,
     DimMismatchError,
+    EmptyInputError,
     GraphPvf,
     GridSpec,
     LAGRANGIAN,
@@ -108,6 +109,9 @@ def test_bump_lipschitz_bound_is_sharp_supremum():
 def test_bump_validation():
     with pytest.raises(ValueError):
         TestFunction(center=np.array([0.0]), radius=0.0)
+    for center in ([np.nan], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="^center must be finite$"):
+            TestFunction(center=center, radius=1)
     for radius in (2, np.int64(2), np.float64(2.0)):
         f = TestFunction(center=np.array([0.0]), radius=radius)
         assert type(f.radius) is float and f.radius == 2.0
@@ -405,6 +409,18 @@ def test_convergence_validates_refinement_order():
         convergence_study(runs(SPLIT, dirac(0.0), LAS, [4]), LAS)
 
 
+def test_empty_inputs_are_empty_input_errors():
+    path = run_scheme(SPLIT, dirac(0.0), cfg(LAS, N=2))
+    for call, message in [
+        (lambda: scheme_compare({}), "need at least one path"),
+        (lambda: convergence_study([], LAS), "need at least one path"),
+        (lambda: default_test_family([]), "need at least one measure to size the family"),
+        (lambda: residual(path, SPLIT, family=[]), "test family is empty"),
+    ]:
+        with pytest.raises(EmptyInputError, match=f"^{message}$"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # scheme comparison
 # ---------------------------------------------------------------------------
@@ -415,6 +431,13 @@ def test_scheme_compare_graph_pvf_collapses():
     g = GridSpec(T=1.0, N=8)
     for _, _, gap in table.rows():
         assert gap <= g.dx + g.dv * 1.0
+
+
+def test_scheme_compare_needs_shared_node_times():
+    paths = {LAS: run_scheme(SPLIT, dirac(0.0), cfg(LAS, N=2)),
+             LAGRANGIAN: run_scheme(SPLIT, dirac(0.0), cfg(LAGRANGIAN, N=4))}
+    with pytest.raises(ValueError, match="^paths must share their node times$"):
+        scheme_compare(paths)
 
 
 def test_scheme_compare_splitting_structure():

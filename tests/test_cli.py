@@ -112,8 +112,8 @@ def test_unknown_builtin_name(capsys):
 
 @pytest.mark.parametrize(
     "content",
-    [b"{}\n", b'{"name": "caf\xff"}\n', b"[" * 100000 + b"]" * 100000],
-    ids=["empty-object", "non-utf8", "deep-nesting"],
+    [b"{}\n", b'{"name": "caf\xff"}\n', b"[" * 100000 + b"]" * 100000, b"[1, 2]\n"],
+    ids=["empty-object", "non-utf8", "deep-nesting", "not-an-object"],
 )
 def test_bad_scenario_file(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
@@ -127,6 +127,9 @@ def test_bad_grid_override(capsys):
     code, _, err = run_cli(["run", "splitting-dirac", "--n", "four"], capsys)
     assert code == 2
     assert "--n" in err
+    code, out, err = run_cli(["run", "binomial", "--n", ","], capsys)
+    assert code == 2 and out == ""
+    assert err == "configuration error: --n: need at least one grid size\n"
 
 
 def test_repeated_grid_override_is_a_config_error(tmp_path, capsys):

@@ -110,6 +110,9 @@ def test_quantile_uniform_layout():
     assert np.allclose(mu.atoms[:, 0], [-0.75, -0.25, 0.25, 0.75])
     assert np.allclose(mu.weights, 0.25)
     assert quantile_uniform(-1.0, 1.0, np.int64(4)) == mu
+    for a, b in [(1.0, 0.0), (1.0, 1.0)]:
+        with pytest.raises(ValueError, match=r"^need b > a$"):
+            quantile_uniform(a, b, 4)
 
 
 @pytest.mark.parametrize("natoms", [True, False, 2.0, 2.5, float("nan"), float("inf"), "3", None, 0, -1])
@@ -174,6 +177,8 @@ def test_match_rows_candidate_window_follows_the_scan():
     lifted = make_lifted([[-1.46739089e-202], [1e-12]], [[0.0], [0.0]], [0.5, 0.5])
     assert base_of(lifted).natoms == 2
     assert match_rows(lifted.positions, base_of(lifted).atoms).tolist() == [0, 1]
+    # no representatives: no row matches
+    assert match_rows(lifted.positions, np.empty((0, 1))).tolist() == [-1, -1]
 
 
 def test_support_radius_examples():
@@ -398,9 +403,9 @@ def test_binomial_bundle_sends_few_rows_to_the_scan(monkeypatch):
     seen = {"grouped": 0, "scanned": 0}
     group_rows, scan = measures._group_rows, measures._first_match_scan
 
-    def counting_group_rows(pts, tol):
+    def counting_group_rows(pts, tol, gaps=None):
         seen["grouped"] += pts.shape[0]
-        return group_rows(pts, tol)
+        return group_rows(pts, tol, gaps)
 
     def counting_scan(rows, tol):
         seen["scanned"] += rows.shape[0]
@@ -471,7 +476,8 @@ def gap_examples(tol):
 def check_routes_agree(case, tol):
     pts, w, perm = case
     (atoms, mass), (atoms2, mass2), sorts, sorts2 = canonical_both_ways(pts, w, perm, tol)
-    assert sorts == (0 if oracles.in_canonical_order(pts, tol) else 1)
+    # the rows arrive sorted, so no sort is made, near-ties or not
+    assert sorts == 0
     assert sorts2 == (1 if pts.shape[0] > 1 else 0)
     assert np.array_equal(atoms, atoms2)
     assert np.array_equal(mass, mass2)
@@ -507,8 +513,8 @@ def tie_examples(tol):
 def check_sorted_rows_with_ties(case, tol):
     pts, w, perm = case
     (atoms, mass), (atoms2, mass2), sorts, _ = canonical_both_ways(pts, w, perm, tol)
-    exact_ties = all(gap == 0.0 or gap > tol for gap in oracles.first_gaps(pts))
-    assert sorts == (0 if exact_ties else 1)
+    # the rows arrive sorted, so no sort is made, near-ties or not
+    assert sorts == 0
     assert atoms.shape == atoms2.shape and atoms.tobytes() == atoms2.tobytes()
     assert mass.tobytes() == mass2.tobytes()
 
@@ -714,15 +720,6 @@ def test_derived_construction_matches_the_checked_one(case, check):
                 lambda: DiscreteMeasure(lifted.positions, lifted.weights))
 
 
-def derived_before_the_gap_test(pts, w):
-    """The checked derived path without the gap test: two reductions for
-    the finiteness test, then the kernel."""
-    lo, hi = measures._bounds(pts)
-    if not (-np.inf < lo and hi < np.inf):
-        raise ValueError("atom coordinates must be finite")
-    return measures._frozen(*measures._canonical(pts, w, MERGE_TOL, not np.isfinite(hi - lo)))
-
-
 def derived_arrays(pts, w):
     mu = measures._derive(pts, w)
     return mu.atoms, mu.weights
@@ -738,7 +735,7 @@ def support_outcome(build):
     return [(a.shape, a.tobytes(), a.flags.writeable, a.flags.c_contiguous) for a in arrays]
 
 
-def gap_test_examples(test):
+def line_examples(test):
     """Two rows a gap of ``MERGE_TOL`` +- 1 ulp apart, and one row with a
     total at 1 +- ``UNIT_MASS_TOL`` +- 1 ulp or a weight at ``WEIGHT_FLOOR``
     +- 1 ulp beside a heavy one."""
@@ -755,18 +752,17 @@ def gap_test_examples(test):
 
 @settings(max_examples=300)
 @given(sts.line_rows(tol=MERGE_TOL), st.sampled_from(["plain", "over", "all"]), st.booleans())
-@gap_test_examples
+@line_examples
 @example((np.array([[0.0], [1e308], [-1e308], [1.0]]), np.full(4, 0.25)), "over", False)
 @example((np.array([[0.0], [1e308], [-1e308], [1.0]]), np.full(4, 0.25)), "plain", False)
 @example((np.array([[-1e308], [1e308]]), np.full(2, 0.5)), "all", True)
 @example((np.array([[np.inf], [np.inf]]), np.full(2, 0.5)), "all", True)
 @example((np.array([[-0.0]]), np.ones(1)), "plain", True)
-def test_the_gap_test_route_gives_the_kernel_bits(case, mode, frozen):
-    # derived rows on the line that pass one gap test skip the two
-    # finiteness reductions and the kernel; every other row takes them, and
-    # the kernel reuses the gaps.  The result, or the error, is the same in
-    # every error mode, read-only weights or not, and no warning is raised
-    # where none was.
+def test_derived_rows_on_the_line_give_the_checked_bits(case, mode, frozen):
+    # derived rows on the line with unproved coordinates take the two
+    # finiteness reductions and the kernel.  The result, or the error, is
+    # the checked constructor's in every error mode, read-only weights or
+    # not, and no warning is raised where none was.
     pts, w = case
 
     def weights():
@@ -778,12 +774,12 @@ def test_the_gap_test_route_gives_the_kernel_bits(case, mode, frozen):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(**errstate):
-            fast = support_outcome(lambda: derived_arrays(pts.copy(), weights()))
-            before = support_outcome(lambda: derived_before_the_gap_test(pts.copy(), weights()))
-    assert fast == before
+            derived = support_outcome(lambda: derived_arrays(pts.copy(), weights()))
+            checked = support_outcome(lambda: measures.canonical_support(pts, weights()))
+    assert derived == checked
 
 
-def test_the_gap_test_route_adopts_read_only_weights():
+def test_derived_rows_adopt_read_only_weights():
     # derived weights are handed over: kept as they are, read-only or not
     pts = np.array([[0.0], [1.0]])
     for frozen in (False, True):

@@ -12,6 +12,7 @@ from mdelab import (
     ConstantFiberPvf,
     CustomPvf,
     DimMismatchError,
+    EmptyInputError,
     GRAPH_FIELDS,
     GraphPvf,
     GridSpec,
@@ -122,6 +123,18 @@ def test_barycentric_field_examples():
     assert barycentric_field(peano, dirac(-1.0))[0, 0] == 2.0
 
 
+@pytest.mark.parametrize("weights, lost", [([1.5e-15, 1.0], 0), ([1.0, 1.5e-15], 1)])
+def test_barycentric_field_names_an_atom_the_weight_floor_left_no_fiber(weights, lost):
+    # each of the light atom's two lifted rows weighs 7.5e-16 < WEIGHT_FLOOR
+    mu = make_measure([[0.0], [1.0]], weights)
+    spec = ConstantFiberPvf(PM1)
+    assert base_of(eval_pvf(spec, mu)).natoms == 1
+    with pytest.raises(EmptyInputError, match=(
+            rf"^the fiber of atom {lost} at \[{lost}\.0\] fell below the weight floor "
+            r"WEIGHT_FLOOR = 1e-15$")):
+        barycentric_field(spec, mu)
+
+
 def test_sublinearity_examples():
     zero = GraphPvf(lambda x: 0.0 * x)
     assert sublinearity_bound(zero, [dirac(0.0), m1([1, 2], [0.5, 0.5])]) == 0.0
@@ -195,6 +208,9 @@ def test_custom_pvf_contract():
     with pytest.raises(ValueError):
         eval_pvf(wrong_base, dirac(0.0))
 
+    with pytest.raises(TypeError, match="^not a velocity-fiber rule: "):
+        eval_pvf(object(), dirac(0.0))
+
 
 def test_graph_field_registry():
     peano = GRAPH_FIELDS["peano"]
@@ -239,6 +255,11 @@ def test_pvf_json_diagnostics():
         pvf_from_json({"kind": "constant_fiber", "omega": {"kind": []}})
     with pytest.raises(ConfigError, match=r"^pvf\.omega\.point: "):
         pvf_from_json({"kind": "constant_fiber", "omega": {"kind": "dirac", "point": "x"}})
+    # only the shipped rules, and a graph field by its registry name, are written
+    with pytest.raises(ConfigError, match="^only registry graph fields round-trip to JSON$"):
+        pvf_to_json(GraphPvf(lambda x: x, name="graph:mine"))
+    with pytest.raises(ConfigError, match="^cannot serialize rule CustomPvf"):
+        pvf_to_json(CustomPvf(lambda mu: eval_pvf(SPLIT, mu)))
 
 
 OMEGA = {"atoms": [[-1.0], [1.0]], "weights": [0.5, 0.5]}

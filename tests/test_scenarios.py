@@ -108,6 +108,8 @@ def test_scenario_validation():
         tiny_scenario("out", T=0.0)
     with pytest.raises(ConfigError, match="N"):
         tiny_scenario("out", Ns=())
+    with pytest.raises(ConfigError, match="^scheme: need at least one scheme$"):
+        tiny_scenario("out", schemes=())
     with pytest.raises(ConfigError, match="scheme"):
         tiny_scenario("out", schemes=("rk4",))
     with pytest.raises(ConfigError, match="dv"):
@@ -186,6 +188,8 @@ def test_scenario_from_json_forms():
 def test_scenario_from_json_diagnostics():
     with pytest.raises(ConfigError):
         scenario_from_json({})
+    with pytest.raises(ConfigError, match="^scenario: expected a JSON object$"):
+        scenario_from_json([1, 2])
     with pytest.raises(ConfigError, match="schema"):
         scenario_from_json({"schema": "mde-lab/999"})
     good = scenario_to_json(tiny_scenario("out"))
@@ -369,6 +373,15 @@ def test_run_scenario_dv_override_still_compares_standard_grids(tmp_path, monkey
     assert (tmp_path / "comparison_N2.csv").is_file()
     manifest = artifacts.read_json(tmp_path / "manifest.json")
     assert manifest["notes"] == ["compare uses standard grids; dv overrides ignored"]
+
+
+def test_run_scenario_dv_override_converges_on_standard_grids(tmp_path):
+    # the built-in peano run sets dv for each N; a convergence study reads
+    # the standard grids, and the manifest says so
+    scn = dataclasses.replace(get_scenario("peano"), outputs=str(tmp_path), converge=True)
+    manifest = run_scenario(scn)
+    assert manifest["notes"] == ["converge uses standard grids; dv overrides ignored"]
+    assert manifest == artifacts.read_json(tmp_path / "manifest.json")
 
 
 # ---------------------------------------------------------------------------

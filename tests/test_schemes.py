@@ -799,6 +799,17 @@ def test_overflow_in_a_step_is_a_non_finite_atom(spec, mu0, config):
 
 def test_path_validation_errors():
     lift = eval_pvf(SPLIT, dirac(0.0))
+    two = (dirac(0.0), dirac(0.0))
+    for times, nodes, interp, message in [
+        ([0.0, 1.0, 1.0], two + (dirac(0.0),), (lift, lift), "node times must increase"),
+        ([0.0, 0.5, 0.25], two + (dirac(0.0),), (lift, lift), "node times must increase"),
+        ([0.0, 1.0], (dirac(0.0),), (lift,), "one measure per node time required"),
+        ([0.0, 1.0], two, (), "one lifted measure per interval required"),
+        ([0.0, 1.0], (dirac(0.0), dirac([0.0, 0.0])), (lift,),
+         "node measures must share a dimension"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MeasurePath(times=times, measures=nodes, interp=interp)
     with pytest.raises(ValueError):
         MeasurePath(times=[0.0], measures=(dirac(0.0),), interp=())
     with pytest.raises(ValueError):

@@ -184,6 +184,11 @@ def test_concat_merge_endpoint_mismatch():
     tail = make_lifted([[0.0]], [[1.0]], [1.0])
     with pytest.raises(EndpointMismatchError):
         concat_merge(head, tail, 2.0, dirac(5.0))
+    # a joint atom of weight 1e-10 that no curve reaches: the masses agree
+    # within AGREE_TOL, but the atom has no incoming mass
+    stray = m1([0.0, 5.0], [1.0 - 1e-10, 1e-10])
+    with pytest.raises(EndpointMismatchError, match="^a joint atom has no incoming or outgoing"):
+        concat_merge(head, tail, 2.0, stray)
 
 
 def test_concat_merge_checks_masses_per_joint_atom():

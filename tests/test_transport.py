@@ -268,6 +268,17 @@ def test_transport_plan_rejects_non_finite_mass(mass):
     assert str(info.value) == "plan mass must be finite"
 
 
+@pytest.mark.parametrize("mass, message", [
+    ([0.5, 0.5], "plan mass must be a 2-D matrix"),
+    ([[[1.0]]], "plan mass must be a 2-D matrix"),
+    ([[0.5, -1e-9], [0.0, 0.5]], "plan mass must be nonnegative"),
+])
+def test_transport_plan_rejects_a_mass_that_is_not_a_nonnegative_matrix(mass, message):
+    with pytest.raises(ValueError) as info:
+        TransportPlan(mass)
+    assert str(info.value) == message
+
+
 def test_lp_solve_iteration_cap():
     cost = [[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]]
     third = [1.0 / 3.0] * 3
