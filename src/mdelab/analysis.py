@@ -15,14 +15,13 @@ ready for CSV plotting, and neither runs a scheme.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DimMismatchError, EmptyInputError
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, is_real
 from .pvf import PvfSpec, eval_pvf
 from .schemes import MeasurePath, interpolate_at
 from .transport import w1_distance
@@ -52,7 +51,7 @@ class TestFunction:
         c = np.atleast_1d(np.asarray(self.center, dtype=float)).ravel()
         r = self.radius
         # a bool or a string would read as a number through float()
-        if isinstance(r, bool) or not isinstance(r, numbers.Real) or not (r > 0 and np.isfinite(r)):
+        if not (is_real(r) and r > 0 and np.isfinite(r)):
             raise ValueError(f"radius must be a positive finite number, got {r!r}")
         r = float(r)
         if not np.all(np.isfinite(c)):

@@ -32,10 +32,10 @@ through the kernel alone.  There are two ways in:
   from canonical measures: a rule's lift, a scheme's next or pruned node,
   an interpolated measure, a lift's base, a coalesced measure.  The
   caller passes the rows with what their construction proves: that they
-  are finite, that they are in canonical order (the kernel then runs
-  only its weight tests), or that the weights are a canonical measure's
-  (which pass those tests, so they are skipped).  A lift's base is
-  passed in too where the rows prove it.
+  are finite, that they are in canonical order (and so finite; the kernel
+  then runs only its weight tests), or that the weights are a canonical
+  measure's (which pass those tests, so they are skipped).  A lift's base
+  is passed in too where the caller knows it.
 
 A test is skipped only where the docstring of ``_derive`` shows that the
 construction guarantees its outcome.
@@ -75,7 +75,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyInputError, NegativeWeightError
+from .errors import DimMismatchError, EmptyInputError, NegativeWeightError
 from .tolerances import AGREE_TOL, MERGE_TOL, UNIT_MASS_TOL, WEIGHT_FLOOR
 
 
@@ -398,22 +398,20 @@ def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None
     caller states what the construction proves, and the constructor skips
     the checks and the kernel work whose outcome that fixes:
 
-    * ``finite``: the coordinates are finite.  Otherwise they are tested,
-      with the error ``canonical_support`` raises: the rows given to the
-      kernel, or with ``ordered`` the velocities, which are then read
-      through ``+ 0.0`` (a -0.0 becomes +0.0).  The test is the least
-      and greatest coordinate (``_bounds``), two reductions through which
-      NaN propagates.
     * ``ordered``: the rows are in canonical order, lexicographically
       sorted and pairwise farther than ``tol`` apart in the l-inf distance
-      as computed, and hold no -0.0; the positions are a canonical
-      measure's atoms, or some of them, in order.  On such rows the kernel
-      keeps every row in place as a group of its own: by the argument in
-      ``_canonical``'s docstring when every first gap exceeds ``tol``, and
-      otherwise because sorted rows are not moved and the scan finds no
-      two rows within ``tol``.  Its weights are then
-      ``0.0 + w = w``, so only its tail (``_unit``) runs, and the rows are
-      kept as they are.
+      as computed, finite, and hold no -0.0: a canonical measure's or
+      lift's rows, some of them in order, or rows built from them in
+      order.  On such rows the kernel keeps every row in place as a group
+      of its own: by the argument in ``_canonical``'s docstring when every
+      first gap exceeds ``tol``, and otherwise because sorted rows are not
+      moved and the scan finds no two rows within ``tol``.  Its weights
+      are then ``0.0 + w = w``, so only its tail (``_unit``) runs, and the
+      rows are kept as they are.
+    * ``finite`` (unordered rows only): the coordinates are finite.
+      Otherwise the rows given to the kernel are tested, with the error
+      ``canonical_support`` raises, by their least and greatest coordinate
+      (``_bounds``), two reductions through which NaN propagates.
     * ``tested``: ``weights`` is a canonical measure's weights array.  The
       kernel leaves every weight at least ``WEIGHT_FLOOR`` and their total
       (``np.add.reduce``) within ``UNIT_MASS_TOL`` of one.  A total it
@@ -425,40 +423,37 @@ def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None
       (one more u) and their sum lie within 2 (log2 n + 27) u < 1e-13 of
       one for any n below 2^40.  So on a route that keeps every row and
       weight as given, both tests of the tail pass, and they are skipped.
-    * ``base`` (a lift only): the rows are exact for the canonical measure
-      ``base``: their positions are its atoms in order, one possibly
-      twice, and their weights regroup to its weights bit for bit.  If the
-      lift keeps every row and weight, the base pass would group the
-      positions back to ``base``'s atoms and the weights to its weights,
-      and keep them (they are tested, as above).  So ``base`` is then the
-      lift's base, and it is not computed.
+    * ``base`` (a lift only): the rows' base, when the caller knows it: the
+      canonical measure that the base pass would give on the rows as
+      given.  For a rule's rows it is ``mu`` where their positions are
+      ``mu``'s atoms in order, one possibly twice, and their weights
+      regroup to its weights bit for bit (the pass would group them back
+      and keep them, as they are tested), and a custom rule's lift's base
+      for that lift's columns.  If the lift keeps every row and weight,
+      ``base`` is its base, and it is not computed.
     * ``tol``: the merge tolerance, ``MERGE_TOL`` or, for ``coalesce``,
       more.
 
-    Given all of ``ordered``, ``finite`` and ``tested``, as a splitting lift
-    whose median atom moves whole and a ``mean-velocity`` lift are, nothing
+    Given both ``ordered`` and ``tested``, as a splitting lift whose median
+    atom moves whole and a ``mean-velocity`` lift are, nothing
     is left to test or compute: the value adopts the arrays as given, with
     ``base`` when given, and reads nothing else.  Every value freezes its
     arrays (``_frozen``), and only those still writeable.
     """
     lifted = velocities is not None
     cols, mass = ((rows, velocities) if lifted else (rows,)), weights
-    if not (ordered and finite and tested):  # else nothing is left to test or compute
-        # the rows to check: a lift's velocities when its rows are ordered
-        pts = velocities if ordered else np.concatenate(cols, axis=1) if lifted else rows
+    if not ordered:
+        pts = np.concatenate(cols, axis=1) if lifted else rows
         wide = True
         if not finite:
             lo, hi = _bounds(pts)
             if not (-math.inf < lo and hi < math.inf):
                 raise ValueError("atom coordinates must be finite")
             wide = not math.isfinite(hi - lo)
-        if ordered:
-            cols = (rows, velocities + 0.0) if lifted and not finite else cols
-            if not tested:
-                *cols, mass = _unit(float(np.add.reduce(weights)), weights, weights, None, *cols)
-        else:
-            atoms, mass = _canonical(pts, weights, tol, wide, tested)
-            cols = _columns(atoms) if lifted else (atoms,)
+        atoms, mass = _canonical(pts, weights, tol, wide, tested)
+        cols = _columns(atoms) if lifted else (atoms,)
+    elif not tested:  # else nothing is left to test or compute
+        *cols, mass = _unit(float(np.add.reduce(weights)), weights, weights, None, *cols)
     out = object.__new__(LiftedMeasure if lifted else DiscreteMeasure)
     keeps = base is not None and (mass is weights or np.array_equal(mass, weights))
     out._set(*cols, mass, *((base,) if keeps else ()))
@@ -473,9 +468,13 @@ def match_rows(rows: np.ndarray, reps: np.ndarray, tol: float = MERGE_TOL) -> np
     those atoms.  As in that scan, a representative is a candidate only
     when its first coordinate is >= row[0] - ``tol`` as computed in floats,
     which can differ from the distance test when the subtraction rounds.
+    Rows and representatives of different dimension are a
+    ``DimMismatchError``.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     reps = np.atleast_2d(np.asarray(reps, dtype=float))
+    if rows.shape[1] != reps.shape[1]:
+        raise DimMismatchError(f"dim {rows.shape[1]} vs {reps.shape[1]}")
     n = rows.shape[0]
     out = np.full(n, -1, dtype=np.intp)
     if reps.shape[0] == 0:
@@ -673,6 +672,13 @@ def is_count(n) -> bool:
     or a grid size must be; a bool and a float (NaN, which no count
     exceeds, included) are not."""
     return isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+
+
+def is_real(x) -> bool:
+    """True for a real number (numpy's too) that is not a bool, as a time,
+    a step or a tolerance must be; numpy's bool is not a ``numbers.Real``,
+    and a string is not one either."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def quantile_uniform(a: float, b: float, natoms: int) -> DiscreteMeasure:

@@ -99,9 +99,11 @@ def _median(mu: DiscreteMeasure) -> tuple[int, float, float, float]:
         # Near the tie the float cumsum can land a few ulps off an exact 1/2
         # (600 weights of 1/600: 2e-15 below) and leave a sliver of B moving
         # left, so there the mass left of B is summed with exact rounding.
-        # A cumsum that lands on 1/2 itself is kept: equal dyadic weights
-        # such as 1/256 sum exactly, and a torn block of them lands there
-        # at every step, where the fsum would cost a few percent of the run.
+        # A difference that lands on 1/2 itself is kept, and B moves right
+        # whole: the exactly rounded sum can differ there by an ulp (for
+        # weights 0.28106562396458823, 0.21893437603541188 and 0.5, F(B)
+        # less B's weight is 1/2 and the fsum 1/2 + 1 ulp), and the seeded
+        # battery's pinned digest holds the bits of the difference kept.
         left = math.fsum(mu.weights[:idx].tolist())
         eta = mass - (0.5 - left)
     return idx, eta, mass, left
@@ -112,31 +114,25 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
     any atom whose lifted rows all fall below ``WEIGHT_FLOOR`` and are
     dropped, as the rows of an atom only a few times the floor can be.
 
-    A shipped rule's rows (its entry's ``rows``, see ``_Kind``) arrive in
-    canonical order, and ``measures._derive`` builds the lift from them
-    with no kernel pass: it runs the weight tests, and not even those where
-    the weights are ``mu``'s array itself, as a graph field's are, and a
-    splitting lift's whose median atom moves whole; such a splitting lift
-    is built from its columns as they are, with nothing tested.  A graph
-    field's velocities come from a user callable, so they are checked for
-    finiteness; the constant-fiber and splitting rows are built from
-    canonical measures by copying and multiplying weights, so they are not
-    checked.  A custom rule's lift is returned as it is, once its base is
-    checked.
+    Every rule's rows (its entry's ``rows``, see ``_Kind``) are finite and
+    arrive in canonical order, and ``measures._derive`` builds the lift
+    from them with no kernel pass: it runs the weight tests, and not even
+    those where the weights are ``mu``'s array itself, as a graph field's
+    are, and a splitting lift's whose median atom moves whole; such a
+    splitting lift is built from its columns as they are, with nothing
+    tested.  A custom rule's lift is a new value over the arrays of the
+    lift it returned, with the same base.
 
-    Exact rows pass ``mu`` to the constructor as the lift's base, which is
-    then not computed when the lift keeps every row and weight.  Splitting
-    lifts of measures that share one weights array, on which the median
-    atom moves right whole with its own weight, share its velocity column,
-    computed once: it is a function of the read-only weights alone (see
-    ``_split``).  A split median's columns are built at every call.
+    Rows that name their base pass it to the constructor as the lift's
+    base, which is then not computed when the lift keeps every row and
+    weight.  Splitting lifts of measures that share one weights array, on
+    which the median atom moves right whole with its own weight, share its
+    velocity column, computed once: it is a function of the read-only
+    weights alone (see ``_split``).  A split median's columns are built at
+    every call.
     """
-    kind = _kind(spec)
-    if kind.size is None:
-        return _custom_lift(spec, mu)
-    pos, vel, w, exact = kind.rows(spec, mu)
-    return _derive(pos, w, velocities=vel, ordered=True, finite=kind.finite,
-                   tested=w is mu.weights, base=mu if exact else None)
+    pos, vel, w, base = _kind(spec).rows(spec, mu)
+    return _derive(pos, w, velocities=vel, ordered=True, tested=w is mu.weights, base=base)
 
 
 class _Kind(NamedTuple):
@@ -148,16 +144,18 @@ class _Kind(NamedTuple):
     before it evaluates the rule: n for a graph field, n m for a constant
     fiber of m atoms, and at most n + 1 for the splitting rule (the median
     atom may split in two).  It is None for a custom rule, whose size is
-    unknown until it runs and whose lift ``eval_pvf`` returns as it is.
+    unknown until it runs.
 
     ``rows(spec, mu)`` gives the rows (position, velocity) of ``V[mu]``
     before canonicalization, as C-contiguous (n, d) position and velocity
-    columns, their weights, and whether the rows are exact: their positions
-    are ``mu``'s atoms in order, the median atom possibly twice, and their
-    weights regroup to ``mu``'s bit for bit.  A graph field's rows are
-    exact, and so are the splitting rule's when the median splits exactly
-    or moves whole with its own weight; a custom rule supplies the rows of
-    the lift ``eval_pvf`` returns.  ``eval_pvf`` builds the lift from them,
+    columns, their weights, and the lift's base where the rows prove it,
+    else None.  Rows prove ``mu`` when their positions are ``mu``'s atoms
+    in order, the median atom possibly twice, and their weights regroup to
+    ``mu``'s bit for bit: a graph field's rows, and the splitting rule's
+    when the median splits exactly or moves whole with its own weight.  A
+    constant fiber's rows name no base.  A custom rule's rows are the
+    columns of the lift it returned, and their base is that lift's, which
+    was checked against ``mu``.  ``eval_pvf`` builds the lift from them,
     and the lattice scheme bins them.
 
     The columns are what ``measures._derive`` adopts: the velocity column
@@ -165,23 +163,23 @@ class _Kind(NamedTuple):
     ``mu.atoms`` itself; the weights are fresh, read-only, or ``mu.weights``
     itself: a graph field's, and the splitting rule's when the median atom
     moves right whole with its own weight, so that its rows' weights are
-    ``mu``'s bit for bit.  No column holds -0.0, except a graph field's
-    velocities, which ``_derive`` checks.
-    A shipped rule's rows are in canonical order, as ``_derive`` needs
-    for ``ordered``: lexicographically sorted and pairwise farther than
-    ``MERGE_TOL`` apart.  Their positions are ``mu``'s canonical atoms,
-    which are.  A graph field gives one row per atom.  The splitting rule
+    ``mu``'s bit for bit.  Every rule's rows are finite and hold no -0.0:
+    a graph field's velocities come from a user callable, so
+    ``_graph_rows`` checks them and reads a -0.0 as +0.0; the others are
+    built from canonical measures by copying and multiplying weights, or
+    are a canonical lift's columns.
+    The rows are in canonical order, as ``_derive`` needs for ``ordered``:
+    lexicographically sorted and pairwise farther than ``MERGE_TOL``
+    apart.  A shipped rule's positions are ``mu``'s canonical atoms, which
+    are.  A graph field gives one row per atom.  The splitting rule
     repeats only the median row, with velocities -1 < +1, which lie 2
     apart.  A constant fiber gives the rows (x_i, omega_j) in i-major
     order over two canonical measures, so the rows at one position are
-    omega's atoms in order.
-
-    ``finite`` says that the rows are finite by construction.
+    omega's atoms in order.  A custom rule's rows are a canonical lift's.
     """
 
     size: Optional[Callable[[PvfSpec, DiscreteMeasure], int]]
-    rows: Callable[[PvfSpec, DiscreteMeasure], tuple[np.ndarray, np.ndarray, np.ndarray, bool]]
-    finite: bool
+    rows: Callable[[PvfSpec, DiscreteMeasure], tuple]
 
 
 def _kind(spec: PvfSpec) -> _Kind:
@@ -200,7 +198,10 @@ def _graph_rows(spec: GraphPvf, mu: DiscreteMeasure):
         if v.shape != (mu.dim,):
             raise DimMismatchError(f"field returned shape {v.shape}, expected ({mu.dim},)")
         vels.append(v)
-    return mu.atoms, np.vstack(vels), mu.weights, True
+    vel = np.vstack(vels) + 0.0  # a -0.0 becomes +0.0, as in the canonical form
+    if not np.isfinite(vel).all():
+        raise ValueError("atom coordinates must be finite")
+    return mu.atoms, vel, mu.weights, mu
 
 
 def _fiber_rows(spec: ConstantFiberPvf, mu: DiscreteMeasure):
@@ -212,32 +213,33 @@ def _fiber_rows(spec: ConstantFiberPvf, mu: DiscreteMeasure):
     vel = np.empty((n, m, d))
     vel[:] = spec.omega.atoms
     w = (mu.weights[:, None] * spec.omega.weights[None, :]).ravel()
-    return pos.reshape(n * m, d), vel.reshape(n * m, d), w, False
+    return pos.reshape(n * m, d), vel.reshape(n * m, d), w, None
 
 
 def _splitting_rows(spec: SplittingParticlePvf, mu: DiscreteMeasure):
-    """The splitting rule's velocity and weight columns and its exactness
-    flag are functions of ``mu.weights`` alone: the median split fixes the
-    velocities, and with the median's two parts the weights.  Canonical
-    weights are read-only, so where the median atom moves right whole with
-    its own weight ``_split`` keeps the velocity column for the last such
-    weights array, by identity, and a measure on the same array (the next
-    node of such a run, or the same node lifted again) reuses it,
-    read-only and shared, with no median search.  A split's columns are
-    not kept (see ``_split_memo``).  The dimension check runs first and
-    the positions come from ``mu.atoms`` on every call."""
+    """The splitting rule's velocity and weight columns and whether its rows
+    name ``mu`` their base are functions of ``mu.weights`` alone: the
+    median split fixes the velocities, and with the median's two parts the
+    weights.  Canonical weights are read-only, so where the median atom
+    moves right whole with its own weight ``_split`` keeps the velocity
+    column for the last such weights array, by identity, and a measure on
+    the same array (the next node of such a run, or the same node lifted
+    again) reuses it, read-only and shared, with no median search.  A
+    split's columns are not kept (see ``_split_memo``).  The dimension
+    check runs first and the positions come from ``mu.atoms`` on every
+    call."""
     if mu.dim != 1:
         raise DimMismatchError("the splitting rule needs a 1-D measure")
-    i, vel, w, exact = _split(mu)
+    i, vel, w, base = _split(mu)
     if i is None:
-        return mu.atoms, vel, w, exact
+        return mu.atoms, vel, w, base
     pos = np.empty((mu.natoms + 1, 1))
     pos[:i + 1] = mu.atoms[:i + 1]
     pos[i + 1:] = mu.atoms[i:]
-    return pos, vel, w, exact
+    return pos, vel, w, base
 
 
-def _custom_lift(spec: CustomPvf, mu: DiscreteMeasure) -> LiftedMeasure:
+def _custom_rows(spec: CustomPvf, mu: DiscreteMeasure):
     out = spec.evaluate(mu)
     if not isinstance(out, LiftedMeasure):
         raise ValueError("custom rule must return a LiftedMeasure")
@@ -248,20 +250,15 @@ def _custom_lift(spec: CustomPvf, mu: DiscreteMeasure) -> LiftedMeasure:
         and np.max(np.abs(base.weights - mu.weights)) <= AGREE_TOL
     ):
         raise ValueError("custom rule must preserve the base measure")
-    return out
-
-
-def _custom_rows(spec: CustomPvf, mu: DiscreteMeasure):
-    out = _custom_lift(spec, mu)
-    return out.positions, out.velocities, out.weights, False
+    return out.positions, out.velocities, out.weights, base
 
 
 #: One entry per kind of rule (see ``_Kind``).
 _KINDS: dict[type, _Kind] = {
-    SplittingParticlePvf: _Kind(lambda spec, mu: mu.natoms + 1, _splitting_rows, True),
-    GraphPvf: _Kind(lambda spec, mu: mu.natoms, _graph_rows, False),
-    ConstantFiberPvf: _Kind(lambda spec, mu: mu.natoms * spec.omega.natoms, _fiber_rows, True),
-    CustomPvf: _Kind(None, _custom_rows, False),
+    SplittingParticlePvf: _Kind(lambda spec, mu: mu.natoms + 1, _splitting_rows),
+    GraphPvf: _Kind(lambda spec, mu: mu.natoms, _graph_rows),
+    ConstantFiberPvf: _Kind(lambda spec, mu: mu.natoms * spec.omega.natoms, _fiber_rows),
+    CustomPvf: _Kind(None, _custom_rows),
 }
 
 
@@ -277,19 +274,20 @@ _KINDS: dict[type, _Kind] = {
 _split_memo: Optional[tuple] = None
 
 
-def _split(mu: DiscreteMeasure) -> tuple[Optional[int], np.ndarray, np.ndarray, bool]:
+def _split(mu: DiscreteMeasure) -> tuple:
     """The splitting lift of ``mu`` as far as its weights fix it: the median
     index i when the median atom splits in two rows, None when it moves
-    right whole in one, the velocity column, the weights, and whether the
-    rows are exact.
+    right whole in one, the velocity column, the weights, and the rows'
+    base: ``mu`` where the median splits exactly or moves whole with its
+    own weight, else None.
 
     The weights are ``mu.weights`` itself, or a fresh column with the two
     parts of the median atom; both columns are read-only.  None of these
     reads ``mu.atoms``.  Where the median atom moves right whole with its
-    own weight, the weights are ``mu``'s array and the rows are exact, so
-    the velocity column is kept for that array, keyed by its identity:
-    canonical weights are read-only, so an array seen again holds the same
-    values and the column computed from them.  The nodes of such a run
+    own weight, the weights are ``mu``'s array and the rows' base is
+    ``mu``, so the velocity column is kept for that array, keyed by its
+    identity: canonical weights are read-only, so an array seen again holds
+    the same values and the column computed from them.  The nodes of such a run
     share the first node's array, so the median and the column are
     computed once per run.  A median that splits, or moves whole lighter
     than its weight, is found afresh at every call (see ``_split_memo``).
@@ -303,7 +301,7 @@ def _split(mu: DiscreteMeasure) -> tuple[Optional[int], np.ndarray, np.ndarray, 
         key, vel_ref = _split_memo
         vel = vel_ref()
         if key() is mu.weights and vel is not None:
-            return None, vel, mu.weights, True
+            return None, vel, mu.weights, mu
     i, eta, mass, left_of_B = _median(mu)
     left = max(0.5 - left_of_B, 0.0)
     # The median atom B = x_i splits into row i, its 1/2 - cdf_left
@@ -323,14 +321,14 @@ def _split(mu: DiscreteMeasure) -> tuple[Optional[int], np.ndarray, np.ndarray, 
     vel.setflags(write=False)
     if not s and eta == mass:
         _split_memo = (weakref.ref(mu.weights), weakref.ref(vel))
-        return None, vel, mu.weights, True
+        return None, vel, mu.weights, mu
     w = np.empty(n + s)
     w[:i + 1] = mu.weights[:i + 1]
     w[i + s:] = mu.weights[i:]
     w[i] = left
     w[i + s] = eta
     w.setflags(write=False)
-    return i if s else None, vel, w, left + eta == mass
+    return i if s else None, vel, w, mu if left + eta == mass else None
 
 
 #: The default cap on the atoms of a scheme step (``SchemeConfig.max_atoms``),

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import numbers
 import os
 import shutil
 import time
@@ -36,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DimMismatchError, EndpointMismatchError, IoError
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, is_real
 from .pvf import PvfSpec, _is_grid_size, initial_from_spec, pvf_from_json
 from .schemes import SCHEMES, GridSpec, MeasurePath, SchemeConfig, run_scheme
 from .superposition import build_representation
@@ -130,7 +129,7 @@ class Scenario:
 
 
 def _number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_real(value):
         raise ConfigError(f"{field}: expected a number, got {value!r}")
     return float(value)
 

@@ -20,31 +20,34 @@ generated it, which is what linear-in-time interpolation and trajectory
 reconstruction consume.
 
 Every lift and node a step builds is derived from canonical measures,
-and ``measures._derive`` builds it, told what the step proves.  A rule's
-lift, and a ``mean-velocity`` step's one-point lift, arrive in canonical
-order, so they take no kernel pass; the splitting rule hands over
-position and velocity columns that the lift keeps as they are.  Every
-other value goes through the canonical kernel, plus a finiteness check
-on the atoms that arithmetic produced (a node, an interpolated measure,
-a binned velocity), where a float overflow can first appear.  A node
-whose children keep the lift's order, as under ``lagrangian`` the
-splitting rule's and a monotone field's do, takes the kernel's first
-route; its weights are the lift's, which a canonical measure already
-tested, so it adopts them untested.  A node whose children collide
-(``las``, a constant fiber) goes on to the rest of the kernel.
+and ``measures._derive`` builds it, told what the step proves.  Every
+rule's rows (``pvf._Kind``) are finite, in canonical order, and name
+their lift's base where they prove it, so a rule's lift, and a
+``mean-velocity`` step's one-point lift, take no kernel pass; the
+splitting rule hands over position and velocity columns that the lift
+keeps as they are.  Every other value goes through the canonical kernel,
+plus a finiteness check on the atoms that arithmetic produced (a node,
+an interpolated measure, a binned velocity), where a float overflow can
+first appear.  A node whose children keep the lift's order, as under
+``lagrangian`` the splitting rule's and a monotone field's do, takes the
+kernel's first route; its weights are the lift's, which a canonical
+measure already tested, so it adopts them untested.  A node whose
+children collide (``las``, a constant fiber) goes on to the rest of the
+kernel.
 
 A step runs the kernel at most once per value it builds: for the node,
 for a lattice lift (its binned velocities can collide), and for the
-lift's base only where that base can differ from the node the step
-started from.  The node is passed to the constructor as the base of a
-graph field's lift, and of a splitting lift whose median splits
-exactly or moves whole, and is taken when the lift keeps every row and
-weight, under ``lagrangian`` and ``las`` alike; it is always the base of
-a ``mean-velocity`` lift.  So a step runs the kernel once under
-``lagrangian`` and twice under ``las`` for those rules, once under
-``mean-velocity`` for every rule, and once more for the base of a
-constant fiber's lift; the run records the node it started from as
-node k.
+lift's base only where the rows name none.  The base the rows name is
+passed to the constructor, under ``lagrangian`` and ``las`` alike, and
+taken when the lift keeps every row and weight: the node for a graph
+field's rows and a splitting lift's whose median splits exactly or moves
+whole, and for a custom rule's the base of the lift it returned, which
+was computed once to check it; the node is always the base of a
+``mean-velocity`` lift.  So a step runs the kernel once under
+``lagrangian`` and twice under ``las`` for a graph field and the
+splitting rule, once under ``mean-velocity`` for every rule, and once
+more for the base of a constant fiber's lift; the run records the node
+it started from as node k.
 
 A lift whose weights are the node's own array takes no weight test: a
 graph field's, and a splitting lift's whose median atom moves right
@@ -62,11 +65,11 @@ motion, node k + 1 = node k + dt v, so ``run_scheme`` takes them in whole
 arrays (``_moved_whole``): one sequential running sum,
 ``np.add.accumulate``, adds dt v to each node's atoms in the order a step
 does, so every node has the step's bits, and one gap reduction per node
-stands for the step's finiteness check and first-route test.  Such steps call no ``eval_pvf`` and run
-no kernel.  ``las`` and ``mean-velocity`` runs, and ``residual``, still
-lift each node, through the rule's kept column.  What a split fixes is
-not kept: a run does not lift a split node's weights again while the lift
-holding its columns lives.
+stands for the step's finiteness check and first-route test.  Such steps
+call no ``eval_pvf`` and run no kernel.  ``las`` and ``mean-velocity``
+runs, and ``residual``, still lift each node, through the rule's kept
+column.  What a split fixes is not kept: a run does not lift a split
+node's weights again while the lift holding its columns lives.
 
 A step does no bookkeeping that its inputs already settle.  Its rule's
 kind is one entry of one table (``pvf._KINDS``), which gives the atom
@@ -75,9 +78,8 @@ a lattice step looks it up once, and a ``lagrangian`` or
 ``mean-velocity`` step once for the cap and once in ``eval_pvf``.  A
 value freezes only the arrays that are still writeable, so a lift that
 adopts a node's read-only columns sets no flag, and a lift built from
-rows whose order, finiteness and weights are all proved (a whole
-median's splitting lift, a ``mean-velocity`` lift) is the arrays as
-given and nothing else.
+rows whose order and weights are both proved (a whole median's splitting
+lift, a ``mean-velocity`` lift) is the arrays as given and nothing else.
 """
 
 from __future__ import annotations
@@ -96,6 +98,7 @@ from .measures import (
     coalesce,
     fiber_means,
     is_count,
+    is_real,
     support_radius,
 )
 from .pvf import _KINDS, MAX_ATOMS, PvfSpec, SplittingParticlePvf, _kind, eval_pvf
@@ -121,16 +124,16 @@ class GridSpec:
     dv: float = None  # type: ignore[assignment]  # filled in __post_init__
 
     def __post_init__(self):
-        if isinstance(self.T, bool) or not 0 < self.T < math.inf:
+        if not (is_real(self.T) and 0 < self.T < math.inf):
             raise ValueError("T must be positive and finite")
         if not is_count(self.N):
             raise ValueError("N must be a positive integer")
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "N", int(self.N))
-        dv = 1.0 / self.N if self.dv is None else float(self.dv)
-        if isinstance(self.dv, bool) or not 0 < dv < math.inf:
+        dv = 1.0 / self.N if self.dv is None else self.dv
+        if not (is_real(dv) and 0 < dv < math.inf):
             raise ValueError("dv must be positive and finite")
-        object.__setattr__(self, "dv", dv)
+        object.__setattr__(self, "dv", float(dv))
         if abs(self.N * self.dt - self.T) > MERGE_TOL * max(1.0, self.T):
             raise ValueError("N * dt must reproduce T")
 
@@ -171,9 +174,11 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if isinstance(self.coalesce_tol, bool) or not self.coalesce_tol >= 0:
+        if not isinstance(self.grid, GridSpec):
+            raise ValueError(f"grid must be a GridSpec, got {self.grid!r}")
+        if not (is_real(self.coalesce_tol) and self.coalesce_tol >= 0):
             raise ValueError("coalesce_tol must be >= 0")
-        if isinstance(self.prune_floor, bool) or not 0.0 <= self.prune_floor <= PRUNE_FLOOR_MAX:
+        if not (is_real(self.prune_floor) and 0.0 <= self.prune_floor <= PRUNE_FLOOR_MAX):
             raise ValueError(f"prune_floor must lie in [0, {PRUNE_FLOOR_MAX:g}]")
         if not is_count(self.max_atoms):
             raise ValueError("max_atoms must be a positive integer")
@@ -272,7 +277,7 @@ def _prune(mu: DiscreteMeasure, floor: float) -> tuple[DiscreteMeasure, float]:
     drop = mu.weights < floor
     lost = float(mu.weights[drop].sum())
     # some of mu's canonical rows, in order
-    return _derive(mu.atoms[~drop], mu.weights[~drop], ordered=True, finite=True), lost
+    return _derive(mu.atoms[~drop], mu.weights[~drop], ordered=True), lost
 
 
 def _las_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
@@ -289,11 +294,11 @@ def _las_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     in exact dyadic arithmetic).
     """
     grid = cfg.grid
-    pos, vel, w, exact = _lift(spec, mu, cfg, rows=True)
+    pos, vel, w, base = _lift(spec, mu, cfg, rows=True)
     if float(np.max(np.abs(pos - np.rint(pos / grid.dx) * grid.dx), initial=0.0)) > AGREE_TOL:
         raise BaseOffGridError("base atoms are not on the space grid")
     vel = _bin_indices(vel, grid.dv) * grid.dv
-    lifted = _derive(pos, w, velocities=vel, tested=w is mu.weights, base=mu if exact else None)
+    lifted = _derive(pos, w, velocities=vel, tested=w is mu.weights, base=base)
     ix = np.rint(lifted.positions / grid.dx)
     iv = np.rint(lifted.velocities / grid.dv)
     return lifted, _derive((ix + iv) * grid.dx, lifted.weights, tested=True), 0.0
@@ -328,8 +333,8 @@ def _mean_velocity_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
     if len(vbar) < mu.natoms:
         mu = base_of(lift)
     nxt = _derive(mu.atoms + cfg.grid.dt * vbar, mu.weights, tested=True)
-    lifted = _derive(mu.atoms, mu.weights, velocities=vbar + 0.0, ordered=True, finite=True,
-                     tested=True, base=mu)
+    lifted = _derive(mu.atoms, mu.weights, velocities=vbar + 0.0, ordered=True, tested=True,
+                     base=mu)
     return lifted, nxt, 0.0
 
 
@@ -357,13 +362,14 @@ def _moved_whole(mu: DiscreteMeasure, vel: np.ndarray, dt: float, steps: int):
     to the row before as a step does, so they are the step's bits.  A
     node whose gaps all exceed ``MERGE_TOL`` strictly increases, so if its
     end rows are finite, every row is, and it passes both as the step's
-    node does; it is adopted with ``+ 0.0`` into a fresh array; its lift is built with the node before it as its base, as a
-    step's is.  At the first node that fails, the steps stop, and the
-    scheme's step, run from the last node given, refuses or merges it
-    with its own error in every ``np.errstate`` mode.  Overflow here is
-    silenced, since a node it spoils is not given.  The sums run in blocks
-    of ``_BLOCK_BYTES``, each starting from the last node of the one
-    before.
+    node does.  It is adopted with ``+ 0.0`` into a fresh array, as
+    ordered rows, which are finite and hold no -0.0, and its lift is
+    built with the node before it as its base, as a step's is.  At the
+    first node that fails, the steps stop, and the scheme's step, run
+    from the last node given, refuses or merges it with its own error in
+    every ``np.errstate`` mode.  Overflow here is silenced, since a node
+    it spoils is not given.  The sums run in blocks of ``_BLOCK_BYTES``,
+    each starting from the last node of the one before.
     """
     w = mu.weights
     dtv = dt * vel
@@ -380,9 +386,8 @@ def _moved_whole(mu: DiscreteMeasure, vel: np.ndarray, dt: float, steps: int):
         for j, passed in enumerate(ok.tolist(), 1):
             if not passed:
                 return
-            lifted = _derive(mu.atoms, w, velocities=vel, ordered=True, finite=True, tested=True,
-                             base=mu)
-            mu = _derive(x[j] + 0.0, w, ordered=True, finite=True, tested=True)
+            lifted = _derive(mu.atoms, w, velocities=vel, ordered=True, tested=True, base=mu)
+            mu = _derive(x[j] + 0.0, w, ordered=True, tested=True)
             yield lifted, mu, 0.0
         steps -= m
 

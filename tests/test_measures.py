@@ -10,6 +10,7 @@ import oracles
 import strategies as sts
 from mdelab import (
     ConstantFiberPvf,
+    DimMismatchError,
     DiscreteMeasure,
     EmptyInputError,
     GRAPH_FIELDS,
@@ -181,6 +182,16 @@ def test_match_rows_candidate_window_follows_the_scan():
     assert match_rows(lifted.positions, np.empty((0, 1))).tolist() == [-1, -1]
 
 
+def test_match_rows_refuses_rows_of_another_dimension():
+    # broadcasting matched a 1-D row against a 2-D representative, or
+    # raised numpy's own error for shapes that do not broadcast
+    for rows, reps, message in [([[0.0]], [[0.0, 0.0]], "dim 1 vs 2"),
+                                (np.zeros((3, 2)), np.zeros((2, 3)), "dim 2 vs 3"),
+                                ([[0.0, 0.0]], np.empty((0, 1)), "dim 2 vs 1")]:
+        with pytest.raises(DimMismatchError, match=f"^{message}$"):
+            match_rows(rows, reps)
+
+
 def test_support_radius_examples():
     assert support_radius(dirac(0.0)) == 0.0
     assert support_radius(make_measure([[-2.0], [1.0]], [0.5, 0.5])) == 2.0
@@ -225,6 +236,9 @@ def test_measure_equality_is_exact_and_allclose_tolerant():
     assert a != b
     assert a.allclose(b, tol=1e-9)
     assert not a.allclose(b, tol=1e-13)
+    # a value of another type is never equal
+    for value in (a, make_lifted([[0.0]], [[1.0]], [1.0])):
+        assert not (value == 0) and value != 0
 
 
 def test_lifted_allclose_is_tolerant_within_tol_only():
@@ -610,6 +624,9 @@ def test_lifted_points_without_coordinates_are_rejected():
     with pytest.raises(ValueError) as info:
         make_lifted([[]], [[]], [1.0])
     assert str(info.value) == "points need at least one coordinate, got shape (1, 0)"
+    with pytest.raises(ValueError) as info:
+        make_lifted([[0.0]], [[0.0, 1.0]], [1.0])
+    assert str(info.value) == "positions (1, 1) and velocities (1, 2) must have the same shape"
 
 
 @pytest.mark.parametrize("mode", ["plain", "raise"])
@@ -850,7 +867,14 @@ LINEAR_2D = make_measure([[0.0, 0.0], [5e-13, 1.0]], [1.0, 2.0])  # first gap 5e
           make_measure([[0.0], [1.0]], [1.0, 1e-8]), False), 1.0)
 def test_a_presorted_lift_has_the_kernel_bits(case, total):
     spec, mu, one_point = case
-    check = isinstance(spec, GraphPvf) and not one_point
+    if isinstance(spec, GraphPvf) and not one_point:
+        field = np.array([spec.velocity(x.copy()) for x in mu.atoms])
+        if not np.isfinite(field).all():
+            # the rows refuse the field's velocities, as the checked constructor does
+            refused = (ValueError, "atom coordinates must be finite")
+            assert outcome(lambda: make_lifted(mu.atoms, field, mu.weights)) == refused
+            assert outcome(lambda: eval_pvf(spec, mu)) == refused
+            return
     if one_point:
         lift = eval_pvf(spec, mu)
         atoms, vbar = fiber_means(lift)
@@ -862,8 +886,7 @@ def test_a_presorted_lift_has_the_kernel_bits(case, total):
     tested = one_point or w is mu.weights
 
     def build(w, **facts):
-        return lambda: measures._derive(pos.copy(), w.copy(), velocities=vel.copy(),
-                                        finite=not check, **facts)
+        return lambda: measures._derive(pos.copy(), w.copy(), velocities=vel.copy(), **facts)
 
     kernel = outcome(build(w))
     if total == 1.0 and not one_point:

@@ -73,16 +73,22 @@ def test_grid_spec_defaults_and_validation():
     ):
         with pytest.raises(ValueError):
             GridSpec(**bad)
-    # a bool is refused as a time or a step, as a Scenario refuses it,
-    # though Python would read it as 0 or 1
+    # a bool (numpy's too) is refused as a time or a step, as a Scenario
+    # refuses it, though Python would read it as 0 or 1, and so is a string
     for bad, message in [
         (dict(T=True, N=2), "T must be positive and finite"),
+        (dict(T=np.bool_(True), N=2), "T must be positive and finite"),
+        (dict(T="1", N=2), "T must be positive and finite"),
         (dict(T=1.0, N=2, dv=True), "dv must be positive and finite"),
         (dict(T=1.0, N=2, dv=False), "dv must be positive and finite"),
+        (dict(T=1.0, N=2, dv=np.bool_(True)), "dv must be positive and finite"),
+        (dict(T=1.0, N=2, dv="0.5"), "dv must be positive and finite"),
     ]:
         with pytest.raises(ValueError) as info:
             GridSpec(**bad)
         assert str(info.value) == message
+    g = GridSpec(np.float32(1.0), 2, np.float32(0.5))
+    assert (type(g.T), type(g.dv), g.dv) == (float, float, 0.5)
 
 
 def test_scheme_config_validation():
@@ -100,14 +106,20 @@ def test_scheme_config_validation():
             SchemeConfig(scheme=LAS, grid=GridSpec(T=1.0, N=4), max_atoms=cap)
         assert str(info.value) == "max_atoms must be a positive integer"
     assert SchemeConfig(scheme=LAS, grid=GridSpec(T=1.0, N=4), max_atoms=np.int64(5)).max_atoms == 5
-    # and so is a bool for either housekeeping parameter
+    # and so is a bool (numpy's too) or a non-number for either
+    # housekeeping parameter, and a grid that is not a GridSpec
     for bad, message in [
         (dict(coalesce_tol=True), "coalesce_tol must be >= 0"),
         (dict(coalesce_tol=False), "coalesce_tol must be >= 0"),
+        (dict(coalesce_tol=np.bool_(True)), "coalesce_tol must be >= 0"),
+        (dict(coalesce_tol="0.1"), "coalesce_tol must be >= 0"),
         (dict(prune_floor=False), "prune_floor must lie in [0, 1e-06]"),
+        (dict(prune_floor=np.bool_(False)), "prune_floor must lie in [0, 1e-06]"),
+        (dict(prune_floor=None), "prune_floor must lie in [0, 1e-06]"),
+        (dict(grid=None), "grid must be a GridSpec, got None"),
     ]:
         with pytest.raises(ValueError) as info:
-            SchemeConfig(scheme=LAS, grid=GridSpec(T=1.0, N=4), **bad)
+            SchemeConfig(**{"scheme": LAS, "grid": GridSpec(T=1.0, N=4), **bad})
         assert str(info.value) == message
 
 
@@ -688,11 +700,48 @@ def test_stored_lifts_are_canonical_and_read_only(monkeypatch, scheme, spec):
             origin = next((b for a, b in built if a is lift), None)  # the node eval_pvf lifted
             if origin is not None and not isinstance(spec, CustomPvf):
                 # the step started from its lift's base exactly where the
-                # rows are exact and the lift keeps every one of them
-                *_, w, exact = pvf._kind(spec).rows(spec, origin)
-                assert (origin is node) == (exact and lift.natoms == len(w))
+                # rows name it their base and the lift keeps every one of them
+                *_, w, base = pvf._kind(spec).rows(spec, origin)
+                assert (origin is node) == (base is origin and lift.natoms == len(w))
             if origin is node:
                 assert lift_bits(evaluate(spec, node)) == lift_bits(lift)
+
+
+@pytest.mark.parametrize("scheme", [LAS, LAGRANGIAN, MEAN_VELOCITY])
+def test_every_rule_gives_finite_rows_that_name_their_true_base(monkeypatch, scheme):
+    # eval_pvf adopts every rule's rows as ordered, so finite and free of
+    # -0.0, with no check of its own, and takes the base they name: that
+    # base is the node for a shipped rule, and the base pass over the rows
+    # gives it bit for bit
+    rows = []
+    for cls, kind in pvf._KINDS.items():
+        def recorded(spec, mu, rows_of=kind.rows):
+            out = rows_of(spec, mu)
+            rows.append((spec, mu, out))
+            return out
+        monkeypatch.setitem(pvf._KINDS, cls, kind._replace(rows=recorded))
+    specs = [SPLIT, BINOMIAL, PEANO, GraphPvf(lambda x: np.full_like(x, -0.0)),
+             CustomPvf(lambda mu: eval_pvf(BINOMIAL, mu))]
+    assert {type(spec) for spec in specs} == set(pvf._KINDS)
+    for spec in specs:
+        for mu0 in seeded_measures():
+            run_scheme(spec, mu0, cfg(scheme, N=4))
+    assert {type(spec) for spec, _, _ in rows} == set(pvf._KINDS)
+    for spec, mu, (pos, vel, w, base) in rows:
+        for col in (pos, vel, w):
+            assert np.isfinite(col).all() and not np.signbit(col[col == 0]).any()
+        if base is None:
+            continue
+        assert (base is mu) == (not isinstance(spec, CustomPvf))
+        kernel = measures._derive(pos.copy(), w.copy())
+        assert [a.tobytes() for a in (kernel.atoms, kernel.weights)] == [
+            a.tobytes() for a in (base.atoms, base.weights)]
+    # every route is taken: a constant fiber names no base, and the
+    # splitting rule names none where a split median's parts do not add
+    # back to its weight
+    assert {(type(spec), base is None) for spec, _, (*_, base) in rows} == {
+        (SplittingParticlePvf, False), (SplittingParticlePvf, True), (GraphPvf, False),
+        (ConstantFiberPvf, True), (CustomPvf, False)}
 
 
 def test_coalescing_steps_run_the_kernel_once_more(monkeypatch):

@@ -6,6 +6,7 @@ import oracles
 import strategies as sts
 from mdelab import (
     ConstantFiberPvf,
+    DimMismatchError,
     EndpointMismatchError,
     GraphPvf,
     GridSpec,
@@ -68,7 +69,7 @@ def test_segment_ensemble_single_atom():
 def test_segment_ensemble_split_pair():
     ens = build_representation(run_scheme(SPLIT, dirac(0.0), cfg(LAS, T=0.5, N=1)))
     assert np.array_equal(ens.times, [0.0, 0.5])
-    assert ens.ncurves == 2
+    assert (ens.ncurves, ens.dim) == (2, 1)
     assert np.array_equal(ens.weights, [0.5, 0.5])
     slopes = (ens.knots[:, 1, 0] - ens.knots[:, 0, 0]) / 0.5
     assert set(slopes) == {-1.0, 1.0}
@@ -184,6 +185,10 @@ def test_concat_merge_endpoint_mismatch():
     tail = make_lifted([[0.0]], [[1.0]], [1.0])
     with pytest.raises(EndpointMismatchError):
         concat_merge(head, tail, 2.0, dirac(5.0))
+    # a 2-D joint atom is no joint for a 1-D bundle, though broadcasting
+    # matched the 1-D ends against it
+    with pytest.raises(DimMismatchError, match="^dim 1 vs 2$"):
+        concat_merge(head, tail, 2.0, dirac([0.0, 0.0]))
     # a joint atom of weight 1e-10 that no curve reaches: the masses agree
     # within AGREE_TOL, but the atom has no incoming mass
     stray = m1([0.0, 5.0], [1.0 - 1e-10, 1e-10])

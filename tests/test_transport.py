@@ -302,6 +302,7 @@ def test_lp_solve_plan_is_read_only_and_as_if_checked():
     for a, b in ((mu.weights, nu.weights), (np.r_[mu.weights[:-1], 0.0] / mu.weights[:-1].sum(),
                                              nu.weights)):
         plan, _ = lp_solve(_cost(mu, nu), a, b)
+        assert plan.shape == (len(a), len(b)) == plan.mass.shape
         assert not plan.mass.flags.writeable and plan.mass.flags.c_contiguous
         checked = TransportPlan(plan.mass)
         assert plan.mass.dtype == checked.mass.dtype
