@@ -1,7 +1,7 @@
 """Deterministic file artifacts: CSV tables and JSON documents.
 
 Every float is written so that it reads back exactly: CSV writes 17
-significant digits (%.17g, see ``fmt``), which round-trips exactly but is
+significant digits (``_F``, %.17g), which round-trips exactly but is
 not always the shortest form (0.1 is written 0.10000000000000001), and
 JSON writes repr.  Rows follow canonical atom order, and newlines are
 fixed to "\\n", so identical inputs produce byte-identical files on any
@@ -47,16 +47,9 @@ PathLike = Union[str, os.PathLike]
 
 SCHEMA = "mde-lab/1"
 
-# The CSV float format, applied once to each distinct float of a file.
+# The CSV float format, applied once to each distinct float of a file:
+# 17 significant digits, which round-trip exactly.
 _F = "%.17g"
-
-
-def fmt(x: float) -> str:
-    """The double in 17 significant digits, which round-trips exactly.
-
-    Not the shortest such string: 0.1 comes out as 0.10000000000000001.
-    """
-    return _F % float(x)
 
 
 def _write_text(text: str, file_path: PathLike) -> None:
@@ -125,7 +118,7 @@ def _float_template(shape: tuple[int, ...], nl: str) -> str:
 def _csv_text(header: str, columns: list) -> str:
     """The header line, then one line per row of ``columns``, cells joined by commas.
 
-    A float array column is written in %.17g (see ``fmt``); any other
+    A float array column is written in ``_F``, the CSV float format; any other
     column is a list written with str().
     """
     cells = [_float_texts(c, _F) if isinstance(c, np.ndarray) else map(str, c) for c in columns]
@@ -215,18 +208,6 @@ def comparison_to_json(table: ComparisonTable) -> dict:
     }
 
 
-def trajectories_to_json(ens: TrajectoryEnsemble) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "trajectories",
-        "times": ens.times.tolist(),
-        "curves": [
-            {"weight": w, "knots": knots}
-            for w, knots in zip(ens.weights.tolist(), ens.knots.tolist())
-        ],
-    }
-
-
 def trajectories_from_json(obj: dict) -> TrajectoryEnsemble:
     """The ensemble of a trajectories document; every number in it is a
     JSON number, an int or a float (not a bool)."""
@@ -256,10 +237,13 @@ def _json_floats(items, what: str, ndim: int) -> np.ndarray:
 
 
 def write_trajectories_json(ens: TrajectoryEnsemble, file_path: PathLike) -> None:
-    """The text of ``write_json(trajectories_to_json(ens))``, formatted
-    from one template over the bundle's arrays.
+    """The trajectories document of ``ens``, formatted from one template
+    over the bundle's arrays.
 
-    The layout is fixed: sorted keys, and each curve ``{"knots", "weight"}``.
+    The document is ``{"curves", "kind", "schema", "times"}``, with kind
+    ``"trajectories"``, the node times, and one ``{"knots", "weight"}``
+    per curve, its knots one position list per node time.  Its text is
+    what ``write_json`` writes: keys sorted, indent 2, a final newline.
     The ensemble's floats are finite, so repr is their JSON text, and no
     user text enters the template, so it needs no ``%`` escaping.
     """

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -677,8 +678,10 @@ def is_count(n) -> bool:
 def is_real(x) -> bool:
     """True for a real number (numpy's too) that is not a bool, as a time,
     a step or a tolerance must be; numpy's bool is not a ``numbers.Real``,
-    and a string is not one either."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    and a string is not one either.  Nor is an integer beyond the float
+    range, such as JSON's 1e400 written out in digits: no float holds it."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and (
+        not isinstance(x, numbers.Integral) or abs(int(x)) <= sys.float_info.max)
 
 
 def quantile_uniform(a: float, b: float, natoms: int) -> DiscreteMeasure:
@@ -745,24 +748,15 @@ def fiber_means(lifted: LiftedMeasure) -> tuple[np.ndarray, np.ndarray]:
 def disintegrate(lifted: LiftedMeasure) -> Disintegration:
     """Split a lifted measure into its base and per-position velocity fibers.
 
-    The positions (sorted, since the lifted atoms are) are grouped by the
-    canonical-form kernel at ``MERGE_TOL``, with the first-match rule that
-    ``base_of`` applies.  So ``base.atoms[i]`` is the first position of
-    group ``i``, its weight is the group's mass, and ``fibers[i]`` is the
-    group's velocities with their weights, normalized to mass one.  The
-    base equals ``base_of(lifted)``.
+    The base is ``base_of(lifted)`` itself.  The positions (sorted, since
+    the lifted atoms are) are grouped at ``MERGE_TOL`` with the first-match
+    rule that ``base_of`` applies, so ``fibers[i]`` is the velocities of the
+    rows over ``base.atoms[i]`` with their weights, normalized to mass one.
     """
-    pos = lifted.positions
-    gid, reps = _group_rows(pos, MERGE_TOL)
-    masses = np.bincount(gid, weights=lifted.weights, minlength=len(reps))
-    base = DiscreteMeasure(pos[reps], masses)
-    if base.natoms != len(reps):  # pragma: no cover - representatives are tol-separated
-        raise RuntimeError("disintegration grouping lost atoms")
-    fibers = []
-    for g in range(len(reps)):
-        sel = gid == g
-        fibers.append(DiscreteMeasure(lifted.velocities[sel], lifted.weights[sel]))
-    return Disintegration(base, tuple(fibers))
+    gid, reps = _group_rows(lifted.positions, MERGE_TOL)
+    groups = [gid == g for g in range(len(reps))]
+    fibers = tuple(DiscreteMeasure(lifted.velocities[r], lifted.weights[r]) for r in groups)
+    return Disintegration(base_of(lifted), fibers)
 
 
 def support_radius(mu: DiscreteMeasure) -> float:

@@ -128,8 +128,8 @@ def eval_pvf(spec: PvfSpec, mu: DiscreteMeasure) -> LiftedMeasure:
     weight.  Splitting lifts of measures that share one weights array, on
     which the median atom moves right whole with its own weight, share its
     velocity column, computed once: it is a function of the read-only
-    weights alone (see ``_split``).  A split median's columns are built at
-    every call.
+    weights alone (see ``_splitting_rows``).  A split median's columns are
+    built at every call.
     """
     pos, vel, w, base = _kind(spec).rows(spec, mu)
     return _derive(pos, w, velocities=vel, ordered=True, tested=w is mu.weights, base=base)
@@ -216,29 +216,6 @@ def _fiber_rows(spec: ConstantFiberPvf, mu: DiscreteMeasure):
     return pos.reshape(n * m, d), vel.reshape(n * m, d), w, None
 
 
-def _splitting_rows(spec: SplittingParticlePvf, mu: DiscreteMeasure):
-    """The splitting rule's velocity and weight columns and whether its rows
-    name ``mu`` their base are functions of ``mu.weights`` alone: the
-    median split fixes the velocities, and with the median's two parts the
-    weights.  Canonical weights are read-only, so where the median atom
-    moves right whole with its own weight ``_split`` keeps the velocity
-    column for the last such weights array, by identity, and a measure on
-    the same array (the next node of such a run, or the same node lifted
-    again) reuses it, read-only and shared, with no median search.  A
-    split's columns are not kept (see ``_split_memo``).  The dimension
-    check runs first and the positions come from ``mu.atoms`` on every
-    call."""
-    if mu.dim != 1:
-        raise DimMismatchError("the splitting rule needs a 1-D measure")
-    i, vel, w, base = _split(mu)
-    if i is None:
-        return mu.atoms, vel, w, base
-    pos = np.empty((mu.natoms + 1, 1))
-    pos[:i + 1] = mu.atoms[:i + 1]
-    pos[i + 1:] = mu.atoms[i:]
-    return pos, vel, w, base
-
-
 def _custom_rows(spec: CustomPvf, mu: DiscreteMeasure):
     out = spec.evaluate(mu)
     if not isinstance(out, LiftedMeasure):
@@ -253,55 +230,40 @@ def _custom_rows(spec: CustomPvf, mu: DiscreteMeasure):
     return out.positions, out.velocities, out.weights, base
 
 
-#: One entry per kind of rule (see ``_Kind``).
-_KINDS: dict[type, _Kind] = {
-    SplittingParticlePvf: _Kind(lambda spec, mu: mu.natoms + 1, _splitting_rows),
-    GraphPvf: _Kind(lambda spec, mu: mu.natoms, _graph_rows),
-    ConstantFiberPvf: _Kind(lambda spec, mu: mu.natoms * spec.omega.natoms, _fiber_rows),
-    CustomPvf: _Kind(None, _custom_rows),
-}
-
-
-#: The last weights array ``_split`` saw whose median atom moves right
-#: whole with its own weight, and that array's velocity column, each by
-#: weak reference, so that no finished run's arrays stay alive.  Only
-#: this route is kept: its lift's weights are the array itself, which a
-#: run's next node holds too.  A split's columns are not kept: a run does
-#: not lift a split node's array again while the lift holding them lives,
-#: so no lookup found them.  A ``lagrangian`` run stops lifting a torn
-#: block after its first whole step (``schemes._moved_whole``), so the
-#: entry serves ``las`` and ``mean-velocity`` runs and ``residual``.
+#: The last weights array ``_splitting_rows`` saw whose median atom moves
+#: right whole with its own weight, and that array's velocity column, each
+#: by weak reference, so that no finished run's arrays stay alive.  The
+#: key is the array's identity: canonical weights are read-only, so an
+#: array seen again holds the same values and the column computed from
+#: them, and its lift's weights and base are the array and ``mu`` itself.
+#: The nodes of such a run share the first node's array, so its median
+#: and column are computed once per run.  A split's columns are not kept:
+#: a run does not lift a split node's array again while the lift holding
+#: them lives, so no lookup found them.  A ``lagrangian`` run stops lifting
+#: a torn block after its first whole step (``schemes._moved_whole``), so
+#: the entry serves ``las`` and ``mean-velocity`` runs and ``residual``.
 _split_memo: Optional[tuple] = None
 
 
-def _split(mu: DiscreteMeasure) -> tuple:
-    """The splitting lift of ``mu`` as far as its weights fix it: the median
-    index i when the median atom splits in two rows, None when it moves
-    right whole in one, the velocity column, the weights, and the rows'
-    base: ``mu`` where the median splits exactly or moves whole with its
-    own weight, else None.
-
-    The weights are ``mu.weights`` itself, or a fresh column with the two
-    parts of the median atom; both columns are read-only.  None of these
-    reads ``mu.atoms``.  Where the median atom moves right whole with its
-    own weight, the weights are ``mu``'s array and the rows' base is
-    ``mu``, so the velocity column is kept for that array, keyed by its
-    identity: canonical weights are read-only, so an array seen again holds
-    the same values and the column computed from them.  The nodes of such a run
-    share the first node's array, so the median and the column are
-    computed once per run.  A median that splits, or moves whole lighter
-    than its weight, is found afresh at every call (see ``_split_memo``).
-    Under ``lagrangian`` such a run calls this for its first whole step
-    only: ``schemes.run_scheme`` carries a torn block's later steps in one
-    running sum, since this column, a function of the weights alone, is
-    the same at every node.
+def _splitting_rows(spec: SplittingParticlePvf, mu: DiscreteMeasure):
+    """The splitting lift's rows.  Its velocity and weight columns, and
+    whether its rows name ``mu`` their base, are functions of ``mu.weights``
+    alone: the median split fixes the velocities, and with the median's
+    two parts the weights.  The weights are ``mu.weights`` itself, or a
+    fresh column with the two parts of the median atom; both columns are
+    read-only.  The base is ``mu`` where the median splits exactly or moves
+    whole with its own weight, else None.  The dimension check runs first,
+    a whole median's columns come from ``_split_memo`` when it holds them,
+    and the positions come from ``mu.atoms`` on every call.
     """
     global _split_memo
+    if mu.dim != 1:
+        raise DimMismatchError("the splitting rule needs a 1-D measure")
     if _split_memo is not None:
         key, vel_ref = _split_memo
         vel = vel_ref()
         if key() is mu.weights and vel is not None:
-            return None, vel, mu.weights, mu
+            return mu.atoms, vel, mu.weights, mu
     i, eta, mass, left_of_B = _median(mu)
     left = max(0.5 - left_of_B, 0.0)
     # The median atom B = x_i splits into row i, its 1/2 - cdf_left
@@ -321,14 +283,28 @@ def _split(mu: DiscreteMeasure) -> tuple:
     vel.setflags(write=False)
     if not s and eta == mass:
         _split_memo = (weakref.ref(mu.weights), weakref.ref(vel))
-        return None, vel, mu.weights, mu
+        return mu.atoms, vel, mu.weights, mu
     w = np.empty(n + s)
     w[:i + 1] = mu.weights[:i + 1]
     w[i + s:] = mu.weights[i:]
     w[i] = left
     w[i + s] = eta
     w.setflags(write=False)
-    return i if s else None, vel, w, mu if left + eta == mass else None
+    pos = mu.atoms
+    if s:
+        pos = np.empty((n + 1, 1))
+        pos[:i + 1] = mu.atoms[:i + 1]
+        pos[i + 1:] = mu.atoms[i:]
+    return pos, vel, w, mu if left + eta == mass else None
+
+
+#: One entry per kind of rule (see ``_Kind``).
+_KINDS: dict[type, _Kind] = {
+    SplittingParticlePvf: _Kind(lambda spec, mu: mu.natoms + 1, _splitting_rows),
+    GraphPvf: _Kind(lambda spec, mu: mu.natoms, _graph_rows),
+    ConstantFiberPvf: _Kind(lambda spec, mu: mu.natoms * spec.omega.natoms, _fiber_rows),
+    CustomPvf: _Kind(None, _custom_rows),
+}
 
 
 #: The default cap on the atoms of a scheme step (``SchemeConfig.max_atoms``),

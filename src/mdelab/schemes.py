@@ -56,13 +56,13 @@ Such a splitting step runs no ``measures._unit`` (the weight total and
 floor) under ``lagrangian`` or ``las``; one whose median splits runs it
 once, on the lift's fresh weights.  The next node of a whole step holds
 the same weights array, and the splitting rule keeps that array's
-velocity column (see ``pvf._split``), so such a run finds the median
-once: a torn block's later steps, and a ``splitting-dirac`` run's after
-its first split, run no median search and build no velocity column, and
-their lifts share one read-only velocity column.  Under ``lagrangian``,
-with the default merge tolerance, those later steps are one affine
-motion, node k + 1 = node k + dt v, so ``run_scheme`` takes them in whole
-arrays (``_moved_whole``): one sequential running sum,
+velocity column (see ``pvf._splitting_rows``), so such a run finds the
+median once: a torn block's later steps, and a ``splitting-dirac`` run's
+after its first split, run no median search and build no velocity
+column, and their lifts share one read-only velocity column.  Under
+``lagrangian``, with the default merge tolerance, those later steps are
+one affine motion, node k + 1 = node k + dt v, so ``run_scheme`` takes
+them in whole arrays (``_moved_whole``): one sequential running sum,
 ``np.add.accumulate``, adds dt v to each node's atoms in the order a step
 does, so every node has the step's bits, and one gap reduction per node
 stands for the step's finiteness check and first-route test.  Such steps
@@ -126,7 +126,7 @@ class GridSpec:
     def __post_init__(self):
         if not (is_real(self.T) and 0 < self.T < math.inf):
             raise ValueError("T must be positive and finite")
-        if not is_count(self.N):
+        if not (is_count(self.N) and is_real(self.N)):  # is_real: within the float range
             raise ValueError("N must be a positive integer")
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "N", int(self.N))
@@ -352,9 +352,9 @@ def _moved_whole(mu: DiscreteMeasure, vel: np.ndarray, dt: float, steps: int):
     velocity column.
 
     The splitting rule's velocity column is a function of the weights
-    array alone (``pvf._split``), so every later lift is ``mu``'s atoms
-    with ``vel`` and the same weights, and every later node is its lift's
-    positions plus the same ``dtv = dt * vel``.  The cap saw this atom
+    array alone (``pvf._splitting_rows``), so every later lift is ``mu``'s
+    atoms with ``vel`` and the same weights, and every later node is its
+    lift's positions plus the same ``dtv = dt * vel``.  The cap saw this atom
     count already, no weight changes for the floor to drop, and the merge
     tolerance is ``MERGE_TOL``.  So only the node's finiteness check and
     the kernel's first-route test can differ: each node's atoms come from

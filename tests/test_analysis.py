@@ -118,7 +118,8 @@ def test_bump_validation():
 
 
 @pytest.mark.parametrize("radius", [True, False, np.bool_(True), "2", None, [1.0],
-                                    np.array([1.0]), 0, -1.0, float("nan"), float("inf")])
+                                    np.array([1.0]), 0, -1.0, float("nan"), float("inf"),
+                                    pytest.param(10**400, id="10**400")])
 def test_bump_refuses_a_radius_that_is_not_a_positive_number(radius):
     # float() read True as 1.0 and "2" as 2.0
     with pytest.raises(ValueError, match="radius must be a positive finite number"):

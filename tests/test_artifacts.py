@@ -42,12 +42,10 @@ from mdelab.artifacts import (
     SCHEMA,
     comparison_to_json,
     convergence_to_json,
-    fmt,
     read_json,
     read_trajectories_json,
     residual_to_json,
     trajectories_from_json,
-    trajectories_to_json,
     write_comparison_csv,
     write_convergence_csv,
     write_json,
@@ -75,7 +73,7 @@ def all_schemes(spec, N):
 
 def test_fmt_round_trips_floats():
     for x in (0.1, 1 / 3, -1.0, 0.0, 2.0**-40, 6.02e23, np.pi, 5e-324):
-        assert float(fmt(x)) == x
+        assert float(artifacts._F % x) == x
 
 
 def test_write_json_is_sorted_and_newline_terminated(tmp_path):
@@ -191,7 +189,7 @@ def test_comparison_csv_and_json(tmp_path):
 
 def test_trajectories_json_round_trip(tmp_path):
     ens = build_representation(las_path(N=2))
-    obj = trajectories_to_json(ens)
+    obj = oracles.trajectories_doc(SCHEMA, ens.times, ens.weights, ens.knots)
     assert obj["schema"] == SCHEMA and obj["kind"] == "trajectories"
     back = trajectories_from_json(obj)
     assert np.array_equal(back.times, ens.times)
@@ -394,7 +392,6 @@ def test_trajectories_json_matches_per_value_writer(data, out_dir):
         knots=data.draw(float_arrays(csv_floats, (ncurves, nt, d))),
     )
     doc = oracles.trajectories_doc(SCHEMA, ens.times, ens.weights, ens.knots)
-    assert trajectories_to_json(ens) == doc
     assert written(write_trajectories_json, ens, out_dir) == oracles.json_text(doc).encode()
     back = read_trajectories_json(out_dir / "artifact")
     for name in ("times", "weights", "knots"):
@@ -453,18 +450,15 @@ class _NoList(np.ndarray):
 
 def test_writers_format_whole_arrays(tmp_path, monkeypatch):
     """A curve bundle is written from its arrays: no stdlib encoder, no
-    nested lists and no document of per-curve dicts.  A scenario run
-    writes its small documents with the stdlib encoder, but never formats
-    a float one value at a time with fmt, nor builds a trajectories dict."""
+    nested lists and no document of per-curve dicts."""
     ens = build_representation(run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, 10)))
     assert ens.ncurves == 1024
-    expected_text = oracles.json_text(trajectories_to_json(ens))
+    expected_text = oracles.json_text(
+        oracles.trajectories_doc(SCHEMA, ens.times, ens.weights, ens.knots))
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-value formatting on the write path")
 
-    monkeypatch.setattr(artifacts, "fmt", refuse)
-    monkeypatch.setattr(artifacts, "trajectories_to_json", refuse)
     with monkeypatch.context() as bundle_only:
         bundle_only.setattr(json.JSONEncoder, "iterencode", refuse)
         for name in ("times", "weights", "knots"):
@@ -474,8 +468,6 @@ def test_writers_format_whole_arrays(tmp_path, monkeypatch):
         with pytest.raises(AssertionError):
             json.dumps([1.0], indent=2)
         write_trajectories_json(ens, tmp_path / "bundle.json")
-    run_scenario(dataclasses.replace(get_scenario("binomial"), outputs=str(tmp_path / "binomial")))
-    monkeypatch.undo()
     assert (tmp_path / "bundle.json").read_text() == expected_text
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -175,6 +176,9 @@ def test_unwritable_output_dir(tmp_path, capsys):
         ("N", {"N": [1e12]}),
         ("N", {"N": [1000000]}),
         ("T", {"T": 1.7e308}),
+        # JSON integers beyond the float range, read by json as ints
+        ("T", {"T": 10**400}),
+        ("coalesce_tol", {"coalesce_tol": 10**400}),
     ],
 )
 def test_malformed_scenario_field_is_a_config_error(tmp_path, capsys, field, bad):
@@ -327,11 +331,15 @@ def test_a_misspelt_key_is_a_config_error_naming_it(tmp_path, capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # ``python -m mdelab`` runs ``mdelab/__main__.py``, from the source tree
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run(
         [sys.executable, "-m", "mdelab", "list"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
-    assert "binomial" in proc.stdout
+    names = [line.split(":")[0] for line in proc.stdout.splitlines()]
+    assert names == ["splitting-dirac", "splitting-uniform", "binomial", "uniform-fiber", "peano"]

@@ -350,6 +350,7 @@ def test_disintegrate_matches_greedy_scan(joint, data):
     dis = disintegrate(lifted)
     assert np.array_equal(dis.base.atoms, lifted.positions[reps])
     assert dis.base == base_of(lifted)
+    assert disintegrate(lifted).base is base_of(lifted)
     mass = np.bincount(gid, weights=lifted.weights)
     assert np.allclose(dis.base.weights, mass / mass.sum(), rtol=0.0, atol=1e-15)
     for g, fiber in enumerate(dis.fibers):

@@ -393,14 +393,14 @@ def unmemoized():
     """A context in which the splitting rule forgets the weights it has
     seen before every evaluation, so each lift computes its median and
     columns afresh."""
-    split = pvf._split
+    kind = pvf._KINDS[SplittingParticlePvf]
 
-    def fresh(mu):
+    def fresh(spec, mu):
         pvf._split_memo = None
-        return split(mu)
+        return kind.rows(spec, mu)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(pvf, "_split", fresh)
+        patch.setitem(pvf._KINDS, SplittingParticlePvf, kind._replace(rows=fresh))
         yield
 
 

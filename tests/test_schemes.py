@@ -83,6 +83,13 @@ def test_grid_spec_defaults_and_validation():
         (dict(T=1.0, N=2, dv=False), "dv must be positive and finite"),
         (dict(T=1.0, N=2, dv=np.bool_(True)), "dv must be positive and finite"),
         (dict(T=1.0, N=2, dv="0.5"), "dv must be positive and finite"),
+        # an integer beyond the float range has no float: float() overflowed
+        (dict(T=10**400, N=2), "T must be positive and finite"),
+        (dict(T=1.0, N=2, dv=10**400), "dv must be positive and finite"),
+        (dict(T=1.0, N=10**400), "N must be a positive integer"),
+        # N dt overflows, so it cannot come back to T
+        (dict(T=1.7976931348623157e308, N=3), "N * dt must reproduce T"),
+        (dict(T=1.7976931348623157e308, N=7), "N * dt must reproduce T"),
     ]:
         with pytest.raises(ValueError) as info:
             GridSpec(**bad)
@@ -113,6 +120,7 @@ def test_scheme_config_validation():
         (dict(coalesce_tol=False), "coalesce_tol must be >= 0"),
         (dict(coalesce_tol=np.bool_(True)), "coalesce_tol must be >= 0"),
         (dict(coalesce_tol="0.1"), "coalesce_tol must be >= 0"),
+        (dict(coalesce_tol=10**400), "coalesce_tol must be >= 0"),
         (dict(prune_floor=False), "prune_floor must lie in [0, 1e-06]"),
         (dict(prune_floor=np.bool_(False)), "prune_floor must lie in [0, 1e-06]"),
         (dict(prune_floor=None), "prune_floor must lie in [0, 1e-06]"),

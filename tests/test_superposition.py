@@ -429,3 +429,11 @@ def test_fiber_barycenter_requires_interior_knot():
         verify_fiber_barycenter(ens, SPLIT, 1.0)  # final knot
     with pytest.raises(OutOfRangeError):
         verify_fiber_barycenter(ens, SPLIT, 0.25)  # not a knot
+
+
+def test_reprs_name_sizes_not_arrays():
+    path = run_scheme(SPLIT, dirac(0.0), SchemeConfig(scheme=LAS, grid=GridSpec(T=1.0, N=2)))
+    assert repr(path) == "MeasurePath(nodes=3, dim=1, T=1)"
+    assert repr(path.measures[2]) == "DiscreteMeasure(natoms=2, dim=1)"
+    assert repr(path.interp[0]) == "LiftedMeasure(natoms=2, dim=1)"
+    assert repr(build_representation(path)) == "TrajectoryEnsemble(ncurves=2, nknots=3, dim=1)"
