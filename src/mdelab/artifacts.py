@@ -12,7 +12,8 @@ float in it is formatted once (runs repeat their node times, lattice
 sites and weights), by one ``%`` over a template that holds a ``%s`` per
 distinct float; the cells of each row are joined with ",".  A JSON
 document is ``json.dumps(obj, indent=2, sort_keys=True)`` plus a final
-newline.  The one exception is the trajectories document, whose curve
+newline, and every document's ``schema`` and ``kind`` header comes from
+``_document``.  The one exception is the trajectories document, whose curve
 bundle can hold thousands of curves: ``write_trajectories_json`` writes
 the same text from one template over the bundle's arrays, with no nested
 lists and no dict per curve.
@@ -155,16 +156,14 @@ def write_residual_csv(report: ResidualReport, file_path: PathLike) -> None:
 
 def write_convergence_csv(table: ConvergenceTable, file_path: PathLike) -> None:
     """Plot-ready rows: N, error."""
-    rows = table.rows()
-    columns = [[n for n, _ in rows], np.array([e for _, e in rows], dtype=float)]
+    columns = [list(table.Ns), np.array(table.errors, dtype=float)]
     _write_text(_csv_text("N,error", columns), file_path)
 
 
 def write_comparison_csv(table: ComparisonTable, file_path: PathLike) -> None:
     """One row per scheme pair: scheme_a, scheme_b, gap."""
-    rows = table.rows()
-    columns = [[a for a, _, _ in rows], [b for _, b, _ in rows],
-               np.array([g for _, _, g in rows], dtype=float)]
+    columns = [[a for a, _ in table.pairs], [b for _, b in table.pairs],
+               np.array(table.gaps, dtype=float)]
     _write_text(_csv_text("scheme_a,scheme_b,gap", columns), file_path)
 
 
@@ -172,40 +171,40 @@ def write_comparison_csv(table: ComparisonTable, file_path: PathLike) -> None:
 # JSON documents
 # ---------------------------------------------------------------------------
 
+def _document(kind: str, **fields) -> dict:
+    """A JSON document of ``kind``: the schema and kind header, then ``fields``."""
+    return {"schema": SCHEMA, "kind": kind, **fields}
+
+
 def residual_to_json(report: ResidualReport) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "residual",
-        "dt": report.dt,
-        "max_defect": report.max_defect,
-        "family": report.family_description,
-        "times": report.times.tolist(),
-        "defects": report.defects.tolist(),
-    }
+    return _document(
+        "residual",
+        dt=report.dt,
+        max_defect=report.max_defect,
+        family=report.family_description,
+        times=report.times.tolist(),
+        defects=report.defects.tolist(),
+    )
 
 
 def convergence_to_json(table: ConvergenceTable) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "convergence",
-        "scheme": table.scheme,
-        "T": table.T,
-        "mode": table.mode,
-        "Ns": list(table.Ns),
-        "errors": list(table.errors),
-    }
+    return _document(
+        "convergence",
+        scheme=table.scheme,
+        T=table.T,
+        mode=table.mode,
+        Ns=list(table.Ns),
+        errors=list(table.errors),
+    )
 
 
 def comparison_to_json(table: ComparisonTable) -> dict:
-    return {
-        "schema": SCHEMA,
-        "kind": "comparison",
-        "N": table.N,
-        "T": table.T,
-        "gaps": [
-            {"scheme_a": a, "scheme_b": b, "gap": g} for a, b, g in table.rows()
-        ],
-    }
+    return _document(
+        "comparison",
+        N=table.N,
+        T=table.T,
+        gaps=[{"scheme_a": a, "scheme_b": b, "gap": g} for a, b, g in table.rows()],
+    )
 
 
 def trajectories_from_json(obj: dict) -> TrajectoryEnsemble:

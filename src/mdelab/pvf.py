@@ -92,8 +92,6 @@ def _median(mu: DiscreteMeasure) -> tuple[int, float, float, float]:
     idx = min(int(cdf.searchsorted(0.5 + CDF_TOL, side="right")), mu.natoms - 1)
     eta = float(cdf[idx] - 0.5)
     mass = float(mu.weights[idx])
-    if mass <= 0:  # pragma: no cover - canonical measures have positive weights
-        raise EmptyInputError("median atom carries no mass")
     left = float(cdf[idx] - mass)
     if left != 0.5 and abs(0.5 - left) <= CDF_TOL:
         # Near the tie the float cumsum can land a few ulps off an exact 1/2
@@ -353,10 +351,6 @@ def sublinearity_bound(spec: PvfSpec, samples: Sequence[DiscreteMeasure]) -> flo
 # JSON fragments
 # ---------------------------------------------------------------------------
 
-def _field_zero(x: np.ndarray) -> np.ndarray:
-    return np.zeros_like(x)
-
-
 def _field_linear(x: np.ndarray) -> np.ndarray:
     return x
 
@@ -368,7 +362,7 @@ def _field_peano(x: np.ndarray) -> np.ndarray:
 #: Named closed-form fields available to scenario files.  "sqrt2" is an
 #: alias of "peano" (the 2 sqrt(|x|) field behind the non-unique ODE runs).
 GRAPH_FIELDS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "zero": _field_zero,
+    "zero": np.zeros_like,
     "linear": _field_linear,
     "peano": _field_peano,
     "sqrt2": _field_peano,

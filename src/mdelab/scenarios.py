@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ConfigError, DimMismatchError, EndpointMismatchError, IoError
 from .measures import DiscreteMeasure, is_real
 from .pvf import PvfSpec, _is_grid_size, initial_from_spec, pvf_from_json
-from .schemes import SCHEMES, GridSpec, MeasurePath, SchemeConfig, run_scheme
+from .schemes import LAGRANGIAN, SCHEMES, GridSpec, MeasurePath, SchemeConfig, run_scheme
 from .superposition import build_representation
 from .analysis import ConvergenceTable, convergence_study, residual, scheme_compare
 from .tolerances import MERGE_TOL
@@ -196,8 +196,6 @@ def _builtin_scenarios() -> dict[str, Scenario]:
             Ns=(4, 16, 64),
             schemes=tuple(SCHEMES),
             compare=True,
-            represent=False,
-            outputs=os.path.join("out", "splitting-dirac"),
         ),
         Scenario(
             name="splitting-uniform",
@@ -209,7 +207,6 @@ def _builtin_scenarios() -> dict[str, Scenario]:
             Ns=(64,),
             schemes=("lagrangian",),
             residual=True,
-            outputs=os.path.join("out", "splitting-uniform"),
         ),
         Scenario(
             name="binomial",
@@ -230,7 +227,6 @@ def _builtin_scenarios() -> dict[str, Scenario]:
             compare=True,
             converge=True,
             represent=True,
-            outputs=os.path.join("out", "binomial"),
         ),
         Scenario(
             name="uniform-fiber",
@@ -246,7 +242,6 @@ def _builtin_scenarios() -> dict[str, Scenario]:
             Ns=(1, 2),
             schemes=tuple(SCHEMES),
             compare=True,
-            outputs=os.path.join("out", "uniform-fiber"),
         ),
         Scenario(
             name="peano",
@@ -260,10 +255,9 @@ def _builtin_scenarios() -> dict[str, Scenario]:
             dvs=(1.0, 0.5, 1.0 / 3.0),
             schemes=("las",),
             represent=True,
-            outputs=os.path.join("out", "peano"),
         ),
     ]
-    return {s.name: s for s in scns}
+    return {s.name: replace(s, outputs=os.path.join("out", s.name)) for s in scns}
 
 
 _BUILTINS = _builtin_scenarios()
@@ -354,19 +348,28 @@ def _same_path(a: MeasurePath, b: MeasurePath) -> bool:
     )
 
 
-def _represent(path: MeasurePath, T: float, radius: float):
-    """``build_representation(path)``.  Where floats lie farther apart
-    than ``MERGE_TOL`` (atoms at 8192 or farther out), a curve's endpoint
-    can miss its node atom by roundoff; such a miss is a horizon too long
-    for the absolute tolerance, a ConfigError naming ``T``."""
+def _represent(path: MeasurePath, cfg: SchemeConfig, radius: float):
+    """``build_representation(path)``, with a curve endpoint that misses
+    its node atom mapped to a ConfigError naming the field behind it.
+    Where floats lie farther apart than ``MERGE_TOL`` (atoms at 8192 or
+    farther out), an endpoint can miss by roundoff: a horizon too long
+    for the absolute tolerance, named ``T``.  On a ``lagrangian`` run,
+    atoms that ``prune_floor`` dropped or ``coalesce_tol`` merged leave
+    endpoints that no atom matches: named ``prune_floor`` when the run
+    pruned mass, else ``coalesce_tol`` when it exceeds ``MERGE_TOL``."""
     try:
         return build_representation(path)
     except EndpointMismatchError as exc:
         if np.spacing(radius) > MERGE_TOL:
             raise ConfigError(
-                f"T: {T!r} puts atoms at {radius:g}, where floats lie farther apart "
+                f"T: {cfg.grid.T!r} puts atoms at {radius:g}, where floats lie farther apart "
                 f"than the merge tolerance {MERGE_TOL:g} ({exc})"
             ) from exc
+        if cfg.scheme == LAGRANGIAN and (path.pruned_mass > 0 or cfg.coalesce_tol > MERGE_TOL):
+            key = "prune_floor" if path.pruned_mass > 0 else "coalesce_tol"
+            raise ConfigError(f"{key}: {getattr(cfg, key)!r} dropped or merged atoms, so a curve "
+                              f"ends where no atom is; a curve bundle needs a run that prunes "
+                              f"and merges nothing ({exc})") from exc
         raise
 
 
@@ -385,63 +388,67 @@ def _run_all(scn: Scenario) -> dict:
                 distinct.append(path)
         return paths[cfg]
 
-    runs = [(f"{scheme}_N{n}",
-             path_for(SchemeConfig(scheme, scn.grid(i), scn.coalesce_tol, scn.prune_floor)))
-            for i, n in enumerate(scn.Ns) for scheme in scn.schemes]
-    # compare and converge use standard grids (dv = 1/N), default housekeeping
+    configs = {f"{scheme}_N{n}": SchemeConfig(scheme, scn.grid(i), scn.coalesce_tol,
+                                              scn.prune_floor)
+               for i, n in enumerate(scn.Ns) for scheme in scn.schemes}
+    runs = [(tag, cfg, path_for(cfg)) for tag, cfg in configs.items()]
+    # compare and converge use standard grids (dv = 1/N) and the default
+    # housekeeping; the manifest notes each override they ignore
     converge = scn.converge and len(scn.Ns) >= 2
     standard = {scheme: [path_for(SchemeConfig(scheme, GridSpec(T=scn.T, N=n))) for n in scn.Ns]
                 for scheme in (SCHEMES if scn.compare else scn.schemes if converge else ())}
+    housekeeping = " and ".join(key for key in ("coalesce_tol", "prune_floor")
+                                if getattr(scn, key) != getattr(SchemeConfig, key))
+    notes: list[str] = []
+    for kind in [kind for kind, ran in (("compare", scn.compare), ("converge", converge)) if ran]:
+        if scn.dvs is not None:
+            notes.append(f"{kind} uses standard grids; dv overrides ignored")
+        if housekeeping:
+            notes.append(f"{kind} uses the default {housekeeping}; overrides ignored")
+    if scn.converge and not converge:
+        notes.append("converge requested but only one N given; skipped")
 
     written: list[str] = []
     pruned: dict[str, float] = {}
     radii: dict[str, float] = {}
-    notes: list[str] = []
     with _staged(scn.outputs, written) as stage:
 
         def emit(name: str, writer, payload) -> None:
             writer(payload, os.path.join(stage, name))
             written.append(name)
 
-        first: dict[int, list[str]] = {}  # the files of each distinct path's first run
-        for tag, path in runs:
+        def report(stem: str, write_csv, to_json, table) -> None:
+            emit(f"{stem}.csv", write_csv, table)
+            emit(f"{stem}.json", artifacts.write_json, to_json(table))
+
+        first: dict[int, tuple[str, list[str]]] = {}  # each distinct path's first run: tag, files
+        for tag, cfg, path in runs:
             pruned[tag] = path.pruned_mass
             atoms = np.concatenate([mu.atoms for mu in path.measures])
             radii[tag] = float(np.max(np.linalg.norm(atoms, axis=1)))
-            names = [f"path_{tag}.csv"]
-            if scn.represent:
-                names.append(f"trajectories_{tag}.json")
-            if scn.residual:
-                names += [f"residual_{tag}.csv", f"residual_{tag}.json"]
             if id(path) in first:
-                for src, name in zip(first[id(path)], names):
-                    emit(name, shutil.copyfile, os.path.join(stage, src))
+                # every file of a run is named <kind>_<tag>.<ext>
+                src, names = first[id(path)]
+                for name in names:
+                    emit(name.replace(f"_{src}.", f"_{tag}."), shutil.copyfile,
+                         os.path.join(stage, name))
                 continue
-            first[id(path)] = names
-            emit(names[0], artifacts.write_path_csv, path)
+            start = len(written)
+            emit(f"path_{tag}.csv", artifacts.write_path_csv, path)
             if scn.represent:
-                ens = _represent(path, scn.T, radii[tag])
-                emit(names[1], artifacts.write_trajectories_json, ens)
+                ens = _represent(path, cfg, radii[tag])
+                emit(f"trajectories_{tag}.json", artifacts.write_trajectories_json, ens)
             if scn.residual:
-                rep = residual(path, spec)
-                emit(names[-2], artifacts.write_residual_csv, rep)
-                obj = artifacts.residual_to_json(rep)
-                emit(names[-1], artifacts.write_json, obj)
+                report(f"residual_{tag}", artifacts.write_residual_csv, artifacts.residual_to_json,
+                       residual(path, spec))
+            first[id(path)] = (tag, written[start:])
 
         if scn.compare:
-            if scn.dvs is not None:
-                notes.append("compare uses standard grids; dv overrides ignored")
             for k, n in enumerate(scn.Ns):
                 table = scheme_compare({tag: standard[tag][k] for tag in SCHEMES})
-                emit(f"comparison_N{n}.csv", artifacts.write_comparison_csv, table)
-                obj = artifacts.comparison_to_json(table)
-                emit(f"comparison_N{n}.json", artifacts.write_json, obj)
+                report(f"comparison_N{n}", artifacts.write_comparison_csv,
+                       artifacts.comparison_to_json, table)
 
-        if scn.converge:
-            if len(scn.Ns) < 2:
-                notes.append("converge requested but only one N given; skipped")
-            elif scn.dvs is not None:
-                notes.append("converge uses standard grids; dv overrides ignored")
         if converge:
             studies: dict[tuple[int, ...], ConvergenceTable] = {}
             for scheme in scn.schemes:
@@ -449,21 +456,18 @@ def _run_all(scn: Scenario) -> dict:
                 key = tuple(map(id, sweep))
                 if key not in studies:
                     studies[key] = convergence_study(sweep, scheme)
-                table = replace(studies[key], scheme=scheme)
-                emit(f"convergence_{scheme}.csv", artifacts.write_convergence_csv, table)
-                obj = artifacts.convergence_to_json(table)
-                emit(f"convergence_{scheme}.json", artifacts.write_json, obj)
+                report(f"convergence_{scheme}", artifacts.write_convergence_csv,
+                       artifacts.convergence_to_json, replace(studies[key], scheme=scheme))
 
-        manifest = {
-            "schema": SCHEMA,
-            "kind": "manifest",
-            "scenario": scenario_to_json(scn),
-            "artifacts": sorted(written),
-            "pruned_mass": pruned,
-            "support_radius": radii,
-            "notes": notes,
-            "wall_time_s": time.perf_counter() - started,
-        }
+        manifest = artifacts._document(
+            "manifest",
+            scenario=scenario_to_json(scn),
+            artifacts=sorted(written),
+            pruned_mass=pruned,
+            support_radius=radii,
+            notes=notes,
+            wall_time_s=time.perf_counter() - started,
+        )
         artifacts.write_json(manifest, os.path.join(stage, "manifest.json"))
     return manifest
 

@@ -72,13 +72,10 @@ class TrajectoryEnsemble:
         flat, weights = canonical_support(
             knots.reshape(ncurves, ntimes * d), self.weights
         )
-        knots = np.ascontiguousarray(flat.reshape(-1, ntimes, d))
-        times = np.ascontiguousarray(times)
-        knots.setflags(write=False)
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "knots", flat.reshape(-1, ntimes, d))
 
     @property
     def ncurves(self) -> int:

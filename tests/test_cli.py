@@ -319,6 +319,20 @@ def test_far_out_run_leaves_an_earlier_run_as_it_was(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_represent_after_a_merge_is_a_config_error_naming_coalesce_tol(tmp_path, capsys):
+    # coalesce_tol merges the children at +-1/8, so a curve ends where no atom is
+    spec = {"pvf": {"kind": "constant_fiber",
+                    "omega": {"atoms": [[-1.0], [1.0]], "weights": [0.5, 0.5]}},
+            "initial": {"kind": "dirac", "point": [0.0]}, "T": 1.0, "N": 8,
+            "scheme": "lagrangian", "represent": True, "coalesce_tol": 0.3,
+            "outputs": str(tmp_path / "o")}
+    write_json(spec, tmp_path / "merged.json")
+    code, out, err = run_cli(["run", str(tmp_path / "merged.json")], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: coalesce_tol:")
+    assert not (tmp_path / "o").exists()
+
+
 def test_a_misspelt_key_is_a_config_error_naming_it(tmp_path, capsys):
     spec = scenario_to_json(get_scenario("peano"))
     spec.update(residul=True, outputs=str(tmp_path / "o"))

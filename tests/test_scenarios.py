@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 import shutil
 import sys
@@ -268,6 +269,11 @@ def test_builtin_listing():
     ]
 
 
+def test_every_builtin_writes_to_out_slash_its_name():
+    for name, _ in list_scenarios():
+        assert get_scenario(name).outputs == os.path.join("out", name)
+
+
 def test_get_scenario_unknown():
     with pytest.raises(ConfigError, match="unknown scenario"):
         get_scenario("does-not-exist")
@@ -382,6 +388,38 @@ def test_run_scenario_dv_override_converges_on_standard_grids(tmp_path):
     manifest = run_scenario(scn)
     assert manifest["notes"] == ["converge uses standard grids; dv overrides ignored"]
     assert manifest == artifacts.read_json(tmp_path / "manifest.json")
+
+
+def test_compare_and_converge_note_the_housekeeping_they_ignore(tmp_path):
+    # the binomial runs merge at coalesce_tol; compare and converge run the
+    # standard grids with the default housekeeping, and the manifest says so
+    scn = dataclasses.replace(get_scenario("binomial"), outputs=str(tmp_path), represent=False,
+                              coalesce_tol=0.3)
+    assert run_scenario(scn)["notes"] == [
+        "compare uses the default coalesce_tol; overrides ignored",
+        "converge uses the default coalesce_tol; overrides ignored",
+    ]
+    scn = tiny_scenario(tmp_path / "o", dvs=(0.25,), compare=True, prune_floor=1e-9)
+    assert run_scenario(scn)["notes"] == [
+        "compare uses standard grids; dv overrides ignored",
+        "compare uses the default prune_floor; overrides ignored",
+    ]
+
+
+def test_represent_after_a_prune_is_a_config_error_naming_prune_floor(tmp_path):
+    # the lagrangian run drops the two light atoms at node 3, so a curve
+    # ends where no atom is; nothing is written
+    scn = Scenario(
+        name="pruned",
+        pvf={"kind": "constant_fiber",
+             "omega": {"atoms": [[-1.0], [0.0], [1.0]], "weights": [0.001, 0.998, 0.001]}},
+        initial={"kind": "dirac", "point": [0.0]},
+        T=1.0, Ns=(4,), schemes=("lagrangian",), represent=True, prune_floor=1e-6,
+        outputs=str(tmp_path / "o"),
+    )
+    with pytest.raises(ConfigError, match="^prune_floor: "):
+        run_scenario(scn)
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------
