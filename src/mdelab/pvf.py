@@ -44,7 +44,12 @@ from .tolerances import AGREE_TOL, CDF_TOL, WEIGHT_FLOOR
 
 @dataclass(frozen=True)
 class GraphPvf:
-    """Fiber delta_{velocity(x)} at every atom: a plain velocity field."""
+    """Fiber delta_{velocity(x)} at every atom: a plain velocity field.
+
+    ``velocity`` must be a function of the positions it is given: a run
+    repeats a step that returns its own node instead of evaluating the
+    field again (see ``schemes.run_scheme``).
+    """
 
     velocity: Callable[[np.ndarray], np.ndarray]
     name: str = "graph"
@@ -67,7 +72,10 @@ class SplittingParticlePvf:
 
 @dataclass(frozen=True)
 class CustomPvf:
-    """An arbitrary rule; ``evaluate`` must preserve the base measure."""
+    """An arbitrary rule; ``evaluate`` must preserve the base measure and be
+    a function of the measure: a run repeats a step that returns its own
+    node instead of evaluating the rule again (see ``schemes.run_scheme``),
+    so a stateful ``evaluate`` is outside this contract."""
 
     evaluate: Callable[[DiscreteMeasure], LiftedMeasure]
     name: str = "custom"

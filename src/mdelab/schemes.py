@@ -80,10 +80,13 @@ value freezes only the arrays that are still writeable, so a lift that
 adopts a node's read-only columns sets no flag, and a lift built from
 rows whose order and weights are both proved (a whole median's splitting
 lift, a ``mean-velocity`` lift) is the arrays as given and nothing else.
+A step that returns the node it started from is not run again: the run
+repeats it to the end (``run_scheme``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -199,7 +202,7 @@ class MeasurePath:
     pruned_mass: float = 0.0
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float).ravel()
+        times = np.array(self.times, dtype=float).ravel()  # a copy: the caller keeps theirs
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
         if times.shape[0] < 2:
@@ -401,11 +404,17 @@ def run_scheme(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> Measur
     Where the lift's base is the node itself (see ``pvf.eval_pvf``), that
     is the same object, and nothing is computed.
 
-    A ``lagrangian`` step under the splitting rule whose median atom moved
+    A step is a function of the rule, the node and ``cfg``, so a step whose
+    next node equals the node it started from (``==``: canonical measures
+    hold no -0.0 and no NaN, so equal atoms and weights are equal bits) is
+    a fixed point: every step after it would return the same lift, node
+    and pruned mass, and the run repeats that triple instead.  A
+    ``lagrangian`` step under the splitting rule whose median atom moved
     right whole, its lift holding the node's atoms and weights and the next
     node those weights, hands the steps that follow to ``_moved_whole``
     while they pass its test, at ``coalesce_tol <= MERGE_TOL``; the next
-    node adopts the lift's weights only where the floor dropped none.
+    node adopts the lift's weights only where the floor dropped none.  Both
+    routes yield through the loop's one recording site.
     """
     grid = cfg.grid
     step = _STEPS[cfg.scheme]
@@ -421,7 +430,9 @@ def run_scheme(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> Measur
         if out is None:
             out = step(spec, mu, cfg)
             lifted, nxt, _ = out
-            if (whole and lifted.positions is mu.atoms
+            if nxt == mu:
+                moved = itertools.repeat(out, grid.N - k - 1)
+            elif (whole and lifted.positions is mu.atoms
                     and lifted.weights is mu.weights is nxt.weights):
                 moved = _moved_whole(nxt, lifted.velocities, grid.dt, grid.N - k - 1)
         lifted, mu, lost = out

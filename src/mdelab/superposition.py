@@ -58,7 +58,7 @@ class TrajectoryEnsemble:
     knots: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float).ravel()
+        times = np.array(self.times, dtype=float).ravel()  # a copy: the caller keeps theirs
         knots = np.asarray(self.knots, dtype=float)
         if knots.ndim != 3:
             raise ValueError("knots must have shape (curves, times, dim)")

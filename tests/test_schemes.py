@@ -18,6 +18,7 @@ from mdelab import (
     MeasurePath,
     OutOfRangeError,
     Scenario,
+    SCHEMES,
     SchemeConfig,
     SplittingParticlePvf,
     SupportBlowupError,
@@ -478,14 +479,18 @@ def test_a_torn_block_run_finds_its_median_once_and_keeps_nothing_alive(monkeypa
 
 
 def reference_run(spec, mu, config, nodes: list):
-    """``run_scheme`` under ``lagrangian`` as a plain loop over its step,
-    recorded as ``run_scheme`` records: fills ``nodes`` (so that a failing
-    run leaves the node its failing step started from last) and returns
-    the lifts and the pruned mass."""
+    """``run_scheme`` as a plain loop over the step of ``config.scheme``
+    (``schemes._STEPS``), from ``mu`` snapped under ``las``, recorded as
+    ``run_scheme`` records: fills ``nodes`` (so that a failing run leaves
+    the node its failing step started from last) and returns the lifts and
+    the pruned mass."""
+    step = schemes._STEPS[config.scheme]
+    if config.scheme == LAS:
+        mu = snap_space(mu, config.grid)
     nodes.append(mu)
     lifts, pruned = [], 0.0
     for _ in range(config.grid.N):
-        lift, mu, lost = schemes._lagrangian_step(spec, mu, config)
+        lift, mu, lost = step(spec, mu, config)
         nodes[-1] = base_of(lift)
         lifts.append(lift)
         nodes.append(mu)
@@ -516,6 +521,15 @@ def counted_moves(monkeypatch) -> list:
 
     monkeypatch.setattr(schemes, "_moved_whole", counted)
     return starts
+
+
+def counted_steps(monkeypatch, scheme) -> list:
+    """Record the node each step of ``scheme`` starts from (``schemes._STEPS``)."""
+    begun = []
+    step = schemes._STEPS[scheme]
+    monkeypatch.setitem(schemes._STEPS, scheme,
+                        lambda spec, mu, c: step(spec, begun.append(mu) or mu, c))
+    return begun
 
 
 def differential_cases():
@@ -579,14 +593,11 @@ def test_an_overflowing_horizon_fails_where_the_step_loop_fails(monkeypatch, mod
     # every errstate mode (plain: the warning the loop's add raises)
     mu0 = m1([-1.0, 1.6e308], [0.5, 0.5])
     config = cfg(LAGRANGIAN, T=1e308, N=64)
-    begun = []
-    step = schemes._STEPS[LAGRANGIAN]
-    monkeypatch.setitem(schemes._STEPS, LAGRANGIAN,
-                        lambda spec, mu, c: step(spec, begun.append(mu) or mu, c))
     moved = counted_moves(monkeypatch)
     nodes = []
     with np.errstate(**mode):
         expected = outcome(lambda: reference_run(SPLIT, mu0, config, nodes))
+        begun = counted_steps(monkeypatch, LAGRANGIAN)
         got = outcome(lambda: run_scheme(SPLIT, mu0, config))
     assert expected[0] != "ok" and got == expected
     assert moved == [63] and len(begun) == 2 and len(nodes) > 3
@@ -608,6 +619,50 @@ def test_an_overflowing_splitting_scenario_names_its_horizon(monkeypatch, tmp_pa
         run_scenario(scn)
     assert str(info.value) == f"T: {1e308!r} overflows floating point ({error[1]})"
     assert moved == [63]
+
+
+def fixed_point_cases():
+    zero = GraphPvf(GRAPH_FIELDS["zero"], name="graph:zero")
+    linear = GraphPvf(GRAPH_FIELDS["linear"], name="graph:linear")
+    # 1e-13 per step at dt = 0.25: the nodes move by far less than
+    # AGREE_TOL, but never repeat a bit
+    drift = GraphPvf(lambda x: np.full_like(x, 4e-13), name="graph:drift")
+    custom = CustomPvf(lambda mu: eval_pvf(SPLIT, mu))
+    origin, spread = dirac(0.0), m1([-0.75, 0.25, 1.0], [0.25, 0.5, 0.25])
+    # runs whose step returns its own node: the pinned count of steps
+    # computed, the last of which returns the node it started from
+    yield pytest.param(SPLIT, origin, cfg(MEAN_VELOCITY, N=64), 1, id="split-mv-origin")
+    yield pytest.param(BINOMIAL, origin, cfg(MEAN_VELOCITY, N=16), 1, id="binomial-mv-origin")
+    yield pytest.param(custom, origin, cfg(MEAN_VELOCITY, N=16), 1, id="custom-mv-origin")
+    yield pytest.param(PEANO, dirac(-1.0), cfg(LAS, T=3.0, N=9, dv=1.0 / 3.0), 3,
+                       id="peano-las-parks")
+    for scheme in SCHEMES:
+        yield pytest.param(zero, spread, cfg(scheme, N=8), 1, id=f"zero-{scheme}")
+    # runs whose nodes never repeat compute every step
+    for scheme in SCHEMES:
+        yield pytest.param(linear, spread, cfg(scheme, N=8), 8, id=f"linear-{scheme}")
+    for scheme in (LAGRANGIAN, MEAN_VELOCITY):
+        yield pytest.param(drift, spread, cfg(scheme, N=8), 8, id=f"drift-{scheme}")
+
+
+@pytest.mark.parametrize("spec, mu0, config, computed", fixed_point_cases())
+def test_a_run_repeats_its_fixed_point_as_its_step_loop_would(monkeypatch, spec, mu0, config,
+                                                              computed):
+    # A step that returns the node it started from, bit for bit, is
+    # repeated for the rest of the run, not run again: every node, lift and
+    # the pruned mass are the plain step loop's bit for bit.  ``computed``
+    # pins how many steps the run computes, so a route that never starts
+    # fails too, and so does one that starts at a node that merely lies
+    # within a tolerance of the one before.
+    nodes = []
+    lifts, pruned = reference_run(spec, mu0, config, nodes)
+    begun = counted_steps(monkeypatch, config.scheme)
+    path = run_scheme(spec, mu0, config)
+    assert len(begun) == computed
+    assert [node_bits(mu) for mu in path.measures] == [node_bits(mu) for mu in nodes]
+    assert [lift_bits(lift) for lift in path.interp] == [lift_bits(lift) for lift in lifts]
+    assert np.float64(path.pruned_mass).tobytes() == np.float64(pruned).tobytes()
+    assert all(mu is base_of(lift) for mu, lift in zip(path.measures, path.interp))
 
 
 def test_mean_velocity_builds_no_measure_per_fiber(monkeypatch):
@@ -645,14 +700,16 @@ def test_a_step_runs_the_kernel_once_per_value(monkeypatch, scheme, extra, spec)
     # step started from, and is not computed; nor is a mean-velocity
     # lift's.  A constant fiber's lift computes its base.  Under lagrangian
     # the splitting run's steps after the first are one running sum
-    # (``schemes._moved_whole``), which runs no kernel.
+    # (``schemes._moved_whole``), which runs no kernel.  The ±1 fiber's mean
+    # is 0, so a mean-velocity step returns the node it started from, and
+    # the steps after the first repeat it and run no kernel either.
     mu0 = make_measure([[0.0], [0.25], [0.5]], [0.2, 0.3, 0.5])
     calls = counted_kernel(monkeypatch)
     path = run_scheme(spec, mu0, cfg(scheme, N=5))
     per_step = {LAS: 2, LAGRANGIAN: 1, MEAN_VELOCITY: 1}[scheme]
     attached = scheme == MEAN_VELOCITY or spec is not BINOMIAL
     per_step += not attached
-    steps = 1 if scheme == LAGRANGIAN and spec is SPLIT else 5
+    steps = 1 if (scheme, spec) in [(LAGRANGIAN, SPLIT), (MEAN_VELOCITY, BINOMIAL)] else 5
     assert len(calls) == per_step * steps + extra
     if attached:
         assert all(base_of(lift) is mu for lift, mu in zip(path.interp, path.measures))
@@ -829,6 +886,17 @@ def test_path_rejects_non_finite_times(times):
     with pytest.raises(ValueError) as info:
         MeasurePath(times=times, measures=(dirac(0.0), dirac(0.0)), interp=(lift,))
     assert str(info.value) == "node times must be finite"
+
+
+def test_a_path_keeps_its_own_times():
+    # the path copies the caller's times, so a later write to that array
+    # cannot give it times its validation refuses
+    t = np.array([0.0, 1.0])
+    lift = eval_pvf(SPLIT, dirac(0.0))
+    path = MeasurePath(times=t, measures=(dirac(0.0), dirac(0.0)), interp=(lift,))
+    t[1] = -3.0
+    assert path.times.tolist() == [0.0, 1.0]
+    assert not path.times.flags.writeable and t.flags.writeable
 
 
 @pytest.mark.parametrize(

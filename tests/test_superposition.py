@@ -231,6 +231,16 @@ def test_trajectory_ensemble_rejects_non_finite_times(times):
     assert str(info.value) == "knot times must be finite"
 
 
+def test_an_ensemble_keeps_its_own_times():
+    # the ensemble copies the caller's times, so a later write to that
+    # array cannot break its strictly increasing knot times
+    t = np.array([0.0, 1.0])
+    ens = TrajectoryEnsemble(times=t, weights=[1.0], knots=np.zeros((1, 2, 1)))
+    t[1] = 5.0
+    assert ens.times.tolist() == [0.0, 1.0]
+    assert not ens.times.flags.writeable and t.flags.writeable
+
+
 def test_identical_curves_merge():
     ens = TrajectoryEnsemble(
         times=[0.0, 1.0],
