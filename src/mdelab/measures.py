@@ -507,8 +507,12 @@ class DiscreteMeasure:
         Nonnegative masses.  They are normalized to sum to one.
 
     Construction always produces the canonical form described in the module
-    docstring, so two measures built from permuted or duplicated input data
-    compare equal.
+    docstring.  ``==`` compares the bits of canonical values: the shape of
+    the atoms, then the bytes of each array.  Canonical arrays hold no NaN
+    and no -0.0, so equal bits are equal numbers.  Measures built from the
+    same rows in another order have the same atoms, but the weights merged
+    into one atom are summed in input order, so they can differ in the last
+    bit and compare unequal.
     """
 
     atoms: np.ndarray
@@ -548,11 +552,9 @@ class DiscreteMeasure:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteMeasure):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and np.array_equal(self.atoms, other.atoms)
-            and np.array_equal(self.weights, other.weights)
-        )
+        return (self.atoms.shape == other.atoms.shape
+                and self.atoms.tobytes() == other.atoms.tobytes()
+                and self.weights.tobytes() == other.weights.tobytes())
 
     def __repr__(self) -> str:
         return f"DiscreteMeasure(natoms={self.natoms}, dim={self.dim})"
@@ -564,7 +566,9 @@ class LiftedMeasure:
 
     Canonical form sorts atoms lexicographically by the joint vector
     (position, velocity); since positions are the leading coordinates, the
-    atoms of the base measure appear in base-canonical order.
+    atoms of the base measure appear in base-canonical order.  ``==``
+    compares bits, as for ``DiscreteMeasure``: the shape of the positions,
+    then the bytes of each array.
     """
 
     positions: np.ndarray
@@ -613,12 +617,10 @@ class LiftedMeasure:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LiftedMeasure):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and np.array_equal(self.positions, other.positions)
-            and np.array_equal(self.velocities, other.velocities)
-            and np.array_equal(self.weights, other.weights)
-        )
+        return (self.positions.shape == other.positions.shape
+                and self.positions.tobytes() == other.positions.tobytes()
+                and self.velocities.tobytes() == other.velocities.tobytes()
+                and self.weights.tobytes() == other.weights.tobytes())
 
     @cached_property
     def _base(self) -> "DiscreteMeasure":
@@ -761,4 +763,21 @@ def disintegrate(lifted: LiftedMeasure) -> Disintegration:
 
 def support_radius(mu: DiscreteMeasure) -> float:
     """Largest Euclidean norm among the atoms."""
-    return float(np.max(np.linalg.norm(mu.atoms, axis=1)))
+    return _radius(mu.atoms)
+
+
+def _radius(rows: np.ndarray) -> float:
+    """Largest Euclidean norm among the rows of a finite (n, d) array.
+
+    The norm squares each coordinate, which overflows beyond about 1e154.
+    Only then, when the largest norm is not finite, is it taken again on
+    the rows divided by a power of two at or above their largest
+    coordinate, and multiplied back, so every finite norm keeps its bits;
+    a radius past the float range is inf.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        radius = float(np.max(np.linalg.norm(rows, axis=1)))
+        if math.isinf(radius):
+            e = math.frexp(float(np.max(np.abs(rows))))[1]
+            radius = float(np.ldexp(np.max(np.linalg.norm(np.ldexp(rows, -e), axis=1)), e))
+    return radius

@@ -32,6 +32,7 @@ from .measures import (
     DiscreteMeasure,
     LiftedMeasure,
     _derive,
+    _radius,
     base_of,
     dirac,
     fiber_means,
@@ -349,9 +350,7 @@ def sublinearity_bound(spec: PvfSpec, samples: Sequence[DiscreteMeasure]) -> flo
     best = 0.0
     for mu in samples:
         lifted = eval_pvf(spec, mu)
-        vmax = float(np.max(np.linalg.norm(lifted.velocities, axis=1)))
-        xmax = float(np.max(np.linalg.norm(mu.atoms, axis=1)))
-        best = max(best, vmax / (1.0 + xmax))
+        best = max(best, _radius(lifted.velocities) / (1.0 + _radius(mu.atoms)))
     return best
 
 

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DimMismatchError, EndpointMismatchError, IoError
-from .measures import DiscreteMeasure, is_real
+from .measures import DiscreteMeasure, _radius, is_real
 from .pvf import PvfSpec, _is_grid_size, initial_from_spec, pvf_from_json
 from .schemes import LAGRANGIAN, SCHEMES, GridSpec, MeasurePath, SchemeConfig, run_scheme
 from .superposition import build_representation
@@ -286,18 +286,20 @@ def run_scenario(scn: Scenario) -> dict:
     configuration is run once and the reports score the memoized paths.
     Runs whose paths are equal bit for bit (``las`` and ``lagrangian`` on
     a rule whose lifts stay on the grid, for one) then share one path
-    object.  The key is every array of the path (``_path_arrays``),
-    compared by shape and bits with each distinct path so far; paths of
-    another N part at their node times.  Everything downstream is
-    memoized by that object, for the length of this call only:
+    object.  A path is compared with each distinct path so far by
+    ``_same_path``: node times, pruned mass, then nodes and lifts by the
+    value types' ``==``, which compares the bits of canonical arrays;
+    paths of another N part at their node times.  Everything downstream
+    is memoized by that object, for the length of this call only:
     - one curve bundle and one residual for each distinct path; a later
       run that shares the path copies the first run's files;
     - one convergence study per distinct tuple of paths, relabelled with
       each scheme's name;
     - in ``scheme_compare``, one W1 sweep per distinct pair.
-    Each of these is a deterministic function of the arrays the key
-    compares, so a shared result is the one a second computation would
-    give, bit for bit, and every artifact is as if nothing were shared.
+    Each of these is a deterministic function of the arrays that
+    comparison reads, so a shared result is the one a second computation
+    would give, bit for bit, and every artifact is as if nothing were
+    shared.
 
     Every file, the manifest included, is written into a staging
     directory inside the output directory, ``.stage.<pid>.tmp``.  Only
@@ -322,30 +324,13 @@ def run_scenario(scn: Scenario) -> dict:
         raise ConfigError(f"pvf: {exc}") from exc
 
 
-def _path_arrays(path: MeasurePath):
-    """Every array of a path, the data its artifacts and reports read:
-    node times, pruned mass, each node's atoms and weights, and each
-    lift's positions, velocities and weights."""
-    yield path.times
-    yield np.array(path.pruned_mass)
-    for mu in path.measures:
-        yield mu.atoms
-        yield mu.weights
-    for lift in path.interp:
-        yield lift.positions
-        yield lift.velocities
-        yield lift.weights
-
-
 def _same_path(a: MeasurePath, b: MeasurePath) -> bool:
-    """True if every array of ``a`` has the shape and the bits of ``b``'s.
+    """True if ``a`` and ``b`` have equal node times and pruned mass, and
+    equal nodes and lifts by the value types' ``==`` (shape and bits).
 
-    The node times come first, and their length fixes the number of
-    arrays, so paths of different N part at once."""
-    return all(
-        x.shape == y.shape and x.tobytes() == y.tobytes()
-        for x, y in zip(_path_arrays(a), _path_arrays(b))
-    )
+    The node times come first, so paths of different N part at once."""
+    return (a.times.tobytes() == b.times.tobytes() and a.pruned_mass == b.pruned_mass
+            and a.measures == b.measures and a.interp == b.interp)
 
 
 def _represent(path: MeasurePath, cfg: SchemeConfig, radius: float):
@@ -424,8 +409,7 @@ def _run_all(scn: Scenario) -> dict:
         first: dict[int, tuple[str, list[str]]] = {}  # each distinct path's first run: tag, files
         for tag, cfg, path in runs:
             pruned[tag] = path.pruned_mass
-            atoms = np.concatenate([mu.atoms for mu in path.measures])
-            radii[tag] = float(np.max(np.linalg.norm(atoms, axis=1)))
+            radii[tag] = _radius(np.concatenate([mu.atoms for mu in path.measures]))
             if id(path) in first:
                 # every file of a run is named <kind>_<tag>.<ext>
                 src, names = first[id(path)]

@@ -405,16 +405,17 @@ def run_scheme(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> Measur
     is the same object, and nothing is computed.
 
     A step is a function of the rule, the node and ``cfg``, so a step whose
-    next node equals the node it started from (``==``: canonical measures
-    hold no -0.0 and no NaN, so equal atoms and weights are equal bits) is
-    a fixed point: every step after it would return the same lift, node
-    and pruned mass, and the run repeats that triple instead.  A
-    ``lagrangian`` step under the splitting rule whose median atom moved
-    right whole, its lift holding the node's atoms and weights and the next
-    node those weights, hands the steps that follow to ``_moved_whole``
-    while they pass its test, at ``coalesce_tol <= MERGE_TOL``; the next
-    node adopts the lift's weights only where the floor dropped none.  Both
-    routes yield through the loop's one recording site.
+    next node equals the node it started from (``==``, which compares the
+    bits of canonical arrays: the shape of the atoms, then the bytes of
+    atoms and weights) is a fixed point: every step after it would return
+    the same lift, node and pruned mass, and the run repeats that triple
+    instead.  A ``lagrangian`` step under the splitting rule whose median
+    atom moved right whole, its lift holding the node's atoms and weights
+    and the next node those weights, hands the steps that follow to
+    ``_moved_whole`` while they pass its test, at ``coalesce_tol <=
+    MERGE_TOL``; the next node adopts the lift's weights only where the
+    floor dropped none.  Both routes yield through the loop's one
+    recording site.
     """
     grid = cfg.grid
     step = _STEPS[cfg.scheme]

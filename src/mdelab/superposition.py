@@ -164,11 +164,12 @@ def _glued_pairs(path: MeasurePath) -> float:
     for k in range(1, len(lifts)):
         prev = lifts[k - 1]
         ends = prev.positions + (times[k] - times[k - 1]) * prev.velocities
-        end_at = match_rows(ends, nodes[k].atoms, MERGE_TOL)
-        start_at = match_rows(lifts[k].positions, nodes[k].atoms, MERGE_TOL)
-        if np.any(end_at < 0) or np.any(start_at < 0):
+        # one match of the curve ends and segment starts: match_rows is row-wise
+        at = match_rows(np.concatenate((ends, lifts[k].positions)), nodes[k].atoms, MERGE_TOL)
+        if np.any(at < 0):
             raise EndpointMismatchError(f"a curve endpoint matches no atom of node {k}")
-        through = np.bincount(end_at, weights=through, minlength=nodes[k].natoms)[start_at]
+        through = np.bincount(at[:len(ends)], weights=through, minlength=nodes[k].natoms)
+        through = through[at[len(ends):]]
     return float(through.sum())
 
 

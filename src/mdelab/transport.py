@@ -272,12 +272,17 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
     a round over every block finds no entering cell, so the buffer then
     holds the reduced costs C - u - v under the final duals.
 
+    Costs that are not all finite raise the ValueError of ``lp_solve``:
+    the largest, read for the pricing tolerance, tests them all.
+
     Returns the basic cells with their masses, the reduced costs and the
     pivot count.
     """
     m, n = C.shape
-    Cl = C.tolist()
     tol = REDUCED_COST_TOL * (1.0 + float(np.abs(C).max()))
+    if not math.isfinite(tol):  # a cost that overflowed to inf, or is NaN
+        raise ValueError("costs must be finite")
+    Cl = C.tolist()
     rows = -(-_BLOCK_CELLS // n)
     blocks = -(-m // rows)
     block = 0
@@ -443,13 +448,10 @@ def _lp(C: np.ndarray, r: np.ndarray, c: np.ndarray, max_iter: Optional[int] = N
     and their total is within ``UNIT_MASS_TOL`` of one, or is the sum of a
     renormalization, a few ulps from one; both are well inside
     ``AGREE_TOL``.  So those marginals pass every test of ``lp_solve``,
-    and the cost matrix built from the atoms has their shape.  Its entries
-    are distances, never below 0, so one test of the largest admits them;
-    a cost that overflowed to inf, or is NaN, fails it and raises the
-    error ``lp_solve`` raises for such costs.
+    and the cost matrix built from the atoms has their shape.  A cost that
+    overflowed to inf, or is NaN, raises in ``_simplex`` the error
+    ``lp_solve`` raises for such costs.
     """
-    if not C.max() < math.inf:
-        raise ValueError("costs must be finite")
     m, n = C.shape
     cap = int(max_iter) if max_iter is not None else 10 * m * n
     full = r.all() and c.all()
@@ -523,7 +525,8 @@ def w1_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, method: str = "auto") 
     "quantile" (1-D only) or "lp".  Both routes are exact for atomic
     measures up to float roundoff, which the test suite exploits by
     comparing them against each other.  Both return 0.0 for equal measures
-    without integrating or solving.
+    (``==``, which compares the bits of canonical arrays) without
+    integrating or solving.
     """
     if mu.dim != nu.dim:
         raise DimMismatchError(f"dim {mu.dim} vs {nu.dim}")

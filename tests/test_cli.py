@@ -175,7 +175,8 @@ def test_unwritable_output_dir(tmp_path, capsys):
         ("initial.atoms", {"initial": {"kind": "uniform_1d", "a": 0, "b": 1, "atoms": 1000001}}),
         ("N", {"N": [1e12]}),
         ("N", {"N": [1000000]}),
-        ("T", {"T": 1.7e308}),
+        # the residual's bump arithmetic on atoms 3.4e308 apart overflows
+        ("T", {"T": 1.7e308, "residual": True}),
         # JSON integers beyond the float range, read by json as ints
         ("T", {"T": 10**400}),
         ("coalesce_tol", {"coalesce_tol": 10**400}),
@@ -191,6 +192,18 @@ def test_malformed_scenario_field_is_a_config_error(tmp_path, capsys, field, bad
     assert code == 2
     assert err.startswith("configuration error:")
     assert field in err
+
+
+def test_a_horizon_whose_atoms_stay_finite_runs(tmp_path, capsys):
+    # atoms at +-1.7e308 are finite, and only the square in the manifest's
+    # support radius overflowed, so this run failed with the error naming T
+    spec = scenario_to_json(get_scenario("splitting-dirac"))
+    spec.update(T=1.7e308, N=[2], scheme="las", outputs=str(tmp_path / "o"))
+    write_json(spec, tmp_path / "far.json")
+    code, _, err = run_cli(["run", str(tmp_path / "far.json")], capsys)
+    assert (code, err) == (0, "")
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["support_radius"] == {"las_N2": 1.7e308}
 
 
 @pytest.mark.parametrize(

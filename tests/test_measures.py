@@ -1,3 +1,4 @@
+import math
 import warnings
 from contextlib import contextmanager
 from unittest import mock
@@ -204,6 +205,23 @@ def test_support_radius_euclidean_in_2d():
     assert support_radius(mu) == 5.0
 
 
+@pytest.mark.parametrize("mode", ["plain", "all"])
+def test_support_radius_of_atoms_whose_squares_overflow(mode):
+    # the square of 1e200 overflowed: the radius read inf, with a warning
+    with np.errstate(all="raise") if mode == "all" else np.errstate():
+        assert support_radius(dirac([1e200])) == 1e200
+        assert support_radius(dirac([-1.7e308])) == 1.7e308
+        assert support_radius(dirac([3e200, -4e200])) == math.hypot(3e200, 4e200)
+        assert support_radius(make_measure([[1e-300, 0.0], [0.0, 1e200]], [0.5, 0.5])) == 1e200
+        # a radius past the float range
+        assert support_radius(dirac([1.5e308, 1.5e308])) == math.inf
+
+
+@given(sts.measures(max_atoms=6, dim=2))
+def test_support_radius_keeps_the_bits_of_every_finite_norm(mu):
+    assert support_radius(mu) == float(np.max(np.linalg.norm(mu.atoms, axis=1)))
+
+
 def test_integrate_weighted_sum():
     mu = make_measure([[-1.0], [1.0]], [0.25, 0.75])
     mean = mu.integrate(lambda pts: pts[:, 0])
@@ -236,6 +254,14 @@ def test_measure_equality_is_exact_and_allclose_tolerant():
     assert a != b
     assert a.allclose(b, tol=1e-9)
     assert not a.allclose(b, tol=1e-13)
+    # the same bytes in another shape, and the same measure from other rows
+    plane = dirac([0.0, 1.0])
+    assert a.atoms.tobytes() == plane.atoms.tobytes() and a != plane and plane != a
+    assert a == make_measure([[1.0], [0.0], [0.0]], [0.5, 0.25, 0.25])
+    lift, flat = (make_lifted([[0.0], [1.0]], [[1.0], [0.0]], [0.5, 0.5]),
+                  make_lifted([[0.0, 1.0]], [[1.0, 0.0]], [1.0]))
+    assert lift.positions.tobytes() == flat.positions.tobytes() and lift != flat != lift
+    assert lift == make_lifted([[1.0], [0.0]], [[0.0], [1.0]], [0.5, 0.5])
     # a value of another type is never equal
     for value in (a, make_lifted([[0.0]], [[1.0]], [1.0])):
         assert not (value == 0) and value != 0

@@ -140,6 +140,9 @@ def test_sublinearity_examples():
     assert sublinearity_bound(zero, [dirac(0.0), m1([1, 2], [0.5, 0.5])]) == 0.0
     assert sublinearity_bound(ConstantFiberPvf(PM1), [dirac(0.0)]) == 1.0
     assert sublinearity_bound(SPLIT, [dirac(5.0)]) == pytest.approx(1 / 6, abs=1e-15)
+    # the square of 1e200 overflowed: the radius read inf and the bound 0,
+    # with a warning
+    assert sublinearity_bound(ConstantFiberPvf(PM1), [dirac(1e200)]) == 1e-200
 
 
 def test_sublinearity_needs_samples():

@@ -4,7 +4,6 @@ import os
 import re
 import shutil
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -299,6 +298,17 @@ def test_run_scenario_artifacts_and_manifest(tmp_path):
     assert (tmp_path / "o" / "manifest.json").is_file()
 
 
+def test_a_far_start_that_nothing_moves_is_no_overflow(tmp_path):
+    # the manifest's support radius squared 1e200, so the run failed with
+    # the ConfigError naming T, though no atom moved
+    scn = tiny_scenario(tmp_path / "o", pvf={"kind": "graph", "field": "zero"},
+                        initial={"kind": "dirac", "point": [1e200]}, schemes=tuple(sc.SCHEMES),
+                        residual=True, represent=True)
+    manifest = run_scenario(scn)
+    assert manifest["support_radius"] == {f"{s}_N2": 1e200 for s in sc.SCHEMES}
+    assert manifest["pruned_mass"] == {f"{s}_N2": 0.0 for s in sc.SCHEMES}
+
+
 def test_run_scenario_convergence_needs_two_grids(tmp_path):
     one = tiny_scenario(tmp_path / "a", converge=True)
     m1 = run_scenario(one)
@@ -568,15 +578,15 @@ def test_a_path_copy_that_differs_in_one_array_is_not_shared():
 
 
 def test_the_same_bytes_in_another_shape_are_not_shared():
-    def path(atoms, weights):
-        node = types.SimpleNamespace(atoms=np.array(atoms), weights=np.array(weights))
-        return types.SimpleNamespace(times=np.array([0.0]), pruned_mass=0.0,
-                                     measures=(node,), interp=())
-
-    one = path([[0.0], [1.0]], [0.5, 0.5])
-    for other in (path([[0.0, 1.0]], [0.5, 0.5]),  # reshaped
-                  path([[0.0], [1.0], [0.5]], [0.5])):  # a float moved across arrays
-        assert not sc._same_path(other, one) and not sc._same_path(one, other)
+    # a 2-atom measure on the line and a 1-atom one in the plane: their
+    # atoms hold the same bytes, and nothing moves, so every lift does too
+    cfg = sc.SchemeConfig("lagrangian", sc.GridSpec(T=1.0, N=1))
+    zero = sc.pvf_from_json({"kind": "graph", "field": "zero"})
+    line = sc.run_scheme(zero, quantile_uniform(-0.5, 1.5, 2), cfg)
+    plane = sc.run_scheme(zero, sc.DiscreteMeasure([[0.0, 1.0]], [1.0]), cfg)
+    assert line.measures[0].atoms.tobytes() == plane.measures[0].atoms.tobytes()
+    assert line.interp[0].positions.tobytes() == plane.interp[0].positions.tobytes()
+    assert not sc._same_path(line, plane) and not sc._same_path(plane, line)
 
 
 def test_the_memos_live_for_one_call(tmp_path):

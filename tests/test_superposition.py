@@ -328,10 +328,10 @@ def glued_by_concat_merge(path):
 @pytest.mark.parametrize("scheme, spec", [(LAS, BINOMIAL), (LAGRANGIAN, SPLIT), (LAS, SPLIT),
                                           (LAGRANGIAN, PEANO)],
                          ids=["las-binomial", "lagrangian-split", "las-split", "peano"])
-def test_a_glued_interval_matches_curve_ends_and_segment_starts_twice(monkeypatch, scheme, spec):
-    # the cap count and concat_merge each match an interval's curve ends
-    # and segment starts: 4 matches per glued interval, and the bundle is
-    # concat_merge's bit for bit
+def test_a_glued_interval_is_matched_once_by_the_count(monkeypatch, scheme, spec):
+    # the cap count matches an interval's curve ends and segment starts in
+    # one call over the stacked rows, and concat_merge in two: 3 matches
+    # per glued interval, and the bundle is concat_merge's bit for bit
     n = 5
     path = run_scheme(spec, m1([0.0, 0.25, 0.5], [0.2, 0.3, 0.5]), cfg(scheme, N=n))
     calls = []
@@ -342,7 +342,7 @@ def test_a_glued_interval_matches_curve_ends_and_segment_starts_twice(monkeypatc
 
     monkeypatch.setattr(superposition, "match_rows", counted)
     ens = build_representation(path)
-    assert len(calls) == 4 * (n - 1)
+    assert len(calls) == 3 * (n - 1)
     monkeypatch.undo()
     ref = glued_by_concat_merge(path)
     for a, b in [(ens.times, ref.times), (ens.weights, ref.weights), (ens.knots, ref.knots)]:

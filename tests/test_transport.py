@@ -261,6 +261,27 @@ def test_lp_costs_that_overflow_raise_one_error_in_every_mode(mode):
         assert str(info.value) == "costs must be finite"
 
 
+@pytest.mark.parametrize("mode", ["plain", "over", "all"])
+@pytest.mark.parametrize("far", ["positions", "velocities"])
+def test_fiber_costs_that_overflow_raise_the_lp_error(mode, far):
+    # positions 2e308 apart: stage one priced its inf costs and returned
+    # 0.5 with warnings, where lifted_w1 raised; velocities 2e308 apart
+    # leaked a warning from stage two
+    import warnings
+
+    near, wide = [[0.0], [1.0]], [[-1e308], [1e308]]
+    pos, vel = (wide, near) if far == "positions" else (near, wide)
+    a, b = make_lifted(pos, vel, [0.5, 0.5]), make_lifted(pos, vel, [0.4, 0.6])
+    errstate = {"plain": {}, "over": {"over": "raise"}, "all": {"all": "raise"}}[mode]
+    for distance in (lifted_w1, fiber_pseudometric):
+        with warnings.catch_warnings(), pytest.raises(ValueError) as info:
+            warnings.simplefilter("error")
+            with np.errstate(**errstate):
+                distance(a, b)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "costs must be finite"
+
+
 @pytest.mark.parametrize("mass", [[[np.nan]], [[np.inf]], [[0.5, -np.inf]], [[0.5, np.nan], [-1.0, 0.0]]])
 def test_transport_plan_rejects_non_finite_mass(mass):
     with pytest.raises(ValueError) as info:
