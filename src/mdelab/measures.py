@@ -461,14 +461,15 @@ def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None
     return out
 
 
-def match_rows(rows: np.ndarray, reps: np.ndarray, tol: float = MERGE_TOL) -> np.ndarray:
-    """Index of the first row of ``reps`` within l-inf ``tol`` of each row, else -1.
+def match_rows(rows: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """Index of the first row of ``reps`` within l-inf ``MERGE_TOL`` of each row, else -1.
 
     The first-match rule mirrors canonical coalescing, so matching points
     against a canonical measure's atoms reproduces the grouping that built
     those atoms.  As in that scan, a representative is a candidate only
-    when its first coordinate is >= row[0] - ``tol`` as computed in floats,
-    which can differ from the distance test when the subtraction rounds.
+    when its first coordinate is >= row[0] - ``MERGE_TOL`` as computed in
+    floats, which can differ from the distance test when the subtraction
+    rounds.
     Rows and representatives of different dimension are a
     ``DimMismatchError``.
     """
@@ -483,8 +484,8 @@ def match_rows(rows: np.ndarray, reps: np.ndarray, tol: float = MERGE_TOL) -> np
     block = max(1, int(2_000_000 // max(1, reps.size)))
     for s in range(0, n, block):
         chunk = rows[s:s + block]
-        near = np.abs(chunk[:, None, :] - reps[None, :, :]).max(axis=2) <= tol
-        near &= reps[:, 0] >= chunk[:, 0, None] - tol
+        near = np.abs(chunk[:, None, :] - reps[None, :, :]).max(axis=2) <= MERGE_TOL
+        near &= reps[:, 0] >= chunk[:, 0, None] - MERGE_TOL
         hit = near.any(axis=1)
         first = near.argmax(axis=1)
         out[s:s + block] = np.where(hit, first, -1)
@@ -495,8 +496,30 @@ def match_rows(rows: np.ndarray, reps: np.ndarray, tol: float = MERGE_TOL) -> np
 # value types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class DiscreteMeasure:
+class _Value:
+    """What the two value types share: the closeness test and the repr.
+
+    A subclass names its arrays in ``_arrays``, the atoms' coordinates
+    first, and has ``dim`` and ``natoms``.  ``==`` and ``_set`` stay with
+    each class, since every scheme step runs them: written out per class
+    they cost less than a loop over ``_arrays``.
+    """
+
+    def allclose(self, other: "_Value", tol: float = AGREE_TOL) -> bool:
+        """Array-by-array comparison of two canonical values of one type:
+        the same dimension and atom count, and each entry of each array
+        within ``tol`` of the other's."""
+        return self is other or (
+            self.dim == other.dim and self.natoms == other.natoms
+            and all(float(np.max(np.abs(getattr(self, a) - getattr(other, a)), initial=0.0)) <= tol
+                    for a in self._arrays))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(natoms={self.natoms}, dim={self.dim})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class DiscreteMeasure(_Value):
     """A probability measure with finitely many atoms on R^d.
 
     Parameters
@@ -517,6 +540,7 @@ class DiscreteMeasure:
 
     atoms: np.ndarray
     weights: np.ndarray
+    _arrays = ("atoms", "weights")
 
     def __post_init__(self):
         self._set(*canonical_support(self.atoms, self.weights))
@@ -540,15 +564,6 @@ class DiscreteMeasure:
         vals = np.asarray(fn(self.atoms), dtype=float).ravel()
         return float(np.dot(self.weights, vals))
 
-    def allclose(self, other: "DiscreteMeasure", tol: float = AGREE_TOL) -> bool:
-        """Atom-by-atom comparison of two canonical measures."""
-        return self is other or (
-            self.dim == other.dim
-            and self.natoms == other.natoms
-            and float(np.max(np.abs(self.atoms - other.atoms), initial=0.0)) <= tol
-            and float(np.max(np.abs(self.weights - other.weights), initial=0.0)) <= tol
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteMeasure):
             return NotImplemented
@@ -556,12 +571,9 @@ class DiscreteMeasure:
                 and self.atoms.tobytes() == other.atoms.tobytes()
                 and self.weights.tobytes() == other.weights.tobytes())
 
-    def __repr__(self) -> str:
-        return f"DiscreteMeasure(natoms={self.natoms}, dim={self.dim})"
 
-
-@dataclass(frozen=True, eq=False)
-class LiftedMeasure:
+@dataclass(frozen=True, eq=False, repr=False)
+class LiftedMeasure(_Value):
     """A probability measure on position-velocity pairs in R^d x R^d.
 
     Canonical form sorts atoms lexicographically by the joint vector
@@ -574,6 +586,7 @@ class LiftedMeasure:
     positions: np.ndarray
     velocities: np.ndarray
     weights: np.ndarray
+    _arrays = ("positions", "velocities", "weights")
 
     def __post_init__(self):
         pos = _as_points(self.positions)
@@ -605,15 +618,6 @@ class LiftedMeasure:
     def natoms(self) -> int:
         return self.positions.shape[0]
 
-    def allclose(self, other: "LiftedMeasure", tol: float = AGREE_TOL) -> bool:
-        return self is other or (
-            self.dim == other.dim
-            and self.natoms == other.natoms
-            and float(np.max(np.abs(self.positions - other.positions), initial=0.0)) <= tol
-            and float(np.max(np.abs(self.velocities - other.velocities), initial=0.0)) <= tol
-            and float(np.max(np.abs(self.weights - other.weights), initial=0.0)) <= tol
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LiftedMeasure):
             return NotImplemented
@@ -627,9 +631,6 @@ class LiftedMeasure:
         # computed once per lift, unless ``_derive`` was given it: schemes
         # and path validation all ask for it
         return _derive(self.positions, self.weights, finite=True, tested=True)
-
-    def __repr__(self) -> str:
-        return f"LiftedMeasure(natoms={self.natoms}, dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -769,15 +770,13 @@ def support_radius(mu: DiscreteMeasure) -> float:
 def _radius(rows: np.ndarray) -> float:
     """Largest Euclidean norm among the rows of a finite (n, d) array.
 
-    The norm squares each coordinate, which overflows beyond about 1e154.
-    Only then, when the largest norm is not finite, is it taken again on
-    the rows divided by a power of two at or above their largest
-    coordinate, and multiplied back, so every finite norm keeps its bits;
+    The norm squares each coordinate, which overflows beyond about 1e154
+    and underflows below about 1e-154.  So it is always taken on the rows
+    scaled by 2^-e, where e is the exponent of the largest |coordinate|,
+    and scaled back by 2^e.  Scaling by a power of two is exact, so where
+    the squares are normal both ways the radius has the plain norm's bits;
     a radius past the float range is inf.
     """
     with np.errstate(over="ignore", under="ignore"):
-        radius = float(np.max(np.linalg.norm(rows, axis=1)))
-        if math.isinf(radius):
-            e = math.frexp(float(np.max(np.abs(rows))))[1]
-            radius = float(np.ldexp(np.max(np.linalg.norm(np.ldexp(rows, -e), axis=1)), e))
-    return radius
+        e = math.frexp(float(np.max(np.abs(rows))))[1]
+        return float(np.ldexp(np.max(np.linalg.norm(np.ldexp(rows, -e), axis=1)), e))

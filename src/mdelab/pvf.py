@@ -37,6 +37,7 @@ from .measures import (
     dirac,
     fiber_means,
     is_count,
+    is_real,
     make_measure,
     quantile_uniform,
 )
@@ -433,12 +434,14 @@ def _fragment_kind(obj: dict, where: str, keys: dict[str, tuple]) -> str:
 
 
 def _check_numbers(value, where: str, lists: bool = True) -> None:
-    """Raise ConfigError unless ``value`` is a JSON number, an int or a
-    float but not a bool, or with ``lists`` nested lists of them."""
+    """The one test of a number in a scenario: raise ConfigError, naming
+    ``where``, unless ``value`` is a number (``is_real``: a real number, not
+    a bool, within the float range, so ``float`` takes it), or with
+    ``lists`` nested lists of them."""
     if lists and isinstance(value, (list, tuple)):
         for item in value:
             _check_numbers(item, where)
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+    elif not is_real(value):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
 
 
@@ -485,8 +488,10 @@ def pvf_from_json(obj: dict) -> PvfSpec:
 def pvf_to_json(spec: PvfSpec) -> dict:
     """Inverse of ``pvf_from_json`` for the shippable rules."""
     if isinstance(spec, GraphPvf):
+        # the name alone does not make the rule: its field must be the
+        # registry's field of that name
         field_name = spec.name.split(":", 1)[-1]
-        if field_name not in GRAPH_FIELDS:
+        if GRAPH_FIELDS.get(field_name) is not spec.velocity:
             raise ConfigError("only registry graph fields round-trip to JSON")
         return {"kind": "graph", "field": field_name}
     if isinstance(spec, ConstantFiberPvf):

@@ -35,8 +35,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DimMismatchError, EndpointMismatchError, IoError
-from .measures import DiscreteMeasure, _radius, is_real
-from .pvf import PvfSpec, _is_grid_size, initial_from_spec, pvf_from_json
+from .measures import DiscreteMeasure, _radius
+from .pvf import PvfSpec, _check_numbers, _is_grid_size, initial_from_spec, pvf_from_json
 from .schemes import LAGRANGIAN, SCHEMES, GridSpec, MeasurePath, SchemeConfig, run_scheme
 from .superposition import build_representation
 from .analysis import ConvergenceTable, convergence_study, residual, scheme_compare
@@ -52,8 +52,9 @@ class Scenario:
     Every field is checked here, so a JSON file, a CLI override and a
     Python caller meet the same checks; a bad field is a ConfigError that
     names it.  ``T``, ``coalesce_tol``, ``prune_floor`` and each ``dv`` are
-    real numbers other than bools, stored as floats.  ``pvf`` and
-    ``initial`` are copied here and checked when a run builds them."""
+    numbers by ``pvf._check_numbers`` (real, not bools, within the float
+    range), stored as floats.  ``pvf`` and ``initial`` are copied here and
+    checked when a run builds them."""
 
     name: str
     pvf: dict
@@ -82,9 +83,12 @@ class Scenario:
             if not isinstance(getattr(self, key), bool):
                 raise ConfigError(f"{key}: expected true or false")
         for key in ("T", "coalesce_tol", "prune_floor"):
-            object.__setattr__(self, key, _number(getattr(self, key), key))
+            _check_numbers(getattr(self, key), key, lists=False)
+            object.__setattr__(self, key, float(getattr(self, key)))
         if self.dvs is not None:
-            object.__setattr__(self, "dvs", tuple(_number(v, "dv") for v in self.dvs))
+            for v in self.dvs:  # each dv alone: a list is not a number here
+                _check_numbers(v, "dv", lists=False)
+            object.__setattr__(self, "dvs", tuple(float(v) for v in self.dvs))
         if len(self.Ns) == 0:
             raise ConfigError("N: need at least one grid size")
         if not all(_is_grid_size(n) and n + 1 <= SchemeConfig.max_atoms for n in self.Ns):
@@ -126,12 +130,6 @@ class Scenario:
     def grid(self, i: int) -> GridSpec:
         dv = None if self.dvs is None else self.dvs[i]
         return GridSpec(T=self.T, N=self.Ns[i], dv=dv)
-
-
-def _number(value, field: str) -> float:
-    if not is_real(value):
-        raise ConfigError(f"{field}: expected a number, got {value!r}")
-    return float(value)
 
 
 # the JSON key of each field whose key is not its name

@@ -187,6 +187,23 @@ class SchemeConfig:
             raise ValueError("max_atoms must be a positive integer")
 
 
+def _times(times, what: str) -> np.ndarray:
+    """The time check shared by ``MeasurePath`` (``what`` is "node") and
+    ``TrajectoryEnsemble`` ("knot"): a read-only copy of ``times`` as a
+    flat float array, so the caller keeps theirs.  Fewer than two times,
+    a time that is not finite, or times that do not strictly increase are
+    a ValueError whose message names ``what``."""
+    times = np.array(times, dtype=float).ravel()
+    if times.shape[0] < 2:
+        raise ValueError(f"need at least two {what} times")
+    if not np.isfinite(times).all():
+        raise ValueError(f"{what} times must be finite")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError(f"{what} times must increase")
+    times.setflags(write=False)
+    return times
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurePath:
     """A discrete-time run: node measures plus per-interval lifted data.
@@ -202,17 +219,10 @@ class MeasurePath:
     pruned_mass: float = 0.0
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float).ravel()  # a copy: the caller keeps theirs
-        times.setflags(write=False)
+        times = _times(self.times, "node")
         object.__setattr__(self, "times", times)
-        if times.shape[0] < 2:
-            raise ValueError("a path needs at least two node times")
-        if not np.isfinite(times).all():
-            raise ValueError("node times must be finite")
         if abs(times[0]) > MERGE_TOL:
             raise ValueError("paths start at time zero")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("node times must increase")
         if len(self.measures) != times.shape[0]:
             raise ValueError("one measure per node time required")
         if len(self.interp) != times.shape[0] - 1:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EndpointMismatchError, OutOfRangeError, SupportBlowupError
+from .errors import DimMismatchError, EndpointMismatchError, OutOfRangeError, SupportBlowupError
 from .measures import (
     DiscreteMeasure,
     LiftedMeasure,
@@ -40,8 +40,8 @@ from .measures import (
     match_rows,
 )
 from .pvf import PvfSpec, barycentric_field
-from .schemes import MeasurePath, locate_time
-from .tolerances import AGREE_TOL, MERGE_TOL
+from .schemes import MeasurePath, _times, locate_time
+from .tolerances import AGREE_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,21 +58,16 @@ class TrajectoryEnsemble:
     knots: np.ndarray
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float).ravel()  # a copy: the caller keeps theirs
         knots = np.asarray(self.knots, dtype=float)
         if knots.ndim != 3:
             raise ValueError("knots must have shape (curves, times, dim)")
-        if not np.isfinite(times).all():
-            raise ValueError("knot times must be finite")
-        if times.shape[0] < 2 or np.any(np.diff(times) <= 0):
-            raise ValueError("need at least two strictly increasing knot times")
+        times = _times(self.times, "knot")
         if knots.shape[1] != times.shape[0]:
             raise ValueError("one knot per time per curve required")
         ncurves, ntimes, d = knots.shape
         flat, weights = canonical_support(
             knots.reshape(ncurves, ntimes * d), self.weights
         )
-        times.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "knots", flat.reshape(-1, ntimes, d))
@@ -116,8 +111,12 @@ def concat_merge(
     if not dt > 0:
         raise ValueError(f"need t_end > {head.times[-1]:g}, got {t_end:g}")
     end_pts = head.knots[:, -1, :]
-    h_at = match_rows(end_pts, joint.atoms, MERGE_TOL)
-    t_at = match_rows(tail.positions, joint.atoms, MERGE_TOL)
+    for d in (head.dim, tail.dim):  # before the stacking, which would raise its own error
+        if d != joint.dim:
+            raise DimMismatchError(f"dim {d} vs {joint.dim}")
+    # one match of the curve ends and segment starts: match_rows is row-wise
+    at = match_rows(np.concatenate((end_pts, tail.positions)), joint.atoms)
+    h_at, t_at = at[:head.ncurves], at[head.ncurves:]
     if np.any(h_at < 0) or np.any(t_at < 0):
         raise EndpointMismatchError("a curve endpoint matches no joint atom")
     m_head = np.bincount(h_at, weights=head.weights, minlength=joint.natoms)
@@ -165,7 +164,7 @@ def _glued_pairs(path: MeasurePath) -> float:
         prev = lifts[k - 1]
         ends = prev.positions + (times[k] - times[k - 1]) * prev.velocities
         # one match of the curve ends and segment starts: match_rows is row-wise
-        at = match_rows(np.concatenate((ends, lifts[k].positions)), nodes[k].atoms, MERGE_TOL)
+        at = match_rows(np.concatenate((ends, lifts[k].positions)), nodes[k].atoms)
         if np.any(at < 0):
             raise EndpointMismatchError(f"a curve endpoint matches no atom of node {k}")
         through = np.bincount(at[:len(ends)], weights=through, minlength=nodes[k].natoms)

@@ -180,6 +180,9 @@ def test_unwritable_output_dir(tmp_path, capsys):
         # JSON integers beyond the float range, read by json as ints
         ("T", {"T": 10**400}),
         ("coalesce_tol", {"coalesce_tol": 10**400}),
+        # each dv is checked on its own: checked as nested lists, [0.5] would
+        # pass, and float([0.5]) would raise a TypeError, not a ConfigError
+        ("dv", {"dv": [[0.5], [0.5], [0.5]]}),
     ],
 )
 def test_malformed_scenario_field_is_a_config_error(tmp_path, capsys, field, bad):

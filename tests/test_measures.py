@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 import strategies as sts
@@ -219,7 +219,32 @@ def test_support_radius_of_atoms_whose_squares_overflow(mode):
 
 @given(sts.measures(max_atoms=6, dim=2))
 def test_support_radius_keeps_the_bits_of_every_finite_norm(mu):
+    # the plain norm read 0 where the largest square underflows, which the
+    # radius mends, so it is the reference only where that square is normal
+    m = float(np.abs(mu.atoms).max())
+    assume(m == 0.0 or m * m >= np.finfo(float).tiny)
     assert support_radius(mu) == float(np.max(np.linalg.norm(mu.atoms, axis=1)))
+
+
+def test_the_radius_keeps_the_bits_of_the_plain_norm_where_the_squares_are_normal():
+    # scaling by a power of two is exact: on seeded rows at magnitudes from
+    # 1e-150 to 1e150, whose squares are all normal, the bits are the plain norm's
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        n, d = rng.integers(1, 9), rng.integers(1, 4)
+        rows = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-150, 150, size=(n, 1))
+        sq = rows ** 2
+        assert sq.min() >= np.finfo(float).tiny and np.isfinite(sq).all()
+        assert measures._radius(rows) == float(np.max(np.linalg.norm(rows, axis=1)))
+
+
+@pytest.mark.parametrize("mode", ["plain", "all"])
+def test_support_radius_of_atoms_whose_squares_underflow(mode):
+    # the plain norm squared 1e-200 to 0 and read a radius of 0.0
+    with np.errstate(all="raise") if mode == "all" else np.errstate():
+        assert support_radius(dirac([1e-200])) == 1e-200
+        assert support_radius(dirac([3e-170, 4e-170])) == 5e-170
+        assert support_radius(dirac([5e-324])) == 5e-324
 
 
 def test_integrate_weighted_sum():

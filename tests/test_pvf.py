@@ -229,6 +229,7 @@ def test_graph_field_registry():
 def test_pvf_json_round_trip():
     for frag in (
         {"kind": "graph", "field": "peano"},
+        {"kind": "graph", "field": "sqrt2"},
         {"kind": "graph", "field": "zero"},
         {"kind": "splitting"},
         {
@@ -237,6 +238,7 @@ def test_pvf_json_round_trip():
         },
     ):
         spec = pvf_from_json(frag)
+        assert pvf_to_json(spec) == frag  # a graph field under its own name, an alias too
         again = pvf_from_json(pvf_to_json(spec))
         mu = m1([0.0, 0.25], [0.5, 0.5])
         assert eval_pvf(spec, mu) == eval_pvf(again, mu)
@@ -261,6 +263,12 @@ def test_pvf_json_diagnostics():
     # only the shipped rules, and a graph field by its registry name, are written
     with pytest.raises(ConfigError, match="^only registry graph fields round-trip to JSON$"):
         pvf_to_json(GraphPvf(lambda x: x, name="graph:mine"))
+    # a registry name on another field: the name alone made the fragment,
+    # so a squared field was written as the registry's linear field
+    for spec in (GraphPvf(lambda x: x ** 2, name="linear"),
+                 GraphPvf(GRAPH_FIELDS["zero"], name="graph:linear")):
+        with pytest.raises(ConfigError, match="^only registry graph fields round-trip to JSON$"):
+            pvf_to_json(spec)
     with pytest.raises(ConfigError, match="^cannot serialize rule CustomPvf"):
         pvf_to_json(CustomPvf(lambda mu: eval_pvf(SPLIT, mu)))
 

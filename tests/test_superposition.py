@@ -165,8 +165,8 @@ def glue_problems(draw):
 @given(glue_problems())
 def test_concat_merge_matches_double_loop(problem):
     head, tail, t_end, joint = problem
-    h_at = match_rows(head.knots[:, -1, :], joint.atoms, MERGE_TOL)
-    t_at = match_rows(tail.positions, joint.atoms, MERGE_TOL)
+    h_at = match_rows(head.knots[:, -1, :], joint.atoms)
+    t_at = match_rows(tail.positions, joint.atoms)
     knots, weights = oracles.glue_loop(
         head.knots, head.weights, h_at, tail.velocities, tail.weights, t_at,
         joint.weights, t_end - head.times[-1],
@@ -194,6 +194,23 @@ def test_concat_merge_endpoint_mismatch():
     stray = m1([0.0, 5.0], [1.0 - 1e-10, 1e-10])
     with pytest.raises(EndpointMismatchError, match="^a joint atom has no incoming or outgoing"):
         concat_merge(head, tail, 2.0, stray)
+
+
+def test_concat_merge_names_the_dimension_that_differs():
+    # the curve ends and segment starts are matched as one stack, so the
+    # head's and the tail's dimension are each checked before the stacking,
+    # with match_rows's message; test_concat_merge_endpoint_mismatch checks
+    # a joint of another dimension
+    head = TrajectoryEnsemble(times=[0.0, 1.0], weights=[1.0], knots=[[[0.0], [0.0]]])
+    head_2d = TrajectoryEnsemble(times=[0.0, 1.0], weights=[1.0], knots=[[[0.0, 0.0], [0.0, 0.0]]])
+    tail = make_lifted([[0.0]], [[1.0]], [1.0])
+    tail_2d = make_lifted([[0.0, 0.0]], [[1.0, 1.0]], [1.0])
+    for h, t, joint, message in [(head_2d, tail, dirac(0.0), "dim 2 vs 1"),
+                                 (head, tail_2d, dirac(0.0), "dim 2 vs 1"),
+                                 (head_2d, tail_2d, dirac(0.0), "dim 2 vs 1"),
+                                 (head, tail_2d, dirac([0.0, 0.0]), "dim 1 vs 2")]:
+        with pytest.raises(DimMismatchError, match=f"^{message}$"):
+            concat_merge(h, t, 2.0, joint)
 
 
 def test_concat_merge_checks_masses_per_joint_atom():
@@ -328,10 +345,10 @@ def glued_by_concat_merge(path):
 @pytest.mark.parametrize("scheme, spec", [(LAS, BINOMIAL), (LAGRANGIAN, SPLIT), (LAS, SPLIT),
                                           (LAGRANGIAN, PEANO)],
                          ids=["las-binomial", "lagrangian-split", "las-split", "peano"])
-def test_a_glued_interval_is_matched_once_by_the_count(monkeypatch, scheme, spec):
-    # the cap count matches an interval's curve ends and segment starts in
-    # one call over the stacked rows, and concat_merge in two: 3 matches
-    # per glued interval, and the bundle is concat_merge's bit for bit
+def test_a_glued_interval_is_matched_twice(monkeypatch, scheme, spec):
+    # the cap count and concat_merge each match an interval's curve ends
+    # and segment starts in one call over the stacked rows: 2 matches per
+    # glued interval, and the bundle is concat_merge's bit for bit
     n = 5
     path = run_scheme(spec, m1([0.0, 0.25, 0.5], [0.2, 0.3, 0.5]), cfg(scheme, N=n))
     calls = []
@@ -342,7 +359,7 @@ def test_a_glued_interval_is_matched_once_by_the_count(monkeypatch, scheme, spec
 
     monkeypatch.setattr(superposition, "match_rows", counted)
     ens = build_representation(path)
-    assert len(calls) == 3 * (n - 1)
+    assert len(calls) == 2 * (n - 1)
     monkeypatch.undo()
     ref = glued_by_concat_merge(path)
     for a, b in [(ens.times, ref.times), (ens.weights, ref.weights), (ens.knots, ref.knots)]:
