@@ -32,9 +32,10 @@ through the kernel alone.  There are two ways in:
   from canonical measures: a rule's lift, a scheme's next or pruned node,
   an interpolated measure, a lift's base, a coalesced measure.  The
   caller passes the rows with what their construction proves: that they
-  are finite, that they are in canonical order (and so finite; the kernel
-  then runs only its weight tests), or that the weights are a canonical
-  measure's (which pass those tests, so they are skipped).  A lift's base
+  are in canonical order (and so finite; the kernel then runs only its
+  weight tests), or that the weights are a canonical measure's (which
+  pass those tests, so they are skipped).  Other rows are tested for
+  finite coordinates by two whole-array reductions.  A lift's base
   is passed in too where the caller knows it.
 
 A test is skipped only where the docstring of ``_derive`` shows that the
@@ -52,9 +53,8 @@ gives exactly the scan's result.
 * *Runs of equal rows.*  If the rows are sorted and every nonzero first
   gap exceeds the tolerance, the only ties are exact, and the groups are
   the runs of equal consecutive rows.
-* *Near-ties.*  Otherwise the scan runs over the distinct rows that share
-  a chain of near-ties with another row in every column, and each is
-  compared against all its candidate representatives in one array
+* *Near-ties.*  Otherwise the scan runs over every distinct row, and each
+  is compared against all its candidate representatives in one array
   operation.
 
 ``_canonical`` takes the first route; otherwise it sorts the rows only if
@@ -144,10 +144,9 @@ def _group_rows(pts: np.ndarray, tol: float,
     ``_canonical``), so each head opens its own group and the
     groups are the runs.  The result is exactly the scan's.
 
-    *Near-ties.*  Otherwise ``_first_match_scan`` runs the scan over the
-    heads that ``_shared_chains`` cannot rule out, comparing each against
-    all its candidate representatives at once.  Every other head is
-    farther than ``tol`` from all rows, so it is a group of its own.
+    *Near-ties.*  Otherwise ``_first_match_scan`` runs the scan over every
+    head, so over every distinct row, comparing each against all its
+    candidate representatives at once; each row takes its head's group.
 
     ``gaps``, the rows' first gaps, is given only by ``_canonical``, which
     has computed them already.
@@ -162,39 +161,8 @@ def _group_rows(pts: np.ndarray, tol: float,
         run, heads = _runs(gaps)
         if not (gaps[gaps != 0] <= tol).any():
             return run, heads
-        rows = pts[heads]
-        sub = _shared_chains(rows, tol).nonzero()[0]
-        gid, reps = _first_match_scan(rows[sub], tol)
-    is_rep = np.ones(rows.shape[0], dtype=bool)
-    is_rep[sub] = False
-    is_rep[sub[reps]] = True
-    group = is_rep.cumsum(dtype=np.intp) - 1
-    group[sub] = group[sub[reps]][gid]
-    return group[run], heads[is_rep]
-
-
-def _shared_chains(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Mask of the rows that may lie within ``tol`` of another row.
-
-    In each column, consecutive sorted values at most ``tol`` apart share
-    a chain id.  Float subtraction is monotone, so the values between two
-    values at most ``tol`` apart have consecutive gaps at most ``tol``:
-    two rows within ``tol`` in every coordinate share their chain in every
-    column.  A row whose tuple of chain ids no other row has is therefore
-    farther than ``tol`` from every other row.
-    """
-    order = np.argsort(rows, axis=0, kind="stable")
-    cols = np.take_along_axis(rows, order, axis=0)
-    chain = np.zeros(rows.shape, dtype=np.intp)
-    np.cumsum(cols[1:] - cols[:-1] > tol, axis=0, out=chain[1:])
-    ids = np.empty_like(chain)
-    np.put_along_axis(ids, order, chain, axis=0)
-    perm = np.lexsort(ids.T)
-    same = (ids[perm[1:]] == ids[perm[:-1]]).all(axis=1)
-    shared = np.zeros(rows.shape[0], dtype=bool)
-    shared[perm[1:]] = same
-    shared[perm[:-1]] |= same
-    return shared
+        gid, reps = _first_match_scan(pts[heads], tol)
+    return gid[run], heads[reps]
 
 
 def _first_match_scan(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -382,7 +350,7 @@ def _unit(total: float, mass: np.ndarray, w: np.ndarray, gid: np.ndarray | None,
 
 
 def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None = None, *,
-            ordered: bool = False, finite: bool = False, tested: bool = False,
+            ordered: bool = False, tested: bool = False,
             base: "DiscreteMeasure | None" = None,
             tol: float = MERGE_TOL) -> "DiscreteMeasure | LiftedMeasure":
     """The measure on rows the library derived from canonical measures: a
@@ -408,11 +376,10 @@ def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None
       first gap exceeds ``tol``, and otherwise because sorted rows are not
       moved and the scan finds no two rows within ``tol``.  Its weights
       are then ``0.0 + w = w``, so only its tail (``_unit``) runs, and the
-      rows are kept as they are.
-    * ``finite`` (unordered rows only): the coordinates are finite.
-      Otherwise the rows given to the kernel are tested, with the error
+      rows are kept as they are.  Other rows are tested, with the error
       ``canonical_support`` raises, by their least and greatest coordinate
-      (``_bounds``), two reductions through which NaN propagates.
+      (``_bounds``), two reductions through which NaN propagates, and
+      their spread tells the kernel whether a difference may overflow.
     * ``tested``: ``weights`` is a canonical measure's weights array.  The
       kernel leaves every weight at least ``WEIGHT_FLOOR`` and their total
       (``np.add.reduce``) within ``UNIT_MASS_TOL`` of one.  A total it
@@ -445,13 +412,10 @@ def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None
     cols, mass = ((rows, velocities) if lifted else (rows,)), weights
     if not ordered:
         pts = np.concatenate(cols, axis=1) if lifted else rows
-        wide = True
-        if not finite:
-            lo, hi = _bounds(pts)
-            if not (-math.inf < lo and hi < math.inf):
-                raise ValueError("atom coordinates must be finite")
-            wide = not math.isfinite(hi - lo)
-        atoms, mass = _canonical(pts, weights, tol, wide, tested)
+        lo, hi = _bounds(pts)
+        if not (-math.inf < lo and hi < math.inf):
+            raise ValueError("atom coordinates must be finite")
+        atoms, mass = _canonical(pts, weights, tol, not math.isfinite(hi - lo), tested)
         cols = _columns(atoms) if lifted else (atoms,)
     elif not tested:  # else nothing is left to test or compute
         *cols, mass = _unit(float(np.add.reduce(weights)), weights, weights, None, *cols)
@@ -630,7 +594,7 @@ class LiftedMeasure(_Value):
     def _base(self) -> "DiscreteMeasure":
         # computed once per lift, unless ``_derive`` was given it: schemes
         # and path validation all ask for it
-        return _derive(self.positions, self.weights, finite=True, tested=True)
+        return _derive(self.positions, self.weights, tested=True)
 
 
 @dataclass(frozen=True)
@@ -718,7 +682,7 @@ def coalesce(mu: DiscreteMeasure, tol: float) -> DiscreteMeasure:
     if not tol >= 0:  # NaN fails too
         raise ValueError("tol must be >= 0")
     # mu's arrays are canonical, and so valid: one pass of the kernel
-    return _derive(mu.atoms, mu.weights, finite=True, tested=True, tol=max(tol, MERGE_TOL))
+    return _derive(mu.atoms, mu.weights, tested=True, tol=max(tol, MERGE_TOL))
 
 
 def base_of(lifted: LiftedMeasure) -> DiscreteMeasure:

@@ -489,8 +489,11 @@ def pvf_to_json(spec: PvfSpec) -> dict:
     """Inverse of ``pvf_from_json`` for the shippable rules."""
     if isinstance(spec, GraphPvf):
         # the name alone does not make the rule: its field must be the
-        # registry's field of that name
+        # registry's field of that name.  A name that is no registry key
+        # (the default "graph") gives way to the first name of the field
         field_name = spec.name.split(":", 1)[-1]
+        if field_name not in GRAPH_FIELDS:
+            field_name = next((k for k, f in GRAPH_FIELDS.items() if f is spec.velocity), field_name)
         if GRAPH_FIELDS.get(field_name) is not spec.velocity:
             raise ConfigError("only registry graph fields round-trip to JSON")
         return {"kind": "graph", "field": field_name}

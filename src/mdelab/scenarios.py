@@ -51,9 +51,10 @@ class Scenario:
 
     Every field is checked here, so a JSON file, a CLI override and a
     Python caller meet the same checks; a bad field is a ConfigError that
-    names it.  ``T``, ``coalesce_tol``, ``prune_floor`` and each ``dv`` are
-    numbers by ``pvf._check_numbers`` (real, not bools, within the float
-    range), stored as floats.  ``pvf`` and ``initial`` are copied here and
+    names it.  ``Ns``, ``schemes`` and ``dvs`` (which may be None) are
+    lists or tuples.  ``T``, ``coalesce_tol``, ``prune_floor`` and each
+    ``dv`` are numbers by ``pvf._check_numbers`` (real, not bools, within
+    the float range), stored as floats.  ``pvf`` and ``initial`` are copied here and
     checked when a run builds them."""
 
     name: str
@@ -85,6 +86,10 @@ class Scenario:
         for key in ("T", "coalesce_tol", "prune_floor"):
             _check_numbers(getattr(self, key), key, lists=False)
             object.__setattr__(self, key, float(getattr(self, key)))
+        for key, value in (("N", self.Ns), ("scheme", self.schemes),
+                           ("dv", () if self.dvs is None else self.dvs)):
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{key}: expected a list, got {value!r}")
         if self.dvs is not None:
             for v in self.dvs:  # each dv alone: a list is not a number here
                 _check_numbers(v, "dv", lists=False)

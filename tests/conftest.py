@@ -1,3 +1,4 @@
+import os
 import re
 
 from hypothesis import HealthCheck, settings
@@ -9,7 +10,10 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("mdelab")
+# ten times the examples, for the differential tests of the grouping kernel:
+# HYPOTHESIS_PROFILE=deep python -m pytest tests/test_measures.py -k ...
+settings.register_profile("deep", settings.get_profile("mdelab"), max_examples=600)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "mdelab"))
 
 
 # The acceptance module names its tests test_criterion_NN_*.  Collect their

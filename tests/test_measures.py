@@ -339,14 +339,14 @@ def test_group_rows_examples(rows, ngroups):
 
 def ulp_rows(tol):
     """Rows one ulp either side of ``tol`` apart, and a chain a, a + 0.9 tol,
-    a + 1.8 tol whose ends share a chain id but are more than tol apart."""
+    a + 1.8 tol whose ends are more than tol apart."""
     below, above = np.nextafter(tol, 0.0), np.nextafter(tol, np.inf)
     a = 0.5
     return [
         np.array([[0.0], [below], [1.0], [1.0 + above]]),
         np.array([[0.0, 0.0], [0.0, tol], [above, 1.0], [above, 1.0 + below]]),
         np.array([[a], [a + 0.9 * tol], [a + 1.8 * tol]]),
-        # the middle row has a chain tuple of its own and skips the scan
+        # the middle row is farther than tol from both others
         np.array([[0.0, 0.0], [0.9 * tol, 5.0], [1.8 * tol, 0.0]]),
     ]
 
@@ -376,10 +376,34 @@ def test_group_rows_matches_greedy_scan_at_coalesce_tol(pts):
     assert_same_groups(pts, 1e-6)
 
 
-def test_shared_chains_rules_out_isolated_rows():
+def test_group_rows_keeps_isolated_rows_apart():
+    # the middle row is farther than tol from both others, which chain
+    # within tol in column 0 but lie 5 apart in column 1
     pts = ulp_rows(MERGE_TOL)[3]
-    assert measures._shared_chains(pts, MERGE_TOL).tolist() == [True, False, True]
     assert len(assert_same_groups(pts, MERGE_TOL)) == 3
+
+
+def test_group_rows_matches_greedy_scan_on_a_large_cloud():
+    # 2000 distinct rows and 21 pairs planted in one column at MERGE_TOL and
+    # 1 ulp either side, a scale the drawn examples do not reach.  A pair's
+    # tied column starts near 0, where adding the step and taking the
+    # difference back are exact, so the gap as computed is the step itself
+    rng = np.random.default_rng(11)
+    cloud = rng.uniform(-1.0, 1.0, size=(2000, 2))
+    steps = [np.nextafter(MERGE_TOL, 0.0), MERGE_TOL, np.nextafter(MERGE_TOL, 1.0)]
+    pairs = []
+    for k, row in enumerate(cloud[:21]):
+        j, step = k % 2, steps[k % 3]
+        row[j] = (k - 10) * 2.0**-70
+        twin = row.copy()
+        twin[j] += step
+        assert twin[j] - row[j] == step
+        pairs.append(twin)
+    pts = np.vstack([cloud, pairs])
+    pts = pts[measures._lex_perm(pts)]
+    assert len(np.unique(pts, axis=0)) == len(pts)
+    reps = assert_same_groups(pts, MERGE_TOL)
+    assert len(pts) - len(reps) == 14  # the pairs at MERGE_TOL and 1 ulp below merge
 
 
 @given(sts.near_tie_rows(widths=(1, 2), tol=1e-6), st.data())
@@ -725,7 +749,7 @@ def test_near_ties_among_far_apart_rows_raise_no_overflow(mode):
         warnings.simplefilter("error")
         with np.errstate(all="raise") if mode == "raise" else np.errstate():
             atoms, weights = measures.canonical_support(pts, np.ones(3))
-            derived = measures._derive(pts, np.ones(3), finite=True)
+            derived = measures._derive(pts, np.ones(3))
     assert atoms.tolist() == [[-1e308, 0.0], [1e308, 0.0]]
     assert weights.tolist() == [1.0 / 3.0, 2.0 / 3.0]
     assert derived == DiscreteMeasure(atoms, weights)
@@ -756,31 +780,30 @@ def derived_examples(test):
             for total in (1.0 - unit, 1.0, 1.0 + unit):
                 pts = np.array([[0.0, 1.0], [gap, 1.0], [1.0, gap], [1.0, 0.0]])
                 w = np.array([tiny, 0.5 * total, tiny, 0.5 * total])
-                test = example((pts, w), gap != MERGE_TOL)(test)
+                test = example((pts, w))(test)
     return test
 
 
-@given(sts.derived_rows(tol=MERGE_TOL), st.booleans())
+@given(sts.derived_rows(tol=MERGE_TOL))
 @derived_examples
-def test_derived_construction_matches_the_checked_one(case, check):
+def test_derived_construction_matches_the_checked_one(case):
     # the constructor is handed its arrays and may keep them, so each call
     # gets copies; with a canonical measure's weights (tested) the weight
     # tests are skipped and the bits are still the checked constructor's
     pts, w = case
     checked = outcome(lambda: DiscreteMeasure(pts, w))
-    assert outcome(lambda: measures._derive(pts.copy(), w.copy(), finite=not check)) == checked
+    assert outcome(lambda: measures._derive(pts.copy(), w.copy())) == checked
     if not isinstance(checked[0], type):
         weights = DiscreteMeasure(pts, w).weights
         rows = pts[:len(weights)]
-        assert outcome(lambda: measures._derive(rows.copy(), weights, finite=not check, tested=True)) \
+        assert outcome(lambda: measures._derive(rows.copy(), weights, tested=True)) \
             == outcome(lambda: DiscreteMeasure(rows, weights))
     if pts.shape[1] % 2 == 0:
         d = pts.shape[1] // 2
         checked = outcome(lambda: LiftedMeasure(pts[:, :d], pts[:, d:], w))
 
         def derived():
-            return measures._derive(pts[:, :d].copy(), w.copy(), velocities=pts[:, d:].copy(),
-                                    finite=not check)
+            return measures._derive(pts[:, :d].copy(), w.copy(), velocities=pts[:, d:].copy())
 
         assert outcome(derived) == checked
         if not isinstance(checked[0], type):

@@ -123,6 +123,17 @@ def test_scenario_validation():
         tiny_scenario("out", schemes=("las", "lagrangian", "las"))
 
 
+@pytest.mark.parametrize("field, value, key", [
+    ("dvs", 0.5, "dv"), ("Ns", 4, "N"), ("Ns", None, "N"), ("schemes", "las", "scheme"),
+    ("dvs", "0.5", "dv"),
+], ids=["dv-number", "N-number", "N-None", "scheme-string", "dv-string"])
+def test_a_list_field_that_is_not_a_list_names_its_key(field, value, key):
+    # scenario_from_json and the CLI normalize these fields; a Python
+    # caller's value is checked as given
+    with pytest.raises(ConfigError, match=f"^{key}: expected a list, got {value!r}$"):
+        dataclasses.replace(get_scenario("peano"), **{field: value})
+
+
 def test_scenario_deep_copies_config_dicts():
     pvf = {"kind": "splitting"}
     scn = tiny_scenario("out")
