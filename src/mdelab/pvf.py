@@ -247,9 +247,10 @@ def _custom_rows(spec: CustomPvf, mu: DiscreteMeasure):
 #: The nodes of such a run share the first node's array, so its median
 #: and column are computed once per run.  A split's columns are not kept:
 #: a run does not lift a split node's array again while the lift holding
-#: them lives, so no lookup found them.  A ``lagrangian`` run stops lifting
-#: a torn block after its first whole step (``schemes._moved_whole``), so
-#: the entry serves ``las`` and ``mean-velocity`` runs and ``residual``.
+#: them lives, so no lookup found them.  A run of any scheme stops lifting
+#: a torn block once a step's lift holds the node's weights array and the
+#: next node keeps it (``schemes._moved_whole``), so the entry serves
+#: ``residual`` and the steps a run takes before that route starts.
 _split_memo: Optional[tuple] = None
 
 

@@ -59,17 +59,28 @@ the same weights array, and the splitting rule keeps that array's
 velocity column (see ``pvf._splitting_rows``), so such a run finds the
 median once: a torn block's later steps, and a ``splitting-dirac`` run's
 after its first split, run no median search and build no velocity
-column, and their lifts share one read-only velocity column.  Under
-``lagrangian``, with the default merge tolerance, those later steps are
-one affine motion, node k + 1 = node k + dt v, so ``run_scheme`` takes
-them in whole arrays (``_moved_whole``): one sequential running sum,
-``np.add.accumulate``, adds dt v to each node's atoms in the order a step
-does, so every node has the step's bits, and one gap reduction per node
-stands for the step's finiteness check and first-route test.  Such steps
-call no ``eval_pvf`` and run no kernel.  ``las`` and ``mean-velocity``
-runs, and ``residual``, still lift each node, through the rule's kept
-column.  What a split fixes is not kept: a run does not lift a split
-node's weights again while the lift holding its columns lives.
+column, and their lifts share one read-only velocity column.  Under every
+scheme the splitting rule's velocity column, its lattice binning and its
+fiber means are functions of the weights array alone, so once a step's
+lift holds the node's weights array and the next node keeps it, the later
+steps are one translation, and ``run_scheme`` takes them in whole arrays
+(``_moved_whole``): under ``lagrangian`` (with the default merge
+tolerance) and ``mean-velocity`` node k + 1 = node k + dt v, under
+``las`` the node's lattice index moves by the binned velocity's index.
+One sequential running sum, ``np.add.accumulate``, adds the move to each
+node in the order a step does, in exact integer lattice indices under
+``las``, so every node has the step's bits, and one gap reduction per
+node stands for the step's finiteness check and first-route test.  Such
+steps call no ``eval_pvf`` and run no kernel.  A ``mean-velocity`` lift
+holds the node's weights even where the median splits, so such a run
+takes the route from its first step; a ``las`` or ``lagrangian`` run
+takes it once its median atom moves right whole with its own weight (a
+Dirac's after its first split, and never that of a block which splits
+off a sliver at every step).  ``residual``, and
+a run's steps before the route starts, still lift each node, through the
+rule's kept column where the median moves whole.  What a split fixes is
+not kept: a run does not lift a split node's weights again while the
+lift holding its columns lives.
 
 A step does no bookkeeping that its inputs already settle.  Its rule's
 kind is one entry of one table (``pvf._KINDS``), which gives the atom
@@ -97,6 +108,7 @@ from .measures import (
     DiscreteMeasure,
     LiftedMeasure,
     _derive,
+    _frozen,
     base_of,
     coalesce,
     fiber_means,
@@ -353,54 +365,85 @@ def _mean_velocity_step(spec: PvfSpec, mu: DiscreteMeasure, cfg: SchemeConfig):
 
 _STEPS = {LAS: _las_step, LAGRANGIAN: _lagrangian_step, MEAN_VELOCITY: _mean_velocity_step}
 
-#: The bytes of one block of a torn block's running sum (``_moved_whole``).
+#: The bytes of one block of a whole-array route's running sum (``_moved_whole``).
 _BLOCK_BYTES = 1 << 18
 
+#: The largest lattice index that ``_moved_whole`` carries under ``las``:
+#: ``np.rint(n * dx / dx)`` gives back every integer n up to it.
+_EXACT_INDEX = 2.0 ** 50
 
-def _moved_whole(mu: DiscreteMeasure, vel: np.ndarray, dt: float, steps: int):
-    """Up to ``steps`` ``lagrangian`` splitting steps from ``mu``, as
-    (lift, next node, 0.0), of a run whose last step moved its median atom
-    right whole: the lift's positions were its node's atoms, its weights
-    the node's array, which the next node ``mu`` adopted, and ``vel`` its
-    velocity column.
+
+def _moved_whole(mu: DiscreteMeasure, vel: np.ndarray, grid: GridSpec, steps: int,
+                 lattice: bool):
+    """Up to ``steps`` splitting steps from ``mu``, as (lift, next node,
+    0.0), of a run whose last step gave a lift with one row per node atom
+    on the node's own weights array, which the next node ``mu`` adopted:
+    ``vel`` is that lift's velocity column, and ``lattice`` says the run is
+    ``las``.
 
     The splitting rule's velocity column is a function of the weights
-    array alone (``pvf._splitting_rows``), so every later lift is ``mu``'s
-    atoms with ``vel`` and the same weights, and every later node is its
-    lift's positions plus the same ``dtv = dt * vel``.  The cap saw this atom
+    array alone (``pvf._splitting_rows``), and so are its ``las`` binning
+    and its ``mean-velocity`` fiber means, even where the median splits:
+    the lift groups its rows by position, one fiber per node atom.  So
+    every later lift is ``mu``'s atoms with ``vel`` and the same weights,
+    and every later step is the same translation.  The cap saw this atom
     count already, no weight changes for the floor to drop, and the merge
     tolerance is ``MERGE_TOL``.  So only the node's finiteness check and
-    the kernel's first-route test can differ: each node's atoms come from
-    one sequential running sum, ``np.add.accumulate``, which adds ``dtv``
-    to the row before as a step does, so they are the step's bits.  A
-    node whose gaps all exceed ``MERGE_TOL`` strictly increases, so if its
-    end rows are finite, every row is, and it passes both as the step's
-    node does.  It is adopted with ``+ 0.0`` into a fresh array, as
-    ordered rows, which are finite and hold no -0.0, and its lift is
-    built with the node before it as its base, as a step's is.  At the
-    first node that fails, the steps stop, and the scheme's step, run
-    from the last node given, refuses or merges it with its own error in
-    every ``np.errstate`` mode.  Overflow here is silenced, since a node
-    it spoils is not given.  The sums run in blocks of ``_BLOCK_BYTES``,
-    each starting from the last node of the one before.
+    the kernel's first-route test can differ, and under ``las`` the check
+    that the node lies on the space grid.
+
+    Each node's atoms come from one sequential running sum,
+    ``np.add.accumulate``, which adds a step's move to the row before as
+    the step does, so they are the step's bits.  Under ``lagrangian`` and
+    ``mean-velocity`` the move is ``dt * vel``.  Under ``las`` the sum runs
+    in lattice indices: ``_las_step`` computes the next node as ``(ix +
+    iv) dx`` with ``ix = rint(x / dx)`` and ``iv = rint(vel / dv)``, so the
+    sum starts from ``rint(mu.atoms / dx)``, adds ``iv``, and a node is its
+    index times ``dx``.  This is the step's node while every step starts
+    from an index n with |n| <= ``_EXACT_INDEX`` = 2^50, since the step's
+    ``ix`` is then n: n is an integer (a sum of integral floats), and
+    ``fl(n dx)`` is n dx within a factor 1 + u (u = 2^-53), or exactly
+    where it is subnormal, so ``fl(fl(n dx) / dx)`` lies within |n| (2 u
+    + u^2) < 1/2 of n and ``rint`` gives n back; the grid check then reads
+    an offset of 0.
+
+    A node whose gaps all exceed ``MERGE_TOL`` strictly increases, so if
+    its end rows are finite, every row is, and it passes both as the
+    step's node does; under ``las`` its end indices bound the others.  It
+    is adopted with ``+ 0.0`` into a fresh array, as ordered rows, which
+    are finite and hold no -0.0, and its lift is built with the node
+    before it as its base, as a step's is.  At the first step that fails,
+    the route stops, and the scheme's step, run from the last node given,
+    refuses, merges or moves it with its own result or error in every
+    ``np.errstate`` mode.  Overflow here is silenced, since a node it
+    spoils is not given.  The sums run in blocks of ``_BLOCK_BYTES``, each
+    starting from the last node of the one before.
     """
     w = mu.weights
-    dtv = dt * vel
+    if lattice:
+        start, move = np.rint(mu.atoms / grid.dx), np.rint(vel / grid.dv)
+        if max(abs(start[0, 0]), abs(start[-1, 0])) > _EXACT_INDEX:
+            return  # the step, which restarts the route, goes on alone
+    else:
+        start, move = mu.atoms, grid.dt * vel
     rows = max(1, _BLOCK_BYTES // (8 * mu.natoms))
     while steps:
         m = min(rows, steps)
         x = np.empty((m + 1,) + mu.atoms.shape)
-        x[0] = mu.atoms
-        x[1:] = dtv
+        x[0] = start
+        x[1:] = move
         with np.errstate(over="ignore", invalid="ignore"):
             np.add.accumulate(x, axis=0, out=x)
-            gap = np.minimum.reduce(x[1:, 1:, 0] - x[1:, :-1, 0], axis=1, initial=math.inf)
-            ok = (gap > MERGE_TOL) & np.isfinite(x[1:, 0, 0]) & np.isfinite(x[1:, -1, 0])
+            start, pos = x[-1], x * grid.dx if lattice else x
+            gap = np.minimum.reduce(pos[1:, 1:, 0] - pos[1:, :-1, 0], axis=1, initial=math.inf)
+            ok = (gap > MERGE_TOL) & np.isfinite(pos[1:, 0, 0]) & np.isfinite(pos[1:, -1, 0])
+            if lattice:  # the index each step starts from
+                ok &= np.maximum(abs(x[:-1, 0, 0]), abs(x[:-1, -1, 0])) <= _EXACT_INDEX
         for j, passed in enumerate(ok.tolist(), 1):
             if not passed:
                 return
             lifted = _derive(mu.atoms, w, velocities=vel, ordered=True, tested=True, base=mu)
-            mu = _derive(x[j] + 0.0, w, ordered=True, tested=True)
+            mu = _derive(pos[j] + 0.0, w, ordered=True, tested=True)
             yield lifted, mu, 0.0
         steps -= m
 
@@ -419,18 +462,24 @@ def run_scheme(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> Measur
     bits of canonical arrays: the shape of the atoms, then the bytes of
     atoms and weights) is a fixed point: every step after it would return
     the same lift, node and pruned mass, and the run repeats that triple
-    instead.  A ``lagrangian`` step under the splitting rule whose median
-    atom moved right whole, its lift holding the node's atoms and weights
-    and the next node those weights, hands the steps that follow to
-    ``_moved_whole`` while they pass its test, at ``coalesce_tol <=
+    instead.  Under the splitting rule, a step of any scheme whose lift
+    holds the node's own weights array, one row per node atom, and whose
+    next node adopts that array, hands the steps that follow to
+    ``_moved_whole`` while they pass its test: the same translation, by
+    the running sum of ``dt v`` under ``lagrangian`` (at ``coalesce_tol <=
     MERGE_TOL``; the next node adopts the lift's weights only where the
-    floor dropped none.  Both routes yield through the loop's one
-    recording site.
+    floor dropped none) and ``mean-velocity`` (which ignores both), and by
+    exact lattice offsets under ``las``.  Both routes yield through the
+    loop's one recording site.
+
+    The path is built without ``MeasurePath``'s checks, which the loop
+    proves: each node is its lift's base, every step keeps the dimension,
+    and the times are the grid's.
     """
     grid = cfg.grid
     step = _STEPS[cfg.scheme]
-    whole = (cfg.scheme == LAGRANGIAN and cfg.coalesce_tol <= MERGE_TOL
-             and _kind(spec) is _KINDS[SplittingParticlePvf])
+    whole = (_kind(spec) is _KINDS[SplittingParticlePvf]
+             and (cfg.scheme != LAGRANGIAN or cfg.coalesce_tol <= MERGE_TOL))
     mu = snap_space(mu0, grid) if cfg.scheme == LAS else mu0
     measures = [mu]
     lifts: list[LiftedMeasure] = []
@@ -443,15 +492,18 @@ def run_scheme(spec: PvfSpec, mu0: DiscreteMeasure, cfg: SchemeConfig) -> Measur
             lifted, nxt, _ = out
             if nxt == mu:
                 moved = itertools.repeat(out, grid.N - k - 1)
-            elif (whole and lifted.positions is mu.atoms
-                    and lifted.weights is mu.weights is nxt.weights):
-                moved = _moved_whole(nxt, lifted.velocities, grid.dt, grid.N - k - 1)
+            elif whole and lifted.weights is mu.weights is nxt.weights:
+                moved = _moved_whole(nxt, lifted.velocities, grid, grid.N - k - 1,
+                                     cfg.scheme == LAS)
         lifted, mu, lost = out
         measures[-1] = base_of(lifted)
         lifts.append(lifted)
         measures.append(mu)
         pruned += lost
-    return MeasurePath(grid.times, tuple(measures), tuple(lifts), pruned_mass=pruned)
+    path = object.__new__(MeasurePath)
+    path.__dict__.update(times=_frozen(grid.times)[0], measures=tuple(measures),
+                         interp=tuple(lifts), pruned_mass=pruned)
+    return path
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# ten times the examples, for the differential tests of the grouping kernel:
+# ten times the examples, for the differential tests of the grouping kernel
+# and of the scheme routes:
 # HYPOTHESIS_PROFILE=deep python -m pytest tests/test_measures.py -k ...
+# HYPOTHESIS_PROFILE=deep python -m pytest tests/test_schemes.py -k step_loop
 settings.register_profile("deep", settings.get_profile("mdelab"), max_examples=600)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "mdelab"))
 

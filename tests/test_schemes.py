@@ -3,8 +3,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
+import strategies as sts
 from mdelab import (
     BaseOffGridError,
     ConfigError,
@@ -39,7 +42,7 @@ from mdelab import (
 from mdelab import measures, pvf, schemes
 from mdelab.pvf import GRAPH_FIELDS, _median
 from mdelab.schemes import snap_space
-from mdelab.tolerances import WEIGHT_FLOOR
+from mdelab.tolerances import MERGE_TOL, WEIGHT_FLOOR
 
 SPLIT = SplittingParticlePvf()
 PM1 = make_measure([[-1.0], [1.0]], [0.5, 0.5])
@@ -515,9 +518,9 @@ def counted_moves(monkeypatch) -> list:
     starts = []
     moved = schemes._moved_whole
 
-    def counted(mu, vel, dt, steps):
+    def counted(mu, vel, grid, steps, lattice):
         starts.append(steps)
-        return moved(mu, vel, dt, steps)
+        return moved(mu, vel, grid, steps, lattice)
 
     monkeypatch.setattr(schemes, "_moved_whole", counted)
     return starts
@@ -560,44 +563,135 @@ def differential_cases():
     ]
     for name, mu0, kw, starts in cases:
         yield pytest.param(mu0, cfg(LAGRANGIAN, N=32, **kw), starts, id=name)
+    yield from lattice_and_mean_cases(rng)
 
 
-@pytest.mark.parametrize("mu0, config, starts", differential_cases())
-def test_a_splitting_run_equals_its_step_loop(monkeypatch, mu0, config, starts):
-    # A lagrangian splitting run whose median atom moves whole finishes in
-    # one running sum (``schemes._moved_whole``); every node, lift and the
-    # pruned mass are the plain step loop's bit for bit, and an error is
-    # the loop's error.  ``starts`` pins where the running sum took over.
-    moved = counted_moves(monkeypatch)
+def lattice_and_mean_cases(rng):
+    """``las`` and ``mean-velocity`` runs on the same route: ``las`` by
+    exact lattice offsets, ``mean-velocity`` by the running sum of its
+    fiber means, which are a function of the weights array too."""
+    x0 = float(rng.uniform(-1.0, 1.0))
+    for N in (1, 2, 64, 256):
+        # the first step splits the Dirac, the second takes the route
+        yield pytest.param(dirac(x0), cfg(LAS, N=N), [N - 2] if N > 1 else [],
+                           id=f"las-dirac-N{N}")
+        # the split's fiber mean is 0: a fixed point, repeated instead
+        yield pytest.param(dirac(x0), cfg(MEAN_VELOCITY, N=N), [], id=f"mv-dirac-N{N}")
+    a = float(rng.uniform(-1.0, 1.0))
+    for scheme in (LAS, MEAN_VELOCITY):
+        # a torn block moves whole from the first step
+        yield pytest.param(quantile_uniform(a, a + 1.0, 256), cfg(scheme, N=64), [63],
+                           id=f"{scheme}-block256")
+    for scheme, starts in [(LAS, [14]), (LAGRANGIAN, [14]), (MEAN_VELOCITY, [15])]:
+        # an odd block's median splits: its mean-velocity lift still holds
+        # the node's weights, so that run takes the route at once, and the
+        # others after their first split
+        yield pytest.param(quantile_uniform(a, a + 1.0, 257), cfg(scheme, N=16), starts,
+                           id=f"{scheme}-block257")
+    for scheme, starts in [(LAS, []), (LAGRANGIAN, []), (MEAN_VELOCITY, [15])]:
+        # 98 weights of 1/98 sum to 1 ulp below 1/2 left of the median, whose
+        # sliver the floor drops at every step; the mean-velocity lift keeps
+        # the node's weights all the same
+        yield pytest.param(quantile_uniform(a, a + 1.0, 98), cfg(scheme, N=16), starts,
+                           id=f"{scheme}-sliver98")
+    # dv = 2 bins the velocities -1, +1 to -2, 0.  Six atoms of 1/6 snap to
+    # six lattice points at dv = 1/3, where the median atom moves right
+    # whole but 1 ulp lighter than its weight, so the route starts after
+    # the first step; at dv = 2 they snap to five, and it starts at once
+    for dv, starts in [(1.0 / 3.0, [7]), (2.0, [8])]:
+        yield pytest.param(dirac(x0), cfg(LAS, N=9, dv=dv), [7], id=f"las-dirac-dv{dv:.3g}")
+        yield pytest.param(quantile_uniform(a, a + 1.0, 6), cfg(LAS, N=9, dv=dv), starts,
+                           id=f"las-block6-dv{dv:.3g}")
+    # snapped onto the lattice first, then moved whole
+    yield pytest.param(m1([0.3, 0.71, 1.05], [0.2, 0.3, 0.5]), cfg(LAS, N=8), [7],
+                       id="las-off-grid")
+    # two atoms one lattice step apart, a step just over MERGE_TOL: their
+    # computed gap falls to MERGE_TOL as they move right, the route stops,
+    # the step merges them, and the two atoms left move whole again
+    dx = MERGE_TOL * (1.0 + 3e-5)
+    yield pytest.param(m1([0.0, 5.0 * dx, 6.0 * dx], [0.5, 0.25, 0.25]),
+                       cfg(LAS, N=8, dv=dx / 0.125), [7, 3], id="las-meet")
+    # lattice indices past 2^50 = _EXACT_INDEX: the route stops at the
+    # first step from such an index, and restarts at each later step, where
+    # it gives none.  In the second run the index starts near
+    # 4116127621142743 (about 1.83 * 2^51), where rint(n dx / dx) is not
+    # always n, and a step's grid check refuses a node
+    yield pytest.param(dirac((2.0 ** 50 - 3.0) / 9.0), cfg(LAS, N=8, dv=8.0 / 9.0),
+                       [6, 3, 2, 1, 0], id="las-leaves-exact-range")
+    dx = 0.8274412234991579
+    yield pytest.param(dirac(4116127621142743.0 * dx), cfg(LAS, N=8, dv=dx / 0.125),
+                       [6, 5, 4, 3], id="las-past-exact-range")
+    # mean-velocity ignores the merge tolerance and the weight floor
+    yield pytest.param(quantile_uniform(0.0, 1.0, 8),
+                       cfg(MEAN_VELOCITY, N=32, coalesce_tol=0.5, prune_floor=1e-6), [31],
+                       id="mv-coalesce-floor")
+
+
+def assert_equals_step_loop(mu0, config):
+    """``run_scheme`` under the splitting rule gives every node, lift and
+    the pruned mass of the plain step loop (``reference_run``) bit for bit,
+    each node the base of its lift, or the loop's error class and message."""
     nodes = []
     expected = outcome(lambda: reference_run(SPLIT, mu0, config, nodes))
     got = outcome(lambda: run_scheme(SPLIT, mu0, config))
-    assert moved == starts
     if expected[0] != "ok":
         assert got == expected
         return
-    lifts, pruned = expected[1]
-    path = got[1]
+    assert got[0] == "ok", got
+    (lifts, pruned), path = expected[1], got[1]
     assert [node_bits(mu) for mu in path.measures] == [node_bits(mu) for mu in nodes]
     assert [lift_bits(lift) for lift in path.interp] == [lift_bits(lift) for lift in lifts]
     assert np.float64(path.pruned_mass).tobytes() == np.float64(pruned).tobytes()
     assert all(mu is base_of(lift) for mu, lift in zip(path.measures, path.interp))
+    assert path.times.tobytes() == config.grid.times.tobytes() and not path.times.flags.writeable
 
 
+@pytest.mark.parametrize("mu0, config, starts", differential_cases())
+def test_a_splitting_run_equals_its_step_loop(monkeypatch, mu0, config, starts):
+    # A splitting run whose lift holds its node's weights array finishes
+    # on one route (``schemes._moved_whole``), under every scheme; every
+    # node, lift and the pruned mass are the plain step loop's bit for bit,
+    # and an error is the loop's error.  ``starts`` pins where the route
+    # took over, by the steps it was handed.
+    moved = counted_moves(monkeypatch)
+    assert_equals_step_loop(mu0, config)
+    assert moved == starts
+
+
+@st.composite
+def splitting_starts(draw):
+    """1-D starts of 1-12 atoms: coordinates on a dyadic grid or anywhere
+    in [-8, 8], weights whole numbers (ties, so medians that move whole)
+    or anywhere in [0.01, 1]."""
+    n = draw(st.integers(1, 12))
+    coords = draw(st.sampled_from([sts.dyadic, sts.finite]))
+    weights = draw(st.sampled_from([st.integers(1, 4).map(float), sts.positive_weight]))
+    return make_measure([[draw(coords)] for _ in range(n)], [draw(weights) for _ in range(n)])
+
+
+@given(mu0=splitting_starts(), N=st.integers(1, 64), dv=st.sampled_from([None, 1.0 / 3.0, 2.0]))
+def test_every_scheme_of_a_splitting_run_equals_its_step_loop(mu0, N, dv):
+    # dv None is 1/N
+    for scheme in SCHEMES:
+        assert_equals_step_loop(mu0, cfg(scheme, N=N, dv=dv))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("mode", [{}, dict(all="raise"), dict(over="ignore", invalid="ignore")],
                          ids=["plain", "raise", "ignore"])
-def test_an_overflowing_horizon_fails_where_the_step_loop_fails(monkeypatch, mode):
-    # the right atom moves whole to +1.6e308 + k dt and overflows at a step
-    # the running sum reaches: the sum silences the overflow and stops, and
-    # the scheme's step fails on the same node with the loop's error, in
-    # every errstate mode (plain: the warning the loop's add raises)
+def test_an_overflowing_horizon_fails_where_the_step_loop_fails(monkeypatch, mode, scheme):
+    # the right atom moves whole to about +1.6e308 + k dt (dx = dt under
+    # las) and overflows at a step the route reaches: the route silences
+    # the overflow and stops, and the scheme's step fails on the same node
+    # with the loop's error, in every errstate mode (plain: the warning the
+    # loop's arithmetic raises)
     mu0 = m1([-1.0, 1.6e308], [0.5, 0.5])
-    config = cfg(LAGRANGIAN, T=1e308, N=64)
+    config = cfg(scheme, T=1e308, N=64, dv=1.0)
     moved = counted_moves(monkeypatch)
     nodes = []
     with np.errstate(**mode):
         expected = outcome(lambda: reference_run(SPLIT, mu0, config, nodes))
-        begun = counted_steps(monkeypatch, LAGRANGIAN)
+        begun = counted_steps(monkeypatch, scheme)
         got = outcome(lambda: run_scheme(SPLIT, mu0, config))
     assert expected[0] != "ok" and got == expected
     assert moved == [63] and len(begun) == 2 and len(nodes) > 3
@@ -700,16 +794,18 @@ def test_a_step_runs_the_kernel_once_per_value(monkeypatch, scheme, extra, spec)
     # step started from, and is not computed; nor is a mean-velocity
     # lift's.  A constant fiber's lift computes its base.  Under lagrangian
     # the splitting run's steps after the first are one running sum
-    # (``schemes._moved_whole``), which runs no kernel.  The ±1 fiber's mean
-    # is 0, so a mean-velocity step returns the node it started from, and
-    # the steps after the first repeat it and run no kernel either.
+    # (``schemes._moved_whole``), which runs no kernel, and so are the
+    # splitting run's under las and mean-velocity, whose first lift holds
+    # the node's weights too.  The ±1 fiber's mean is 0, so a
+    # mean-velocity step returns the node it started from, and the steps
+    # after the first repeat it and run no kernel either.
     mu0 = make_measure([[0.0], [0.25], [0.5]], [0.2, 0.3, 0.5])
     calls = counted_kernel(monkeypatch)
     path = run_scheme(spec, mu0, cfg(scheme, N=5))
     per_step = {LAS: 2, LAGRANGIAN: 1, MEAN_VELOCITY: 1}[scheme]
     attached = scheme == MEAN_VELOCITY or spec is not BINOMIAL
     per_step += not attached
-    steps = 1 if (scheme, spec) in [(LAGRANGIAN, SPLIT), (MEAN_VELOCITY, BINOMIAL)] else 5
+    steps = 1 if spec is SPLIT or (scheme, spec) == (MEAN_VELOCITY, BINOMIAL) else 5
     assert len(calls) == per_step * steps + extra
     if attached:
         assert all(base_of(lift) is mu for lift, mu in zip(path.interp, path.measures))
