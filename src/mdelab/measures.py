@@ -403,12 +403,19 @@ def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None
       more.
 
     Given both ``ordered`` and ``tested``, as a splitting lift whose median
-    atom moves whole and a ``mean-velocity`` lift are, nothing
-    is left to test or compute: the value adopts the arrays as given, with
-    ``base`` when given, and reads nothing else.  Every value freezes its
-    arrays (``_frozen``), and only those still writeable.
+    atom moves whole, a ``mean-velocity`` lift and the nodes and lifts of
+    ``schemes._moved_whole`` are, nothing is left to test or compute, and
+    the constructor goes straight to the value: one ``object.__new__`` and
+    one ``_set`` of the arrays as given, with ``base`` when given.  It
+    runs no ``_unit`` and packs no columns, and since the weights are kept
+    as given, so is ``base``.  Every value's ``_set`` freezes its arrays,
+    and only those still writeable.
     """
     lifted = velocities is not None
+    out = object.__new__(LiftedMeasure if lifted else DiscreteMeasure)
+    if ordered and tested:  # nothing is left to test or compute
+        out._set(rows, velocities, weights, base) if lifted else out._set(rows, weights)
+        return out
     cols, mass = ((rows, velocities) if lifted else (rows,)), weights
     if not ordered:
         pts = np.concatenate(cols, axis=1) if lifted else rows
@@ -417,9 +424,8 @@ def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None
             raise ValueError("atom coordinates must be finite")
         atoms, mass = _canonical(pts, weights, tol, not math.isfinite(hi - lo), tested)
         cols = _columns(atoms) if lifted else (atoms,)
-    elif not tested:  # else nothing is left to test or compute
+    else:
         *cols, mass = _unit(float(np.add.reduce(weights)), weights, weights, None, *cols)
-    out = object.__new__(LiftedMeasure if lifted else DiscreteMeasure)
     keeps = base is not None and (mass is weights or np.array_equal(mass, weights))
     out._set(*cols, mass, *((base,) if keeps else ()))
     return out
@@ -510,10 +516,11 @@ class DiscreteMeasure(_Value):
         self._set(*canonical_support(self.atoms, self.weights))
 
     def _set(self, atoms: np.ndarray, weights: np.ndarray) -> None:
-        # also the initializer of ``_derive``, which may adopt fresh arrays
+        # also the initializer of ``_derive``, which may adopt fresh arrays:
+        # the one place a value's arrays are frozen, then its fields are set
+        # by one ``__dict__`` update
         _frozen(atoms, weights)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "weights", weights)
+        self.__dict__.update(atoms=atoms, weights=weights)
 
     @property
     def dim(self) -> int:
@@ -566,13 +573,12 @@ class LiftedMeasure(_Value):
              base: DiscreteMeasure | None = None) -> None:
         # contiguous columns (``_columns``, ``_derive``): a scheme step reads
         # them twice, and arithmetic on strided views costs more; ``base``
-        # as ``_derive`` documents it
+        # as ``_derive`` documents it; frozen and set as in
+        # ``DiscreteMeasure._set``
         _frozen(positions, velocities, weights)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "velocities", velocities)
-        object.__setattr__(self, "weights", weights)
+        self.__dict__.update(positions=positions, velocities=velocities, weights=weights)
         if base is not None:
-            object.__setattr__(self, "_base", base)
+            self.__dict__["_base"] = base
 
     @property
     def dim(self) -> int:

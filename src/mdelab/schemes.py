@@ -88,9 +88,11 @@ cap its size bound and ``eval_pvf`` and the lattice scheme their rows:
 a lattice step looks it up once, and a ``lagrangian`` or
 ``mean-velocity`` step once for the cap and once in ``eval_pvf``.  A
 value freezes only the arrays that are still writeable, so a lift that
-adopts a node's read-only columns sets no flag, and a lift built from
-rows whose order and weights are both proved (a whole median's splitting
-lift, a ``mean-velocity`` lift) is the arrays as given and nothing else.
+adopts a node's read-only columns sets no flag, and a lift or node built
+from rows whose order and weights are both proved (a whole median's
+splitting lift, a ``mean-velocity`` lift, the whole-array route's nodes,
+row views of one frozen block, and their lifts) costs one
+``object.__new__`` and one ``_set`` of the arrays as given.
 A step that returns the node it started from is not run again: the run
 repeats it to the end (``run_scheme``).
 """
@@ -409,15 +411,27 @@ def _moved_whole(mu: DiscreteMeasure, vel: np.ndarray, grid: GridSpec, steps: in
 
     A node whose gaps all exceed ``MERGE_TOL`` strictly increases, so if
     its end rows are finite, every row is, and it passes both as the
-    step's node does; under ``las`` its end indices bound the others.  It
-    is adopted with ``+ 0.0`` into a fresh array, as ordered rows, which
-    are finite and hold no -0.0, and its lift is built with the node
-    before it as its base, as a step's is.  At the first step that fails,
-    the route stops, and the scheme's step, run from the last node given,
-    refuses, merges or moves it with its own result or error in every
-    ``np.errstate`` mode.  Overflow here is silenced, since a node it
-    spoils is not given.  The sums run in blocks of ``_BLOCK_BYTES``, each
-    starting from the last node of the one before.
+    step's node does; under ``las`` its end indices bound the others.  At
+    the first step that fails, the route stops, and the scheme's step, run
+    from the last node given, refuses, merges or moves it with its own
+    result or error in every ``np.errstate`` mode.  Overflow here is
+    silenced, since a node it spoils is not given.
+
+    The sums run in blocks of ``_BLOCK_BYTES``, each starting from the last
+    node of the one before.  A block's nodes take ``+ 0.0`` once, in
+    place, which reads a -0.0 as +0.0 element by element, as the step's
+    node does, and the block is frozen.  Under ``lagrangian`` and
+    ``mean-velocity`` the nodes are the running sum itself, whose last row
+    starts the next block; a zero read as +0.0 there changes no later
+    node, since +-0 + m is m for m != 0, and a zero sum is read as +0.0
+    again.  Each node adopts its row of the block, a read-only view, as
+    ordered rows, which are finite and hold no -0.0, and each lift adopts
+    its node's atoms, ``vel`` and the weights, with that node as its base,
+    as a step's lift does.  All of them are read-only already, so
+    ``_derive``'s adopt route sets no flag on them.  The price of the views:
+    a node that outlives its run keeps its whole block (at most
+    ``_BLOCK_BYTES``) alive, and where the route stops inside a block, the
+    rows after the stop stay allocated with it, unused.
     """
     w = mu.weights
     if lattice:
@@ -434,16 +448,18 @@ def _moved_whole(mu: DiscreteMeasure, vel: np.ndarray, grid: GridSpec, steps: in
         x[1:] = move
         with np.errstate(over="ignore", invalid="ignore"):
             np.add.accumulate(x, axis=0, out=x)
-            start, pos = x[-1], x * grid.dx if lattice else x
-            gap = np.minimum.reduce(pos[1:, 1:, 0] - pos[1:, :-1, 0], axis=1, initial=math.inf)
-            ok = (gap > MERGE_TOL) & np.isfinite(pos[1:, 0, 0]) & np.isfinite(pos[1:, -1, 0])
+            start, nodes = x[-1], x[1:] * grid.dx if lattice else x[1:]
+            nodes += 0.0
+            gap = np.minimum.reduce(nodes[:, 1:, 0] - nodes[:, :-1, 0], axis=1, initial=math.inf)
+            ok = (gap > MERGE_TOL) & np.isfinite(nodes[:, 0, 0]) & np.isfinite(nodes[:, -1, 0])
             if lattice:  # the index each step starts from
                 ok &= np.maximum(abs(x[:-1, 0, 0]), abs(x[:-1, -1, 0])) <= _EXACT_INDEX
-        for j, passed in enumerate(ok.tolist(), 1):
+        nodes.setflags(write=False)
+        for atoms, passed in zip(nodes, ok.tolist()):
             if not passed:
                 return
             lifted = _derive(mu.atoms, w, velocities=vel, ordered=True, tested=True, base=mu)
-            mu = _derive(pos[j] + 0.0, w, ordered=True, tested=True)
+            mu = _derive(atoms, w, ordered=True, tested=True)
             yield lifted, mu, 0.0
         steps -= m
 

@@ -13,7 +13,8 @@ settings.register_profile(
 # ten times the examples, for the differential tests of the grouping kernel
 # and of the scheme routes:
 # HYPOTHESIS_PROFILE=deep python -m pytest tests/test_measures.py -k ...
-# HYPOTHESIS_PROFILE=deep python -m pytest tests/test_schemes.py -k step_loop
+# HYPOTHESIS_PROFILE=deep python -m pytest tests/test_schemes.py \
+#     -k "step_loop or read_only or adopt_route"
 settings.register_profile("deep", settings.get_profile("mdelab"), max_examples=600)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "mdelab"))
 

@@ -7,8 +7,9 @@ leave open, and it takes a lift's base and rule as arguments.  Outside
 input must go through the checked constructors, so these entry points may
 be called only from the modules that derive rows.  A value is complete
 when it is constructed: ``object.__setattr__`` runs only in
-``__post_init__`` and ``_set``-style initializers, never on a value
-another function built.
+``__post_init__`` and ``_set``-style initializers, and a value's
+``__dict__`` is written only there or in the function that built the value
+with ``object.__new__``, never on a value another function built.
 
 In the same way ``transport._lp`` solves a transport problem whose
 marginals it does not check: the distances hand it canonical weights, and
@@ -56,29 +57,44 @@ def test_the_deriving_modules_use_the_unchecked_entry_points():
     assert inside == ALLOWED
 
 
-def setattr_calls(path: Path) -> list[tuple[str, str]]:
-    """``object.__setattr__`` calls in a source file, as (file:line, name
-    of the innermost enclosing function)."""
+def is_object_call(node, name: str) -> bool:
+    """Whether an AST node is a call ``object.<name>(...)``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name and getattr(node.func.value, "id", None) == "object")
+
+
+def setattr_calls(path: Path) -> list[tuple[str, str, bool]]:
+    """``object.__setattr__`` calls and uses of ``__dict__`` in a source
+    file, as (file:line, name of the innermost enclosing function, whether
+    the hit is a use of ``__dict__`` in a function that calls
+    ``object.__new__``)."""
     found = []
 
-    def visit(node, func):
+    def visit(node, func, builds):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "__setattr__"
-                    and getattr(child.func.value, "id", None) == "object"):
-                found.append((f"{path.name}:{child.lineno}", func))
-            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if is_def else func)
+            if is_object_call(child, "__setattr__"):
+                found.append((f"{path.name}:{child.lineno}", func, False))
+            elif isinstance(child, ast.Attribute) and child.attr == "__dict__":
+                found.append((f"{path.name}:{child.lineno}", func, builds))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name,
+                      any(is_object_call(n, "__new__") for n in ast.walk(child)))
+            else:
+                visit(child, func, builds)
 
-    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    visit(ast.parse(path.read_text(), filename=str(path)), "", False)
     return found
 
 
 def test_values_are_set_only_by_their_initializers():
+    # ``object.__setattr__`` only in an initializer; a value's ``__dict__``
+    # also in the function that built it with ``object.__new__``
     calls = [call for path in sorted(ROOT.glob("*.py")) for call in setattr_calls(path)]
-    assert [where for where, func in calls
-            if not (func == "__post_init__" or func.startswith("_set"))] == []
-    assert calls  # guards against a pattern that would leave the test vacuous
+    assert [where for where, func, built in calls
+            if not (func == "__post_init__" or func.startswith("_set") or built)] == []
+    # guards against a pattern that would leave the test vacuous
+    assert {func for _, func, built in calls if not built} >= {"__post_init__", "_set"}
+    assert {func for _, func, built in calls if built} == {"run_scheme"}
 
 
 def test_the_unchecked_solve_is_called_only_inside_transport():

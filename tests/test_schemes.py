@@ -835,10 +835,12 @@ def test_stored_lifts_are_canonical_and_read_only(monkeypatch, scheme, spec):
     # A step's bookkeeping (no flag set twice, a lift adopted as given, one
     # rule lookup) must leave what a path stores as the checked constructors
     # would build it.  Every stored lift is its own rows' canonical form bit
-    # for bit; every array of every node and lift is read-only; a lift that
-    # eval_pvf built with the node the step started from as its base is the
-    # rule's evaluation at that node; that node is its base exactly where
-    # the rule's rows prove it.
+    # for bit; every array of every node and lift is read-only, a fresh one
+    # adopted as given too (a mean-velocity lift's ``vbar + 0.0``, a node of
+    # the whole-array route, which the torn block enters under every scheme),
+    # so writing to it raises; a lift that eval_pvf built with the node the
+    # step started from as its base is the rule's evaluation at that node;
+    # that node is its base exactly where the rule's rows prove it.
     built = []
     evaluate = schemes.eval_pvf
 
@@ -848,14 +850,18 @@ def test_stored_lifts_are_canonical_and_read_only(monkeypatch, scheme, spec):
         return lift
 
     monkeypatch.setattr(schemes, "eval_pvf", recorded)
+    moved = counted_moves(monkeypatch)
     for mu0 in seeded_measures():
         built.clear()
         path = run_scheme(spec, mu0, cfg(scheme, N=4))
-        for mu in path.measures:
-            assert not (mu.atoms.flags.writeable or mu.weights.flags.writeable)
+        for value in path.measures + path.interp:
+            for name in value._arrays:
+                array = getattr(value, name)
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = array[0]
         for lift, node in zip(path.interp, path.measures):
             rows = (lift.positions, lift.velocities, lift.weights)
-            assert not any(a.flags.writeable for a in rows)
             assert lift_bits(make_lifted(*rows)) == lift_bits(lift)
             assert base_of(lift) is node
             origin = next((b for a, b in built if a is lift), None)  # the node eval_pvf lifted
@@ -866,6 +872,7 @@ def test_stored_lifts_are_canonical_and_read_only(monkeypatch, scheme, spec):
                 assert (origin is node) == (base is origin and lift.natoms == len(w))
             if origin is node:
                 assert lift_bits(evaluate(spec, node)) == lift_bits(lift)
+    assert bool(moved) == (spec is SPLIT)
 
 
 @pytest.mark.parametrize("scheme", [LAS, LAGRANGIAN, MEAN_VELOCITY])
@@ -1041,3 +1048,19 @@ def test_path_validation_errors():
             measures=(dirac(0.0), dirac(0.0)),
             interp=(eval_pvf(SPLIT, dirac(5.0)),),
         )
+
+
+@pytest.mark.parametrize("lifted", [False, True])
+def test_the_adopt_route_freezes_fresh_arrays_and_keeps_them(lifted):
+    # given both proofs, the constructor keeps the very arrays it is handed,
+    # and freezes those still writeable
+    mu = quantile_uniform(0.0, 1.0, 4)
+    rows, weights, vel = mu.atoms.copy(), mu.weights.copy(), np.zeros((4, 1))
+    out = measures._derive(rows, weights, vel if lifted else None, ordered=True, tested=True,
+                           base=mu if lifted else None)
+    given = [rows, vel, weights] if lifted else [rows, weights]
+    arrays = [getattr(out, name) for name in out._arrays]
+    assert len(arrays) == len(given) and all(a is b for a, b in zip(arrays, given))
+    assert not any(a.flags.writeable for a in arrays)
+    if lifted:
+        assert base_of(out) is mu
