@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DimMismatchError, EmptyInputError
-from .measures import DiscreteMeasure, is_real
+from .measures import DiscreteMeasure, _radius, is_real
 from .pvf import PvfSpec, eval_pvf
 from .schemes import MeasurePath, interpolate_at
 from .transport import w1_distance
@@ -66,7 +66,8 @@ class TestFunction:
         return self.center.shape[0]
 
     def value(self, points: np.ndarray) -> np.ndarray:
-        return _bump(*self._at(points))[2][0] ** 3
+        s = _bump(*self._at(points))[2][0]
+        return s * s * s
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
         return _bump_gradients(*_bump(*self._at(points)))[0]
@@ -120,7 +121,7 @@ def default_test_family(measures: Sequence[DiscreteMeasure]) -> list[TestFunctio
     mid = (lo + hi) / 2.0
     half = 1.2 * (hi - lo) / 2.0
     lo, hi = mid - half, mid + half
-    width = float(np.linalg.norm(hi - lo))
+    width = _radius((hi - lo)[None, :])
     if width <= 0:
         width = 1.0
     fracs = np.linspace(0.0, 1.0, 9)
@@ -171,14 +172,14 @@ def residual(
     # same array: a graph field's lift, a splitting lift whose median moves
     # whole), the bump polynomial s serves both the values and the
     # gradients.  Sums run along each node's contiguous row, and the value
-    # of a bump at a node is one stacked dot of the node's weights with its
-    # row, so each defect is bit for bit what a loop over bumps and nodes
-    # gives.
+    # of a bump at a node is the sum of s * s * s times the node's weights
+    # along that row, so each defect is bit for bit what a loop over bumps
+    # and nodes gives.
     keys = [(mu.natoms, lf.natoms, lf.positions is mu.atoms) for mu, lf in zip(nodes, lifts)]
     for ks in _blocks(keys, family, path.dim):
         diff, r2s, s = _bump(np.stack([nodes[k].atoms for k in ks]), centers, r2)
         w = np.stack([nodes[k].weights for k in ks])
-        values[:, ks] = np.matmul((s**3)[..., None, :], w[None, :, :, None])[..., 0, 0]
+        values[:, ks] = np.add.reduce(s * s * s * w, axis=-1)
         if not keys[ks[0]][2]:
             diff, r2s, s = _bump(np.stack([lifts[k].positions for k in ks]), centers, r2)
         grad = _bump_gradients(diff, r2s, s)

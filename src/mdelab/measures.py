@@ -96,6 +96,12 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _same_dim(a: int, b: int) -> None:
+    """Raise DimMismatchError, naming both dimensions, unless they are equal."""
+    if a != b:
+        raise DimMismatchError(f"dim {a} vs {b}")
+
+
 def _lex_perm(pts: np.ndarray) -> np.ndarray:
     """Permutation sorting rows lexicographically (first coordinate primary)."""
     # np.lexsort uses the LAST key as the primary one.
@@ -445,8 +451,7 @@ def match_rows(rows: np.ndarray, reps: np.ndarray) -> np.ndarray:
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     reps = np.atleast_2d(np.asarray(reps, dtype=float))
-    if rows.shape[1] != reps.shape[1]:
-        raise DimMismatchError(f"dim {rows.shape[1]} vs {reps.shape[1]}")
+    _same_dim(rows.shape[1], reps.shape[1])
     n = rows.shape[0]
     out = np.full(n, -1, dtype=np.intp)
     if reps.shape[0] == 0:
@@ -531,9 +536,15 @@ class DiscreteMeasure(_Value):
         return self.atoms.shape[0]
 
     def integrate(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Integral of a scalar function; ``fn`` maps an (n, d) array to (n,)."""
+        """Integral of a scalar function; ``fn`` maps an (n, d) array to (n,).
+
+        The weighted values are summed by ``np.add.reduce``, whose order
+        is numpy's alone; any other number of values is a ValueError.
+        """
         vals = np.asarray(fn(self.atoms), dtype=float).ravel()
-        return float(np.dot(self.weights, vals))
+        if vals.shape != self.weights.shape:
+            raise ValueError(f"fn gave {vals.size} values for {self.natoms} atoms")
+        return float(np.add.reduce(self.weights * vals))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscreteMeasure):

@@ -29,10 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, EndpointMismatchError, OutOfRangeError, SupportBlowupError
+from .errors import EndpointMismatchError, OutOfRangeError, SupportBlowupError
 from .measures import (
     DiscreteMeasure,
     LiftedMeasure,
+    _radius,
+    _same_dim,
     base_of,
     canonical_support,
     fiber_means,
@@ -112,8 +114,7 @@ def concat_merge(
         raise ValueError(f"need t_end > {head.times[-1]:g}, got {t_end:g}")
     end_pts = head.knots[:, -1, :]
     for d in (head.dim, tail.dim):  # before the stacking, which would raise its own error
-        if d != joint.dim:
-            raise DimMismatchError(f"dim {d} vs {joint.dim}")
+        _same_dim(d, joint.dim)
     # one match of the curve ends and segment starts: match_rows is row-wise
     at = match_rows(np.concatenate((end_pts, tail.positions)), joint.atoms)
     h_at, t_at = at[:head.ncurves], at[head.ncurves:]
@@ -217,11 +218,13 @@ def max_speed(ens: TrajectoryEnsemble) -> float:
     """Largest segment speed over all curves and intervals.
 
     Finite by construction; useful against the sublinear growth bound
-    C * (1 + max support radius) of the generating rule.
+    C * (1 + max support radius) of the generating rule.  The speeds are
+    the Euclidean norms of the segment slopes, taken by ``_radius``, the
+    route of the support radius.
     """
     steps = np.diff(ens.times)[None, :, None]
     rates = np.diff(ens.knots, axis=1) / steps
-    return float(np.sqrt((rates**2).sum(axis=2)).max())
+    return _radius(rates.reshape(-1, ens.dim))
 
 
 @dataclass(frozen=True)

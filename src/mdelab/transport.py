@@ -46,7 +46,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DimMismatchError, IterationCapError, LpFailureError
-from .measures import DiscreteMeasure, LiftedMeasure
+from .measures import DiscreteMeasure, LiftedMeasure, _same_dim
 from .tolerances import AGREE_TOL, PLAN_NEG_TOL, REDUCED_COST_TOL, TIGHT_TOL
 
 
@@ -466,16 +466,25 @@ def _lp(C: np.ndarray, r: np.ndarray, c: np.ndarray, max_iter: Optional[int] = N
         total = (a.sum() + b.sum()) / 2.0
         a, b = a * (total / a.sum()), b * (total / b.sum())
     flow, _, _ = _simplex(C if full else C[np.ix_(rows, cols)], a, b, cap)
-    i, j = np.fromiter(chain.from_iterable(flow), np.intp, 2 * len(flow)).reshape(-1, 2).T
-    mass = np.zeros((m, n))
-    mass[(i, j) if full else (rows[i], cols[j])] = list(flow.values())
-    plan = TransportPlan._solved(mass)
+    plan = _dense(flow, (m, n), None if full else (rows, cols))
     if (
         np.max(np.abs(plan.row_marginals - r)) > AGREE_TOL
         or np.max(np.abs(plan.col_marginals - c)) > AGREE_TOL
     ):  # pragma: no cover - the balanced totals keep the plan within tolerance
         raise LpFailureError("solver returned a plan violating the marginals")
     return plan, float(np.sum(C * plan.mass))
+
+
+def _dense(flow: dict[tuple[int, int], float], shape: tuple[int, int], index=None) -> TransportPlan:
+    """The plan whose masses are ``flow``'s basic cells and zero elsewhere.
+
+    ``index`` is None, or the (rows, cols) of the matrix that the cells'
+    indices number, when the solve left out rows or columns of zero mass.
+    """
+    i, j = np.fromiter(chain.from_iterable(flow), np.intp, 2 * len(flow)).reshape(-1, 2).T
+    mass = np.zeros(shape)
+    mass[(i, j) if index is None else (index[0][i], index[1][j])] = list(flow.values())
+    return TransportPlan._solved(mass)
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +537,7 @@ def w1_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, method: str = "auto") 
     (``==``, which compares the bits of canonical arrays) without
     integrating or solving.
     """
-    if mu.dim != nu.dim:
-        raise DimMismatchError(f"dim {mu.dim} vs {nu.dim}")
+    _same_dim(mu.dim, nu.dim)
     if method == "auto":
         method = "quantile" if mu.dim == 1 else "lp"
     if method not in ("quantile", "lp"):
@@ -545,25 +553,20 @@ def w1_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, method: str = "auto") 
 
 
 def w1_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[TransportPlan, float]:
-    """An optimal coupling for the Euclidean Wasserstein-1 problem.
+    """An optimal coupling for the Euclidean Wasserstein-1 problem, and its value.
 
     Equal measures get the diagonal plan.  On the line the atoms are
     sorted, so the north-west corner of the weights is the monotone
     coupling, which is optimal; it is built directly in O(m + n) cells.
-    Elsewhere the simplex solves the LP.
+    Elsewhere the simplex solves the LP.  The value is ``w1_distance``'s,
+    bit for bit: on the line the CDF integral, elsewhere the solve's.
     """
-    if mu.dim != nu.dim:
-        raise DimMismatchError(f"dim {mu.dim} vs {nu.dim}")
+    _same_dim(mu.dim, nu.dim)
     if mu == nu:
         return TransportPlan._solved(np.diag(mu.weights)), 0.0
     if mu.dim == 1:
         cells = _north_west(mu.weights.tolist(), nu.weights.tolist())
-        i, j = np.array(list(cells), dtype=np.intp).T
-        x = np.array(list(cells.values()))
-        plan = np.zeros((mu.natoms, nu.natoms))
-        plan[i, j] = x
-        value = float(np.dot(x, np.abs(mu.atoms[i, 0] - nu.atoms[j, 0])))
-        return TransportPlan._solved(plan), value
+        return _dense(cells, (mu.natoms, nu.natoms)), _w1_quantile(mu, nu)
     return _lp(_pairwise_dist(mu.atoms, nu.atoms), mu.weights, nu.weights)
 
 
@@ -574,8 +577,7 @@ def lifted_w1(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
     factor), so moving mass in position and in velocity are charged
     independently.
     """
-    if v1.dim != v2.dim:
-        raise DimMismatchError(f"dim {v1.dim} vs {v2.dim}")
+    _same_dim(v1.dim, v2.dim)
     cost = _pairwise_dist(v1.positions, v2.positions) + _pairwise_dist(
         v1.velocities, v2.velocities
     )
@@ -600,8 +602,7 @@ def fiber_pseudometric(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
     matched along some position-optimal coupling, even if the lifted
     measures differ.
     """
-    if v1.dim != v2.dim:
-        raise DimMismatchError(f"dim {v1.dim} vs {v2.dim}")
+    _same_dim(v1.dim, v2.dim)
     a, b = v1.weights, v2.weights
     cap = 10 * a.size * b.size
     pos_cost = _pairwise_dist(v1.positions, v2.positions)

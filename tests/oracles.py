@@ -587,7 +587,9 @@ def residual_loop(times, nodes, lifts, centers, radii):
     (positions, velocities, weights) at each node.  The bump centered at c
     with radius r is f(x) = max(0, 1 - |x - c|^2 / r^2)^3.  The defect at
     node k is |<mu_k, f> - <mu_0, f> - Trap_k|, where Trap_k is the
-    trapezoid sum of <lift, grad f . v> over nodes 0..k.
+    trapezoid sum of <lift, grad f . v> over nodes 0..k.  <mu_k, f> sums
+    s * s * s * w by ``np.add.reduce``, the products of ``residual`` in its
+    order.
     """
     steps = np.diff(times)
     defects = np.zeros((len(centers), len(nodes)))
@@ -598,8 +600,8 @@ def residual_loop(times, nodes, lifts, centers, radii):
             s = np.maximum(1.0 - np.sum(diff**2, axis=1) / r**2, 0.0)
             grad = (-6.0 / r**2) * s[:, None] ** 2 * diff
             integrand.append(float(np.sum(np.sum(grad * vel, axis=1) * lw)))
-            s = 1.0 - np.sum((atoms - c) ** 2, axis=1) / r**2
-            values.append(float(np.dot(w, np.maximum(s, 0.0) ** 3)))
+            s = np.maximum(1.0 - np.sum((atoms - c) ** 2, axis=1) / r**2, 0.0)
+            values.append(float(np.add.reduce(s * s * s * w)))
         integrand, values = np.array(integrand), np.array(values)
         trap = np.concatenate(
             [[0.0], np.cumsum(steps * (integrand[:-1] + integrand[1:]) / 2.0)]

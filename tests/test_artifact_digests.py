@@ -19,7 +19,7 @@ from mdelab import get_scenario, run_scenario
 
 DIGESTS = {
     "splitting-dirac": "ab64c9354f466fc480bb1d36120c2c6d6640ee9cf1423ec48c104c11b917f92f",
-    "splitting-uniform": "89a7988fe8cd030095afdcd23948a19f3cc4b777aad55beeaa6370966c8eedcf",
+    "splitting-uniform": "49e0c9b8f8065b5740ca53eb09067d572dd211252a6384f075140f60724d8a26",
     "binomial": "f9751cc6f3513309b0bae2ae0563816f6689a8a79226f8443e71cafbc21468ca",
     "uniform-fiber": "d70aab1797cabd72c408a3eba15c3f11107d89810049cd6ef3738cd65068da2c",
     "peano": "638f501c965639b0cd0601fe10aff32c12a76b01c5b6c9897ed09bb4e78cfb4d",

@@ -15,6 +15,12 @@ In the same way ``transport._lp`` solves a transport problem whose
 marginals it does not check: the distances hand it canonical weights, and
 ``lp_solve`` checks outside input before it calls it.  Only ``transport``
 may call it.
+
+The package computes every quantity inside numpy's elementwise loops and
+reductions, whose bits depend on numpy's summation order alone.  So it
+calls no BLAS product, whose kernel OpenBLAS picks for the CPU at run
+time, and raises to no power but 2, since numpy picks its ``power`` loop
+for the CPU too; a square is one exact product.
 """
 
 import ast
@@ -102,3 +108,57 @@ def test_the_unchecked_solve_is_called_only_inside_transport():
     transport = ROOT / "transport.py"
     assert [hit for path, hits in calls.items() if path != transport for hit in hits] == []
     assert calls[transport]  # guards against a rename that would leave the test vacuous
+
+
+BLAS = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
+
+
+def cpu_chosen(source: str, name: str = "<source>") -> list[str]:
+    """BLAS products and powers other than 2 in Python source, as name:line: what.
+
+    The BLAS products are the calls named in ``BLAS``, ``@`` and
+    ``linalg.norm`` without ``axis`` (of a vector, a BLAS dot).  A power of
+    literals, such as ``2.0 ** 50``, is exact and allowed.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            norm = (called == "norm" and isinstance(func, ast.Attribute)
+                    and getattr(func.value, "attr", None) == "linalg"
+                    and "axis" not in {k.arg for k in node.keywords})
+            if called in BLAS or norm:
+                found.append(f"{name}:{node.lineno}: {called}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            left = node.left if isinstance(node, ast.BinOp) else node.target
+            right = node.right if isinstance(node, ast.BinOp) else node.value
+            square = isinstance(right, ast.Constant) and right.value == 2
+            literal = isinstance(left, ast.Constant) and isinstance(right, ast.Constant)
+            if isinstance(node.op, ast.MatMult):
+                found.append(f"{name}:{node.lineno}: @")
+            elif isinstance(node.op, ast.Pow) and not (square or literal):
+                found.append(f"{name}:{node.lineno}: **")
+    return found
+
+
+def test_no_route_in_the_package_is_chosen_by_the_cpu():
+    found = [hit for path in sorted(ROOT.glob("*.py"))
+             for hit in cpu_chosen(path.read_text(), path.name)]
+    assert found == []
+
+
+def test_the_cpu_route_scan_finds_every_form():
+    # guards the test above against a pattern that would leave it vacuous
+    source = """
+a = np.matmul(x, y) + x.dot(y) + np.vdot(x, y) + np.inner(x, y)
+b = np.tensordot(x, y, 1) + np.einsum("i,i", x, y) + x @ y
+c = np.linalg.norm(x) + s ** 3 + s ** 0.5 + s ** n
+s **= 3
+x @= y
+ok = np.linalg.norm(x, axis=1) + s ** 2 + s**2.0 + 2.0 ** 50 + np.sum(s * s * s * w)
+"""
+    assert sorted(hit.split(": ")[1] for hit in cpu_chosen(source)) == sorted([
+        "matmul", "dot", "vdot", "inner", "tensordot", "einsum", "@",
+        "norm", "**", "**", "**", "**", "@",
+    ])

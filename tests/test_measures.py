@@ -251,6 +251,10 @@ def test_integrate_weighted_sum():
     mu = make_measure([[-1.0], [1.0]], [0.25, 0.75])
     mean = mu.integrate(lambda pts: pts[:, 0])
     assert mean == pytest.approx(0.5, abs=1e-15)
+    # a value per atom, or a ValueError: a single value would broadcast
+    for wrong in (lambda pts: pts[:1, 0], lambda pts: np.ones(3)):
+        with pytest.raises(ValueError, match="values for 2 atoms"):
+            mu.integrate(wrong)
 
 
 @given(sts.measures(max_atoms=8, dim=2))

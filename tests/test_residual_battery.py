@@ -11,14 +11,21 @@ error) is pinned, so a change that claims to keep the residual bit for bit
 is checked by this test rather than by hand.  A change meant to alter
 results must recompute the digest and say why.
 
-The digest is of IEEE double results under numpy's reductions and BLAS
-dot products; a numpy or BLAS whose summation order differs would need a
-new pin.
+The digest is of IEEE double results under numpy's reductions; a numpy
+whose summation order differs would need a new pin.  The residual takes no
+route that BLAS or numpy's CPU dispatch picks per machine, so the digest of
+a few paths is also checked under other BLAS kernels and with numpy's
+dispatched loops turned off.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from mdelab import (
     LAGRANGIAN,
@@ -42,7 +49,7 @@ from mdelab import (
 from mdelab.pvf import GRAPH_FIELDS
 
 PATHS = 240
-DIGEST = "443f50c5fc58df2a1f2f48d49680795850a9b4cf069baea5d4356dcfa0016937"
+DIGEST = "75f23304aebca7df059f03f82fffbddfe47b71352acf0feec72ca4d9363187b1"
 
 SPLIT = SplittingParticlePvf()
 BLOCK_SIZES = (2, 8, 64, 256, 6, 100, 218, 600)
@@ -107,10 +114,11 @@ def _family(rng, dim):
             for _ in range(int(rng.integers(1, 5)))]
 
 
-def battery_digest() -> str:
+def battery_digest(paths: int = PATHS) -> str:
+    """The digest of the first ``paths`` entries of the battery."""
     rng = np.random.default_rng(20261018)
     h = hashlib.sha256()
-    for i in range(PATHS):
+    for i in range(paths):
         h.update(str(i).encode())
         try:
             path, spec, family = _problem(rng, i)
@@ -126,3 +134,27 @@ def battery_digest() -> str:
 
 def test_residual_battery_is_bit_identical_to_the_pinned_digest():
     assert battery_digest() == DIGEST
+
+
+# child-process settings that change, on x86-64, the BLAS kernels and
+# numpy's loops: OpenBLAS's oldest and its AMD kernels, and numpy with every
+# dispatch target of its build off, so only its baseline loops run.  Only
+# the targets this CPU has are named: numpy warns at import of any other
+DISPATCH = (
+    {"OPENBLAS_CORETYPE": "Prescott"},
+    {"OPENBLAS_CORETYPE": "Zen"},
+    {"NPY_DISABLE_CPU_FEATURES": " ".join(t for t in __cpu_dispatch__ if __cpu_features__[t])},
+)
+
+
+def test_residual_battery_is_bit_identical_under_other_cpu_dispatch():
+    # the first 12 entries hold every kind of path under two schemes
+    tests = Path(__file__).resolve().parent
+    src = str(tests.parent / "src")
+    paths = os.pathsep.join(filter(None, [src, str(tests), os.environ.get("PYTHONPATH")]))
+    code = "import test_residual_battery as t; print(t.battery_digest(12))"
+    children = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                                 text=True, env={**os.environ, "PYTHONPATH": paths, **setting})
+                for setting in DISPATCH]
+    digests = [child.communicate(timeout=60)[0].strip() for child in children]
+    assert digests == [battery_digest(12)] * len(DISPATCH)

@@ -423,6 +423,15 @@ def test_max_speed_respects_sublinear_growth():
     assert max_speed(lens) <= CL * (1.0 + KL) + 1.0 + 1e-12
 
 
+def test_max_speed_is_the_support_radius_of_the_slopes():
+    # the one norm route, scaled by a power of two: a slope whose squares
+    # overflow still has its norm
+    knots = np.array([[[0.0, 0.0], [3e200, 4e200]], [[0.0, 0.0], [1.0, 1.0]]])
+    ens = TrajectoryEnsemble(np.array([0.0, 1.0]), np.array([0.5, 0.5]), knots)
+    assert max_speed(ens) == support_radius(make_measure([[3e200, 4e200]], [1.0]))
+    assert max_speed(ens) == pytest.approx(5e200, rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # fiber-barycenter verification
 # ---------------------------------------------------------------------------
