@@ -357,8 +357,7 @@ def _unit(total: float, mass: np.ndarray, w: np.ndarray, gid: np.ndarray | None,
 
 def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None = None, *,
             ordered: bool = False, tested: bool = False,
-            base: "DiscreteMeasure | None" = None,
-            tol: float = MERGE_TOL) -> "DiscreteMeasure | LiftedMeasure":
+            base: "DiscreteMeasure | None" = None) -> "DiscreteMeasure | LiftedMeasure":
     """The measure on rows the library derived from canonical measures: a
     ``DiscreteMeasure`` on ``rows``, or with ``velocities`` the
     ``LiftedMeasure`` on the rows (``rows``, ``velocities``).
@@ -374,13 +373,15 @@ def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None
     the checks and the kernel work whose outcome that fixes:
 
     * ``ordered``: the rows are in canonical order, lexicographically
-      sorted and pairwise farther than ``tol`` apart in the l-inf distance
-      as computed, finite, and hold no -0.0: a canonical measure's or
-      lift's rows, some of them in order, or rows built from them in
-      order.  On such rows the kernel keeps every row in place as a group
-      of its own: by the argument in ``_canonical``'s docstring when every
-      first gap exceeds ``tol``, and otherwise because sorted rows are not
-      moved and the scan finds no two rows within ``tol``.  Its weights
+      sorted and pairwise farther than ``MERGE_TOL`` apart in the l-inf
+      distance as computed, finite, and hold no -0.0: a canonical
+      measure's or lift's rows, some of them in order, rows built from
+      them in order, or rows canonical at a larger tolerance, as
+      ``coalesce``'s.  On such rows the kernel keeps every row in place as
+      a group of its own: by the argument in ``_canonical``'s docstring
+      when every first gap exceeds ``MERGE_TOL``, and otherwise because
+      sorted rows are not moved and the scan finds no two rows within
+      ``MERGE_TOL``.  Its weights
       are then ``0.0 + w = w``, so only its tail (``_unit``) runs, and the
       rows are kept as they are.  Other rows are tested, with the error
       ``canonical_support`` raises, by their least and greatest coordinate
@@ -405,8 +406,6 @@ def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None
       and keep them, as they are tested), and a custom rule's lift's base
       for that lift's columns.  If the lift keeps every row and weight,
       ``base`` is its base, and it is not computed.
-    * ``tol``: the merge tolerance, ``MERGE_TOL`` or, for ``coalesce``,
-      more.
 
     Given both ``ordered`` and ``tested``, as a splitting lift whose median
     atom moves whole, a ``mean-velocity`` lift and the nodes and lifts of
@@ -428,7 +427,7 @@ def _derive(rows: np.ndarray, weights: np.ndarray, velocities: np.ndarray | None
         lo, hi = _bounds(pts)
         if not (-math.inf < lo and hi < math.inf):
             raise ValueError("atom coordinates must be finite")
-        atoms, mass = _canonical(pts, weights, tol, not math.isfinite(hi - lo), tested)
+        atoms, mass = _canonical(pts, weights, MERGE_TOL, not math.isfinite(hi - lo), tested)
         cols = _columns(atoms) if lifted else (atoms,)
     else:
         *cols, mass = _unit(float(np.add.reduce(weights)), weights, weights, None, *cols)
@@ -698,8 +697,9 @@ def coalesce(mu: DiscreteMeasure, tol: float) -> DiscreteMeasure:
     """
     if not tol >= 0:  # NaN fails too
         raise ValueError("tol must be >= 0")
-    # mu's arrays are canonical, and so valid: one pass of the kernel
-    return _derive(mu.atoms, mu.weights, tested=True, tol=max(tol, MERGE_TOL))
+    # the coalesced rows are canonical at max(tol, MERGE_TOL) >= MERGE_TOL
+    atoms, weights = canonical_support(mu.atoms, mu.weights, max(tol, MERGE_TOL))
+    return _derive(atoms, weights, ordered=True, tested=True)
 
 
 def base_of(lifted: LiftedMeasure) -> DiscreteMeasure:

@@ -29,16 +29,21 @@ Wasserstein distance is instead integrated exactly from the CDF
 difference, which doubles as an independent cross-check of the simplex
 in the test suite.
 
-``lp_solve`` checks its input, which comes from outside the package.
-The distances build their costs from canonical measures and hand their
-weights to the same solve, ``_lp``, which tests only that the costs are
-finite.
+Every coupling comes from one solve, ``_lp``, the one caller of the
+simplex: ``lp_solve``, the distances and both stages of
+``fiber_pseudometric``.  It rescales marginals whose totals differ to
+their mean total, checks the plan's marginals, and returns the plan, its
+value, the basic cells and the reduced costs.  ``lp_solve`` checks its
+input, which comes from outside the package.  The distances build their
+costs from canonical measures and hand their weights to ``_lp``
+unchecked; the simplex tests only that the costs are finite.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Optional
@@ -226,7 +231,8 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
     """Transportation simplex on a strongly feasible tree.
 
     ``a`` and ``b`` are positive marginals, not checked here: ``lp_solve``
-    checks outside input, and ``_lp`` takes canonical weights.  The basis
+    checks outside input, and ``_lp``, the one caller, takes canonical
+    weights and rescales them to their mean total.  The basis
     starts at ``flow`` (the basic cells of an earlier solve with the same
     marginals) when it is given.  Otherwise it starts at the north-west
     corner, which is
@@ -437,11 +443,17 @@ def lp_solve(
         isinstance(max_iter, numbers.Integral) and not isinstance(max_iter, bool) and max_iter >= 0
     ):
         raise ValueError(f"max_iter must be None or an integer >= 0, got {max_iter!r}")
-    return _lp(C, r, c, max_iter)
+    return _lp(C, r, c, max_iter)[:2]
 
 
-def _lp(C: np.ndarray, r: np.ndarray, c: np.ndarray, max_iter: Optional[int] = None):
-    """The solve of ``lp_solve``, on marginals it does not check.
+# what ``_lp`` computes: the plan and its value, then the basic cells with
+# their masses and the reduced costs of the problem the simplex solved
+_Solve = namedtuple("_Solve", "plan value cells reduced")
+
+
+def _lp(C: np.ndarray, r: np.ndarray, c: np.ndarray, max_iter=None, flow=None, allowed=None):
+    """The solve of ``lp_solve``, on marginals it does not check: the one
+    caller of ``_simplex``, so every coupling of the package comes from it.
 
     ``lp_solve`` calls it after its checks.  The distances call it with the
     weights of canonical measures: each is at least ``WEIGHT_FLOOR`` > 0,
@@ -451,6 +463,23 @@ def _lp(C: np.ndarray, r: np.ndarray, c: np.ndarray, max_iter: Optional[int] = N
     and the cost matrix built from the atoms has their shape.  A cost that
     overflowed to inf, or is NaN, raises in ``_simplex`` the error
     ``lp_solve`` raises for such costs.
+
+    Marginals whose totals differ are rescaled to their mean total, and
+    the plan's marginals are checked against ``r`` and ``c``.  ``flow``
+    and ``allowed`` are handed to ``_simplex``: a warm start from the
+    cells of an earlier solve with the same marginals, and the cells that
+    may enter.  They index the whole matrix, so they are for marginals
+    with no zero entry, which canonical weights always are.  The cells
+    and reduced costs returned index the whole matrix too, or, where a
+    marginal has zero entries, the rows and columns of positive mass that
+    the simplex solved.
+
+    Returns a ``_Solve``.  Its value is ``np.sum(C * plan.mass)``, which
+    the distances return unclamped, since for their costs it is >= +0.0
+    and never -0.0.  Those costs are norms or sums of norms, so >= +0.0
+    and never -0.0.  Every basic mass is >= +0.0: a start takes ``min(ra,
+    rb)`` of what is left, and a pivot subtracts the smallest mass that
+    loses.  So every product, and numpy's sum of them, is >= +0.0.
     """
     m, n = C.shape
     cap = int(max_iter) if max_iter is not None else 10 * m * n
@@ -460,19 +489,21 @@ def _lp(C: np.ndarray, r: np.ndarray, c: np.ndarray, max_iter: Optional[int] = N
     else:
         rows, cols = np.flatnonzero(r), np.flatnonzero(c)
         a, b = r[rows], c[cols]
-    if a.sum() != b.sum():
+    sa, sb = a.sum(), b.sum()
+    if sa != sb:
         # balance the totals, or the north-west corner strands the excess
         # in its last cell; each marginal moves by at most half their gap
-        total = (a.sum() + b.sum()) / 2.0
-        a, b = a * (total / a.sum()), b * (total / b.sum())
-    flow, _, _ = _simplex(C if full else C[np.ix_(rows, cols)], a, b, cap)
-    plan = _dense(flow, (m, n), None if full else (rows, cols))
+        total = (sa + sb) / 2.0
+        a, b = a * (total / sa), b * (total / sb)
+    cells, reduced, _ = _simplex(C if full else C[np.ix_(rows, cols)], a, b, cap,
+                                 flow=flow, allowed=allowed)
+    plan = _dense(cells, (m, n), None if full else (rows, cols))
     if (
         np.max(np.abs(plan.row_marginals - r)) > AGREE_TOL
         or np.max(np.abs(plan.col_marginals - c)) > AGREE_TOL
     ):  # pragma: no cover - the balanced totals keep the plan within tolerance
         raise LpFailureError("solver returned a plan violating the marginals")
-    return plan, float(np.sum(C * plan.mass))
+    return _Solve(plan, float(np.sum(C * plan.mass)), cells, reduced)
 
 
 def _dense(flow: dict[tuple[int, int], float], shape: tuple[int, int], index=None) -> TransportPlan:
@@ -548,8 +579,7 @@ def w1_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, method: str = "auto") 
         return 0.0
     if method == "quantile":
         return _w1_quantile(mu, nu)
-    _, value = _lp(_pairwise_dist(mu.atoms, nu.atoms), mu.weights, nu.weights)
-    return max(value, 0.0)
+    return _lp(_pairwise_dist(mu.atoms, nu.atoms), mu.weights, nu.weights).value
 
 
 def w1_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[TransportPlan, float]:
@@ -567,7 +597,7 @@ def w1_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[TransportPlan, fl
     if mu.dim == 1:
         cells = _north_west(mu.weights.tolist(), nu.weights.tolist())
         return _dense(cells, (mu.natoms, nu.natoms)), _w1_quantile(mu, nu)
-    return _lp(_pairwise_dist(mu.atoms, nu.atoms), mu.weights, nu.weights)
+    return _lp(_pairwise_dist(mu.atoms, nu.atoms), mu.weights, nu.weights)[:2]
 
 
 def lifted_w1(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
@@ -581,8 +611,7 @@ def lifted_w1(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
     cost = _pairwise_dist(v1.positions, v2.positions) + _pairwise_dist(
         v1.velocities, v2.velocities
     )
-    _, value = _lp(cost, v1.weights, v2.weights)
-    return max(value, 0.0)
+    return _lp(cost, v1.weights, v2.weights).value
 
 
 def fiber_pseudometric(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
@@ -594,7 +623,10 @@ def fiber_pseudometric(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
     couplings are the couplings carried by the cells of zero stage-one
     reduced cost.  Stage two starts from the stage-one optimal tree and
     minimizes the velocity cost |v - w| over the cells whose reduced cost
-    is at most ``TIGHT_TOL`` (1 + W*).  Its value lies between the optimum
+    is at most ``TIGHT_TOL`` (1 + W*).  Each stage is one solve of
+    ``_lp``, as every other coupling is: W* is stage one's value, the
+    tight cells come from its reduced costs, and its basic cells are
+    stage two's warm start.  Its value lies between the optimum
     over couplings within ``TIGHT_TOL`` (1 + W*) of W* and the exact
     optimum over the position-optimal face.
 
@@ -604,11 +636,7 @@ def fiber_pseudometric(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
     """
     _same_dim(v1.dim, v2.dim)
     a, b = v1.weights, v2.weights
-    cap = 10 * a.size * b.size
-    pos_cost = _pairwise_dist(v1.positions, v2.positions)
-    flow, reduced, _ = _simplex(pos_cost, a, b, cap)
-    wstar = float(sum(pos_cost[e] * x for e, x in flow.items()))
-    tight = reduced <= TIGHT_TOL * (1.0 + wstar)
-    vel_cost = _pairwise_dist(v1.velocities, v2.velocities)
-    flow, _, _ = _simplex(vel_cost, a, b, cap, flow=flow, allowed=tight)
-    return max(float(sum(vel_cost[e] * x for e, x in flow.items())), 0.0)
+    place = _lp(_pairwise_dist(v1.positions, v2.positions), a, b)
+    tight = place.reduced <= TIGHT_TOL * (1.0 + place.value)
+    return _lp(_pairwise_dist(v1.velocities, v2.velocities), a, b,
+               flow=place.cells, allowed=tight).value

@@ -10,11 +10,13 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# ten times the examples, for the differential tests of the grouping kernel
-# and of the scheme routes:
+# ten times the examples, for the differential tests of the grouping kernel,
+# of the scheme routes and of the transport solves:
 # HYPOTHESIS_PROFILE=deep python -m pytest tests/test_measures.py -k ...
 # HYPOTHESIS_PROFILE=deep python -m pytest tests/test_schemes.py \
 #     -k "step_loop or read_only or adopt_route"
+# HYPOTHESIS_PROFILE=deep python -m pytest tests/test_transport.py \
+#     -k "fiber_pseudometric or lp_solve_degenerate or strongly_feasible or degenerate_problems"
 settings.register_profile("deep", settings.get_profile("mdelab"), max_examples=600)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "mdelab"))
 

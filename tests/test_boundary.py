@@ -14,7 +14,9 @@ with ``object.__new__``, never on a value another function built.
 In the same way ``transport._lp`` solves a transport problem whose
 marginals it does not check: the distances hand it canonical weights, and
 ``lp_solve`` checks outside input before it calls it.  Only ``transport``
-may call it.
+may call it.  It is the one caller of the simplex ``_simplex``, so every
+coupling, both stages of ``fiber_pseudometric`` included, gets its
+rescaled marginals and its marginal check.
 
 The package computes every quantity inside numpy's elementwise loops and
 reductions, whose bits depend on numpy's summation order alone.  So it
@@ -33,16 +35,19 @@ ALLOWED = {"measures.py", "pvf.py", "schemes.py"}
 ROOT = Path(mdelab.__file__).parent
 
 
+def callee(node) -> str | None:
+    """The name a call calls, bare or as an attribute; None for any other node."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def unchecked_calls(path: Path, names=UNCHECKED) -> list[str]:
     """Calls to one of ``names`` in a source file, as file:line: name."""
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name in names:
-                found.append(f"{path.name}:{node.lineno}: {name}")
-    return found
+    return [f"{path.name}:{node.lineno}: {callee(node)}"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if callee(node) in names]
 
 
 def sources() -> list[Path]:
@@ -110,6 +115,29 @@ def test_the_unchecked_solve_is_called_only_inside_transport():
     assert calls[transport]  # guards against a rename that would leave the test vacuous
 
 
+def calls_by_function(path: Path, names) -> list[tuple[str, str]]:
+    """Calls to one of ``names`` in a source file, as (file:line, name of
+    the innermost enclosing function)."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if callee(child) in names:
+                found.append((f"{path.name}:{child.lineno}", func))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else func)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return found
+
+
+def test_the_simplex_is_called_only_by_the_unchecked_solve():
+    calls = [call for path in sources() for call in calls_by_function(path, {"_simplex"})]
+    assert [where for where, func in calls if func != "_lp"] == []
+    # guards against a rename that would leave the test vacuous
+    assert [func for _, func in calls] == ["_lp"]
+
+
 BLAS = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
 
 
@@ -123,8 +151,7 @@ def cpu_chosen(source: str, name: str = "<source>") -> list[str]:
     found = []
     for node in ast.walk(ast.parse(source, filename=name)):
         if isinstance(node, ast.Call):
-            func = node.func
-            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            func, called = node.func, callee(node)
             norm = (called == "norm" and isinstance(func, ast.Attribute)
                     and getattr(func.value, "attr", None) == "linalg"
                     and "axis" not in {k.arg for k in node.keywords})

@@ -23,7 +23,7 @@ from mdelab import (
     w1_plan,
 )
 from mdelab import transport
-from mdelab.tolerances import AGREE_TOL, REDUCED_COST_TOL, TIGHT_TOL
+from mdelab.tolerances import AGREE_TOL, REDUCED_COST_TOL
 from mdelab.analysis import TestFunction
 
 
@@ -415,9 +415,17 @@ def test_simplex_matches_reference_on_2d_pairs(n):
         _same_as_reference(_cost(mu, nu), mu.weights, nu.weights)
 
 
-def test_simplex_matches_reference_through_both_fiber_stages():
-    # the stages of fiber_pseudometric: a cold start, then a warm start
-    # from the stage-one tree restricted to the tight cells
+def test_simplex_matches_reference_through_both_fiber_stages(monkeypatch):
+    # the solves of fiber_pseudometric, as it makes them: a cold start, then
+    # a warm start from the stage-one tree restricted to the tight cells
+    solves = []
+    simplex = transport._simplex
+
+    def recorded(C, a, b, cap, **kw):
+        solves.append((C, a, b, kw))
+        return simplex(C, a, b, cap, **kw)
+
+    monkeypatch.setattr(transport, "_simplex", recorded)
     rng = np.random.default_rng(47)
     for _ in range(5):
         v1, v2 = (
@@ -425,13 +433,11 @@ def test_simplex_matches_reference_through_both_fiber_stages():
                         rng.uniform(-1.0, 1.0, (20, 1)), rng.uniform(0.5, 1.5, 20))
             for _ in range(2)
         )
-        a, b = v1.weights, v2.weights
-        pos_cost = np.abs(v1.positions - v2.positions.T)
-        flow, R = _same_as_reference(pos_cost, a, b)
-        wstar = float(sum(pos_cost[e] * x for e, x in flow.items()))
-        tight = R <= TIGHT_TOL * (1.0 + wstar)
-        vel_cost = np.abs(v1.velocities - v2.velocities.T)
-        _same_as_reference(vel_cost, a, b, flow=flow, allowed=tight)
+        fiber_pseudometric(v1, v2)
+    monkeypatch.undo()
+    assert len(solves) == 10
+    for C, a, b, kw in solves:
+        _same_as_reference(C, a, b, **kw)
 
 
 def test_least_cost_start_is_a_positive_spanning_tree():
@@ -830,3 +836,42 @@ def test_fiber_pseudometric_between_relaxed_and_face_optimum_random():
                 for v in (v1, v2)
             )
         _check_fiber_sandwich(v1, v2)
+
+
+def test_both_fiber_stages_solve_balanced_marginals_from_one_tree(monkeypatch):
+    # canonical weights whose totals differ in the last bits: both stages go
+    # through _lp, so each solves the marginals rescaled to their mean total
+    # that lifted_w1's solve gets, and stage two starts from stage one's basic cells
+    solves = []
+    simplex = transport._simplex
+
+    def recorded(C, a, b, cap, **kw):
+        out = simplex(C, a, b, cap, **kw)
+        solves.append((a, b, kw, out[0]))
+        return out
+
+    monkeypatch.setattr(transport, "_simplex", recorded)
+    rng = np.random.default_rng(101)
+    unequal = 0
+    while unequal < 20:
+        v1, v2 = (
+            make_lifted(rng.choice(rng.uniform(-1.0, 1.0, 5), (n, 1)),
+                        rng.uniform(-1.0, 1.0, (n, 1)), rng.uniform(0.5, 1.5, n))
+            for n in (int(k) for k in rng.integers(2, 12, 2))
+        )
+        if v1.weights.sum() == v2.weights.sum():
+            continue
+        unequal += 1
+        solves.clear()
+        lifted_w1(v1, v2)
+        [(a, b, _, _)] = solves
+        # the rescaling moved the marginals
+        assert not (np.array_equal(a, v1.weights) and np.array_equal(b, v2.weights))
+        solves.clear()
+        fiber_pseudometric(v1, v2)
+        [(a1, b1, kw1, cells), (a2, b2, kw2, _)] = solves
+        for x, y in ((a1, b1), (a2, b2)):
+            assert np.array_equal(x, a) and np.array_equal(y, b)
+        assert kw1.get("flow") is None and kw1.get("allowed") is None
+        assert list(kw2["flow"].items()) == list(cells.items())
+        assert kw2["allowed"][tuple(np.array(list(cells)).T)].all()

@@ -37,7 +37,7 @@ from mdelab import (
 )
 from mdelab import transport
 
-DIGEST = "cd79185c51a13aeb48cd9ff688daa92fc36f6022006798289b703328d5313c53"
+DIGEST = "f60bd30e36fe8974ae323d5b65543a0e0d7dbf3a2b808b30c9dbb442654cd420"
 
 
 def _feed(h, *arrays):
