@@ -24,7 +24,7 @@ from .errors import DimMismatchError, EmptyInputError
 from .measures import DiscreteMeasure, _radius, is_real
 from .pvf import PvfSpec, eval_pvf
 from .schemes import MeasurePath, interpolate_at
-from .transport import w1_distance
+from .transport import _w1_sweep
 
 # sup of |grad f| for the cubic bump, attained at |x-c| = r/sqrt(5)
 _GRAD_SUP = 96.0 / (25.0 * np.sqrt(5.0))
@@ -239,13 +239,15 @@ class ConvergenceTable:
 ReferenceLike = Union[MeasurePath, Callable[[float], DiscreteMeasure]]
 
 
-def _along(path: MeasurePath) -> Callable[[float], DiscreteMeasure]:
-    return lambda t: interpolate_at(path, t)
+def _at(source: ReferenceLike, times: np.ndarray) -> list[DiscreteMeasure]:
+    """``source``, a path or a callable t -> measure, at each of ``times``."""
+    at = (lambda t: interpolate_at(source, t)) if isinstance(source, MeasurePath) else source
+    return [at(t) for t in times.tolist()]
 
 
-def _sup_w1(a, b, times) -> float:
-    """max over ``times`` of W1(a(t), b(t)), for callables t -> measure."""
-    return float(max(w1_distance(a(float(t)), b(float(t))) for t in times))
+def _sup_w1(ms: Sequence[DiscreteMeasure], ns: Sequence[DiscreteMeasure]) -> float:
+    """max over k of W1(ms[k], ns[k]): one sweep."""
+    return float(_w1_sweep(ms, ns).max())
 
 
 def convergence_study(
@@ -257,8 +259,12 @@ def convergence_study(
 
     N and T are read off the paths.  With a reference (path or callable
     t -> measure), each path is compared against it at the coarsest path's
-    node times.  Without one, consecutive paths are compared with each
-    other at the coarser path's node times.
+    node times; the reference is evaluated once per time, and each path is
+    one sweep against those measures.  Without one, consecutive paths are
+    compared with each other at the coarser path's node times, one sweep
+    per pair.  A sweep takes W1 on the line for all node pairs of one shape
+    in one kernel call, or one per block of a large group
+    (``transport._w1_sweep``).
     """
     paths = list(paths)
     if len(paths) == 0:
@@ -267,14 +273,14 @@ def convergence_study(
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N must strictly increase along the paths")
     if reference is not None:
-        ref = _along(reference) if isinstance(reference, MeasurePath) else reference
-        errors = tuple(_sup_w1(_along(p), ref, paths[0].times) for p in paths)
+        ref = _at(reference, paths[0].times)
+        errors = tuple(_sup_w1(_at(p, paths[0].times), ref) for p in paths)
         mode = "reference"
     elif len(paths) < 2:
         raise ValueError("successive mode needs at least two paths")
     else:
         errors = tuple(
-            _sup_w1(_along(coarse), _along(fine), coarse.times)
+            _sup_w1(_at(coarse, coarse.times), _at(fine, coarse.times))
             for coarse, fine in zip(paths, paths[1:])
         )
         Ns, mode = Ns[:-1], "successive"
@@ -310,6 +316,8 @@ def scheme_compare(runs: Mapping[str, MeasurePath]) -> ComparisonTable:
     path object share its sweeps: a pair of one object with itself has gap
     0.0, as the W1 of equal measures is, and each ordered pair of distinct
     objects is swept once, so a repeat gets the bits a second sweep would.
+    A sweep takes W1 on the line for all node pairs of one shape in one
+    kernel call, or one per block of a large group (``transport._w1_sweep``).
     """
     tags = list(runs)
     if len(tags) == 0:
@@ -323,7 +331,7 @@ def scheme_compare(runs: Mapping[str, MeasurePath]) -> ComparisonTable:
     for a, b in pairs:
         key = (id(runs[a]), id(runs[b]))
         if key not in sweeps:
-            sweeps[key] = float(max(map(w1_distance, runs[a].measures, runs[b].measures)))
+            sweeps[key] = _sup_w1(runs[a].measures, runs[b].measures)
     gaps = tuple(sweeps[id(runs[a]), id(runs[b])] for a, b in pairs)
     N = first.times.shape[0] - 1
     return ComparisonTable(N=N, T=first.T, pairs=pairs, gaps=gaps)

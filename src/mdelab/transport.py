@@ -27,7 +27,11 @@ buffer of the whole matrix that holds the reduced costs when the solve
 ends.  Equal measures are at distance 0 with no solve.  On the line the
 Wasserstein distance is instead integrated exactly from the CDF
 difference, which doubles as an independent cross-check of the simplex
-in the test suite.
+in the test suite.  That integral is a row kernel: it takes a batch of
+pairs of one shape, (m, n) atoms, and a single pair is a batch of one.
+A path sweep (``_w1_sweep``) groups its node pairs by shape and calls the
+kernel once per group, or per block of a large group, each value bit for
+bit the single pair's.
 
 Every coupling comes from one solve, ``_lp``, the one caller of the
 simplex: ``lp_solve``, the distances and both stages of
@@ -531,31 +535,59 @@ def _pairwise_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 def _w1_quantile(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Exact 1-D Wasserstein-1 as the integral of |F_mu - F_nu|.
+    """Exact 1-D Wasserstein-1 of one pair: ``_w1_rows`` on a batch of one,
+    taken on views of the measures' arrays."""
+    return float(_w1_rows(mu.atoms.T, nu.atoms.T, mu.weights[None], nu.weights[None])[0])
+
+
+def _w1_rows(a: np.ndarray, b: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """Exact 1-D Wasserstein-1 per row, the integral of |F_a - F_b|, for the
+    rows of ``_cdf_gap_integral``.
 
     Atoms that span more than the float range overflow a gap of the grid.
-    Only then, when the integral is not finite, is it taken again on the
-    halved coordinates and doubled, so every other pair keeps its bits.
+    Only on the rows whose integral is then not finite is it taken again on
+    the halved coordinates and doubled, so every other row keeps its bits.
     """
-    a = mu.atoms[:, 0]
-    b = nu.atoms[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _cdf_gap_integral(a, b, mu.weights, nu.weights)
-    if not math.isfinite(value):
-        with np.errstate(under="ignore"):
-            value = 2.0 * _cdf_gap_integral(a / 2.0, b / 2.0, mu.weights, nu.weights)
-    return value
+        values = _cdf_gap_integral(a, b, wa, wb)
+        # one reduce tests every row; if finite rows sum past the float range,
+        # the mask below is merely empty
+        finite = math.isfinite(np.add.reduce(values))
+    if not finite:
+        bad = ~np.isfinite(values)
+        with np.errstate(under="ignore", over="ignore"):
+            values[bad] = 2.0 * _cdf_gap_integral(a[bad] / 2.0, b[bad] / 2.0, wa[bad], wb[bad])
+    return values
 
 
-def _cdf_gap_integral(a: np.ndarray, b: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> float:
-    """The integral of |F_a - F_b| over the line, for sorted atoms ``a`` and
-    ``b`` with weights ``wa`` and ``wb``."""
-    grid = np.sort(np.concatenate([a, b]))
-    cwa = np.concatenate([[0.0], np.cumsum(wa)])
-    cwb = np.concatenate([[0.0], np.cumsum(wb)])
-    fa = cwa[np.searchsorted(a, grid, side="right")]
-    fb = cwb[np.searchsorted(b, grid, side="right")]
-    return float(np.sum(np.abs(fa - fb)[:-1] * np.diff(grid)))
+def _cdf_gap_integral(a: np.ndarray, b: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """The integral of |F_a - F_b| over the line, one per row: for rows of
+    sorted atoms ``a`` (k, m) and ``b`` (k, n) with weights ``wa`` (k, m)
+    and ``wb`` (k, n), the k integrals.
+
+    Each row merges its atoms by a stable argsort, which puts an atom of
+    ``a`` before an equal one of ``b``.  One prefix sum along the merged
+    order, over ``wa`` padded with zeros and over zeros then ``wb``, gives
+    F_a and F_b at every merged point; the zeros add +0.0, which changes no
+    bit.  At a tie the first tied point may lack the other atom's mass, but
+    its grid step is 0, so its term is +0.0 either way, and the last tied
+    point sees both masses.  So every term is the one that searching each
+    atom list for the merged grid gives, and a reduce along the contiguous
+    last axis is numpy's pairwise sum of the row, as ``np.sum`` of the row
+    alone is: a row's value does not depend on the rows beside it.
+    """
+    k, m = a.shape
+    size = m + b.shape[1]
+    x = np.concatenate((a, b), axis=1)
+    order = np.argsort(x, axis=1, kind="stable")
+    order += np.arange(0, k * size, size)[:, None]  # indices into the flat rows
+    w = np.zeros((2, k, size))
+    w[0, :, :m] = wa
+    w[1, :, m:] = wb
+    cdf = np.add.accumulate(w.reshape(2, -1)[:, order], axis=-1)
+    grid = x.reshape(-1)[order]
+    gaps = np.abs(cdf[0] - cdf[1])[:, :-1] * (grid[:, 1:] - grid[:, :-1])
+    return np.add.reduce(gaps, axis=1)
 
 
 def w1_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, method: str = "auto") -> float:
@@ -566,7 +598,8 @@ def w1_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, method: str = "auto") 
     measures up to float roundoff, which the test suite exploits by
     comparing them against each other.  Both return 0.0 for equal measures
     (``==``, which compares the bits of canonical arrays) without
-    integrating or solving.
+    integrating or solving.  The quantile route is the row kernel of a
+    path sweep on a batch of one, so a sweep's values are this one's.
     """
     _same_dim(mu.dim, nu.dim)
     if method == "auto":
@@ -580,6 +613,45 @@ def w1_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, method: str = "auto") 
     if method == "quantile":
         return _w1_quantile(mu, nu)
     return _lp(_pairwise_dist(mu.atoms, nu.atoms), mu.weights, nu.weights).value
+
+
+# merged atoms per call of the row kernel in a sweep; a larger block measured
+# slower per row (its temporaries, about ten times its atoms, leave the cache)
+# and its memory grows with the path
+_SWEEP_POINTS = 4096
+
+
+def _w1_sweep(ms, ns) -> np.ndarray:
+    """``w1_distance(ms[i], ns[i])`` for every i, bit for bit, in one pass
+    over two equally long lists of measures.
+
+    Bit-equal pairs are 0.0 with no work.  On the line the other pairs are
+    grouped by their atom counts (m, n): a group of several is stacked and
+    integrated by one call of the row kernel, in blocks of at most
+    ``_SWEEP_POINTS`` merged atoms, and a lone pair goes through as views
+    of its arrays, as ``w1_distance`` takes it.  Elsewhere each pair is one
+    solve.  A pair of two dimensions raises DimMismatchError.
+    """
+    values = np.zeros(len(ms))
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (mu, nu) in enumerate(zip(ms, ns)):
+        _same_dim(mu.dim, nu.dim)
+        if mu == nu:
+            continue
+        if mu.dim == 1:
+            groups.setdefault((mu.natoms, nu.natoms), []).append(i)
+        else:
+            values[i] = _lp(_pairwise_dist(mu.atoms, nu.atoms), mu.weights, nu.weights).value
+    for (m, n), ks in groups.items():
+        step = max(1, _SWEEP_POINTS // (m + n))
+        for part in (ks[s:s + step] for s in range(0, len(ks), step)):
+            if len(part) == 1:  # views of the pair's arrays, as w1_distance takes them
+                values[part[0]] = _w1_quantile(ms[part[0]], ns[part[0]])
+            else:
+                (a, wa), (b, wb) = ((np.stack([x[k].atoms[:, 0] for k in part]),
+                                     np.stack([x[k].weights for k in part])) for x in (ms, ns))
+                values[part] = _w1_rows(a, b, wa, wb)
+    return values
 
 
 def w1_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[TransportPlan, float]:

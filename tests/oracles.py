@@ -9,8 +9,9 @@ duals bounds the optimum from below), brute-force vertex enumeration, and
 the row-at-a-time greedy grouping scan that defines canonical-form
 merging, so agreement with the package is meaningful.
 
-The loop references at the end (the splitting lift and its median,
-curve gluing and the weak residual) are the per-atom and per-pair loops,
+The loop references at the end (the CDF integral of one pair on the
+line, the splitting lift and its median, curve gluing and the weak
+residual) are the per-atom and per-pair loops,
 or the earlier forms, that the package's whole-array kernels replace.
 They take plain arrays and use the same floating-point operations in the
 same order, so the kernels must match them bit for bit.  The per-fiber
@@ -486,6 +487,31 @@ def simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
 # ---------------------------------------------------------------------------
 # loop references for the whole-array kernels
 # ---------------------------------------------------------------------------
+
+def cdf_gap_pair(a, b, wa, wb) -> float:
+    """The integral of |F_a - F_b| over the line for one pair of sorted atom
+    lists ``a`` and ``b`` with weights ``wa`` and ``wb``: the merged grid is
+    sorted, and each CDF is read at every grid point by searching its own
+    atoms.  The per-pair form of the package's row kernel."""
+    grid = np.sort(np.concatenate([a, b]))
+    cwa = np.concatenate([[0.0], np.cumsum(wa)])
+    cwb = np.concatenate([[0.0], np.cumsum(wb)])
+    fa = cwa[np.searchsorted(a, grid, side="right")]
+    fb = cwb[np.searchsorted(b, grid, side="right")]
+    return float(np.sum(np.abs(fa - fb)[:-1] * np.diff(grid)))
+
+
+def w1_quantile_pair(a, b, wa, wb) -> float:
+    """1-D Wasserstein-1 of one pair by ``cdf_gap_pair``; an integral that is
+    not finite (atoms spanning more than the float range) is taken again on
+    the halved coordinates and doubled."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = cdf_gap_pair(a, b, wa, wb)
+    if not math.isfinite(value):
+        with np.errstate(under="ignore"):
+            value = 2.0 * cdf_gap_pair(a / 2.0, b / 2.0, wa, wb)
+    return value
+
 
 def splitting_lift_loop(xs, ws, B, eta, cdf_left):
     """The splitting rule's raw lift, one atom at a time.

@@ -231,3 +231,77 @@ def transport_problems(draw, max_side: int = 6):
         va, vb = ints(m, -2, 2), ints(n, -2, 2)
         cost = np.abs(pa[:, None] - pb[None, :]) + np.abs(va[:, None] - vb[None, :])
     return cost, marginal(m), marginal(n)
+
+
+def line_coordinates(kind: str):
+    """Coordinates for the CDF kernel on the line, +0.0 for a zero as in a
+    canonical measure: a small pool that both measures of a pair share, so
+    their atoms tie, or any finite value in [-8, 8].  A "wide" row adds
+    values near the ends of the float range, whose grid gaps overflow, and
+    a "tiny" row subnormal ones, which halving would round."""
+    pool = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 3.0]) | finite.map(lambda x: x + 0.0)
+    if kind == "wide":
+        pool |= st.sampled_from([-1.7976931348623157e308, -1e308, 1e308, 1.5e308])
+    elif kind == "tiny":
+        pool |= st.sampled_from([5e-324, 1.5e-323, 2.5e-320, 1e-310, -3e-318])
+    return pool
+
+
+def line_weights(draw, n: int) -> np.ndarray:
+    """n positive weights normalized to one; some raw weights sit at 1e-15,
+    so that after normalizing they land beside the weight floor."""
+    w = np.array(draw(st.lists(positive_weight | st.sampled_from([1e-15, 2e-15]),
+                               min_size=n, max_size=n)))
+    return w / w.sum()
+
+
+@st.composite
+def cdf_batches(draw, max_rows: int = 5, max_atoms: int = 12):
+    """A batch for the row kernel: (a, b, wa, wb) with k rows of m sorted
+    atoms in ``a`` and k of n in ``b``, weights from ``line_weights``.  Each
+    row draws from ``line_coordinates`` of its own kind, so a batch may
+    overflow on some rows only.  Atoms of one row may repeat, as no
+    canonical measure's do, so that the order of a prefix sum shows; a row
+    of ``b`` may repeat the row of ``a`` bit for bit, and either side may
+    have one atom.
+    """
+    k, m, n = (draw(st.integers(1, top)) for top in (max_rows, max_atoms, max_atoms))
+    rows = []
+    for _ in range(k):
+        coords = line_coordinates(draw(st.sampled_from(["plain", "wide", "tiny"])))
+        unique = draw(st.booleans())
+
+        def side(size):
+            xs = sorted(draw(st.lists(coords, min_size=size, max_size=size, unique=unique)))
+            return xs, line_weights(draw, size)
+
+        a, wa = side(m)
+        b, wb = (a, wa) if m == n and draw(st.booleans()) else side(n)
+        rows.append((a, b, wa, wb))
+    a, b, wa, wb = (np.array(col, dtype=float).reshape(k, -1) for col in zip(*rows))
+    return a, b, wa, wb
+
+
+@st.composite
+def line_sweeps(draw, max_nodes: int = 8, max_atoms: int = 4):
+    """Two equally long lists of measures on the line, as a path sweep
+    pairs them: atom counts from a few values, so shapes repeat, and
+    plain or wide coordinates and weights as in ``cdf_batches``.  A pair may be two
+    bit-equal measures, or one measure twice."""
+    ms, ns = [], []
+    for _ in range(draw(st.integers(1, max_nodes))):
+        coords = line_coordinates(draw(st.sampled_from(["plain", "wide"])))
+        pair = []
+        for _ in range(2):
+            n = draw(st.integers(1, max_atoms))
+            xs = draw(st.lists(coords, min_size=n, max_size=n, unique=True))
+            pair.append(make_measure(np.array(xs)[:, None], line_weights(draw, n)))
+        mu, nu = pair
+        same = draw(st.sampled_from(["no", "no", "copy", "object"]))
+        if same == "copy":
+            nu = make_measure(mu.atoms.copy(), mu.weights.copy())
+        elif same == "object":
+            nu = mu
+        ms.append(mu)
+        ns.append(nu)
+    return ms, ns

@@ -32,7 +32,7 @@ from mdelab import (
     scheme_compare,
     w1_distance,
 )
-from mdelab import analysis, superposition
+from mdelab import analysis, superposition, transport
 from mdelab.pvf import GRAPH_FIELDS
 
 SPLIT = SplittingParticlePvf()
@@ -389,6 +389,23 @@ def test_convergence_against_reference_path():
     assert table.errors[1] <= table.errors[0] + 1e-12
 
 
+def test_convergence_evaluates_its_reference_once_per_time():
+    asked = []
+
+    def closed(t):
+        asked.append(t)
+        xs, ws = oracles.splitting_dirac_atoms(0.0, t)
+        return make_measure([[x] for x in xs], ws)
+
+    paths = runs(SPLIT, dirac(0.0), LAGRANGIAN, [4, 8, 16])
+    table = convergence_study(paths, LAGRANGIAN, reference=closed)
+    times = paths[0].times.tolist()
+    assert asked == times
+    # the errors are the per-node loop's, bit for bit
+    loop = [max(w1_distance(interpolate_at(p, t), closed(t)) for t in times) for p in paths]
+    assert table.errors == tuple(loop)
+
+
 def test_convergence_successive_mode():
     table = convergence_study(runs(BINOMIAL, dirac(0.0), LAS, [2, 4, 8]), LAS)
     assert table.mode == "successive"
@@ -476,15 +493,57 @@ def test_scheme_compare_binomial_gaps_shrink():
         assert gap <= coarse.gap(a, b) + 1e-12
 
 
+def test_a_splitting_dirac_comparison_integrates_each_shape_once(monkeypatch):
+    paths = all_schemes(SPLIT, dirac(0.0), N=64)
+    loop = {(a, b): max(map(w1_distance, paths[a].measures, paths[b].measures))
+            for a in paths for b in paths}
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a sweep called w1_distance")
+
+    shapes, kernel = [], []
+    sweep, integral = transport._w1_sweep, transport._cdf_gap_integral
+
+    def grouping(ms, ns):
+        shapes.append({(mu.natoms, nu.natoms) for mu, nu in zip(ms, ns) if mu != nu})
+        return sweep(ms, ns)
+
+    def counting(a, *args):
+        kernel.append(a.shape[0])
+        return integral(a, *args)
+
+    monkeypatch.setattr(transport, "w1_distance", refused)
+    monkeypatch.setattr(analysis, "_w1_sweep", grouping)
+    monkeypatch.setattr(transport, "_cdf_gap_integral", counting)
+    table = scheme_compare(paths)
+    assert len(shapes) == 3
+    assert len(kernel) <= sum(map(len, shapes))  # at most one call per shape and sweep
+    assert sum(kernel) > len(kernel)  # nodes of one shape went through together
+    assert table.rows() == [(a, b, loop[a, b]) for a, b in table.pairs]
+
+
+def test_a_ragged_sweep_is_the_per_node_loop():
+    # from a 64-atom block the binomial rule gives nodes of growing size,
+    # so nearly every shape of a sweep is a group of one
+    mu0 = quantile_uniform(0.0, 1.0, 64)
+    a, b = (run_scheme(BINOMIAL, mu0, cfg(s, N=64)) for s in (LAGRANGIAN, MEAN_VELOCITY))
+    assert len({mu.natoms for mu in a.measures}) > 32
+    loop = list(map(w1_distance, a.measures, b.measures))
+    swept = transport._w1_sweep(a.measures, b.measures)
+    assert swept.tolist() == loop
+    assert np.signbit(swept).tolist() == np.signbit(loop).tolist()
+    assert scheme_compare({LAGRANGIAN: a, MEAN_VELOCITY: b}).gaps == (max(loop),)
+
+
 def test_scheme_compare_on_one_path_under_two_tags_is_the_table_of_two_copies(monkeypatch):
-    calls = []
-    real = analysis.w1_distance
+    calls = []  # one entry per node pair a sweep computes
+    real = analysis._w1_sweep
 
-    def counting(mu, nu):
-        calls.append(None)
-        return real(mu, nu)
+    def counting(ms, ns):
+        calls.extend(zip(ms, ns))
+        return real(ms, ns)
 
-    monkeypatch.setattr(analysis, "w1_distance", counting)
+    monkeypatch.setattr(analysis, "_w1_sweep", counting)
     path = run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, N=4))
     copy = run_scheme(BINOMIAL, dirac(0.0), cfg(LAS, N=4))
     other = run_scheme(BINOMIAL, dirac(0.0), cfg(MEAN_VELOCITY, N=4))

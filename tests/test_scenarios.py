@@ -477,18 +477,20 @@ def seeded_scenario(seed: int) -> Scenario:
 
 def count_calls(scn, *fns) -> list[int]:
     """Run ``scn``; the number of calls to each of ``fns``, counted in every
-    mdelab module that holds the function."""
+    mdelab module that holds the function.  An entry may be a pair (fn,
+    size) instead, and then each call counts ``size(*args)``."""
     counts = [0] * len(fns)
 
-    def counting(i, fn):
+    def counting(i, fn, size):
         def wrapper(*args, **kwargs):
-            counts[i] += 1
+            counts[i] += size(*args)
             return fn(*args, **kwargs)
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        for i, fn in enumerate(fns):
-            wrapper = counting(i, fn)
+        for i, entry in enumerate(fns):
+            fn, size = entry if isinstance(entry, tuple) else (entry, lambda *args: 1)
+            wrapper = counting(i, fn, size)
             for name, mod in list(sys.modules.items()):
                 if name.startswith("mdelab"):
                     for attr in [a for a, v in vars(mod).items() if v is fn]:
@@ -500,8 +502,9 @@ def count_calls(scn, *fns) -> list[int]:
 @pytest.mark.parametrize(
     "name, expected",
     [
-        # W1 calls, curve bundles and residuals; unshared, splitting-dirac
-        # makes 261 W1 calls and binomial 75 W1 calls and 9 bundles
+        # node pairs swept for W1, curve bundles and residuals; unshared,
+        # splitting-dirac sweeps 261 node pairs and binomial 75 node pairs
+        # and builds 9 bundles
         ("splitting-dirac", [87, 0, 0]),
         ("binomial", [33, 6, 0]),
         # no two schemes give one path: as unshared
@@ -512,7 +515,8 @@ def count_calls(scn, *fns) -> list[int]:
 )
 def test_shared_paths_share_their_work(tmp_path, name, expected):
     scn = dataclasses.replace(get_scenario(name), outputs=str(tmp_path))
-    fns = (transport.w1_distance, superposition.build_representation, analysis.residual)
+    pairs = (transport._w1_sweep, lambda ms, ns: len(ms))
+    fns = (pairs, superposition.build_representation, analysis.residual)
     # the memos live for one call: a second run in the process repeats the work
     assert [count_calls(scn, *fns) for _ in range(2)] == [expected] * 2
 

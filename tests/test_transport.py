@@ -242,6 +242,97 @@ def test_quantile_w1_of_atoms_spanning_the_float_range(mode):
     assert str(info.value) == "costs must be finite"
 
 
+def bits(values) -> list[int]:
+    """The bit patterns of float values, so NaNs and signed zeros compare too."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+# three rows of one batch: the first spans the float range and takes the
+# halved fallback; the second does not and must keep its bits, which
+# halving its subnormal gap would round away; the third is a W1 past the
+# float range, inf once doubled, with no warning
+_WIDE_AND_TINY = (
+    np.array([[-1e308, 1e308], [0.0, 5e-324], [-1.7e308, -1.6e308]]),
+    np.array([[-1e308, 1e308], [0.0, 1.5e-323], [1.6e308, 1.7e308]]),
+    np.array([[0.5, 0.5], [0.3, 0.7], [0.5, 0.5]]), np.array([[0.4, 0.6], [0.6, 0.4], [0.5, 0.5]]),
+)
+
+
+@given(sts.cdf_batches())
+@example(_WIDE_AND_TINY)
+def test_cdf_kernel_rows_are_the_per_pair_integral(batch):
+    a, b, wa, wb = batch
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = transport._cdf_gap_integral(a, b, wa, wb)
+        expected = [oracles.cdf_gap_pair(*row) for row in zip(a, b, wa, wb)]
+    assert bits(values) == bits(expected)
+
+
+@given(sts.cdf_batches())
+@example(_WIDE_AND_TINY)
+def test_cdf_kernel_batch_is_its_rows_one_at_a_time(batch):
+    a, b, wa, wb = batch
+    values = transport._w1_rows(a, b, wa, wb)
+    rows = [transport._w1_rows(a[i:i + 1], b[i:i + 1], wa[i:i + 1], wb[i:i + 1])[0]
+            for i in range(len(a))]
+    assert bits(values) == bits(rows)
+    assert bits(values) == bits([oracles.w1_quantile_pair(*row) for row in zip(a, b, wa, wb)])
+
+
+@given(sts.line_sweeps())
+def test_cdf_kernel_sweep_is_the_per_node_w1_loop(sweep):
+    ms, ns = sweep
+    assert bits(transport._w1_sweep(ms, ns)) == bits(list(map(w1_distance, ms, ns)))
+
+
+def test_cdf_kernel_sweep_takes_large_groups_in_blocks(monkeypatch):
+    rng = np.random.default_rng(43)
+
+    def node(n):
+        return m1(np.sort(rng.normal(size=n)), rng.uniform(0.5, 1.5, n))
+
+    # 40 pairs of 300 + 300 atoms go in blocks of 4096 // 600 = 6 rows, the
+    # last of 4; 3 pairs of more than 4096 merged atoms go one at a time
+    ms = [node(300) for _ in range(40)] + [node(2100) for _ in range(3)]
+    ns = [node(mu.natoms) for mu in ms]
+    expected = list(map(w1_distance, ms, ns))
+    rows = []
+    integral = transport._cdf_gap_integral
+    monkeypatch.setattr(transport, "_cdf_gap_integral",
+                        lambda a, *args: rows.append(a.shape[0]) or integral(a, *args))
+    assert bits(transport._w1_sweep(ms, ns)) == bits(expected)
+    assert rows == [6] * 6 + [4] + [1] * 3
+
+
+def test_cdf_kernel_sweep_off_the_line_is_one_solve_per_pair(monkeypatch):
+    rng = np.random.default_rng(41)
+    ms = [make_measure(*oracles.random_support(rng, dim=2, max_atoms=6)) for _ in range(5)]
+    ns = [make_measure(*oracles.random_support(rng, dim=2, max_atoms=6)) for _ in range(4)] + [ms[4]]
+    expected = list(map(w1_distance, ms, ns))
+    solves = []
+    real = transport._lp
+    monkeypatch.setattr(transport, "_lp", lambda *args, **kw: solves.append(1) or real(*args, **kw))
+    assert bits(transport._w1_sweep(ms, ns)) == bits(expected)
+    assert len(solves) == 4  # the equal pair is 0.0 with no solve
+    with pytest.raises(DimMismatchError):
+        transport._w1_sweep([dirac(0.0), dirac(0.0)], [dirac(0.0), dirac([0.0, 0.0])])
+
+
+def test_quantile_w1_keeps_the_per_pair_bits_on_seeded_pairs():
+    # ties between the two measures from coordinates rounded to quarters
+    rng = np.random.default_rng(2024)
+    for trial in range(2000):
+        sizes = rng.integers(1, 42, size=2)
+        xa, xb = (np.round(rng.uniform(-3.0, 3.0, k) * 4.0) / 4.0 if trial % 2 else rng.normal(size=k)
+                  for k in sizes)
+        mu, nu = (m1(x, rng.uniform(0.1, 1.0, x.size)) for x in (xa, xb))
+        expected = oracles.w1_quantile_pair(mu.atoms[:, 0], nu.atoms[:, 0], mu.weights, nu.weights)
+        if mu == nu:
+            expected = 0.0
+        assert bits([w1_distance(mu, nu, method="quantile")]) == bits([expected])
+        assert bits([w1_plan(mu, nu)[1]]) == bits([expected])
+
+
 @pytest.mark.parametrize("mode", ["plain", "over", "all"])
 def test_lp_costs_that_overflow_raise_one_error_in_every_mode(mode):
     # the distance of atoms 2e308 apart overflowed as a FloatingPointError
