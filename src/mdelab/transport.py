@@ -36,10 +36,15 @@ bit the single pair's.
 Every coupling comes from one solve, ``_lp``, the one caller of the
 simplex: ``lp_solve``, the distances and both stages of
 ``fiber_pseudometric``.  It rescales marginals whose totals differ to
-their mean total, checks the plan's marginals, and returns the plan, its
-value, the basic cells and the reduced costs.  ``lp_solve`` checks its
-input, which comes from outside the package.  The distances build their
-costs from canonical measures and hand their weights to ``_lp``
+their mean total, checks the marginals of the basic masses, and returns
+the value, the basic cells, the reduced costs and the rows and columns it
+solved.  The value of a solve is ``math.fsum`` of cost times mass over its
+m + n - 1 basic cells, correctly rounded, so it depends neither on the
+order the cells entered nor on the CPU.  No dense plan is built for a
+value: only ``lp_solve`` and ``w1_plan``, which return a plan, build one
+from the basic cells.  ``lp_solve`` checks its input, which comes from
+outside the package.  The distances build their costs from canonical
+measures, coordinate-major, and hand their weights to ``_lp``
 unchecked; the simplex tests only that the costs are finite.
 """
 
@@ -422,6 +427,10 @@ def lp_solve(
     is None or an integer >= 0 (numpy's too, not a bool); the solve raises
     IterationCapError past that many pivots (default 10 m n), and a cap
     of 0 raises even where the north-west corner is optimal.
+
+    The value is ``math.fsum`` of ``costs[i, j] * plan.mass[i, j]`` over
+    the basic cells, the correctly rounded cost of the plan, which is built
+    from the basic cells on demand, here, and zero elsewhere.
     """
     C = np.asarray(costs, dtype=float)
     r = np.asarray(row_marginals, dtype=float).ravel()
@@ -447,12 +456,14 @@ def lp_solve(
         isinstance(max_iter, numbers.Integral) and not isinstance(max_iter, bool) and max_iter >= 0
     ):
         raise ValueError(f"max_iter must be None or an integer >= 0, got {max_iter!r}")
-    return _lp(C, r, c, max_iter)[:2]
+    solve = _lp(C, r, c, max_iter)
+    return _dense(solve.cells, C.shape, solve.index), solve.value
 
 
-# what ``_lp`` computes: the plan and its value, then the basic cells with
-# their masses and the reduced costs of the problem the simplex solved
-_Solve = namedtuple("_Solve", "plan value cells reduced")
+# what ``_lp`` computes: the value, the basic cells with their masses and
+# the reduced costs of the problem the simplex solved, and the (rows, cols)
+# of the matrix that it solved, or None when it solved them all
+_Solve = namedtuple("_Solve", "value cells reduced index")
 
 
 def _lp(C: np.ndarray, r: np.ndarray, c: np.ndarray, max_iter=None, flow=None, allowed=None):
@@ -469,49 +480,67 @@ def _lp(C: np.ndarray, r: np.ndarray, c: np.ndarray, max_iter=None, flow=None, a
     ``lp_solve`` raises for such costs.
 
     Marginals whose totals differ are rescaled to their mean total, and
-    the plan's marginals are checked against ``r`` and ``c``.  ``flow``
-    and ``allowed`` are handed to ``_simplex``: a warm start from the
-    cells of an earlier solve with the same marginals, and the cells that
-    may enter.  They index the whole matrix, so they are for marginals
-    with no zero entry, which canonical weights always are.  The cells
-    and reduced costs returned index the whole matrix too, or, where a
-    marginal has zero entries, the rows and columns of positive mass that
-    the simplex solved.
+    the row and column sums of the basic masses are checked against ``r``
+    and ``c``.  ``flow`` and ``allowed`` are handed to ``_simplex``: a warm
+    start from the cells of an earlier solve with the same marginals, and
+    the cells that may enter.  They index the whole matrix, so they are for
+    marginals with no zero entry, which canonical weights always are.  The
+    cells and reduced costs returned index the whole matrix too, or, where
+    a marginal has zero entries, the rows and columns of positive mass
+    that the simplex solved, which ``index`` then holds.  No m x n array
+    is built beyond the simplex's own: a caller that wants the plan builds
+    it from the cells with ``_dense``.
 
-    Returns a ``_Solve``.  Its value is ``np.sum(C * plan.mass)``, which
-    the distances return unclamped, since for their costs it is >= +0.0
-    and never -0.0.  Those costs are norms or sums of norms, so >= +0.0
-    and never -0.0.  Every basic mass is >= +0.0: a start takes ``min(ra,
-    rb)`` of what is left, and a pivot subtracts the smallest mass that
-    loses.  So every product, and numpy's sum of them, is >= +0.0.
+    Returns a ``_Solve``.  Its value is ``math.fsum`` of ``C[i, j] * x``
+    over the basic cells, correctly rounded, so it depends neither on the
+    order the cells entered nor on the CPU.  The sum and the marginal check
+    run over the m + n - 1 cells in Python, where numpy's work per call
+    would cost more than the loop.  A value past the float range is taken
+    again by numpy's product and sum, so an overflow is inf, reported as
+    numpy's errstate says; the sum runs over the halved products and is
+    doubled, so a partial sum that passes the range does not make a value
+    within it inf.  The distances return the value unclamped: their costs
+    are norms or sums of norms, so >= +0.0 and never -0.0, and every basic
+    mass is >= +0.0 (a start takes ``min(ra, rb)`` of what is left, and a
+    pivot subtracts the smallest mass that loses), so every product and
+    their sum are >= +0.0.
     """
     m, n = C.shape
     cap = int(max_iter) if max_iter is not None else 10 * m * n
-    full = r.all() and c.all()
-    if full:
-        a, b = r, c
+    if r.all() and c.all():
+        a, b, index = r, c, None
     else:
-        rows, cols = np.flatnonzero(r), np.flatnonzero(c)
-        a, b = r[rows], c[cols]
+        index = np.flatnonzero(r), np.flatnonzero(c)
+        a, b, C = r[index[0]], c[index[1]], C[np.ix_(*index)]
+    targets = a.tolist() + b.tolist()  # the marginals the basic masses must sum to
     sa, sb = a.sum(), b.sum()
     if sa != sb:
         # balance the totals, or the north-west corner strands the excess
         # in its last cell; each marginal moves by at most half their gap
         total = (sa + sb) / 2.0
         a, b = a * (total / sa), b * (total / sb)
-    cells, reduced, _ = _simplex(C if full else C[np.ix_(rows, cols)], a, b, cap,
-                                 flow=flow, allowed=allowed)
-    plan = _dense(cells, (m, n), None if full else (rows, cols))
-    if (
-        np.max(np.abs(plan.row_marginals - r)) > AGREE_TOL
-        or np.max(np.abs(plan.col_marginals - c)) > AGREE_TOL
-    ):  # pragma: no cover - the balanced totals keep the plan within tolerance
+    cells, reduced, _ = _simplex(C, a, b, cap, flow=flow, allowed=allowed)
+    sums, terms, cost, k = [0.0] * len(targets), [], C.item, len(a)
+    for (i, j), x in cells.items():
+        sums[i] += x
+        sums[k + j] += x
+        terms.append(cost(i, j) * x)
+    if max(map(abs, map(float.__sub__, sums, targets))) > AGREE_TOL:  # pragma: no cover
+        # the balanced totals keep the basic masses within tolerance
         raise LpFailureError("solver returned a plan violating the marginals")
-    return _Solve(plan, float(np.sum(C * plan.mass)), cells, reduced)
+    try:
+        value = math.fsum(terms)
+    except OverflowError:  # a partial sum passed the float range
+        value = math.inf
+    if not math.isfinite(value):  # numpy reports the overflow as its errstate says
+        terms = np.multiply([cost(i, j) for i, j in cells], list(cells.values())).tolist()
+        value = float(np.add.reduce(np.full(2, math.fsum(t / 2.0 for t in terms))))
+    return _Solve(value, cells, reduced, index)
 
 
 def _dense(flow: dict[tuple[int, int], float], shape: tuple[int, int], index=None) -> TransportPlan:
-    """The plan whose masses are ``flow``'s basic cells and zero elsewhere.
+    """The plan whose masses are ``flow``'s basic cells and zero elsewhere,
+    built only where a plan is returned: by ``lp_solve`` and ``w1_plan``.
 
     ``index`` is None, or the (rows, cols) of the matrix that the cells'
     indices number, when the solve left out rows or columns of zero mass.
@@ -527,11 +556,18 @@ def _dense(flow: dict[tuple[int, int], float], shape: tuple[int, int], index=Non
 # ---------------------------------------------------------------------------
 
 def _pairwise_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    # a difference or square that overflows reads as inf, unreported, so
-    # costs that are not finite meet lp_solve's ValueError in every mode
+    # coordinate-major: the differences as one (d, m, n) array, squared in
+    # place and reduced over the leading axis, then rooted in place.  numpy
+    # lays the differences out as its inputs are, coordinates innermost, so
+    # the reduce is the sum over the trailing axis of the (m, n, d)
+    # differences, bit for bit.  A difference or square that overflows reads
+    # as inf, unreported, so costs that are not finite meet lp_solve's
+    # ValueError in every mode
     with np.errstate(over="ignore"):
-        diff = X[:, None, :] - Y[None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=2))
+        sq = X.T[:, :, None] - Y.T[:, None, :]
+        np.multiply(sq, sq, out=sq)
+        dist = np.add.reduce(sq, axis=0)
+        return np.sqrt(dist, out=dist)
 
 
 def _w1_quantile(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -660,8 +696,10 @@ def w1_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[TransportPlan, fl
     Equal measures get the diagonal plan.  On the line the atoms are
     sorted, so the north-west corner of the weights is the monotone
     coupling, which is optimal; it is built directly in O(m + n) cells.
-    Elsewhere the simplex solves the LP.  The value is ``w1_distance``'s,
-    bit for bit: on the line the CDF integral, elsewhere the solve's.
+    Elsewhere the simplex solves the LP and the plan is built from its
+    basic cells on demand, here; ``w1_distance`` builds none.  The value is
+    ``w1_distance``'s, bit for bit: on the line the CDF integral, elsewhere
+    the solve's ``math.fsum`` over the basic cells.
     """
     _same_dim(mu.dim, nu.dim)
     if mu == nu:
@@ -669,7 +707,8 @@ def w1_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[TransportPlan, fl
     if mu.dim == 1:
         cells = _north_west(mu.weights.tolist(), nu.weights.tolist())
         return _dense(cells, (mu.natoms, nu.natoms)), _w1_quantile(mu, nu)
-    return _lp(_pairwise_dist(mu.atoms, nu.atoms), mu.weights, nu.weights)[:2]
+    solve = _lp(_pairwise_dist(mu.atoms, nu.atoms), mu.weights, nu.weights)
+    return _dense(solve.cells, (mu.natoms, nu.natoms)), solve.value
 
 
 def lifted_w1(v1: LiftedMeasure, v2: LiftedMeasure) -> float:

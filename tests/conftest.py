@@ -11,12 +11,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 # ten times the examples, for the differential tests of the grouping kernel,
-# of the scheme routes, of the transport solves and of the CDF row kernel:
+# of the scheme routes, of the transport solves and values, of the cost
+# matrix and of the CDF row kernel:
 # HYPOTHESIS_PROFILE=deep python -m pytest tests/test_measures.py -k ...
 # HYPOTHESIS_PROFILE=deep python -m pytest tests/test_schemes.py \
 #     -k "step_loop or read_only or adopt_route"
 # HYPOTHESIS_PROFILE=deep python -m pytest tests/test_transport.py \
-#     -k "fiber_pseudometric or lp_solve_degenerate or strongly_feasible or degenerate_problems or cdf_kernel"
+#     -k "fiber_pseudometric or lp_solve_degenerate or strongly_feasible or degenerate_problems or cdf_kernel \
+#         or pairwise_dist or basic_cells"
 settings.register_profile("deep", settings.get_profile("mdelab"), max_examples=600)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "mdelab"))
 

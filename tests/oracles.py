@@ -10,9 +10,10 @@ the row-at-a-time greedy grouping scan that defines canonical-form
 merging, so agreement with the package is meaningful.
 
 The loop references at the end (the CDF integral of one pair on the
-line, the splitting lift and its median, curve gluing and the weak
-residual) are the per-atom and per-pair loops,
-or the earlier forms, that the package's whole-array kernels replace.
+line, the cost matrix summed over its trailing axis, the splitting lift
+and its median, curve gluing and the weak residual) are the per-atom and
+per-pair loops, or the earlier forms, that the package's whole-array
+kernels replace.
 They take plain arrays and use the same floating-point operations in the
 same order, so the kernels must match them bit for bit.  The per-fiber
 means are the exception: the reference merges and normalizes each fiber
@@ -402,18 +403,16 @@ def certify(C, r, c, flow) -> tuple[float, float]:
     row 0.  Their c-transform u_i = min_j (C_ij - v_j) gives u_i + v_j <=
     C_ij for every cell, so sum r u + sum c v bounds the cost of every plan
     with marginals r and c from below.  The upper bound is the cost of the
-    basis's plan, summed as ``lp_solve`` sums it.
+    basis's plan, correctly rounded: ``math.fsum`` of cost times mass over
+    its nonzero cells.
     """
     C = np.asarray(C, dtype=float)
     m, n = C.shape
     _, pot = hang(tree_adjacency(flow, m, n), C.tolist(), m)
     v = pot[m:]
     u = (C - v).min(axis=1)
-    plan = np.zeros((m, n))
-    for (i, j), x in flow.items():
-        plan[i, j] = x
     lower = math.fsum(np.concatenate([np.asarray(r) * u, np.asarray(c) * v]))
-    return lower, float(np.sum(C * plan))
+    return lower, math.fsum(float(C[i, j]) * x for (i, j), x in flow.items() if x)
 
 
 def simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
@@ -499,6 +498,16 @@ def cdf_gap_pair(a, b, wa, wb) -> float:
     fa = cwa[np.searchsorted(a, grid, side="right")]
     fb = cwb[np.searchsorted(b, grid, side="right")]
     return float(np.sum(np.abs(fa - fb)[:-1] * np.diff(grid)))
+
+
+def pairwise_dist_trailing(X, Y) -> np.ndarray:
+    """Euclidean distances between the rows of ``X`` (m, d) and ``Y`` (n, d):
+    the (m, n, d) differences, squared and summed over the trailing axis.
+    The form of the package's coordinate-major cost matrix, which keeps its
+    bits.  A difference or square that overflows reads as inf, unreported."""
+    with np.errstate(over="ignore"):
+        diff = X[:, None, :] - Y[None, :, :]
+        return np.sqrt(np.sum(diff * diff, axis=2))
 
 
 def w1_quantile_pair(a, b, wa, wb) -> float:

@@ -305,3 +305,35 @@ def line_sweeps(draw, max_nodes: int = 8, max_atoms: int = 4):
         ms.append(mu)
         ns.append(nu)
     return ms, ns
+
+
+# coordinates for the cost matrix: zero, the top of the float range, or a
+# signed mantissa times a power of ten from 1e-200 to 1e200
+_TOP = float(np.finfo(float).max)
+spread_coordinate = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1.7e308, -1.7e308, _TOP, -_TOP]),
+    st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+              st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0, exclude_max=True),
+              st.integers(-200, 200)),
+)
+
+
+@st.composite
+def point_pairs(draw, max_dim: int = 12, max_points: int = 5):
+    """Point sets ``X`` (m, d) and ``Y`` (n, d) of one dimension d = 1..12.
+
+    Coordinates are seeded uniform mantissas in [1, 10) with random signs,
+    times one power of ten from 1e-200 to 1e200, so a sum of squares rounds
+    in the order it is taken.  Up to four of them are instead drawn by
+    ``spread_coordinate``.  So squares and sums overflow to inf, differences
+    of two tops overflow, and squares of 1e-200 underflow.
+    """
+    d = draw(st.integers(1, max_dim))
+    m, n = draw(st.integers(1, max_points)), draw(st.integers(1, max_points))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.choice([-1.0, 1.0], (m + n, d)) * rng.uniform(1.0, 10.0, (m + n, d))
+    points *= 10.0 ** draw(st.integers(-200, 200))
+    for _ in range(draw(st.integers(0, 4))):
+        points[draw(st.integers(0, m + n - 1)), draw(st.integers(0, d - 1))] = draw(spread_coordinate)
+    return points[:m], points[m:]

@@ -19,10 +19,12 @@ coupling, both stages of ``fiber_pseudometric`` included, gets its
 rescaled marginals and its marginal check.
 
 The package computes every quantity inside numpy's elementwise loops and
-reductions, whose bits depend on numpy's summation order alone.  So it
-calls no BLAS product, whose kernel OpenBLAS picks for the CPU at run
-time, and raises to no power but 2, since numpy picks its ``power`` loop
-for the CPU too; a square is one exact product.
+reductions, whose bits depend on numpy's summation order alone, or with
+``math.fsum``, which is correctly rounded, so its bits depend on no order
+at all: the value of a transport solve is ``math.fsum`` over its basic
+cells.  So it calls no BLAS product, whose kernel OpenBLAS picks for the
+CPU at run time, and raises to no power but 2, since numpy picks its
+``power`` loop for the CPU too; a square is one exact product.
 """
 
 import ast

@@ -1,3 +1,7 @@
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -435,7 +439,7 @@ def test_lp_solve_degenerate_against_scipy(problem):
     assert np.allclose(plan.row_marginals, a, rtol=0.0, atol=1e-12)
     assert np.allclose(plan.col_marginals, b, rtol=0.0, atol=1e-12)
     assert np.all(plan.mass >= 0.0)
-    assert value == float(np.sum(cost * plan.mass))
+    assert value == math.fsum(cost[i, j] * x for i, j, x in plan.nonzeros())
 
 
 @given(sts.transport_problems())
@@ -966,3 +970,181 @@ def test_both_fiber_stages_solve_balanced_marginals_from_one_tree(monkeypatch):
         assert kw1.get("flow") is None and kw1.get("allowed") is None
         assert list(kw2["flow"].items()) == list(cells.items())
         assert kw2["allowed"][tuple(np.array(list(cells)).T)].all()
+
+
+# ---------------------------------------------------------------------------
+# values summed over the basic cells, and the cost matrix coordinate-major
+# ---------------------------------------------------------------------------
+
+ERRSTATE_MODES = ["ignore", "warn", "raise", "call", "print", "log"]
+
+
+class _Reports:
+    """What one call reported under numpy's errstate: the warnings it gave
+    (``caught``) and what it sent the errstate handler (``sent``)."""
+
+    def __init__(self):
+        self.caught, self.sent = [], []
+
+    def __call__(self, err, flag):
+        self.sent.append(err)
+
+    def write(self, text):
+        self.sent.append(text)
+
+
+def _outcome(f, mode):
+    """``f(reports)`` under numpy's errstate ``mode`` for every error: the
+    bits of its values, or the type and message of what it raised, then the
+    messages of the warnings it gave and what it sent the handler."""
+    reports = _Reports()
+    with warnings.catch_warnings(record=True) as reports.caught:
+        warnings.simplefilter("always")
+        with np.errstate(all=mode, call=reports):
+            try:
+                result = bits(f(reports))
+            except Exception as error:  # what it raised is part of the outcome
+                result = f"{type(error).__name__}: {error}"
+    return result, [str(w.message) for w in reports.caught], reports.sent
+
+
+@pytest.mark.parametrize("mode", ERRSTATE_MODES)
+@given(sts.point_pairs())
+def test_pairwise_dist_is_the_trailing_axis_formula_in_every_errstate_mode(mode, pair):
+    # the same bits, the same error and the same reports as the (m, n, d)
+    # differences summed over their trailing axis
+    X, Y = pair
+    assert (_outcome(lambda _: transport._pairwise_dist(X, Y), mode)
+            == _outcome(lambda _: oracles.pairwise_dist_trailing(X, Y), mode))
+
+
+def _basic_cell_sum(C, solve) -> float:
+    """``math.fsum`` of cost times mass over the basic cells of a ``_Solve``
+    on the cost matrix ``C``, in Python floats."""
+    rows, cols = solve.index or (range(C.shape[0]), range(C.shape[1]))
+    return math.fsum(float(C[rows[i], cols[j]]) * x for (i, j), x in solve.cells.items())
+
+
+@given(sts.transport_problems(), sts.measures(dim=2, max_atoms=8), sts.measures(dim=2, max_atoms=8),
+       sts.lifted_measures(dim=2, max_atoms=8), sts.lifted_measures(dim=2, max_atoms=8))
+def test_basic_cells_sum_to_every_value(problem, mu, nu, v1, v2):
+    solves = []
+    real = transport._lp
+
+    def recorded(C, *args, **kw):
+        solve = real(C, *args, **kw)
+        solves.append((C, solve))
+        return solve
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(transport, "_lp", recorded)
+        plan, value = lp_solve(*problem)
+        w1_distance(mu, nu)
+        lifted_w1(v1, v2)
+        fiber_pseudometric(v1, v2)
+        transport._w1_sweep([mu, nu], [nu, mu])
+    assert value == math.fsum(problem[0][i, j] * x for i, j, x in plan.nonzeros())
+    assert len(solves) >= 1 + 3 * (v1 != v2)
+    for C, solve in solves:
+        assert solve.value == _basic_cell_sum(C, solve)
+
+
+def test_basic_cells_give_values_with_no_dense_plan(monkeypatch):
+    rng = np.random.default_rng(97)
+    mu, nu = _pair_2d(rng, 12)
+    v1, v2 = (make_lifted(rng.uniform(-1.0, 1.0, (k, 2)), rng.uniform(-1.0, 1.0, (k, 2)),
+                          rng.uniform(0.5, 1.5, k)) for k in (9, 11))
+
+    def dense(*args):
+        raise AssertionError("a value-only solve built a dense plan")
+
+    monkeypatch.setattr(transport, "_dense", dense)
+    values = [w1_distance(mu, nu), lifted_w1(v1, v2), fiber_pseudometric(v1, v2),
+              *transport._w1_sweep([mu, nu], [nu, mu])]
+    assert all(value > 0.0 for value in values)
+
+
+def test_basic_cells_give_the_plans_of_lp_solve_and_w1_plan(monkeypatch):
+    built = []
+    dense = transport._dense
+    monkeypatch.setattr(transport, "_dense", lambda *args: built.append(args) or dense(*args))
+    rng = np.random.default_rng(89)
+    mu, nu = _pair_2d(rng, 10)
+    cost = _cost(mu, nu)
+    r = np.r_[mu.weights[:-1], 0.0] / mu.weights[:-1].sum()
+    plan, value = lp_solve(cost, r, nu.weights)
+    assert len(built) == 1 and plan.row_marginals[-1] == 0.0
+    assert value == math.fsum(cost[i, j] * x for i, j, x in plan.nonzeros())
+    plan, value = w1_plan(mu, nu)
+    assert len(built) == 2 and plan.shape == (10, 10)
+    assert value == w1_distance(mu, nu)
+
+
+@pytest.mark.parametrize("mode", ERRSTATE_MODES)
+def test_basic_cells_near_the_float_range_keep_the_outcome_in_every_errstate_mode(monkeypatch, mode):
+    # costs within 2^20 ulps of the largest float, all the largest float, or
+    # scaled to about 1.7e308, and marginal totals 5e-10 below, at or above
+    # one, so some values pass the float range.  The value is the correctly
+    # rounded sum of the basic products.  What the solve reports after the
+    # simplex is what numpy's sum of the costs times the dense plan reported,
+    # and the value is that sum's or the next float to it, counting inf as
+    # the float after the largest: where the dense sum rounded up to inf and
+    # the exact sum is the largest float, the value is that float, with no
+    # report.  No OverflowError comes from the value's fsum; the start's cost
+    # comparison in the simplex raises one on some of these problems, as it
+    # did before (CHANGES.md)
+    top = np.finfo(float).max
+    ulp = top - np.nextafter(top, 0.0)
+    simplex = transport._simplex
+    marks = []  # per solve that returns from the simplex: how much was reported by then
+
+    def solve(reports):
+        def recorded(*args, **kw):
+            out = simplex(*args, **kw)
+            marks.append((len(reports.caught), len(reports.sent)))
+            return out
+
+        monkeypatch.setattr(transport, "_simplex", recorded)
+        return [lp_solve(C, a, b)[1]]
+
+    rng = np.random.default_rng(83)
+    seen = set()
+    for trial in range(120):
+        m, n = (int(k) for k in rng.integers(1, 7, 2))
+        C = top - rng.integers(0, 2**20, (m, n)) * ulp
+        if trial % 4 == 3:
+            C = C * (1.7e308 / top)
+        elif trial % 5 == 4:
+            C = np.full((m, n), top)
+        a, b = (w / w.sum() * (1.0 + (trial % 3 - 1) * 5e-10)
+                for w in (rng.uniform(0.5, 1.5, m), rng.uniform(0.5, 1.5, n)))
+        marks.clear()
+        result, caught, sent = _outcome(solve, mode)
+        if not marks:  # the simplex raised, as before
+            assert isinstance(result, str) and not result.startswith("ValueError")
+            seen.add("simplex")
+            continue
+        [(k, h)] = marks
+        with np.errstate(all="ignore"):
+            plan, value = lp_solve(C, a, b)
+            products = [Fraction(float(C[i, j] * x)) for i, j, x in plan.nonzeros()]
+            try:
+                exact = float(sum(products))
+            except OverflowError:
+                exact = math.inf
+            assert value == exact
+            dense = np.sum(C * plan.mass)
+        dense_result, dense_caught, dense_sent = _outcome(lambda _: [np.sum(C * plan.mass)], mode)
+        if dense == math.inf and value == top:
+            assert (result, caught[k:], sent[h:]) == (bits([top]), [], [])
+            seen.add("rounded below the range")
+            continue
+        assert (caught[k:], sent[h:]) == (dense_caught, dense_sent)
+        if isinstance(result, str):
+            assert result == dense_result
+            seen.add("raised")
+        else:
+            assert abs(result[0] - dense_result[0]) <= 1
+            seen.add("inf" if value == math.inf else "finite")
+    assert {"simplex", "finite", "rounded below the range"} <= seen
+    assert ("raised" if mode == "raise" else "inf") in seen

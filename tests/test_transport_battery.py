@@ -16,15 +16,26 @@ its pivot count and its reduced costs.  So are the plans and values that
 
 A refactor of the solver that claims to keep every pivot, flow, dual and
 plan bit for bit is checked by this test rather than by hand.  A change
-meant to alter results must recompute the digest and say why.
+meant to alter results must recompute the digest it moves and say why.
 
-The digest is of IEEE double results under numpy's reductions; a numpy whose
-summation order differs would need a new pin.
+There are two pins.  The solves-and-plans digest holds every ``_simplex``
+call's cells, masses, reduced costs and pivots, the plans of ``lp_solve``
+and which caps raise: what the solver computes.  The values digest holds
+every value returned.  They are apart because a value is a sum over the
+solve's basic cells, and the formula of that sum can change while the
+solves stay: when the value became ``math.fsum`` over the basic cells in
+place of numpy's sum of the dense product of costs and plan, 34 of the
+battery's 156 values moved, by at most 1 ulp, and not one cell, mass,
+reduced cost, pivot or plan did.
+
+The digests are of IEEE double results under numpy's reductions; a numpy
+whose summation order differs would need new pins.
 """
 
 import hashlib
 
 import numpy as np
+import pytest
 
 from mdelab import (
     IterationCapError,
@@ -37,7 +48,8 @@ from mdelab import (
 )
 from mdelab import transport
 
-DIGEST = "f60bd30e36fe8974ae323d5b65543a0e0d7dbf3a2b808b30c9dbb442654cd420"
+SOLVES_DIGEST = "84d69d8a02caff3153e87ae98a9afa4eb9c0caba33f345e80a1f3f9e211216fb"
+VALUES_DIGEST = "00589935fc9ded34249aa9c9e0b7674ee03ec2b700ccbc12a134da498ba646bb"
 
 
 def _feed(h, *arrays):
@@ -58,12 +70,13 @@ def _recording(h, simplex):
     return recorded
 
 
-def _solve(h, cost, a, b):
+def _solve(h, hv, cost, a, b):
     plan, value = lp_solve(cost, a, b)
-    _feed(h, plan.mass, np.array([value]))
+    _feed(h, plan.mass)
+    _feed(hv, np.array([value]))
 
 
-def _caps(h, cost, a, b):
+def _caps(h, hv, cost, a, b):
     # which of the smallest caps fire, 0 included, and what the others return
     for cap in range(4):
         try:
@@ -71,7 +84,8 @@ def _caps(h, cost, a, b):
         except IterationCapError:
             h.update(f"cap {cap} raised".encode())
             continue
-        _feed(h, plan.mass, np.array([value]))
+        _feed(h, plan.mass)
+        _feed(hv, np.array([value]))
 
 
 def _cost(X, Y):
@@ -94,26 +108,27 @@ def _lifted(rng, n):
                        rng.uniform(0.5, 1.5, n))
 
 
-def battery_digest(monkeypatch) -> str:
+def battery_digests(monkeypatch) -> tuple[str, str]:
+    """The solves-and-plans digest and the values digest of the battery."""
     rng = np.random.default_rng(20261019)
-    h = hashlib.sha256()
+    h, hv = hashlib.sha256(), hashlib.sha256()
     monkeypatch.setattr(transport, "_simplex", _recording(h, transport._simplex))
     # generic 2-D pairs, equal and unequal sizes
     for m, n in [(5, 5), (5, 9), (10, 10), (12, 7), (20, 20), (20, 20), (25, 31), (40, 40)]:
         mu, nu = _measure(rng, m, 2), _measure(rng, n, 2)
-        h.update(repr(w1_distance(mu, nu)).encode())
-        _solve(h, _cost(mu.atoms, nu.atoms), mu.weights, nu.weights)
+        hv.update(repr(w1_distance(mu, nu)).encode())
+        _solve(h, hv, _cost(mu.atoms, nu.atoms), mu.weights, nu.weights)
     # more cells than one pricing block holds
     for m, n in [(70, 70), (64, 80)]:
         mu, nu = _measure(rng, m, 2), _measure(rng, n, 2)
         assert m * n > transport._BLOCK_CELLS
-        _solve(h, _cost(mu.atoms, nu.atoms), mu.weights, nu.weights)
+        _solve(h, hv, _cost(mu.atoms, nu.atoms), mu.weights, nu.weights)
     # lattices with equal weights: many ties in cost and in mass
     for (k, l), (p, q), shift in [((3, 3), (3, 3), (0.5, 0.0)), ((4, 4), (2, 8), (0.25, 0.5)),
                                   ((5, 5), (5, 5), (1.0, 1.0)), ((6, 4), (3, 8), (0.0, 0.0))]:
         mu, nu = _lattice(k, l, (0.0, 0.0)), _lattice(p, q, shift)
-        h.update(repr(w1_distance(mu, nu)).encode())
-        _caps(h, _cost(mu.atoms, nu.atoms), mu.weights, nu.weights)
+        hv.update(repr(w1_distance(mu, nu)).encode())
+        _caps(h, hv, _cost(mu.atoms, nu.atoms), mu.weights, nu.weights)
     # marginals with zero entries, random and integer costs
     for _ in range(12):
         m, n = (int(k) for k in rng.integers(1, 9, 2))
@@ -125,29 +140,39 @@ def battery_digest(monkeypatch) -> str:
         cost = rng.uniform(0.0, 4.0, (m, n))
         if rng.random() < 0.5:
             cost = np.round(cost)
-        _solve(h, cost, a / a.sum(), b / b.sum())
-        _caps(h, cost, a / a.sum(), b / b.sum())
+        _solve(h, hv, cost, a / a.sum(), b / b.sum())
+        _caps(h, hv, cost, a / a.sum(), b / b.sum())
     # small integer costs and small integer weights: ties in cost and in mass
     for _ in range(60):
         m, n = (int(k) for k in rng.integers(2, 7, 2))
         cost = rng.integers(0, 4, (m, n)).astype(float)
         a, b = rng.integers(1, 4, m).astype(float), rng.integers(1, 4, n).astype(float)
-        _solve(h, cost, a / a.sum(), b / b.sum())
+        _solve(h, hv, cost, a / a.sum(), b / b.sum())
     # 1-D pairs by the LP route, and 2-D pairs on a line
     for n in (1, 3, 10, 20, 40):
         mu, nu = _measure(rng, n, 1), _measure(rng, n + 2, 1)
-        h.update(repr(w1_distance(mu, nu, method="lp")).encode())
+        hv.update(repr(w1_distance(mu, nu, method="lp")).encode())
         angle = rng.uniform(0.0, np.pi)
         u, c = np.array([np.cos(angle), np.sin(angle)]), rng.uniform(-1.0, 1.0, 2)
         line = [make_measure(p.atoms * u + c, p.weights) for p in (mu, nu)]
-        h.update(repr(w1_distance(*line)).encode())
-        _caps(h, _cost(line[0].atoms, line[1].atoms), mu.weights, nu.weights)
+        hv.update(repr(w1_distance(*line)).encode())
+        _caps(h, hv, _cost(line[0].atoms, line[1].atoms), mu.weights, nu.weights)
     # lifted pairs: the cold stage one and the warm, restricted stage two
     for n in (3, 8, 20, 20, 30):
         v1, v2 = _lifted(rng, n), _lifted(rng, n + 1)
-        h.update(repr((lifted_w1(v1, v2), fiber_pseudometric(v1, v2))).encode())
-    return h.hexdigest()
+        hv.update(repr((lifted_w1(v1, v2), fiber_pseudometric(v1, v2))).encode())
+    return h.hexdigest(), hv.hexdigest()
 
 
-def test_transport_battery_is_bit_identical_to_the_pinned_digest(monkeypatch):
-    assert battery_digest(monkeypatch) == DIGEST
+@pytest.fixture(scope="module")
+def digests():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return battery_digests(monkeypatch)
+
+
+def test_transport_battery_solves_and_plans_are_bit_identical_to_the_pinned_digest(digests):
+    assert digests[0] == SOLVES_DIGEST
+
+
+def test_transport_battery_values_are_bit_identical_to_the_pinned_digest(digests):
+    assert digests[1] == VALUES_DIGEST
