@@ -28,9 +28,9 @@ from .transport import _w1_sweep
 
 # sup of |grad f| for the cubic bump, attained at |x-c| = r/sqrt(5)
 _GRAD_SUP = 96.0 / (25.0 * np.sqrt(5.0))
-# the largest temporary of a residual block, in bytes; larger blocks
-# measured slower, since fresh pages for each temporary cost more than the
-# numpy calls they save
+# the largest buffer of a residual block, in bytes; on the 257-node,
+# 256-atom splitting path, blocks of 2^17 to 2^19 bytes measured alike, and
+# smaller ones slower, as each numpy call then covers fewer elements
 _BLOCK_BYTES = 1 << 18
 
 
@@ -153,6 +153,22 @@ def residual(
     Evaluating the rule at the nodes (rather than trusting the stored
     interval lifts) makes this a test of the path as a candidate solution,
     independent of the scheme that produced it.
+
+    The whole family is scored at once on blocks of nodes with equal atom
+    and lift row counts (``_blocks``).  Per bump of radius r, with diff =
+    x - c, a block computes s = max(1 - Σ_d diff² / r², 0), the values
+    Σ_rows ((s·s)·s)·w over each node's atoms and weights, and the
+    integrand Σ_rows (Σ_d ((k·(s·s))·diff)·v)·w over each lift's rows,
+    with k = -6/r².  Where each lift's positions are its node's atoms (the
+    same array: a graph field's lift, a splitting lift whose median moves
+    whole), one s and one s·s serve both; elsewhere the lift rows get their
+    own.  Every step writes into (bumps, nodes, rows) buffers that the
+    blocks of one key reuse, and for d = 1 the coordinate sums read the
+    single coordinate.  An array that every node or lift of a block holds
+    (the weights and velocity columns of a torn splitting block's moved
+    run, or of a fixed point's repeated node) is broadcast, not stacked.
+    Sums run along each node's contiguous row, so each defect is bit for
+    bit what a loop over bumps and nodes gives.
     """
     if family is None:
         family = default_test_family(path.measures)
@@ -161,31 +177,41 @@ def residual(
         raise EmptyInputError("test family is empty")
     _check_dims(family, path.dim)
     times = path.times
-    centers = np.array([f.center for f in family])
-    r2 = np.array([f.radius**2 for f in family])
+    one = path.dim == 1
+    lead = (len(family), 1, 1)
+    centers = np.array([f.center for f in family]).reshape(lead + (-1,))
+    r2 = np.array([f.radius**2 for f in family]).reshape(lead)
+    k = -6.0 / r2
     nodes = path.measures
     lifts = [eval_pvf(spec, mu) for mu in nodes]
     integrand = np.empty((len(family), len(nodes)))
     values = np.empty((len(family), len(nodes)))
-    # The whole family at once on blocks of nodes with equal atom and lift
-    # row counts.  Where each lift's positions are its node's atoms (the
-    # same array: a graph field's lift, a splitting lift whose median moves
-    # whole), the bump polynomial s serves both the values and the
-    # gradients.  Sums run along each node's contiguous row, and the value
-    # of a bump at a node is the sum of s * s * s times the node's weights
-    # along that row, so each defect is bit for bit what a loop over bumps
-    # and nodes gives.
     keys = [(mu.natoms, lf.natoms, lf.positions is mu.atoms) for mu, lf in zip(nodes, lifts)]
-    for ks in _blocks(keys, family, path.dim):
-        diff, r2s, s = _bump(np.stack([nodes[k].atoms for k in ks]), centers, r2)
-        w = np.stack([nodes[k].weights for k in ks])
-        values[:, ks] = np.add.reduce(s * s * s * w, axis=-1)
-        if not keys[ks[0]][2]:
-            diff, r2s, s = _bump(np.stack([lifts[k].positions for k in ks]), centers, r2)
-        grad = _bump_gradients(diff, r2s, s)
-        vel = np.stack([lifts[k].velocities for k in ks])
-        w = np.stack([lifts[k].weights for k in ks])
-        integrand[:, ks] = np.sum(np.sum(grad * vel, axis=-1) * w, axis=-1)
+    for (n, m, shared), chunks in _blocks(keys, family, path.dim):
+        shape = (len(family), len(chunks[0]), max(n, m))
+        # diff, its squares (or None for d = 1), s, s·s, and the products summed over rows
+        buffers = (np.empty(shape + (path.dim,)), None if one else np.empty(shape + (path.dim,)),
+                   np.empty(shape), np.empty(shape), np.empty(shape))
+        for ks in chunks:  # each block takes the (bumps, nodes, rows) corner it needs
+            diff, sq, s, s2, t = (b if b is None else b[:, :len(ks), :n] for b in buffers)
+            _polynomial(_held([nodes[j].atoms for j in ks]), centers, r2, diff, sq, s, s2)
+            np.multiply(s2, s, out=t)
+            np.multiply(t, _held([nodes[j].weights for j in ks]), out=t)
+            values[:, ks] = np.add.reduce(t, axis=-1)
+            if not shared:
+                diff, sq, s, s2, t = (b if b is None else b[:, :len(ks), :m] for b in buffers)
+                _polynomial(_held([lifts[j].positions for j in ks]), centers, r2, diff, sq, s, s2)
+            vel = _held([lifts[j].velocities for j in ks])
+            np.multiply(s2, k, out=t)
+            if one:
+                np.multiply(t, diff[..., 0], out=t)
+                np.multiply(t, vel[..., 0], out=t)
+            else:
+                np.multiply(t[..., None], diff, out=sq)
+                np.multiply(sq, vel, out=sq)
+                np.add.reduce(sq, axis=-1, out=t)
+            np.multiply(t, _held([lifts[j].weights for j in ks]), out=t)
+            integrand[:, ks] = np.add.reduce(t, axis=-1)
     steps = np.diff(times)
     trap = np.zeros_like(values)
     np.cumsum(steps * (integrand[:, :-1] + integrand[:, 1:]) / 2.0, axis=1, out=trap[:, 1:])
@@ -205,17 +231,40 @@ def residual(
     )
 
 
+def _held(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The one array that every entry of ``arrays`` is, to be broadcast,
+    or the arrays stacked along a new leading axis."""
+    first = arrays[0]
+    return first if all(a is first for a in arrays) else np.stack(arrays)
+
+
+def _polynomial(points, centers, r2, diff, sq, s, s2) -> None:
+    """Write diff = points - center, s = max(1 - Σ_d diff² / r², 0) and
+    s·s per bump into the (bumps, nodes, rows[, d]) buffers ``diff``, ``s``
+    and ``s2``: the bump polynomial of one block.  ``sq`` takes the squares
+    where d > 1 and is None for d = 1, where ``s`` takes the one square."""
+    np.subtract(points, centers, out=diff)
+    if sq is None:
+        np.multiply(diff[..., 0], diff[..., 0], out=s)
+    else:
+        np.multiply(diff, diff, out=sq)
+        np.add.reduce(sq, axis=-1, out=s)
+    np.divide(s, r2, out=s)
+    np.subtract(1.0, s, out=s)
+    np.maximum(s, 0.0, out=s)
+    np.multiply(s, s, out=s2)
+
+
 def _blocks(keys: Sequence[tuple[int, int, bool]], family: Sequence[TestFunction], dim: int):
-    """Lists of node indices with equal ``keys`` (node atoms, lift rows,
-    shared positions), in chunks whose (bumps, nodes, rows, d) float
-    temporaries stay under ``_BLOCK_BYTES``."""
+    """Each distinct key (node atoms, lift rows, shared positions) of
+    ``keys``, with its node indices in chunks whose (bumps, nodes, rows, d)
+    buffers stay under ``_BLOCK_BYTES``."""
     by_key: dict[tuple[int, int, bool], list[int]] = {}
     for k, key in enumerate(keys):
         by_key.setdefault(key, []).append(k)
-    for (n, m, _), ks in by_key.items():
-        step = max(1, _BLOCK_BYTES // (8 * len(family) * max(n, m) * dim))
-        for s in range(0, len(ks), step):
-            yield ks[s:s + step]
+    for key, ks in by_key.items():
+        step = max(1, _BLOCK_BYTES // (8 * len(family) * max(key[:2]) * dim))
+        yield key, [ks[s:s + step] for s in range(0, len(ks), step)]
 
 
 @dataclass(frozen=True)

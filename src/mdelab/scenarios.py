@@ -412,15 +412,16 @@ def _run_all(scn: Scenario) -> dict:
         first: dict[int, tuple[str, list[str]]] = {}  # each distinct path's first run: tag, files
         for tag, cfg, path in runs:
             pruned[tag] = path.pruned_mass
-            radii[tag] = _radius(np.concatenate([mu.atoms for mu in path.measures]))
             if id(path) in first:
                 # every file of a run is named <kind>_<tag>.<ext>
                 src, names = first[id(path)]
+                radii[tag] = radii[src]
                 for name in names:
                     emit(name.replace(f"_{src}.", f"_{tag}."), shutil.copyfile,
                          os.path.join(stage, name))
                 continue
             start = len(written)
+            radii[tag] = _radius(np.concatenate([mu.atoms for mu in path.measures]))
             emit(f"path_{tag}.csv", artifacts.write_path_csv, path)
             if scn.represent:
                 ens = _represent(path, cfg, radii[tag])

@@ -250,7 +250,8 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
     row or a column next to a node already placed, its parent in the tree
     hung from row 0, so the staircase is priced in one loop and no tree is
     built for it.  If it is not optimal, the least-cost basis replaces it
-    when that carries positive mass on every cell and costs less.  A tree
+    when that carries positive mass on every cell and costs less (a cost
+    whose ``math.fsum`` passes the float range reads as inf).  A tree
     without zero-mass cells is strongly feasible whatever its root; a
     degenerate least-cost basis is not used.  When ``allowed`` is given,
     only those cells may enter.  Pricing is block search (Kovacs 2015):
@@ -325,7 +326,10 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
         return None
 
     def total(f):
-        return math.fsum(Cl[i][j] * x for (i, j), x in f.items())
+        try:
+            return math.fsum(Cl[i][j] * x for (i, j), x in f.items())
+        except OverflowError:  # a partial sum passed the float range
+            return math.inf
 
     if flow is None:
         flow = _north_west(a.tolist(), b.tolist())

@@ -14,6 +14,7 @@ from mdelab import (
     LAGRANGIAN,
     LAS,
     MEAN_VELOCITY,
+    MeasurePath,
     SCHEMES,
     SchemeConfig,
     SplittingParticlePvf,
@@ -33,6 +34,7 @@ from mdelab import (
     w1_distance,
 )
 from mdelab import analysis, superposition, transport
+from mdelab.measures import _derive
 from mdelab.pvf import GRAPH_FIELDS
 
 SPLIT = SplittingParticlePvf()
@@ -130,7 +132,7 @@ def refuse_blocks(monkeypatch):
     def refuse(*args):
         raise AssertionError("a block was evaluated")
 
-    monkeypatch.setattr(analysis, "_bump", refuse)
+    monkeypatch.setattr(analysis, "_polynomial", refuse)
 
 
 def test_a_bump_of_another_dimension_is_refused_at_points():
@@ -216,18 +218,23 @@ def test_residual_custom_family():
     assert report.defects.shape == (1, 5)
 
 
-def assert_residual_matches_loop(path, spec, family=None):
-    report = residual(path, spec, family)
+def loop_defects(path, spec, family=None) -> np.ndarray:
+    """The defects of ``oracles.residual_loop`` on ``path``, with the
+    default family where ``family`` is None."""
     family = default_test_family(path.measures) if family is None else family
     nodes = [(mu.atoms, mu.weights) for mu in path.measures]
     lifts = []
     for mu in path.measures:
         lf = eval_pvf(spec, mu)
         lifts.append((lf.positions, lf.velocities, lf.weights))
-    expected = oracles.residual_loop(
+    return oracles.residual_loop(
         path.times, nodes, lifts, [f.center for f in family], [f.radius for f in family]
     )
-    assert np.array_equal(report.defects, expected)
+
+
+def assert_residual_matches_loop(path, spec, family=None):
+    report = residual(path, spec, family)
+    assert np.array_equal(report.defects, loop_defects(path, spec, family))
 
 
 RULES = {
@@ -279,16 +286,146 @@ def test_residual_shares_the_bump_polynomial_only_on_a_node_s_own_atoms(monkeypa
     path = run_scheme(SPLIT, mu0, cfg(LAGRANGIAN, N=16))
     rows = [lift.natoms for lift in path.interp]
     assert rows == [mu.natoms + (not shared and k == 0) for k, mu in enumerate(path.measures[:-1])]
-    calls = {"_bump": 0, "_bump_gradients": 0}
-    for name in calls:
-        def counted(*args, kernel=getattr(analysis, name), name=name):
-            calls[name] += 1
-            return kernel(*args)
+    blocks, calls = [], []
+    chunked, polynomial = analysis._blocks, analysis._polynomial
 
-        monkeypatch.setattr(analysis, name, counted)
+    def recorded(*args):
+        for key, chunks in chunked(*args):
+            blocks.append((key, len(chunks)))
+            yield key, chunks
+
+    monkeypatch.setattr(analysis, "_blocks", recorded)
+    monkeypatch.setattr(analysis, "_polynomial", lambda *args: calls.append(1) or polynomial(*args))
     assert_residual_matches_loop(path, SPLIT)
-    # one polynomial per block where it is shared, and a second for the lift rows where not
-    assert (calls["_bump"] == calls["_bump_gradients"]) == shared
+    lifts = [eval_pvf(SPLIT, mu) for mu in path.measures]
+    own = {(mu.natoms, lf.natoms, lf.positions is mu.atoms) for mu, lf in zip(path.measures, lifts)}
+    assert {key for key, _ in blocks} == own
+    # one polynomial per block where the lift's positions are the node's
+    # atoms, and a second for the lift rows where not
+    assert len(calls) == sum(count * (1 if key[2] else 2) for key, count in blocks)
+    assert all(key[2] for key in own) == shared
+
+
+ZERO = GraphPvf(GRAPH_FIELDS["zero"])
+
+
+def _rebuilt(spec, mu):
+    """``spec``'s lift of ``mu`` rebuilt by ``make_lifted`` from its columns."""
+    lift = eval_pvf(spec, mu)
+    return make_lifted(lift.positions, lift.velocities, lift.weights)
+
+
+M2 = make_measure([[0.0, 0.0], [1.0, 0.5], [0.25, 2.0]], [0.2, 0.3, 0.5])
+# (rule, initial measure, scheme, whether some block holds one array at every node)
+SHARING = {
+    # the whole-array route: every node and lift holds one weights array,
+    # and every lift one velocity column
+    "torn-block": (SPLIT, quantile_uniform(0.0, 1.0, 64), LAGRANGIAN, True),
+    # a fixed point of the zero field: every node and lift holds one weights
+    # array, and every node but the last one atoms array
+    "fixed-point-1d": (ZERO, m1([0.0, 0.5, 2.0], [0.25, 0.5, 0.25]), MEAN_VELOCITY, True),
+    "fixed-point-2d": (ZERO, M2, MEAN_VELOCITY, True),
+    # lifts built by a custom rule from fresh columns, and nodes from them
+    "fresh-1d": (WRONG_SPEED, quantile_uniform(0.0, 1.0, 16), LAGRANGIAN, False),
+    "fresh-2d": (CustomPvf(lambda mu: _rebuilt(GraphPvf(GRAPH_FIELDS["peano"]), mu), name="fresh-peano"),
+                 M2, LAGRANGIAN, False),
+}
+
+
+def _mixed_radii(d):
+    return [TestFunction(np.full(d, c), r) for c, r in ((-0.5, 0.7), (0.25, 1.5), (1.0, 3.0))]
+
+
+def copied(path):
+    """``path`` with a fresh copy of every node array."""
+    nodes = [_derive(mu.atoms.copy(), mu.weights.copy(), ordered=True, tested=True)
+             for mu in path.measures]
+    return MeasurePath(path.times, nodes, path.interp)
+
+
+def copying_lifts(monkeypatch, positions):
+    """Make the residual's lifts fresh copies of the rule's.  A lift whose
+    positions are its node's atoms keeps them where ``positions`` is
+    "kept", so that only arrays held across nodes are copied."""
+    evaluate = analysis.eval_pvf
+
+    def copy(spec, mu):
+        lift = evaluate(spec, mu)
+        pos = lift.positions
+        if not (positions == "kept" and pos is mu.atoms):
+            pos = pos.copy()
+        return _derive(pos, lift.weights.copy(), lift.velocities.copy(), ordered=True, tested=True)
+
+    monkeypatch.setattr(analysis, "eval_pvf", copy)
+
+
+def broadcasts(monkeypatch) -> list:
+    """Record, per ``_held`` call on two or more arrays, whether it gave
+    one array to broadcast rather than a stack."""
+    seen = []
+    held = analysis._held
+
+    def recorded(arrays):
+        out = held(arrays)
+        if len(arrays) > 1:
+            seen.append(out.ndim == arrays[0].ndim)
+        return out
+
+    monkeypatch.setattr(analysis, "_held", recorded)
+    return seen
+
+
+def assert_broadcast_matches_stacked(monkeypatch, path, spec, family, positions) -> list:
+    """``residual(path)`` has the bits of the same path with every node and
+    lift array copied, which stacks every array, and of the loop reference.
+    Returns what each ``_held`` call on ``path`` gave (see ``broadcasts``)."""
+    expected = loop_defects(path, spec, family)
+    seen = broadcasts(monkeypatch)
+    report = residual(path, spec, family)
+    shared = list(seen)
+    seen.clear()
+    copying_lifts(monkeypatch, positions)
+    stacked = residual(copied(path), spec, family)
+    assert not any(seen)
+    assert report.defects.tobytes() == stacked.defects.tobytes() == expected.tobytes()
+    return shared
+
+
+@pytest.mark.parametrize("positions", ["kept", "copied"])
+@pytest.mark.parametrize("mixed", [False, True], ids=["default-family", "mixed-radii"])
+@pytest.mark.parametrize("case", SHARING)
+def test_residual_broadcast_of_shared_arrays_has_the_bits_of_stacked_copies(
+        monkeypatch, case, mixed, positions):
+    spec, mu0, scheme, sharing = SHARING[case]
+    path = run_scheme(spec, mu0, cfg(scheme, N=16))
+    family = _mixed_radii(path.dim) if mixed else None
+    shared = assert_broadcast_matches_stacked(monkeypatch, path, spec, family, positions)
+    assert any(shared) == sharing
+
+
+@st.composite
+def broadcast_problems(draw):
+    """A path of ``residual_problems``, or one whose nodes share arrays: a
+    splitting run from a torn block of 2 to 80 atoms, or a run of the zero
+    field in 1-D or 2-D, under each scheme; and whether the copies keep a
+    lift's positions as its node's atoms."""
+    if draw(st.booleans()):
+        path, spec, family = draw(residual_problems())
+    else:
+        scheme = draw(st.sampled_from([LAGRANGIAN, LAS, MEAN_VELOCITY]))
+        if draw(st.booleans()):
+            spec, mu0 = SPLIT, quantile_uniform(0.0, 1.0, draw(st.integers(2, 80)))
+        else:
+            spec, mu0 = ZERO, draw(sts.measures(dim=draw(st.integers(1, 2)), max_atoms=12))
+        path = run_scheme(spec, mu0, cfg(scheme, N=draw(st.integers(1, 24))))
+        family = _mixed_radii(path.dim) if draw(st.booleans()) else None
+    return path, spec, family, draw(st.sampled_from(["kept", "copied"]))
+
+
+@given(broadcast_problems())
+def test_residual_broadcast_route_matches_stacked_copies_on_drawn_paths(problem):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_broadcast_matches_stacked(monkeypatch, *problem)
 
 
 def counted_evaluations(monkeypatch) -> list:

@@ -392,6 +392,17 @@ def test_run_scenario_runs_each_configuration_once(tmp_path, monkeypatch, name, 
     assert count_runs(monkeypatch, scn) == (expected, expected)
 
 
+def test_run_scenario_takes_each_distinct_path_s_support_radius_once(tmp_path, monkeypatch):
+    # binomial's 9 tags hold 6 distinct paths: a tag that shares an earlier
+    # tag's path shares its radius too, and the manifest still names every tag
+    scn = dataclasses.replace(get_scenario("binomial"), outputs=str(tmp_path))
+    calls = []
+    radius = sc._radius
+    monkeypatch.setattr(sc, "_radius", lambda atoms: calls.append(atoms) or radius(atoms))
+    manifest = run_scenario(scn)
+    assert len(calls) == 6 and len(manifest["support_radius"]) == 9
+
+
 def test_run_scenario_dv_override_still_compares_standard_grids(tmp_path, monkeypatch):
     # the las main run uses dv = 0.25, not the standard 1/2, so compare
     # needs its own standard-grid run of every scheme

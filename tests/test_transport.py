@@ -1090,9 +1090,10 @@ def test_basic_cells_near_the_float_range_keep_the_outcome_in_every_errstate_mod
     # and the value is that sum's or the next float to it, counting inf as
     # the float after the largest: where the dense sum rounded up to inf and
     # the exact sum is the largest float, the value is that float, with no
-    # report.  No OverflowError comes from the value's fsum; the start's cost
-    # comparison in the simplex raises one on some of these problems, as it
-    # did before (CHANGES.md)
+    # report.  No OverflowError comes from the value's fsum, nor from the
+    # start's cost comparison in the simplex, which reads a cost past the
+    # float range as inf.  Only numpy's "raise" stops a solve inside the
+    # simplex, at the overflow of a reduced cost
     top = np.finfo(float).max
     ulp = top - np.nextafter(top, 0.0)
     simplex = transport._simplex
@@ -1120,8 +1121,8 @@ def test_basic_cells_near_the_float_range_keep_the_outcome_in_every_errstate_mod
                 for w in (rng.uniform(0.5, 1.5, m), rng.uniform(0.5, 1.5, n)))
         marks.clear()
         result, caught, sent = _outcome(solve, mode)
-        if not marks:  # the simplex raised, as before
-            assert isinstance(result, str) and not result.startswith("ValueError")
+        if not marks:  # numpy's errstate stopped the simplex
+            assert mode == "raise" and result.startswith("FloatingPointError: overflow")
             seen.add("simplex")
             continue
         [(k, h)] = marks
@@ -1146,5 +1147,24 @@ def test_basic_cells_near_the_float_range_keep_the_outcome_in_every_errstate_mod
         else:
             assert abs(result[0] - dense_result[0]) <= 1
             seen.add("inf" if value == math.inf else "finite")
-    assert {"simplex", "finite", "rounded below the range"} <= seen
+    assert {"finite", "rounded below the range"} <= seen
     assert ("raised" if mode == "raise" else "inf") in seen
+    assert ("simplex" in seen) == (mode == "raise")
+
+
+@pytest.mark.parametrize("mode", ["ignore", "warn"])
+def test_a_start_whose_cost_passes_the_float_range_is_compared_as_inf(mode):
+    # 2-7 x 2-7 costs within 2^20 ulps of the largest float, and marginal
+    # totals 5e-10 above one, so the cost of a start passes the float range
+    # and its math.fsum raises OverflowError (122 of these 200 problems
+    # raised it from the simplex before the comparison read it as inf).
+    # Every solve returns, and its value, past the range, is inf
+    top = np.finfo(float).max
+    ulp = top - np.nextafter(top, 0.0)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        m, n = (int(k) for k in rng.integers(2, 8, 2))
+        C = top - rng.integers(0, 2**20, (m, n)) * ulp
+        a, b = (w / w.sum() * (1.0 + 5e-10) for w in (rng.uniform(0.5, 1.5, m), rng.uniform(0.5, 1.5, n)))
+        result, _, _ = _outcome(lambda _: [lp_solve(C, a, b)[1]], mode)
+        assert result == bits([math.inf])
