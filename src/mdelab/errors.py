@@ -34,7 +34,8 @@ class SupportBlowupError(MdeLabError):
 
 
 class OutOfRangeError(MdeLabError):
-    """A query time lies outside the represented interval."""
+    """A value lies outside the range it must fall in: a query time outside
+    the represented interval, or a transport cost past the float range."""
 
 
 class EndpointMismatchError(MdeLabError):

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimMismatchError, EndpointMismatchError, IoError
+from .errors import ConfigError, DimMismatchError, EndpointMismatchError, IoError, OutOfRangeError
 from .measures import DiscreteMeasure, _radius
 from .pvf import PvfSpec, _check_numbers, _is_grid_size, initial_from_spec, pvf_from_json
 from .schemes import LAGRANGIAN, SCHEMES, GridSpec, MeasurePath, SchemeConfig, run_scheme
@@ -315,8 +315,9 @@ def run_scenario(scn: Scenario) -> dict:
     then marks the directory as partial.
 
     A float overflow (a horizon too long) is a ConfigError naming ``T``,
-    and a rule that does not fit the initial measure's dimension one
-    naming ``pvf``.
+    a rule that does not fit the initial measure's dimension one naming
+    ``pvf``, and a transport cost past the float range (atoms so far apart
+    that their distance overflows) one naming ``initial``.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -325,6 +326,8 @@ def run_scenario(scn: Scenario) -> dict:
         raise ConfigError(f"T: {scn.T!r} overflows floating point ({exc})") from exc
     except DimMismatchError as exc:
         raise ConfigError(f"pvf: {exc}") from exc
+    except OutOfRangeError as exc:
+        raise ConfigError(f"initial: {exc}") from exc
 
 
 def _same_path(a: MeasurePath, b: MeasurePath) -> bool:

@@ -35,17 +35,25 @@ bit the single pair's.
 
 Every coupling comes from one solve, ``_lp``, the one caller of the
 simplex: ``lp_solve``, the distances and both stages of
-``fiber_pseudometric``.  It rescales marginals whose totals differ to
-their mean total, checks the marginals of the basic masses, and returns
-the value, the basic cells, the reduced costs and the rows and columns it
-solved.  The value of a solve is ``math.fsum`` of cost times mass over its
-m + n - 1 basic cells, correctly rounded, so it depends neither on the
-order the cells entered nor on the CPU.  No dense plan is built for a
-value: only ``lp_solve`` and ``w1_plan``, which return a plan, build one
-from the basic cells.  ``lp_solve`` checks its input, which comes from
-outside the package.  The distances build their costs from canonical
-measures, coordinate-major, and hand their weights to ``_lp``
-unchecked; the simplex tests only that the costs are finite.
+``fiber_pseudometric``.  It is also the one site where a solve's costs
+are built, held and summed.  ``lp_solve`` hands it the cost matrix it
+checked; the distances hand it their point pairs (atoms, or the positions
+and the velocities of lifts) and their canonical weights, unchecked.
+``_lp`` refuses a solve of more than ``_MAX_CELLS`` cells with
+``SupportBlowupError`` before it builds any m x n array, then builds the
+costs from the points, coordinate-major, as a Euclidean distance or the
+in-place sum of two.  The simplex reads single costs from that one
+matrix.  Atoms so far apart that a distance passes the float range give
+an inf cost, which the simplex refuses with ``OutOfRangeError``.  ``_lp``
+rescales marginals whose totals differ to their mean total, checks the
+marginals of the basic masses, and returns the value, the basic cells,
+the reduced costs and the rows and columns it solved.  One function,
+``_price``, sums cost times mass over a set of cells with ``math.fsum``:
+the value of a solve, over its m + n - 1 basic cells, and the costs of the
+simplex's two starts.  The sum is correctly rounded, so it depends neither
+on the order the cells entered nor on the CPU.  No dense plan is built
+for a value: only ``lp_solve`` and ``w1_plan``, which return a plan, build
+one from the basic cells.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DimMismatchError, IterationCapError, LpFailureError
+from .errors import OutOfRangeError, SupportBlowupError
 from .measures import DiscreteMeasure, LiftedMeasure, _same_dim
 from .tolerances import AGREE_TOL, PLAN_NEG_TOL, REDUCED_COST_TOL, TIGHT_TOL
 
@@ -207,7 +216,7 @@ def _hang(children, depth, cost, top: int, pot_top: float) -> tuple[list[int], l
     return order, pot
 
 
-def _tree(flow, C: list[list[float]], m: int, n: int, u: np.ndarray):
+def _tree(flow, C: np.ndarray, m: int, n: int, u: np.ndarray):
     """The basis ``flow`` hung from row 0, as lists indexed by node.
 
     Nodes 0..m-1 are the rows and m.. the columns.  Orients the basis:
@@ -230,7 +239,7 @@ def _tree(flow, C: list[list[float]], m: int, n: int, u: np.ndarray):
             kids.remove(parent[p])
         for q in kids:
             i, j = (p, q - m) if q >= m else (q, p - m)
-            parent[q], cost[q], mass[q] = p, C[i][j], flow[i, j]
+            parent[q], cost[q], mass[q] = p, C.item(i, j), flow[i, j]
         order += kids
     u.put(*_hang(children, depth, cost, 0, 0.0))
     return parent, depth, children, cost, mass
@@ -251,9 +260,9 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
     hung from row 0, so the staircase is priced in one loop and no tree is
     built for it.  If it is not optimal, the least-cost basis replaces it
     when that carries positive mass on every cell and costs less (a cost
-    whose ``math.fsum`` passes the float range reads as inf).  A tree
-    without zero-mass cells is strongly feasible whatever its root; a
-    degenerate least-cost basis is not used.  When ``allowed`` is given,
+    past the float range reads as inf).  A tree without zero-mass cells is
+    strongly feasible whatever its root; a degenerate least-cost basis is
+    not used.  When ``allowed`` is given,
     only those cells may enter.  Pricing is block search (Kovacs 2015):
     blocks of whole rows of at least ``_BLOCK_CELLS`` cells, visited in
     turn from the block of the last entering cell; the most negative
@@ -286,19 +295,23 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
 
     The pricing buffer spans the whole m x n matrix, and a solve ends when
     a round over every block finds no entering cell, so the buffer then
-    holds the reduced costs C - u - v under the final duals.
+    holds the reduced costs C - u - v under the final duals.  Besides the
+    blocks of rows that pricing reads, single costs are read from ``C`` in
+    place (``C.item``): O(m + n + pivots) of them, so the matrix is held
+    once.  The costs of the two starts are compared by ``_price``.
 
-    Costs that are not all finite raise the ValueError of ``lp_solve``:
-    the largest, read for the pricing tolerance, tests them all.
+    Costs that are not all finite raise OutOfRangeError: the largest, read
+    for the pricing tolerance, tests them all.  Only costs ``_lp`` built
+    from points can fail it, an inf distance between atoms too far apart;
+    ``lp_solve`` refuses such a matrix of its own with a ValueError first.
 
     Returns the basic cells with their masses, the reduced costs and the
     pivot count.
     """
     m, n = C.shape
     tol = REDUCED_COST_TOL * (1.0 + float(np.abs(C).max()))
-    if not math.isfinite(tol):  # a cost that overflowed to inf, or is NaN
-        raise ValueError("costs must be finite")
-    Cl = C.tolist()
+    if not math.isfinite(tol):  # a distance that overflowed to inf
+        raise OutOfRangeError("costs must be finite: a distance between atoms overflows")
     rows = -(-_BLOCK_CELLS // n)
     blocks = -(-m // rows)
     block = 0
@@ -325,30 +338,24 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
             block = (block + 1) % blocks
         return None
 
-    def total(f):
-        try:
-            return math.fsum(Cl[i][j] * x for (i, j), x in f.items())
-        except OverflowError:  # a partial sum passed the float range
-            return math.inf
-
     if flow is None:
         flow = _north_west(a.tolist(), b.tolist())
         pot, last = [0.0] * (m + n), 0
         for i, j in flow:  # each cell places its new row or column under the other
             if i != last:
-                pot[i], last = Cl[i][j] - pot[m + j], i
+                pot[i], last = C.item(i, j) - pot[m + j], i
             else:
-                pot[m + j] = Cl[i][j] - pot[i]
+                pot[m + j] = C.item(i, j) - pot[i]
         u[:] = pot
         pivoting = entering() is not None  # an optimal staircase is left without a tree
         if pivoting:
             start = _least_cost(C, a, b)
-            if min(start.values()) > 0.0 and total(start) < total(flow):
+            if min(start.values()) > 0.0 and _price(C, start) < _price(C, flow):
                 flow = start
     else:
         flow, pivoting = dict(flow), True
     if pivoting:  # the one site that hangs a start: the tree the pivots leave
-        parent, depth, children, cost, mass = _tree(flow, Cl, m, n, u)
+        parent, depth, children, cost, mass = _tree(flow, C, m, n, u)
     enter = entering() if pivoting else None
     for pivots in range(cap):
         if enter is None:
@@ -398,7 +405,7 @@ def _simplex(C: np.ndarray, a, b, cap: int, flow=None, allowed=None):
         flow[i, j] = delta
         # reverse the path from top up to the leaving cell: each node on it
         # hangs from the path node it carried, by the cell that joined them
-        c, x, p = Cl[i][j], delta, below
+        c, x, p = C.item(i, j), delta, below
         q = top
         while True:
             up = parent[q]
@@ -469,19 +476,46 @@ def lp_solve(
 # of the matrix that it solved, or None when it solved them all
 _Solve = namedtuple("_Solve", "value cells reduced index")
 
+# the most cells (m x n) a solve may have: 16.8 million, enough for a
+# 2601 x 5301 pair.  A 2-D W1 of 700 or 1500 atoms a side added 90-94 bytes
+# of peak RSS per cell (the cost matrix, the pricing buffer, and the sorted
+# order of the least-cost start with its two index lists), so a solve at
+# the cap holds about 1.6 GB
+_MAX_CELLS = 2**24
 
-def _lp(C: np.ndarray, r: np.ndarray, c: np.ndarray, max_iter=None, flow=None, allowed=None):
+
+def _price(C: np.ndarray, cells: dict[tuple[int, int], float]) -> float:
+    """The cost of ``cells`` on ``C``: ``math.fsum`` of ``C[i, j] * x`` over
+    the cells (i, j) and their masses x, correctly rounded, so it depends
+    neither on the order of the cells nor on the CPU.  A partial sum that
+    passes the float range reads as inf.  The one sum of cost times mass:
+    the value of a solve and the costs of the simplex's two starts."""
+    try:
+        return math.fsum(C.item(i, j) * x for (i, j), x in cells.items())
+    except OverflowError:  # a partial sum passed the float range
+        return math.inf
+
+
+def _lp(costs, r: np.ndarray, c: np.ndarray, max_iter=None, flow=None, allowed=None):
     """The solve of ``lp_solve``, on marginals it does not check: the one
-    caller of ``_simplex``, so every coupling of the package comes from it.
+    caller of ``_simplex``, so every coupling of the package comes from it,
+    and the one site where a solve's costs are built, held and summed.
+
+    ``costs`` is the cost matrix, which ``lp_solve`` checked, or a list of
+    pairs (X, Y) of point arrays from the distances: the cost of cell (i, j)
+    is the sum over the pairs of the Euclidean distance |X[i] - Y[j]|, one
+    pair for a W1 or a fiber stage and the positions and the velocities for
+    ``lifted_w1``, the second distance added in place.  Before any m x n
+    array is built, a solve of more than ``_MAX_CELLS`` cells raises
+    SupportBlowupError.  A distance past the float range is inf and raises
+    OutOfRangeError in ``_simplex``; ``lp_solve``'s matrix is finite.
 
     ``lp_solve`` calls it after its checks.  The distances call it with the
     weights of canonical measures: each is at least ``WEIGHT_FLOOR`` > 0,
     and their total is within ``UNIT_MASS_TOL`` of one, or is the sum of a
     renormalization, a few ulps from one; both are well inside
     ``AGREE_TOL``.  So those marginals pass every test of ``lp_solve``,
-    and the cost matrix built from the atoms has their shape.  A cost that
-    overflowed to inf, or is NaN, raises in ``_simplex`` the error
-    ``lp_solve`` raises for such costs.
+    and the costs built from the points have their shape.
 
     Marginals whose totals differ are rescaled to their mean total, and
     the row and column sums of the basic masses are checked against ``r``
@@ -492,24 +526,28 @@ def _lp(C: np.ndarray, r: np.ndarray, c: np.ndarray, max_iter=None, flow=None, a
     cells and reduced costs returned index the whole matrix too, or, where
     a marginal has zero entries, the rows and columns of positive mass
     that the simplex solved, which ``index`` then holds.  No m x n array
-    is built beyond the simplex's own: a caller that wants the plan builds
-    it from the cells with ``_dense``.
+    is built beyond the costs and the simplex's own: a caller that wants
+    the plan builds it from the cells with ``_dense``.
 
-    Returns a ``_Solve``.  Its value is ``math.fsum`` of ``C[i, j] * x``
-    over the basic cells, correctly rounded, so it depends neither on the
-    order the cells entered nor on the CPU.  The sum and the marginal check
-    run over the m + n - 1 cells in Python, where numpy's work per call
-    would cost more than the loop.  A value past the float range is taken
-    again by numpy's product and sum, so an overflow is inf, reported as
-    numpy's errstate says; the sum runs over the halved products and is
-    doubled, so a partial sum that passes the range does not make a value
-    within it inf.  The distances return the value unclamped: their costs
-    are norms or sums of norms, so >= +0.0 and never -0.0, and every basic
-    mass is >= +0.0 (a start takes ``min(ra, rb)`` of what is left, and a
-    pivot subtracts the smallest mass that loses), so every product and
-    their sum are >= +0.0.
+    Returns a ``_Solve``.  Its value is ``_price`` of the basic cells.  The
+    marginal check runs over the m + n - 1 cells in Python, where numpy's
+    work per call would cost more than the loop.  A value past the float
+    range is taken again by numpy's product and sum, so an overflow is inf,
+    reported as numpy's errstate says; the sum runs over the halved
+    products and is doubled, so a partial sum that passes the range does
+    not make a value within it inf.  The distances return the value
+    unclamped: their costs are norms or sums of norms, so >= +0.0 and never
+    -0.0, and every basic mass is >= +0.0 (a start takes ``min(ra, rb)`` of
+    what is left, and a pivot subtracts the smallest mass that loses), so
+    every product and their sum are >= +0.0.
     """
-    m, n = C.shape
+    ready = isinstance(costs, np.ndarray)  # lp_solve's matrix, else pairs of point arrays
+    m, n = costs.shape if ready else map(len, costs[0])
+    if m * n > _MAX_CELLS:
+        raise SupportBlowupError(f"a {m} x {n} solve has {m * n} cells, past the cap of {_MAX_CELLS}")
+    C = costs if ready else _pairwise_dist(*costs[0])
+    for X, Y in () if ready else costs[1:]:  # a lift's velocity distance, added in place
+        C += _pairwise_dist(X, Y)
     cap = int(max_iter) if max_iter is not None else 10 * m * n
     if r.all() and c.all():
         a, b, index = r, c, None
@@ -524,20 +562,16 @@ def _lp(C: np.ndarray, r: np.ndarray, c: np.ndarray, max_iter=None, flow=None, a
         total = (sa + sb) / 2.0
         a, b = a * (total / sa), b * (total / sb)
     cells, reduced, _ = _simplex(C, a, b, cap, flow=flow, allowed=allowed)
-    sums, terms, cost, k = [0.0] * len(targets), [], C.item, len(a)
+    sums, k = [0.0] * len(targets), len(a)
     for (i, j), x in cells.items():
         sums[i] += x
         sums[k + j] += x
-        terms.append(cost(i, j) * x)
     if max(map(abs, map(float.__sub__, sums, targets))) > AGREE_TOL:  # pragma: no cover
         # the balanced totals keep the basic masses within tolerance
         raise LpFailureError("solver returned a plan violating the marginals")
-    try:
-        value = math.fsum(terms)
-    except OverflowError:  # a partial sum passed the float range
-        value = math.inf
+    value = _price(C, cells)
     if not math.isfinite(value):  # numpy reports the overflow as its errstate says
-        terms = np.multiply([cost(i, j) for i, j in cells], list(cells.values())).tolist()
+        terms = np.multiply([C.item(i, j) for i, j in cells], list(cells.values())).tolist()
         value = float(np.add.reduce(np.full(2, math.fsum(t / 2.0 for t in terms))))
     return _Solve(value, cells, reduced, index)
 
@@ -565,8 +599,9 @@ def _pairwise_dist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     # lays the differences out as its inputs are, coordinates innermost, so
     # the reduce is the sum over the trailing axis of the (m, n, d)
     # differences, bit for bit.  A difference or square that overflows reads
-    # as inf, unreported, so costs that are not finite meet lp_solve's
-    # ValueError in every mode
+    # as inf, unreported, so costs that are not finite meet the simplex's
+    # OutOfRangeError in every mode.  Called only by _lp, which builds every
+    # cost matrix from points
     with np.errstate(over="ignore"):
         sq = X.T[:, :, None] - Y.T[:, None, :]
         np.multiply(sq, sq, out=sq)
@@ -652,7 +687,7 @@ def w1_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, method: str = "auto") 
         return 0.0
     if method == "quantile":
         return _w1_quantile(mu, nu)
-    return _lp(_pairwise_dist(mu.atoms, nu.atoms), mu.weights, nu.weights).value
+    return _lp([(mu.atoms, nu.atoms)], mu.weights, nu.weights).value
 
 
 # merged atoms per call of the row kernel in a sweep; a larger block measured
@@ -681,7 +716,7 @@ def _w1_sweep(ms, ns) -> np.ndarray:
         if mu.dim == 1:
             groups.setdefault((mu.natoms, nu.natoms), []).append(i)
         else:
-            values[i] = _lp(_pairwise_dist(mu.atoms, nu.atoms), mu.weights, nu.weights).value
+            values[i] = _lp([(mu.atoms, nu.atoms)], mu.weights, nu.weights).value
     for (m, n), ks in groups.items():
         step = max(1, _SWEEP_POINTS // (m + n))
         for part in (ks[s:s + step] for s in range(0, len(ks), step)):
@@ -711,7 +746,7 @@ def w1_plan(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[TransportPlan, fl
     if mu.dim == 1:
         cells = _north_west(mu.weights.tolist(), nu.weights.tolist())
         return _dense(cells, (mu.natoms, nu.natoms)), _w1_quantile(mu, nu)
-    solve = _lp(_pairwise_dist(mu.atoms, nu.atoms), mu.weights, nu.weights)
+    solve = _lp([(mu.atoms, nu.atoms)], mu.weights, nu.weights)
     return _dense(solve.cells, (mu.natoms, nu.natoms)), solve.value
 
 
@@ -723,10 +758,8 @@ def lifted_w1(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
     independently.
     """
     _same_dim(v1.dim, v2.dim)
-    cost = _pairwise_dist(v1.positions, v2.positions) + _pairwise_dist(
-        v1.velocities, v2.velocities
-    )
-    return _lp(cost, v1.weights, v2.weights).value
+    return _lp([(v1.positions, v2.positions), (v1.velocities, v2.velocities)],
+               v1.weights, v2.weights).value
 
 
 def fiber_pseudometric(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
@@ -751,7 +784,6 @@ def fiber_pseudometric(v1: LiftedMeasure, v2: LiftedMeasure) -> float:
     """
     _same_dim(v1.dim, v2.dim)
     a, b = v1.weights, v2.weights
-    place = _lp(_pairwise_dist(v1.positions, v2.positions), a, b)
+    place = _lp([(v1.positions, v2.positions)], a, b)
     tight = place.reduced <= TIGHT_TOL * (1.0 + place.value)
-    return _lp(_pairwise_dist(v1.velocities, v2.velocities), a, b,
-               flow=place.cells, allowed=tight).value
+    return _lp([(v1.velocities, v2.velocities)], a, b, flow=place.cells, allowed=tight).value

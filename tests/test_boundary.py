@@ -16,7 +16,9 @@ marginals it does not check: the distances hand it canonical weights, and
 ``lp_solve`` checks outside input before it calls it.  Only ``transport``
 may call it.  It is the one caller of the simplex ``_simplex``, so every
 coupling, both stages of ``fiber_pseudometric`` included, gets its
-rescaled marginals and its marginal check.
+rescaled marginals and its marginal check, and the one caller of
+``_pairwise_dist``: the distances hand it their points, and it builds the
+costs after its cell cap.
 
 The package computes every quantity inside numpy's elementwise loops and
 reductions, whose bits depend on numpy's summation order alone, or with
@@ -138,6 +140,13 @@ def test_the_simplex_is_called_only_by_the_unchecked_solve():
     assert [where for where, func in calls if func != "_lp"] == []
     # guards against a rename that would leave the test vacuous
     assert [func for _, func in calls] == ["_lp"]
+
+
+def test_the_costs_are_built_only_by_the_unchecked_solve():
+    calls = [call for path in sources() for call in calls_by_function(path, {"_pairwise_dist"})]
+    assert [where for where, func in calls if func != "_lp"] == []
+    # guards against a rename that would leave the test vacuous
+    assert {func for _, func in calls} == {"_lp"}
 
 
 BLAS = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}

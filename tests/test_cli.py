@@ -7,7 +7,7 @@ import pytest
 
 from mdelab.artifacts import read_json, write_json
 from mdelab.cli import main
-from mdelab.scenarios import get_scenario, scenario_to_json
+from mdelab.scenarios import get_scenario, scenario_from_json, scenario_to_json
 
 
 def run_cli(args, capsys):
@@ -333,6 +333,26 @@ def test_far_out_run_leaves_an_earlier_run_as_it_was(tmp_path, capsys):
     code, _, err = run_cli(["run", str(tmp_path / "far.json")], capsys)
     assert code == 2 and err.startswith("configuration error: T:")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_walk_whose_transport_costs_overflow_is_a_config_error_naming_initial(tmp_path, capsys):
+    # atoms 2e200 apart in the plane: the squared coordinate differences of
+    # the comparison and convergence solves overflow, and the run ended in
+    # an uncaught ValueError with no files
+    spec = {"name": "far-walk",
+            "pvf": {"kind": "constant_fiber", "omega": {
+                "kind": "atoms", "atoms": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                "weights": [0.25] * 4}},
+            "initial": {"kind": "atoms", "atoms": [[-1e200, 0.0], [1e200, 0.0]],
+                        "weights": [0.5, 0.5]},
+            "T": 1.0, "N": [2, 4], "scheme": "all", "compare": True, "converge": True,
+            "outputs": str(tmp_path / "o")}
+    write_json(scenario_to_json(scenario_from_json(spec)), tmp_path / "far.json")
+    code, out, err = run_cli(["run", str(tmp_path / "far.json")], capsys)
+    assert code == 2
+    assert err.startswith("configuration error: initial: costs must be finite")
+    assert "Traceback" not in err and out == ""
+    assert not (tmp_path / "o").exists()
 
 
 def test_represent_after_a_merge_is_a_config_error_naming_coalesce_tol(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -14,7 +15,9 @@ from mdelab import (
     DimMismatchError,
     GridSpec,
     IterationCapError,
+    OutOfRangeError,
     SchemeConfig,
+    SupportBlowupError,
     TransportPlan,
     dirac,
     fiber_pseudometric,
@@ -226,10 +229,15 @@ def test_lp_solve_rejects_huge_marginals_without_overflow(r, c, mode):
     assert str(info.value) == "marginals must each sum to one"
 
 
+# what the simplex raises for an inf cost, a distance between atoms too far apart
+FAR_APART = "costs must be finite: a distance between atoms overflows"
+
+
 @pytest.mark.parametrize("mode", ["plain", "raise"])
 def test_quantile_w1_of_atoms_spanning_the_float_range(mode):
     # the grid gap 2e308 overflowed, and W1 came back inf with a warning;
-    # the LP route still refuses the pair, since its costs overflow
+    # the LP route still refuses the pair, since its costs overflow, with
+    # the lab's error for costs built from points
     import warnings
 
     mu = make_measure([[-1e308], [1e308]], [0.5, 0.5])
@@ -239,11 +247,11 @@ def test_quantile_w1_of_atoms_spanning_the_float_range(mode):
         with np.errstate(all="raise") if mode == "raise" else np.errstate():
             value = w1_distance(mu, nu)
     assert value == pytest.approx(2e307, rel=1e-15)
-    with warnings.catch_warnings(), pytest.raises(ValueError) as info:
+    with warnings.catch_warnings(), pytest.raises(OutOfRangeError) as info:
         warnings.simplefilter("error")
         with np.errstate(all="raise") if mode == "raise" else np.errstate():
             w1_distance(mu, nu, method="lp")
-    assert str(info.value) == "costs must be finite"
+    assert str(info.value) == FAR_APART
 
 
 def bits(values) -> list[int]:
@@ -340,7 +348,8 @@ def test_quantile_w1_keeps_the_per_pair_bits_on_seeded_pairs():
 @pytest.mark.parametrize("mode", ["plain", "over", "all"])
 def test_lp_costs_that_overflow_raise_one_error_in_every_mode(mode):
     # the distance of atoms 2e308 apart overflowed as a FloatingPointError
-    # in raise mode; it now reads as inf, which the LP refuses
+    # in raise mode; it now reads as inf, which the LP refuses with the
+    # lab's error for costs built from points
     import warnings
 
     mu = make_measure([[-1e308, 0.0], [1e308, 0.0]], [0.5, 0.5])
@@ -349,11 +358,11 @@ def test_lp_costs_that_overflow_raise_one_error_in_every_mode(mode):
     other = make_lifted(nu.atoms, nu.atoms, nu.weights)
     errstate = {"plain": {}, "over": {"over": "raise"}, "all": {"all": "raise"}}[mode]
     for distance, a, b in [(w1_distance, mu, nu), (lifted_w1, lifted, other)]:
-        with warnings.catch_warnings(), pytest.raises(ValueError) as info:
+        with warnings.catch_warnings(), pytest.raises(OutOfRangeError) as info:
             warnings.simplefilter("error")
             with np.errstate(**errstate):
                 distance(a, b)
-        assert str(info.value) == "costs must be finite"
+        assert str(info.value) == FAR_APART
 
 
 @pytest.mark.parametrize("mode", ["plain", "over", "all"])
@@ -361,7 +370,8 @@ def test_lp_costs_that_overflow_raise_one_error_in_every_mode(mode):
 def test_fiber_costs_that_overflow_raise_the_lp_error(mode, far):
     # positions 2e308 apart: stage one priced its inf costs and returned
     # 0.5 with warnings, where lifted_w1 raised; velocities 2e308 apart
-    # leaked a warning from stage two
+    # leaked a warning from stage two.  Both distances raise the lab's
+    # error for costs built from points
     import warnings
 
     near, wide = [[0.0], [1.0]], [[-1e308], [1e308]]
@@ -369,12 +379,11 @@ def test_fiber_costs_that_overflow_raise_the_lp_error(mode, far):
     a, b = make_lifted(pos, vel, [0.5, 0.5]), make_lifted(pos, vel, [0.4, 0.6])
     errstate = {"plain": {}, "over": {"over": "raise"}, "all": {"all": "raise"}}[mode]
     for distance in (lifted_w1, fiber_pseudometric):
-        with warnings.catch_warnings(), pytest.raises(ValueError) as info:
+        with warnings.catch_warnings(), pytest.raises(OutOfRangeError) as info:
             warnings.simplefilter("error")
             with np.errstate(**errstate):
                 distance(a, b)
-        assert type(info.value) is ValueError
-        assert str(info.value) == "costs must be finite"
+        assert str(info.value) == FAR_APART
 
 
 @pytest.mark.parametrize("mass", [[[np.nan]], [[np.inf]], [[0.5, -np.inf]], [[0.5, np.nan], [-1.0, 0.0]]])
@@ -393,6 +402,59 @@ def test_transport_plan_rejects_a_mass_that_is_not_a_nonnegative_matrix(mass, me
     with pytest.raises(ValueError) as info:
         TransportPlan(mass)
     assert str(info.value) == message
+
+
+def _traced_peak(f) -> int:
+    """The ``tracemalloc`` peak, in bytes, while ``f()`` runs or raises."""
+    tracemalloc.start()
+    try:
+        f()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_a_solve_past_the_cell_cap_raises_before_any_matrix_is_built():
+    # the cap admits the 2-D walk's las final nodes at N = 64 and 128 (2601
+    # and 5301 atoms), not those at N = 128 and 256 (5301 and 10405)
+    assert 2601 * 5301 <= transport._MAX_CELLS < 5301 * 10405
+    # 5000 x 5000 cells: the cost matrix alone would take 200 MB
+    rng = np.random.default_rng(5)
+    mu, nu = (make_measure(rng.uniform(-1.0, 1.0, (5000, 2)), rng.uniform(0.5, 1.5, 5000))
+              for _ in range(2))
+
+    def refused():
+        with pytest.raises(SupportBlowupError) as info:
+            w1_distance(mu, nu)
+        assert str(info.value) == f"a 5000 x 5000 solve has 25000000 cells, past the cap of {2**24}"
+
+    assert _traced_peak(refused) < 2**20
+
+
+def test_every_solve_meets_the_one_cell_cap(monkeypatch):
+    # lp_solve, w1_plan, the lift and the fiber pseudometric's first stage
+    # meet the cap at the one site, before the simplex
+    monkeypatch.setattr(transport, "_MAX_CELLS", 11)
+    monkeypatch.setattr(transport, "_simplex", None)  # a call would raise TypeError
+    v1, v2 = (make_lifted(np.arange(k)[:, None], np.zeros((k, 1)), np.ones(k)) for k in (3, 4))
+    calls = [lambda: lp_solve(np.ones((3, 4)), [1 / 3] * 3, [0.25] * 4),
+             lambda: lifted_w1(v1, v2), lambda: fiber_pseudometric(v1, v2),
+             lambda: w1_plan(make_measure([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [1 / 3] * 3),
+                             make_measure([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]],
+                                          [0.25] * 4))]
+    for call in calls:
+        with pytest.raises(SupportBlowupError) as info:
+            call()
+        assert str(info.value) == "a 3 x 4 solve has 12 cells, past the cap of 11"
+
+
+def test_a_100_atom_2d_w1_peaks_below_70_bytes_per_cell():
+    # the cost matrix, the pricing buffer and the least-cost start's order
+    # and index lists; a nested-list copy of the costs took the peak to 84
+    # bytes per cell
+    mu, nu = _pair_2d(np.random.default_rng(37), 100)
+    assert _traced_peak(lambda: w1_distance(mu, nu)) / 100**2 < 70
 
 
 def test_lp_solve_iteration_cap():
@@ -1031,8 +1093,12 @@ def test_basic_cells_sum_to_every_value(problem, mu, nu, v1, v2):
     solves = []
     real = transport._lp
 
-    def recorded(C, *args, **kw):
-        solve = real(C, *args, **kw)
+    def recorded(costs, *args, **kw):
+        # lp_solve's matrix, or the distances' point pairs, whose costs are
+        # the trailing-axis formula, summed over the pairs
+        solve = real(costs, *args, **kw)
+        C = costs if isinstance(costs, np.ndarray) else sum(
+            oracles.pairwise_dist_trailing(X, Y) for X, Y in costs)
         solves.append((C, solve))
         return solve
 
@@ -1078,6 +1144,18 @@ def test_basic_cells_give_the_plans_of_lp_solve_and_w1_plan(monkeypatch):
     plan, value = w1_plan(mu, nu)
     assert len(built) == 2 and plan.shape == (10, 10)
     assert value == w1_distance(mu, nu)
+
+
+def test_basic_cells_and_both_starts_are_priced_by_one_function(monkeypatch):
+    # the least-cost start, then the north-west corner it must undercut,
+    # then the value over the basic cells: m + n - 1 cells each
+    priced = []
+    price = transport._price
+    monkeypatch.setattr(transport, "_price", lambda C, cells: priced.append(len(cells)) or price(C, cells))
+    mu, nu = _pair_2d(np.random.default_rng(89), 10)
+    value = w1_distance(mu, nu)
+    assert priced == [19, 19, 19]
+    assert value == math.fsum(_cost(mu, nu)[i, j] * x for i, j, x in w1_plan(mu, nu)[0].nonzeros())
 
 
 @pytest.mark.parametrize("mode", ERRSTATE_MODES)
