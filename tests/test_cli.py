@@ -355,6 +355,27 @@ def test_a_walk_whose_transport_costs_overflow_is_a_config_error_naming_initial(
     assert not (tmp_path / "o").exists()
 
 
+def test_a_walk_whose_fiber_makes_transport_costs_overflow_is_a_config_error_naming_pvf(
+        tmp_path, capsys):
+    # a tame start whose fiber moves atoms 1e160 apart: the squared
+    # distances of the comparison and convergence solves overflow, and the
+    # rule, not the initial measure, put the atoms there
+    spec = {"name": "far-fiber",
+            "pvf": {"kind": "constant_fiber", "omega": {
+                "kind": "atoms",
+                "atoms": [[1e160, 0.0], [-1e160, 0.0], [0.0, 1e160], [0.0, -1e160]],
+                "weights": [0.25] * 4}},
+            "initial": {"kind": "dirac", "point": [0.0, 0.0]},
+            "T": 1.0, "N": [2, 4], "scheme": "all", "compare": True, "converge": True,
+            "outputs": str(tmp_path / "o")}
+    write_json(scenario_to_json(scenario_from_json(spec)), tmp_path / "far.json")
+    code, out, err = run_cli(["run", str(tmp_path / "far.json")], capsys)
+    assert code == 2
+    assert err.startswith("configuration error: pvf: costs must be finite")
+    assert "Traceback" not in err and out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_represent_after_a_merge_is_a_config_error_naming_coalesce_tol(tmp_path, capsys):
     # coalesce_tol merges the children at +-1/8, so a curve ends where no atom is
     spec = {"pvf": {"kind": "constant_fiber",

@@ -582,6 +582,13 @@ def lattice_and_mean_cases(rng):
         # a torn block moves whole from the first step
         yield pytest.param(quantile_uniform(a, a + 1.0, 256), cfg(scheme, N=64), [63],
                            id=f"{scheme}-block256")
+    for n, N in [(512, 200), (64, 600)]:
+        # power-of-two blocks whose running sum spans several blocks of
+        # _BLOCK_BYTES: 64 rows of 512 atoms, or 512 rows of 64 atoms, the
+        # last block partial
+        for scheme in SCHEMES:
+            yield pytest.param(quantile_uniform(0.3, 1.3, n), cfg(scheme, N=N), [N - 1],
+                               id=f"{scheme}-block{n}-N{N}")
     for scheme, starts in [(LAS, [14]), (LAGRANGIAN, [14]), (MEAN_VELOCITY, [15])]:
         # an odd block's median splits: its mean-velocity lift still holds
         # the node's weights, so that run takes the route at once, and the
