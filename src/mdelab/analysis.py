@@ -6,7 +6,11 @@ evolution law in the weak sense: for a smooth bump f, the change of
 the velocity rule evaluated along the path.  The integrand is only known
 at node measures, so the integral is a trapezoid sum over nodes; the
 defect therefore carries an O(dt) quadrature floor and the useful signal
-is how it scales with N, not its absolute size.
+is how it scales with N, not its absolute size.  A bump is evaluated by
+one route, the residual's in-place polynomial (``_polynomial``): a block
+of the residual and ``TestFunction.value`` and ``.gradient`` alike form
+s = max(1 - |x - c|²/r², 0), the value (s·s)·s and the gradient
+((s·s)·k)·(x - c) with k = -6/r², in that order.
 
 Convergence studies and scheme comparisons score paths they are given:
 both reduce them to tables of sup-over-node-times Wasserstein-1 numbers,
@@ -21,7 +25,7 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DimMismatchError, EmptyInputError
-from .measures import DiscreteMeasure, _radius, is_real
+from .measures import DiscreteMeasure, _radius, _same_dim, is_real
 from .pvf import PvfSpec, eval_pvf
 from .schemes import MeasurePath, interpolate_at
 from .transport import _w1_sweep
@@ -54,6 +58,8 @@ class TestFunction:
         if not (is_real(r) and r > 0 and np.isfinite(r)):
             raise ValueError(f"radius must be a positive finite number, got {r!r}")
         r = float(r)
+        if c.shape[0] == 0:
+            raise ValueError(f"center needs at least one coordinate, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("center must be finite")
         c = c + 0.0
@@ -66,21 +72,27 @@ class TestFunction:
         return self.center.shape[0]
 
     def value(self, points: np.ndarray) -> np.ndarray:
-        s = _bump(*self._at(points))[2][0]
-        return s * s * s
+        _, s, s2 = self._at(points)
+        return np.multiply(s2, s, out=s2)
 
     def gradient(self, points: np.ndarray) -> np.ndarray:
-        return _bump_gradients(*_bump(*self._at(points)))[0]
+        diff, _, s2 = self._at(points)
+        np.multiply(s2, -6.0 / self.radius**2, out=s2)  # (s·s)·k with k = -6/r²
+        return np.multiply(s2[..., None], diff, out=diff)
 
     def lipschitz_bound(self) -> float:
         """Exact sup-norm of the gradient (well below the crude 6/r)."""
         return _GRAD_SUP / self.radius
 
     def _at(self, points):
-        """The arguments of ``_bump`` for this bump at ``points``."""
+        """diff = points - c, s and s·s at ``points`` (..., d), by the
+        residual's ``_polynomial`` on buffers shaped like the points."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         _check_dims([self], pts.shape[-1])
-        return pts, self.center[None, :], np.array([self.radius**2])
+        # diff and the squares shaped (..., d), s and s·s (...)
+        diff, sq, s, s2 = (np.empty(pts.shape[:n]) for n in (None, None, -1, -1))
+        _polynomial(pts, self.center, self.radius**2, diff, None if self.dim == 1 else sq, s, s2)
+        return diff, s, s2
 
 
 def _check_dims(family: Sequence[TestFunction], dim: int) -> None:
@@ -88,21 +100,6 @@ def _check_dims(family: Sequence[TestFunction], dim: int) -> None:
     for f in family:
         if f.dim != dim:
             raise DimMismatchError(f"test function dim {f.dim} vs point dim {dim}")
-
-
-def _bump(points: np.ndarray, centers: np.ndarray, r2: np.ndarray):
-    """(points - center, squared radius, s = max(1 - |points - center|^2 / r^2, 0))
-    per bump, for points (..., d), centers (bumps, d) and squared radii
-    (bumps,): the bump's value is s^3.  The differences have shape
-    (bumps, ..., d), s (bumps, ...), and the radii broadcast against s."""
-    lead = (len(centers),) + (1,) * (points.ndim - 1)
-    diff, r2 = points[None] - centers.reshape(lead + centers.shape[1:]), r2.reshape(lead)
-    return diff, r2, np.maximum(1.0 - np.sum(diff**2, axis=-1) / r2, 0.0)
-
-
-def _bump_gradients(diff: np.ndarray, r2: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Cubic bump gradients, shape (bumps, ..., d), from the parts ``_bump`` returns."""
-    return (-6.0 / r2)[..., None] * s[..., None] ** 2 * diff
 
 
 def default_test_family(measures: Sequence[DiscreteMeasure]) -> list[TestFunction]:
@@ -116,7 +113,12 @@ def default_test_family(measures: Sequence[DiscreteMeasure]) -> list[TestFunctio
     """
     if len(measures) == 0:
         raise EmptyInputError("need at least one measure to size the family")
-    atoms = np.concatenate([m.atoms for m in measures])
+    try:
+        atoms = np.concatenate([m.atoms for m in measures])
+    except ValueError:  # atoms of two dimensions; the happy path tests none
+        for m in measures:
+            _same_dim(measures[0].dim, m.dim)
+        raise
     lo, hi = atoms.min(axis=0), atoms.max(axis=0)
     mid = (lo + hi) / 2.0
     half = 1.2 * (hi - lo) / 2.0
@@ -240,9 +242,11 @@ def _held(arrays: Sequence[np.ndarray]) -> np.ndarray:
 
 def _polynomial(points, centers, r2, diff, sq, s, s2) -> None:
     """Write diff = points - center, s = max(1 - Σ_d diff² / r², 0) and
-    s·s per bump into the (bumps, nodes, rows[, d]) buffers ``diff``, ``s``
-    and ``s2``: the bump polynomial of one block.  ``sq`` takes the squares
-    where d > 1 and is None for d = 1, where ``s`` takes the one square."""
+    s·s per bump into the buffers ``diff``, ``s`` and ``s2``: the bump
+    polynomial, the only code that forms s.  A residual block passes
+    (bumps, nodes, rows[, d]) buffers, a ``TestFunction`` buffers shaped
+    like its points (..., d).  ``sq`` takes the squares where d > 1 and is
+    None for d = 1, where ``s`` takes the one square."""
     np.subtract(points, centers, out=diff)
     if sq is None:
         np.multiply(diff[..., 0], diff[..., 0], out=s)

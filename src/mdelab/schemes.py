@@ -55,11 +55,10 @@ whole with its own weight, as a torn dyadic block's does at every step.
 Such a splitting step runs no ``measures._unit`` (the weight total and
 floor) under ``lagrangian`` or ``las``; one whose median splits runs it
 once, on the lift's fresh weights.  The next node of a whole step holds
-the same weights array, and the splitting rule keeps that array's
-velocity column (see ``pvf._splitting_rows``), so such a run finds the
-median once: a torn block's later steps, and a ``splitting-dirac`` run's
-after its first split, run no median search and build no velocity
-column, and their lifts share one read-only velocity column.  Under every
+the same weights array, and such a run finds the median once: a torn
+block's later steps, and a ``splitting-dirac`` run's after its first
+split, run no median search and build no velocity column, and their lifts
+share one read-only velocity column.  Under every
 scheme the splitting rule's velocity column, its lattice binning and its
 fiber means are functions of the weights array alone, so once a step's
 lift holds the node's weights array and the next node keeps it, the later
@@ -76,10 +75,14 @@ holds the node's weights even where the median splits, so such a run takes
 the route from its first step; a ``las`` or ``lagrangian`` run takes it once
 its median atom moves right whole with its own weight (a Dirac's after its
 first split, and never that of a block which splits off a sliver at every
-step).  ``residual``, and a run's steps before the route starts, still lift
-each node, through the rule's kept column where the median moves whole.
-What a split fixes is not kept: a run does not lift a split node's weights
-again while the lift holding its columns lives.
+step).  The route hands the first whole lift's velocity column to every
+later lift itself.  The rule's kept column (``pvf._split_memo``) serves
+``residual``, which lifts each node, and in a run only a ``lagrangian``
+step from the last node of a route that stopped (two atoms that round
+together); ``las`` and ``mean-velocity`` lifts hold a binned column or the
+fiber means, so their steps never find it.  What a split fixes is not
+kept: a run does not lift a split node's weights again while the lift
+holding its columns lives.
 
 A step does no bookkeeping that its inputs already settle.  Its rule's
 kind is one entry of one table (``pvf._KINDS``), which gives the atom

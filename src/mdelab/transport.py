@@ -29,9 +29,11 @@ Wasserstein distance is instead integrated exactly from the CDF
 difference, which doubles as an independent cross-check of the simplex
 in the test suite.  That integral is a row kernel: it takes a batch of
 pairs of one shape, (m, n) atoms, and a single pair is a batch of one.
-A path sweep (``_w1_sweep``) groups its node pairs by shape and calls the
-kernel once per group, or per block of a large group, each value bit for
-bit the single pair's.
+A path sweep (``_w1_sweep``) groups its node pairs by shape and stacks
+every group, a group of one too, for one kernel call per group, or per
+block of a large group, each value bit for bit the single pair's; only
+``w1_distance`` and ``w1_plan``, which take one pair, pass views of its
+arrays (``_w1_quantile``).
 
 Every coupling comes from one solve, ``_lp``, the one caller of the
 simplex: ``lp_solve``, the distances and both stages of
@@ -442,6 +444,13 @@ def lp_solve(
     The value is ``math.fsum`` of ``costs[i, j] * plan.mass[i, j]`` over
     the basic cells, the correctly rounded cost of the plan, which is built
     from the basic cells on demand, here, and zero elsewhere.
+
+    Costs near the top of the float range are finite but not solved well:
+    the value is inf, and the plan may not be optimal, since the reduced
+    costs overflow to inf or NaN while the pivots are priced.  On 200
+    seeded such problems, 169 plans differed from the solve of the same
+    costs scaled by 2^-4 (an exact scaling), and 108 cost more than it by
+    over 1e-11 relatively.
     """
     C = np.asarray(costs, dtype=float)
     r = np.asarray(row_marginals, dtype=float).ravel()
@@ -519,9 +528,15 @@ def _lp(costs, r: np.ndarray, c: np.ndarray, max_iter=None, flow=None, allowed=N
 
     Marginals whose totals differ are rescaled to their mean total, and
     the row and column sums of the basic masses are checked against ``r``
-    and ``c``.  ``flow`` and ``allowed`` are handed to ``_simplex``: a warm
-    start from the cells of an earlier solve with the same marginals, and
-    the cells that may enter.  They index the whole matrix, so they are for
+    and ``c``.  The rescale brings the totals within ulps of each other,
+    not always to equality: of 3,000 seeded lifted pairs (2-26 atoms),
+    1,771 had totals that differ, and 1,225 of those still did after it,
+    by up to 7.8e-16.  The north-west corner's last cell then holds that
+    gap, far inside ``AGREE_TOL``.
+
+    ``flow`` and ``allowed`` are handed to ``_simplex``: a warm start from
+    the cells of an earlier solve with the same marginals, and the cells
+    that may enter.  They index the whole matrix, so they are for
     marginals with no zero entry, which canonical weights always are.  The
     cells and reduced costs returned index the whole matrix too, or, where
     a marginal has zero entries, the rows and columns of positive mass
@@ -557,8 +572,10 @@ def _lp(costs, r: np.ndarray, c: np.ndarray, max_iter=None, flow=None, allowed=N
     targets = a.tolist() + b.tolist()  # the marginals the basic masses must sum to
     sa, sb = a.sum(), b.sum()
     if sa != sb:
-        # balance the totals, or the north-west corner strands the excess
-        # in its last cell; each marginal moves by at most half their gap
+        # bring the totals within ulps of each other, or the north-west
+        # corner strands their whole gap in its last cell; each marginal
+        # moves by at most half the gap, and the ulps left (up to 7.8e-16)
+        # stay in that cell
         total = (sa + sb) / 2.0
         a, b = a * (total / sa), b * (total / sb)
     cells, reduced, _ = _simplex(C, a, b, cap, flow=flow, allowed=allowed)
@@ -701,11 +718,11 @@ def _w1_sweep(ms, ns) -> np.ndarray:
     over two equally long lists of measures.
 
     Bit-equal pairs are 0.0 with no work.  On the line the other pairs are
-    grouped by their atom counts (m, n): a group of several is stacked and
-    integrated by one call of the row kernel, in blocks of at most
-    ``_SWEEP_POINTS`` merged atoms, and a lone pair goes through as views
-    of its arrays, as ``w1_distance`` takes it.  Elsewhere each pair is one
-    solve.  A pair of two dimensions raises DimMismatchError.
+    grouped by their atom counts (m, n), and every group, a group of one
+    too, is stacked and integrated by the row kernel, one call per block of
+    at most ``_SWEEP_POINTS`` merged atoms: a sweep has one route on the
+    line.  Elsewhere each pair is one solve.  A pair of two dimensions
+    raises DimMismatchError.
     """
     values = np.zeros(len(ms))
     groups: dict[tuple[int, int], list[int]] = {}
@@ -720,12 +737,9 @@ def _w1_sweep(ms, ns) -> np.ndarray:
     for (m, n), ks in groups.items():
         step = max(1, _SWEEP_POINTS // (m + n))
         for part in (ks[s:s + step] for s in range(0, len(ks), step)):
-            if len(part) == 1:  # views of the pair's arrays, as w1_distance takes them
-                values[part[0]] = _w1_quantile(ms[part[0]], ns[part[0]])
-            else:
-                (a, wa), (b, wb) = ((np.stack([x[k].atoms[:, 0] for k in part]),
-                                     np.stack([x[k].weights for k in part])) for x in (ms, ns))
-                values[part] = _w1_rows(a, b, wa, wb)
+            (a, wa), (b, wb) = ((np.stack([x[k].atoms[:, 0] for k in part]),
+                                 np.stack([x[k].weights for k in part])) for x in (ms, ns))
+            values[part] = _w1_rows(a, b, wa, wb)
     return values
 
 

@@ -12,14 +12,15 @@ settings.register_profile(
 )
 # ten times the examples, for the differential tests of the grouping kernel,
 # of the scheme routes, of the transport solves and values, of the cost
-# matrix, of the CDF row kernel and of the residual's blocks:
+# matrix, of the CDF row kernel, of the residual's blocks and of its bump:
 # HYPOTHESIS_PROFILE=deep python -m pytest tests/test_measures.py -k ...
 # HYPOTHESIS_PROFILE=deep python -m pytest tests/test_schemes.py \
 #     -k "step_loop or read_only or adopt_route"
 # HYPOTHESIS_PROFILE=deep python -m pytest tests/test_transport.py \
 #     -k "fiber_pseudometric or lp_solve_degenerate or strongly_feasible or degenerate_problems or cdf_kernel \
 #         or pairwise_dist or basic_cells"
-# HYPOTHESIS_PROFILE=deep python -m pytest tests/test_analysis.py -k "broadcast or matches_loop_reference"
+# HYPOTHESIS_PROFILE=deep python -m pytest tests/test_analysis.py \
+#     -k "broadcast or matches_loop_reference or bump_value_and_gradient"
 settings.register_profile("deep", settings.get_profile("mdelab"), max_examples=600)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "mdelab"))
 

@@ -11,9 +11,9 @@ merging, so agreement with the package is meaningful.
 
 The loop references at the end (the CDF integral of one pair on the
 line, the cost matrix summed over its trailing axis, the splitting lift
-and its median, curve gluing and the weak residual) are the per-atom and
-per-pair loops, or the earlier forms, that the package's whole-array
-kernels replace.
+and its median, curve gluing, the weak residual and its cubic bump) are
+the per-atom and per-pair loops, or the earlier forms, that the
+package's whole-array kernels replace.
 They take plain arrays and use the same floating-point operations in the
 same order, so the kernels must match them bit for bit.  The per-fiber
 means are the exception: the reference merges and normalizes each fiber
@@ -643,6 +643,21 @@ def residual_loop(times, nodes, lifts, centers, radii):
         )
         defects[fi] = np.abs(values - values[0] - trap)
     return defects
+
+
+def bump_loop(points, c, r):
+    """The cubic bump centered at c with radius r and its gradient at
+    ``points`` (..., d), written as ``residual_loop`` writes them.
+
+    Over the points as rows, s = max(0, 1 - |x - c|^2 / r^2), the value is
+    s * s * s and the gradient (-6 / r^2) * s^2 * (x - c).  Returns the
+    values (...) and the gradients (..., d).
+    """
+    pts = np.asarray(points, dtype=float)
+    diff = pts.reshape(-1, pts.shape[-1]) - c
+    s = np.maximum(1.0 - np.sum(diff**2, axis=1) / r**2, 0.0)
+    grad = (-6.0 / r**2) * s[:, None] ** 2 * diff
+    return (s * s * s).reshape(pts.shape[:-1]), grad.reshape(pts.shape)
 
 
 def fiber_means_loop(positions, velocities, weights, tol):

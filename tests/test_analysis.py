@@ -108,6 +108,22 @@ def test_bump_lipschitz_bound_is_sharp_supremum():
     assert grads.max() >= bound * (1.0 - 1e-6)
 
 
+@given(st.integers(1, 9), st.sampled_from([(5,), (1,), (3, 4)]), st.integers(0, 2**32 - 1))
+def test_bump_value_and_gradient_are_the_loop_formula_bit_for_bit(d, lead, seed):
+    # the bump shares the residual's polynomial; the formula it replaced
+    # lives on in oracles.bump_loop
+    rng = np.random.default_rng(seed)
+    center, radius = rng.uniform(-2.0, 2.0, size=d), float(rng.uniform(0.25, 3.0))
+    # points inside the ball, on its edge and beyond it
+    points = center + rng.uniform(-1.5, 1.5, size=lead + (d,)) * radius / np.sqrt(d)
+    points[(0,) * len(lead)] = center + radius * np.eye(d)[0]
+    f = TestFunction(center, radius)
+    values, grads = oracles.bump_loop(points, f.center, f.radius)
+    assert f.value(points).shape == lead and f.gradient(points).shape == lead + (d,)
+    assert np.array_equal(f.value(points), values)
+    assert np.array_equal(f.gradient(points), grads)
+
+
 def test_bump_validation():
     with pytest.raises(ValueError):
         TestFunction(center=np.array([0.0]), radius=0.0)
@@ -117,6 +133,19 @@ def test_bump_validation():
     for radius in (2, np.int64(2), np.float64(2.0)):
         f = TestFunction(center=np.array([0.0]), radius=radius)
         assert type(f.radius) is float and f.radius == 2.0
+
+
+def test_a_bump_needs_a_center_with_a_coordinate():
+    for center in ([], np.zeros((1, 0))):
+        with pytest.raises(ValueError, match=r"^center needs at least one coordinate, got shape \(0,\)$"):
+            TestFunction(center, 1.0)
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 2, 1)])
+def test_a_family_of_measures_of_two_dimensions_is_refused(dims):
+    # numpy's concatenate raised a bare ValueError
+    with pytest.raises(DimMismatchError, match=f"^dim {dims[0]} vs {dims[-1]}$"):
+        default_test_family([dirac(np.arange(d, dtype=float)) for d in dims])
 
 
 @pytest.mark.parametrize("radius", [True, False, np.bool_(True), "2", None, [1.0],

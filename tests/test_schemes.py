@@ -481,6 +481,29 @@ def test_a_torn_block_run_finds_its_median_once_and_keeps_nothing_alive(monkeypa
     assert [ref() for ref in refs] == [None, None]
 
 
+@pytest.mark.parametrize("scheme, found", [(LAGRANGIAN, True), (MEAN_VELOCITY, False)])
+def test_only_a_lagrangian_step_after_the_route_stops_finds_the_splitting_memo(monkeypatch, scheme,
+                                                                              found):
+    # the "merge" run of differential_cases: the route stops before node 4,
+    # where two atoms round together, and the step from node 3 lifts the
+    # first node's weights array again.  Under lagrangian the lifts before
+    # it hold the rule's velocity column, so the step finds it in
+    # pvf._split_memo and runs no median search.  A mean-velocity lift
+    # holds the fiber means instead (a las lift the binned column), so
+    # nothing keeps the rule's column alive and the step searches
+    calls = []
+    median = pvf._median
+    monkeypatch.setattr(pvf, "_median", lambda mu: calls.append(mu) or median(mu))
+    begun = counted_steps(monkeypatch, scheme)
+    u = float(np.spacing(8192.0))
+    mu0 = m1([0.0, 16383.25 - u, 16383.25], [0.5, 0.25, 0.25])
+    path = run_scheme(SPLIT, mu0, cfg(scheme, T=2.0, N=8))
+    assert [path.measures.index(mu) for mu in begun] == [0, 3, 4]
+    assert path.measures[3].weights is path.measures[0].weights
+    assert len(calls) == len(begun) - found
+    assert (path.interp[3].velocities is path.interp[0].velocities) == found
+
+
 def reference_run(spec, mu, config, nodes: list):
     """``run_scheme`` as a plain loop over the step of ``config.scheme``
     (``schemes._STEPS``), from ``mu`` snapped under ``las``, recorded as
